@@ -27,7 +27,7 @@ from exbt.genbackend import (
     generate_many,
     make_backend,
 )
-from exbt.guardexpr import compute_guard_expression
+from exbt.guardexpr import GuardExpression, compute_guard_expression
 from exbt.instrument import (
     instrument_print_exception,
     instrument_print_trace,
@@ -43,6 +43,7 @@ from exbt.metrics import (
 )
 from exbt.prompting import (
     NoMatch,
+    PromptBundle,
     TEMPLATE_ID,
     assemble_prompt,
     bundle_to_record,
@@ -50,9 +51,10 @@ from exbt.prompting import (
     select_dest_test_file,
     sweep_targets,
     test_method_label,
+    test_method_label_from_id,
 )
 from exbt.runners import JavacRunner, RecordedRunner
-from exbt.stacktrace import exclude_test_and_util_frames, parse_stack_trace
+from exbt.stacktrace import StackTrace, exclude_test_and_util_frames, parse_stack_trace
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -215,10 +217,8 @@ def _resolve_mut(ctx, ref: str):
 def _resolve_throw(ctx, ref: str):
     path, _, line_s = ref.rpartition(":")
     line = int(line_s)
-    for site in find_throw_sites(ctx, "all"):
-        if site.line == line and (site.method.decl_file == path
-                                  or site.method.decl_file.endswith("/" + path)
-                                  or Path(site.method.decl_file).name == path):
+    for site in ctx.throw_sites:
+        if site.line == line and ("/" + site.method.decl_file).endswith("/" + path):
             return site
     raise ExbtError(f"no throw statement at {ref!r}")
 
@@ -300,7 +300,7 @@ def cmd_pool(args) -> int:
     rows = [
         {
             "trace": [[f.class_fqn, f.method, f.file, f.line] for f in e.trace.frames],
-            "source_test": test_method_label_from_mid(e.source_test),
+            "source_test": test_method_label_from_id(e.source_test),
             "throw_site": e.throw_site.label(),
         }
         for e in pool
@@ -315,10 +315,6 @@ def cmd_pool(args) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-def test_method_label_from_mid(mid) -> str:
-    return f"{mid.fqn}#{mid.name}"
 
 
 def cmd_guard(args) -> int:
@@ -587,27 +583,23 @@ def cmd_eval(args) -> int:
 
 def _bundle_for_target(ctx, target: str):
     """Minimal bundle carrying the throw site, for recorded runners."""
-    from exbt.prompting import PromptBundle
-    from exbt.guardexpr import GuardExpression
-    from exbt.stacktrace import StackTrace
-
-    for site in find_throw_sites(ctx, "all"):
-        if site.label() == target:
-            return PromptBundle(
-                mut=site.method,
-                mut_source="",
-                throw_site=site,
-                dest_path="",
-                dest_skeleton="",
-                trace=StackTrace(()),
-                guard=GuardExpression((), ()),
-                nonebts=(),
-                variant="no-name",
-                test_name=None,
-                template_id=TEMPLATE_ID,
-                rendered_instruction="",
-            )
-    return None
+    site = ctx.throw_site_by_label.get(target)
+    if site is None:
+        return None
+    return PromptBundle(
+        mut=site.method,
+        mut_source="",
+        throw_site=site,
+        dest_path="",
+        dest_skeleton="",
+        trace=StackTrace(()),
+        guard=GuardExpression((), ()),
+        nonebts=(),
+        variant="no-name",
+        test_name=None,
+        template_id=TEMPLATE_ID,
+        rendered_instruction="",
+    )
 
 
 def _read_jsonl(path) -> list[dict]:

@@ -51,11 +51,12 @@ class SkippedExample:
 def link_relevant_nonebts(
     example: CorpusExample,
     nonebts: list[TestMethod],
+    ctx: RepoContext,
     budget: int = NONEBT_TOKEN_BUDGET,
 ) -> CorpusExample:
     """Attach same-MUT then same-destination-file non-EBTs, within budget."""
     mut = example.prompt.mut
-    same_mut = [t for t in nonebts if directly_invokes(t, mut)]
+    same_mut = [t for t in nonebts if directly_invokes(t, mut, ctx)]
     same_file = [t for t in nonebts if t.id.decl_file == example.prompt.dest_path]
     ranked = rank_relevant_nonebts(same_mut, same_file, budget)
     bundle = replace(example.prompt, nonebts=tuple(t.body_text for t in ranked))
@@ -118,7 +119,7 @@ def collect_training_corpus(
             prompt=bundle,
             gold_ebt=ebt.body_text,
         )
-        example = link_relevant_nonebts(example, nonebts, budget)
+        example = link_relevant_nonebts(example, nonebts, ctx, budget)
         if example.gold_ebt.strip() and example.gold_ebt in example.prompt.rendered_instruction:
             # leakage guard: the skeleton already strips test methods, so
             # hitting this means the fixture layout is broken
@@ -212,11 +213,9 @@ def record_to_example(rec: dict, ctx: RepoContext) -> CorpusExample:
 
 
 def _site_method(rec: dict, ctx: RepoContext) -> MethodId:
-    from exbt.jmodel import find_throw_sites
-
-    for s in find_throw_sites(ctx, "all"):
-        if s.method.decl_file == rec["throw"]["file"] and s.line == rec["throw"]["line"]:
-            return s.method
+    site = ctx.throw_site_by_label.get(f"{rec['throw']['file']}:{rec['throw']['line']}")
+    if site is not None:
+        return site.method
     # synthesize when the repository is not available for resolution
     return MethodId("<unresolved>", "<unresolved>", 0, rec["throw"]["file"], 1)
 

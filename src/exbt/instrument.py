@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from exbt.classifier import TestMethod
 from exbt.errors import NotEBT
-from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, parse_unit, throw_sites_of
+from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, parse_unit
 from exbt.jmodel.lexer import match_paren
 from exbt.stacktrace import StackTrace, parse_stack_trace
 from exbt.errors import MalformedTrace
@@ -150,10 +150,10 @@ def instrument_print_trace(
     """
     out: dict[str, Rewrite | str] = {}
     for unit in ctx.units:
-        targets: list[MethodDecl] = []
-        for _, m in unit.all_methods():
-            if throw_sites_of(unit, m, ctx):
-                targets.append(m)
+        targets = [
+            m for _, m in unit.all_methods()
+            if ctx.method_id(unit, m) in ctx.throw_sites_by_method
+        ]
         if not targets:
             continue
         rw = _rewrite_trace_dumps(unit, targets)

@@ -12,7 +12,6 @@ from exbt.jmodel.model import (
     load_repo,
     parse_unit,
     reachable_throws,
-    throw_sites_of,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "load_repo",
     "parse_unit",
     "reachable_throws",
-    "throw_sites_of",
 ]

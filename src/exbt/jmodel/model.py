@@ -8,6 +8,7 @@ the repository; equal-arity overloads yield edges to every candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from exbt.errors import IoError, JavaParseError, NoJavaSources, UnknownMethod
@@ -473,7 +474,11 @@ def parse_unit(source: str, path: str) -> CompilationUnit:
 
 
 class RepoContext:
-    """Immutable-after-load view of one Java repository."""
+    """Immutable-after-load view of one Java repository.
+
+    Loading parses every unit and builds the call graph; the other lookup
+    indexes are built on first use and then answer every later lookup.
+    """
 
     def __init__(
         self,
@@ -506,28 +511,72 @@ class RepoContext:
         self.call_edges: list[CallEdge] = _build_call_edges(self)
         self._body_cache: dict[tuple[str, int, str], Stmt] = {}
 
+    # --- indexes, built on first use ---
+
+    @cached_property
+    def throw_sites(self) -> tuple[ThrowSite, ...]:
+        """Every throw statement, ordered by (file, line)."""
+        sites = [s for u, _, m in self._methods for s in throw_sites_of(u, m, self)]
+        return tuple(sorted(sites, key=lambda s: (s.method.decl_file, s.line)))
+
+    @cached_property
+    def throw_site_by_label(self) -> dict[str, ThrowSite]:
+        """First throw site per `file:line` label."""
+        return {s.label(): s for s in reversed(self.throw_sites)}
+
+    @cached_property
+    def throw_sites_by_method(self) -> dict[MethodId, list[ThrowSite]]:
+        index: dict[MethodId, list[ThrowSite]] = {}
+        for site in self.throw_sites:
+            index.setdefault(site.method, []).append(site)
+        return index
+
+    @cached_property
+    def call_keys(self) -> dict[MethodId, set[tuple[str, int]]]:
+        """(callee name, arity) of every call in each caller's body."""
+        index: dict[MethodId, set[tuple[str, int]]] = {}
+        for e in self.call_edges:
+            index.setdefault(e.caller, set()).add((e.callee_name, e.callee_arity))
+        return index
+
+    @cached_property
+    def _method_by_id(self) -> dict[MethodId, tuple[CompilationUnit, TypeDecl, MethodDecl]]:
+        """First declaration per MethodId."""
+        return {self.method_id(u, m): (u, t, m) for u, t, m in reversed(self._methods)}
+
+    @cached_property
+    def test_files_by_name(self) -> dict[str, list[str]]:
+        """Test file paths grouped by simple file name."""
+        index: dict[str, list[str]] = {}
+        for path in self.test_files:
+            index.setdefault(path.rsplit("/", 1)[-1], []).append(path)
+        return index
+
+    @cached_property
+    def test_class_fqns(self) -> frozenset[str]:
+        """Fqns of every type declared in a test file."""
+        test_paths = set(self.test_files)
+        return frozenset(
+            t.fqn for u in self.units if u.path in test_paths for t in u.all_types()
+        )
+
     # --- lookups ---
 
     def unit_for(self, path: str) -> CompilationUnit | None:
         return self._unit_by_path.get(path)
 
-    def unit_for_file_name(self, file_name: str) -> list[CompilationUnit]:
-        return [u for u in self.units if Path(u.path).name == file_name]
+    def declares_type(self, fqn: str) -> bool:
+        return fqn in self._type_by_fqn
 
     def method_id(self, unit: CompilationUnit, m: MethodDecl) -> MethodId:
         return MethodId(m.owner_fqn, m.name, m.arity, unit.path, m.decl_line)
 
     def resolve_method_id(self, mid: MethodId):
         """(unit, type, decl) for a MethodId, or UnknownMethod."""
-        for u, t, m in self._methods:
-            if (
-                t.fqn == mid.fqn
-                and m.name == mid.name
-                and m.arity == mid.param_arity
-                and u.path == mid.decl_file
-            ):
-                return u, t, m
-        raise UnknownMethod(mid.label())
+        hit = self._method_by_id.get(mid)
+        if hit is None:
+            raise UnknownMethod(mid.label())
+        return hit
 
     def resolve_frame(self, class_fqn: str, method_name: str, line: int):
         """(unit, type, decl) for a stack frame, matching by fqn+name+line."""
@@ -549,14 +598,8 @@ class RepoContext:
             return in_span[0]
         return candidates[0]
 
-    def methods_named(self, name: str, arity: int):
-        return list(self._methods_by_key.get((name, arity), []))
-
     def all_method_ids(self) -> list[MethodId]:
         return [self.method_id(u, m) for u, _, m in self._methods]
-
-    def method_decl_of(self, mid: MethodId) -> MethodDecl:
-        return self.resolve_method_id(mid)[2]
 
     def method_source(self, mid: MethodId) -> str:
         u, _, m = self.resolve_method_id(mid)
@@ -572,20 +615,6 @@ class RepoContext:
             tree = BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
             self._body_cache[key] = tree
         return tree
-
-    def is_test_file(self, path: str) -> bool:
-        return path in set(self.test_files)
-
-    def files_declaring_class(self, class_fqn: str) -> list[str]:
-        hit = self._type_by_fqn.get(class_fqn)
-        if hit is not None:
-            return [hit[0].path]
-        simple = class_fqn.rsplit(".", 1)[-1].split("$")[0]
-        return [
-            u.path
-            for u in self.units
-            if any(t.name == simple for t in u.all_types())
-        ]
 
 
 def _is_test_path(rel: str) -> bool:
@@ -694,14 +723,7 @@ def find_throw_sites(ctx: RepoContext, scope: str = "all") -> list[ThrowSite]:
     """
     assert scope in ("main", "all")
     main = set(ctx.main_files)
-    sites: list[ThrowSite] = []
-    for unit in ctx.units:
-        if scope == "main" and unit.path not in main:
-            continue
-        for _, m in unit.all_methods():
-            sites.extend(throw_sites_of(unit, m, ctx))
-    sites.sort(key=lambda s: (s.method.decl_file, s.line))
-    return sites
+    return [s for s in ctx.throw_sites if scope == "all" or s.method.decl_file in main]
 
 
 def _build_call_edges(ctx: RepoContext) -> list[CallEdge]:
@@ -760,7 +782,7 @@ def reachable_throws(
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    unit, _, decl = ctx.resolve_method_id(mut)  # raises UnknownMethod
+    ctx.resolve_method_id(mut)  # raises UnknownMethod
     adjacency: dict[MethodId, list[MethodId]] = {}
     for e in ctx.call_edges:
         if e.callee is not None:
@@ -777,8 +799,7 @@ def reachable_throws(
     while frontier and depth <= max_depth:
         next_frontier: list[tuple[MethodId, list[MethodId]]] = []
         for mid, path in frontier:
-            u2, _, m2 = ctx.resolve_method_id(mid)
-            for site in throw_sites_of(u2, m2, ctx):
+            for site in ctx.throw_sites_by_method.get(mid, ()):
                 if site not in seen_sites:
                     seen_sites.add(site)
                     results.append((site, path))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from exbt.jmodel import exprs
 from exbt.jmodel.lexer import Token, match_brace, match_paren
 
 _PRIMITIVES = {"boolean", "byte", "char", "short", "int", "long", "float", "double"}
@@ -386,17 +385,6 @@ class BodyParser:
             elif t in ")]}":
                 depth -= 1
         return depth == 0
-
-    # --- queries used by the guard walk ---
-
-    def expr_at(self, rng: tuple[int, int]) -> exprs.Expr:
-        return exprs.parse_expr_tokens(self.toks[rng[0] : rng[1]], self.src)
-
-    def text_at(self, rng: tuple[int, int]) -> str:
-        lo, hi = rng
-        if hi <= lo:
-            return ""
-        return self.src[self.toks[lo].offset : self.toks[hi - 1].end]
 
 
 def _link_parents(root: Stmt) -> None:

@@ -22,10 +22,6 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def tree_digest(root: str | Path, pattern: str = "**/*") -> str:
     """Digest of a directory tree: sorted relative paths and contents."""
     root = Path(root)

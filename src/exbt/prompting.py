@@ -20,13 +20,13 @@ from exbt.classifier import TestMethod
 from exbt.errors import EmptyAfterExclusion
 from exbt.guardexpr import GuardExpression, compute_guard_expression
 from exbt.instrument import TraceLog
-from exbt.jmodel import MethodId, RepoContext, ThrowSite, throw_sites_of
-from exbt.jmodel.lexer import match_paren, tokenize
-from exbt.stacktrace import StackTrace, exclude_test_and_util_frames
+from exbt.jmodel import MethodId, RepoContext, ThrowSite
+from exbt.stacktrace import Frame, StackTrace, exclude_test_and_util_frames
 
 logger = logging.getLogger(__name__)
 
 TEMPLATE_ID = "exbt-inst-v1"
+POOL_CACHE_FORMAT = "pool-v2"  # bump when the cached pool layout changes
 NONEBT_TOKEN_BUDGET = 2048  # whitespace tokens for the relevant-test slot
 
 
@@ -65,15 +65,16 @@ def test_method_label(t: TestMethod) -> str:
     return f"{t.id.fqn}#{t.id.name}"
 
 
-def _repo_digest(ctx: RepoContext) -> str:
-    h = hashlib.sha256()
-    for path in sorted(ctx.main_files):
-        unit = ctx.unit_for(path)
-        h.update(path.encode())
-        h.update(b"\0")
-        if unit is not None:
-            h.update(unit.source.encode())
-        h.update(b"\0")
+def _pool_digest(ctx: RepoContext, trace_log: TraceLog) -> str:
+    """Digest of everything a pool is built from: the cache format, every
+    parsed main and test source, and the parsed trace log."""
+    h = hashlib.sha256(POOL_CACHE_FORMAT.encode())
+    for unit in ctx.units:
+        h.update(unit.path.encode() + b"\0")
+        h.update(unit.source.encode() + b"\0")
+    for trace, test_id in trace_log:
+        frames = "\n".join(f.render() for f in trace.frames)
+        h.update(f"test: {test_id}\n{frames}\n---\n".encode())
     return h.hexdigest()
 
 
@@ -86,11 +87,11 @@ def collect_stacktrace_set(
     """Pool of throw-reaching traces from non-EBT executions.
 
     Each logged trace yields one entry per throw statement declared in its
-    innermost method. Building is cached per repository keyed by the digest
-    of the main sources; the cache invalidates as soon as any main source
-    changes.
+    innermost method. Building is cached keyed by the digest of the main
+    and test sources and of the trace log; the cache invalidates as soon as
+    any of them changes.
     """
-    digest = _repo_digest(ctx)
+    digest = _pool_digest(ctx, trace_log)
     cache_file = None
     if cache_dir is not None:
         cache_file = Path(cache_dir) / f"pool-{digest[:16]}.json"
@@ -116,7 +117,7 @@ def collect_stacktrace_set(
             unit, _, decl = ctx.resolve_frame(last.class_fqn, last.method, last.line)
         except Exception:
             continue
-        for site in throw_sites_of(unit, decl, ctx):
+        for site in ctx.throw_sites_by_method.get(ctx.method_id(unit, decl), ()):
             key = (excluded.frames, test.id, site)
             if key in seen:
                 continue
@@ -158,15 +159,12 @@ def _dump_pool(entries: list[TracePoolEntry]) -> str:
 
 
 def _read_pool(text: str, ctx: RepoContext) -> list[TracePoolEntry]:
-    from exbt.stacktrace import Frame
-    from exbt.jmodel import find_throw_sites
-
-    sites = {(s.method.decl_file, s.line): s for s in find_throw_sites(ctx, "all")}
     entries = []
     for row in json.loads(text):
         trace = StackTrace(tuple(Frame(*f) for f in row["frames"]))
         test = MethodId(*row["test"])
-        site = sites[tuple(row["site"])]
+        file, line = row["site"]
+        site = ctx.throw_site_by_label[f"{file}:{line}"]
         entries.append(TracePoolEntry(trace, test, site))
     return entries
 
@@ -207,36 +205,10 @@ def rank_relevant_nonebts(
     return selected
 
 
-def directly_invokes(test: TestMethod, mut: MethodId) -> bool:
+def directly_invokes(test: TestMethod, mut: MethodId, ctx: RepoContext) -> bool:
     """Whether the test body contains a name+arity call to the method."""
-    try:
-        toks = tokenize(test.body_text)
-    except Exception:
-        return False
     target = mut.fqn.split(".")[-1].split("$")[-1] if mut.name == "<init>" else mut.name
-    for k, t in enumerate(toks):
-        if t.kind != "ident" or t.text != target:
-            continue
-        if k + 1 >= len(toks) or toks[k + 1].text != "(":
-            continue
-        try:
-            close = match_paren(toks, k + 1)
-        except Exception:
-            continue
-        depth = 0
-        commas = 0
-        for i in range(k + 2, close):
-            tt = toks[i].text
-            if tt in "([{":
-                depth += 1
-            elif tt in ")]}":
-                depth -= 1
-            elif tt == "," and depth == 0:
-                commas += 1
-        arity = 0 if close == k + 2 else commas + 1
-        if arity == mut.param_arity:
-            return True
-    return False
+    return (target, mut.param_arity) in ctx.call_keys.get(test.id, ())
 
 
 def select_dest_test_file(
@@ -255,11 +227,11 @@ def select_dest_with_reason(
     mut: MethodId, ctx: RepoContext, coverage_index: dict[str, str] | None = None
 ) -> tuple[str | None, str]:
     """(path, mechanism) where mechanism is name-match | coverage | none."""
-    stem = Path(mut.decl_file).stem
+    stem = mut.decl_file.rsplit("/", 1)[-1].removesuffix(".java")
     mut_unit = ctx.unit_for(mut.decl_file)
     mut_pkg = mut_unit.package if mut_unit is not None else ""
     for name in (f"{stem}Test.java", f"Test{stem}.java"):
-        candidates = [p for p in ctx.test_files if Path(p).name == name]
+        candidates = ctx.test_files_by_name.get(name, [])
         if not candidates:
             continue
         same_pkg = []
@@ -387,7 +359,7 @@ def assemble_prompt(
     same_mut = [by_label[l] for l in sorted(same_mut_tests) if l in by_label]
     # tests that statically invoke the method under test qualify as well
     for t in nonebts:
-        if test_method_label(t) not in same_mut_tests and directly_invokes(t, mut):
+        if test_method_label(t) not in same_mut_tests and directly_invokes(t, mut, ctx):
             same_mut.append(t)
     same_file = [t for t in nonebts if t.id.decl_file == dest]
     ranked = rank_relevant_nonebts(same_mut, same_file, budget)
@@ -427,10 +399,11 @@ def sweep_targets(
     The method under test is the method containing the throw; destination
     files come from the naming heuristics, then the coverage index.
     """
-    from exbt.jmodel import find_throw_sites
-
+    main = set(ctx.main_files)
     results = []
-    for site in find_throw_sites(ctx, "main"):
+    for site in ctx.throw_sites:
+        if site.method.decl_file not in main:
+            continue
         mut = site.method
         dest, mechanism = select_dest_with_reason(mut, ctx, coverage_index)
         if counters is not None:

@@ -10,14 +10,13 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from exbt.errors import (
     EmptyAfterExclusion,
     MalformedTrace,
     NoThrowAtFrame,
 )
-from exbt.jmodel import RepoContext, MethodId, ThrowSite, throw_sites_of
+from exbt.jmodel import RepoContext, MethodId, ThrowSite
 
 logger = logging.getLogger(__name__)
 
@@ -123,27 +122,20 @@ def exclude_test_and_util_frames(
 ) -> StackTrace:
     """Drop frames declared in the destination test file or any test file.
 
-    Without a repository context the match falls back to file names: the
+    With a repository context, a frame of a known class goes when that
+    class is declared in a test file, any other frame when its file name is
+    the destination's or a test file's. Without one, file names decide: the
     destination file itself and nothing else.
     """
-    dest_name = Path(dest).name
-    test_names: set[str] = set()
-    test_classes: set[str] = set()
-    if ctx is not None:
-        test_paths = set(ctx.test_files)
-        test_names = {Path(p).name for p in test_paths}
-        for u in ctx.units:
-            if u.path in test_paths:
-                test_classes.update(t.fqn for t in u.all_types())
+    dest_name = dest.rsplit("/", 1)[-1]
 
     def keep(f: Frame) -> bool:
-        if f.file == dest_name:
-            return False
-        if f.file in test_names:
-            return False
-        if f.class_fqn in test_classes:
-            return False
-        return True
+        if ctx is not None:
+            if ctx.declares_type(f.class_fqn):
+                return f.class_fqn not in ctx.test_class_fqns
+            if f.file in ctx.test_files_by_name:
+                return False
+        return f.file != dest_name
 
     kept = tuple(f for f in trace.frames if keep(f))
     if not kept:
@@ -160,7 +152,7 @@ def endpoints(trace: StackTrace, ctx: RepoContext) -> tuple[MethodId, ThrowSite]
     mut = ctx.method_id(unit, decl)
     last = trace.frames[-1]
     unit2, _, decl2 = ctx.resolve_frame(last.class_fqn, last.method, last.line)
-    for site in throw_sites_of(unit2, decl2, ctx):
+    for site in ctx.throw_sites_by_method.get(ctx.method_id(unit2, decl2), ()):
         if site.line == last.line:
             return mut, site
     raise NoThrowAtFrame(

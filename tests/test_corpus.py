@@ -76,31 +76,31 @@ def test_guard_and_trace_attached(corpus):
     assert withdraw.prompt.trace.frames[-1].line == 14
 
 
-def test_link_ranks_same_mut_before_same_file(corpus, repo_a_suite):
+def test_link_ranks_same_mut_before_same_file(corpus, repo_a, repo_a_suite):
     examples, _ = corpus
     _, nonebts = repo_a_suite
     withdraw = next(e for e in examples if e.prompt.mut.name == "withdraw")
-    linked = link_relevant_nonebts(withdraw, nonebts)
+    linked = link_relevant_nonebts(withdraw, nonebts, repo_a)
     sources = linked.prompt.nonebts
     assert len(sources) == 2
     assert "testWithdrawOk" in sources[0]  # invokes the MUT directly
     assert "testDepositOk" in sources[1]  # same destination file only
 
 
-def test_link_budget_truncates(corpus, repo_a_suite):
+def test_link_budget_truncates(corpus, repo_a, repo_a_suite):
     examples, _ = corpus
     _, nonebts = repo_a_suite
     withdraw = next(e for e in examples if e.prompt.mut.name == "withdraw")
-    tight = link_relevant_nonebts(withdraw, nonebts, budget=len(nonebts[0].body_text.split()))
+    tight = link_relevant_nonebts(withdraw, nonebts, repo_a, budget=len(nonebts[0].body_text.split()))
     assert len(tight.prompt.nonebts) == 1
     assert "testWithdrawOk" in tight.prompt.nonebts[0]
 
 
-def test_link_dedupes_double_qualifiers(corpus, repo_a_suite):
+def test_link_dedupes_double_qualifiers(corpus, repo_a, repo_a_suite):
     examples, _ = corpus
     _, nonebts = repo_a_suite
     withdraw = next(e for e in examples if e.prompt.mut.name == "withdraw")
-    linked = link_relevant_nonebts(withdraw, nonebts)
+    linked = link_relevant_nonebts(withdraw, nonebts, repo_a)
     # testWithdrawOk qualifies via same-MUT and same-file; appears once
     assert sum("testWithdrawOk" in s for s in linked.prompt.nonebts) == 1
 

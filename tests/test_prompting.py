@@ -90,6 +90,14 @@ def test_pool_cache_hits_and_invalidates(repo_a, repo_a_suite, trace_log, tmp_pa
     _, nonebts2 = split_test_suite(ctx2)
     collect_stacktrace_set(nonebts2, ctx2, trace_log, cache_dir=tmp_path)
     assert len(list(tmp_path.glob("pool-*.json"))) == 2
+    # so must a changed trace log: one logged block reaches one throw
+    one_block = parse_trace_log(
+        (REPO_A / "logs/nonebt-traces.log").read_text().split("\n---")[-2]
+    )
+    assert len(first) == 4 and len(one_block) == 1
+    third = collect_stacktrace_set(nonebts, repo_a, one_block, cache_dir=tmp_path)
+    assert len(third) == 1
+    assert len(list(tmp_path.glob("pool-*.json"))) == 3
 
 
 # --- prompt assembly ---
@@ -130,6 +138,46 @@ def test_assemble_includes_invoking_test_in_nonebts(repo_a, repo_a_suite, pool):
     bundle = assemble_prompt(site.method, site, "src/test/java/com/fix/AccountTest.java",
                              pool, nonebts, repo_a, seed=42)
     assert any("testWithdrawOk" in s for s in bundle.nonebts)
+
+
+def test_same_named_test_elsewhere_is_not_same_mut(tmp_path):
+    """A test named like the MUT, with its arity, does not call it."""
+    from exbt.classifier import split_test_suite
+    from exbt.corpus import CorpusExample, link_relevant_nonebts
+    from exbt.jmodel import load_repo
+
+    files = {
+        "src/main/java/p/Gate.java": (
+            "package p;\npublic class Gate {\n"
+            "    public void check() {\n"
+            "        throw new IllegalStateException();\n    }\n}\n"
+        ),
+        "src/test/java/p/GateTest.java": (
+            "package p;\nimport org.junit.Test;\npublic class GateTest {\n"
+            "    @Test\n    public void testOpen() {\n        new Gate();\n    }\n}\n"
+        ),
+        "src/test/java/p/OtherTest.java": (
+            "package p;\nimport org.junit.Test;\npublic class OtherTest {\n"
+            "    @Test\n    public void check() {\n        int x = 1;\n    }\n}\n"
+        ),
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    ctx = load_repo(tmp_path)
+    _, nonebts = split_test_suite(ctx)
+    site = _site(ctx, "check")
+    log = parse_trace_log(
+        "test: p.GateTest#testOpen\n"
+        "at p.Gate.check(Gate.java:4)\n"
+        "at p.GateTest.testOpen(GateTest.java:6)\n"
+    )
+    pool = collect_stacktrace_set(nonebts, ctx, log)
+    dest = "src/test/java/p/GateTest.java"
+    bundle = assemble_prompt(site.method, site, dest, pool, nonebts, ctx, seed=42)
+    assert len(bundle.nonebts) == 1 and "testOpen" in bundle.nonebts[0]
+    linked = link_relevant_nonebts(CorpusExample("x", "", bundle, ""), nonebts, ctx)
+    assert linked.prompt.nonebts == bundle.nonebts
 
 
 # --- destination selection ---

@@ -116,6 +116,32 @@ def test_exclusion_empty_raises(repo_a):
         exclude_test_and_util_frames(trace, "src/test/java/com/fix/CornerTest.java", repo_a)
 
 
+def test_exclusion_keeps_main_class_sharing_a_test_file_name(tmp_path):
+    from exbt.jmodel import load_repo
+
+    main = tmp_path / "src/main/java/a/Util.java"
+    helper = tmp_path / "src/test/java/b/Util.java"
+    main.parent.mkdir(parents=True)
+    helper.parent.mkdir(parents=True)
+    main.write_text(
+        "package a;\npublic class Util {\n"
+        "    static void check(int x) {\n"
+        "        if (x < 0) throw new IllegalStateException();\n    }\n}\n"
+    )
+    helper.write_text(
+        "package b;\npublic class Util {\n"
+        "    static void call() {\n        a.Util.check(-1);\n    }\n}\n"
+    )
+    trace = StackTrace(
+        (
+            Frame("b.Util", "call", "Util.java", 4),
+            Frame("a.Util", "check", "Util.java", 4),
+        )
+    )
+    out = exclude_test_and_util_frames(trace, "src/test/java/b/UtilTest.java", load_repo(tmp_path))
+    assert [f.class_fqn for f in out.frames] == ["a.Util"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(traces())
 def test_exclusion_idempotent(trace):
