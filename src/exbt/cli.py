@@ -425,7 +425,10 @@ def cmd_sweep(args) -> int:
     if backend_kind == "stub" and stub_file:
         manifest.add_input("stub_completions", stub_file)
     request_log = RequestLog()
-    backend = make_backend(backend_kind, stub_file=stub_file)
+    backend = make_backend(
+        backend_kind, url=cfg.get("backend_url"), stub_file=stub_file,
+        auth_token=cfg.get("auth_token"),
+    )
     params = GenerationParams(seed=args.seed)
 
     runner = _make_runner(args, ctx)
@@ -531,7 +534,10 @@ def cmd_generate(args) -> int:
     instruction = Path(args.instruction).read_text(encoding="utf-8")
     cfg = load_config(args.config)
     backend_kind = cfg.get("backend_kind", args.backend, "stub")
-    backend = make_backend(backend_kind, stub_file=args.stub_file)
+    backend = make_backend(
+        backend_kind, url=cfg.get("backend_url"), stub_file=args.stub_file,
+        auth_token=cfg.get("auth_token"),
+    )
     completion = backend.generate(instruction, GenerationParams(seed=args.seed))
     if args.extract:
         candidate = extract_candidate(completion)

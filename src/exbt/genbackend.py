@@ -216,8 +216,10 @@ def make_backend(
     url: str | None = None,
     stub_file=None,
     log: RequestLog | None = None,
+    auth_token: str | None = None,
 ):
-    """Factory honoring BACKEND_KIND / BACKEND_URL / BACKEND_AUTH_TOKEN."""
+    """Factory honoring BACKEND_KIND / BACKEND_URL / BACKEND_AUTH_TOKEN
+    where no kind, url or token is given."""
     kind = kind or os.environ.get("BACKEND_KIND", "stub")
     if kind == "stub":
         if stub_file:
@@ -226,7 +228,7 @@ def make_backend(
     if kind == "http":
         return HttpBackend(
             url or os.environ.get("BACKEND_URL", ""),
-            auth_token=os.environ.get("BACKEND_AUTH_TOKEN"),
+            auth_token=auth_token or os.environ.get("BACKEND_AUTH_TOKEN"),
             log=log,
         )
     raise BackendUnavailable(f"unknown backend kind {kind!r}")

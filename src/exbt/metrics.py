@@ -14,11 +14,14 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from exbt.classifier import classify_test
 from exbt.errors import ExbtError, NotATest, RunnerUnavailable
+from exbt.jmodel import exprs as E
 from exbt.jmodel import parse_unit
 from exbt.jmodel.lexer import KEYWORDS, tokenize
+from exbt.jmodel.stmts import BodyParser
 
 _FALLBACK_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _LINE_COMMENT_RE = re.compile(r"//[^\n]*")
@@ -51,39 +54,32 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
 def bleu(candidate: str, reference: str, max_n: int = 4) -> float:
     """Smoothed BLEU over code tokens: add-one on every n-gram precision,
     geometric mean, brevity penalty."""
-    cand = code_tokens(candidate)
-    ref = code_tokens(reference)
-    if not cand or not ref:
-        return 1.0 if cand == ref else 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        cand_ngrams = _ngrams(cand, n)
-        ref_ngrams = _ngrams(ref, n)
-        total = sum(cand_ngrams.values())
-        matched = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
-        log_sum += math.log((matched + 1) / (total + 1))
-    geo = math.exp(log_sum / max_n)
-    bp = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
-    return bp * geo
+    return _weighted_bleu(code_tokens(candidate), code_tokens(reference), 1.0, max_n)
 
 
-def _weighted_unigram_precision(cand: list[str], ref: list[str]) -> float:
-    """Unigram precision where Java keywords weigh five times more."""
+def _weighted_unigram_precision(
+    cand: list[str], ref: list[str], keyword_weight: float
+) -> float:
+    """Unigram precision where Java keywords weigh keyword_weight. With
+    weight 1.0 every sum is an exact integer, so the ratio equals the plain
+    count ratio bit for bit."""
     cand_counts = Counter(cand)
     ref_counts = Counter(ref)
     matched = 0.0
     total = 0.0
     for tok, c in cand_counts.items():
-        w = 5.0 if tok in KEYWORDS else 1.0
+        w = keyword_weight if tok in KEYWORDS else 1.0
         matched += w * min(c, ref_counts[tok])
         total += w * c
     return (matched + 1) / (total + 1)
 
 
-def _weighted_bleu(cand: list[str], ref: list[str], max_n: int = 4) -> float:
+def _weighted_bleu(
+    cand: list[str], ref: list[str], keyword_weight: float = 5.0, max_n: int = 4
+) -> float:
     if not cand or not ref:
         return 1.0 if cand == ref else 0.0
-    log_sum = math.log(_weighted_unigram_precision(cand, ref))
+    log_sum = math.log(_weighted_unigram_precision(cand, ref, keyword_weight))
     for n in range(2, max_n + 1):
         cand_ngrams = _ngrams(cand, n)
         ref_ngrams = _ngrams(ref, n)
@@ -96,22 +92,25 @@ def _weighted_bleu(cand: list[str], ref: list[str], max_n: int = 4) -> float:
 
 
 def _parse_method_body(source: str):
-    """(unit, method) for a method source wrapped in a class, or None."""
+    """(unit, method, body tree) for a method source wrapped in a class, or
+    None when it does not parse as a method."""
     try:
         unit = parse_unit("class __M {\n" + source + "\n}", "<metric>")
     except ExbtError:
         return None
-    methods = [
-        (t, m) for t in unit.all_types() for m in t.methods if m.tok_open is not None
-    ]
-    if not methods:
+    method = next(
+        (m for t in unit.all_types() for m in t.methods if m.tok_open is not None), None
+    )
+    if method is None:
         return None
-    return unit, methods[0][1]
+    try:
+        tree = BodyParser(unit.tokens, unit.source).parse_block(method.tok_open)
+    except ExbtError:
+        return None
+    return unit, method, tree
 
 
 def _expr_signatures(expr, out: Counter) -> str:
-    from exbt.jmodel import exprs as E
-
     kids = []
     if isinstance(expr, E.Binary):
         kind = f"bin:{expr.op}"
@@ -166,17 +165,8 @@ def _stmt_expr_trees(unit, stmt):
     return trees
 
 
-def _ast_signatures(source: str) -> Counter | None:
-    parsed = _parse_method_body(source)
-    if parsed is None:
-        return None
-    unit, m = parsed
-    from exbt.jmodel.stmts import BodyParser
-
-    try:
-        tree = BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
-    except ExbtError:
-        return None
+def _ast_signatures(tree, node_exprs) -> Counter:
+    """Statement-shape and expression-shape signatures of a body tree."""
     sigs: Counter = Counter()
 
     def stmt_sig(node) -> str:
@@ -186,39 +176,22 @@ def _ast_signatures(source: str) -> Counter | None:
         return sig
 
     stmt_sig(tree)
-    for node in tree.iter_tree():
-        for expr in _stmt_expr_trees(unit, node):
+    for _, trees in node_exprs:
+        for expr in trees:
             _expr_signatures(expr, sigs)
     return sigs
 
 
-def _def_use_pairs(source: str) -> Counter | None:
+def _def_use_pairs(method, node_exprs) -> Counter:
     """Position-normalized def-use edges, invariant under renaming."""
-    parsed = _parse_method_body(source)
-    if parsed is None:
-        return None
-    unit, m = parsed
-    from exbt.guardexpr import _parse_or_opaque
-    from exbt.jmodel import exprs as E
-    from exbt.jmodel.stmts import BodyParser
-
-    try:
-        tree = BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
-    except ExbtError:
-        return None
     defs: dict[str, int] = {}
-    for i, (_, name) in enumerate(m.params):
+    for i, (_, name) in enumerate(method.params):
         defs[name] = i
     edges: Counter = Counter()
     use_serial = 0
-
-    def uses_in(expr) -> set[str]:
-        return E.free_names(expr)
-
-    for node in tree.iter_tree():
-        for expr in _stmt_expr_trees(unit, node):
-            nonlocal_names = sorted(uses_in(expr))
-            for name in nonlocal_names:
+    for node, trees in node_exprs:
+        for expr in trees:
+            for name in sorted(E.free_names(expr)):
                 if name in defs:
                     edges[(defs[name], use_serial)] += 1
                     use_serial += 1
@@ -226,6 +199,28 @@ def _def_use_pairs(source: str) -> Counter | None:
             if name not in defs:
                 defs[name] = len(defs)
     return edges
+
+
+class _Side(NamedTuple):
+    """One side of a scored pair, lexed once and parsed once: its code
+    tokens and, when it parses as a method, its AST signatures and def-use
+    edges (both None otherwise)."""
+
+    tokens: list[str]
+    ast_sigs: Counter | None
+    def_use: Counter | None
+
+
+def _side(text: str) -> _Side:
+    tokens = code_tokens(text)
+    parsed = _parse_method_body(text)
+    if parsed is None:
+        return _Side(tokens, None, None)
+    unit, method, tree = parsed
+    node_exprs = [(node, _stmt_expr_trees(unit, node)) for node in tree.iter_tree()]
+    return _Side(
+        tokens, _ast_signatures(tree, node_exprs), _def_use_pairs(method, node_exprs)
+    )
 
 
 def _clipped_ratio(cand: Counter, ref: Counter) -> float:
@@ -240,15 +235,16 @@ def code_bleu(candidate: str, reference: str) -> float:
     return code_bleu_components(candidate, reference)["code_bleu"]
 
 
-def code_bleu_components(candidate: str, reference: str) -> dict:
+def code_bleu_components(candidate: str | _Side, reference: str | _Side) -> dict:
     """CodeBLEU = 0.25 * (ngram + keyword-weighted ngram + AST + def-use).
 
-    When either side does not parse as a Java method, the score degrades
-    to plain BLEU and the result is flagged."""
-    ngram = bleu(candidate, reference)
-    cand_sigs = _ast_signatures(candidate)
-    ref_sigs = _ast_signatures(reference)
-    if cand_sigs is None or ref_sigs is None:
+    Each side is a source string or a `_Side` already built from one. When
+    either side does not parse as a Java method, the score degrades to
+    plain BLEU and the result is flagged."""
+    cand = candidate if isinstance(candidate, _Side) else _side(candidate)
+    ref = reference if isinstance(reference, _Side) else _side(reference)
+    ngram = _weighted_bleu(cand.tokens, ref.tokens, 1.0)
+    if cand.ast_sigs is None or ref.ast_sigs is None:
         return {
             "code_bleu": ngram,
             "ngram": ngram,
@@ -257,11 +253,9 @@ def code_bleu_components(candidate: str, reference: str) -> dict:
             "dataflow_match": ngram,
             "degraded": True,
         }
-    weighted = _weighted_bleu(code_tokens(candidate), code_tokens(reference))
-    ast_match = _clipped_ratio(cand_sigs, ref_sigs)
-    cand_df = _def_use_pairs(candidate) or Counter()
-    ref_df = _def_use_pairs(reference) or Counter()
-    dataflow = _clipped_ratio(cand_df, ref_df)
+    weighted = _weighted_bleu(cand.tokens, ref.tokens)
+    ast_match = _clipped_ratio(cand.ast_sigs, ref.ast_sigs)
+    dataflow = _clipped_ratio(cand.def_use, ref.def_use)
     return {
         "code_bleu": 0.25 * (ngram + weighted + ast_match + dataflow),
         "ngram": ngram,
@@ -274,23 +268,40 @@ def code_bleu_components(candidate: str, reference: str) -> dict:
 
 def edit_similarity(candidate: str, reference: str) -> float:
     """1 - levenshtein/max(len); both empty counts as identical."""
-    a, b = candidate, reference
-    if not a and not b:
+    if not candidate and not reference:
         return 1.0
-    if not a or not b:
+    if not candidate or not reference:
         return 0.0
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return 1.0 - previous[-1] / max(len(a), len(b))
+    return 1.0 - _levenshtein(candidate, reference) / max(len(candidate), len(reference))
+
+
+def _levenshtein(a: str, b: str) -> int:
+    """Exact edit distance of two non-empty strings, one text column per
+    step: Myers' bit-parallel algorithm in Hyyro's formulation. Bit i of
+    the vertical deltas stands for row i of the DP column over `pattern`;
+    Python ints make the vectors as wide as the pattern needs."""
+    pattern, text = (a, b) if len(a) >= len(b) else (b, a)
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(pattern):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    width = (1 << len(pattern)) - 1
+    last = 1 << (len(pattern) - 1)
+    plus, minus, dist = width, 0, len(pattern)
+    for ch in text:
+        eq = masks.get(ch, 0)
+        xv = eq | minus
+        xh = (((eq & plus) + plus) ^ plus) | eq
+        hplus = minus | (width & ~(xh | plus))
+        hminus = plus & xh
+        if hplus & last:
+            dist += 1
+        elif hminus & last:
+            dist -= 1
+        hplus = ((hplus << 1) | 1) & width
+        hminus = (hminus << 1) & width
+        plus = hminus | (width & ~(xv | hplus))
+        minus = hplus & xv
+    return dist
 
 
 def _simple_name(type_name: str) -> str:
@@ -365,10 +376,11 @@ def score_candidate(
 ) -> CandidateScore:
     score = CandidateScore(target=target)
     if reference is not None:
-        score.xmatch = xmatch(candidate, reference)
+        cand, ref = _side(candidate), _side(reference)
+        score.xmatch = cand.tokens == ref.tokens
         score.xmatch_strict = xmatch_strict(candidate, reference)
-        score.bleu = bleu(candidate, reference)
-        comp = code_bleu_components(candidate, reference)
+        comp = code_bleu_components(cand, ref)
+        score.bleu = comp["ngram"]
         score.code_bleu = comp["code_bleu"]
         score.code_bleu_degraded = comp["degraded"]
         score.edit_sim = edit_similarity(candidate, reference)
@@ -395,9 +407,8 @@ def _pct(values) -> float:
 
 def aggregate(reports: list[CandidateScore], targets: list[str]) -> dict:
     """Means/percentages over candidates plus coverage over targets."""
-    covered = {
-        r.target for r in reports if r.covers_target is True and r.target in set(targets)
-    }
+    target_set = set(targets)
+    covered = {r.target for r in reports if r.covers_target is True and r.target in target_set}
     throw_cov = len(covered) / len(targets) if targets else 0.0
     functional_present = any(
         r.compilable is not None or r.runnable is not None for r in reports

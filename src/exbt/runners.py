@@ -198,30 +198,38 @@ class JavacRunner:
             java_files = [str(p) for p in sorted(src.rglob("*.java"))]
             classes = work / "classes"
             classes.mkdir()
-            compile_proc = subprocess.run(
-                ["javac", "-d", str(classes)] + java_files,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
+            try:
+                compile_proc = subprocess.run(
+                    ["javac", "-d", str(classes)] + java_files,
+                    capture_output=True,
+                    text=True,
+                    timeout=self.timeout,
+                )
+            except subprocess.TimeoutExpired:
+                logger.warning("javac timed out after %s s", self.timeout)
+                return FunctionalResult()
             if compile_proc.returncode != 0:
                 logger.info("candidate does not compile:\n%s", compile_proc.stderr[-2000:])
                 return FunctionalResult(compilable=False)
             log_file = work / "exbt-run.log"
-            run_proc = subprocess.run(
-                [
-                    "java",
-                    "-cp",
-                    str(classes),
-                    f"-Dexbt.log={log_file}",
-                    "ExbtHarness",
-                    names["test_class"],
-                    names["test_method"],
-                ],
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
+            try:
+                run_proc = subprocess.run(
+                    [
+                        "java",
+                        "-cp",
+                        str(classes),
+                        f"-Dexbt.log={log_file}",
+                        "ExbtHarness",
+                        names["test_class"],
+                        names["test_method"],
+                    ],
+                    capture_output=True,
+                    text=True,
+                    timeout=self.timeout,
+                )
+            except subprocess.TimeoutExpired:
+                logger.info("candidate run timed out after %s s", self.timeout)
+                return FunctionalResult(True, False, False)
             runnable = run_proc.returncode == 0
             covers = False
             if log_file.exists():
@@ -269,36 +277,27 @@ def _strip_roots(rel: str) -> str:
 
 
 def _mark_throw(unit, site) -> str:
-    """Wrap the target throw statement in '{ mark(...); throw ...; }'."""
-    lines = unit.source.split("\n")
-    # locate the throw token at the site line
-    throw_tok = None
-    for t in unit.tokens:
-        if t.text == "throw" and t.line == site.line:
-            throw_tok = t
-            break
-    if throw_tok is None:
-        return unit.source
-    line0 = site.line - 1
-    text = lines[line0]
-    col = 0
-    # column of the throw keyword on its line
-    upto = unit.source[: throw_tok.offset]
-    col = len(upto) - (upto.rfind("\n") + 1)
-    mark = (
-        "{ exbtruntime.ExbtTraceLog.mark(\""
-        + f"covered: {site.label()}"
-        + "\"); "
+    """Wrap the target throw statement in '{ mark(...); throw ...; }'.
+
+    The statement is the site's own token span, from the throw keyword to
+    its terminating ';' token, so a ';' inside a literal, a statement that
+    spans lines and code after it on the same line stay where they were."""
+    source = unit.source
+    start = next(
+        (
+            t.offset
+            for t in unit.tokens
+            if t.text == "throw"
+            and t.line == site.line
+            and source.startswith(site.statement_text, t.offset)
+        ),
+        None,
     )
-    lines[line0] = text[:col] + mark + text[col:]
-    # close the wrapper after the statement's terminating semicolon
-    k = line0
-    while k < len(lines):
-        if ";" in lines[k][col if k == line0 else 0 :]:
-            lines[k] = lines[k] + " }"
-            break
-        k += 1
-    return "\n".join(lines)
+    if start is None:
+        return source
+    end = start + len(site.statement_text)
+    mark = '{ exbtruntime.ExbtTraceLog.mark("' + f"covered: {site.label()}" + '"); '
+    return source[:start] + mark + source[start:end] + " }" + source[end:]
 
 
 def _inject_candidate(skeleton: str, candidate: str) -> str:

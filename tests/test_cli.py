@@ -6,6 +6,7 @@ import pytest
 
 from conftest import FIXTURES, REPO_A
 from exbt.cli import main
+from exbt.genbackend import HttpBackend
 
 
 def run(capsys, *argv):
@@ -214,6 +215,30 @@ def test_config_layering(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "generate", "--instruction", instruction,
                        "--config", cfg, "--backend", "http", "--stub-file", stub)
     assert code == 0 and "withdraw" in out
+
+
+def test_config_url_and_token_reach_the_http_backend(capsys, tmp_path, monkeypatch):
+    for name in ("EXBT_BACKEND_KIND", "BACKEND_KIND", "EXBT_BACKEND_URL", "BACKEND_URL",
+                 "BACKEND_AUTH_TOKEN"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("EXBT_AUTH_TOKEN", "s3cret")
+    cfg = tmp_path / "exbt.cfg"
+    cfg.write_text("backend_kind=http\nbackend_url=http://127.0.0.1:9/generate\n")
+    seen = set()
+
+    def fake_generate(self, instruction, params):
+        seen.add((self.url, self.auth_token))
+        return "no test here"
+
+    monkeypatch.setattr(HttpBackend, "generate", fake_generate)
+    instruction = tmp_path / "inst.txt"
+    instruction.write_text("target Account.java:14")
+    code, out, _ = run(capsys, "generate", "--instruction", instruction, "--config", cfg)
+    assert code == 0 and out.strip() == "no test here"
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--config", cfg,
+                     "--out", tmp_path / "out")
+    assert code == 0
+    assert seen == {("http://127.0.0.1:9/generate", "s3cret")}
 
 
 def test_stage_composition_matches_sweep(capsys, tmp_path):

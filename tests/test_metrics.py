@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import exbt.metrics
 from exbt.errors import RunnerUnavailable
+from exbt.jmodel.stmts import BodyParser
 from exbt.metrics import (
     CandidateScore,
     FunctionalResult,
@@ -20,7 +23,9 @@ from exbt.metrics import (
 )
 
 # frozen by hand from the n-gram counts of ("a b c d", "a b c e"):
-# p1=4/5, p2=3/4, p3=2/3, p4=1/2 under add-one smoothing; BP=1
+# p1=4/5, p2=3/4, p3=2/3, p4=1/2 under add-one smoothing; BP=1. BLEU is the
+# keyword-weighted BLEU with unit weights, whose float sums of integer counts
+# are exact, so the value must match to the last bit.
 BLEU_ORACLE = 0.668740304976422
 
 METHOD = """@Test
@@ -79,7 +84,7 @@ def test_bleu_disjoint_below_threshold():
 
 
 def test_bleu_hand_computed_oracle():
-    assert bleu("a b c d", "a b c e") == pytest.approx(BLEU_ORACLE, abs=1e-6)
+    assert bleu("a b c d", "a b c e") == BLEU_ORACLE
 
 
 def test_bleu_invariant_under_comment_removal():
@@ -135,6 +140,36 @@ def test_edit_similarity_examples():
     assert edit_similarity("ab", "abc") == pytest.approx(2 / 3, abs=1e-4)
     assert edit_similarity("", "x") == 0.0
     assert edit_similarity("", "") == 1.0
+
+
+def _dp_edit_similarity(a: str, b: str) -> float:
+    """Reference: the textbook O(n*m) Levenshtein dynamic program."""
+    if not a and not b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return 1.0 - previous[-1] / max(len(a), len(b))
+
+
+# a small alphabet makes matches frequent; lengths up to 200 make the bit
+# vectors span several 64-bit words
+_EDIT_TEXT = st.text(alphabet="ab;{ \né中\U0001F600", max_size=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EDIT_TEXT, _EDIT_TEXT)
+@example("ab;{" * 50, "b;{ \n" * 40)
+@example("é中\U0001F600" * 66, "a\U0001F600" * 100)
+@example("", "x" * 200)
+def test_edit_similarity_equals_dynamic_program(a, b):
+    assert edit_similarity(a, b) == _dp_edit_similarity(a, b)
 
 
 # --- matched exception ---
@@ -235,6 +270,28 @@ def test_report_table_column_order():
         ["CodeBLEU", "EditSim", "xMatch", "Compilable%", "Matched-E%", "Runnable%", "ThrowCov%"],
     ):
         assert header.index(left) < header.index(right)
+
+
+def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
+    calls = {"tokenize": 0, "parse_unit": 0, "parse_block": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(exbt.metrics, "tokenize", counting("tokenize", exbt.metrics.tokenize))
+    monkeypatch.setattr(
+        exbt.metrics, "parse_unit", counting("parse_unit", exbt.metrics.parse_unit)
+    )
+    monkeypatch.setattr(
+        BodyParser, "parse_block", counting("parse_block", BodyParser.parse_block)
+    )
+    s = score_candidate(METHOD.replace("acct", "a2"), METHOD, "IOException", "t1")
+    assert s.code_bleu_degraded is False
+    assert calls == {"tokenize": 2, "parse_unit": 2, "parse_block": 2}
 
 
 def test_score_candidate_without_reference_keeps_similarity_absent():

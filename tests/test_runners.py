@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import logging
+import subprocess
+
 import pytest
 
 from conftest import REPO_A
+from exbt import runners
 from exbt.instrument import parse_trace_log
-from exbt.jmodel import find_throw_sites
+from exbt.jmodel import MethodId, ThrowSite, find_throw_sites, parse_unit
 from exbt.metrics import FunctionalResult
 from exbt.prompting import assemble_prompt, collect_stacktrace_set
-from exbt.runners import JavacRunner, RecordedRunner, jvm_available
+from exbt.runners import JavacRunner, RecordedRunner, _mark_throw, jvm_available
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +60,54 @@ def test_javac_runner_non_compiling_candidate(repo_a, withdraw_bundle):
     ).normalized()
     assert result.compilable is False
     assert result.runnable in (None, False)
+
+
+def test_javac_runner_timeouts_are_results(repo_a, withdraw_bundle, monkeypatch, caplog):
+    monkeypatch.setattr(runners, "jvm_available", lambda: True)
+    runner = JavacRunner(repo_a, timeout=0.5)
+
+    def timeout_on(tool):
+        def fake_run(cmd, **kwargs):
+            if cmd[0] == tool:
+                raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+
+        return fake_run
+
+    monkeypatch.setattr(subprocess, "run", timeout_on("javac"))
+    with caplog.at_level(logging.WARNING, logger="exbt.runners"):
+        assert runner.check(GOOD_CANDIDATE, withdraw_bundle) == FunctionalResult()
+    assert "timed out" in caplog.text
+    monkeypatch.setattr(subprocess, "run", timeout_on("java"))
+    result = runner.check(GOOD_CANDIDATE, withdraw_bundle)
+    assert (result.compilable, result.runnable) == (True, False)
+
+
+MARK_SOURCE = """package p;
+
+class Guard {
+    void check(int a) {
+        if (a < 0) throw new IllegalArgumentException("neg;" + a); else a = 1;
+        throw new IllegalStateException("multi;"
+                + a);
+    }
+}
+"""
+
+
+def test_mark_throw_closes_at_the_statements_semicolon():
+    unit = parse_unit(MARK_SOURCE, "p/Guard.java")
+    mid = MethodId("p.Guard", "check", 1, "p/Guard.java", 4)
+    inline = ThrowSite(mid, 5, "IllegalArgumentException",
+                       'throw new IllegalArgumentException("neg;" + a);')
+    spanning = ThrowSite(mid, 6, "IllegalStateException",
+                         'throw new IllegalStateException("multi;"\n                + a);')
+    mark = 'exbtruntime.ExbtTraceLog.mark("covered: p/Guard.java:{}"); '
+    assert _mark_throw(unit, inline) == MARK_SOURCE.replace(
+        'throw new IllegalArgumentException("neg;" + a);',
+        '{ ' + mark.format(5) + 'throw new IllegalArgumentException("neg;" + a); }',
+    )
+    assert _mark_throw(unit, spanning) == MARK_SOURCE.replace(
+        'throw new IllegalStateException("multi;"\n                + a);',
+        '{ ' + mark.format(6) + 'throw new IllegalStateException("multi;"\n                + a); }',
+    )
