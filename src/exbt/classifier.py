@@ -18,8 +18,8 @@ import re
 from dataclasses import dataclass
 
 from exbt.errors import NotATest, NotEBT
-from exbt.jmodel import CompilationUnit, MethodDecl, MethodId, RepoContext, parse_unit
-from exbt.jmodel.lexer import match_paren
+from exbt.jmodel import CompilationUnit, MethodDecl, MethodId, RepoContext, parse_member
+from exbt.jmodel.lexer import find_top_level, index_of, match_brace, match_paren
 
 PATTERNS = (
     "AnnotationExpected",
@@ -66,17 +66,7 @@ def _annotation_expected(m: MethodDecl) -> str | None:
 def _first_class_arg(unit: CompilationUnit, open_paren: int) -> str | None:
     """Text of the first argument when it is a class literal 'X.class'."""
     close = match_paren(unit.tokens, open_paren)
-    depth = 0
-    end = close
-    for k in range(open_paren + 1, close):
-        t = unit.tokens[k].text
-        if t in "([{":
-            depth += 1
-        elif t in ")]}":
-            depth -= 1
-        elif t == "," and depth == 0:
-            end = k
-            break
+    end = find_top_level(unit.tokens, open_paren + 1, close, (",",))
     toks = unit.tokens[open_paren + 1 : end]
     if len(toks) < 3 or toks[-1].text != "class" or toks[-2].text != ".":
         return None
@@ -121,15 +111,11 @@ def _try_fail_catch(unit: CompilationUnit, m: MethodDecl) -> str | None:
     k = m.tok_open + 1
     while k < m.tok_close:
         if toks[k].text == "try":
-            # span of the try block
+            # span of the try block, after any resource list
             open_b = k + 1
-            while toks[open_b].text != "{":
-                if toks[open_b].text == "(":
-                    open_b = match_paren(toks, open_b) + 1
-                    continue
-                open_b += 1
-            from exbt.jmodel.lexer import match_brace
-
+            if toks[open_b].text == "(":
+                open_b = match_paren(toks, open_b) + 1
+            open_b = index_of(toks, open_b, "{")
             close_b = match_brace(toks, open_b)
             has_fail = any(
                 toks[i].kind == "ident"
@@ -138,7 +124,12 @@ def _try_fail_catch(unit: CompilationUnit, m: MethodDecl) -> str | None:
                 and toks[i + 1].text == "("
                 for i in range(open_b + 1, close_b)
             )
-            if has_fail and close_b + 1 < m.tok_close and toks[close_b + 1].text == "catch":
+            if (
+                has_fail
+                and close_b + 1 < m.tok_close
+                and toks[close_b + 1].text == "catch"
+                and toks[close_b + 2].text == "("
+            ):
                 open_p = close_b + 2
                 close_p = match_paren(toks, open_p)
                 type_toks = []
@@ -173,11 +164,9 @@ def _classify_decl(unit: CompilationUnit, m: MethodDecl, mid: MethodId) -> TestM
 
 def classify_test(method_source: str) -> TestMethod:
     """Classify a standalone test method given its source text."""
-    unit = parse_unit("class __Wrapper {\n" + method_source + "\n}", "<string>")
-    methods = [(t, m) for t in unit.all_types() for m in t.methods]
-    if not methods:
+    unit, m = parse_member(method_source)
+    if m is None:
         raise NotATest("input does not contain a method declaration")
-    _, m = methods[0]
     mid = MethodId("<anonymous>", m.name, m.arity, "<string>", m.decl_line)
     return _classify_decl(unit, m, mid)
 

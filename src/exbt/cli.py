@@ -440,22 +440,21 @@ def cmd_sweep(args) -> int:
     candidate_rows = []
     scores: list[CandidateScore] = []
     targets = [site.label() for site, _ in results]
-    matched = [(site, o) for site, o in results if not isinstance(o, NoMatch)]
-    completions = generate_many(
-        backend,
-        [o.rendered_instruction for _, o in matched],
-        params,
-        max_in_flight=args.max_in_flight,
-        log=request_log,
+    # one completion per matched target, in order: two throws can share a label
+    completions = iter(
+        generate_many(
+            backend,
+            [o.rendered_instruction for _, o in results if not isinstance(o, NoMatch)],
+            params,
+            max_in_flight=args.max_in_flight,
+            log=request_log,
+        )
     )
-    completion_by_target = {
-        site.label(): completion for (site, _), completion in zip(matched, completions)
-    }
     for site, outcome in results:
         bundle_rows.append(bundle_to_record(outcome, site))
         if isinstance(outcome, NoMatch):
             continue
-        completion = completion_by_target[site.label()]
+        completion = next(completions)
         candidate = extract_candidate(completion)
         manifest.bump("generations")
         row = {

@@ -22,7 +22,7 @@ from exbt.errors import (
     BackendUnavailable,
     MalformedResponse,
 )
-from exbt.jmodel import parse_unit
+from exbt.jmodel import parse_member
 
 logger = logging.getLogger(__name__)
 
@@ -287,15 +287,12 @@ def _balanced_method_at(text: str, start: int) -> str | None:
 
 def _reparses_as_test_method(source: str) -> bool:
     try:
-        unit = parse_unit("class __C {\n" + source + "\n}", "<candidate>")
+        _, m = parse_member(source)
     except Exception:
         return False
     from exbt.classifier import _has_test_annotation
 
-    for _, m in ((t, m) for t in unit.all_types() for m in t.methods):
-        if m.tok_open is not None and _has_test_annotation(m):
-            return True
-    return False
+    return m is not None and m.tok_open is not None and _has_test_annotation(m)
 
 
 def extract_candidate(completion: str) -> str | None:

@@ -21,6 +21,7 @@ from exbt.errors import FrameOutOfSpan, JavaParseError
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext
 from exbt.jmodel import exprs
 from exbt.jmodel.exprs import Binary, Expr, Grouped, Lit, Name, Opaque, Unary
+from exbt.jmodel.lexer import match_paren, split_top_level
 from exbt.jmodel.stmts import Stmt, statement_at_line, stmts_at_line
 from exbt.stacktrace import StackTrace
 
@@ -209,22 +210,10 @@ def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl):
             continue
         if k + 1 >= stmt.tok_end or toks[k + 1].text != "(":
             continue
-        from exbt.jmodel.lexer import match_paren
-
         close = match_paren(toks, k + 1)
         args: list[Expr] = []
         if close > k + 2:
-            depth = 0
-            seg = k + 2
-            for i in range(k + 2, close + 1):
-                tt = toks[i].text
-                if i < close and tt in "([{":
-                    depth += 1
-                elif i < close and tt in ")]}":
-                    depth -= 1
-                if i == close or (tt == "," and depth == 0):
-                    args.append(_parse_or_opaque(unit, (seg, i)))
-                    seg = i + 1
+            args = [_parse_or_opaque(unit, r) for r in split_top_level(toks, k + 2, close, ",")]
         if len(args) == callee.arity:
             text = unit.source[t.offset : toks[close].end]
             return tuple(args), text

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 from exbt.classifier import TestMethod
 from exbt.errors import NotEBT
-from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, parse_unit
+from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, parse_member
 from exbt.jmodel.lexer import match_paren
+from exbt.jmodel.model import MEMBER_FIRST_LINE
 from exbt.stacktrace import StackTrace, parse_stack_trace
 from exbt.errors import MalformedTrace
 
@@ -210,12 +211,8 @@ def instrument_print_exception(ebt: TestMethod) -> Rewrite:
     rw = Rewrite(path=ebt.id.decl_file, original=source, rewritten=source)
     if EXC_MARKER in source:
         return rw  # already instrumented
-    wrapper = "class __W {\n" + source + "\n}"
-    unit = parse_unit(wrapper, "<rewrite>")
-    methods = [(t, m) for t in unit.all_types() for m in t.methods]
-    _, m = methods[0]
-    lines = source.split("\n")
-    # line L in the wrapper is line L-1 in the method source
+    unit, m = parse_member(source)
+    lines = source.split("\n")  # unit line L is lines[L - MEMBER_FIRST_LINE]
     if ebt.pattern in ("AnnotationExpected", "ExpectedExceptionRule"):
         _wrap_body(unit, m, lines, rw)
     elif ebt.pattern == "TryFailCatch":
@@ -227,8 +224,8 @@ def instrument_print_exception(ebt: TestMethod) -> Rewrite:
 
 
 def _wrap_body(unit: CompilationUnit, m: MethodDecl, lines: list[str], rw: Rewrite) -> None:
-    open_line0 = unit.tokens[m.tok_open].line - 2  # wrapper offset
-    close_line0 = unit.tokens[m.tok_close].line - 2
+    open_line0 = unit.tokens[m.tok_open].line - MEMBER_FIRST_LINE
+    close_line0 = unit.tokens[m.tok_close].line - MEMBER_FIRST_LINE
     if close_line0 <= open_line0:
         rw.skipped.append(f"{m.name}: single-line body, cannot wrap")
         return
@@ -259,7 +256,7 @@ def _print_in_catch(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -> None:
             if toks[open_b + 1].line == toks[open_b].line:
                 rw.skipped.append("catch body starts on the brace line, cannot insert")
                 return
-            line0 = toks[open_b].line - 2
+            line0 = toks[open_b].line - MEMBER_FIRST_LINE
             indent = _indent_of(lines[line0]) + "    "
             stmt = (
                 f"{indent}{HELPER_PACKAGE}.ExbtTraceLog.dumpException({var_tok.text});"
@@ -289,8 +286,8 @@ def _capture_assert_throws(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -
             start = k
             while start - 1 > m.tok_open and toks[start - 1].text == ".":
                 start -= 2
-            line0 = toks[start].line - 2
-            semi_line0 = toks[semi].line - 2
+            line0 = toks[start].line - MEMBER_FIRST_LINE
+            semi_line0 = toks[semi].line - MEMBER_FIRST_LINE
             # already bound to a variable? then only append the print
             prev = toks[start - 1].text if start - 1 > m.tok_open else ""
             bound_var = None

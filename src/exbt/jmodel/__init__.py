@@ -10,6 +10,7 @@ from exbt.jmodel.model import (
     TypeDecl,
     find_throw_sites,
     load_repo,
+    parse_member,
     parse_unit,
     reachable_throws,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "TypeDecl",
     "find_throw_sites",
     "load_repo",
+    "parse_member",
     "parse_unit",
     "reachable_throws",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from exbt.errors import JavaParseError, UnboundName, UnsupportedConstruct
-from exbt.jmodel.lexer import Token, tokenize
+from exbt.jmodel.lexer import Token, match_paren, tokenize
 
 
 class Expr:
@@ -211,7 +211,7 @@ class _Parser:
             return Unary(t.text, self.parse_unary())
         if t.text == "(" and self._looks_like_cast():
             self.next()
-            close = self._find_close_paren()
+            close = match_paren(self.toks, self.pos - 1)
             type_text = self.slice_text(self.pos, close)
             self.pos = close + 1
             return Cast(type_text, self.parse_unary())
@@ -268,7 +268,7 @@ class _Parser:
             return self._parse_new()
         if t.text == "(":
             # parenthesized lambda: (a, b) -> ...
-            close = self._find_close_paren_from(self.pos)
+            close = match_paren(self.toks, self.pos)
             after = self.toks[close + 1] if close + 1 < len(self.toks) else None
             if after is not None and after.text == "->":
                 return self._opaque_to_end(t.offset)
@@ -342,22 +342,8 @@ class _Parser:
                     return t.offset
         return self.toks[0].offset
 
-    def _find_close_paren(self) -> int:
-        return self._find_close_paren_from(self.pos - 1)
-
-    def _find_close_paren_from(self, open_pos: int) -> int:
-        depth = 0
-        for k in range(open_pos, len(self.toks)):
-            if self.toks[k].text == "(":
-                depth += 1
-            elif self.toks[k].text == ")":
-                depth -= 1
-                if depth == 0:
-                    return k
-        raise JavaParseError("unbalanced parentheses in expression")
-
     def _looks_like_cast(self) -> bool:
-        close = self._find_close_paren_from(self.pos)
+        close = match_paren(self.toks, self.pos)
         inner = self.toks[self.pos + 1 : close]
         if not inner:
             return False

@@ -154,35 +154,72 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def match_brace(tokens: list[Token], open_index: int) -> int:
-    """Index of the '}' matching the '{' at open_index. Raises if unbalanced."""
-    assert tokens[open_index].text == "{"
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
+
+
+def find_top_level(tokens: list[Token], lo: int, hi: int, stops: tuple[str, ...]) -> int:
+    """First index in [lo, hi) at bracket depth 0 whose text is in stops,
+    or hi when there is none.
+
+    Depth counts '(', '[' and '{' against ')', ']' and '}' from lo. A stray
+    closer takes it below 0, and nothing matches until an opener brings it
+    back; brackets themselves are never stops."""
+    depth = 0
+    for k in range(lo, hi):
+        t = tokens[k].text
+        if t in _OPENERS:
+            depth += 1
+        elif t in _CLOSERS:
+            depth -= 1
+        elif depth == 0 and t in stops:
+            return k
+    return hi
+
+
+def split_top_level(tokens: list[Token], lo: int, hi: int, sep: str) -> list[tuple[int, int]]:
+    """[lo, hi) cut at every `sep` at bracket depth 0, as (start, end)
+    ranges. Empty pieces are kept, so there is always at least one."""
+    pieces: list[tuple[int, int]] = []
+    stops = (sep,)
+    while True:
+        end = find_top_level(tokens, lo, hi, stops)
+        pieces.append((lo, end))
+        if end == hi:
+            return pieces
+        lo = end + 1
+
+
+def index_of(tokens: list[Token], lo: int, text: str) -> int:
+    """Index of the first token at or after lo whose text is `text`."""
+    for k in range(lo, len(tokens)):
+        if tokens[k].text == text:
+            return k
+    line = tokens[min(lo, len(tokens) - 1)].line if tokens else 1
+    raise JavaParseError(f"missing {text!r} after line {line}")
+
+
+def _match(tokens: list[Token], open_index: int, closer: str, what: str) -> int:
+    opener = tokens[open_index].text
     depth = 0
     for k in range(open_index, len(tokens)):
         t = tokens[k].text
-        if t == "{":
+        if t == opener:
             depth += 1
-        elif t == "}":
+        elif t == closer:
             depth -= 1
             if depth == 0:
                 return k
-    raise JavaParseError(
-        f"unbalanced braces from line {tokens[open_index].line}"
-    )
+    raise JavaParseError(f"unbalanced {what} from line {tokens[open_index].line}")
+
+
+def match_brace(tokens: list[Token], open_index: int) -> int:
+    """Index of the '}' matching the '{' at open_index. Raises if unbalanced."""
+    assert tokens[open_index].text == "{"
+    return _match(tokens, open_index, "}", "braces")
 
 
 def match_paren(tokens: list[Token], open_index: int) -> int:
     """Index of the ')' matching the '(' at open_index. Raises if unbalanced."""
     assert tokens[open_index].text == "("
-    depth = 0
-    for k in range(open_index, len(tokens)):
-        t = tokens[k].text
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-            if depth == 0:
-                return k
-    raise JavaParseError(
-        f"unbalanced parentheses from line {tokens[open_index].line}"
-    )
+    return _match(tokens, open_index, ")", "parentheses")

@@ -12,7 +12,15 @@ from functools import cached_property
 from pathlib import Path
 
 from exbt.errors import IoError, JavaParseError, NoJavaSources, UnknownMethod
-from exbt.jmodel.lexer import Token, match_brace, match_paren, tokenize
+from exbt.jmodel.lexer import (
+    Token,
+    find_top_level,
+    index_of,
+    match_brace,
+    match_paren,
+    split_top_level,
+    tokenize,
+)
 from exbt.jmodel.stmts import BodyParser, Stmt
 
 _MODIFIERS = {
@@ -142,11 +150,11 @@ class _UnitParser:
         while i < n:
             t = self.toks[i]
             if t.text == "package":
-                j = self._semi(i)
+                j = index_of(self.toks, i, ";")
                 package = self._join(i + 1, j)
                 i = j + 1
             elif t.text == "import":
-                j = self._semi(i)
+                j = index_of(self.toks, i, ";")
                 start = i + 1
                 prefix = ""
                 if self.toks[start].text == "static":
@@ -167,6 +175,8 @@ class _UnitParser:
 
     def _parse_type(self, kw_index: int, package: str | None, outer_fqn: str | None):
         kind = self.toks[kw_index].text
+        if kw_index + 1 >= len(self.toks):
+            raise JavaParseError(f"{kind} without a name at line {self.toks[kw_index].line}")
         name_tok = self.toks[kw_index + 1]
         name = name_tok.text
         if outer_fqn:
@@ -177,12 +187,11 @@ class _UnitParser:
             fqn = name
         record_params: list[tuple[str, str]] = []
         open_b = kw_index + 2
-        if kind == "record" and self.toks[open_b].text == "(":
+        if kind == "record" and open_b < len(self.toks) and self.toks[open_b].text == "(":
             close_p = match_paren(self.toks, open_b)
             record_params, _ = self._parse_params(open_b + 1, close_p)
             open_b = close_p + 1
-        while self.toks[open_b].text != "{":
-            open_b += 1
+        open_b = index_of(self.toks, open_b, "{")
         close_b = match_brace(self.toks, open_b)
         decl = TypeDecl(
             kind=kind,
@@ -196,21 +205,9 @@ class _UnitParser:
         decl.field_names.extend(n for _, n in record_params)
         lo = open_b + 1
         if kind == "enum":
-            lo = self._skip_enum_constants(lo, close_b)
+            lo = min(find_top_level(self.toks, lo, close_b, (";",)) + 1, close_b)
         self._parse_members(decl, lo, close_b)
         return decl, close_b + 1
-
-    def _skip_enum_constants(self, lo: int, hi: int) -> int:
-        depth = 0
-        for k in range(lo, hi):
-            t = self.toks[k].text
-            if t in "([{":
-                depth += 1
-            elif t in ")]}":
-                depth -= 1
-            elif t == ";" and depth == 0:
-                return k + 1
-        return hi
 
     def _parse_members(self, decl: TypeDecl, lo: int, hi: int) -> None:
         p = lo
@@ -299,7 +296,7 @@ class _UnitParser:
                 p = close + 1
                 continue
             # field declaration: collect declared names, skip to ';'
-            end = self._member_semi(p, hi)
+            end = find_top_level(self.toks, p, hi, (";",))
             angle = 0
             bracket = 0
             for k in range(p, end):
@@ -417,18 +414,6 @@ class _UnitParser:
                 depth += 1
         return hi, ";"
 
-    def _member_semi(self, p: int, hi: int) -> int:
-        depth = 0
-        for k in range(p, hi):
-            t = self.toks[k].text
-            if t in "([{":
-                depth += 1
-            elif t in ")]}":
-                depth -= 1
-            elif t == ";" and depth == 0:
-                return k
-        return hi
-
     def _skip_annotation(self, p: int):
         start = self.toks[p]
         p += 1  # '@'
@@ -460,17 +445,22 @@ class _UnitParser:
                 return p
         return p
 
-    def _semi(self, p: int) -> int:
-        while self.toks[p].text != ";":
-            p += 1
-        return p
-
     def _join(self, lo: int, hi: int) -> str:
         return "".join(t.text for t in self.toks[lo:hi])
 
 
 def parse_unit(source: str, path: str) -> CompilationUnit:
     return _UnitParser(source, path).parse()
+
+
+MEMBER_FIRST_LINE = 2  # the unit line on which parse_member's source starts
+
+
+def parse_member(source: str) -> tuple[CompilationUnit, MethodDecl | None]:
+    """Parse a member on its own, wrapped in a throwaway class: the unit and
+    its first method, or None when it declares none."""
+    unit = parse_unit("class __Member {\n" + source + "\n}", "<member>")
+    return unit, next((m for _, m in unit.all_methods()), None)
 
 
 class RepoContext:
@@ -658,6 +648,9 @@ def load_repo(root, test_roots: list[str] | None = None) -> RepoContext:
         except OSError as exc:
             warnings.append(f"{rel}: unreadable ({exc})")
             continue
+        except UnicodeDecodeError as exc:
+            warnings.append(f"{rel}: undecodable ({exc})")
+            continue
         try:
             units.append(parse_unit(source, rel))
         except JavaParseError as exc:
@@ -674,17 +667,7 @@ def throw_sites_of(unit: CompilationUnit, m: MethodDecl, ctx: RepoContext) -> li
     while k < m.tok_close:
         t = unit.tokens[k]
         if t.text == "throw":
-            end = k
-            depth = 0
-            while end < m.tok_close:
-                tt = unit.tokens[end].text
-                if tt in "([{":
-                    depth += 1
-                elif tt in ")]}":
-                    depth -= 1
-                elif tt == ";" and depth == 0:
-                    break
-                end += 1
+            end = find_top_level(unit.tokens, k, m.tok_close, (";",))
             text = unit.source[t.offset : unit.tokens[end].end]
             sites.append(
                 ThrowSite(
@@ -739,7 +722,7 @@ def _build_call_edges(ctx: RepoContext) -> list[CallEdge]:
                 continue
             prev = toks[k - 1].text if k > 0 else ""
             close = match_paren(toks, k + 1)
-            arity = _call_arity(toks, k + 1, close)
+            arity = 0 if close == k + 2 else len(split_top_level(toks, k + 2, close, ","))
             if prev == "new":
                 targets = ctx._ctors_by_key.get((t.text, arity), [])
             else:
@@ -753,22 +736,6 @@ def _build_call_edges(ctx: RepoContext) -> list[CallEdge]:
             else:
                 edges.append(CallEdge(caller, None, t.text, arity, t.line))
     return edges
-
-
-def _call_arity(tokens: list[Token], open_paren: int, close_paren: int) -> int:
-    if close_paren == open_paren + 1:
-        return 0
-    depth = 0
-    commas = 0
-    for k in range(open_paren + 1, close_paren):
-        t = tokens[k].text
-        if t in "([{":
-            depth += 1
-        elif t in ")]}":
-            depth -= 1
-        elif t == "," and depth == 0:
-            commas += 1
-    return commas + 1
 
 
 def reachable_throws(

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from exbt.jmodel.lexer import Token, match_brace, match_paren
+from exbt.jmodel.lexer import (
+    Token,
+    find_top_level,
+    index_of,
+    match_brace,
+    match_paren,
+    split_top_level,
+)
 
 _PRIMITIVES = {"boolean", "byte", "char", "short", "int", "long", "float", "double"}
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
@@ -81,7 +88,7 @@ class BodyParser:
         if text == "if":
             return self._parse_if(pos, limit)
         if text == "while":
-            open_p = self._index_of(pos, "(")
+            open_p = index_of(self.toks, pos, "(")
             close_p = match_paren(self.toks, open_p)
             body, end = self._parse_stmt(close_p + 1, limit)
             st = self._stmt("while", pos, end)
@@ -93,7 +100,7 @@ class BodyParser:
         if text == "do":
             body, p = self._parse_stmt(pos + 1, limit)
             # 'while (cond) ;'
-            open_p = self._index_of(p, "(")
+            open_p = index_of(self.toks, p, "(")
             close_p = match_paren(self.toks, open_p)
             end = self._stmt_end(close_p + 1, limit)
             st = self._stmt("dowhile", pos, end)
@@ -115,7 +122,7 @@ class BodyParser:
             end = self._stmt_end(pos, limit)
             return self._stmt(text if text in ("return",) else "other", pos, end), end
         if text == "synchronized":
-            open_p = self._index_of(pos, "(")
+            open_p = index_of(self.toks, pos, "(")
             close_p = match_paren(self.toks, open_p)
             body, end = self._parse_stmt(close_p + 1, limit)
             st = self._stmt("synchronized", pos, end)
@@ -144,7 +151,7 @@ class BodyParser:
         return st, end
 
     def _parse_if(self, pos: int, limit: int) -> tuple[Stmt, int]:
-        open_p = self._index_of(pos, "(")
+        open_p = index_of(self.toks, pos, "(")
         close_p = match_paren(self.toks, open_p)
         then_stmt, p = self._parse_stmt(close_p + 1, limit)
         else_stmt = None
@@ -161,25 +168,22 @@ class BodyParser:
         return st, p
 
     def _parse_for(self, pos: int, limit: int) -> tuple[Stmt, int]:
-        open_p = self._index_of(pos, "(")
+        open_p = index_of(self.toks, pos, "(")
         close_p = match_paren(self.toks, open_p)
-        header = range(open_p + 1, close_p)
-        semis = [k for k in header if self.toks[k].text == ";" and self._depth0(open_p + 1, k)]
+        header = split_top_level(self.toks, open_p + 1, close_p, ";")
         body, end = self._parse_stmt(close_p + 1, limit)
         st = self._stmt("for", pos, end)
-        if len(semis) == 2:
-            cond_lo, cond_hi = semis[0] + 1, semis[1]
-            if cond_hi > cond_lo:
-                st.cond_range = (cond_lo, cond_hi)
+        if len(header) == 3 and header[1][1] > header[1][0]:
+            st.cond_range = header[1]
         if body is not None:
             body.role = "body"
             st.children.append(body)
         return st, end
 
     def _parse_switch(self, pos: int, limit: int) -> tuple[Stmt, int]:
-        open_p = self._index_of(pos, "(")
+        open_p = index_of(self.toks, pos, "(")
         close_p = match_paren(self.toks, open_p)
-        open_b = self._index_of(close_p, "{")
+        open_b = index_of(self.toks, close_p, "{")
         close_b = match_brace(self.toks, open_b)
         st = self._stmt("switch", pos, close_b + 1)
         st.selector_range = (open_p + 1, close_p)
@@ -191,27 +195,16 @@ class BodyParser:
                 group_start = p
                 labels: list[tuple[int, int] | None] = []
                 while p < close_b and self.toks[p].text in ("case", "default"):
-                    is_default = self.toks[p].text == "default"
-                    p += 1
-                    lab_start = p
-                    depth = 0
-                    while p < close_b:
-                        tt = self.toks[p].text
-                        if tt in "([{":
-                            depth += 1
-                        elif tt in ")]}":
-                            depth -= 1
-                        elif depth == 0 and tt in (":", "->"):
-                            break
-                        elif depth == 0 and tt == "," and not is_default:
-                            labels.append((lab_start, p))
-                            lab_start = p + 1
-                        p += 1
-                    if is_default:
+                    end = find_top_level(self.toks, p + 1, close_b, (":", "->"))
+                    if self.toks[p].text == "default":
                         labels.append(None)
-                    elif p > lab_start:
-                        labels.append((lab_start, p))
-                    p += 1  # skip ':' or '->'
+                    else:
+                        # an empty piece counts only before a comma
+                        pieces = split_top_level(self.toks, p + 1, end, ",")
+                        if pieces[-1][1] == pieces[-1][0]:
+                            pieces.pop()
+                        labels.extend(pieces)
+                    p = end + 1  # skip ':' or '->'
                 group = self._stmt("case", group_start, p)
                 group.labels = labels
                 group.role = "group"
@@ -240,7 +233,7 @@ class BodyParser:
             body.role = "body"
             st.children.append(body)
         while p < limit and self.toks[p].text == "catch":
-            open_p = self._index_of(p, "(")
+            open_p = index_of(self.toks, p, "(")
             close_p = match_paren(self.toks, open_p)
             cbody, p = self._parse_stmt(close_p + 1, limit)
             catch = self._stmt("catch", open_p, p)
@@ -306,17 +299,7 @@ class BodyParser:
             p += 1
             if p < end and self.toks[p].text == "=":
                 rhs_start = p + 1
-                depth = 0
-                q = rhs_start
-                while q < end:
-                    tt = self.toks[q].text
-                    if tt in "([{":
-                        depth += 1
-                    elif tt in ")]}":
-                        depth -= 1
-                    elif depth == 0 and tt in (",", ";"):
-                        break
-                    q += 1
+                q = find_top_level(self.toks, rhs_start, end, (",", ";"))
                 st.assignments.append((name, (rhs_start, q), "="))
                 p = q
             if p < end and self.toks[p].text == ",":
@@ -357,34 +340,7 @@ class BodyParser:
 
     def _stmt_end(self, pos: int, limit: int) -> int:
         """Index just past the ';' terminating a simple statement."""
-        depth = 0
-        k = pos
-        while k < limit:
-            t = self.toks[k].text
-            if t in "([{":
-                depth += 1
-            elif t in ")]}":
-                depth -= 1
-            elif t == ";" and depth == 0:
-                return k + 1
-            k += 1
-        return limit
-
-    def _index_of(self, pos: int, text: str) -> int:
-        k = pos
-        while self.toks[k].text != text:
-            k += 1
-        return k
-
-    def _depth0(self, lo: int, at: int) -> bool:
-        depth = 0
-        for k in range(lo, at):
-            t = self.toks[k].text
-            if t in "([{":
-                depth += 1
-            elif t in ")]}":
-                depth -= 1
-        return depth == 0
+        return min(find_top_level(self.toks, pos, limit, (";",)) + 1, limit)
 
 
 def _link_parents(root: Stmt) -> None:

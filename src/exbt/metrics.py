@@ -19,7 +19,7 @@ from typing import NamedTuple
 from exbt.classifier import classify_test
 from exbt.errors import ExbtError, NotATest, RunnerUnavailable
 from exbt.jmodel import exprs as E
-from exbt.jmodel import parse_unit
+from exbt.jmodel import parse_member
 from exbt.jmodel.lexer import KEYWORDS, tokenize
 from exbt.jmodel.stmts import BodyParser
 
@@ -95,13 +95,10 @@ def _parse_method_body(source: str):
     """(unit, method, body tree) for a method source wrapped in a class, or
     None when it does not parse as a method."""
     try:
-        unit = parse_unit("class __M {\n" + source + "\n}", "<metric>")
+        unit, method = parse_member(source)
     except ExbtError:
         return None
-    method = next(
-        (m for t in unit.all_types() for m in t.methods if m.tok_open is not None), None
-    )
-    if method is None:
+    if method is None or method.tok_open is None:
         return None
     try:
         tree = BodyParser(unit.tokens, unit.source).parse_block(method.tok_open)
@@ -428,47 +425,6 @@ def aggregate(reports: list[CandidateScore], targets: list[str]) -> dict:
         "throw_cov_pct": 100.0 * throw_cov,
         "partial": not functional_present,
     }
-
-
-def aggregate_best_of(reports: list[CandidateScore], targets: list[str]) -> dict:
-    """Best-of-k aggregation for sampled runs.
-
-    Each metric is maximized independently per target (so the per-target
-    'best' may come from different candidates per metric); the result is
-    flagged accordingly.
-    """
-    by_target: dict[str, list[CandidateScore]] = {}
-    for r in reports:
-        by_target.setdefault(r.target, []).append(r)
-    best: list[CandidateScore] = []
-    for target, group in sorted(by_target.items()):
-        merged = CandidateScore(target=target)
-        merged.bleu = max((r.bleu for r in group if r.bleu is not None), default=None)
-        merged.code_bleu = max(
-            (r.code_bleu for r in group if r.code_bleu is not None), default=None
-        )
-        merged.edit_sim = max(
-            (r.edit_sim for r in group if r.edit_sim is not None), default=None
-        )
-        merged.xmatch = any(r.xmatch for r in group if r.xmatch is not None) or (
-            None if all(r.xmatch is None for r in group) else False
-        )
-        merged.matched_e = any(r.matched_e for r in group)
-        merged.compilable = _best_bool([r.compilable for r in group])
-        merged.runnable = _best_bool([r.runnable for r in group])
-        merged.covers_target = _best_bool([r.covers_target for r in group])
-        best.append(merged)
-    agg = aggregate(best, targets)
-    agg["best_of_k"] = True
-    agg["per_metric_maximization"] = "independent per target"
-    return agg
-
-
-def _best_bool(values: list[bool | None]) -> bool | None:
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    return any(present)
 
 
 def report_table(agg: dict) -> str:

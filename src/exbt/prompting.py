@@ -26,7 +26,7 @@ from exbt.stacktrace import Frame, StackTrace, exclude_test_and_util_frames
 logger = logging.getLogger(__name__)
 
 TEMPLATE_ID = "exbt-inst-v1"
-POOL_CACHE_FORMAT = "pool-v2"  # bump when the cached pool layout changes
+POOL_CACHE_FORMAT = "pool-v3"  # bump when the cached pool layout changes
 NONEBT_TOKEN_BUDGET = 2048  # whitespace tokens for the relevant-test slot
 
 
@@ -133,11 +133,14 @@ def collect_stacktrace_set(
     )
     if cache_file is not None:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(_dump_pool(entries))
+        cache_file.write_text(_dump_pool(entries, ctx))
     return entries
 
 
-def _dump_pool(entries: list[TracePoolEntry]) -> str:
+def _dump_pool(entries: list[TracePoolEntry], ctx: RepoContext) -> str:
+    """A site is stored as its index in ctx.throw_sites: the digest the cache
+    is keyed on covers every source, and two throws can share a line."""
+    site_index = {site: k for k, site in enumerate(ctx.throw_sites)}
     rows = []
     for e in entries:
         rows.append(
@@ -152,7 +155,7 @@ def _dump_pool(entries: list[TracePoolEntry]) -> str:
                     e.source_test.decl_file,
                     e.source_test.decl_line,
                 ],
-                "site": [e.throw_site.method.decl_file, e.throw_site.line],
+                "site": site_index[e.throw_site],
             }
         )
     return json.dumps(rows, indent=0)
@@ -163,9 +166,7 @@ def _read_pool(text: str, ctx: RepoContext) -> list[TracePoolEntry]:
     for row in json.loads(text):
         trace = StackTrace(tuple(Frame(*f) for f in row["frames"]))
         test = MethodId(*row["test"])
-        file, line = row["site"]
-        site = ctx.throw_site_by_label[f"{file}:{line}"]
-        entries.append(TracePoolEntry(trace, test, site))
+        entries.append(TracePoolEntry(trace, test, ctx.throw_sites[row["site"]]))
     return entries
 
 
@@ -422,22 +423,6 @@ def sweep_targets(
                 counters["guards_computed"] += 1
         results.append((site, outcome))
     return results
-
-
-def enumerate_nonebt_variants(bundle: PromptBundle, limit: int = 5) -> list[PromptBundle]:
-    """Up to `limit` bundles, each keeping a single distinct relevant test.
-
-    Used for sampling runs that vary the in-context example: no
-    replacement, stops early when fewer relevant tests exist. A bundle
-    without relevant tests yields itself once.
-    """
-    if not bundle.nonebts:
-        return [bundle]
-    variants = []
-    for source in bundle.nonebts[:limit]:
-        v = replace(bundle, nonebts=(source,))
-        variants.append(replace(v, rendered_instruction=render_instruction(v)))
-    return variants
 
 
 def bundle_to_record(outcome, site: ThrowSite) -> dict:

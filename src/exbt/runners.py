@@ -24,7 +24,7 @@ from pathlib import Path
 from exbt.errors import RunnerUnavailable
 from exbt.genbackend import digest
 from exbt.instrument import HELPER_FILE, HELPER_SOURCE
-from exbt.jmodel import RepoContext, parse_unit
+from exbt.jmodel import RepoContext, parse_member, parse_unit
 from exbt.metrics import FunctionalResult
 
 logger = logging.getLogger(__name__)
@@ -262,11 +262,8 @@ class JavacRunner:
         dest_out.write_text(dest_text, encoding="utf-8")
         dest_unit = parse_unit(dest_text, bundle.dest_path)
         test_class = next(t.fqn for t in dest_unit.all_types())
-        cand_unit = parse_unit("class __C {\n" + candidate + "\n}", "<cand>")
-        test_method = next(
-            m.name for t in cand_unit.all_types() for m in t.methods
-        )
-        return {"test_class": test_class, "test_method": test_method}
+        _, test_method = parse_member(candidate)
+        return {"test_class": test_class, "test_method": test_method.name}
 
 
 def _strip_roots(rel: str) -> str:

@@ -71,6 +71,29 @@ def guard_trace(ctx, oracle_entry) -> StackTrace:
     return StackTrace(tuple(frames)), site
 
 
+def write_two_throw_repo(repo: Path) -> None:
+    """A repository whose only main method has two throws on one line
+    (`Range.java:5`), one non-EBT reaching it and its trace log."""
+    for rel, text in {
+        "src/main/java/p/Range.java": (
+            "package p;\n\npublic class Range {\n"
+            "    public static void check(int x) {\n"
+            "        if (x < 0) throw new A(); else if (x > 9) throw new B();\n"
+            "    }\n}\n"
+        ),
+        "src/test/java/p/RangeTest.java": (
+            "package p;\n\npublic class RangeTest {\n    @Test\n"
+            "    public void testCheckOk() {\n        Range.check(5);\n    }\n}\n"
+        ),
+        "logs/nonebt-traces.log": (
+            "test: p.RangeTest#testCheckOk\nat p.Range.check(Range.java:5)\n"
+            "at p.RangeTest.testCheckOk(RangeTest.java:6)\n---\n"
+        ),
+    }.items():
+        (repo / rel).parent.mkdir(parents=True, exist_ok=True)
+        (repo / rel).write_text(text)
+
+
 def parse_env_key(key: str) -> dict[str, int]:
     env = {}
     for part in key.split(","):

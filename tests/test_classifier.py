@@ -115,6 +115,11 @@ def test_split_suite_counts(repo_a_suite):
     assert {t.pattern for t in ebts} == {"AnnotationExpected", "AssertThrows", "TryFailCatch"}
 
 
+def test_try_fail_catch_without_catch_parameters_is_nonebt():
+    t = classify_test("@Test void t() { try { f(); fail(); } catch X e) { } }")
+    assert t.kind == "NonEBT"
+
+
 def test_split_empty_test_dir(tmp_path):
     (tmp_path / "src/main/java").mkdir(parents=True)
     (tmp_path / "src/main/java/A.java").write_text("class A { }")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import FIXTURES, REPO_A
+from conftest import FIXTURES, REPO_A, write_two_throw_repo
 from exbt.cli import main
 from exbt.genbackend import HttpBackend
 
@@ -115,6 +115,24 @@ def test_sweep_report_committed_values(capsys, tmp_path):
     assert report["no_match_reasons"] == {"no-dest-file": 1, "no-matching-trace": 2}
 
 
+def test_sweep_pairs_completions_with_two_throws_on_one_line(capsys, tmp_path):
+    repo = tmp_path / "repo"
+    write_two_throw_repo(repo)
+    (repo / "canned").mkdir()
+    (repo / "canned/completions.json").write_text(json.dumps({"completions": [
+        {"contains": f"(exception: {e})",
+         "completion": f"```java\n@Test(expected = {e}.class)\n"
+                       f"public void t{e}() {{ Range.check(0); }}\n```\n"}
+        for e in ("A", "B")
+    ]}))
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "sweep", repo, "--seed", "1", "--backend", "stub", "--out", out)
+    assert code == 0
+    rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
+    assert [r["target"] for r in rows] == ["src/main/java/p/Range.java:5"] * 2
+    assert [r["matched_e"] for r in rows] == [True, True]
+
+
 def test_sweep_zero_matchable_targets(capsys, tmp_path):
     repo = tmp_path / "repo"
     (repo / "src/main/java").mkdir(parents=True)
@@ -172,6 +190,21 @@ def test_eval_command(capsys, tmp_path):
     payload = json.loads(out[: out.index("BLEU")])
     assert payload["aggregate"]["xmatch_pct"] == 100.0
     assert payload["aggregate"]["matched_e_pct"] == 100.0
+
+
+def test_eval_degrades_code_bleu_on_a_malformed_switch(capsys, tmp_path):
+    cands = tmp_path / "cands.jsonl"
+    refs = tmp_path / "refs.jsonl"
+    reference = "@Test public void w() { switch (x) { case 1: break; } }"
+    cand = "@Test public void w() { switch ) { case 1: break; } }"
+    cands.write_text(json.dumps({"target": "T.java:1", "candidate": cand}) + "\n")
+    refs.write_text(json.dumps({"target": "T.java:1", "reference": reference}) + "\n")
+    code, out, _ = run(capsys, "eval", "--candidates", cands, "--refs", refs)
+    assert code == 0
+    agg = json.loads(out[: out.index("BLEU")])["aggregate"]
+    assert agg["candidates"] == 1
+    # degraded CodeBLEU is plain BLEU
+    assert agg["code_bleu"] == agg["bleu"] < 1.0
 
 
 def test_unknown_flag_exits_2(capsys):

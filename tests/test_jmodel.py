@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import REPO_A
-from exbt.errors import NoJavaSources, IoError, UnknownMethod
+from conftest import FIXTURES, REPO_A
+from exbt.errors import ExbtError, IoError, JavaParseError, NoJavaSources, UnknownMethod
 from exbt.jmodel import find_throw_sites, load_repo, parse_unit, reachable_throws
+from exbt.jmodel.stmts import BodyParser
+
+FIXTURE_SOURCES = [p.read_text() for p in sorted(FIXTURES.rglob("*.java"))]
 
 
 def test_load_repo_counts_units(repo_a):
@@ -28,6 +32,57 @@ def test_load_repo_broken_file_is_warning(tmp_path):
     assert len(ctx.warnings) == 1
     assert "Bad.java" in ctx.warnings[0]
     assert [u.path for u in ctx.units] == ["src/main/java/Good.java"]
+
+
+def test_load_repo_unterminated_package_is_warning(tmp_path):
+    src = tmp_path / "src/main/java"
+    src.mkdir(parents=True)
+    (src / "A.java").write_text("package a")
+    (src / "B.java").write_text(
+        "class B { void f(int x) { if (x < 0) throw new IllegalStateException(); } }"
+    )
+    ctx = load_repo(tmp_path)
+    assert len(ctx.warnings) == 1 and ctx.warnings[0].startswith("src/main/java/A.java:")
+    assert [s.exception_type for s in find_throw_sites(ctx)] == ["IllegalStateException"]
+
+
+def test_load_repo_undecodable_file_is_warning(tmp_path):
+    src = tmp_path / "src/main/java"
+    src.mkdir(parents=True)
+    (src / "A.java").write_bytes(b"class A { String s = \"\xff\"; }")
+    (src / "B.java").write_text("class B { }")
+    ctx = load_repo(tmp_path)
+    assert len(ctx.warnings) == 1
+    assert ctx.warnings[0].startswith("src/main/java/A.java: undecodable (")
+    assert [u.path for u in ctx.units] == ["src/main/java/B.java"]
+
+
+@pytest.mark.parametrize("source", ["class", "class A", "record R", "package a", "import b"])
+def test_truncated_declaration_is_a_parse_error(source):
+    with pytest.raises(JavaParseError):
+        parse_unit(source, "A.java")
+
+
+@st.composite
+def mutated_sources(draw):
+    source = draw(st.sampled_from(FIXTURE_SOURCES))
+    at = draw(st.integers(0, len(source)))
+    if draw(st.booleans()):
+        return source[:at]
+    return source[:at] + source[at + draw(st.integers(1, 8)) :]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_sources())
+def test_malformed_source_raises_only_typed_errors(source):
+    """Truncated or cut fixture sources parse, or fail with an ExbtError."""
+    try:
+        unit = parse_unit(source, "M.java")
+        for _, m in unit.all_methods():
+            if m.tok_open is not None:
+                BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
+    except ExbtError:
+        pass
 
 
 def test_load_repo_empty_dir_raises(tmp_path):

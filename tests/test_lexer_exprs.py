@@ -15,7 +15,7 @@ from exbt.jmodel.exprs import (
     render,
     substitute,
 )
-from exbt.jmodel.lexer import tokenize
+from exbt.jmodel.lexer import find_top_level, index_of, split_top_level, tokenize
 
 
 def test_tokenize_basics():
@@ -32,6 +32,49 @@ def test_tokenize_tracks_lines():
 def test_tokenize_block_comment_spans_lines():
     toks = tokenize("a /* x\n y */ b")
     assert [(t.text, t.line) for t in toks] == [("a", 1), ("b", 2)]
+
+
+def test_find_top_level_skips_nested_brackets():
+    toks = tokenize("f(a, b[c, d], {e, f}), g;")
+    assert find_top_level(toks, 0, len(toks), (",", ";")) == 17
+    # inside the call's parentheses the first top-level comma is after 'a'
+    assert find_top_level(toks, 2, 16, (",",)) == 3
+    assert find_top_level(toks, 4, 16, (",",)) == 10
+
+
+def test_find_top_level_empty_range_and_no_stop():
+    toks = tokenize("x ; y")
+    assert find_top_level(toks, 1, 1, (";",)) == 1
+    assert find_top_level(toks, 2, 3, (";",)) == 3
+
+
+def test_find_top_level_stray_closer_hides_later_stops():
+    toks = tokenize("a ) , b ; c")
+    assert find_top_level(toks, 0, len(toks), (",", ";")) == len(toks)
+    assert split_top_level(toks, 0, len(toks), ",") == [(0, len(toks))]
+
+
+def test_split_top_level_pieces():
+    toks = tokenize("f(a, b[c, d], {e, f}), g;")
+    assert split_top_level(toks, 2, 16, ",") == [(2, 3), (4, 10), (11, 16)]
+    assert split_top_level(toks, 5, 5, ",") == [(5, 5)]
+
+
+def test_split_top_level_keeps_empty_and_trailing_pieces():
+    toks = tokenize("a, b,")
+    assert split_top_level(toks, 0, len(toks), ",") == [(0, 1), (2, 3), (4, 4)]
+    assert split_top_level(toks, 1, 2, ",") == [(1, 1), (2, 2)]
+
+
+def test_index_of_is_bounded():
+    toks = tokenize("switch ) { }")
+    assert index_of(toks, 0, "{") == 2
+    with pytest.raises(JavaParseError):
+        index_of(toks, 0, "(")
+    with pytest.raises(JavaParseError):
+        index_of(toks, len(toks) + 3, "{")
+    with pytest.raises(JavaParseError):
+        index_of([], 0, ";")
 
 
 def test_tokenize_rejects_unterminated_string():

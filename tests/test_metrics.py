@@ -273,7 +273,7 @@ def test_report_table_column_order():
 
 
 def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
-    calls = {"tokenize": 0, "parse_unit": 0, "parse_block": 0}
+    calls = {"tokenize": 0, "parse_member": 0, "parse_block": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -284,35 +284,24 @@ def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
 
     monkeypatch.setattr(exbt.metrics, "tokenize", counting("tokenize", exbt.metrics.tokenize))
     monkeypatch.setattr(
-        exbt.metrics, "parse_unit", counting("parse_unit", exbt.metrics.parse_unit)
+        exbt.metrics, "parse_member", counting("parse_member", exbt.metrics.parse_member)
     )
     monkeypatch.setattr(
         BodyParser, "parse_block", counting("parse_block", BodyParser.parse_block)
     )
     s = score_candidate(METHOD.replace("acct", "a2"), METHOD, "IOException", "t1")
     assert s.code_bleu_degraded is False
-    assert calls == {"tokenize": 2, "parse_unit": 2, "parse_block": 2}
+    assert calls == {"tokenize": 2, "parse_member": 2, "parse_block": 2}
+
+
+def test_score_candidate_degrades_on_a_malformed_switch():
+    reference = "@Test public void w() { switch (x) { case 1: break; } }"
+    s = score_candidate(reference.replace("(x)", ")"), reference, "E", "t1")
+    assert s.code_bleu_degraded is True
+    assert s.code_bleu == s.bleu
 
 
 def test_score_candidate_without_reference_keeps_similarity_absent():
     s = score_candidate("@Test public void t() { f(); }", None, "IOException", "t1")
     assert s.bleu is None and s.xmatch is None
     assert s.matched_e is False
-
-
-def test_aggregate_best_of_maximizes_per_metric():
-    from exbt.metrics import aggregate_best_of
-
-    scores = [
-        CandidateScore(target="t1", bleu=0.2, code_bleu=0.9, edit_sim=0.5,
-                       xmatch=False, matched_e=False, covers_target=False),
-        CandidateScore(target="t1", bleu=0.8, code_bleu=0.3, edit_sim=0.6,
-                       xmatch=False, matched_e=True, covers_target=True),
-    ]
-    agg = aggregate_best_of(scores, ["t1"])
-    assert agg["best_of_k"] is True
-    assert agg["bleu"] == pytest.approx(0.8)
-    assert agg["code_bleu"] == pytest.approx(0.9)  # max from the other candidate
-    assert agg["edit_sim"] == pytest.approx(0.6)
-    assert agg["matched_e_pct"] == 100.0
-    assert agg["throw_cov"] == pytest.approx(1.0)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import REPO_A
+from conftest import REPO_A, write_two_throw_repo
 from exbt.instrument import parse_trace_log
 from exbt.jmodel import find_throw_sites
 from exbt.prompting import (
@@ -98,6 +98,23 @@ def test_pool_cache_hits_and_invalidates(repo_a, repo_a_suite, trace_log, tmp_pa
     third = collect_stacktrace_set(nonebts, repo_a, one_block, cache_dir=tmp_path)
     assert len(third) == 1
     assert len(list(tmp_path.glob("pool-*.json"))) == 3
+
+
+def test_pool_cache_keeps_two_throws_on_one_line(tmp_path):
+    from exbt.classifier import split_test_suite
+    from exbt.jmodel import load_repo
+
+    repo = tmp_path / "repo"
+    write_two_throw_repo(repo)
+    log = parse_trace_log((repo / "logs/nonebt-traces.log").read_text())
+    ctx = load_repo(repo)
+    _, nonebts = split_test_suite(ctx)
+    cache = tmp_path / "cache"
+    built = collect_stacktrace_set(nonebts, ctx, log, cache_dir=cache)
+    cached = collect_stacktrace_set(nonebts, ctx, log, cache_dir=cache)
+    assert len(list(cache.glob("pool-*.json"))) == 1
+    assert [e.throw_site.exception_type for e in cached] == ["A", "B"]
+    assert cached == built
 
 
 # --- prompt assembly ---
@@ -299,19 +316,3 @@ def test_golden_instruction_for_fixture_bundle(repo_a, repo_a_suite, pool):
     golden = (REPO_A / "golden-instruction.txt").read_text()
     text = _bundle(repo_a, repo_a_suite, pool).rendered_instruction
     assert text == golden
-
-
-def test_nonebt_sampling_variants(repo_a, repo_a_suite, pool):
-    from exbt.prompting import enumerate_nonebt_variants
-
-    bundle = _bundle(repo_a, repo_a_suite, pool)
-    assert len(bundle.nonebts) == 2
-    variants = enumerate_nonebt_variants(bundle, limit=5)
-    # stops early: only as many variants as distinct relevant tests
-    assert len(variants) == 2
-    singles = [v.nonebts for v in variants]
-    assert all(len(s) == 1 for s in singles)
-    assert len({s[0] for s in singles}) == 2
-    # a bundle with no relevant tests yields itself once
-    bare = replace(bundle, nonebts=())
-    assert enumerate_nonebt_variants(bare) == [bare]
