@@ -167,6 +167,11 @@ def classify_test(method_source: str) -> TestMethod:
     unit, m = parse_member(method_source)
     if m is None:
         raise NotATest("input does not contain a method declaration")
+    return classify_member(unit, m)
+
+
+def classify_member(unit: CompilationUnit, m: MethodDecl) -> TestMethod:
+    """Classify a standalone test method already parsed by `parse_member`."""
     mid = MethodId("<anonymous>", m.name, m.arity, "<string>", m.decl_line)
     return _classify_decl(unit, m, mid)
 

@@ -18,7 +18,7 @@ from exbt import __version__
 from exbt.classifier import split_test_suite
 from exbt.config import load_config
 from exbt.corpus import collect_training_corpus, write_corpus
-from exbt.errors import ExbtError
+from exbt.errors import ExbtError, MalformedTrace
 from exbt.genbackend import (
     GenerationParams,
     RequestLog,
@@ -29,6 +29,7 @@ from exbt.genbackend import (
 )
 from exbt.guardexpr import GuardExpression, compute_guard_expression
 from exbt.instrument import (
+    TraceLog,
     instrument_print_exception,
     instrument_print_trace,
     parse_trace_log,
@@ -169,6 +170,12 @@ def _default_path(repo: str, rel: str, explicit: str | None) -> str | None:
     return str(candidate) if candidate.exists() else None
 
 
+def _read_trace_log(path: str) -> TraceLog:
+    """Parse a trace-log file. Bytes that are not UTF-8 survive the decode as
+    lone surrogates, so only the blocks holding them are skipped."""
+    return parse_trace_log(Path(path).read_bytes().decode("utf-8", "surrogateescape"))
+
+
 def cmd_classify(args) -> int:
     ctx = _load(args.repo, args)
     ebts, nonebts = split_test_suite(ctx)
@@ -295,7 +302,7 @@ def cmd_pool(args) -> int:
     if log_path is None:
         raise ExbtError("--trace-log is required (no default log found in repo)")
     _, nonebts = split_test_suite(ctx)
-    trace_log = parse_trace_log(Path(log_path).read_text(encoding="utf-8"))
+    trace_log = _read_trace_log(log_path)
     pool = collect_stacktrace_set(nonebts, ctx, trace_log, cache_dir=args.cache)
     rows = [
         {
@@ -319,7 +326,11 @@ def cmd_pool(args) -> int:
 
 def cmd_guard(args) -> int:
     ctx = _load(args.repo, args)
-    trace = parse_stack_trace(Path(args.trace).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.trace).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedTrace(f"{args.trace} is not UTF-8: {exc.reason}") from exc
+    trace = parse_stack_trace(text)
     if args.dest:
         trace = exclude_test_and_util_frames(trace, args.dest, ctx)
     guard = compute_guard_expression(trace, ctx)
@@ -348,7 +359,7 @@ def cmd_prompt(args) -> int:
     log_path = _default_path(args.repo, "logs/nonebt-traces.log", args.trace_log)
     pool = []
     if log_path:
-        trace_log = parse_trace_log(Path(log_path).read_text(encoding="utf-8"))
+        trace_log = _read_trace_log(log_path)
         pool = collect_stacktrace_set(nonebts, ctx, trace_log)
     variant = "with-name" if args.name else "no-name"
     outcome = assemble_prompt(
@@ -395,7 +406,7 @@ def cmd_sweep(args) -> int:
     corpus_examples = []
     if ebt_log_path:
         manifest.add_input("ebt_trace_log", ebt_log_path)
-        ebt_log = parse_trace_log(Path(ebt_log_path).read_text(encoding="utf-8"))
+        ebt_log = _read_trace_log(ebt_log_path)
         corpus_examples, corpus_skipped = collect_training_corpus(
             ebts, nonebts, ctx, ebt_log, repo_name=Path(args.repo).name
         )
@@ -411,7 +422,7 @@ def cmd_sweep(args) -> int:
     if log_path is None:
         raise ExbtError("--trace-log is required (no default log found in repo)")
     manifest.add_input("nonebt_trace_log", log_path)
-    trace_log = parse_trace_log(Path(log_path).read_text(encoding="utf-8"))
+    trace_log = _read_trace_log(log_path)
     pool = collect_stacktrace_set(nonebts, ctx, trace_log)
     manifest.bump("pool_builds")
     manifest.bump("pool_entries", len(pool))
@@ -432,9 +443,7 @@ def cmd_sweep(args) -> int:
     params = GenerationParams(seed=args.seed)
 
     runner = _make_runner(args, ctx)
-    gold_by_target = {
-        e.prompt.throw_site.label(): e.gold_ebt for e in corpus_examples
-    }
+    gold_by_site = {e.prompt.throw_site: e.gold_ebt for e in corpus_examples}
 
     bundle_rows = []
     candidate_rows = []
@@ -469,7 +478,7 @@ def cmd_sweep(args) -> int:
         manifest.bump("candidates_extracted")
         score = score_candidate(
             candidate,
-            gold_by_target.get(site.label()),
+            gold_by_site.get(site),
             site.exception_type,
             site.label(),
             bundle=outcome,

@@ -93,7 +93,7 @@ def collect_training_corpus(
             continue
         try:
             mut, site = endpoints(trace, ctx)
-            guard = compute_guard_expression(trace, ctx)
+            guard = compute_guard_expression(trace, ctx, site)
         except ExbtError as exc:
             skipped.append(SkippedExample(label, type(exc).__name__))
             continue

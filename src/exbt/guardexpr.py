@@ -4,13 +4,24 @@ Two passes, both driven by the stack trace. The collection pass walks each
 traced method from the statement named by the frame line up to the method
 declaration, picking up branch conditions and the assignments that feed
 them; frames are processed innermost first, and a method-declaration /
-method-call node pair bridges every caller boundary. The computation pass
-folds the collected nodes into a conjunction, substituting assigned names
-and call arguments into the conditions gathered so far.
+method-call node pair bridges every caller boundary. The innermost frame
+starts at the target site's own throw statement when the site is known.
+
+The computation pass folds the collected nodes into a conjunction, walking
+them from last to first with an environment that maps each assigned name
+and each parameter to its final replacement tree: an assignment or call
+argument is substituted once, into that environment, and each condition
+once, with it. The result equals substituting every later assignment and
+call into every earlier condition, one at a time, without its quadratic
+cost on deep traces.
 
 Substitution happens on parse trees and wraps compound replacements in
 explicit parentheses, so a rendered guard can never change meaning through
 operator precedence. The original condition text is kept alongside.
+
+A guard is computed once per repository context, trace and throw site;
+`RepoContext.guard_cache` holds it, so the corpus and the sweep share it
+and it lives exactly as long as the context.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from exbt.errors import FrameOutOfSpan, JavaParseError
-from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext
+from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, ThrowSite
 from exbt.jmodel import exprs
 from exbt.jmodel.exprs import Binary, Expr, Grouped, Lit, Name, Opaque, Unary
 from exbt.jmodel.lexer import match_paren, split_top_level
@@ -220,13 +231,28 @@ def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl):
     return None
 
 
-def collect_nodes(trace: StackTrace, ctx: RepoContext) -> list[CollectedNode]:
+def _throw_statement(
+    unit: CompilationUnit, tree: Stmt, line: int, site: ThrowSite | None
+) -> Stmt | None:
+    """The site's own throw statement on the line, else the line's first
+    throw (or first statement)."""
+    if site is not None:
+        for s in stmts_at_line(tree, line):
+            if s.kind == "throw" and _text(unit, (s.tok_start, s.tok_end)) == site.statement_text:
+                return s
+    return statement_at_line(tree, line, prefer_kind="throw")
+
+
+def collect_nodes(
+    trace: StackTrace, ctx: RepoContext, site: ThrowSite | None = None
+) -> list[CollectedNode]:
     """Collect condition, assignment and call nodes along the trace.
 
     Frames are traversed in reversed order (throw site first); within a
     frame the walk climbs child to parent from the statement at the frame
     line to the method declaration. The statement at the frame line is
-    always included.
+    always included; in the innermost frame it is `site`'s throw statement
+    when that sits on the line, since one line can hold several throws.
     """
     nodes: list[CollectedNode] = []
     prev: tuple[CompilationUnit, MethodDecl] | None = None
@@ -240,8 +266,10 @@ def collect_nodes(trace: StackTrace, ctx: RepoContext) -> list[CollectedNode]:
         tree = ctx.body_tree(unit, decl)
         if tree is None:
             raise FrameOutOfSpan(f"{decl.name} has no body")
-        prefer = "throw" if prev is None else None
-        start = statement_at_line(tree, frame.line, prefer_kind=prefer)
+        if prev is None:
+            start = _throw_statement(unit, tree, frame.line, site)
+        else:
+            start = statement_at_line(tree, frame.line)
         if start is None:
             raise FrameOutOfSpan(
                 f"no statement at line {frame.line} of {decl.name} in {unit.path}"
@@ -310,26 +338,65 @@ def merge(conditions, mapping):
     return out
 
 
-def compute_guard_expression(trace: StackTrace, ctx: RepoContext) -> GuardExpression:
-    """Fold collected nodes into the guard conjunction for the trace."""
-    nodes = collect_nodes(trace, ctx)
+def _substituted(e: Expr, env: dict[str, Expr]) -> Expr:
+    """`exprs.substitute`, skipping the rebuild while nothing is bound."""
+    return exprs.substitute(e, env) if env else e
+
+
+def _wrapped(e: Expr) -> Expr:
+    """A replacement as `exprs.substitute` inserts it."""
+    return e if isinstance(e, exprs._ATOMIC) else Grouped(e)
+
+
+def _fold(nodes: list[CollectedNode]) -> tuple[list[Expr], list[str]]:
+    """The substituted conditions and their source texts, in collection order.
+
+    A node's substitutions come from the nodes after it (earlier in
+    execution), so the walk runs from last to first and keeps `env`, each
+    name's final replacement as seen from the current node."""
+    params_at: list[tuple[str, ...]] = []  # a call's parameters: the last decl's
+    pending: tuple[str, ...] = ()
+    for node in nodes:
+        if node.tag == METHOD_DECL:
+            pending = node.params
+        params_at.append(pending)
+    env: dict[str, Expr] = {}
     conds: list[Expr] = []
     texts: list[str] = []
-    pending_params: tuple[str, ...] = ()
-    for node in nodes:
-        if node.tag == CONDITION and node.expr is not None:
-            conds.append(node.expr)
-            texts.append(node.text)
-        elif node.tag == NEGATED and node.expr is not None:
-            conds.append(_negate(node.expr))
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
+        if node.tag in (CONDITION, NEGATED) and node.expr is not None:
+            cond = node.expr if node.tag == CONDITION else _negate(node.expr)
+            conds.append(_substituted(cond, env))
             texts.append(node.text)
         elif node.tag == ASSIGNMENT and node.name is not None and node.rhs is not None:
-            conds = [exprs.substitute(e, {node.name: node.rhs}) for e in conds]
-        elif node.tag == METHOD_DECL:
-            pending_params = node.params
+            env[node.name] = _substituted(_wrapped(node.rhs), env)
         elif node.tag == METHOD_CALL:
-            argmap = dict(zip(pending_params, node.args))
-            conds = [exprs.substitute(e, argmap) for e in conds]
+            env.update({
+                p: _substituted(_wrapped(a), env)
+                for p, a in zip(params_at[i], node.args)
+            })
+    conds.reverse()
+    texts.reverse()
+    return conds, texts
+
+
+def compute_guard_expression(
+    trace: StackTrace, ctx: RepoContext, site: ThrowSite | None = None
+) -> GuardExpression:
+    """The guard conjunction for the trace, ending at `site` when given;
+    computed once per context, trace and site."""
+    key = (trace.frames, site)
+    guard = ctx.guard_cache.get(key)
+    if guard is None:
+        guard = ctx.guard_cache[key] = _compute_guard(trace, ctx, site)
+    return guard
+
+
+def _compute_guard(
+    trace: StackTrace, ctx: RepoContext, site: ThrowSite | None
+) -> GuardExpression:
+    conds, texts = _fold(collect_nodes(trace, ctx, site))
     # visible names: parameters and fields of the method under test
     visible = {"this", "super", "true", "false", "null"}
     if trace.frames:

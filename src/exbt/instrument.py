@@ -332,18 +332,24 @@ class TraceLog:
 
 
 _TEST_TAG_RE = re.compile(r"^test:\s*(\S.*)$")
+# a byte that is not UTF-8, as a surrogateescape decode keeps it
+_UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
 
 
 def parse_trace_log(text: str) -> TraceLog:
     """Parse the block format: one trace per '---'-separated block.
 
-    Malformed blocks (any line that is neither a tag nor a frame) are
-    skipped and counted, never fatal.
+    Malformed blocks (any line that is neither a tag nor a frame, or bytes
+    that are not UTF-8) are skipped and counted, never fatal.
     """
     log = TraceLog()
     for block in text.split("\n---"):
         lines = [l for l in block.strip().split("\n") if l.strip()]
         if not lines:
+            continue
+        if _UNDECODABLE_RE.search(block):
+            logger.warning("skipping trace block with undecodable bytes")
+            log.skipped_blocks += 1
             continue
         test_id = ""
         tag = _TEST_TAG_RE.match(lines[0].strip())

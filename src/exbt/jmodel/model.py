@@ -500,6 +500,8 @@ class RepoContext:
                 self._ctors_by_key.setdefault((t.name, m.arity), []).append((u, t, m))
         self.call_edges: list[CallEdge] = _build_call_edges(self)
         self._body_cache: dict[tuple[str, int, str], Stmt] = {}
+        # guardexpr's guards by (trace frames, throw site or None)
+        self.guard_cache: dict[tuple, object] = {}
 
     # --- indexes, built on first use ---
 

@@ -16,10 +16,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from exbt.classifier import classify_test
-from exbt.errors import ExbtError, NotATest, RunnerUnavailable
+from exbt.classifier import classify_member
+from exbt.errors import ExbtError, RunnerUnavailable
 from exbt.jmodel import exprs as E
-from exbt.jmodel import parse_member
+from exbt.jmodel import CompilationUnit, MethodDecl, parse_member
 from exbt.jmodel.lexer import KEYWORDS, tokenize
 from exbt.jmodel.stmts import BodyParser
 
@@ -91,20 +91,12 @@ def _weighted_bleu(
     return bp * geo
 
 
-def _parse_method_body(source: str):
-    """(unit, method, body tree) for a method source wrapped in a class, or
-    None when it does not parse as a method."""
+def _member(source: str) -> tuple[CompilationUnit, MethodDecl | None] | None:
+    """`parse_member` of the source, or None when it does not parse."""
     try:
-        unit, method = parse_member(source)
+        return parse_member(source)
     except ExbtError:
         return None
-    if method is None or method.tok_open is None:
-        return None
-    try:
-        tree = BodyParser(unit.tokens, unit.source).parse_block(method.tok_open)
-    except ExbtError:
-        return None
-    return unit, method, tree
 
 
 def _expr_signatures(expr, out: Counter) -> str:
@@ -200,23 +192,28 @@ def _def_use_pairs(method, node_exprs) -> Counter:
 
 class _Side(NamedTuple):
     """One side of a scored pair, lexed once and parsed once: its code
-    tokens and, when it parses as a method, its AST signatures and def-use
-    edges (both None otherwise)."""
+    tokens, its `_member` parse and, when its method body parses, its AST
+    signatures and def-use edges (both None otherwise)."""
 
     tokens: list[str]
     ast_sigs: Counter | None
     def_use: Counter | None
+    member: tuple[CompilationUnit, MethodDecl | None] | None
 
 
 def _side(text: str) -> _Side:
     tokens = code_tokens(text)
-    parsed = _parse_method_body(text)
-    if parsed is None:
-        return _Side(tokens, None, None)
-    unit, method, tree = parsed
+    member = _member(text)
+    unit, method = member or (None, None)
+    if method is None or method.tok_open is None:
+        return _Side(tokens, None, None, member)
+    try:
+        tree = BodyParser(unit.tokens, unit.source).parse_block(method.tok_open)
+    except ExbtError:
+        return _Side(tokens, None, None, member)
     node_exprs = [(node, _stmt_expr_trees(unit, node)) for node in tree.iter_tree()]
     return _Side(
-        tokens, _ast_signatures(tree, node_exprs), _def_use_pairs(method, node_exprs)
+        tokens, _ast_signatures(tree, node_exprs), _def_use_pairs(method, node_exprs), member
     )
 
 
@@ -307,9 +304,17 @@ def _simple_name(type_name: str) -> str:
 
 def matched_exception(candidate: str, target_exception: str) -> bool:
     """Candidate checks the target exception type (simple-name compare)."""
+    return _member_matches(_member(candidate), target_exception)
+
+
+def _member_matches(
+    member: tuple[CompilationUnit, MethodDecl | None] | None, target_exception: str
+) -> bool:
+    if member is None or member[1] is None:
+        return False
     try:
-        t = classify_test(candidate)
-    except (NotATest, ExbtError):
+        t = classify_member(*member)
+    except ExbtError:
         return False
     if not t.is_ebt or t.expected_exception is None:
         return False
@@ -381,7 +386,9 @@ def score_candidate(
         score.code_bleu = comp["code_bleu"]
         score.code_bleu_degraded = comp["degraded"]
         score.edit_sim = edit_similarity(candidate, reference)
-    score.matched_e = matched_exception(candidate, target_exception)
+        score.matched_e = _member_matches(cand.member, target_exception)
+    else:
+        score.matched_e = matched_exception(candidate, target_exception)
     if runner is not None and bundle is not None:
         result = functional_check(candidate, bundle, runner)
         score.compilable = result.compilable

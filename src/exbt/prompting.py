@@ -355,7 +355,7 @@ def assemble_prompt(
     rng = random.Random(seed)
     pick = rng.choice(matching)
     trace = pick.trace.with_last_line(throw_site.line)
-    guard = compute_guard_expression(trace, ctx)
+    guard = compute_guard_expression(trace, ctx, throw_site)
     by_label = {test_method_label(t): t for t in nonebts}
     same_mut = [by_label[l] for l in sorted(same_mut_tests) if l in by_label]
     # tests that statically invoke the method under test qualify as well

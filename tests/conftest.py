@@ -94,6 +94,34 @@ def write_two_throw_repo(repo: Path) -> None:
         (repo / rel).write_text(text)
 
 
+def write_call_chain(repo: Path, depth: int) -> StackTrace:
+    """A call chain `Chain.s0 -> ... -> s<depth-1>` and the MUT-first trace
+    that reaches its throw. Every level assigns a local from a parameter,
+    branches on it and passes it down; only the innermost level throws."""
+    lines = ["public class Chain {"]
+    frames = []
+    for j in range(depth - 1):
+        lines += [
+            f"    void s{j}(int p, int q) {{",
+            f"        int t = p + {j};",
+            "        if (t > q) {",
+            f"            s{j + 1}(t - 1, q);",
+        ]
+        frames.append(Frame("Chain", f"s{j}", "Chain.java", len(lines)))
+        lines += ["        }", "    }"]
+    lines += [
+        f"    void s{depth - 1}(int p, int q) {{",
+        "        if (p > q) {",
+        "            throw new IllegalStateException();",
+    ]
+    frames.append(Frame("Chain", f"s{depth - 1}", "Chain.java", len(lines)))
+    lines += ["        }", "    }", "}"]
+    path = repo / "src/main/java/Chain.java"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+    return StackTrace(tuple(frames))
+
+
 def parse_env_key(key: str) -> dict[str, int]:
     env = {}
     for part in key.split(","):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -56,6 +57,14 @@ def test_guard_command(capsys, tmp_path):
     assert payload == {"conditions": ["x > 0"], "rendered": "x > 0", "unresolved_names": []}
 
 
+def test_guard_command_rejects_a_non_utf8_trace(capsys, tmp_path):
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(b"at gx.Guards.ifPositive(Guards.java:6)\xff\n")
+    code, _, err = run(capsys, "guard", "--trace", trace, "--repo", FIXTURES / "repoG")
+    assert code == 1
+    assert json.loads(err)["error"] == "MalformedTrace"
+
+
 def test_prompt_developer_oriented(capsys):
     code, out, _ = run(
         capsys,
@@ -93,6 +102,18 @@ def test_pool_command(capsys):
     assert "# 4 pool entries" in err
 
 
+def test_pool_skips_a_non_utf8_trace_block(capsys, tmp_path):
+    repo = tmp_path / "repoA"
+    shutil.copytree(REPO_A, repo)
+    log = repo / "logs/nonebt-traces.log"
+    log.write_bytes(log.read_bytes() + b"\n---\ntest: x#y\nat a.B.c(B.java:1)\xff\n")
+    _, clean, _ = run(capsys, "pool", REPO_A)
+    code, out, err = run(capsys, "pool", repo)
+    assert code == 0
+    assert json.loads(out) == json.loads(clean)
+    assert "1 malformed blocks" in err
+
+
 def test_sweep_reruns_are_byte_identical(capsys, tmp_path):
     digests = []
     for i in range(3):
@@ -115,7 +136,7 @@ def test_sweep_report_committed_values(capsys, tmp_path):
     assert report["no_match_reasons"] == {"no-dest-file": 1, "no-matching-trace": 2}
 
 
-def test_sweep_pairs_completions_with_two_throws_on_one_line(capsys, tmp_path):
+def _two_throw_sweep(capsys, tmp_path):
     repo = tmp_path / "repo"
     write_two_throw_repo(repo)
     (repo / "canned").mkdir()
@@ -128,9 +149,20 @@ def test_sweep_pairs_completions_with_two_throws_on_one_line(capsys, tmp_path):
     out = tmp_path / "out"
     code, _, _ = run(capsys, "sweep", repo, "--seed", "1", "--backend", "stub", "--out", out)
     assert code == 0
+    return out
+
+
+def test_sweep_pairs_completions_with_two_throws_on_one_line(capsys, tmp_path):
+    out = _two_throw_sweep(capsys, tmp_path)
     rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
     assert [r["target"] for r in rows] == ["src/main/java/p/Range.java:5"] * 2
     assert [r["matched_e"] for r in rows] == [True, True]
+
+
+def test_sweep_guards_each_of_two_throws_on_one_line(capsys, tmp_path):
+    out = _two_throw_sweep(capsys, tmp_path)
+    rows = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
+    assert [r["guard"]["rendered"] for r in rows] == ["x < 0", "x > 9 && !(x < 0)"]
 
 
 def test_sweep_zero_matchable_targets(capsys, tmp_path):

@@ -1,15 +1,28 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import guard_trace, parse_env_key
+from conftest import guard_trace, parse_env_key, write_call_chain, write_two_throw_repo
+from exbt import guardexpr
 from exbt.errors import FrameOutOfSpan, UnboundName
 from exbt.guardexpr import (
+    ASSIGNMENT,
+    CONDITION,
+    METHOD_CALL,
+    METHOD_DECL,
+    NEGATED,
+    START,
+    CollectedNode,
+    _fold,
+    _negate,
     collect_nodes,
     compute_guard_expression,
     evaluate_guard,
     merge,
 )
+from exbt.jmodel import exprs, load_repo
+from exbt.jmodel.exprs import Binary, Call, Expr, Field, Grouped, Lit, Name, Ternary, Unary
 from exbt.stacktrace import Frame, StackTrace
 
 
@@ -182,3 +195,149 @@ def test_evaluate_guard_unbound(repo_g, guards_oracle):
     guard = compute_guard_expression(trace, repo_g)
     with pytest.raises(UnboundName):
         evaluate_guard(guard, {})
+
+
+# --- the right-to-left fold against the left-to-right one ---
+
+
+def _left_to_right_fold(nodes):
+    """The fold as it was before the environment walk: every assignment and
+    call substituted into every condition gathered so far. Kept verbatim as
+    the reference the environment fold must equal."""
+    conds: list[Expr] = []
+    texts: list[str] = []
+    pending_params: tuple[str, ...] = ()
+    for node in nodes:
+        if node.tag == CONDITION and node.expr is not None:
+            conds.append(node.expr)
+            texts.append(node.text)
+        elif node.tag == NEGATED and node.expr is not None:
+            conds.append(_negate(node.expr))
+            texts.append(node.text)
+        elif node.tag == ASSIGNMENT and node.name is not None and node.rhs is not None:
+            conds = [exprs.substitute(e, {node.name: node.rhs}) for e in conds]
+        elif node.tag == METHOD_DECL:
+            pending_params = node.params
+        elif node.tag == METHOD_CALL:
+            argmap = dict(zip(pending_params, node.args))
+            conds = [exprs.substitute(e, argmap) for e in conds]
+    return conds, texts
+
+
+_NAMES = st.sampled_from("abxy")
+_LEAVES = st.one_of(_NAMES.map(Name), st.sampled_from(["0", "1", "7"]).map(Lit))
+
+
+def _compound(children):
+    return st.one_of(
+        st.builds(Binary, st.sampled_from(["+", "-", "*", ">", "==", "&&", "||"]),
+                  children, children),
+        st.builds(Unary, st.sampled_from(["!", "-"]), children),
+        st.builds(Grouped, children),
+        st.builds(lambda a, b: Call(None, "f", (a, b)), children, children),
+        st.builds(lambda r: Field(r, "n"), children),
+        st.builds(Ternary, children, children, children),
+    )
+
+
+_EXPRS = st.recursive(_LEAVES, _compound, max_leaves=6)
+
+
+def _condition(tag):
+    return _EXPRS.map(lambda e: [CollectedNode(tag, exprs.render(e), 1, expr=e)])
+
+
+def _assignment(name, op, e):
+    if op == "++":
+        rhs = Binary("+", Name(name), Lit("1"))
+    elif op == "+=":
+        rhs = Binary("+", Name(name), e if isinstance(e, (Name, Lit, Grouped)) else Grouped(e))
+    else:
+        rhs = e
+    return [CollectedNode(ASSIGNMENT, f"{name} {op}", 1, name=name, rhs=rhs)]
+
+
+def _decl_call(params, data):
+    args = tuple(data.draw(_EXPRS) for _ in params)
+    return [
+        CollectedNode(METHOD_DECL, "m(..)", 1, params=tuple(params)),
+        CollectedNode(METHOD_CALL, "m(..)", 1, args=args),
+    ]
+
+
+_NODE_GROUPS = st.one_of(
+    _condition(CONDITION),
+    _condition(NEGATED),
+    st.builds(_assignment, _NAMES, st.sampled_from(["=", "+=", "++"]), _EXPRS),
+    st.builds(_decl_call, st.lists(_NAMES, unique=True, max_size=3), st.data()),
+    st.just([CollectedNode(START, "throw ..;", 1)]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(_NODE_GROUPS, max_size=12))
+def test_environment_fold_equals_left_to_right_fold(groups):
+    nodes = [n for g in groups for n in g]
+    want_conds, want_texts = _left_to_right_fold(nodes)
+    got_conds, got_texts = _fold(nodes)
+    assert got_conds == want_conds
+    assert got_texts == want_texts
+    assert [exprs.render(e) for e in got_conds] == [exprs.render(e) for e in want_conds]
+
+
+def test_fold_substitutions_grow_linearly_with_depth(tmp_path, monkeypatch):
+    calls = 0
+    substitute = exprs.substitute
+
+    def counting(e, mapping):
+        nonlocal calls
+        calls += 1
+        return substitute(e, mapping)
+
+    monkeypatch.setattr(exprs, "substitute", counting)
+    made = {}
+    for depth in (16, 32):
+        trace = write_call_chain(tmp_path / str(depth), depth)
+        calls = 0
+        guard = compute_guard_expression(trace, load_repo(tmp_path / str(depth)))
+        assert len(guard.conditions) == depth
+        made[depth] = calls
+    # the left-to-right fold made 7.9 times as many on these chains
+    assert made[32] <= 2.5 * made[16], made
+
+
+# --- one guard per context, trace and site ---
+
+
+def _one_branch_repo(root, cond: str):
+    root.mkdir(parents=True)
+    (root / "G.java").write_text(
+        "class G {\n    void f(int x) {\n"
+        f"        if ({cond}) throw new IllegalStateException();\n    }}\n}}\n"
+    )
+    return load_repo(root)
+
+
+def test_guard_memo_is_scoped_to_its_context(tmp_path, monkeypatch):
+    trace = StackTrace((Frame("G", "f", "G.java", 3),))
+    first = _one_branch_repo(tmp_path / "one", "x > 0")
+    second = _one_branch_repo(tmp_path / "two", "x < 5")
+    guard = compute_guard_expression(trace, first)
+    assert guard.rendered == "x > 0"
+    assert compute_guard_expression(trace, second).rendered == "x < 5"
+    collected = []
+    monkeypatch.setattr(
+        guardexpr, "collect_nodes", lambda *a: collected.append(a) or []
+    )
+    assert compute_guard_expression(trace, first) is guard
+    assert collected == []
+
+
+def test_guard_starts_at_the_sites_own_throw(tmp_path):
+    write_two_throw_repo(tmp_path)
+    ctx = load_repo(tmp_path)
+    a, b = ctx.throw_sites
+    trace = StackTrace((Frame("p.Range", "check", "Range.java", 5),))
+    assert compute_guard_expression(trace, ctx, a).rendered == "x < 0"
+    assert compute_guard_expression(trace, ctx, b).rendered == "x > 9 && !(x < 0)"
+    assert compute_guard_expression(trace, ctx).rendered == "x < 0"

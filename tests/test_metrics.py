@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import exbt.classifier
 import exbt.metrics
 from exbt.errors import RunnerUnavailable
 from exbt.jmodel.stmts import BodyParser
@@ -192,6 +193,23 @@ def test_matched_exception_nonebt_false():
     assert matched_exception("not even a method", "IOException") is False
 
 
+@pytest.mark.parametrize("candidate", [
+    "@Test(expected = IOException.class) public void t() { f(); }",
+    "@Test(expected = IOException.class) public void t() { switch ) { case 1: } }",
+    "@Test(expected = IOException.class) public abstract void t();",
+    "@Test public void t() { assertThrows(IOException.class, () -> f()); }",
+    "@Test public void t() { f(); }",
+    "public void helper() { }",
+    "int x = 1;",
+    "not even a method",
+])
+def test_score_candidate_matched_e_agrees_with_matched_exception(candidate):
+    reference = "@Test(expected = IOException.class) public void r() { g(); }"
+    for ref in (reference, None):
+        s = score_candidate(candidate, ref, "IOException", "t1")
+        assert s.matched_e is matched_exception(candidate, "IOException")
+
+
 # --- functional checks ---
 
 
@@ -273,7 +291,7 @@ def test_report_table_column_order():
 
 
 def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
-    calls = {"tokenize": 0, "parse_member": 0, "parse_block": 0}
+    calls = {"tokenize": 0, "parse_member": 0, "parse_block": 0, "classify_parse": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -289,9 +307,14 @@ def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
     monkeypatch.setattr(
         BodyParser, "parse_block", counting("parse_block", BodyParser.parse_block)
     )
+    # classification reuses the candidate's parse instead of parsing it again
+    monkeypatch.setattr(
+        exbt.classifier, "parse_member",
+        counting("classify_parse", exbt.classifier.parse_member),
+    )
     s = score_candidate(METHOD.replace("acct", "a2"), METHOD, "IOException", "t1")
     assert s.code_bleu_degraded is False
-    assert calls == {"tokenize": 2, "parse_member": 2, "parse_block": 2}
+    assert calls == {"tokenize": 2, "parse_member": 2, "parse_block": 2, "classify_parse": 0}
 
 
 def test_score_candidate_degrades_on_a_malformed_switch():
