@@ -49,7 +49,7 @@ from exbt.prompting import (
     assemble_prompt,
     bundle_to_record,
     collect_stacktrace_set,
-    select_dest_test_file,
+    select_dest_with_reason,
     sweep_targets,
     test_method_label,
     test_method_label_from_id,
@@ -352,7 +352,7 @@ def cmd_prompt(args) -> int:
     ctx = _load(args.repo, args)
     mut = _resolve_mut(ctx, args.mut)
     site = _resolve_throw(ctx, args.throw_at)
-    dest = args.dest or select_dest_test_file(mut, ctx)
+    dest = args.dest or select_dest_with_reason(mut, ctx)[0]
     if dest is None:
         raise ExbtError("no destination test file found; pass --dest")
     _, nonebts = split_test_suite(ctx)
@@ -385,6 +385,13 @@ def _make_runner(args, ctx):
     if results_path is not None:
         return RecordedRunner.from_file(results_path)
     return None
+
+
+# the CandidateScore fields a generated row of candidates.jsonl carries
+_CANDIDATE_SCORE_FIELDS = (
+    "xmatch", "xmatch_strict", "bleu", "code_bleu", "edit_sim", "matched_e",
+    "compilable", "runnable", "covers_target",
+)
 
 
 def cmd_sweep(args) -> int:
@@ -485,21 +492,8 @@ def cmd_sweep(args) -> int:
             runner=runner,
         )
         scores.append(score)
-        row.update(
-            {
-                "status": "generated",
-                "candidate": candidate,
-                "xmatch": score.xmatch,
-                "xmatch_strict": score.xmatch_strict,
-                "bleu": score.bleu,
-                "code_bleu": score.code_bleu,
-                "edit_sim": score.edit_sim,
-                "matched_e": score.matched_e,
-                "compilable": score.compilable,
-                "runnable": score.runnable,
-                "covers_target": score.covers_target,
-            }
-        )
+        row.update(status="generated", candidate=candidate)
+        row.update((f, getattr(score, f)) for f in _CANDIDATE_SCORE_FIELDS)
         candidate_rows.append(row)
 
     agg = aggregate(scores, targets)

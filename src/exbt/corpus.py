@@ -22,11 +22,7 @@ from exbt.jmodel import MethodId, RepoContext, ThrowSite
 from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
     PromptBundle,
-    TEMPLATE_ID,
-    build_dest_skeleton,
-    directly_invokes,
-    rank_relevant_nonebts,
-    render_instruction,
+    make_bundle,
     test_method_label,
 )
 from exbt.stacktrace import StackTrace, endpoints, exclude_test_and_util_frames
@@ -54,13 +50,12 @@ def link_relevant_nonebts(
     ctx: RepoContext,
     budget: int = NONEBT_TOKEN_BUDGET,
 ) -> CorpusExample:
-    """Attach same-MUT then same-destination-file non-EBTs, within budget."""
-    mut = example.prompt.mut
-    same_mut = [t for t in nonebts if directly_invokes(t, mut, ctx)]
-    same_file = [t for t in nonebts if t.id.decl_file == example.prompt.dest_path]
-    ranked = rank_relevant_nonebts(same_mut, same_file, budget)
-    bundle = replace(example.prompt, nonebts=tuple(t.body_text for t in ranked))
-    bundle = replace(bundle, rendered_instruction=render_instruction(bundle))
+    """The example with its non-EBTs ranked afresh by the prompt builder."""
+    p = example.prompt
+    bundle = make_bundle(
+        p.mut, p.throw_site, p.dest_path, p.trace, p.guard, nonebts, ctx,
+        variant=p.variant, test_name=p.test_name, seed=p.seed, budget=budget,
+    )
     return replace(example, prompt=bundle)
 
 
@@ -92,34 +87,23 @@ def collect_training_corpus(
             skipped.append(SkippedExample(label, "EmptyAfterExclusion"))
             continue
         try:
-            mut, site = endpoints(trace, ctx)
+            mut, site = endpoints(trace, ctx, ebt.expected_exception)
             guard = compute_guard_expression(trace, ctx, site)
         except ExbtError as exc:
             skipped.append(SkippedExample(label, type(exc).__name__))
             continue
-        bundle = PromptBundle(
-            mut=mut,
-            mut_source=ctx.method_source(mut),
-            throw_site=site,
-            dest_path=dest,
-            dest_skeleton=build_dest_skeleton(ctx, dest),
-            trace=trace,
-            guard=guard,
-            nonebts=(),
+        bundle = make_bundle(
+            mut, site, dest, trace, guard, nonebts, ctx,
             variant=variant,
             test_name=ebt.id.name if variant == "with-name" else None,
-            template_id=TEMPLATE_ID,
-            rendered_instruction="",
-            seed=None,
+            budget=budget,
         )
-        bundle = replace(bundle, rendered_instruction=render_instruction(bundle))
         example = CorpusExample(
             example_id=f"{repo_name}:{label}" if repo_name else label,
             repo=repo_name,
             prompt=bundle,
             gold_ebt=ebt.body_text,
         )
-        example = link_relevant_nonebts(example, nonebts, ctx, budget)
         if example.gold_ebt.strip() and example.gold_ebt in example.prompt.rendered_instruction:
             # leakage guard: the skeleton already strips test methods, so
             # hitting this means the fixture layout is broken

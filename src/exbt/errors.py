@@ -63,12 +63,6 @@ class UnsupportedConstruct(ExbtError):
     """Guard evaluation hit a construct outside the int/bool subset."""
 
 
-# --- instrumentation ---
-
-class RewriteConflict(ExbtError):
-    """No safe insertion point for an instrumentation statement."""
-
-
 # --- generation backend ---
 
 class BackendUnavailable(ExbtError):

@@ -176,34 +176,36 @@ def _frame_matches(frame, mut: MethodId) -> bool:
     )
 
 
-def _ws_tokens(text: str) -> int:
-    return len(text.split())
-
-
 def rank_relevant_nonebts(
-    same_mut: list[TestMethod],
-    same_file: list[TestMethod],
+    mut: MethodId,
+    dest: str,
+    nonebts: list[TestMethod],
+    ctx: RepoContext,
+    also_same_mut: frozenset[str] | set[str] = frozenset(),
     budget: int = NONEBT_TOKEN_BUDGET,
 ) -> list[TestMethod]:
-    """Same-MUT tests first, then same-destination-file, within budget."""
+    """Same-MUT tests (direct callers of the MUT and the tests labelled in
+    `also_same_mut`), then same-destination-file tests whose label is not
+    ranked yet, each group by declaration position, cut at `budget` tokens."""
+    by_label = {test_method_label(t): t for t in nonebts}
+    same_mut = [by_label[l] for l in sorted(also_same_mut) if l in by_label]
+    same_mut += [
+        t for t in nonebts
+        if test_method_label(t) not in also_same_mut and directly_invokes(t, mut, ctx)
+    ]
     order = lambda t: (t.id.decl_file, t.id.decl_line)
-    ranked: list[TestMethod] = sorted(same_mut, key=order)
+    ranked = sorted(same_mut, key=order)
     seen = {test_method_label(t) for t in ranked}
-    for t in sorted(same_file, key=order):
+    for t in sorted((t for t in nonebts if t.id.decl_file == dest), key=order):
         if test_method_label(t) not in seen:
             ranked.append(t)
             seen.add(test_method_label(t))
-    selected: list[TestMethod] = []
-    used = 0
-    for t in ranked:
-        cost = _ws_tokens(t.body_text)
-        if selected and used + cost > budget:
-            break
-        if not selected and cost > budget:
-            break
-        selected.append(t)
-        used += cost
-    return selected
+    used = 0  # whitespace tokens
+    for k, t in enumerate(ranked):
+        used += len(t.body_text.split())
+        if used > budget:
+            return ranked[:k]
+    return ranked
 
 
 def directly_invokes(test: TestMethod, mut: MethodId, ctx: RepoContext) -> bool:
@@ -212,22 +214,12 @@ def directly_invokes(test: TestMethod, mut: MethodId, ctx: RepoContext) -> bool:
     return (target, mut.param_arity) in ctx.call_keys.get(test.id, ())
 
 
-def select_dest_test_file(
-    mut: MethodId, ctx: RepoContext, coverage_index: dict[str, str] | None = None
-) -> str | None:
-    """Destination test file for a method under test.
-
-    Tries <FNM>Test.java then Test<FNM>.java among test files (same package
-    preferred), then the optional coverage index (class fqn, simple name or
-    method label as keys), else None.
-    """
-    return select_dest_with_reason(mut, ctx, coverage_index)[0]
-
-
 def select_dest_with_reason(
     mut: MethodId, ctx: RepoContext, coverage_index: dict[str, str] | None = None
 ) -> tuple[str | None, str]:
-    """(path, mechanism) where mechanism is name-match | coverage | none."""
+    """(path, mechanism): <FNM>Test.java then Test<FNM>.java among test files,
+    same package preferred, is a name-match; else the coverage index (keys:
+    method label, class fqn, simple name, file stem); else (None, "none")."""
     stem = mut.decl_file.rsplit("/", 1)[-1].removesuffix(".java")
     mut_unit = ctx.unit_for(mut.decl_file)
     mut_pkg = mut_unit.package if mut_unit is not None else ""
@@ -327,6 +319,41 @@ def render_instruction(bundle: PromptBundle, template_id: str = TEMPLATE_ID) -> 
     return "\n\n".join(parts) + "\n"
 
 
+def make_bundle(
+    mut: MethodId,
+    site: ThrowSite,
+    dest: str,
+    trace: StackTrace,
+    guard: GuardExpression,
+    nonebts: list[TestMethod],
+    ctx: RepoContext,
+    also_same_mut: frozenset[str] | set[str] = frozenset(),
+    variant: str = "no-name",
+    test_name: str | None = None,
+    seed: int | None = None,
+    budget: int = NONEBT_TOKEN_BUDGET,
+) -> PromptBundle:
+    """The one prompt builder: rank the relevant non-EBTs, read the MUT
+    source and the destination skeleton, and render the instruction once."""
+    ranked = rank_relevant_nonebts(mut, dest, nonebts, ctx, also_same_mut, budget)
+    bundle = PromptBundle(
+        mut=mut,
+        mut_source=ctx.method_source(mut),
+        throw_site=site,
+        dest_path=dest,
+        dest_skeleton=build_dest_skeleton(ctx, dest),
+        trace=trace,
+        guard=guard,
+        nonebts=tuple(t.body_text for t in ranked),
+        variant=variant,
+        test_name=test_name,
+        template_id=TEMPLATE_ID,
+        rendered_instruction="",
+        seed=seed,
+    )
+    return replace(bundle, rendered_instruction=render_instruction(bundle))
+
+
 def assemble_prompt(
     mut: MethodId,
     throw_site: ThrowSite,
@@ -347,39 +374,18 @@ def assemble_prompt(
     ]
     if not matching:
         return NoMatch("no-matching-trace", mut, throw_site)
-    same_mut_tests = {
+    pool_same_mut = {
         test_method_label_from_id(q.source_test)
         for q in matching
         if _frame_matches(q.trace.frames[0], mut)
     }
-    rng = random.Random(seed)
-    pick = rng.choice(matching)
+    pick = random.Random(seed).choice(matching)
     trace = pick.trace.with_last_line(throw_site.line)
     guard = compute_guard_expression(trace, ctx, throw_site)
-    by_label = {test_method_label(t): t for t in nonebts}
-    same_mut = [by_label[l] for l in sorted(same_mut_tests) if l in by_label]
-    # tests that statically invoke the method under test qualify as well
-    for t in nonebts:
-        if test_method_label(t) not in same_mut_tests and directly_invokes(t, mut, ctx):
-            same_mut.append(t)
-    same_file = [t for t in nonebts if t.id.decl_file == dest]
-    ranked = rank_relevant_nonebts(same_mut, same_file, budget)
-    bundle = PromptBundle(
-        mut=mut,
-        mut_source=ctx.method_source(mut),
-        throw_site=throw_site,
-        dest_path=dest,
-        dest_skeleton=build_dest_skeleton(ctx, dest),
-        trace=trace,
-        guard=guard,
-        nonebts=tuple(t.body_text for t in ranked),
-        variant=variant,
-        test_name=test_name,
-        template_id=TEMPLATE_ID,
-        rendered_instruction="",
-        seed=seed,
+    return make_bundle(
+        mut, throw_site, dest, trace, guard, nonebts, ctx, pool_same_mut,
+        variant=variant, test_name=test_name, seed=seed, budget=budget,
     )
-    return replace(bundle, rendered_instruction=render_instruction(bundle))
 
 
 def test_method_label_from_id(mid: MethodId) -> str:

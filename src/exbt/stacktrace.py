@@ -145,16 +145,21 @@ def exclude_test_and_util_frames(
     return StackTrace(kept)
 
 
-def endpoints(trace: StackTrace, ctx: RepoContext) -> tuple[MethodId, ThrowSite]:
-    """(method under test, target throw site) for a normalized trace."""
+def endpoints(
+    trace: StackTrace, ctx: RepoContext, expected_exception: str | None = None
+) -> tuple[MethodId, ThrowSite]:
+    """(method under test, target throw site) for a normalized trace. Of two
+    throws on the throw frame's line, the one whose exception type has the
+    simple name of `expected_exception` wins, else the first."""
     first = trace.frames[0]
     unit, _, decl = ctx.resolve_frame(first.class_fqn, first.method, first.line)
     mut = ctx.method_id(unit, decl)
     last = trace.frames[-1]
     unit2, _, decl2 = ctx.resolve_frame(last.class_fqn, last.method, last.line)
-    for site in ctx.throw_sites_by_method.get(ctx.method_id(unit2, decl2), ()):
-        if site.line == last.line:
-            return mut, site
-    raise NoThrowAtFrame(
-        f"{last.file}:{last.line} holds no throw statement in {decl2.name}"
-    )
+    sites = ctx.throw_sites_by_method.get(ctx.method_id(unit2, decl2), ())
+    on_line = [site for site in sites if site.line == last.line]
+    if not on_line:
+        raise NoThrowAtFrame(f"{last.file}:{last.line} holds no throw statement in {decl2.name}")
+    want = (expected_exception or "").rsplit(".", 1)[-1]
+    named = [site for site in on_line if site.exception_type.rsplit(".", 1)[-1] == want]
+    return mut, (named or on_line)[0]

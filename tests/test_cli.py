@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -136,9 +138,56 @@ def test_sweep_report_committed_values(capsys, tmp_path):
     assert report["no_match_reasons"] == {"no-dest-file": 1, "no-matching-trace": 2}
 
 
-def _two_throw_sweep(capsys, tmp_path):
+# sha256 of the files `exbt sweep --seed 42 --backend stub` writes for repoA.
+# A change to any prompt, request, candidate or score shows up here.
+REPO_A_SWEEP_SHA256 = {
+    "bundles.jsonl": "9c4c22ef7fda3f0091708655ee0993b107fb197a93fbd0769720bca337207fb6",
+    "candidates.jsonl": "f57c0ad75c3c0e4dc08c6ae45bd380868764fa14ad9409e38bd26b6cc34fdc76",
+    "corpus.jsonl": "eac3526d07e6d6b831dfc1062ba3789af57244e9f445f22dacb0956f662c0462",
+    "report.json": "9a6e94ec09ad1a0a66241c84fb67310e30f4a58ac3afa13da664045de2b8f2ba",
+    "report.txt": "cd9ca67b26d85e95a02bb23dc4a1bfbc894681d1ff025d486bf85a22e328c854",
+    "requests.jsonl": "e458a842d6c1d249e737c2e30a720fd3927d93e91e6c4c2e411baae4a6ece7b4",
+}
+
+
+def test_sweep_outputs_match_pinned_digests(capsys, tmp_path):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub", "--out", out)
+    assert code == 0
+    got = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in REPO_A_SWEEP_SHA256}
+    assert got == REPO_A_SWEEP_SHA256
+
+
+def test_sweep_renders_each_prompt_once(capsys, tmp_path, monkeypatch):
+    """One render per corpus example plus one per sweep bundle, counted in
+    every exbt module that holds the renderer."""
+    from exbt import prompting
+
+    original = prompting.render_instruction
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("exbt") and getattr(module, "render_instruction", None) is original:
+            monkeypatch.setattr(module, "render_instruction", counting)
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub", "--out", out)
+    assert code == 0
+    examples = len((out / "corpus.jsonl").read_text().splitlines())
+    bundles = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
+    bundles = sum(b["status"] == "bundle" for b in bundles)
+    assert (examples, bundles) == (3, 3)
+    assert len(calls) == examples + bundles
+
+
+def _two_throw_sweep(capsys, tmp_path, extra_files=None):
     repo = tmp_path / "repo"
     write_two_throw_repo(repo)
+    for rel, text in (extra_files or {}).items():
+        (repo / rel).write_text(text)
     (repo / "canned").mkdir()
     (repo / "canned/completions.json").write_text(json.dumps({"completions": [
         {"contains": f"(exception: {e})",
@@ -163,6 +212,23 @@ def test_sweep_guards_each_of_two_throws_on_one_line(capsys, tmp_path):
     out = _two_throw_sweep(capsys, tmp_path)
     rows = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
     assert [r["guard"]["rendered"] for r in rows] == ["x < 0", "x > 9 && !(x < 0)"]
+
+
+def test_corpus_files_an_ebt_under_its_expected_exceptions_throw(capsys, tmp_path):
+    out = _two_throw_sweep(capsys, tmp_path, {
+        "src/test/java/p/RangeEbtTest.java": (
+            "package p;\n\npublic class RangeEbtTest {\n    @Test(expected = B.class)\n"
+            "    public void testCheckTooBig() {\n        Range.check(10);\n    }\n}\n"
+        ),
+        "logs/ebt-traces.log": (
+            "test: p.RangeEbtTest#testCheckTooBig\nat p.Range.check(Range.java:5)\n"
+            "at p.RangeEbtTest.testCheckTooBig(RangeEbtTest.java:6)\n---\n"
+        ),
+    })
+    [example] = [json.loads(l) for l in (out / "corpus.jsonl").read_text().splitlines()]
+    assert example["throw"]["statement"] == "throw new B();"
+    assert example["throw"]["exception_type"] == "B"
+    assert example["guard"]["rendered"] == "x > 9 && !(x < 0)"
 
 
 def test_sweep_zero_matchable_targets(capsys, tmp_path):

@@ -3,19 +3,25 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_A, write_two_throw_repo
+from exbt.classifier import TestMethod as Method
 from exbt.instrument import parse_trace_log
-from exbt.jmodel import find_throw_sites
+from exbt.jmodel import MethodId, find_throw_sites
 from exbt.prompting import (
+    NONEBT_TOKEN_BUDGET,
     NoMatch,
     PromptBundle,
     assemble_prompt,
     build_dest_skeleton,
     collect_stacktrace_set,
+    directly_invokes,
+    rank_relevant_nonebts,
     render_instruction,
-    select_dest_test_file,
+    select_dest_with_reason,
     sweep_targets,
+    test_method_label as label_of,
 )
 
 
@@ -197,28 +203,130 @@ def test_same_named_test_elsewhere_is_not_same_mut(tmp_path):
     assert linked.prompt.nonebts == bundle.nonebts
 
 
+# --- one ranking rule for the sweep and the corpus ---
+# The rules below are the sweep's (inline in assemble_prompt, given the
+# pool labels) and the corpus's (link_relevant_nonebts) from before both
+# went through rank_relevant_nonebts, copied with the token count inlined.
+
+
+def _old_rank(same_mut, same_file, budget):
+    order = lambda t: (t.id.decl_file, t.id.decl_line)
+    ranked = sorted(same_mut, key=order)
+    seen = {label_of(t) for t in ranked}
+    for t in sorted(same_file, key=order):
+        if label_of(t) not in seen:
+            ranked.append(t)
+            seen.add(label_of(t))
+    selected = []
+    used = 0
+    for t in ranked:
+        cost = len(t.body_text.split())
+        if selected and used + cost > budget:
+            break
+        if not selected and cost > budget:
+            break
+        selected.append(t)
+        used += cost
+    return selected
+
+
+def _old_sweep_rule(mut, dest, nonebts, ctx, same_mut_tests, budget):
+    by_label = {label_of(t): t for t in nonebts}
+    same_mut = [by_label[l] for l in sorted(same_mut_tests) if l in by_label]
+    for t in nonebts:
+        if label_of(t) not in same_mut_tests and directly_invokes(t, mut, ctx):
+            same_mut.append(t)
+    same_file = [t for t in nonebts if t.id.decl_file == dest]
+    return _old_rank(same_mut, same_file, budget)
+
+
+def _old_corpus_rule(mut, dest, nonebts, ctx, budget):
+    same_mut = [t for t in nonebts if directly_invokes(t, mut, ctx)]
+    same_file = [t for t in nonebts if t.id.decl_file == dest]
+    return _old_rank(same_mut, same_file, budget)
+
+
+_GEN_FILE = "src/test/java/com/fix/GenTest.java"
+
+
+@st.composite
+def _ranking_inputs(draw, ctx, real):
+    """Non-EBTs (a subset of repoA's plus generated tests that share a label
+    or a whole id with another test), a MUT, a destination, pool labels and
+    a budget that is tight, the default or just below the first test's cost."""
+    tests = [real[k] for k in sorted(draw(st.sets(st.integers(0, len(real) - 1))))]
+    for _ in range(draw(st.integers(0, 6))):
+        like = draw(st.sampled_from(real))
+        shape = draw(st.sampled_from(["same-id", "overload", "new-label"]))
+        if shape == "same-id":
+            mid = like.id
+        elif shape == "overload":  # same fqn#name, another declaration
+            line = draw(st.sampled_from(sorted({t.id.decl_line for t in real})))
+            mid = replace(like.id, param_arity=draw(st.integers(0, 2)), decl_line=line)
+        else:  # a new label, declared where another test is, so that positions tie
+            where = (like.id.decl_file, like.id.decl_line)
+            if draw(st.booleans()):
+                where = (_GEN_FILE, draw(st.integers(1, 2)))
+            mid = MethodId(like.id.fqn, draw(st.sampled_from(["testA", "testZ"])), 0, *where)
+        body = " ".join(["tok"] * draw(st.integers(1, 40)))
+        tests.append(Method(mid, body, "NonEBT", None, None))
+    nonebts = draw(st.permutations(tests))
+    mut = draw(st.sampled_from([s.method for s in ctx.throw_sites]))
+    dest = draw(st.sampled_from(sorted({t.id.decl_file for t in real}) + [_GEN_FILE]))
+    labels = sorted({label_of(t) for t in tests} | {"com.fix.Nowhere#t"})
+    pool_labels = draw(st.sets(st.sampled_from(labels)))
+    budget = draw(st.one_of(st.integers(0, 80), st.just(NONEBT_TOKEN_BUDGET)))
+    first = _old_sweep_rule(mut, dest, nonebts, ctx, pool_labels, 10**9)[:1]
+    if first and draw(st.booleans()):
+        budget = len(first[0].body_text.split()) - 1
+    return nonebts, mut, dest, pool_labels, budget
+
+
+def _ids(tests):
+    return [id(t) for t in tests]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_ranking_rule_equals_both_old_copies(repo_a, repo_a_suite, data):
+    _, real = repo_a_suite
+    nonebts, mut, dest, pool_labels, budget = data.draw(_ranking_inputs(repo_a, real))
+    sweep = rank_relevant_nonebts(mut, dest, nonebts, repo_a, pool_labels, budget)
+    assert _ids(sweep) == _ids(
+        _old_sweep_rule(mut, dest, nonebts, repo_a, pool_labels, budget)
+    )
+    corpus = rank_relevant_nonebts(mut, dest, nonebts, repo_a, budget=budget)
+    assert _ids(corpus) == _ids(_old_corpus_rule(mut, dest, nonebts, repo_a, budget))
+
+
 # --- destination selection ---
 
 
 def test_dest_suffix_naming(repo_a):
     mut = _site(repo_a, "withdraw").method
-    assert select_dest_test_file(mut, repo_a) == "src/test/java/com/fix/AccountTest.java"
+    assert select_dest_with_reason(mut, repo_a) == (
+        "src/test/java/com/fix/AccountTest.java", "name-match"
+    )
 
 
 def test_dest_prefix_naming(repo_a):
     mut = _site(repo_a, "post").method
-    assert select_dest_test_file(mut, repo_a) == "src/test/java/com/fix/TestLedger.java"
+    assert select_dest_with_reason(mut, repo_a) == (
+        "src/test/java/com/fix/TestLedger.java", "name-match"
+    )
 
 
 def test_dest_coverage_index_fallback(repo_a):
     mut = _site(repo_a, "boom").method
     index = {"com.fix.Orphan": "src/test/java/com/fix/AccountTest.java"}
-    assert select_dest_test_file(mut, repo_a, index) == "src/test/java/com/fix/AccountTest.java"
+    assert select_dest_with_reason(mut, repo_a, index) == (
+        "src/test/java/com/fix/AccountTest.java", "coverage"
+    )
 
 
 def test_dest_none_without_match_or_index(repo_a):
     mut = _site(repo_a, "boom").method
-    assert select_dest_test_file(mut, repo_a) is None
+    assert select_dest_with_reason(mut, repo_a) == (None, "none")
 
 
 # --- instruction rendering ---

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, write_two_throw_repo
 from exbt.errors import EmptyAfterExclusion, MalformedTrace, NoThrowAtFrame
 from exbt.stacktrace import (
     Frame,
@@ -172,6 +172,17 @@ def test_endpoints_two_frames(repo_a):
     mut, site = endpoints(trace, repo_a)
     assert mut.name == "open"
     assert site.line == 14
+
+
+def test_endpoints_pick_the_expected_exceptions_throw(tmp_path):
+    from exbt.jmodel import load_repo
+
+    write_two_throw_repo(tmp_path)
+    ctx = load_repo(tmp_path)
+    trace = StackTrace((Frame("p.Range", "check", "Range.java", 5),))
+    picked = [endpoints(trace, ctx, e)[1] for e in ("B", "p.B", "A", None, "Other")]
+    assert [s.exception_type for s in picked] == ["B", "B", "A", "A", "A"]
+    assert picked[0].statement_text == "throw new B();"
 
 
 def test_endpoints_no_throw_at_line(repo_a):
