@@ -1,0 +1,83 @@
+"""Micro-benchmarks of the hot kernels on the test fixtures.
+
+    PYTHONPATH=src python -m pytest microbench --benchmark-only
+
+Tier-1 collects only `tests/`, so these never time a Tier-1 run.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+
+from conftest import REPO_A, REPO_G, guard_trace  # noqa: E402
+from exbt.classifier import split_test_suite  # noqa: E402
+from exbt.guardexpr import compute_guard_expression  # noqa: E402
+from exbt.jmodel import RepoContext, load_repo, parse_unit  # noqa: E402
+from exbt.jmodel.lexer import tokenize  # noqa: E402
+from exbt.jmodel.stmts import BodyParser  # noqa: E402
+from exbt.metrics import code_bleu_components, edit_similarity  # noqa: E402
+
+GUARDS = REPO_G / "src/main/java/gx/Guards.java"
+
+
+@pytest.fixture(scope="module")
+def guards_source():
+    return GUARDS.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def test_pair():
+    """Two of repoA's test methods: a candidate and a reference."""
+    ebts, nonebts = split_test_suite(load_repo(REPO_A))
+    return ebts[0].body_text, nonebts[0].body_text
+
+
+def test_tokenize(benchmark, guards_source):
+    assert benchmark(tokenize, guards_source)
+
+
+def test_parse_unit(benchmark, guards_source):
+    assert benchmark(parse_unit, guards_source, "Guards.java").types
+
+
+def test_parse_block(benchmark, guards_source):
+    unit = parse_unit(guards_source, "Guards.java")
+    opens = [m.tok_open for _, m in unit.all_methods() if m.tok_open is not None]
+
+    def parse_every_body():
+        parser = BodyParser(unit.tokens, unit.source)
+        return [parser.parse_block(k) for k in opens]
+
+    assert len(benchmark(parse_every_body)) == len(opens)
+
+
+def test_calls_scan(benchmark):
+    ctx = load_repo(REPO_G)
+    assert benchmark(RepoContext.calls.func, ctx)
+
+
+def test_guard(benchmark):
+    ctx = load_repo(REPO_G)
+    oracle = json.loads((REPO_G / "guards-oracle.json").read_text())
+    traces = [guard_trace(ctx, entry) for entry in oracle.values()]
+
+    def every_guard():
+        ctx.guard_cache.clear()  # time the computation, not the memo
+        return [compute_guard_expression(trace, ctx, site) for trace, site in traces]
+
+    assert len(benchmark(every_guard)) == len(oracle)
+
+
+def test_edit_similarity(benchmark, test_pair):
+    assert 0.0 < benchmark(edit_similarity, *test_pair) < 1.0
+
+
+def test_code_bleu_components(benchmark, test_pair):
+    assert benchmark(code_bleu_components, *test_pair)

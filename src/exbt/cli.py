@@ -18,7 +18,7 @@ from exbt import __version__
 from exbt.classifier import split_test_suite
 from exbt.config import load_config
 from exbt.corpus import collect_training_corpus, write_corpus
-from exbt.errors import ExbtError, MalformedTrace
+from exbt.errors import BadInput, ExbtError, IoError, MalformedTrace
 from exbt.genbackend import (
     GenerationParams,
     RequestLog,
@@ -156,13 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(obj, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print(obj)
-
-
 def _default_path(repo: str, rel: str, explicit: str | None) -> str | None:
     if explicit:
         return explicit
@@ -207,6 +200,8 @@ def _resolve_mut(ctx, ref: str):
     arity = None
     if "/" in rest:
         rest, arity_s = rest.split("/", 1)
+        if not arity_s.isdecimal():
+            raise BadInput(f"arity must be a number in {ref!r}")
         arity = int(arity_s)
     matches = [
         m
@@ -223,6 +218,8 @@ def _resolve_mut(ctx, ref: str):
 
 def _resolve_throw(ctx, ref: str):
     path, _, line_s = ref.rpartition(":")
+    if not (path and line_s.isdecimal()):
+        raise BadInput(f"--throw must look like file:line, got {ref!r}")
     line = int(line_s)
     for site in ctx.throw_sites:
         if site.line == line and ("/" + site.method.decl_file).endswith("/" + path):
@@ -367,7 +364,7 @@ def cmd_prompt(args) -> int:
         seed=args.seed, variant=variant, test_name=args.name,
     )
     if isinstance(outcome, NoMatch):
-        _emit({"status": "no-match", "reason": outcome.reason}, True)
+        print(json.dumps({"status": "no-match", "reason": outcome.reason}, sort_keys=True))
         return 0
     if args.json:
         print(json.dumps(bundle_to_record(outcome, site), sort_keys=True))
@@ -611,11 +608,17 @@ def _bundle_for_target(ctx, target: str):
 
 
 def _read_jsonl(path) -> list[dict]:
+    """JSONL rows, each an object with a `target`."""
     rows = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             if line.strip():
-                rows.append(json.loads(line))
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise BadInput(f"{path}:{n}: not JSON ({exc.msg})") from exc
+                if not isinstance(rows[-1], dict) or "target" not in rows[-1]:
+                    raise BadInput(f"{path}:{n}: row has no target")
     return rows
 
 
@@ -645,12 +648,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except OSError as exc:  # a missing or unreadable input file
+        error: ExbtError = IoError(str(exc))
     except ExbtError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
+        error = exc
+    print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -25,6 +25,12 @@ class UnknownMethod(ExbtError):
     """A method id does not resolve to any declaration in the repository."""
 
 
+# --- command-line input ---
+
+class BadInput(ExbtError):
+    """A command-line argument or an input row is malformed."""
+
+
 # --- test classification ---
 
 class NotATest(ExbtError):

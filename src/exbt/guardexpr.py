@@ -212,12 +212,10 @@ def _walk_up(unit: CompilationUnit, start: Stmt) -> list[CollectedNode]:
 def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl):
     """The call to `callee` inside stmt: (args, source text), or None."""
     toks = unit.tokens
-    target_names = {callee.name}
-    if callee.is_ctor:
-        target_names.add(callee.owner_fqn.split(".")[-1].split("$")[-1])
+    target = callee.called_as
     for k in range(stmt.tok_start, stmt.tok_end):
         t = toks[k]
-        if t.kind != "ident" or t.text not in target_names:
+        if t.kind != "ident" or t.text != target:
             continue
         if k + 1 >= stmt.tok_end or toks[k + 1].text != "(":
             continue

@@ -1,13 +1,13 @@
 """Java source model: parsing, throw sites and call-graph reachability."""
 
 from exbt.jmodel.model import (
-    CallEdge,
     CompilationUnit,
     MethodDecl,
     MethodId,
     RepoContext,
     ThrowSite,
     TypeDecl,
+    call_name,
     find_throw_sites,
     load_repo,
     parse_member,
@@ -16,13 +16,13 @@ from exbt.jmodel.model import (
 )
 
 __all__ = [
-    "CallEdge",
     "CompilationUnit",
     "MethodDecl",
     "MethodId",
     "RepoContext",
     "ThrowSite",
     "TypeDecl",
+    "call_name",
     "find_throw_sites",
     "load_repo",
     "parse_member",

@@ -1,8 +1,10 @@
 """Repository model: parsed units, methods, throw sites and the call graph.
 
 Parsing only looks at repository sources, so throws living in dependency
-libraries can never enter the model. Call resolution is name+arity within
-the repository; equal-arity overloads yield edges to every candidate.
+libraries can never enter the model. Loading builds no call graph: the
+`calls` index records each caller's call sites on first use, and the
+`callees` index resolves them, by name+arity within the repository, only
+when asked; equal-arity overloads resolve to every candidate.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from exbt.errors import IoError, JavaParseError, NoJavaSources, UnknownMethod
+from exbt.errors import BadInput, IoError, JavaParseError, NoJavaSources, UnknownMethod
 from exbt.jmodel.lexer import (
     Token,
     find_top_level,
@@ -79,6 +81,11 @@ class MethodDecl:
     def param_names(self) -> list[str]:
         return [n for _, n in self.params]
 
+    @property
+    def called_as(self) -> str:
+        """The name its call sites use; no call names an initializer block."""
+        return call_name(self.owner_fqn, self.name) if self.is_ctor else self.name
+
 
 @dataclass
 class TypeDecl:
@@ -122,17 +129,10 @@ class CompilationUnit:
         return self.source[lo:hi]
 
 
-@dataclass(frozen=True)
-class CallEdge:
-    caller: MethodId
-    callee: MethodId | None  # None when the call does not resolve in-repo
-    callee_name: str
-    callee_arity: int
-    line: int  # call site line in the caller's file
-
-    @property
-    def external(self) -> bool:
-        return self.callee is None
+def call_name(fqn: str, name: str) -> str:
+    """The name a call site uses for method `name` of type `fqn`: a
+    constructor (`<init>`) is called by its class's simple name."""
+    return fqn.rsplit(".", 1)[-1].rsplit("$", 1)[-1] if name == "<init>" else name
 
 
 class _UnitParser:
@@ -466,8 +466,8 @@ def parse_member(source: str) -> tuple[CompilationUnit, MethodDecl | None]:
 class RepoContext:
     """Immutable-after-load view of one Java repository.
 
-    Loading parses every unit and builds the call graph; the other lookup
-    indexes are built on first use and then answer every later lookup.
+    Loading parses every unit; the lookup indexes, the call graph among
+    them, are built on first use and then answer every later lookup.
     """
 
     def __init__(
@@ -491,14 +491,6 @@ class RepoContext:
                 self._type_by_fqn[t.fqn] = (u, t)
                 for m in t.methods:
                     self._methods.append((u, t, m))
-        self._methods_by_key: dict[tuple[str, int], list] = {}
-        self._ctors_by_key: dict[tuple[str, int], list] = {}
-        for u, t, m in self._methods:
-            key = (m.name, m.arity)
-            self._methods_by_key.setdefault(key, []).append((u, t, m))
-            if m.is_ctor:
-                self._ctors_by_key.setdefault((t.name, m.arity), []).append((u, t, m))
-        self.call_edges: list[CallEdge] = _build_call_edges(self)
         self._body_cache: dict[tuple[str, int, str], Stmt] = {}
         # guardexpr's guards by (trace frames, throw site or None)
         self.guard_cache: dict[tuple, object] = {}
@@ -524,11 +516,41 @@ class RepoContext:
         return index
 
     @cached_property
-    def call_keys(self) -> dict[MethodId, set[tuple[str, int]]]:
-        """(callee name, arity) of every call in each caller's body."""
-        index: dict[MethodId, set[tuple[str, int]]] = {}
-        for e in self.call_edges:
-            index.setdefault(e.caller, set()).add((e.callee_name, e.callee_arity))
+    def calls(self) -> dict[MethodId, list[tuple[str, int, int, bool]]]:
+        """Each caller's call sites in body order: (name, arity, line,
+        whether the call follows `new`)."""
+        index: dict[MethodId, list[tuple[str, int, int, bool]]] = {}
+        for u, _, m in self._methods:
+            if m.tok_open is None:
+                continue
+            toks = u.tokens
+            sites = index.setdefault(self.method_id(u, m), [])
+            for k in range(m.tok_open + 1, m.tok_close):
+                t = toks[k]
+                if t.kind != "ident" or toks[k + 1].text != "(":
+                    continue
+                close = match_paren(toks, k + 1)
+                arity = 0 if close == k + 2 else len(split_top_level(toks, k + 2, close, ","))
+                sites.append((t.text, arity, t.line, toks[k - 1].text == "new"))
+        return index
+
+    @cached_property
+    def callees(self) -> dict[MethodId, tuple[MethodId, ...]]:
+        """Each caller's in-repository callees, de-duplicated and ordered by
+        (file, line, name, fqn, arity). A call site resolves by name and arity
+        to every candidate: a constructor after `new`, any other method
+        otherwise."""
+        candidates: dict[tuple[str, int, bool], list[MethodId]] = {}
+        for u, _, m in self._methods:
+            key = (m.called_as, m.arity, m.is_ctor)
+            candidates.setdefault(key, []).append(self.method_id(u, m))
+        order = lambda c: (c.decl_file, c.decl_line, c.name, c.fqn, c.param_arity)
+        index: dict[MethodId, tuple[MethodId, ...]] = {}
+        for caller, sites in self.calls.items():
+            found = {
+                c for name, arity, _, new in sites for c in candidates.get((name, arity, new), ())
+            }
+            index[caller] = tuple(sorted(found, key=order))
         return index
 
     @cached_property
@@ -711,55 +733,18 @@ def find_throw_sites(ctx: RepoContext, scope: str = "all") -> list[ThrowSite]:
     return [s for s in ctx.throw_sites if scope == "all" or s.method.decl_file in main]
 
 
-def _build_call_edges(ctx: RepoContext) -> list[CallEdge]:
-    edges: list[CallEdge] = []
-    for unit, _, m in ctx._methods:
-        if m.tok_open is None:
-            continue
-        caller = ctx.method_id(unit, m)
-        toks = unit.tokens
-        for k in range(m.tok_open + 1, m.tok_close):
-            t = toks[k]
-            if t.kind != "ident" or k + 1 >= m.tok_close or toks[k + 1].text != "(":
-                continue
-            prev = toks[k - 1].text if k > 0 else ""
-            close = match_paren(toks, k + 1)
-            arity = 0 if close == k + 2 else len(split_top_level(toks, k + 2, close, ","))
-            if prev == "new":
-                targets = ctx._ctors_by_key.get((t.text, arity), [])
-            else:
-                targets = ctx._methods_by_key.get((t.text, arity), [])
-                targets = [(u2, t2, m2) for u2, t2, m2 in targets if not m2.is_ctor]
-            if targets:
-                for u2, _, m2 in targets:
-                    edges.append(
-                        CallEdge(caller, ctx.method_id(u2, m2), t.text, arity, t.line)
-                    )
-            else:
-                edges.append(CallEdge(caller, None, t.text, arity, t.line))
-    return edges
-
-
 def reachable_throws(
     ctx: RepoContext, mut: MethodId, max_depth: int = 5
 ) -> list[tuple[ThrowSite, list[MethodId]]]:
     """Throws reachable from mut through at most max_depth call edges.
 
-    BFS over the name+arity call graph; each site carries one shortest
-    witness path starting at mut. Deterministic order: path length, then
-    (file, line) of the site.
+    BFS over `ctx.callees`; each site carries one shortest witness path
+    starting at mut. Deterministic order: path length, then (file, line)
+    of the site.
     """
     if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+        raise BadInput(f"max_depth must be >= 1, got {max_depth}")
     ctx.resolve_method_id(mut)  # raises UnknownMethod
-    adjacency: dict[MethodId, list[MethodId]] = {}
-    for e in ctx.call_edges:
-        if e.callee is not None:
-            adjacency.setdefault(e.caller, []).append(e.callee)
-    for k in adjacency:
-        adjacency[k] = sorted(
-            set(adjacency[k]), key=lambda m: (m.decl_file, m.decl_line, m.name)
-        )
     results: list[tuple[ThrowSite, list[MethodId]]] = []
     seen_sites: set[ThrowSite] = set()
     visited = {mut}
@@ -772,7 +757,7 @@ def reachable_throws(
                 if site not in seen_sites:
                     seen_sites.add(site)
                     results.append((site, path))
-            for callee in adjacency.get(mid, []):
+            for callee in ctx.callees.get(mid, ()):
                 if callee not in visited:
                     visited.add(callee)
                     next_frontier.append((callee, path + [callee]))

@@ -20,7 +20,7 @@ from exbt.classifier import TestMethod
 from exbt.errors import EmptyAfterExclusion
 from exbt.guardexpr import GuardExpression, compute_guard_expression
 from exbt.instrument import TraceLog
-from exbt.jmodel import MethodId, RepoContext, ThrowSite
+from exbt.jmodel import MethodId, RepoContext, ThrowSite, call_name
 from exbt.stacktrace import Frame, StackTrace, exclude_test_and_util_frames
 
 logger = logging.getLogger(__name__)
@@ -210,8 +210,11 @@ def rank_relevant_nonebts(
 
 def directly_invokes(test: TestMethod, mut: MethodId, ctx: RepoContext) -> bool:
     """Whether the test body contains a name+arity call to the method."""
-    target = mut.fqn.split(".")[-1].split("$")[-1] if mut.name == "<init>" else mut.name
-    return (target, mut.param_arity) in ctx.call_keys.get(test.id, ())
+    target = call_name(mut.fqn, mut.name)
+    return any(
+        name == target and arity == mut.param_arity
+        for name, arity, _, _ in ctx.calls.get(test.id, ())
+    )
 
 
 def select_dest_with_reason(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from exbt.stacktrace import Frame, StackTrace
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_A = FIXTURES / "repoA"
 REPO_G = FIXTURES / "repoG"
+GEN_SWEEP = Path(__file__).resolve().parents[1] / "perfbench" / "gen_sweep.py"
 
 
 @pytest.fixture(scope="session")
@@ -61,9 +63,12 @@ def guard_trace(ctx, oracle_entry) -> StackTrace:
     frames = []
     for caller, callee in zip(frames_spec, frames_spec[1:]):
         line = next(
-            e.line
-            for e in ctx.call_edges
-            if e.caller.name == caller and e.callee is not None and e.callee.name == callee
+            line
+            for mid, sites in ctx.calls.items()
+            if mid.name == caller
+            for name, arity, line, _ in sites
+            if name == callee
+            and any((c.name, c.param_arity) == (name, arity) for c in ctx.callees[mid])
         )
         fqn = next(m.fqn for m in ctx.all_method_ids() if m.name == caller)
         frames.append(Frame(fqn, caller, file_name, line))
@@ -92,6 +97,15 @@ def write_two_throw_repo(repo: Path) -> None:
     }.items():
         (repo / rel).parent.mkdir(parents=True, exist_ok=True)
         (repo / rel).write_text(text)
+
+
+def write_replicated_repo_a(repo: Path, k: int, seed: int = 1) -> None:
+    """repoA copied into k packages, with its trace logs and canned files:
+    the benchmark's sweep-large generator."""
+    spec = importlib.util.spec_from_file_location("gen_sweep", GEN_SWEEP)
+    gen_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_sweep)
+    gen_sweep.write_repo(repo, k, seed)
 
 
 def write_call_chain(repo: Path, depth: int) -> StackTrace:

@@ -1,0 +1,153 @@
+"""The call index on RepoContext: `calls` records call sites, `callees`
+resolves them on first use, and a sweep never resolves one."""
+
+from __future__ import annotations
+
+import pytest
+
+from conftest import (
+    REPO_A,
+    REPO_G,
+    write_call_chain,
+    write_replicated_repo_a,
+    write_two_throw_repo,
+)
+from exbt import cli
+from exbt.jmodel import load_repo, reachable_throws
+from exbt.jmodel.lexer import match_paren, split_top_level
+
+
+def _old_call_edges(ctx):
+    """The eager call graph `load_repo` used to build, rule for rule: one
+    (caller, callee or None, name, arity, line) edge per call site and
+    same-named candidate."""
+    methods_by_key: dict = {}
+    ctors_by_key: dict = {}
+    for u, t, m in ctx._methods:
+        key = (m.name, m.arity)
+        methods_by_key.setdefault(key, []).append((u, t, m))
+        if m.is_ctor:
+            ctors_by_key.setdefault((t.name, m.arity), []).append((u, t, m))
+    edges = []
+    for unit, _, m in ctx._methods:
+        if m.tok_open is None:
+            continue
+        caller = ctx.method_id(unit, m)
+        toks = unit.tokens
+        for k in range(m.tok_open + 1, m.tok_close):
+            t = toks[k]
+            if t.kind != "ident" or k + 1 >= m.tok_close or toks[k + 1].text != "(":
+                continue
+            prev = toks[k - 1].text if k > 0 else ""
+            close = match_paren(toks, k + 1)
+            arity = 0 if close == k + 2 else len(split_top_level(toks, k + 2, close, ","))
+            if prev == "new":
+                targets = ctors_by_key.get((t.text, arity), [])
+            else:
+                targets = methods_by_key.get((t.text, arity), [])
+                targets = [(u2, t2, m2) for u2, t2, m2 in targets if not m2.is_ctor]
+            if targets:
+                for u2, _, m2 in targets:
+                    edges.append((caller, ctx.method_id(u2, m2), t.text, arity, t.line))
+            else:
+                edges.append((caller, None, t.text, arity, t.line))
+    return edges
+
+
+def _old_key(m):
+    return (m.decl_file, m.decl_line, m.name)
+
+
+def _old_reachable_throws(ctx, adjacency, mut, max_depth):
+    """`reachable_throws`' old BFS over an adjacency regrouped from the edges."""
+    results = []
+    seen_sites = set()
+    visited = {mut}
+    frontier = [(mut, [mut])]
+    depth = 0
+    while frontier and depth <= max_depth:
+        next_frontier = []
+        for mid, path in frontier:
+            for site in ctx.throw_sites_by_method.get(mid, ()):
+                if site not in seen_sites:
+                    seen_sites.add(site)
+                    results.append((site, path))
+            for callee in adjacency.get(mid, []):
+                if callee not in visited:
+                    visited.add(callee)
+                    next_frontier.append((callee, path + [callee]))
+        frontier = next_frontier
+        depth += 1
+    results.sort(key=lambda r: (len(r[1]), r[0].method.decl_file, r[0].line))
+    return results
+
+
+def _repo(name, tmp_path):
+    if name == "repoA":
+        return REPO_A
+    if name == "repoG":
+        return REPO_G
+    if name == "ctor-names":
+        # a method and a constructor share a call name; a nested type's
+        # constructor is called by its simple name
+        (tmp_path / "Box.java").write_text(
+            "class Box {\n    Box() { }\n    Box(int v) { this(); }\n"
+            "    void Item(int v) { }\n    class Inner { Inner(int v) { } }\n"
+            "    void a() { Item(1); }\n    void b() { new Item(1); }\n"
+            "    void c() { new Inner(2); }\n    void d() { Inner(2); }\n"
+            "}\nclass Item { Item(int v) { new Box(v); } }\n"
+        )
+    elif name == "two-throw":
+        write_two_throw_repo(tmp_path)
+    elif name == "chain-8":
+        write_call_chain(tmp_path, 8)
+    else:
+        write_replicated_repo_a(tmp_path, 4)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "name", ["repoA", "repoG", "two-throw", "chain-8", "repoA-x4", "ctor-names"]
+)
+def test_call_index_matches_the_old_call_graph(tmp_path, name):
+    ctx = load_repo(_repo(name, tmp_path))
+    sites: dict = {}
+    callees: dict = {}
+    for caller, callee, name, arity, line in _old_call_edges(ctx):
+        sites.setdefault(caller, set()).add((name, arity, line))
+        if callee is not None:
+            callees.setdefault(caller, set()).add(callee)
+    adjacency = {c: sorted(v, key=_old_key) for c, v in callees.items()}
+    assert sites, "the repository makes no calls"
+    for mid in ctx.all_method_ids():
+        assert {s[:3] for s in ctx.calls.get(mid, ())} == sites.get(mid, set()), mid
+        resolved = ctx.callees.get(mid, ())
+        assert set(resolved) == callees.get(mid, set()), mid
+        assert [_old_key(c) for c in resolved] == sorted(_old_key(c) for c in resolved)
+        for depth in (1, 2, 5):
+            assert reachable_throws(ctx, mid, depth) == _old_reachable_throws(
+                ctx, adjacency, mid, depth
+            ), (mid, depth)
+
+
+def test_sweep_records_call_sites_once_and_resolves_none(tmp_path, monkeypatch):
+    contexts = []
+
+    def loading(*args, **kwargs):
+        contexts.append(load_repo(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(cli, "load_repo", loading)
+    recorded = {}
+    for k in (4, 8):
+        repo = tmp_path / f"x{k}"
+        write_replicated_repo_a(repo, k)
+        argv = ["sweep", str(repo), "--seed", "1", "--backend", "stub",
+                "--runner", "recorded", "--out", str(tmp_path / f"out{k}")]
+        assert cli.main(argv) == 0
+        ctx = contexts[-1]
+        recorded[k] = sum(len(sites) for sites in ctx.calls.values())
+        assert "callees" not in vars(ctx)  # no call was resolved
+    # the eager graph made one edge per call site and same-named candidate,
+    # so its size grew about 4x from K=4 to K=8
+    assert recorded[8] <= 2.2 * recorded[4], recorded

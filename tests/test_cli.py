@@ -318,6 +318,53 @@ def test_pipeline_error_exits_1_with_json(capsys, tmp_path):
     assert payload["error"] == "IoError"
 
 
+def _error_of(err: str) -> str:
+    return json.loads(err.strip().splitlines()[-1])["error"]
+
+
+_WITHDRAW = "com.fix.Account#withdraw/1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("find-throws", REPO_A, "--from-method", "com.fix.Account#withdraw/x"),
+    ("prompt", "--repo", REPO_A, "--mut", "com.fix.Account#withdraw/x",
+     "--throw", "Account.java:14"),
+    ("prompt", "--repo", REPO_A, "--mut", _WITHDRAW, "--throw", "Account.java"),
+    ("prompt", "--repo", REPO_A, "--mut", _WITHDRAW, "--throw", "Account.java:x"),
+    ("find-throws", REPO_A, "--from-method", _WITHDRAW, "--max-depth", "0"),
+], ids=["from-method-arity", "mut-arity", "throw-no-line", "throw-bad-line", "max-depth-0"])
+def test_hostile_arguments_give_a_typed_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert _error_of(err) == "BadInput"
+
+
+@pytest.mark.parametrize("command", ["eval", "guard", "sweep", "verify-manifest"])
+def test_a_missing_input_file_gives_an_io_error(capsys, tmp_path, command):
+    missing = tmp_path / "missing"
+    argv = {
+        "eval": ("eval", "--candidates", missing),
+        "guard": ("guard", "--trace", missing, "--repo", REPO_A),
+        "sweep": ("sweep", REPO_A, "--backend", "stub", "--stub-file", missing,
+                  "--out", tmp_path / "out"),
+        "verify-manifest": ("verify-manifest", missing),
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert _error_of(err) == "IoError"
+
+
+@pytest.mark.parametrize("row", ["{not json", json.dumps({"candidate": "x"}), "[1]"],
+                         ids=["not-json", "no-target", "not-an-object"])
+def test_a_malformed_eval_row_gives_a_typed_error(capsys, tmp_path, row):
+    cands = tmp_path / "cands.jsonl"
+    cands.write_text(json.dumps({"target": "T.java:1", "candidate": "x"}) + "\n" + row + "\n")
+    code, _, err = run(capsys, "eval", "--candidates", cands)
+    assert code == 1
+    assert _error_of(err) == "BadInput"
+    assert f"{cands}:2" in err
+
+
 def test_manifest_artifacts_verify(capsys, tmp_path):
     run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub",
         "--out", tmp_path / "out")

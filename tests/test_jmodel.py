@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, REPO_A
 from exbt.errors import ExbtError, IoError, JavaParseError, NoJavaSources, UnknownMethod
-from exbt.jmodel import find_throw_sites, load_repo, parse_unit, reachable_throws
+from exbt.jmodel import call_name, find_throw_sites, load_repo, parse_unit, reachable_throws
 from exbt.jmodel.stmts import BodyParser
 
 FIXTURE_SOURCES = [p.read_text() for p in sorted(FIXTURES.rglob("*.java"))]
@@ -99,7 +99,8 @@ def test_load_repo_purity():
     a = load_repo(REPO_A)
     b = load_repo(REPO_A)
     assert [u.path for u in a.units] == [u.path for u in b.units]
-    assert a.call_edges == b.call_edges
+    assert a.calls == b.calls
+    assert a.callees == b.callees
     assert find_throw_sites(a, "all") == find_throw_sites(b, "all")
 
 
@@ -240,11 +241,17 @@ def test_reachable_monotone_in_depth(tmp_path):
 
 
 def test_call_edges_resolve_or_flag_external(repo_a):
-    for e in repo_a.call_edges:
-        if e.callee is None:
-            assert e.external
-        else:
-            repo_a.resolve_method_id(e.callee)  # must not raise
+    declared = {
+        (call_name(m.fqn, m.name), m.param_arity, m.name == "<init>")
+        for m in repo_a.all_method_ids()
+    }
+    for caller, sites in repo_a.calls.items():
+        for callee in repo_a.callees[caller]:
+            repo_a.resolve_method_id(callee)  # must not raise
+        resolved = {(call_name(c.fqn, c.name), c.param_arity) for c in repo_a.callees[caller]}
+        for name, arity, _, new in sites:
+            # resolved in-repo exactly when declared in-repo, else external
+            assert ((name, arity) in resolved) == ((name, arity, new) in declared)
 
 
 def test_equal_arity_overloads_edge_to_all_candidates(tmp_path):
@@ -256,11 +263,8 @@ def test_equal_arity_overloads_edge_to_all_candidates(tmp_path):
 }"""
     )
     ctx = load_repo(tmp_path)
-    targets = {
-        e.callee.decl_line
-        for e in ctx.call_edges
-        if e.caller.name == "go" and e.callee is not None and e.callee_name == "handle"
-    }
+    (go,) = [m for m in ctx.all_method_ids() if m.name == "go"]
+    targets = {c.decl_line for c in ctx.callees[go] if c.name == "handle"}
     assert len(targets) == 2
 
 
