@@ -47,6 +47,25 @@ def test_parse_unit(benchmark, guards_source):
     assert benchmark(parse_unit, guards_source, "Guards.java").types
 
 
+def _generic_source(members: int = 40, params: int = 8) -> str:
+    """A class whose methods take long lists of nested generic parameters
+    under nested bounds, and whose fields have nested generic types. No
+    type closes with `>>>`, which older parsers could not read."""
+    lines = ["class Generic<K extends Comparable<K>, V> {"]
+    for i in range(members):
+        ps = ", ".join(f"Function<Map<K, V>, Map<String, V>> p{j}" for j in range(params))
+        lines.append(f"  <T extends Map<K, List<V>>, U> T m{i}({ps}) {{ return null; }}")
+        lines.append(f"  Map<String, Map<K, V>> f{i} = new HashMap<>(), g{i};")
+    return "\n".join(lines + ["}"])
+
+
+def test_parse_unit_generics(benchmark):
+    unit = benchmark(parse_unit, _generic_source(), "Generic.java")
+    (decl,) = unit.types
+    assert len(decl.methods) == 40 and {m.arity for m in decl.methods} == {8}
+    assert len(decl.field_names) == 80
+
+
 def test_parse_block(benchmark, guards_source):
     unit = parse_unit(guards_source, "Guards.java")
     opens = [m.tok_open for _, m in unit.all_methods() if m.tok_open is not None]

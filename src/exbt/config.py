@@ -27,9 +27,6 @@ class Config:
         for env_name in _ENV_ALIASES.get(key, ()) or (f"EXBT_{key.upper()}",):
             if env_name in os.environ:
                 return os.environ[env_name]
-        env_default = os.environ.get(f"EXBT_{key.upper()}")
-        if env_default is not None:
-            return env_default
         if flag_value is not None:
             return flag_value
         if key in self.file_values:

@@ -289,9 +289,9 @@ def collect_nodes(
                 nodes.append(
                     CollectedNode(
                         tag=METHOD_DECL,
-                        text=f"{prev_decl.name}({', '.join(n for _, n in prev_decl.params)})",
+                        text=f"{prev_decl.name}({', '.join(prev_decl.params)})",
                         line=prev_decl.decl_line,
-                        params=tuple(prev_decl.param_names),
+                        params=tuple(prev_decl.params),
                     )
                 )
                 nodes.append(
@@ -401,7 +401,7 @@ def _compute_guard(
         mut = trace.frames[0]
         try:
             unit, type_decl, decl = ctx.resolve_frame(mut.class_fqn, mut.method, mut.line)
-            visible.update(decl.param_names)
+            visible.update(decl.params)
             visible.update(type_decl.field_names)
         except Exception:
             pass

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from exbt.errors import JavaParseError, UnboundName, UnsupportedConstruct
-from exbt.jmodel.lexer import Token, match_paren, tokenize
+from exbt.jmodel.lexer import ASSIGN_OPS, PRIMITIVES, Token, match_paren, skip_type, tokenize
 
 
 class Expr:
@@ -117,12 +117,10 @@ _BIN_PREC = {
     "+": 11, "-": 11,
     "*": 12, "/": 12, "%": 12,
 }
-_ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 _UNARY_PREC = 14
 _TERNARY_PREC = 2
 _ASSIGN_PREC = 1
 _PRIMARY_PREC = 15
-_PRIMITIVES = {"boolean", "byte", "char", "short", "int", "long", "float", "double"}
 
 
 class _Parser:
@@ -169,7 +167,7 @@ class _Parser:
     def parse_assign(self) -> Expr:
         left = self.parse_ternary()
         t = self.peek()
-        if t is not None and t.text in _ASSIGN_OPS:
+        if t is not None and t.text in ASSIGN_OPS:
             self.next()
             right = self.parse_assign()
             return Binary(t.text, left, right)
@@ -276,7 +274,7 @@ class _Parser:
             inner = self.parse_assign()
             self.expect(")")
             return inner
-        if t.kind == "ident" or (t.kind == "keyword" and t.text in _PRIMITIVES):
+        if t.kind == "ident" or (t.kind == "keyword" and t.text in PRIMITIVES):
             nxt = self.peek(1)
             if nxt is not None and nxt.text == "->":
                 return self._opaque_to_end(t.offset)
@@ -330,6 +328,13 @@ class _Parser:
         self.pos = len(self.toks)
         return Opaque(self.src[start_offset : last.end])
 
+    def _parse_type_text(self) -> str:
+        start = self.pos
+        self.pos = skip_type(self.toks, start, len(self.toks))
+        if self.pos == start:
+            raise JavaParseError("instanceof without a type")
+        return self.slice_text(start, self.pos)
+
     def _expr_start_offset(self, e: Expr) -> int:
         # best effort: offsets are only needed for opaque method references
         while isinstance(e, (Field, Call, Index)):
@@ -344,14 +349,7 @@ class _Parser:
 
     def _looks_like_cast(self) -> bool:
         close = match_paren(self.toks, self.pos)
-        inner = self.toks[self.pos + 1 : close]
-        if not inner:
-            return False
-        for t in inner:
-            if t.kind in ("ident",) or t.text in _PRIMITIVES:
-                continue
-            if t.text in (".", "[", "]", "<", ">", ","):
-                continue
+        if close == self.pos + 1 or skip_type(self.toks, self.pos + 1, close) != close:
             return False
         after = self.toks[close + 1] if close + 1 < len(self.toks) else None
         if after is None:
@@ -362,7 +360,7 @@ class _Parser:
             return True
         # (int) -1 is a cast, (a) - b is a subtraction
         if after.text in ("+", "-"):
-            return inner[0].text in _PRIMITIVES
+            return self.toks[self.pos + 1].text in PRIMITIVES
         return False
 
 
@@ -386,7 +384,7 @@ def parse_expr_tokens(tokens: list[Token], source: str) -> Expr:
 
 def _prec(e: Expr) -> int:
     if isinstance(e, Binary):
-        return _ASSIGN_PREC if e.op in _ASSIGN_OPS else _BIN_PREC[e.op]
+        return _ASSIGN_PREC if e.op in ASSIGN_OPS else _BIN_PREC[e.op]
     if isinstance(e, (Unary, Cast)):
         return _UNARY_PREC
     if isinstance(e, (Ternary,)):

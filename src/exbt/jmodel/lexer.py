@@ -34,6 +34,11 @@ OPERATORS = sorted(
 
 PUNCT = frozenset("(){}[];,.")
 
+PRIMITIVES = frozenset("boolean byte char short int long float double".split())
+ASSIGN_OPS = frozenset("= += -= *= /= %= &= |= ^= <<= >>= >>>=".split())
+# keywords that elsewhere name things: `void record(Event e)`, `com.x.record.Err`
+CONTEXTUAL_KEYWORDS = frozenset("var record yield sealed permits".split())
+
 
 @dataclass(frozen=True)
 class Token:
@@ -175,6 +180,69 @@ def find_top_level(tokens: list[Token], lo: int, hi: int, stops: tuple[str, ...]
         elif depth == 0 and t in stops:
             return k
     return hi
+
+
+_ANGLE_CLOSERS = {">": 1, ">>": 2, ">>>": 3}
+
+
+def match_angle(tokens: list[Token], open_index: int, hi: int) -> int:
+    """Index in [open_index, hi) of the token that closes the type-argument
+    list opened by the '<' at open_index, or hi when none closes it.
+
+    The lexer reads `>>` and `>>>` as one token, so they close two and
+    three nested lists."""
+    depth = 0
+    for k in range(open_index, hi):
+        t = tokens[k].text
+        if t == "<":
+            depth += 1
+        elif t in _ANGLE_CLOSERS:
+            depth -= _ANGLE_CLOSERS[t]
+            if depth <= 0:
+                return k
+    return hi
+
+
+def is_name(tok: Token) -> bool:
+    return tok.kind == "ident" or tok.text in CONTEXTUAL_KEYWORDS
+
+
+def skip_name(tokens: list[Token], k: int, hi: int) -> int:
+    """Index just past the dotted name that starts at k, or k when none does."""
+    if k < hi and is_name(tokens[k]):
+        k += 1
+        while k + 1 < hi and tokens[k].text == "." and is_name(tokens[k + 1]):
+            k += 2
+    return k
+
+
+def _skip_type_annotations(tokens: list[Token], k: int, hi: int) -> int:
+    """Index past the `@Name` markers from k, as in `java.util.@A List`."""
+    while k + 1 < hi and tokens[k].text == "@" and is_name(tokens[k + 1]):
+        k = skip_name(tokens, k + 1, hi)
+    return k
+
+
+def skip_type(tokens: list[Token], k: int, hi: int) -> int:
+    """Index just past the type that starts at k: a dotted name or a
+    primitive, type arguments on any part, then `[]` dimensions. Type-use
+    annotations after a '.' or before a `[]` are part of it. It is k when
+    no type starts there, and hi when a type-argument list does not close
+    before hi."""
+    if k < hi and (tokens[k].kind == "ident" or tokens[k].text in PRIMITIVES):
+        k += 1
+        while True:
+            if k < hi and tokens[k].text == "<":
+                k = min(match_angle(tokens, k, hi) + 1, hi)
+            nxt = _skip_type_annotations(tokens, k + 1, hi)
+            if not (k < hi and tokens[k].text == "." and nxt < hi and is_name(tokens[nxt])):
+                break
+            k = nxt + 1
+    dim = _skip_type_annotations(tokens, k, hi)
+    while dim + 1 < hi and tokens[dim].text == "[" and tokens[dim + 1].text == "]":
+        k = dim + 2
+        dim = _skip_type_annotations(tokens, k, hi)
+    return k
 
 
 def split_top_level(tokens: list[Token], lo: int, hi: int, sep: str) -> list[tuple[int, int]]:

@@ -18,12 +18,16 @@ from exbt.jmodel.lexer import (
     Token,
     find_top_level,
     index_of,
+    is_name,
+    match_angle,
     match_brace,
     match_paren,
+    skip_name,
+    skip_type,
     split_top_level,
     tokenize,
 )
-from exbt.jmodel.stmts import BodyParser, Stmt
+from exbt.jmodel.stmts import BodyParser, Stmt, declarators
 
 _MODIFIERS = {
     "public", "private", "protected", "static", "final", "abstract",
@@ -60,7 +64,7 @@ class ThrowSite:
 class MethodDecl:
     name: str
     owner_fqn: str
-    params: list[tuple[str, str]]  # (type text, name)
+    params: list[str]  # parameter names
     decl_line: int
     start_line: int
     end_line: int
@@ -71,15 +75,10 @@ class MethodDecl:
     modifiers: list[str]
     is_ctor: bool = False
     compact: bool = False
-    varargs: bool = False
 
     @property
     def arity(self) -> int:
         return len(self.params)
-
-    @property
-    def param_names(self) -> list[str]:
-        return [n for _, n in self.params]
 
     @property
     def called_as(self) -> str:
@@ -97,7 +96,7 @@ class TypeDecl:
     methods: list[MethodDecl] = field(default_factory=list)
     nested: list["TypeDecl"] = field(default_factory=list)
     field_names: list[str] = field(default_factory=list)
-    record_components: list[tuple[str, str]] = field(default_factory=list)
+    record_components: list[str] = field(default_factory=list)
 
     def all_types(self):
         yield self
@@ -185,11 +184,13 @@ class _UnitParser:
             fqn = f"{package}.{name}"
         else:
             fqn = name
-        record_params: list[tuple[str, str]] = []
+        record_params: list[str] = []
         open_b = kw_index + 2
+        if open_b < len(self.toks) and self.toks[open_b].text == "<":  # type parameters
+            open_b = match_angle(self.toks, open_b, len(self.toks)) + 1
         if kind == "record" and open_b < len(self.toks) and self.toks[open_b].text == "(":
             close_p = match_paren(self.toks, open_b)
-            record_params, _ = self._parse_params(open_b + 1, close_p)
+            record_params = self._parse_params(open_b + 1, close_p)
             open_b = close_p + 1
         open_b = index_of(self.toks, open_b, "{")
         close_b = match_brace(self.toks, open_b)
@@ -202,7 +203,7 @@ class _UnitParser:
         )
         # record components behave like fields and constructor parameters
         decl.record_components = record_params
-        decl.field_names.extend(n for _, n in record_params)
+        decl.field_names.extend(record_params)
         lo = open_b + 1
         if kind == "enum":
             lo = min(find_top_level(self.toks, lo, close_b, (";",)) + 1, close_b)
@@ -215,7 +216,7 @@ class _UnitParser:
             member_start = p
             annotations: list[str] = []
             modifiers: list[str] = []
-            # annotations and modifiers may interleave
+            # annotations, modifiers and a generic method's type parameters
             while p < hi:
                 t = self.toks[p]
                 if t.text == "@" and p + 1 < hi and self.toks[p + 1].text != "interface":
@@ -224,14 +225,13 @@ class _UnitParser:
                 elif t.text in _MODIFIERS:
                     modifiers.append(t.text)
                     p += 1
+                elif t.text == "<":
+                    p = min(match_angle(self.toks, p, hi) + 1, hi)
                 else:
                     break
             if p >= hi:
                 break
             t = self.toks[p]
-            if t.text == ";":
-                p += 1
-                continue
             if t.text in _TYPE_KEYWORDS:
                 nested, p = self._parse_type(p, None, decl.fqn)
                 decl.nested.append(nested)
@@ -241,209 +241,95 @@ class _UnitParser:
                 nested.kind = "annotation"
                 decl.nested.append(nested)
                 continue
+            # what every member declared here shares
+            head = dict(owner_fqn=decl.fqn, start_line=self.toks[member_start].line,
+                        tok_start=member_start, annotations=annotations, modifiers=modifiers)
             if t.text == "{":  # initializer block
                 close = match_brace(self.toks, p)
                 pseudo = "<clinit>" if "static" in modifiers else "<init>"
                 decl.methods.append(
-                    MethodDecl(
-                        name=pseudo,
-                        owner_fqn=decl.fqn,
-                        params=[],
-                        decl_line=t.line,
-                        start_line=self.toks[member_start].line,
-                        end_line=self.toks[close].line,
-                        tok_start=member_start,
-                        tok_open=p,
-                        tok_close=close,
-                        annotations=annotations,
-                        modifiers=modifiers,
-                    )
+                    MethodDecl(pseudo, params=[], decl_line=t.line, end_line=self.toks[close].line,
+                               tok_open=p, tok_close=close, **head)
                 )
                 p = close + 1
                 continue
-            if t.text == "<":  # generic method type parameters
-                p = self._skip_angles(p)
-            kind_idx, kind = self._first_structural(p, hi)
-            if kind == "(":
-                method, p = self._parse_method(
-                    decl, member_start, kind_idx, annotations, modifiers
-                )
-                if method is not None:
-                    decl.methods.append(method)
-                continue
-            if kind == "{":
+            # the member head: a type then a name, or a constructor's name
+            q = p + 1 if self.toks[p].text == "void" else skip_type(self.toks, p, hi)
+            if q < hi and self.toks[q].text == "{":
                 # record compact constructor: 'Name {'
-                name_t = self.toks[kind_idx - 1]
-                close = match_brace(self.toks, kind_idx)
+                name_t = self.toks[q - 1]
+                close = match_brace(self.toks, q)
                 if name_t.text == decl.name:
                     decl.methods.append(
-                        MethodDecl(
-                            name="<init>",
-                            owner_fqn=decl.fqn,
-                            params=list(decl.record_components),
-                            decl_line=name_t.line,
-                            start_line=self.toks[member_start].line,
-                            end_line=self.toks[close].line,
-                            tok_start=member_start,
-                            tok_open=kind_idx,
-                            tok_close=close,
-                            annotations=annotations,
-                            modifiers=modifiers,
-                            is_ctor=True,
-                            compact=True,
-                        )
+                        MethodDecl("<init>", params=list(decl.record_components),
+                                   decl_line=name_t.line, end_line=self.toks[close].line,
+                                   tok_open=q, tok_close=close, is_ctor=True, compact=True, **head)
                     )
                 p = close + 1
                 continue
-            # field declaration: collect declared names, skip to ';'
-            end = find_top_level(self.toks, p, hi, (";",))
-            angle = 0
-            bracket = 0
-            for k in range(p, end):
-                tk = self.toks[k]
-                if tk.text == "<":
-                    angle += 1
-                elif tk.text == ">":
-                    angle = max(0, angle - 1)
-                elif tk.text == ">>":
-                    angle = max(0, angle - 2)
-                elif tk.text in "([{":
-                    bracket += 1
-                elif tk.text in ")]}":
-                    bracket -= 1
-                if tk.kind == "ident" and angle == 0 and bracket == 0:
-                    nxt = self.toks[k + 1].text if k + 1 < len(self.toks) else ";"
-                    prev = self.toks[k - 1].text if k > 0 else ""
-                    if nxt in ("=", ",", ";") and prev != ".":
-                        decl.field_names.append(tk.text)
-            p = end + 1
+            if q + 1 < hi and is_name(self.toks[q]) and self.toks[q + 1].text == "(":
+                q += 1
+            if q < hi and self.toks[q].text != "(":
+                end = find_top_level(self.toks, q, hi, (";",))
+                found = declarators(self.toks, q, end)
+                if found and found[-1][2] == end:  # a field: its names, then the ';'
+                    decl.field_names.extend(self.toks[k].text for k, _, _ in found)
+                    p = end + 1
+                    continue
+                # a head the type reader cannot read ends at its first '(' or '='
+                q = next((k for k in range(q, end) if self.toks[k].text in ("(", "=")), end)
+                if q == end or self.toks[q].text == "=":
+                    p = end + 1
+                    continue
+            if q >= hi:
+                break
+            method, p = self._parse_method(decl, q, head)
+            decl.methods.append(method)
 
-    def _parse_method(self, decl, member_start, open_paren, annotations, modifiers):
+    def _parse_method(self, decl, open_paren, head):
         name_tok = self.toks[open_paren - 1]
         close_paren = match_paren(self.toks, open_paren)
-        params, varargs = self._parse_params(open_paren + 1, close_paren)
+        params = self._parse_params(open_paren + 1, close_paren)
         is_ctor = name_tok.text == decl.name
-        p = close_paren + 1
-        tok_open = tok_close = None
-        end_line = self.toks[close_paren].line
-        while p < len(self.toks):
-            text = self.toks[p].text
-            if text == "{":
-                tok_open = p
-                tok_close = match_brace(self.toks, p)
-                end_line = self.toks[tok_close].line
-                p = tok_close + 1
-                break
-            if text == ";":
-                end_line = self.toks[p].line
-                p += 1
-                break
+        p = close_paren + 1  # past a throws clause to the body or the ';'
+        while p < len(self.toks) and self.toks[p].text not in ("{", ";"):
             p += 1
+        tok_open = tok_close = None
+        if p < len(self.toks) and self.toks[p].text == "{":
+            tok_open, tok_close = p, match_brace(self.toks, p)
+            p = tok_close
+        end_line = self.toks[p if p < len(self.toks) else close_paren].line
         method = MethodDecl(
-            name="<init>" if is_ctor else name_tok.text,
-            owner_fqn=decl.fqn,
-            params=params,
-            decl_line=name_tok.line,
-            start_line=self.toks[member_start].line,
-            end_line=end_line,
-            tok_start=member_start,
-            tok_open=tok_open,
-            tok_close=tok_close,
-            annotations=annotations,
-            modifiers=modifiers,
-            is_ctor=is_ctor,
-            varargs=varargs,
+            "<init>" if is_ctor else name_tok.text, params=params, decl_line=name_tok.line,
+            end_line=end_line, tok_open=tok_open, tok_close=tok_close, is_ctor=is_ctor, **head
         )
-        return method, p
+        return method, p + 1
 
-    def _parse_params(self, lo: int, hi: int):
-        params: list[tuple[str, str]] = []
-        varargs = False
-        if lo >= hi:
-            return params, varargs
-        start = lo
-        depth = 0
-        pieces: list[tuple[int, int]] = []
-        for k in range(lo, hi):
-            t = self.toks[k].text
-            if t in "([{":
-                depth += 1
-            elif t in ")]}":
-                depth -= 1
-            elif t == "," and depth == 0 and not self._in_angles(start, k):
-                pieces.append((start, k))
-                start = k + 1
-        pieces.append((start, hi))
-        for plo, phi in pieces:
-            toks = self.toks[plo:phi]
-            if not toks or (len(toks) == 1 and toks[0].text == "this"):
-                continue
-            if any(t.text == "..." for t in toks):
-                varargs = True
-            names = [t for t in toks if t.kind == "ident"]
-            if not names:
-                continue
-            name = names[-1].text
-            type_text = self._join(plo, phi - 1).rsplit(name, 1)[0].strip()
-            params.append((type_text, name))
-        return params, varargs
-
-    def _in_angles(self, lo: int, at: int) -> bool:
-        depth = 0
-        for k in range(lo, at):
-            t = self.toks[k].text
-            if t == "<":
-                depth += 1
-            elif t == ">":
-                depth = max(0, depth - 1)
-            elif t == ">>":
-                depth = max(0, depth - 2)
-        return depth > 0
-
-    def _first_structural(self, p: int, hi: int):
-        """First of '(', '=', ';', '{' at bracket depth 0 from p."""
-        depth = 0
-        for k in range(p, hi):
-            t = self.toks[k].text
-            if t in ")]":
-                depth -= 1
-                continue
-            if depth == 0 and t in ("(", "=", ";", "{"):
-                return k, t
-            if t in "([":
-                depth += 1
-        return hi, ";"
+    def _parse_params(self, lo: int, hi: int) -> list[str]:
+        """The parameter names in [lo, hi): each one's last identifier. At
+        bracket depth 0 a '<' opens type arguments, whose commas split
+        nothing."""
+        names: list[str] = []
+        stops = (",", "<")
+        while lo < hi:
+            end = find_top_level(self.toks, lo, hi, stops)
+            while end < hi and self.toks[end].text == "<":
+                end = find_top_level(self.toks, match_angle(self.toks, end, hi) + 1, hi, stops)
+            idents = [t.text for t in self.toks[lo:end] if t.kind == "ident"]
+            if idents:
+                names.append(idents[-1])
+            lo = end + 1
+        return names
 
     def _skip_annotation(self, p: int):
         start = self.toks[p]
-        p += 1  # '@'
-        while p < len(self.toks) and self.toks[p].kind in ("ident", "keyword"):
-            p += 1
-            if p < len(self.toks) and self.toks[p].text == ".":
-                p += 1
-                continue
-            break
+        p = skip_name(self.toks, p + 1, len(self.toks))
         end_tok = self.toks[p - 1]
         if p < len(self.toks) and self.toks[p].text == "(":
             close = match_paren(self.toks, p)
             end_tok = self.toks[close]
             p = close + 1
         return p, self.src[start.offset : end_tok.end]
-
-    def _skip_angles(self, p: int) -> int:
-        depth = 0
-        while p < len(self.toks):
-            t = self.toks[p].text
-            if t == "<":
-                depth += 1
-            elif t == ">":
-                depth -= 1
-            elif t == ">>":
-                depth -= 2
-            p += 1
-            if depth <= 0:
-                return p
-        return p
 
     def _join(self, lo: int, hi: int) -> str:
         return "".join(t.text for t in self.toks[lo:hi])
@@ -518,7 +404,8 @@ class RepoContext:
     @cached_property
     def calls(self) -> dict[MethodId, list[tuple[str, int, int, bool]]]:
         """Each caller's call sites in body order: (name, arity, line,
-        whether the call follows `new`)."""
+        whether the call follows `new`). An unbalanced call parenthesis
+        ends its caller's sites with a warning."""
         index: dict[MethodId, list[tuple[str, int, int, bool]]] = {}
         for u, _, m in self._methods:
             if m.tok_open is None:
@@ -529,7 +416,11 @@ class RepoContext:
                 t = toks[k]
                 if t.kind != "ident" or toks[k + 1].text != "(":
                     continue
-                close = match_paren(toks, k + 1)
+                try:
+                    close = match_paren(toks, k + 1)
+                except JavaParseError as exc:
+                    self.warnings.append(f"{u.path}: call sites of {m.name} cut short ({exc})")
+                    break
                 arity = 0 if close == k + 2 else len(split_top_level(toks, k + 2, close, ","))
                 sites.append((t.text, arity, t.line, toks[k - 1].text == "new"))
         return index
@@ -710,16 +601,7 @@ def throw_sites_of(unit: CompilationUnit, m: MethodDecl, ctx: RepoContext) -> li
 def _thrown_type(tokens: list[Token], throw_idx: int, end: int) -> str:
     k = throw_idx + 1
     if k < end and tokens[k].text == "new":
-        parts = []
-        k += 1
-        while k < end and (tokens[k].kind in ("ident", "keyword") or tokens[k].text == "."):
-            if tokens[k].text in ("(", "{"):
-                break
-            parts.append(tokens[k].text)
-            k += 1
-            if k < end and tokens[k].text in ("(", "{", "<"):
-                break
-        return "".join(parts)
+        return "".join(t.text for t in tokens[k + 1 : skip_type(tokens, k + 1, end)])
     return "<unknown>"
 
 

@@ -11,16 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from exbt.jmodel.lexer import (
+    ASSIGN_OPS,
     Token,
     find_top_level,
     index_of,
+    match_angle,
     match_brace,
     match_paren,
+    skip_type,
     split_top_level,
 )
-
-_PRIMITIVES = {"boolean", "byte", "char", "short", "int", "long", "float", "double"}
-_ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 
 
 @dataclass
@@ -256,56 +256,15 @@ class BodyParser:
 
     def _try_local_var(self, pos: int, end: int) -> Stmt | None:
         """Recognize 'Type name (= init)? (, name (= init)?)* ;'."""
-        p = pos
-        if self.toks[p].text == "final":
-            p += 1
-        t = self.toks[p]
-        if not (t.kind == "ident" or t.text in _PRIMITIVES or t.text == "var"):
-            return None
-        p += 1
-        angle = 0
-        # consume the rest of a type: dots, generics, arrays
-        while p < end:
-            tt = self.toks[p].text
-            if tt == "<":
-                angle += 1
-            elif tt == ">":
-                angle -= 1
-            elif tt == ">>":
-                angle -= 2
-            elif angle == 0 and tt in (".",):
-                p += 1
-                if p < end and self.toks[p].kind in ("ident", "keyword"):
-                    p += 1
-                continue
-            elif angle == 0 and tt == "[":
-                if p + 1 < end and self.toks[p + 1].text == "]":
-                    p += 2
-                    continue
-                return None
-            elif angle > 0:
-                pass  # anything inside generics
-            else:
-                break
-            p += 1
-        if p >= end or self.toks[p].kind != "ident":
-            return None
-        nxt = self.toks[p + 1].text if p + 1 < end else ";"
-        if nxt not in ("=", ",", ";"):
+        p = pos + 1 if self.toks[pos].text == "final" else pos
+        p = p + 1 if self.toks[p].text == "var" else skip_type(self.toks, p, end)
+        found = declarators(self.toks, p, end)
+        if not found or found[0][2] < end and self.toks[found[0][2]].text not in (",", ";"):
             return None
         st = self._stmt("localvar", pos, end)
-        while p < end and self.toks[p].kind == "ident":
-            name = self.toks[p].text
-            p += 1
-            if p < end and self.toks[p].text == "=":
-                rhs_start = p + 1
-                q = find_top_level(self.toks, rhs_start, end, (",", ";"))
-                st.assignments.append((name, (rhs_start, q), "="))
-                p = q
-            if p < end and self.toks[p].text == ",":
-                p += 1
-                continue
-            break
+        st.assignments = [
+            (self.toks[name].text, (lo, hi), "=") for name, lo, hi in found if lo is not None
+        ]
         return st
 
     def _extract_assignment(self, st: Stmt, pos: int, end: int) -> None:
@@ -313,7 +272,7 @@ class BodyParser:
         hi = end - 1 if self.toks[end - 1].text == ";" else end
         if hi - pos >= 2 and self.toks[pos].kind == "ident":
             op = self.toks[pos + 1].text
-            if op in _ASSIGN_OPS:
+            if op in ASSIGN_OPS:
                 st.assignments.append((self.toks[pos].text, (pos + 2, hi), op))
                 return
             if op in ("++", "--") and hi == pos + 2:
@@ -341,6 +300,43 @@ class BodyParser:
     def _stmt_end(self, pos: int, limit: int) -> int:
         """Index just past the ';' terminating a simple statement."""
         return min(find_top_level(self.toks, pos, limit, (";",)) + 1, limit)
+
+
+def declarators(tokens: list[Token], k: int, end: int) -> list[tuple[int, int | None, int]]:
+    """The declarators of `a = x, b[], c` from the name at k up to end: (name
+    index, initializer start or None, initializer end), in order."""
+    found: list[tuple[int, int | None, int]] = []
+    while k < end and tokens[k].kind == "ident":
+        name = k
+        k += 1
+        while k + 1 < end and tokens[k].text == "[" and tokens[k + 1].text == "]":
+            k += 2
+        lo = None
+        if k < end and tokens[k].text == "=":
+            lo = k + 1
+            k = _initializer_end(tokens, lo, end)
+        found.append((name, lo, k))
+        if k >= end or tokens[k].text != ",":
+            break
+        k += 1
+    return found
+
+
+def _initializer_end(tokens: list[Token], k: int, end: int) -> int:
+    """The ',' or ';' at bracket depth 0 that ends the initializer from k, or
+    end. Commas in the type arguments of `new T<A, B>` and `x.<A, B>m()` end
+    nothing; any other '<' is a comparison."""
+    stops = (",", ";", "new", "<")
+    k = find_top_level(tokens, k, end, stops)
+    while k < end and tokens[k].text in ("new", "<"):
+        if tokens[k].text == "new":
+            k = skip_type(tokens, k + 1, end)
+        elif tokens[k - 1].text == ".":
+            k = match_angle(tokens, k, end) + 1
+        else:
+            k += 1
+        k = find_top_level(tokens, k, end, stops)
+    return k
 
 
 def _link_parents(root: Stmt) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import exbt
+from exbt.errors import BadInput
 
 
 def file_digest(path: str | Path) -> str:
@@ -81,12 +82,19 @@ class Manifest:
 def verify_manifest(path: str | Path) -> list[str]:
     """Check that every artifact referenced by a manifest digest-matches.
 
-    Returns a list of problems, empty when everything verifies."""
+    Returns a list of problems, empty when everything verifies. Raises
+    BadInput when the file is not a JSON object with an artifacts object."""
     manifest_path = Path(path)
-    data = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BadInput(f"{manifest_path}: not JSON ({exc})") from exc
+    artifacts = data.get("artifacts", {}) if isinstance(data, dict) else None
+    if not isinstance(artifacts, dict):
+        raise BadInput(f"{manifest_path}: not a manifest object with an artifacts object")
     problems = []
     base = manifest_path.parent
-    for rel, digest in data.get("artifacts", {}).items():
+    for rel, digest in artifacts.items():
         target = base / rel
         if not target.exists():
             problems.append(f"missing artifact {rel}")

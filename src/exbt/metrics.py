@@ -174,7 +174,7 @@ def _ast_signatures(tree, node_exprs) -> Counter:
 def _def_use_pairs(method, node_exprs) -> Counter:
     """Position-normalized def-use edges, invariant under renaming."""
     defs: dict[str, int] = {}
-    for i, (_, name) in enumerate(method.params):
+    for i, name in enumerate(method.params):
         defs[name] = i
     edges: Counter = Counter()
     use_serial = 0

@@ -151,3 +151,20 @@ def test_sweep_records_call_sites_once_and_resolves_none(tmp_path, monkeypatch):
     # the eager graph made one edge per call site and same-named candidate,
     # so its size grew about 4x from K=4 to K=8
     assert recorded[8] <= 2.2 * recorded[4], recorded
+
+
+def test_an_unbalanced_call_cuts_only_its_callers_sites(tmp_path, capsys):
+    (tmp_path / "C.java").write_text(
+        "class C {\n"
+        "  void f() { a(); g(; }\n"
+        "  void h() { throw new IllegalStateException(); }\n"
+        "}\n"
+    )
+    (tmp_path / "D.java").write_text("class D {\n  void k() { new C().h(); }\n}\n")
+    ctx = load_repo(tmp_path)
+    sites = {mid.name: [s[0] for s in found] for mid, found in ctx.calls.items()}
+    assert sites["f"] == ["a"] and sites["k"] == ["C", "h"]
+    assert len(ctx.warnings) == 1 and "C.java" in ctx.warnings[0]
+    assert cli.main(["find-throws", str(tmp_path), "--from-method", "D#k"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1 and '"target": "C.java:3"' in rows[0]

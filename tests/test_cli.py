@@ -377,6 +377,16 @@ def test_manifest_artifacts_verify(capsys, tmp_path):
     assert "digest mismatch" in err
 
 
+@pytest.mark.parametrize("text", ['{"artifacts": ', "[1, 2]"], ids=["not-json", "not-an-object"])
+def test_a_malformed_manifest_gives_a_typed_error(capsys, tmp_path, text):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    code, _, err = run(capsys, "verify-manifest", manifest)
+    assert code == 1
+    assert _error_of(err) == "BadInput"
+    assert str(manifest) in err
+
+
 def test_config_layering(capsys, tmp_path, monkeypatch):
     # file value loses to the flag, which loses to the environment
     cfg = tmp_path / "exbt.cfg"

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, REPO_A
 from exbt.errors import ExbtError, IoError, JavaParseError, NoJavaSources, UnknownMethod
-from exbt.jmodel import call_name, find_throw_sites, load_repo, parse_unit, reachable_throws
+from exbt.jmodel import (
+    RepoContext,
+    call_name,
+    find_throw_sites,
+    load_repo,
+    parse_unit,
+    reachable_throws,
+)
 from exbt.jmodel.stmts import BodyParser
 
 FIXTURE_SOURCES = [p.read_text() for p in sorted(FIXTURES.rglob("*.java"))]
@@ -83,6 +92,153 @@ def test_malformed_source_raises_only_typed_errors(source):
                 BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
     except ExbtError:
         pass
+
+
+_BOUNDED = """class G {
+    <K extends List<Set<K>>> void bound(K k) {}
+    int later(int x) {
+        if (x < 0) throw new IllegalArgumentException();
+        return x;
+    }
+}"""
+
+
+def _observe(what: str, source: str):
+    unit = parse_unit(source, "G.java")
+    if what == "methods":
+        return [(m.name, m.arity) for _, m in unit.all_methods()]
+    if what == "params":
+        return [m.params for _, m in unit.all_methods()]
+    if what == "fields":
+        return unit.types[0].field_names
+    if what == "annotations":
+        return [m.annotations for _, m in unit.all_methods()]
+    if what == "throws":
+        ctx = RepoContext(Path("."), [unit], ["G.java"], [], [])
+        return [(s.method.name, s.line, s.exception_type) for s in find_throw_sites(ctx, "all")]
+    # "locals": every assignment in the first method's body, rhs as text
+    m = next(m for _, m in unit.all_methods())
+    body = BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
+    return [
+        (name, unit.text(lo, hi - 1))
+        for st in body.iter_tree()
+        for name, (lo, hi), _ in st.assignments
+    ]
+
+
+@pytest.mark.parametrize(
+    "what, source, expected",
+    [
+        pytest.param("methods", _BOUNDED, [("bound", 1), ("later", 1)], id="bound-keeps-members"),
+        pytest.param(
+            "throws", _BOUNDED, [("later", 4, "IllegalArgumentException")],
+            id="bound-keeps-throws",
+        ),
+        pytest.param(
+            "methods", "class G { <K extends List<Set<K>>> @A K f(K k) {} void g() {} }",
+            [("f", 1), ("g", 0)], id="bound-then-annotation",
+        ),
+        pytest.param(
+            "params", "class G { void f(Map<A, List<Set<B>>> m, int x) {} }", [["m", "x"]],
+            id="triple-closer-arity",
+        ),
+        pytest.param(
+            "fields", "class G { Map<A, List<Set<B>>> deep; int after; }", ["deep", "after"],
+            id="triple-closer-field",
+        ),
+        pytest.param(
+            "locals", "class G { void f() { Map<A, List<Set<B>>> m = g(); } }", [("m", "g()")],
+            id="triple-closer-local",
+        ),
+        pytest.param(
+            "methods", "record G<L, V>(L left, Map<L, List<V>> right) { G { } }", [("<init>", 2)],
+            id="generic-record",
+        ),
+        pytest.param("fields", "class G { int a = b, c; }", ["a", "c"], id="init-name-not-field"),
+        pytest.param(
+            "fields", "class G { List<String> a, b = x; }", ["a", "b"], id="generic-init-not-field"
+        ),
+        pytest.param(
+            "fields", "class G { int a = x < y ? p : q, d; }", ["a", "d"], id="less-than-in-init"
+        ),
+        pytest.param(
+            "fields", "class G { Function<K, V> f = k -> null; }", ["f"], id="lambda-init"
+        ),
+        pytest.param(
+            "locals",
+            "class G { void f() { Map<A, B> m = new HashMap<A, B>(), n; } }",
+            [("m", "new HashMap<A, B>()")],
+            id="type-arguments-in-init",
+        ),
+        pytest.param(
+            "fields", "class G { int x[] = {1}, y; }", ["x", "y"], id="c-style-field-dims"
+        ),
+        pytest.param(
+            "locals", "class G { void f() { int a[] = {1}; } }", [("a", "{1}")],
+            id="c-style-local-dims",
+        ),
+    ],
+)
+def test_type_reader_regressions(what, source, expected):
+    assert _observe(what, source) == expected
+
+
+@pytest.mark.parametrize(
+    "what, source, expected",
+    [
+        pytest.param(
+            "methods", "class G { void record(int x) {} void g() {} }", [("record", 1), ("g", 0)],
+            id="contextual-keyword-name",
+        ),
+        pytest.param(
+            "throws", "class G { void g() { throw new com.x.record.Err(); } }",
+            [("g", 1, "com.x.record.Err")], id="contextual-keyword-segment",
+        ),
+        pytest.param(
+            "methods", "class G { java.util.@A List<T> f() { return null; } void g() {} }",
+            [("f", 0), ("g", 0)], id="type-use-annotation-segment",
+        ),
+        pytest.param(
+            "methods", "class G { String @A [] f() { return null; } void g() {} }",
+            [("f", 0), ("g", 0)], id="type-use-annotation-dims",
+        ),
+        pytest.param(
+            "methods", "class G { int @A(2) [] f() { return null; } void g() {} }",
+            [("A", 0), ("g", 0)], id="unreadable-head-keeps-later-members",
+        ),
+        pytest.param(
+            "annotations", "class G { @Test <T> void f() {} }", [["@Test"]],
+            id="annotation-before-type-parameters",
+        ),
+    ],
+)
+def test_member_heads_read_as_before(what, source, expected):
+    """Heads that a plain scan to the first '(' already read right."""
+    assert _observe(what, source) == expected
+
+
+@st.composite
+def generic_types(draw, depth):
+    """A type whose type arguments nest exactly `depth` deep."""
+    name = draw(st.sampled_from(["A", "B", "java.util.List", "Map.Entry"]))
+    if depth > 0:
+        args = draw(st.lists(generic_types(depth - 1), min_size=1, max_size=3))
+        name += f"<{', '.join(args)}>"
+    return name + draw(st.sampled_from(["", "[]"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.integers(1, 4).flatmap(lambda depth: generic_types(depth)), min_size=1, max_size=5
+    )
+)
+def test_nested_generic_parameters_keep_arity_and_names(types):
+    params = ", ".join(f"{t} p{i}" for i, t in enumerate(types))
+    unit = parse_unit(f"class G {{ void f({params}) {{}} }}", "G.java")
+    (m,) = [m for _, m in unit.all_methods()]
+    assert m.arity == len(types)
+    assert m.params == [f"p{i}" for i in range(len(types))]
 
 
 def test_load_repo_empty_dir_raises(tmp_path):

@@ -15,7 +15,14 @@ from exbt.jmodel.exprs import (
     render,
     substitute,
 )
-from exbt.jmodel.lexer import find_top_level, index_of, split_top_level, tokenize
+from exbt.jmodel.lexer import (
+    find_top_level,
+    index_of,
+    match_angle,
+    skip_type,
+    split_top_level,
+    tokenize,
+)
 
 
 def test_tokenize_basics():
@@ -66,6 +73,62 @@ def test_split_top_level_keeps_empty_and_trailing_pieces():
     assert split_top_level(toks, 1, 2, ",") == [(1, 1), (2, 2)]
 
 
+@pytest.mark.parametrize(
+    "source, open_index, closer",
+    [
+        ("List<A> x", 1, 3),
+        ("Map<A, List<B>> x", 1, 7),
+        ("Map<A, List<Set<B>>> x", 1, 9),
+        ("Map<A, List<Set<B>>> x", 5, 9),  # '>>>' closes the list it is inside too
+        ("F<G<H<I<J>>>> x", 1, 10),
+        ("List<A, (B)> x", 1, 7),
+    ],
+)
+def test_match_angle_closes_one_two_or_three_lists(source, open_index, closer):
+    toks = tokenize(source)
+    assert match_angle(toks, open_index, len(toks)) == closer
+
+
+def test_match_angle_returns_hi_when_nothing_closes():
+    toks = tokenize("List<Set<A> x;")
+    assert match_angle(toks, 1, len(toks)) == len(toks)
+    # the closer lies past hi
+    toks = tokenize("List<A> x")
+    assert match_angle(toks, 1, 3) == 3
+
+
+@pytest.mark.parametrize(
+    "source, end",
+    [
+        ("int x", 1),
+        ("int[][] x", 5),
+        ("java.util.List<? extends A> x", 10),
+        ("Map<A, List<Set<B>>>[] x", 12),
+        ("Outer<A>.Inner<B> x", 9),
+        ("a.b.c = 1", 5),
+        ("a[0] = 1", 1),
+        ("a. this", 1),
+        ("this.x", 0),
+        ("(int) x", 0),
+        ("com.x.record.Err()", 7),
+        ("record x", 0),
+        ("java.util.@A List<T> x", 10),
+        ("String @A [] x", 5),
+        ("String @A x", 1),
+    ],
+)
+def test_skip_type_reads_name_arguments_and_dimensions(source, end):
+    toks = tokenize(source)
+    assert skip_type(toks, 0, len(toks)) == end
+
+
+def test_skip_type_stops_at_hi():
+    toks = tokenize("List<Set<A> x;")
+    assert skip_type(toks, 0, len(toks)) == len(toks)
+    toks = tokenize("int[] x")
+    assert skip_type(toks, 0, 2) == 1
+
+
 def test_index_of_is_bounded():
     toks = tokenize("switch ) { }")
     assert index_of(toks, 0, "{") == 2
@@ -95,6 +158,8 @@ def test_tokenize_rejects_unterminated_string():
         "list.get(i) == null",
         "(x > 0 ? x : -x) > 5",
         "flags[k] != 0",
+        "x instanceof java.util.List<? extends A> && n > 0",
+        "(Map<K, List<V>>) o != null",
     ],
 )
 def test_parse_render_round_trip_is_stable(source):
