@@ -17,9 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from exbt.errors import NotATest, NotEBT
+from exbt.errors import JavaParseError, NotATest, NotEBT
 from exbt.jmodel import CompilationUnit, MethodDecl, MethodId, RepoContext, parse_member
-from exbt.jmodel.lexer import find_top_level, index_of, match_brace, match_paren
+from exbt.jmodel.lexer import call_sites, index_of, match_brace, match_paren
 
 PATTERNS = (
     "AnnotationExpected",
@@ -63,44 +63,20 @@ def _annotation_expected(m: MethodDecl) -> str | None:
     return None
 
 
-def _first_class_arg(unit: CompilationUnit, open_paren: int) -> str | None:
-    """Text of the first argument when it is a class literal 'X.class'."""
-    close = match_paren(unit.tokens, open_paren)
-    end = find_top_level(unit.tokens, open_paren + 1, close, (",",))
-    toks = unit.tokens[open_paren + 1 : end]
-    if len(toks) < 3 or toks[-1].text != "class" or toks[-2].text != ".":
-        return None
-    return "".join(t.text for t in toks[:-2])
-
-
-def _find_call_sites(unit: CompilationUnit, m: MethodDecl, name: str):
-    """Indexes of '(' tokens for calls to `name` inside the method body."""
+def _class_literal_arg(
+    unit: CompilationUnit, m: MethodDecl, name: str, on_receiver: bool = False
+) -> str | None:
+    """X of the first `X.class` that is the first argument of a call to
+    `name` in the body, as in `rule.expect(X.class)` when on_receiver."""
     if m.tok_open is None:
-        return
-    for k in range(m.tok_open + 1, m.tok_close):
-        t = unit.tokens[k]
-        if t.kind == "ident" and t.text == name:
-            if k + 1 < m.tok_close and unit.tokens[k + 1].text == "(":
-                yield k + 1
-
-
-def _assert_throws(unit: CompilationUnit, m: MethodDecl) -> str | None:
-    for open_paren in _find_call_sites(unit, m, "assertThrows"):
-        arg = _first_class_arg(unit, open_paren)
-        if arg:
-            return arg
-    return None
-
-
-def _expected_rule(unit: CompilationUnit, m: MethodDecl) -> str | None:
-    for open_paren in _find_call_sites(unit, m, "expect"):
-        # must be a method call on a rule object: '<name>.expect('
-        name_idx = open_paren - 1
-        if name_idx - 1 < 0 or unit.tokens[name_idx - 1].text != ".":
+        return None
+    toks = unit.tokens
+    for k, _, args, _ in call_sites(toks, m.tok_open + 1, m.tok_close):
+        if toks[k].text != name or not args or (on_receiver and toks[k - 1].text != "."):
             continue
-        arg = _first_class_arg(unit, open_paren)
-        if arg:
-            return arg
+        lo, hi = args[0]
+        if hi - lo >= 3 and toks[hi - 1].text == "class" and toks[hi - 2].text == ".":
+            return "".join(t.text for t in toks[lo : hi - 2])
     return None
 
 
@@ -117,13 +93,8 @@ def _try_fail_catch(unit: CompilationUnit, m: MethodDecl) -> str | None:
                 open_b = match_paren(toks, open_b) + 1
             open_b = index_of(toks, open_b, "{")
             close_b = match_brace(toks, open_b)
-            has_fail = any(
-                toks[i].kind == "ident"
-                and toks[i].text == "fail"
-                and i + 1 < close_b
-                and toks[i + 1].text == "("
-                for i in range(open_b + 1, close_b)
-            )
+            calls = call_sites(toks, open_b + 1, close_b)
+            has_fail = any(toks[n].text == "fail" for n, *_ in calls)
             if (
                 has_fail
                 and close_b + 1 < m.tok_close
@@ -152,8 +123,8 @@ def _classify_decl(unit: CompilationUnit, m: MethodDecl, mid: MethodId) -> TestM
     body_text = unit.text(m.tok_start, last)
     for pattern, probe in (
         ("AnnotationExpected", lambda: _annotation_expected(m)),
-        ("AssertThrows", lambda: _assert_throws(unit, m)),
-        ("ExpectedExceptionRule", lambda: _expected_rule(unit, m)),
+        ("AssertThrows", lambda: _class_literal_arg(unit, m, "assertThrows")),
+        ("ExpectedExceptionRule", lambda: _class_literal_arg(unit, m, "expect", True)),
         ("TryFailCatch", lambda: _try_fail_catch(unit, m)),
     ):
         expected = probe()
@@ -177,7 +148,8 @@ def classify_member(unit: CompilationUnit, m: MethodDecl) -> TestMethod:
 
 
 def split_test_suite(ctx: RepoContext) -> tuple[list[TestMethod], list[TestMethod]]:
-    """Classify every @Test method declared under a test source root."""
+    """Classify every @Test method declared under a test source root. A
+    test whose body cannot be read is skipped with a warning."""
     ebts: list[TestMethod] = []
     nonebts: list[TestMethod] = []
     test_paths = set(ctx.test_files)
@@ -187,7 +159,11 @@ def split_test_suite(ctx: RepoContext) -> tuple[list[TestMethod], list[TestMetho
         for _, m in unit.all_methods():
             if not _has_test_annotation(m):
                 continue
-            t = _classify_decl(unit, m, ctx.method_id(unit, m))
+            try:
+                t = _classify_decl(unit, m, ctx.method_id(unit, m))
+            except JavaParseError as exc:
+                ctx.warnings.append(f"{unit.path}: test {m.name} skipped ({exc})")
+                continue
             (ebts if t.is_ebt else nonebts).append(t)
     return ebts, nonebts
 

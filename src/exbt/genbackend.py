@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -218,19 +217,15 @@ def make_backend(
     log: RequestLog | None = None,
     auth_token: str | None = None,
 ):
-    """Factory honoring BACKEND_KIND / BACKEND_URL / BACKEND_AUTH_TOKEN
-    where no kind, url or token is given."""
-    kind = kind or os.environ.get("BACKEND_KIND", "stub")
+    """The backend of `kind` (default "stub"); callers resolve kind, url
+    and token, environment included, through `Config.get`."""
+    kind = kind or "stub"
     if kind == "stub":
         if stub_file:
             return StubBackend.from_file(stub_file, log)
         return StubBackend([], log)
     if kind == "http":
-        return HttpBackend(
-            url or os.environ.get("BACKEND_URL", ""),
-            auth_token=auth_token or os.environ.get("BACKEND_AUTH_TOKEN"),
-            log=log,
-        )
+        return HttpBackend(url or "", auth_token=auth_token, log=log)
     raise BackendUnavailable(f"unknown backend kind {kind!r}")
 
 

@@ -32,7 +32,7 @@ from exbt.errors import FrameOutOfSpan, JavaParseError
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, ThrowSite
 from exbt.jmodel import exprs
 from exbt.jmodel.exprs import Binary, Expr, Grouped, Lit, Name, Opaque, Unary
-from exbt.jmodel.lexer import match_paren, split_top_level
+from exbt.jmodel.lexer import call_sites
 from exbt.jmodel.stmts import Stmt, statement_at_line, stmts_at_line
 from exbt.stacktrace import StackTrace
 
@@ -212,20 +212,10 @@ def _walk_up(unit: CompilationUnit, start: Stmt) -> list[CollectedNode]:
 def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl):
     """The call to `callee` inside stmt: (args, source text), or None."""
     toks = unit.tokens
-    target = callee.called_as
-    for k in range(stmt.tok_start, stmt.tok_end):
-        t = toks[k]
-        if t.kind != "ident" or t.text != target:
-            continue
-        if k + 1 >= stmt.tok_end or toks[k + 1].text != "(":
-            continue
-        close = match_paren(toks, k + 1)
-        args: list[Expr] = []
-        if close > k + 2:
-            args = [_parse_or_opaque(unit, r) for r in split_top_level(toks, k + 2, close, ",")]
-        if len(args) == callee.arity:
-            text = unit.source[t.offset : toks[close].end]
-            return tuple(args), text
+    for k, _, args, close in call_sites(toks, stmt.tok_start, stmt.tok_end):
+        if toks[k].text == callee.called_as and len(args) == callee.arity:
+            text = unit.source[toks[k].offset : toks[close].end]
+            return tuple(_parse_or_opaque(unit, r) for r in args), text
     return None
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from exbt.classifier import TestMethod
 from exbt.errors import NotEBT
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, parse_member
-from exbt.jmodel.lexer import match_paren
+from exbt.jmodel.lexer import call_sites, match_paren
 from exbt.jmodel.model import MEMBER_FIRST_LINE
 from exbt.stacktrace import StackTrace, parse_stack_trace
 from exbt.errors import MalformedTrace
@@ -272,16 +272,12 @@ _ASSERT_THROWS_RE = re.compile(r"^(\s*)((?:\w[\w.]*\.)?assertThrows\s*\()")
 
 def _capture_assert_throws(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -> None:
     toks = unit.tokens
-    for k in range(m.tok_open + 1, m.tok_close):
-        if toks[k].kind == "ident" and toks[k].text == "assertThrows":
-            if k + 1 >= m.tok_close or toks[k + 1].text != "(":
-                continue
-            close = match_paren(toks, k + 1)
+    for k, _, _, close in call_sites(toks, m.tok_open + 1, m.tok_close):
+        if toks[k].text == "assertThrows":
             # find the terminating ';'
             semi = close + 1
             while semi < m.tok_close and toks[semi].text != ";":
                 semi += 1
-            stmt_first = toks[k]
             # token starting the statement may be a qualifier (Assertions.)
             start = k
             while start - 1 > m.tok_open and toks[start - 1].text == ".":
@@ -305,11 +301,8 @@ def _capture_assert_throws(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -
                 )
                 rw.replaced_lines.append((line0 + 1, original_first))
                 bound_var = "exbtEx"
-            original_semi = lines[semi_line0]
-            if semi_line0 == line0 and bound_var == "exbtEx":
-                pass  # same physical line, already recorded above
-            else:
-                rw.replaced_lines.append((semi_line0 + 1, original_semi))
+            if semi_line0 != line0 or bound_var != "exbtEx":  # else recorded above
+                rw.replaced_lines.append((semi_line0 + 1, lines[semi_line0]))
             lines[semi_line0] = (
                 lines[semi_line0]
                 + f" {HELPER_PACKAGE}.ExbtTraceLog.dumpException({bound_var}); {EXC_MARKER}"

@@ -303,18 +303,11 @@ class _Parser:
 
     def _parse_new(self) -> Expr:
         start = self.next()  # 'new'
-        parts: list[str] = []
-        while True:
-            t = self.peek()
-            if t is None:
-                raise JavaParseError("incomplete new expression")
-            if t.kind in ("ident", "keyword") and (not parts or parts[-1] == "."):
-                parts.append(self.next().text)
-            elif t.text == "." and parts and parts[-1] != ".":
-                parts.append(self.next().text)
-            else:
-                break
-        type_text = "".join(parts)
+        type_start = self.pos
+        self.pos = skip_type(self.toks, type_start, len(self.toks))
+        if self.peek() is None:
+            raise JavaParseError("incomplete new expression")
+        type_text = "".join(t.text for t in self.toks[type_start : self.pos])
         if self.at("("):
             args = self._parse_args()
             if self.at("{"):  # anonymous class body: keep whole thing verbatim

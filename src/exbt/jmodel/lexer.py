@@ -245,13 +245,53 @@ def skip_type(tokens: list[Token], k: int, hi: int) -> int:
     return k
 
 
+def call_sites(tokens: list[Token], lo: int, hi: int):
+    """Each call in [lo, hi) in source order, nested calls included, as
+    (name index, whether it follows `new`, argument ranges, index of ')').
+
+    A call is an identifier followed by '(', or `new`, a type (type
+    arguments included) and '('; a `new` call is named by the last part of
+    the dotted name. `()` has no argument ranges. Raises JavaParseError at
+    the first call whose '(' does not close before hi, after the calls that
+    come before it."""
+    k = lo
+    while k < hi:
+        name, paren, new = k, k + 1, tokens[k].text == "new"
+        if new:
+            name, paren = skip_name(tokens, k + 1, hi) - 1, skip_type(tokens, k + 1, hi)
+        if name < paren < hi and tokens[paren].text == "(" and tokens[name].kind == "ident":
+            close = match_paren(tokens, paren, hi)
+            args = [] if close == paren + 1 else split_top_level(tokens, paren + 1, close, ",")
+            yield name, new, args, close
+            k = paren
+        k += 1
+
+
+def expression_end(tokens: list[Token], lo: int, hi: int, stops: tuple[str, ...]) -> int:
+    """`find_top_level` over expressions: a stop in the type arguments of
+    `new T<A, B>` or `x.<A, B>m()` ends nothing; any other '<' is a
+    comparison."""
+    more = stops + ("new", "<")
+    k = find_top_level(tokens, lo, hi, more)
+    while k < hi and tokens[k].text in ("new", "<"):
+        if tokens[k].text == "new":
+            k = skip_type(tokens, k + 1, hi)
+        elif tokens[k - 1].text == ".":
+            k = match_angle(tokens, k, hi) + 1
+        else:
+            k += 1
+        k = find_top_level(tokens, k, hi, more)
+    return k
+
+
 def split_top_level(tokens: list[Token], lo: int, hi: int, sep: str) -> list[tuple[int, int]]:
-    """[lo, hi) cut at every `sep` at bracket depth 0, as (start, end)
-    ranges. Empty pieces are kept, so there is always at least one."""
+    """[lo, hi) cut at every `sep` that ends an expression at bracket depth
+    0, as (start, end) ranges. Empty pieces are kept, so there is always at
+    least one."""
     pieces: list[tuple[int, int]] = []
     stops = (sep,)
     while True:
-        end = find_top_level(tokens, lo, hi, stops)
+        end = expression_end(tokens, lo, hi, stops)
         pieces.append((lo, end))
         if end == hi:
             return pieces
@@ -267,10 +307,10 @@ def index_of(tokens: list[Token], lo: int, text: str) -> int:
     raise JavaParseError(f"missing {text!r} after line {line}")
 
 
-def _match(tokens: list[Token], open_index: int, closer: str, what: str) -> int:
+def _match(tokens: list[Token], open_index: int, closer: str, what: str, hi: int) -> int:
     opener = tokens[open_index].text
     depth = 0
-    for k in range(open_index, len(tokens)):
+    for k in range(open_index, hi):
         t = tokens[k].text
         if t == opener:
             depth += 1
@@ -284,10 +324,11 @@ def _match(tokens: list[Token], open_index: int, closer: str, what: str) -> int:
 def match_brace(tokens: list[Token], open_index: int) -> int:
     """Index of the '}' matching the '{' at open_index. Raises if unbalanced."""
     assert tokens[open_index].text == "{"
-    return _match(tokens, open_index, "}", "braces")
+    return _match(tokens, open_index, "}", "braces", len(tokens))
 
 
-def match_paren(tokens: list[Token], open_index: int) -> int:
-    """Index of the ')' matching the '(' at open_index. Raises if unbalanced."""
+def match_paren(tokens: list[Token], open_index: int, hi: int | None = None) -> int:
+    """Index of the ')' matching the '(' at open_index. Raises if none does
+    before hi (default: the end)."""
     assert tokens[open_index].text == "("
-    return _match(tokens, open_index, ")", "parentheses")
+    return _match(tokens, open_index, ")", "parentheses", hi or len(tokens))

@@ -16,6 +16,7 @@ from pathlib import Path
 from exbt.errors import BadInput, IoError, JavaParseError, NoJavaSources, UnknownMethod
 from exbt.jmodel.lexer import (
     Token,
+    call_sites,
     find_top_level,
     index_of,
     is_name,
@@ -24,7 +25,6 @@ from exbt.jmodel.lexer import (
     match_paren,
     skip_name,
     skip_type,
-    split_top_level,
     tokenize,
 )
 from exbt.jmodel.stmts import BodyParser, Stmt, declarators
@@ -410,19 +410,12 @@ class RepoContext:
         for u, _, m in self._methods:
             if m.tok_open is None:
                 continue
-            toks = u.tokens
             sites = index.setdefault(self.method_id(u, m), [])
-            for k in range(m.tok_open + 1, m.tok_close):
-                t = toks[k]
-                if t.kind != "ident" or toks[k + 1].text != "(":
-                    continue
-                try:
-                    close = match_paren(toks, k + 1)
-                except JavaParseError as exc:
-                    self.warnings.append(f"{u.path}: call sites of {m.name} cut short ({exc})")
-                    break
-                arity = 0 if close == k + 2 else len(split_top_level(toks, k + 2, close, ","))
-                sites.append((t.text, arity, t.line, toks[k - 1].text == "new"))
+            try:
+                for k, new, args, _ in call_sites(u.tokens, m.tok_open + 1, m.tok_close):
+                    sites.append((u.tokens[k].text, len(args), u.tokens[k].line, new))
+            except JavaParseError as exc:
+                self.warnings.append(f"{u.path}: call sites of {m.name} cut short ({exc})")
         return index
 
     @cached_property

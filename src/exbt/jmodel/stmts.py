@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from exbt.jmodel.lexer import (
     ASSIGN_OPS,
     Token,
+    expression_end,
     find_top_level,
     index_of,
-    match_angle,
     match_brace,
     match_paren,
     skip_type,
@@ -314,29 +314,12 @@ def declarators(tokens: list[Token], k: int, end: int) -> list[tuple[int, int | 
         lo = None
         if k < end and tokens[k].text == "=":
             lo = k + 1
-            k = _initializer_end(tokens, lo, end)
+            k = expression_end(tokens, lo, end, (",", ";"))
         found.append((name, lo, k))
         if k >= end or tokens[k].text != ",":
             break
         k += 1
     return found
-
-
-def _initializer_end(tokens: list[Token], k: int, end: int) -> int:
-    """The ',' or ';' at bracket depth 0 that ends the initializer from k, or
-    end. Commas in the type arguments of `new T<A, B>` and `x.<A, B>m()` end
-    nothing; any other '<' is a comparison."""
-    stops = (",", ";", "new", "<")
-    k = find_top_level(tokens, k, end, stops)
-    while k < end and tokens[k].text in ("new", "<"):
-        if tokens[k].text == "new":
-            k = skip_type(tokens, k + 1, end)
-        elif tokens[k - 1].text == ".":
-            k = match_angle(tokens, k, end) + 1
-        else:
-            k += 1
-        k = find_top_level(tokens, k, end, stops)
-    return k
 
 
 def _link_parents(root: Stmt) -> None:

@@ -209,11 +209,12 @@ def rank_relevant_nonebts(
 
 
 def directly_invokes(test: TestMethod, mut: MethodId, ctx: RepoContext) -> bool:
-    """Whether the test body contains a name+arity call to the method."""
-    target = call_name(mut.fqn, mut.name)
+    """Whether the test body contains a name+arity call to the method, after
+    `new` exactly when the method is a constructor."""
+    target, ctor = call_name(mut.fqn, mut.name), mut.name == "<init>"
     return any(
-        name == target and arity == mut.param_arity
-        for name, arity, _, _ in ctx.calls.get(test.id, ())
+        name == target and arity == mut.param_arity and new == ctor
+        for name, arity, _, new in ctx.calls.get(test.id, ())
     )
 
 

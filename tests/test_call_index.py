@@ -13,8 +13,10 @@ from conftest import (
     write_two_throw_repo,
 )
 from exbt import cli
-from exbt.jmodel import load_repo, reachable_throws
+from exbt.classifier import TestMethod
+from exbt.jmodel import MethodId, load_repo, reachable_throws
 from exbt.jmodel.lexer import match_paren, split_top_level
+from exbt.prompting import directly_invokes
 
 
 def _old_call_edges(ctx):
@@ -168,3 +170,46 @@ def test_an_unbalanced_call_cuts_only_its_callers_sites(tmp_path, capsys):
     assert cli.main(["find-throws", str(tmp_path), "--from-method", "D#k"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 1 and '"target": "C.java:3"' in rows[0]
+
+
+def test_directly_invokes_tells_a_constructor_from_a_same_named_method(tmp_path):
+    ctx = load_repo(_repo("ctor-names", tmp_path))
+    ids = {(m.fqn, m.name): m for m in ctx.all_method_ids()}
+    item_method, item_ctor = ids[("Box", "Item")], ids[("Item", "<init>")]
+    inner_ctor = ids[("Box$Inner", "<init>")]
+
+    def invokes(caller, mut):
+        test = TestMethod(ids[("Box", caller)], "", "NonEBT", None, None)
+        return directly_invokes(test, mut, ctx)
+
+    assert invokes("a", item_method) and not invokes("a", item_ctor)
+    assert invokes("b", item_ctor) and not invokes("b", item_method)
+    assert invokes("c", inner_ctor) and not invokes("d", inner_ctor)
+
+
+@pytest.mark.parametrize("creation", ["new Box<>(s)", "new Box<String>(s)", "new p.Box(s)"])
+def test_a_generic_or_qualified_constructor_call_is_a_call(tmp_path, capsys, creation):
+    pkg = tmp_path / "src/main/java/p"
+    pkg.mkdir(parents=True)
+    (pkg / "Box.java").write_text(
+        "package p;\n\npublic class Box<T> {\n    public Box(T t) {\n"
+        "        if (t == null) {\n            throw new IllegalArgumentException();\n"
+        "        }\n    }\n}\n"
+    )
+    (pkg / "User.java").write_text(
+        f"package p;\n\npublic class User {{\n    Object k(String s) {{\n"
+        f"        return {creation};\n    }}\n}}\n"
+    )
+    ctx = load_repo(tmp_path)
+    assert [sites for mid, sites in ctx.calls.items() if mid.name == "k"] == [[("Box", 1, 5, True)]]
+    assert cli.main(["find-throws", str(tmp_path), "--from-method", "p.User#k"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1 and '"path": ["p.User#k/1", "p.Box#<init>/1"]' in rows[0]
+    trace = tmp_path / "trace.txt"
+    trace.write_text(
+        "java.lang.IllegalArgumentException\n\tat p.Box.<init>(Box.java:6)\n"
+        "\tat p.User.k(User.java:5)\n"
+    )
+    assert cli.main(["guard", "--trace", str(trace), "--repo", str(tmp_path)]) == 0
+    rendered, payload = capsys.readouterr().out.splitlines()
+    assert rendered == "s == null" and '"unresolved_names": []' in payload

@@ -31,6 +31,22 @@ def test_classify_emits_jsonl(capsys):
     assert "4 EBTs, 3 non-EBTs" in err
 
 
+def test_classify_skips_a_test_it_cannot_read_with_a_warning(capsys, tmp_path):
+    test_dir = tmp_path / "src/test/java"
+    test_dir.mkdir(parents=True)
+    (test_dir / "CTest.java").write_text(
+        "public class CTest {\n"
+        "    @Test\n    public void good() { new C().h(1); }\n"
+        "    @Test\n    public void broken() {\n"
+        "        assertThrows(IllegalArgumentException.class, () -> new C().h(-1);\n    }\n"
+        "}\n"
+    )
+    code, out, err = run(capsys, "classify", tmp_path)
+    assert code == 0
+    assert [json.loads(l)["method"] for l in out.splitlines()] == ["good"]
+    assert "0 EBTs, 1 non-EBTs, 1 warnings" in err
+
+
 def test_find_throws_lists_sites(capsys):
     code, out, _ = run(capsys, "find-throws", REPO_A, "--scope", "main")
     rows = [json.loads(l) for l in out.splitlines()]

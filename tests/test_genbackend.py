@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from exbt.config import Config
 from exbt.errors import BackendTimeout, BackendUnavailable, MalformedResponse
 from exbt.genbackend import (
     GenerationParams,
@@ -135,11 +136,19 @@ def test_http_unreachable_is_unavailable():
 
 
 def test_make_backend_env(monkeypatch):
-    monkeypatch.setenv("BACKEND_KIND", "stub")
-    assert isinstance(make_backend(), StubBackend)
+    # the backend's environment variables are read by Config.get alone
     monkeypatch.setenv("BACKEND_KIND", "http")
     monkeypatch.setenv("BACKEND_URL", "http://127.0.0.1:9/x")
-    assert isinstance(make_backend(), HttpBackend)
+    monkeypatch.setenv("BACKEND_AUTH_TOKEN", "t0k")
+    assert isinstance(make_backend(), StubBackend)
+    cfg = Config()
+    backend = make_backend(
+        cfg.get("backend_kind"), url=cfg.get("backend_url"), auth_token=cfg.get("auth_token")
+    )
+    assert isinstance(backend, HttpBackend)
+    assert (backend.url, backend.auth_token) == ("http://127.0.0.1:9/x", "t0k")
+    monkeypatch.setenv("BACKEND_KIND", "stub")
+    assert cfg.get("backend_kind", "http") == "stub"
     with pytest.raises(BackendUnavailable):
         make_backend("nonsense")
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exbt.errors import JavaParseError, UnboundName, UnsupportedConstruct
 from exbt.jmodel.exprs import (
     Binary,
+    New,
     Grouped,
     Lit,
     Name,
@@ -16,6 +18,7 @@ from exbt.jmodel.exprs import (
     substitute,
 )
 from exbt.jmodel.lexer import (
+    call_sites,
     find_top_level,
     index_of,
     match_angle,
@@ -129,6 +132,81 @@ def test_skip_type_stops_at_hi():
     assert skip_type(toks, 0, 2) == 1
 
 
+def _calls(source: str, hi: int | None = None):
+    """call_sites over the whole source as (name, new, argument texts, ')' index)."""
+    toks = tokenize(source)
+    return [
+        (toks[k].text, new, ["".join(t.text for t in toks[a:b]) for a, b in args], close)
+        for k, new, args, close in call_sites(toks, 0, len(toks) if hi is None else hi)
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, calls",
+    [
+        ("f()", [("f", False, [], 2)]),
+        ("f(g(a, b), h())", [("f", False, ["g(a,b)", "h()"], 12), ("g", False, ["a", "b"], 7),
+                             ("h", False, [], 11)]),
+        ("new a.b.C<>(x)", [("C", True, ["x"], 10)]),
+        ("new Box<String>(s).get()", [("Box", True, ["s"], 7), ("get", False, [], 11)]),
+        ("f(new HashMap<K, V>(), x.<A, B>g(), a < b, c > d)",
+         [("f", False, ["newHashMap<K,V>()", "x.<A,B>g()", "a<b", "c>d"], 30),
+          ("HashMap", True, [], 10), ("g", False, [], 21)]),
+        ("x.<T>m(y)", [("m", False, ["y"], 8)]),
+        ("new int[3]", []),
+        ("if (a) return this(b);", []),
+        ("new R(1) { void run() { g(); } }", [("R", True, ["1"], 4), ("run", False, [], 9),
+                                                ("g", False, [], 13)]),
+    ],
+)
+def test_call_sites_reads_calls_in_source_order(source, calls):
+    assert _calls(source) == calls
+
+
+def test_call_sites_raises_at_the_first_unclosed_call_after_earlier_ones():
+    toks = tokenize("a(); b(c(1); d()")
+    sites = call_sites(toks, 0, len(toks))
+    assert toks[next(sites)[0]].text == "a"
+    with pytest.raises(JavaParseError):
+        next(sites)
+    # a '(' that closes only past hi is unclosed too
+    assert _calls("f(x) + g(y)", 5) == [("f", False, ["x"], 3)]
+    with pytest.raises(JavaParseError):
+        _calls("f(x) + g(y)", 8)
+
+
+_ARG_ATOMS = st.sampled_from(["x", "1", '"s,t"', "a[i]", "(y)", "p -> p"])
+
+
+@st.composite
+def _call_exprs(draw, depth=1):
+    """(Java call expression, expected (name, new, arity) per call, in order)."""
+    name = draw(st.sampled_from(["f", "get", "Box"]))
+    form = draw(st.sampled_from(["plain", "receiver", "new", "new-generic"]))
+    head = {
+        "plain": name,
+        "receiver": draw(st.sampled_from(["r.", "this.", "a.b.", "r.<T>"])) + name,
+        "new": f"new {name}",
+        "new-generic": f"new a.b.{name}<{draw(st.sampled_from(['', 'String', 'Map<K, List<V>>']))}>",
+    }[form]
+    args, nested = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        if depth < 3 and draw(st.booleans()):
+            text, inner = draw(_call_exprs(depth + 1))
+            args.append(text)
+            nested += inner
+        else:
+            args.append(draw(_ARG_ATOMS))
+    return f"{head}({', '.join(args)})", [(name, form.startswith("new"), len(args))] + nested
+
+
+@settings(max_examples=300, deadline=None)
+@given(_call_exprs())
+def test_call_sites_finds_every_generated_call(case):
+    source, expected = case
+    assert [(name, new, len(args)) for name, new, args, _ in _calls(source)] == expected
+
+
 def test_index_of_is_bounded():
     toks = tokenize("switch ) { }")
     assert index_of(toks, 0, "{") == 2
@@ -236,3 +314,11 @@ def test_double_negation_parse():
     e = parse_expr("!!flag")
     assert isinstance(e, Unary) and isinstance(e.operand, Unary)
     assert render(e) == "!!flag"
+
+
+def test_new_with_type_arguments_is_parsed_not_opaque():
+    e = parse_expr("new Box<>(n) == null")
+    assert isinstance(e, Binary) and isinstance(e.left, New)
+    assert free_names(e) == {"n"}
+    assert render(substitute(e, {"n": Name("s")})) == "new Box<>(s) == null"
+    assert render(parse_expr("new a.b.Box<String>(n)")) == "new a.b.Box<String>(n)"
