@@ -20,6 +20,7 @@ from conftest import REPO_A, REPO_G, guard_trace  # noqa: E402
 from exbt.classifier import split_test_suite  # noqa: E402
 from exbt.guardexpr import compute_guard_expression  # noqa: E402
 from exbt.jmodel import RepoContext, load_repo, parse_unit  # noqa: E402
+from exbt.jmodel.exprs import children, free_names, parse_expr, substitute  # noqa: E402
 from exbt.jmodel.lexer import tokenize  # noqa: E402
 from exbt.jmodel.stmts import BodyParser  # noqa: E402
 from exbt.metrics import code_bleu_components, edit_similarity  # noqa: E402
@@ -82,16 +83,46 @@ def test_calls_scan(benchmark):
     assert benchmark(RepoContext.calls.func, ctx)
 
 
+def _guard_traces(ctx):
+    oracle = json.loads((REPO_G / "guards-oracle.json").read_text())
+    return [guard_trace(ctx, entry) for entry in oracle.values()]
+
+
+def _size(e) -> int:
+    return 1 + sum(_size(c) for c in children(e))
+
+
+@pytest.fixture(scope="module")
+def largest_conditions():
+    """The ten largest condition trees of repoG's guards."""
+    ctx = load_repo(REPO_G)
+    trees = [
+        e for trace, site in _guard_traces(ctx)
+        for e in compute_guard_expression(trace, ctx, site).condition_exprs
+    ]
+    return sorted(trees, key=_size, reverse=True)[:10]
+
+
+def test_free_names(benchmark, largest_conditions):
+    assert all(benchmark(lambda: [free_names(e) for e in largest_conditions]))
+
+
+def test_substitute(benchmark, largest_conditions):
+    """Every free name replaced by a compound, so each tree is rebuilt whole."""
+    mapping = {n: parse_expr(f"{n} + 1") for e in largest_conditions for n in free_names(e)}
+    out = benchmark(lambda: [substitute(e, mapping) for e in largest_conditions])
+    assert [_size(e) for e in out] != [_size(e) for e in largest_conditions]
+
+
 def test_guard(benchmark):
     ctx = load_repo(REPO_G)
-    oracle = json.loads((REPO_G / "guards-oracle.json").read_text())
-    traces = [guard_trace(ctx, entry) for entry in oracle.values()]
+    traces = _guard_traces(ctx)
 
     def every_guard():
         ctx.guard_cache.clear()  # time the computation, not the memo
         return [compute_guard_expression(trace, ctx, site) for trace, site in traces]
 
-    assert len(benchmark(every_guard)) == len(oracle)
+    assert len(benchmark(every_guard)) == len(traces)
 
 
 def test_edit_similarity(benchmark, test_pair):

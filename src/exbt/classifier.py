@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from exbt.errors import JavaParseError, NotATest, NotEBT
 from exbt.jmodel import CompilationUnit, MethodDecl, MethodId, RepoContext, parse_member
-from exbt.jmodel.lexer import call_sites, index_of, match_brace, match_paren
+from exbt.jmodel.lexer import call_sites, index_of, match_brace, match_paren, skip_name, skip_type
 
 PATTERNS = (
     "AnnotationExpected",
@@ -101,15 +101,15 @@ def _try_fail_catch(unit: CompilationUnit, m: MethodDecl) -> str | None:
                 and toks[close_b + 1].text == "catch"
                 and toks[close_b + 2].text == "("
             ):
-                open_p = close_b + 2
-                close_p = match_paren(toks, open_p)
-                type_toks = []
-                for i in range(open_p + 1, close_p):
-                    if toks[i].text == "|":
-                        break
-                    type_toks.append(toks[i])
-                if len(type_toks) >= 2:
-                    return "".join(t.text for t in type_toks[:-1])
+                close_p = match_paren(toks, close_b + 2)
+                lo = close_b + 3  # the caught type follows `final` and annotations
+                while toks[lo].text in ("final", "@"):
+                    lo = lo + 1 if toks[lo].text == "final" else skip_name(toks, lo + 1, close_p)
+                    if toks[lo].text == "(":
+                        lo = match_paren(toks, lo, close_p) + 1
+                hi = skip_type(toks, lo, close_p)  # a multi-catch's first alternative
+                if lo < hi < close_p:
+                    return "".join(t.text for t in toks[lo:hi])
             k = close_b + 1
             continue
         k += 1

@@ -331,11 +331,6 @@ def _substituted(e: Expr, env: dict[str, Expr]) -> Expr:
     return exprs.substitute(e, env) if env else e
 
 
-def _wrapped(e: Expr) -> Expr:
-    """A replacement as `exprs.substitute` inserts it."""
-    return e if isinstance(e, exprs._ATOMIC) else Grouped(e)
-
-
 def _fold(nodes: list[CollectedNode]) -> tuple[list[Expr], list[str]]:
     """The substituted conditions and their source texts, in collection order.
 
@@ -358,10 +353,10 @@ def _fold(nodes: list[CollectedNode]) -> tuple[list[Expr], list[str]]:
             conds.append(_substituted(cond, env))
             texts.append(node.text)
         elif node.tag == ASSIGNMENT and node.name is not None and node.rhs is not None:
-            env[node.name] = _substituted(_wrapped(node.rhs), env)
+            env[node.name] = _substituted(exprs.grouped(node.rhs), env)
         elif node.tag == METHOD_CALL:
             env.update({
-                p: _substituted(_wrapped(a), env)
+                p: _substituted(exprs.grouped(a), env)
                 for p, a in zip(params_at[i], node.args)
             })
     conds.reverse()

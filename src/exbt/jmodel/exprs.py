@@ -12,7 +12,7 @@ never change meaning through operator precedence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from exbt.errors import JavaParseError, UnboundName, UnsupportedConstruct
 from exbt.jmodel.lexer import ASSIGN_OPS, PRIMITIVES, Token, match_paren, skip_type, tokenize
@@ -102,6 +102,40 @@ class Opaque(Expr):
     """Verbatim source for constructs outside the supported grammar."""
 
     text: str
+
+
+# The one statement of expression shape: each node type's sub-expression
+# fields, in source order. A field holds an Expr, None (a call without a
+# receiver) or a tuple of Exprs.
+SUBEXPRS: dict[type, tuple[str, ...]] = {
+    Name: (), Lit: (), Opaque: (),
+    Grouped: ("inner",),
+    Field: ("recv",),
+    Call: ("recv", "args"),
+    Index: ("arr", "idx"),
+    New: ("args",),
+    Unary: ("operand",),
+    Cast: ("operand",),
+    InstanceOf: ("operand",),
+    Binary: ("left", "right"),
+    Ternary: ("cond", "then", "other"),
+}
+# each node type's constructor fields, flagged when they hold sub-expressions
+_LAYOUT = {
+    cls: tuple((f.name, f.name in subs) for f in fields(cls)) for cls, subs in SUBEXPRS.items()
+}
+
+
+def children(e: Expr) -> list[Expr]:
+    """The sub-expressions of e, in source order."""
+    kids: list[Expr] = []
+    for f in SUBEXPRS[type(e)]:
+        v = getattr(e, f)
+        if type(v) is tuple:
+            kids += v
+        elif v is not None:
+            kids.append(v)
+    return kids
 
 
 # operator precedence, higher binds tighter
@@ -332,8 +366,6 @@ class _Parser:
         # best effort: offsets are only needed for opaque method references
         while isinstance(e, (Field, Call, Index)):
             e = e.recv if not isinstance(e, Index) else e.arr
-            if e is None:
-                break
         if isinstance(e, Name):
             for t in self.toks[: self.pos]:
                 if t.text == e.id:
@@ -441,7 +473,11 @@ def _child(e: Expr, min_prec: int) -> str:
 
 # --- substitution ---
 
-_ATOMIC = (Name, Lit, Grouped, Call, Field, Index, New, Opaque)
+
+def grouped(e: Expr) -> Expr:
+    """e as the replacement of a name: a primary stays bare, anything that
+    binds looser goes in an explicit group."""
+    return e if _prec(e) == _PRIMARY_PREC else Grouped(e)
 
 
 def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
@@ -450,79 +486,32 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     Method names and field member names are never touched; substituted
     compound expressions are wrapped in an explicit group.
     """
-    if isinstance(e, Name):
+    cls = type(e)
+    if cls is Name:
         repl = mapping.get(e.id)
-        if repl is None:
-            return e
-        if isinstance(repl, _ATOMIC):
-            return repl
-        return Grouped(repl)
-    if isinstance(e, (Lit, Opaque)):
+        return e if repl is None else grouped(repl)
+    if not SUBEXPRS[cls]:
         return e
-    if isinstance(e, Grouped):
-        return Grouped(substitute(e.inner, mapping))
-    if isinstance(e, Field):
-        return Field(substitute(e.recv, mapping), e.name)
-    if isinstance(e, Call):
-        recv = substitute(e.recv, mapping) if e.recv is not None else None
-        return Call(recv, e.name, tuple(substitute(a, mapping) for a in e.args))
-    if isinstance(e, Index):
-        return Index(substitute(e.arr, mapping), substitute(e.idx, mapping))
-    if isinstance(e, New):
-        return New(e.type_text, tuple(substitute(a, mapping) for a in e.args))
-    if isinstance(e, Unary):
-        return Unary(e.op, substitute(e.operand, mapping), e.postfix)
-    if isinstance(e, Cast):
-        return Cast(e.type_text, substitute(e.operand, mapping))
-    if isinstance(e, InstanceOf):
-        return InstanceOf(substitute(e.operand, mapping), e.type_text)
-    if isinstance(e, Binary):
-        return Binary(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Ternary):
-        return Ternary(
-            substitute(e.cond, mapping),
-            substitute(e.then, mapping),
-            substitute(e.other, mapping),
-        )
-    raise TypeError(f"cannot substitute into {type(e).__name__}")
+    values = []
+    for f, sub in _LAYOUT[cls]:
+        v = getattr(e, f)
+        if sub and v is not None:
+            v = tuple([substitute(a, mapping) for a in v]) if type(v) is tuple else substitute(v, mapping)
+        values.append(v)
+    return cls(*values)
 
 
 def free_names(e: Expr) -> set[str]:
     """Names used as values (method and field member names excluded)."""
-    out: set[str] = set()
-    _collect_names(e, out)
-    return out
-
-
-def _collect_names(e: Expr, out: set[str]) -> None:
-    if isinstance(e, Name):
-        out.add(e.id)
-    elif isinstance(e, Grouped):
-        _collect_names(e.inner, out)
-    elif isinstance(e, Field):
-        _collect_names(e.recv, out)
-    elif isinstance(e, Call):
-        if e.recv is not None:
-            _collect_names(e.recv, out)
-        for a in e.args:
-            _collect_names(a, out)
-    elif isinstance(e, Index):
-        _collect_names(e.arr, out)
-        _collect_names(e.idx, out)
-    elif isinstance(e, New):
-        for a in e.args:
-            _collect_names(a, out)
-    elif isinstance(e, (Unary, Cast)):
-        _collect_names(e.operand, out)
-    elif isinstance(e, InstanceOf):
-        _collect_names(e.operand, out)
-    elif isinstance(e, Binary):
-        _collect_names(e.left, out)
-        _collect_names(e.right, out)
-    elif isinstance(e, Ternary):
-        _collect_names(e.cond, out)
-        _collect_names(e.then, out)
-        _collect_names(e.other, out)
+    names: set[str] = set()
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is Name:
+            names.add(e.id)
+        else:
+            stack += children(e)
+    return names
 
 
 # --- evaluation ---

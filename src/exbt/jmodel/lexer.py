@@ -249,17 +249,22 @@ def call_sites(tokens: list[Token], lo: int, hi: int):
     """Each call in [lo, hi) in source order, nested calls included, as
     (name index, whether it follows `new`, argument ranges, index of ')').
 
-    A call is an identifier followed by '(', or `new`, a type (type
-    arguments included) and '('; a `new` call is named by the last part of
-    the dotted name. `()` has no argument ranges. Raises JavaParseError at
-    the first call whose '(' does not close before hi, after the calls that
-    come before it."""
+    A call is a name followed by '(', or `new`, a type (type arguments
+    included) and '('; a `new` call is named by the last part of the dotted
+    name. A name is an identifier or a contextual keyword, but `yield` only
+    after '.': `yield (x);` is a statement. `()` has no argument ranges.
+    Raises JavaParseError at the first call whose '(' does not close before
+    hi, after the calls that come before it."""
     k = lo
     while k < hi:
         name, paren, new = k, k + 1, tokens[k].text == "new"
         if new:
             name, paren = skip_name(tokens, k + 1, hi) - 1, skip_type(tokens, k + 1, hi)
-        if name < paren < hi and tokens[paren].text == "(" and tokens[name].kind == "ident":
+        word = tokens[name]
+        if (
+            name < paren < hi and tokens[paren].text == "(" and is_name(word)
+            and (word.text != "yield" or name > 0 and tokens[name - 1].text == ".")
+        ):
             close = match_paren(tokens, paren, hi)
             args = [] if close == paren + 1 else split_top_level(tokens, paren + 1, close, ",")
             yield name, new, args, close

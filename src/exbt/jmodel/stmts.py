@@ -59,44 +59,27 @@ class BodyParser:
 
     def parse_block(self, open_index: int) -> Stmt:
         """Parse the block whose '{' sits at open_index."""
-        close = match_brace(self.toks, open_index)
-        block = self._stmt("block", open_index, close + 1)
-        pos = open_index + 1
-        while pos < close:
-            child, pos = self._parse_stmt(pos, close)
-            if child is not None:
-                block.children.append(child)
-        _link_parents(block)
-        return block
+        return self._parse_stmt(open_index, len(self.toks))[0]
 
     # --- statement dispatch ---
 
-    def _parse_stmt(self, pos: int, limit: int) -> tuple[Stmt | None, int]:
+    def _parse_stmt(self, pos: int, limit: int) -> tuple[Stmt, int]:
         t = self.toks[pos]
         text = t.text
         if text == ";":
             return self._stmt("empty", pos, pos + 1), pos + 1
         if text == "{":
             close = match_brace(self.toks, pos)
-            inner = self._stmt("block", pos, close + 1)
+            block = self._stmt("block", pos, close + 1)
             p = pos + 1
             while p < close:
-                c, p = self._parse_stmt(p, close)
-                if c is not None:
-                    inner.children.append(c)
-            return inner, close + 1
+                child, p = self._parse_stmt(p, close)
+                _adopt(block, child)
+            return block, close + 1
         if text == "if":
             return self._parse_if(pos, limit)
-        if text == "while":
-            open_p = index_of(self.toks, pos, "(")
-            close_p = match_paren(self.toks, open_p)
-            body, end = self._parse_stmt(close_p + 1, limit)
-            st = self._stmt("while", pos, end)
-            st.cond_range = (open_p + 1, close_p)
-            if body is not None:
-                body.role = "body"
-                st.children.append(body)
-            return st, end
+        if text in ("while", "for", "synchronized"):
+            return self._parse_headed(text, pos, limit)
         if text == "do":
             body, p = self._parse_stmt(pos + 1, limit)
             # 'while (cond) ;'
@@ -105,31 +88,15 @@ class BodyParser:
             end = self._stmt_end(close_p + 1, limit)
             st = self._stmt("dowhile", pos, end)
             st.cond_range = (open_p + 1, close_p)
-            if body is not None:
-                body.role = "body"
-                st.children.append(body)
+            _adopt(st, body, "body")
             return st, end
-        if text == "for":
-            return self._parse_for(pos, limit)
         if text == "switch":
             return self._parse_switch(pos, limit)
         if text == "try":
             return self._parse_try(pos, limit)
-        if text == "throw":
+        if text in ("throw", "return", "break", "continue", "assert", "yield"):
             end = self._stmt_end(pos, limit)
-            return self._stmt("throw", pos, end), end
-        if text in ("return", "break", "continue", "assert", "yield"):
-            end = self._stmt_end(pos, limit)
-            return self._stmt(text if text in ("return",) else "other", pos, end), end
-        if text == "synchronized":
-            open_p = index_of(self.toks, pos, "(")
-            close_p = match_paren(self.toks, open_p)
-            body, end = self._parse_stmt(close_p + 1, limit)
-            st = self._stmt("synchronized", pos, end)
-            if body is not None:
-                body.role = "body"
-                st.children.append(body)
-            return st, end
+            return self._stmt(text if text in ("throw", "return") else "other", pos, end), end
         if (
             t.kind == "ident"
             and pos + 1 < limit
@@ -138,8 +105,7 @@ class BodyParser:
         ):
             inner, end = self._parse_stmt(pos + 2, limit)
             st = self._stmt("labeled", pos, end)
-            if inner is not None:
-                st.children.append(inner)
+            _adopt(st, inner)
             return st, end
         # local variable declaration or expression statement
         end = self._stmt_end(pos, limit)
@@ -159,25 +125,24 @@ class BodyParser:
             else_stmt, p = self._parse_stmt(p + 1, limit)
         st = self._stmt("if", pos, p)
         st.cond_range = (open_p + 1, close_p)
-        if then_stmt is not None:
-            then_stmt.role = "then"
-            st.children.append(then_stmt)
+        _adopt(st, then_stmt, "then")
         if else_stmt is not None:
-            else_stmt.role = "else"
-            st.children.append(else_stmt)
+            _adopt(st, else_stmt, "else")
         return st, p
 
-    def _parse_for(self, pos: int, limit: int) -> tuple[Stmt, int]:
+    def _parse_headed(self, kind: str, pos: int, limit: int) -> tuple[Stmt, int]:
+        """`while`, `for` or `synchronized`: a parenthesized header, then a body."""
         open_p = index_of(self.toks, pos, "(")
         close_p = match_paren(self.toks, open_p)
-        header = split_top_level(self.toks, open_p + 1, close_p, ";")
         body, end = self._parse_stmt(close_p + 1, limit)
-        st = self._stmt("for", pos, end)
-        if len(header) == 3 and header[1][1] > header[1][0]:
-            st.cond_range = header[1]
-        if body is not None:
-            body.role = "body"
-            st.children.append(body)
+        st = self._stmt(kind, pos, end)
+        if kind == "while":
+            st.cond_range = (open_p + 1, close_p)
+        elif kind == "for":
+            header = split_top_level(self.toks, open_p + 1, close_p, ";")
+            if len(header) == 3 and header[1][1] > header[1][0]:
+                st.cond_range = header[1]
+        _adopt(st, body, "body")
         return st, end
 
     def _parse_switch(self, pos: int, limit: int) -> tuple[Stmt, int]:
@@ -207,20 +172,17 @@ class BodyParser:
                     p = end + 1  # skip ':' or '->'
                 group = self._stmt("case", group_start, p)
                 group.labels = labels
-                group.role = "group"
-                st.children.append(group)
+                _adopt(st, group, "group")
                 continue
             child, p = self._parse_stmt(p, close_b)
-            if child is not None:
-                if group is None:
-                    group = self._stmt("case", child.tok_start, child.tok_end)
-                    group.labels = []
-                    group.role = "group"
-                    st.children.append(group)
-                group.children.append(child)
-                group.tok_end = child.tok_end
-                group.end_line = max(group.end_line, child.end_line)
-                group.start_line = min(group.start_line, child.start_line)
+            if group is None:
+                group = self._stmt("case", child.tok_start, child.tok_end)
+                group.labels = []
+                _adopt(st, group, "group")
+            _adopt(group, child)
+            group.tok_end = child.tok_end
+            group.end_line = max(group.end_line, child.end_line)
+            group.start_line = min(group.start_line, child.start_line)
         return st, close_b + 1
 
     def _parse_try(self, pos: int, limit: int) -> tuple[Stmt, int]:
@@ -229,25 +191,18 @@ class BodyParser:
             p = match_paren(self.toks, p) + 1
         body, p = self._parse_stmt(p, limit)
         st = self._stmt("try", pos, p)
-        if body is not None:
-            body.role = "body"
-            st.children.append(body)
+        _adopt(st, body, "body")
         while p < limit and self.toks[p].text == "catch":
             open_p = index_of(self.toks, p, "(")
             close_p = match_paren(self.toks, open_p)
             cbody, p = self._parse_stmt(close_p + 1, limit)
             catch = self._stmt("catch", open_p, p)
             catch.cond_range = (open_p + 1, close_p)  # catch parameter tokens
-            catch.role = "catch"
-            if cbody is not None:
-                cbody.role = "body"
-                catch.children.append(cbody)
-            st.children.append(catch)
+            _adopt(catch, cbody, "body")
+            _adopt(st, catch, "catch")
         if p < limit and self.toks[p].text == "finally":
             fbody, p = self._parse_stmt(p + 1, limit)
-            if fbody is not None:
-                fbody.role = "finally"
-                st.children.append(fbody)
+            _adopt(st, fbody, "finally")
         st.tok_end = p
         st.end_line = self.toks[p - 1].line
         return st, p
@@ -302,6 +257,14 @@ class BodyParser:
         return min(find_top_level(self.toks, pos, limit, (";",)) + 1, limit)
 
 
+def _adopt(parent: Stmt, child: Stmt, role: str | None = None) -> None:
+    """Append child to parent's children, linked back and given its role."""
+    child.parent = parent
+    if role is not None:
+        child.role = role
+    parent.children.append(child)
+
+
 def declarators(tokens: list[Token], k: int, end: int) -> list[tuple[int, int | None, int]]:
     """The declarators of `a = x, b[], c` from the name at k up to end: (name
     index, initializer start or None, initializer end), in order."""
@@ -320,12 +283,6 @@ def declarators(tokens: list[Token], k: int, end: int) -> list[tuple[int, int | 
             break
         k += 1
     return found
-
-
-def _link_parents(root: Stmt) -> None:
-    for node in root.iter_tree():
-        for c in node.children:
-            c.parent = node
 
 
 def stmts_at_line(root: Stmt, line: int) -> list[Stmt]:

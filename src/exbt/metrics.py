@@ -99,44 +99,21 @@ def _member(source: str) -> tuple[CompilationUnit, MethodDecl | None] | None:
         return None
 
 
+# the kinds labelled with a detail: an operator or a type
+_KIND_DETAIL = {E.Binary: ("bin:", "op"), E.Unary: ("un:", "op"), E.New: ("new:", "type_text")}
+
+
 def _expr_signatures(expr, out: Counter) -> str:
-    kids = []
-    if isinstance(expr, E.Binary):
-        kind = f"bin:{expr.op}"
-        kids = [expr.left, expr.right]
-    elif isinstance(expr, E.Unary):
-        kind = f"un:{expr.op}"
-        kids = [expr.operand]
-    elif isinstance(expr, E.Call):
-        kind = "call"
-        kids = ([expr.recv] if expr.recv else []) + list(expr.args)
-    elif isinstance(expr, E.Field):
-        kind = "field"
-        kids = [expr.recv]
-    elif isinstance(expr, E.Index):
-        kind = "index"
-        kids = [expr.arr, expr.idx]
-    elif isinstance(expr, E.Ternary):
-        kind = "ternary"
-        kids = [expr.cond, expr.then, expr.other]
-    elif isinstance(expr, E.Grouped):
+    """The shape of expr: a leaf's kind, or its kind and its sub-expressions'
+    shapes, counted into out. Groups are transparent."""
+    cls = type(expr)
+    if cls is E.Grouped:
         return _expr_signatures(expr.inner, out)
-    elif isinstance(expr, E.New):
-        kind = f"new:{expr.type_text}"
-        kids = list(expr.args)
-    elif isinstance(expr, E.Cast):
-        kind = "cast"
-        kids = [expr.operand]
-    elif isinstance(expr, E.InstanceOf):
-        kind = "instanceof"
-        kids = [expr.operand]
-    elif isinstance(expr, E.Lit):
-        return "lit"
-    elif isinstance(expr, E.Name):
-        return "name"
-    else:
-        return "opaque"
-    sig = kind + "(" + ",".join(_expr_signatures(k, out) for k in kids) + ")"
+    detail = _KIND_DETAIL.get(cls)
+    kind = cls.__name__.lower() if detail is None else detail[0] + getattr(expr, detail[1])
+    if not E.SUBEXPRS[cls]:
+        return kind
+    sig = kind + "(" + ",".join(_expr_signatures(k, out) for k in E.children(expr)) + ")"
     out[sig] += 1
     return sig
 

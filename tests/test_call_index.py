@@ -213,3 +213,21 @@ def test_a_generic_or_qualified_constructor_call_is_a_call(tmp_path, capsys, cre
     assert cli.main(["guard", "--trace", str(trace), "--repo", str(tmp_path)]) == 0
     rendered, payload = capsys.readouterr().out.splitlines()
     assert rendered == "s == null" and '"unresolved_names": []' in payload
+
+
+def test_a_method_named_by_a_contextual_keyword_is_called(tmp_path, capsys):
+    (tmp_path / "C.java").write_text(
+        "class C {\n"
+        "  void record(int e) { throw new IllegalStateException(); }\n"
+        "  void k() { record(1); }\n"
+        "  void m() { this.record(2); }\n"
+        "  int y(int x) { return switch (x) { default -> { yield (x); } }; }\n"
+        "}\n"
+    )
+    ctx = load_repo(tmp_path)
+    sites = {mid.name: [s[0] for s in found] for mid, found in ctx.calls.items()}
+    assert sites["k"] == ["record"] and sites["m"] == ["record"] and sites["y"] == []
+    for caller in ("k", "m"):
+        assert cli.main(["find-throws", str(tmp_path), "--from-method", f"C#{caller}"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 1 and '"target": "C.java:2"' in rows[0], rows

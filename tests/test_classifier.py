@@ -120,6 +120,21 @@ def test_try_fail_catch_without_catch_parameters_is_nonebt():
     assert t.kind == "NonEBT"
 
 
+@pytest.mark.parametrize(
+    "parameter, expected",
+    [
+        ("IOException | IllegalStateException e", "IOException"),
+        ("final IllegalStateException e", "IllegalStateException"),
+        ('@SuppressWarnings("x") java.lang.IllegalStateException e',
+         "java.lang.IllegalStateException"),
+        ("final @A @B(1) IllegalStateException e", "IllegalStateException"),
+    ],
+)
+def test_try_fail_catch_reads_the_caught_type(parameter, expected):
+    t = classify_test(f"@Test void t() {{ try {{ f(); fail(); }} catch ({parameter}) {{ }} }}")
+    assert (t.kind, t.pattern, t.expected_exception) == ("EBT", "TryFailCatch", expected)
+
+
 def test_split_empty_test_dir(tmp_path):
     (tmp_path / "src/main/java").mkdir(parents=True)
     (tmp_path / "src/main/java/A.java").write_text("class A { }")

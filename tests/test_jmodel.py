@@ -17,6 +17,7 @@ from exbt.jmodel import (
 )
 from exbt.jmodel.stmts import BodyParser
 
+TEMPLATE = Path(__file__).resolve().parents[1] / "perfbench" / "repoA_template"
 FIXTURE_SOURCES = [p.read_text() for p in sorted(FIXTURES.rglob("*.java"))]
 
 
@@ -92,6 +93,50 @@ def test_malformed_source_raises_only_typed_errors(source):
                 BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
     except ExbtError:
         pass
+
+
+_EVERY_KIND = """class K {
+    void all(int x) {
+        outer: for (int i = 0; i < x; i++) { if (i > 2) continue outer; else break; }
+        do { x--; } while (x > 0);
+        synchronized (this) { x = 1; }
+        try { f(); } catch (IllegalStateException e) { g(); } finally { h(); }
+        switch (x) { case 1: f(); break; default: g(); }
+        while (x < 3) x++;
+        { int y = x; }
+    }
+}"""
+_BODY_ROLE = {"while": "body", "dowhile": "body", "for": "body", "synchronized": "body",
+              "catch": "body", "switch": "group"}
+
+
+def _implied_roles(node) -> list[str]:
+    """The role each child of node has by node's kind, in order."""
+    kids = node.children
+    if node.kind == "if":
+        return ["then", "else"][: len(kids)]
+    if node.kind == "try":
+        return ["body"] + ["catch" if c.kind == "catch" else "finally" for c in kids[1:]]
+    return [_BODY_ROLE.get(node.kind, "plain")] * len(kids)
+
+
+def test_every_body_node_is_linked_to_its_parent_with_its_role():
+    sources = [p.read_text() for p in sorted(FIXTURES.rglob("*.java"))]
+    sources += [p.read_text() for p in sorted(TEMPLATE.rglob("*.java"))] + [_EVERY_KIND]
+    kinds = set()
+    for source in sources:
+        unit = parse_unit(source, "M.java")
+        for _, m in unit.all_methods():
+            if m.tok_open is None:
+                continue
+            root = BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
+            assert (root.kind, root.parent, root.role) == ("block", None, "plain")
+            for node in root.iter_tree():
+                assert all(c.parent is node for c in node.children)
+                assert [c.role for c in node.children] == _implied_roles(node)
+                kinds.add(node.kind)
+    assert kinds >= {"if", "while", "dowhile", "for", "synchronized", "labeled", "switch",
+                     "case", "try", "catch", "block"}
 
 
 _BOUNDED = """class G {
