@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 
-from conftest import REPO_A, REPO_G, guard_trace  # noqa: E402
+from conftest import REPO_A, REPO_G, guard_trace, write_replicated_repo_a  # noqa: E402
 from exbt.classifier import split_test_suite  # noqa: E402
 from exbt.guardexpr import compute_guard_expression  # noqa: E402
 from exbt.jmodel import RepoContext, load_repo, parse_unit  # noqa: E402
@@ -81,6 +81,21 @@ def test_parse_block(benchmark, guards_source):
 def test_calls_scan(benchmark):
     ctx = load_repo(REPO_G)
     assert benchmark(RepoContext.calls.func, ctx)
+
+
+def test_callees_and_callers_of(benchmark, tmp_path):
+    """Resolve every call site of repoA x 16 and invert the result; the
+    call-site scan is done once beforehand."""
+    write_replicated_repo_a(tmp_path, 16)
+    ctx = load_repo(tmp_path)
+    assert ctx.calls
+
+    def resolve():
+        vars(ctx).pop("callees", None)
+        vars(ctx).pop("callers_of", None)
+        return ctx.callers_of
+
+    assert benchmark(resolve)
 
 
 def _guard_traces(ctx):

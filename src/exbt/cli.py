@@ -45,6 +45,7 @@ from exbt.metrics import (
 from exbt.prompting import (
     NoMatch,
     PromptBundle,
+    SweepIndex,
     TEMPLATE_ID,
     assemble_prompt,
     bundle_to_record,
@@ -404,6 +405,7 @@ def cmd_sweep(args) -> int:
 
     ebts, nonebts = split_test_suite(ctx)
     manifest.bump("tests_classified", len(ebts) + len(nonebts))
+    index = SweepIndex(ctx, nonebts)  # shared by the corpus and the sweep
 
     # training-path demonstration: corpus from EBT traces when available
     ebt_log_path = _default_path(args.repo, "logs/ebt-traces.log", args.ebt_trace_log)
@@ -412,7 +414,7 @@ def cmd_sweep(args) -> int:
         manifest.add_input("ebt_trace_log", ebt_log_path)
         ebt_log = _read_trace_log(ebt_log_path)
         corpus_examples, corpus_skipped = collect_training_corpus(
-            ebts, nonebts, ctx, ebt_log, repo_name=Path(args.repo).name
+            ebts, index, ctx, ebt_log, repo_name=Path(args.repo).name
         )
         manifest.bump("corpus_examples_built", len(corpus_examples))
         manifest.bump("corpus_examples_skipped", len(corpus_skipped))
@@ -432,7 +434,7 @@ def cmd_sweep(args) -> int:
     manifest.bump("pool_entries", len(pool))
 
     results = sweep_targets(
-        ctx, pool, nonebts, seed=args.seed, variant=args.variant,
+        ctx, pool, index, seed=args.seed, variant=args.variant,
         counters=manifest.counters,
     )
 

@@ -22,6 +22,7 @@ from exbt.jmodel import MethodId, RepoContext, ThrowSite
 from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
     PromptBundle,
+    SweepIndex,
     make_bundle,
     test_method_label,
 )
@@ -61,7 +62,7 @@ def link_relevant_nonebts(
 
 def collect_training_corpus(
     ebts: list[TestMethod],
-    nonebts: list[TestMethod],
+    nonebts: list[TestMethod] | SweepIndex,
     ctx: RepoContext,
     trace_log: TraceLog,
     repo_name: str = "",
@@ -69,6 +70,7 @@ def collect_training_corpus(
     budget: int = NONEBT_TOKEN_BUDGET,
 ) -> tuple[list[CorpusExample], list[SkippedExample]]:
     """One example per exceptional test whose trace resolves end to end."""
+    index = SweepIndex.of(ctx, nonebts)
     traces_by_test: dict[str, StackTrace] = {}
     for trace, test_id in trace_log:
         traces_by_test.setdefault(test_id, trace)  # first trace per test wins
@@ -93,7 +95,7 @@ def collect_training_corpus(
             skipped.append(SkippedExample(label, type(exc).__name__))
             continue
         bundle = make_bundle(
-            mut, site, dest, trace, guard, nonebts, ctx,
+            mut, site, dest, trace, guard, index, ctx,
             variant=variant,
             test_name=ebt.id.name if variant == "with-name" else None,
             budget=budget,

@@ -250,6 +250,7 @@ class _Parser:
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
+        start = self.toks[self.pos].offset if self.pos < len(self.toks) else 0
         e = self.parse_primary()
         while True:
             t = self.peek()
@@ -276,10 +277,9 @@ class _Parser:
                 e = Unary(t.text, e, postfix=True)
             elif t.text == "::":
                 # method reference: keep the whole chain verbatim
-                start_off = self._expr_start_offset(e)
                 self.next()
                 ref = self.next()
-                return Opaque(self.src[start_off : ref.end])
+                return Opaque(self.src[start : ref.end])
             else:
                 return e
 
@@ -361,16 +361,6 @@ class _Parser:
         if self.pos == start:
             raise JavaParseError("instanceof without a type")
         return self.slice_text(start, self.pos)
-
-    def _expr_start_offset(self, e: Expr) -> int:
-        # best effort: offsets are only needed for opaque method references
-        while isinstance(e, (Field, Call, Index)):
-            e = e.recv if not isinstance(e, Index) else e.arr
-        if isinstance(e, Name):
-            for t in self.toks[: self.pos]:
-                if t.text == e.id:
-                    return t.offset
-        return self.toks[0].offset
 
     def _looks_like_cast(self) -> bool:
         close = match_paren(self.toks, self.pos)

@@ -7,7 +7,7 @@ map stack-trace lines back onto source constructs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from exbt.errors import JavaParseError
 
@@ -40,8 +40,7 @@ ASSIGN_OPS = frozenset("= += -= *= /= %= &= |= ^= <<= >>= >>>=".split())
 CONTEXTUAL_KEYWORDS = frozenset("var record yield sealed permits".split())
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | keyword | number | string | char | op | punct
     text: str
     line: int

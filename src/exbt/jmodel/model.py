@@ -2,9 +2,11 @@
 
 Parsing only looks at repository sources, so throws living in dependency
 libraries can never enter the model. Loading builds no call graph: the
-`calls` index records each caller's call sites on first use, and the
-`callees` index resolves them, by name+arity within the repository, only
-when asked; equal-arity overloads resolve to every candidate.
+`calls` index records each caller's call sites on first use, the `callees`
+index resolves them by name+arity in the caller's nearest scope that
+declares a candidate (its own top-level type, package, imports, then the
+whole repository) only when asked, and `callers_of` inverts it; equal-arity
+overloads resolve to every candidate of that scope.
 """
 
 from __future__ import annotations
@@ -132,6 +134,41 @@ def call_name(fqn: str, name: str) -> str:
     """The name a call site uses for method `name` of type `fqn`: a
     constructor (`<init>`) is called by its class's simple name."""
     return fqn.rsplit(".", 1)[-1].rsplit("$", 1)[-1] if name == "<init>" else name
+
+
+def _position(m: MethodId):
+    return (m.decl_file, m.decl_line, m.name, m.fqn, m.param_arity)
+
+
+def _top_level(fqn: str) -> str:
+    return fqn.split("$", 1)[0]
+
+
+def _enclosing(fqn: str) -> list[str]:
+    """`fqn` and its outer types, innermost first."""
+    chain = [fqn]
+    while "$" in chain[-1]:
+        chain.append(chain[-1].rsplit("$", 1)[0])
+    return chain
+
+
+def _import_scopes(imports: list[str]) -> tuple[list[tuple[str, str | None]], list[str]]:
+    """(single-type scopes, on-demand packages) of a unit's imports. A scope
+    is (type, member name or None for every member): `import a.C` gives
+    (a.C, None), `import static a.C.m` (a.C, m) and `import static a.C.*`
+    (a.C, None); `import a.*` gives the package a."""
+    types: list[tuple[str, str | None]] = []
+    packages: list[str] = []
+    for imp in imports:
+        static = imp.startswith("static ")
+        head, _, last = imp.removeprefix("static ").rpartition(".")
+        if static:
+            types.append((head, None if last == "*" else last))
+        elif last == "*":
+            packages.append(head)
+        else:
+            types.append((f"{head}.{last}" if head else last, None))
+    return types, packages
 
 
 class _UnitParser:
@@ -421,21 +458,58 @@ class RepoContext:
     @cached_property
     def callees(self) -> dict[MethodId, tuple[MethodId, ...]]:
         """Each caller's in-repository callees, de-duplicated and ordered by
-        (file, line, name, fqn, arity). A call site resolves by name and arity
-        to every candidate: a constructor after `new`, any other method
-        otherwise."""
-        candidates: dict[tuple[str, int, bool], list[MethodId]] = {}
+        (file, line, name, fqn, arity). A call site names a constructor
+        after `new`, any other method otherwise, and resolves by name and
+        arity to every candidate of the first scope that declares one: the
+        caller's top-level type (its innermost enclosing type that declares
+        one, else every member type), its package, its single-type imports,
+        its on-demand imports, and last the whole repository."""
+        by_top: dict[tuple, list[MethodId]] = {}  # (name, arity, new, top-level fqn)
+        by_pkg: dict[tuple, list[MethodId]] = {}  # (name, arity, new, package)
+        anywhere: dict[tuple, list[MethodId]] = {}  # (name, arity, new)
         for u, _, m in self._methods:
-            key = (m.called_as, m.arity, m.is_ctor)
-            candidates.setdefault(key, []).append(self.method_id(u, m))
-        order = lambda c: (c.decl_file, c.decl_line, c.name, c.fqn, c.param_arity)
+            key, mid = (m.called_as, m.arity, m.is_ctor), self.method_id(u, m)
+            by_top.setdefault((*key, _top_level(m.owner_fqn)), []).append(mid)
+            by_pkg.setdefault((*key, u.package), []).append(mid)
+            anywhere.setdefault(key, []).append(mid)
+
+        def resolve(key, chain, package, types, packages):
+            in_top = by_top.get((*key, _top_level(chain[0])))
+            if in_top:
+                for owner in chain:
+                    own = [c for c in in_top if c.fqn == owner]
+                    if own:
+                        return own
+                return in_top
+            return (
+                by_pkg.get((*key, package))
+                or [c for typ, member in types if member in (None, key[0])
+                    for c in by_top.get((*key, typ), ())]
+                or [c for pkg in packages for c in by_pkg.get((*key, pkg), ())]
+                or anywhere.get(key, ())
+            )
+
         index: dict[MethodId, tuple[MethodId, ...]] = {}
         for caller, sites in self.calls.items():
+            u, _, m = self._method_by_id[caller]
+            chain = _enclosing(m.owner_fqn)
+            types, packages = _import_scopes(u.imports)
             found = {
-                c for name, arity, _, new in sites for c in candidates.get((name, arity, new), ())
+                c for name, arity, _, new in sites
+                for c in resolve((name, arity, new), chain, u.package, types, packages)
             }
-            index[caller] = tuple(sorted(found, key=order))
+            index[caller] = tuple(sorted(found, key=_position))
         return index
+
+    @cached_property
+    def callers_of(self) -> dict[MethodId, tuple[MethodId, ...]]:
+        """The inverse of `callees`: each method's in-repository callers,
+        ordered by (file, line, name, fqn, arity)."""
+        index: dict[MethodId, list[MethodId]] = {}
+        for caller, found in self.callees.items():
+            for callee in found:
+                index.setdefault(callee, []).append(caller)
+        return {c: tuple(sorted(v, key=_position)) for c, v in index.items()}
 
     @cached_property
     def _method_by_id(self) -> dict[MethodId, tuple[CompilationUnit, TypeDecl, MethodDecl]]:
@@ -443,11 +517,16 @@ class RepoContext:
         return {self.method_id(u, m): (u, t, m) for u, t, m in reversed(self._methods)}
 
     @cached_property
-    def test_files_by_name(self) -> dict[str, list[str]]:
-        """Test file paths grouped by simple file name."""
-        index: dict[str, list[str]] = {}
-        for path in self.test_files:
-            index.setdefault(path.rsplit("/", 1)[-1], []).append(path)
+    def test_files_by_name(self) -> dict[tuple[str, str | None], list[str]]:
+        """Sorted test file paths by (simple file name, package) and by
+        (simple file name, None) over every package; an unparsed file is
+        only under None."""
+        index: dict[tuple[str, str | None], list[str]] = {}
+        for path in sorted(self.test_files):
+            name, unit = path.rsplit("/", 1)[-1], self._unit_by_path.get(path)
+            index.setdefault((name, None), []).append(path)
+            if unit is not None:
+                index.setdefault((name, unit.package), []).append(path)
         return index
 
     @cached_property

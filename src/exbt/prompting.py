@@ -20,7 +20,7 @@ from exbt.classifier import TestMethod
 from exbt.errors import EmptyAfterExclusion
 from exbt.guardexpr import GuardExpression, compute_guard_expression
 from exbt.instrument import TraceLog
-from exbt.jmodel import MethodId, RepoContext, ThrowSite, call_name
+from exbt.jmodel import MethodId, RepoContext, ThrowSite
 from exbt.stacktrace import Frame, StackTrace, exclude_test_and_util_frames
 
 logger = logging.getLogger(__name__)
@@ -63,6 +63,33 @@ class PromptBundle:
 
 def test_method_label(t: TestMethod) -> str:
     return f"{t.id.fqn}#{t.id.name}"
+
+
+class SweepIndex:
+    """The per-target lookups of one sweep, built once: the non-EBTs by
+    MethodId, as (rank, test), and by declaring file, in position order
+    (declaring file, line, then list order), and one destination skeleton
+    per file, built on first use. Every function that takes `nonebts` also
+    takes a SweepIndex in its place."""
+
+    def __init__(self, ctx: RepoContext, nonebts):
+        self.ctx = ctx
+        self.by_id: dict[MethodId, list[tuple[int, TestMethod]]] = {}
+        self.by_file: dict[str, list[TestMethod]] = {}
+        ordered = sorted(nonebts, key=lambda t: (t.id.decl_file, t.id.decl_line))  # stable
+        for rank, t in enumerate(ordered):
+            self.by_id.setdefault(t.id, []).append((rank, t))
+            self.by_file.setdefault(t.id.decl_file, []).append(t)
+        self._skeletons: dict[str, str] = {}
+
+    @classmethod
+    def of(cls, ctx: RepoContext, nonebts) -> "SweepIndex":
+        return nonebts if isinstance(nonebts, cls) else cls(ctx, nonebts)
+
+    def skeleton(self, dest: str) -> str:
+        if dest not in self._skeletons:
+            self._skeletons[dest] = build_dest_skeleton(self.ctx, dest)
+        return self._skeletons[dest]
 
 
 def _pool_digest(ctx: RepoContext, trace_log: TraceLog) -> str:
@@ -179,24 +206,21 @@ def _frame_matches(frame, mut: MethodId) -> bool:
 def rank_relevant_nonebts(
     mut: MethodId,
     dest: str,
-    nonebts: list[TestMethod],
+    nonebts: list[TestMethod] | SweepIndex,
     ctx: RepoContext,
-    also_same_mut: frozenset[str] | set[str] = frozenset(),
+    also_same_mut: frozenset[MethodId] | set[MethodId] = frozenset(),
     budget: int = NONEBT_TOKEN_BUDGET,
 ) -> list[TestMethod]:
-    """Same-MUT tests (direct callers of the MUT and the tests labelled in
-    `also_same_mut`), then same-destination-file tests whose label is not
-    ranked yet, each group by declaration position, cut at `budget` tokens."""
-    by_label = {test_method_label(t): t for t in nonebts}
-    same_mut = [by_label[l] for l in sorted(also_same_mut) if l in by_label]
-    same_mut += [
-        t for t in nonebts
-        if test_method_label(t) not in also_same_mut and directly_invokes(t, mut, ctx)
-    ]
-    order = lambda t: (t.id.decl_file, t.id.decl_line)
-    ranked = sorted(same_mut, key=order)
+    """Same-MUT tests (the MUT's callers in `ctx.callers_of` and the tests
+    whose id is in `also_same_mut`), then same-destination-file tests whose
+    label is not ranked yet, each group in position order, cut at `budget`
+    tokens."""
+    index = SweepIndex.of(ctx, nonebts)
+    ids = set(also_same_mut).union(ctx.callers_of.get(mut, ()))
+    same_mut = {rank: t for mid in ids for rank, t in index.by_id.get(mid, ())}
+    ranked = [same_mut[rank] for rank in sorted(same_mut)]
     seen = {test_method_label(t) for t in ranked}
-    for t in sorted((t for t in nonebts if t.id.decl_file == dest), key=order):
+    for t in index.by_file.get(dest, ()):
         if test_method_label(t) not in seen:
             ranked.append(t)
             seen.add(test_method_label(t))
@@ -209,13 +233,8 @@ def rank_relevant_nonebts(
 
 
 def directly_invokes(test: TestMethod, mut: MethodId, ctx: RepoContext) -> bool:
-    """Whether the test body contains a name+arity call to the method, after
-    `new` exactly when the method is a constructor."""
-    target, ctor = call_name(mut.fqn, mut.name), mut.name == "<init>"
-    return any(
-        name == target and arity == mut.param_arity and new == ctor
-        for name, arity, _, new in ctx.calls.get(test.id, ())
-    )
+    """Whether one of the test's call sites resolves to the method."""
+    return mut in ctx.callees.get(test.id, ())
 
 
 def select_dest_with_reason(
@@ -227,17 +246,11 @@ def select_dest_with_reason(
     stem = mut.decl_file.rsplit("/", 1)[-1].removesuffix(".java")
     mut_unit = ctx.unit_for(mut.decl_file)
     mut_pkg = mut_unit.package if mut_unit is not None else ""
+    by_name = ctx.test_files_by_name
     for name in (f"{stem}Test.java", f"Test{stem}.java"):
-        candidates = ctx.test_files_by_name.get(name, [])
-        if not candidates:
-            continue
-        same_pkg = []
-        for p in candidates:
-            u = ctx.unit_for(p)
-            if u is not None and u.package == mut_pkg:
-                same_pkg.append(p)
-        pool = same_pkg or candidates
-        return sorted(pool)[0], "name-match"
+        found = by_name.get((name, mut_pkg)) or by_name.get((name, None))
+        if found:
+            return found[0], "name-match"
     if coverage_index:
         for key in (mut.label(), mut.fqn, mut.fqn.split(".")[-1], stem):
             if key in coverage_index:
@@ -329,9 +342,9 @@ def make_bundle(
     dest: str,
     trace: StackTrace,
     guard: GuardExpression,
-    nonebts: list[TestMethod],
+    nonebts: list[TestMethod] | SweepIndex,
     ctx: RepoContext,
-    also_same_mut: frozenset[str] | set[str] = frozenset(),
+    also_same_mut: frozenset[MethodId] | set[MethodId] = frozenset(),
     variant: str = "no-name",
     test_name: str | None = None,
     seed: int | None = None,
@@ -339,13 +352,14 @@ def make_bundle(
 ) -> PromptBundle:
     """The one prompt builder: rank the relevant non-EBTs, read the MUT
     source and the destination skeleton, and render the instruction once."""
-    ranked = rank_relevant_nonebts(mut, dest, nonebts, ctx, also_same_mut, budget)
+    index = SweepIndex.of(ctx, nonebts)
+    ranked = rank_relevant_nonebts(mut, dest, index, ctx, also_same_mut, budget)
     bundle = PromptBundle(
         mut=mut,
         mut_source=ctx.method_source(mut),
         throw_site=site,
         dest_path=dest,
-        dest_skeleton=build_dest_skeleton(ctx, dest),
+        dest_skeleton=index.skeleton(dest),
         trace=trace,
         guard=guard,
         nonebts=tuple(t.body_text for t in ranked),
@@ -363,14 +377,15 @@ def assemble_prompt(
     throw_site: ThrowSite,
     dest: str,
     pool: list[TracePoolEntry],
-    nonebts: list[TestMethod],
+    nonebts: list[TestMethod] | SweepIndex,
     ctx: RepoContext,
     seed: int = 0,
     variant: str = "no-name",
     test_name: str | None = None,
     budget: int = NONEBT_TOKEN_BUDGET,
 ) -> PromptBundle | NoMatch:
-    """Match the pool, pick one trace with a seeded RNG, build the bundle."""
+    """Match the pool, pick one trace with a seeded RNG, build the bundle.
+    The pool may hold only the entries of `throw_site`, as a sweep passes it."""
     matching = [
         q
         for q in pool
@@ -378,11 +393,7 @@ def assemble_prompt(
     ]
     if not matching:
         return NoMatch("no-matching-trace", mut, throw_site)
-    pool_same_mut = {
-        test_method_label_from_id(q.source_test)
-        for q in matching
-        if _frame_matches(q.trace.frames[0], mut)
-    }
+    pool_same_mut = {q.source_test for q in matching if _frame_matches(q.trace.frames[0], mut)}
     pick = random.Random(seed).choice(matching)
     trace = pick.trace.with_last_line(throw_site.line)
     guard = compute_guard_expression(trace, ctx, throw_site)
@@ -399,7 +410,7 @@ def test_method_label_from_id(mid: MethodId) -> str:
 def sweep_targets(
     ctx: RepoContext,
     pool: list[TracePoolEntry],
-    nonebts: list[TestMethod],
+    nonebts: list[TestMethod] | SweepIndex,
     seed: int = 0,
     coverage_index: dict[str, str] | None = None,
     variant: str = "no-name",
@@ -411,6 +422,10 @@ def sweep_targets(
     files come from the naming heuristics, then the coverage index.
     """
     main = set(ctx.main_files)
+    index = SweepIndex.of(ctx, nonebts)
+    pool_by_site: dict[ThrowSite, list[TracePoolEntry]] = {}
+    for entry in pool:
+        pool_by_site.setdefault(entry.throw_site, []).append(entry)
     results = []
     for site in ctx.throw_sites:
         if site.method.decl_file not in main:
@@ -423,7 +438,7 @@ def sweep_targets(
             results.append((site, NoMatch("no-dest-file", mut, site)))
             continue
         outcome = assemble_prompt(
-            mut, site, dest, pool, nonebts, ctx, seed=seed, variant=variant
+            mut, site, dest, pool_by_site.get(site, []), index, ctx, seed=seed, variant=variant
         )
         if counters is not None:
             if isinstance(outcome, NoMatch):

@@ -41,7 +41,9 @@ class RecordedRunner:
     """
 
     def __init__(self, rows: list[dict]):
-        self.rows = rows
+        self._rows_by_target: dict[str, list[dict]] = {}
+        for row in rows:
+            self._rows_by_target.setdefault(row.get("target"), []).append(row)
 
     @classmethod
     def from_file(cls, path) -> "RecordedRunner":
@@ -51,9 +53,7 @@ class RecordedRunner:
     def check(self, candidate: str, bundle) -> FunctionalResult:
         target = bundle.throw_site.label()
         cand_digest = digest(candidate)
-        for row in self.rows:
-            if row.get("target") != target:
-                continue
+        for row in self._rows_by_target.get(target, ()):
             if "candidate_digest" in row and row["candidate_digest"] != cand_digest:
                 continue
             if "candidate_contains" in row and row["candidate_contains"] not in candidate:

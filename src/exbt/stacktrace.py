@@ -133,7 +133,7 @@ def exclude_test_and_util_frames(
         if ctx is not None:
             if ctx.declares_type(f.class_fqn):
                 return f.class_fqn not in ctx.test_class_fqns
-            if f.file in ctx.test_files_by_name:
+            if (f.file, None) in ctx.test_files_by_name:
                 return False
         return f.file != dest_name
 

@@ -1,7 +1,10 @@
 """The call index on RepoContext: `calls` records call sites, `callees`
-resolves them on first use, and a sweep never resolves one."""
+resolves them on first use in the caller's nearest scope, `callers_of`
+inverts it, and a sweep's work grows linearly with the repository."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -14,7 +17,7 @@ from conftest import (
 )
 from exbt import cli
 from exbt.classifier import TestMethod
-from exbt.jmodel import MethodId, load_repo, reachable_throws
+from exbt.jmodel import MethodId, RepoContext, load_repo, reachable_throws
 from exbt.jmodel.lexer import match_paren, split_top_level
 from exbt.prompting import directly_invokes
 
@@ -101,16 +104,14 @@ def _repo(name, tmp_path):
         )
     elif name == "two-throw":
         write_two_throw_repo(tmp_path)
-    elif name == "chain-8":
-        write_call_chain(tmp_path, 8)
     else:
-        write_replicated_repo_a(tmp_path, 4)
+        write_call_chain(tmp_path, 8)
     return tmp_path
 
 
-@pytest.mark.parametrize(
-    "name", ["repoA", "repoG", "two-throw", "chain-8", "repoA-x4", "ctor-names"]
-)
+# single-package repositories, where the scoped rule and the old
+# repository-wide one agree
+@pytest.mark.parametrize("name", ["repoA", "repoG", "two-throw", "chain-8", "ctor-names"])
 def test_call_index_matches_the_old_call_graph(tmp_path, name):
     ctx = load_repo(_repo(name, tmp_path))
     sites: dict = {}
@@ -132,27 +133,191 @@ def test_call_index_matches_the_old_call_graph(tmp_path, name):
             ), (mid, depth)
 
 
-def test_sweep_records_call_sites_once_and_resolves_none(tmp_path, monkeypatch):
+# repoA's callees, read off its sources by hand: `{p}` is the package, a
+# class without a declared constructor has no callee for `new`, and calls
+# into JUnit resolve to nothing
+REPO_A_CALLEES = {
+    "AccountTest#open": ["Account#<init>"],
+    "AccountTest#testWithdrawOk": [
+        "Account#withdraw", "Account#deposit", "Account#balance", "AccountTest#open",
+    ],
+    "AccountTest#testDepositOk": ["Account#deposit", "Account#balance", "AccountTest#open"],
+    "AccountTest#testWithdrawNegative": ["Account#withdraw", "AccountTest#open"],
+    "AccountTest#testDepositOverLimit": ["Account#deposit", "AccountTest#open"],
+    "CornerTest#testSpinTooFast": ["Corner#spin"],
+    "CornerTest#testLocalFailure": ["CornerTest#explode"],
+    "TestLedger#testPostOk": ["Ledger#post", "Ledger#size"],
+}
+
+
+def test_each_replica_resolves_within_its_own_package(tmp_path):
+    write_replicated_repo_a(tmp_path, 4)
+    ctx = load_repo(tmp_path)
+    label = lambda m: m.fqn.rsplit(".", 1)[-1] + "#" + m.name
+    pkgs = sorted({m.fqn.rsplit(".", 1)[0] for m in ctx.all_method_ids()})
+    assert len(pkgs) == 4
+    for pkg in pkgs:
+        got = {
+            label(caller): [label(c) for c in found]
+            for caller, found in ctx.callees.items()
+            if found and caller.fqn.startswith(pkg + ".")
+        }
+        assert got == REPO_A_CALLEES, pkg
+        assert all(c.fqn.startswith(pkg + ".") for caller, found in ctx.callees.items()
+                   if caller.fqn.startswith(pkg + ".") for c in found)
+    for callee, callers in ctx.callers_of.items():
+        assert callers and all(callee in ctx.callees[c] for c in callers)
+    assert sum(map(len, ctx.callers_of.values())) == sum(map(len, ctx.callees.values()))
+
+
+_SCOPES = {
+    "a/Util.java": (
+        "package a;\npublic class Util {\n"
+        "    public Util() { }\n"
+        "    public void log(String s) { }\n"
+        "    public void pong() { }\n}\n"
+    ),
+    "b/Util.java": (
+        "package b;\npublic class Util {\n"
+        "    public static int twice(int x) { return x + x; }\n"
+        "    public void log(String s) { }\n}\n"
+    ),
+    "c/Tool.java": (
+        "package c;\npublic class Tool {\n"
+        "    public void run(int n) { }\n"
+        "    public void log(String s) { }\n}\n"
+    ),
+    "d/Far.java": (
+        "package d;\npublic class Far {\n"
+        "    public void run(int n) { }\n"
+        "    public void only(int n) { }\n"
+        "    public static int twice(int x) { return 2 * x; }\n}\n"
+    ),
+    "p/Peer.java": (
+        "package p;\npublic class Peer {\n"
+        "    public Peer() { }\n"
+        "    public void ping() { }\n"
+        "    public void pong() { }\n}\n"
+    ),
+    "p/User.java": (
+        "package p;\n\nimport a.Util;\nimport c.*;\nimport static b.Util.twice;\n\n"
+        "public class User {\n"
+        "    void ping() { }\n"
+        "    class Inner {\n"
+        "        Inner() { }\n"
+        "        void ping() { }\n"
+        "        void own() { ping(); }\n"
+        "    }\n"
+        "    class Other {\n"
+        "        void outer() { ping(); new Inner(); }\n"
+        "    }\n"
+        "    void k(Util u, Tool t) {\n"
+        "        ping();\n"
+        "        new Peer().pong();\n"
+        "        u.log(\"x\");\n"
+        "        int n = twice(1);\n"
+        "        t.run(n);\n"
+        "        new d.Far().only(n);\n"
+        "        new Util();\n"
+        "    }\n"
+        "}\n"
+    ),
+}
+
+
+def test_callees_resolve_in_the_nearest_scope_that_declares_one(tmp_path):
+    for rel, text in _SCOPES.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    ctx = load_repo(tmp_path)
+    got = {
+        f"{caller.fqn}#{caller.name}": sorted(f"{c.fqn}#{c.name}" for c in found)
+        for caller, found in ctx.callees.items() if found
+    }
+    assert got == {
+        # the innermost enclosing type that declares the method
+        "p.User$Inner#own": ["p.User$Inner#ping"],
+        # an outer type, and a member type's constructor
+        "p.User$Other#outer": ["p.User#ping", "p.User$Inner#<init>"],
+        "p.User#k": sorted([
+            "p.User#ping",  # own type, not p.Peer's
+            "p.Peer#<init>", "p.Peer#pong",  # same package, not a.Util's pong
+            "a.Util#log",  # single-type import, not the on-demand c.Tool's
+            "b.Util#twice",  # static import, not d.Far's
+            "c.Tool#run",  # on-demand import, not d.Far's
+            "d.Far#only",  # declared nowhere in scope: the whole repository
+            "a.Util#<init>",
+        ]),
+    }
+    peer_pong = next(m for m in ctx.all_method_ids() if m.fqn == "p.Peer" and m.name == "pong")
+    assert [f"{c.fqn}#{c.name}" for c in ctx.callers_of[peer_pong]] == ["p.User#k"]
+
+
+def _sweep_counts(tmp_path, monkeypatch, k):
+    """One sweep of repoA x k: its context, its bundle rows and how often
+    it called `unit_for`."""
     contexts = []
+    unit_for_calls = []
+    original = RepoContext.unit_for
 
     def loading(*args, **kwargs):
         contexts.append(load_repo(*args, **kwargs))
         return contexts[-1]
 
+    def unit_for(self, path):
+        unit_for_calls.append(path)
+        return original(self, path)
+
     monkeypatch.setattr(cli, "load_repo", loading)
-    recorded = {}
+    monkeypatch.setattr(RepoContext, "unit_for", unit_for)
+    repo, out = tmp_path / f"x{k}", tmp_path / f"out{k}"
+    write_replicated_repo_a(repo, k)
+    argv = ["sweep", str(repo), "--seed", "1", "--backend", "stub",
+            "--runner", "recorded", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
+    return contexts[-1], [r for r in rows if r["status"] == "bundle"], len(unit_for_calls)
+
+
+def test_sweep_work_grows_linearly_with_the_replicas(tmp_path, monkeypatch):
+    """Counts, not times, from K=4 to K=8: each may grow by at most 2.2x.
+    The repository-wide rule grew resolved targets, ranked non-EBTs and
+    destination lookups about 4x."""
+    counts = {}
     for k in (4, 8):
-        repo = tmp_path / f"x{k}"
+        ctx, bundles, unit_for_calls = _sweep_counts(tmp_path, monkeypatch, k)
+        per_bundle = sorted({len(b["nonebts"]) for b in bundles})
+        counts[k] = {
+            "resolved call targets": sum(map(len, ctx.callees.values())),
+            "ranked non-EBTs": sum(len(b["nonebts"]) for b in bundles),
+            "unit_for calls": unit_for_calls,
+        }
+        assert per_bundle == [1, 2], (k, per_bundle)
+    for name in counts[4]:
+        assert counts[8][name] <= 2.2 * counts[4][name], (name, counts)
+
+
+def test_each_replica_bundles_like_a_lone_repo_a(tmp_path):
+    """A K=4 sweep's bundles for each replica are K=1's with the package
+    renamed: no replica's tests reach another replica's prompts."""
+    rows = {}
+    for k in (1, 4):
+        repo, out = tmp_path / f"x{k}", tmp_path / f"out{k}"
         write_replicated_repo_a(repo, k)
         argv = ["sweep", str(repo), "--seed", "1", "--backend", "stub",
-                "--runner", "recorded", "--out", str(tmp_path / f"out{k}")]
+                "--runner", "recorded", "--out", str(out)]
         assert cli.main(argv) == 0
-        ctx = contexts[-1]
-        recorded[k] = sum(len(sites) for sites in ctx.calls.values())
-        assert "callees" not in vars(ctx)  # no call was resolved
-    # the eager graph made one edge per call site and same-named candidate,
-    # so its size grew about 4x from K=4 to K=8
-    assert recorded[8] <= 2.2 * recorded[4], recorded
+        rows[k] = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
+    (lone,) = {r["mut"].split("#")[0].rsplit(".", 1)[0] for r in rows[1] if "mut" in r}
+    pkgs = sorted({r["mut"].split("#")[0].rsplit(".", 1)[0] for r in rows[4] if "mut" in r})
+    assert len(pkgs) == 4 and lone in pkgs
+    by_target = {r["target"]: r for r in rows[4]}
+    for pkg in pkgs:
+        for row in rows[1]:
+            text = json.dumps(row, sort_keys=True)
+            text = text.replace(lone, pkg).replace(lone.replace(".", "/"), pkg.replace(".", "/"))
+            renamed = json.loads(text)
+            assert by_target[renamed["target"]] == renamed, (pkg, renamed["target"])
 
 
 def test_an_unbalanced_call_cuts_only_its_callers_sites(tmp_path, capsys):

@@ -10,7 +10,9 @@ from exbt.jmodel.exprs import (
     Grouped,
     Lit,
     Name,
+    Opaque,
     Unary,
+    children,
     evaluate,
     free_names,
     parse_expr,
@@ -18,6 +20,7 @@ from exbt.jmodel.exprs import (
     substitute,
 )
 from exbt.jmodel.lexer import (
+    Token,
     call_sites,
     find_top_level,
     index_of,
@@ -32,6 +35,15 @@ def test_tokenize_basics():
     toks = tokenize('int x = foo("a;b", 0x1F) + 2; // tail comment')
     texts = [t.text for t in toks]
     assert texts == ["int", "x", "=", "foo", "(", '"a;b"', ",", "0x1F", ")", "+", "2", ";"]
+
+
+def test_token_is_an_immutable_value_with_an_end():
+    tok = tokenize("int  count;")[1]
+    assert tok == Token("ident", "count", 1, 5) and tok.end == 10
+    assert hash(tok) == hash(Token("ident", "count", 1, 5))
+    assert tok != Token("ident", "count", 1, 6)
+    with pytest.raises(AttributeError):
+        tok.text = "other"
 
 
 def test_tokenize_tracks_lines():
@@ -238,6 +250,8 @@ def test_tokenize_rejects_unterminated_string():
         "flags[k] != 0",
         "x instanceof java.util.List<? extends A> && n > 0",
         "(Map<K, List<V>>) o != null",
+        "x > 0 && x.y::z",
+        "list.stream().map(Foo::bar).count() > 0",
     ],
 )
 def test_parse_render_round_trip_is_stable(source):
@@ -322,3 +336,24 @@ def test_new_with_type_arguments_is_parsed_not_opaque():
     assert free_names(e) == {"n"}
     assert render(substitute(e, {"n": Name("s")})) == "new Box<>(s) == null"
     assert render(parse_expr("new a.b.Box<String>(n)")) == "new a.b.Box<String>(n)"
+
+
+@pytest.mark.parametrize(
+    "source, reference",
+    [
+        ("x > 0 && x.y::z", "x.y::z"),
+        ("f(a) == g(a.b::c)", "a.b::c"),
+        ("(x)::y != null", "(x)::y"),
+    ],
+)
+def test_a_method_reference_starts_at_its_own_receiver(source, reference):
+    e = parse_expr(source)
+    assert render(e) == source
+    opaque = [n for n in _walk(e) if isinstance(n, Opaque)]
+    assert [n.text for n in opaque] == [reference]
+
+
+def _walk(e):
+    yield e
+    for c in children(e):
+        yield from _walk(c)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -205,8 +206,10 @@ def test_same_named_test_elsewhere_is_not_same_mut(tmp_path):
 
 # --- one ranking rule for the sweep and the corpus ---
 # The rules below are the sweep's (inline in assemble_prompt, given the
-# pool labels) and the corpus's (link_relevant_nonebts) from before both
+# pool's tests) and the corpus's (link_relevant_nonebts) from before both
 # went through rank_relevant_nonebts, copied with the token count inlined.
+# The sweep's copy matches the pool's tests by MethodId: matching them by
+# `fqn#name` label kept only the last of two tests sharing a label.
 
 
 def _old_rank(same_mut, same_file, budget):
@@ -231,11 +234,7 @@ def _old_rank(same_mut, same_file, budget):
 
 
 def _old_sweep_rule(mut, dest, nonebts, ctx, same_mut_tests, budget):
-    by_label = {label_of(t): t for t in nonebts}
-    same_mut = [by_label[l] for l in sorted(same_mut_tests) if l in by_label]
-    for t in nonebts:
-        if label_of(t) not in same_mut_tests and directly_invokes(t, mut, ctx):
-            same_mut.append(t)
+    same_mut = [t for t in nonebts if t.id in same_mut_tests or directly_invokes(t, mut, ctx)]
     same_file = [t for t in nonebts if t.id.decl_file == dest]
     return _old_rank(same_mut, same_file, budget)
 
@@ -252,8 +251,9 @@ _GEN_FILE = "src/test/java/com/fix/GenTest.java"
 @st.composite
 def _ranking_inputs(draw, ctx, real):
     """Non-EBTs (a subset of repoA's plus generated tests that share a label
-    or a whole id with another test), a MUT, a destination, pool labels and
-    a budget that is tight, the default or just below the first test's cost."""
+    or a whole id with another test), a MUT, a destination, the pool's test
+    ids and a budget that is tight, the default or just below the first
+    test's cost."""
     tests = [real[k] for k in sorted(draw(st.sets(st.integers(0, len(real) - 1))))]
     for _ in range(draw(st.integers(0, 6))):
         like = draw(st.sampled_from(real))
@@ -273,13 +273,15 @@ def _ranking_inputs(draw, ctx, real):
     nonebts = draw(st.permutations(tests))
     mut = draw(st.sampled_from([s.method for s in ctx.throw_sites]))
     dest = draw(st.sampled_from(sorted({t.id.decl_file for t in real}) + [_GEN_FILE]))
-    labels = sorted({label_of(t) for t in tests} | {"com.fix.Nowhere#t"})
-    pool_labels = draw(st.sets(st.sampled_from(labels)))
+    nowhere = MethodId("com.fix.Nowhere", "t", 0, _GEN_FILE, 3)
+    position = lambda m: (m.decl_file, m.decl_line, m.label())
+    ids = sorted({t.id for t in tests} | {nowhere}, key=position)
+    pool_ids = draw(st.sets(st.sampled_from(ids)))
     budget = draw(st.one_of(st.integers(0, 80), st.just(NONEBT_TOKEN_BUDGET)))
-    first = _old_sweep_rule(mut, dest, nonebts, ctx, pool_labels, 10**9)[:1]
+    first = _old_sweep_rule(mut, dest, nonebts, ctx, pool_ids, 10**9)[:1]
     if first and draw(st.booleans()):
         budget = len(first[0].body_text.split()) - 1
-    return nonebts, mut, dest, pool_labels, budget
+    return nonebts, mut, dest, pool_ids, budget
 
 
 def _ids(tests):
@@ -290,13 +292,41 @@ def _ids(tests):
 @given(data=st.data())
 def test_one_ranking_rule_equals_both_old_copies(repo_a, repo_a_suite, data):
     _, real = repo_a_suite
-    nonebts, mut, dest, pool_labels, budget = data.draw(_ranking_inputs(repo_a, real))
-    sweep = rank_relevant_nonebts(mut, dest, nonebts, repo_a, pool_labels, budget)
-    assert _ids(sweep) == _ids(
-        _old_sweep_rule(mut, dest, nonebts, repo_a, pool_labels, budget)
-    )
+    nonebts, mut, dest, pool_ids, budget = data.draw(_ranking_inputs(repo_a, real))
+    sweep = rank_relevant_nonebts(mut, dest, nonebts, repo_a, pool_ids, budget)
+    assert _ids(sweep) == _ids(_old_sweep_rule(mut, dest, nonebts, repo_a, pool_ids, budget))
     corpus = rank_relevant_nonebts(mut, dest, nonebts, repo_a, budget=budget)
     assert _ids(corpus) == _ids(_old_corpus_rule(mut, dest, nonebts, repo_a, budget))
+
+
+def test_two_tests_sharing_a_label_rank_alike_in_the_sweep_and_the_corpus(tmp_path):
+    """repoA with a second `AccountTest#testWithdrawOk` that also calls the
+    MUT: the trace log names the label once, and both rules rank both."""
+    from exbt.classifier import split_test_suite
+    from exbt.corpus import CorpusExample, link_relevant_nonebts
+    from exbt.jmodel import load_repo
+
+    shutil.copytree(REPO_A, tmp_path / "repo")
+    test_file = tmp_path / "repo/src/test/java/com/fix/AccountTest.java"
+    source = test_file.read_text()
+    overload = (
+        "    @Test\n    public void testWithdrawOk(int amount) {\n"
+        "        Account acct = open();\n        acct.withdraw(amount);\n    }\n\n"
+    )
+    anchor = "    @Test\n    public void testDepositOk()"
+    test_file.write_text(source.replace(anchor, overload + anchor))
+    ctx = load_repo(tmp_path / "repo")
+    _, nonebts = split_test_suite(ctx)
+    same_label = [t for t in nonebts if t.id.name == "testWithdrawOk"]
+    assert len(same_label) == 2 and len({label_of(t) for t in same_label}) == 1
+    log = parse_trace_log((REPO_A / "logs/nonebt-traces.log").read_text())
+    pool = collect_stacktrace_set(nonebts, ctx, log)
+    site = _site(ctx, "withdraw")
+    dest = "src/test/java/com/fix/AccountTest.java"
+    bundle = assemble_prompt(site.method, site, dest, pool, nonebts, ctx, seed=42)
+    linked = link_relevant_nonebts(CorpusExample("x", "", bundle, ""), nonebts, ctx)
+    assert bundle.nonebts == linked.prompt.nonebts
+    assert sum("testWithdrawOk" in s for s in bundle.nonebts) == 2
 
 
 # --- destination selection ---
