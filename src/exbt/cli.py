@@ -27,7 +27,7 @@ from exbt.genbackend import (
     generate_many,
     make_backend,
 )
-from exbt.guardexpr import GuardExpression, compute_guard_expression
+from exbt.guardexpr import compute_guard_expression
 from exbt.instrument import (
     TraceLog,
     instrument_print_exception,
@@ -44,7 +44,6 @@ from exbt.metrics import (
 )
 from exbt.prompting import (
     NoMatch,
-    PromptBundle,
     SweepIndex,
     TEMPLATE_ID,
     assemble_prompt,
@@ -53,10 +52,9 @@ from exbt.prompting import (
     select_dest_with_reason,
     sweep_targets,
     test_method_label,
-    test_method_label_from_id,
 )
 from exbt.runners import JavacRunner, RecordedRunner
-from exbt.stacktrace import StackTrace, exclude_test_and_util_frames, parse_stack_trace
+from exbt.stacktrace import exclude_test_and_util_frames, parse_stack_trace
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -259,7 +257,7 @@ def cmd_instrument(args) -> int:
     ctx = _load(args.repo, args)
     if args.ebt:
         ebts, _ = split_test_suite(ctx)
-        wanted = [t for t in ebts if test_method_label(t) == args.ebt]
+        wanted = [t for t in ebts if test_method_label(t.id) == args.ebt]
         if not wanted:
             raise ExbtError(f"EBT {args.ebt!r} not found")
         rewrite = instrument_print_exception(wanted[0])
@@ -305,7 +303,7 @@ def cmd_pool(args) -> int:
     rows = [
         {
             "trace": [[f.class_fqn, f.method, f.file, f.line] for f in e.trace.frames],
-            "source_test": test_method_label_from_id(e.source_test),
+            "source_test": test_method_label(e.source_test),
             "throw_site": e.throw_site.label(),
         }
         for e in pool
@@ -451,30 +449,23 @@ def cmd_sweep(args) -> int:
     runner = _make_runner(args, ctx)
     gold_by_site = {e.prompt.throw_site: e.gold_ebt for e in corpus_examples}
 
-    bundle_rows = []
+    bundle_rows = [bundle_to_record(outcome, site) for site, outcome in results]
     candidate_rows = []
     scores: list[CandidateScore] = []
-    targets = [site.label() for site, _ in results]
-    # one completion per matched target, in order: two throws can share a label
-    completions = iter(
-        generate_many(
-            backend,
-            [o.rendered_instruction for _, o in results if not isinstance(o, NoMatch)],
-            params,
-            max_in_flight=args.max_in_flight,
-            log=request_log,
-        )
+    matched = [(site, o) for site, o in results if not isinstance(o, NoMatch)]
+    completions = generate_many(
+        backend,
+        [bundle.rendered_instruction for _, bundle in matched],
+        params,
+        max_in_flight=args.max_in_flight,
+        log=request_log,
     )
-    for site, outcome in results:
-        bundle_rows.append(bundle_to_record(outcome, site))
-        if isinstance(outcome, NoMatch):
-            continue
-        completion = next(completions)
+    for (site, bundle), completion in zip(matched, completions, strict=True):
         candidate = extract_candidate(completion)
         manifest.bump("generations")
         row = {
             "target": site.label(),
-            "instruction_digest": digest(outcome.rendered_instruction),
+            "instruction_digest": digest(bundle.rendered_instruction),
             "completion_digest": digest(completion),
         }
         if candidate is None:
@@ -483,19 +474,15 @@ def cmd_sweep(args) -> int:
             continue
         manifest.bump("candidates_extracted")
         score = score_candidate(
-            candidate,
-            gold_by_site.get(site),
-            site.exception_type,
-            site.label(),
-            bundle=outcome,
-            runner=runner,
+            candidate, gold_by_site.get(site), site.exception_type, site,
+            site=site, runner=runner,
         )
         scores.append(score)
         row.update(status="generated", candidate=candidate)
         row.update((f, getattr(score, f)) for f in _CANDIDATE_SCORE_FIELDS)
         candidate_rows.append(row)
 
-    agg = aggregate(scores, targets)
+    agg = aggregate(scores, [site for site, _ in results])
     reasons = {}
     for row in bundle_rows:
         if row["status"] == "no-match":
@@ -503,7 +490,7 @@ def cmd_sweep(args) -> int:
     report = {
         "aggregate": agg,
         "no_match_reasons": reasons,
-        "targets": targets,
+        "targets": [site.label() for site, _ in results],
         "seed": args.seed,
         "template_id": TEMPLATE_ID,
         "backend_kind": backend_kind,
@@ -565,17 +552,13 @@ def cmd_eval(args) -> int:
             continue
         ref_row = refs.get(row["target"], {})
         exception_type = row.get("exception_type") or ref_row.get("exception_type", "")
-        bundle = None
+        site = None
         if runner is not None and ctx is not None:
-            bundle = _bundle_for_target(ctx, row["target"])
+            site = _bundle_for_target(ctx, row["target"])
         scores.append(
             score_candidate(
-                candidate,
-                ref_row.get("reference"),
-                exception_type,
-                row["target"],
-                bundle=bundle,
-                runner=runner if bundle is not None else None,
+                candidate, ref_row.get("reference"), exception_type, row["target"],
+                site=site, runner=runner,
             )
         )
     agg = aggregate(scores, targets)
@@ -589,24 +572,9 @@ def cmd_eval(args) -> int:
 
 
 def _bundle_for_target(ctx, target: str):
-    """Minimal bundle carrying the throw site, for recorded runners."""
-    site = ctx.throw_site_by_label.get(target)
-    if site is None:
-        return None
-    return PromptBundle(
-        mut=site.method,
-        mut_source="",
-        throw_site=site,
-        dest_path="",
-        dest_skeleton="",
-        trace=StackTrace(()),
-        guard=GuardExpression((), ()),
-        nonebts=(),
-        variant="no-name",
-        test_name=None,
-        template_id=TEMPLATE_ID,
-        rendered_instruction="",
-    )
+    """The throw site of a `file:line` label, for the runner; None if the
+    repository has no throw there."""
+    return ctx.throw_site_by_label.get(target)
 
 
 def _read_jsonl(path) -> list[dict]:

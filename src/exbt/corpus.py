@@ -77,7 +77,7 @@ def collect_training_corpus(
     examples: list[CorpusExample] = []
     skipped: list[SkippedExample] = []
     for ebt in sorted(ebts, key=lambda t: (t.id.decl_file, t.id.decl_line)):
-        label = test_method_label(ebt)
+        label = test_method_label(ebt.id)
         raw = traces_by_test.get(label)
         if raw is None:
             skipped.append(SkippedExample(label, "no-trace"))

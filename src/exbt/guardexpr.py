@@ -98,10 +98,7 @@ def _assignment_rhs(unit: CompilationUnit, name: str, rng, op: str) -> Expr:
     if op in ("++", "--"):
         return Binary("+" if op == "++" else "-", Name(name), Lit("1"))
     base = op[:-1]  # '+=' -> '+'
-    rhs = _parse_or_opaque(unit, rng)
-    if not isinstance(rhs, (Name, Lit, Grouped)):
-        rhs = Grouped(rhs)
-    return Binary(base, Name(name), rhs)
+    return Binary(base, Name(name), exprs.grouped(_parse_or_opaque(unit, rng)))
 
 
 def _assignment_nodes(unit: CompilationUnit, stmt: Stmt) -> list[CollectedNode]:
@@ -130,9 +127,7 @@ def _condition_node(unit: CompilationUnit, rng, line: int, negated: bool) -> Col
 
 def _switch_nodes(unit: CompilationUnit, group: Stmt, switch: Stmt) -> list[CollectedNode]:
     """Equality conditions for the matched case; negations for default."""
-    selector = _parse_or_opaque(unit, switch.selector_range)
-    if not isinstance(selector, (Name, Lit, Grouped)):
-        selector = Grouped(selector)
+    selector = exprs.grouped(_parse_or_opaque(unit, switch.selector_range))
     own = group.labels or []
     nodes: list[CollectedNode] = []
     if None in own:  # default: conjunction of negations of every other label

@@ -162,6 +162,7 @@ class _Parser:
         self.toks = tokens
         self.src = source
         self.pos = 0
+        self.arg_lists = 0  # call argument lists open around self.pos
 
     def peek(self, ahead: int = 0) -> Token | None:
         k = self.pos + ahead
@@ -303,7 +304,7 @@ class _Parser:
             close = match_paren(self.toks, self.pos)
             after = self.toks[close + 1] if close + 1 < len(self.toks) else None
             if after is not None and after.text == "->":
-                return self._opaque_to_end(t.offset)
+                return self._lambda(t.offset)
             self.next()
             inner = self.parse_assign()
             self.expect(")")
@@ -311,7 +312,7 @@ class _Parser:
         if t.kind == "ident" or (t.kind == "keyword" and t.text in PRIMITIVES):
             nxt = self.peek(1)
             if nxt is not None and nxt.text == "->":
-                return self._opaque_to_end(t.offset)
+                return self._lambda(t.offset)
             self.next()
             if self.at("("):
                 args = self._parse_args()
@@ -327,13 +328,15 @@ class _Parser:
         if self.at(")"):
             self.next()
             return tuple(args)
+        self.arg_lists += 1
         while True:
             args.append(self.parse_assign())
-            if self.at(","):
-                self.next()
-                continue
-            self.expect(")")
-            return tuple(args)
+            if not self.at(","):
+                break
+            self.next()
+        self.arg_lists -= 1
+        self.expect(")")
+        return tuple(args)
 
     def _parse_new(self) -> Expr:
         start = self.next()  # 'new'
@@ -349,6 +352,21 @@ class _Parser:
             return New(type_text, args)
         # array creation and friends: verbatim
         return self._opaque_to_end(start.offset)
+
+    def _lambda(self, start_offset: int) -> Opaque:
+        """A lambda, verbatim. As a call argument it ends with the argument:
+        at the first ',' at its own bracket depth or at the closer that
+        leaves that depth. Anywhere else it runs to the end of the input."""
+        if not self.arg_lists:
+            return self._opaque_to_end(start_offset)
+        depth = 0
+        while self.pos < len(self.toks):
+            text = self.toks[self.pos].text
+            if depth == 0 and text in (",", ")", "]", "}"):
+                break
+            depth += (text in ("(", "[", "{")) - (text in (")", "]", "}"))
+            self.pos += 1
+        return Opaque(self.src[start_offset : self.toks[self.pos - 1].end])
 
     def _opaque_to_end(self, start_offset: int) -> Opaque:
         last = self.toks[-1]

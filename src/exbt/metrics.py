@@ -19,7 +19,7 @@ from typing import NamedTuple
 from exbt.classifier import classify_member
 from exbt.errors import ExbtError, RunnerUnavailable
 from exbt.jmodel import exprs as E
-from exbt.jmodel import CompilationUnit, MethodDecl, parse_member
+from exbt.jmodel import CompilationUnit, MethodDecl, ThrowSite, parse_member
 from exbt.jmodel.lexer import KEYWORDS, tokenize
 from exbt.jmodel.stmts import BodyParser
 
@@ -320,18 +320,19 @@ class FunctionalResult:
         return FunctionalResult(compilable, runnable, covers)
 
 
-def functional_check(candidate: str, bundle, runner) -> FunctionalResult:
-    """Compile/run/coverage fields via the configured build runner.
+def functional_check(candidate: str, site: ThrowSite, runner) -> FunctionalResult:
+    """Compile/run/coverage fields of the candidate against the target
+    ThrowSite, via the configured build runner.
 
     Without a runner the fields stay absent (None), never false."""
     if runner is None:
         raise RunnerUnavailable("no build runner configured")
-    return runner.check(candidate, bundle).normalized()
+    return runner.check(candidate, site).normalized()
 
 
 @dataclass
 class CandidateScore:
-    target: str  # throw-site label (file:line)
+    target: ThrowSite | str  # a sweep's ThrowSite, or eval's file:line label
     xmatch: bool | None = None
     xmatch_strict: bool | None = None
     bleu: float | None = None
@@ -349,8 +350,8 @@ def score_candidate(
     candidate: str,
     reference: str | None,
     target_exception: str,
-    target: str,
-    bundle=None,
+    target: ThrowSite | str,
+    site: ThrowSite | None = None,
     runner=None,
 ) -> CandidateScore:
     score = CandidateScore(target=target)
@@ -366,8 +367,8 @@ def score_candidate(
         score.matched_e = _member_matches(cand.member, target_exception)
     else:
         score.matched_e = matched_exception(candidate, target_exception)
-    if runner is not None and bundle is not None:
-        result = functional_check(candidate, bundle, runner)
+    if runner is not None and site is not None:
+        result = functional_check(candidate, site, runner)
         score.compilable = result.compilable
         score.runnable = result.runnable
         score.covers_target = result.covers_target
@@ -386,7 +387,7 @@ def _pct(values) -> float:
     return 100.0 * sum(1 for v in present if v) / len(present)
 
 
-def aggregate(reports: list[CandidateScore], targets: list[str]) -> dict:
+def aggregate(reports: list[CandidateScore], targets: list[ThrowSite | str]) -> dict:
     """Means/percentages over candidates plus coverage over targets."""
     target_set = set(targets)
     covered = {r.target for r in reports if r.covers_target is True and r.target in target_set}

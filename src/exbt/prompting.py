@@ -61,8 +61,9 @@ class PromptBundle:
     seed: int | None = None
 
 
-def test_method_label(t: TestMethod) -> str:
-    return f"{t.id.fqn}#{t.id.name}"
+def test_method_label(mid: MethodId) -> str:
+    """The `fqn#name` label a trace log gives a test: no arity, no position."""
+    return f"{mid.fqn}#{mid.name}"
 
 
 class SweepIndex:
@@ -127,7 +128,7 @@ def collect_stacktrace_set(
                 return _read_pool(cache_file.read_text(), ctx)
             except Exception as exc:  # stale or corrupt cache is not fatal
                 logger.warning("ignoring unreadable pool cache: %s", exc)
-    by_label = {test_method_label(t): t for t in nonebts}
+    by_label = {test_method_label(t.id): t for t in nonebts}
     entries: list[TracePoolEntry] = []
     seen: set[tuple] = set()
     for trace, test_id in trace_log:
@@ -219,11 +220,11 @@ def rank_relevant_nonebts(
     ids = set(also_same_mut).union(ctx.callers_of.get(mut, ()))
     same_mut = {rank: t for mid in ids for rank, t in index.by_id.get(mid, ())}
     ranked = [same_mut[rank] for rank in sorted(same_mut)]
-    seen = {test_method_label(t) for t in ranked}
+    seen = {test_method_label(t.id) for t in ranked}
     for t in index.by_file.get(dest, ()):
-        if test_method_label(t) not in seen:
+        if test_method_label(t.id) not in seen:
             ranked.append(t)
-            seen.add(test_method_label(t))
+            seen.add(test_method_label(t.id))
     used = 0  # whitespace tokens
     for k, t in enumerate(ranked):
         used += len(t.body_text.split())
@@ -401,10 +402,6 @@ def assemble_prompt(
         mut, throw_site, dest, trace, guard, nonebts, ctx, pool_same_mut,
         variant=variant, test_name=test_name, seed=seed, budget=budget,
     )
-
-
-def test_method_label_from_id(mid: MethodId) -> str:
-    return f"{mid.fqn}#{mid.name}"
 
 
 def sweep_targets(

@@ -1,12 +1,13 @@
 """Build runners behind the functional metrics.
 
-A runner answers check(candidate_source, bundle) -> FunctionalResult. Two
-implementations ship:
+A runner answers check(candidate_source, site) -> FunctionalResult, where
+site is the target ThrowSite. Two implementations ship:
 
   RecordedRunner  replays results recorded for fixture candidates, which
                   keeps the full pipeline hermetic and reproducible.
   JavacRunner     integration mode: copies the repository, injects the
-                  candidate into the destination skeleton, compiles with
+                  candidate into the skeleton of the destination test file
+                  the sweep selects for the site's method, compiles with
                   javac against generated JUnit API stubs, executes a
                   reflective harness and checks the coverage mark of the
                   target throw statement. Needs javac/java on PATH.
@@ -24,8 +25,9 @@ from pathlib import Path
 from exbt.errors import RunnerUnavailable
 from exbt.genbackend import digest
 from exbt.instrument import HELPER_FILE, HELPER_SOURCE
-from exbt.jmodel import RepoContext, parse_member, parse_unit
+from exbt.jmodel import RepoContext, ThrowSite, parse_member, parse_unit
 from exbt.metrics import FunctionalResult
+from exbt.prompting import build_dest_skeleton, select_dest_with_reason
 
 logger = logging.getLogger(__name__)
 
@@ -50,8 +52,8 @@ class RecordedRunner:
         with open(path, encoding="utf-8") as f:
             return cls(json.load(f))
 
-    def check(self, candidate: str, bundle) -> FunctionalResult:
-        target = bundle.throw_site.label()
+    def check(self, candidate: str, site: ThrowSite) -> FunctionalResult:
+        target = site.label()
         cand_digest = digest(candidate)
         for row in self._rows_by_target.get(target, ()):
             if "candidate_digest" in row and row["candidate_digest"] != cand_digest:
@@ -186,12 +188,12 @@ class JavacRunner:
         self.ctx = ctx
         self.timeout = timeout
 
-    def check(self, candidate: str, bundle) -> FunctionalResult:
+    def check(self, candidate: str, site: ThrowSite) -> FunctionalResult:
         with tempfile.TemporaryDirectory(prefix="exbt-run-") as tmp:
             work = Path(tmp)
             src = work / "src"
             try:
-                names = self._prepare(work, src, candidate, bundle)
+                names = self._prepare(work, src, candidate, site)
             except Exception as exc:
                 logger.warning("runner workspace setup failed: %s", exc)
                 return FunctionalResult()
@@ -233,18 +235,18 @@ class JavacRunner:
             runnable = run_proc.returncode == 0
             covers = False
             if log_file.exists():
-                covers = f"covered: {bundle.throw_site.label()}" in log_file.read_text()
+                covers = f"covered: {site.label()}" in log_file.read_text()
             return FunctionalResult(True, runnable, runnable and covers)
 
-    def _prepare(self, work: Path, src: Path, candidate: str, bundle) -> dict:
+    def _prepare(self, work: Path, src: Path, candidate: str, site: ThrowSite) -> dict:
         # main sources, with a coverage mark wrapped around the target throw
         for rel in self.ctx.main_files:
             unit = self.ctx.unit_for(rel)
             if unit is None:
                 continue
             text = unit.source
-            if rel == bundle.throw_site.method.decl_file:
-                text = _mark_throw(unit, bundle.throw_site)
+            if rel == site.method.decl_file:
+                text = _mark_throw(unit, site)
             out = src / _strip_roots(rel)
             out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(text, encoding="utf-8")
@@ -256,11 +258,14 @@ class JavacRunner:
             out.write_text(source, encoding="utf-8")
         (src / "ExbtHarness.java").write_text(HARNESS_SOURCE, encoding="utf-8")
         # destination test file: skeleton plus the candidate
-        dest_text = _inject_candidate(bundle.dest_skeleton, candidate)
-        dest_out = src / _strip_roots(bundle.dest_path)
+        dest, _ = select_dest_with_reason(site.method, self.ctx)
+        if dest is None:
+            raise RunnerUnavailable(f"no destination test file for {site.method.label()}")
+        dest_text = _inject_candidate(build_dest_skeleton(self.ctx, dest), candidate)
+        dest_out = src / _strip_roots(dest)
         dest_out.parent.mkdir(parents=True, exist_ok=True)
         dest_out.write_text(dest_text, encoding="utf-8")
-        dest_unit = parse_unit(dest_text, bundle.dest_path)
+        dest_unit = parse_unit(dest_text, dest)
         test_class = next(t.fqn for t in dest_unit.all_types())
         _, test_method = parse_member(candidate)
         return {"test_class": test_class, "test_method": test_method.name}

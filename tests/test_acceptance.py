@@ -191,21 +191,12 @@ def test_criterion_algorithm_stage_counters(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not jvm_available(), reason="no local JVM: skipped, not failed")
-def test_criterion_integration_functional_check(repo_a, repo_a_suite):
+def test_criterion_integration_functional_check(repo_a):
     """With a JVM present, a known-good fixture candidate compiles, runs
-    and covers its target."""
-    from exbt.instrument import parse_trace_log
+    and covers its target throw site."""
     from exbt.jmodel import find_throw_sites
-    from exbt.prompting import assemble_prompt, collect_stacktrace_set
 
-    _, nonebts = repo_a_suite
-    log = parse_trace_log((REPO_A / "logs/nonebt-traces.log").read_text())
-    pool = collect_stacktrace_set(nonebts, repo_a, log)
     site = next(s for s in find_throw_sites(repo_a, "main") if s.method.name == "withdraw")
-    bundle = assemble_prompt(
-        site.method, site, "src/test/java/com/fix/AccountTest.java",
-        pool, nonebts, repo_a, seed=42,
-    )
     candidate = (
         "@Test(expected = IllegalArgumentException.class)\n"
         "public void testWithdrawRejectsNegativeAmount() {\n"
@@ -213,6 +204,6 @@ def test_criterion_integration_functional_check(repo_a, repo_a_suite):
         "    acct.withdraw(-1);\n"
         "}"
     )
-    result = JavacRunner(repo_a).check(candidate, bundle).normalized()
+    result = JavacRunner(repo_a).check(candidate, site).normalized()
     assert (result.compilable, result.runnable, result.covers_target) == (True, True, True)
     _ok("integration functional check: (compilable, runnable, covers_target) == (T, T, T)")

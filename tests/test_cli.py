@@ -174,6 +174,23 @@ def test_sweep_outputs_match_pinned_digests(capsys, tmp_path):
     assert got == REPO_A_SWEEP_SHA256
 
 
+def test_eval_with_recorded_runner_matches_pinned_digest(capsys, tmp_path):
+    """eval looks each candidate's label up as a throw site for the runner;
+    the digest was computed before the runner took the site."""
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub", "--out", out)
+    assert code == 0
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "eval", "--candidates", out / "candidates.jsonl", "--repo", REPO_A,
+        "--runner-results", REPO_A / "canned/runner-results.json", "--out", report,
+    )
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "0f55c5a87a3fd2fd196a75df599f380ede4a9b94ba3c184df244db75da40a192"
+    )
+
+
 def test_sweep_renders_each_prompt_once(capsys, tmp_path, monkeypatch):
     """One render per corpus example plus one per sweep bundle, counted in
     every exbt module that holds the renderer."""
@@ -202,9 +219,9 @@ def test_sweep_renders_each_prompt_once(capsys, tmp_path, monkeypatch):
 def _two_throw_sweep(capsys, tmp_path, extra_files=None):
     repo = tmp_path / "repo"
     write_two_throw_repo(repo)
+    (repo / "canned").mkdir()
     for rel, text in (extra_files or {}).items():
         (repo / rel).write_text(text)
-    (repo / "canned").mkdir()
     (repo / "canned/completions.json").write_text(json.dumps({"completions": [
         {"contains": f"(exception: {e})",
          "completion": f"```java\n@Test(expected = {e}.class)\n"
@@ -222,6 +239,21 @@ def test_sweep_pairs_completions_with_two_throws_on_one_line(capsys, tmp_path):
     rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
     assert [r["target"] for r in rows] == ["src/main/java/p/Range.java:5"] * 2
     assert [r["matched_e"] for r in rows] == [True, True]
+
+
+def test_sweep_counts_two_throws_on_one_line_as_two_covered_targets(capsys, tmp_path):
+    label = "src/main/java/p/Range.java:5"
+    out = _two_throw_sweep(capsys, tmp_path, {
+        "canned/runner-results.json": json.dumps([{
+            "target": label, "compilable": True, "runnable": True, "covers_target": True,
+        }]),
+    })
+    rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
+    assert [r["covers_target"] for r in rows] == [True, True]
+    report = json.loads((out / "report.json").read_text())
+    assert report["targets"] == [label, label]
+    assert report["aggregate"]["targets"] == 2
+    assert report["aggregate"]["throw_cov"] == 1.0
 
 
 def test_sweep_guards_each_of_two_throws_on_one_line(capsys, tmp_path):

@@ -341,3 +341,26 @@ def test_guard_starts_at_the_sites_own_throw(tmp_path):
     assert compute_guard_expression(trace, ctx, a).rendered == "x < 0"
     assert compute_guard_expression(trace, ctx, b).rendered == "x > 9 && !(x < 0)"
     assert compute_guard_expression(trace, ctx).rendered == "x < 0"
+
+
+def test_a_call_replacement_takes_the_one_grouping_rule(tmp_path):
+    """A compound assignment's right side and a switch selector are grouped
+    by `exprs.grouped`: a call stays bare, a looser expression is grouped."""
+    (tmp_path / "G.java").write_text(
+        "class G {\n"
+        "    void g(int y) {\n        int x = 0;\n        x += f(y);\n"
+        "        if (x > 3) throw new IllegalStateException();\n    }\n"
+        "    void h(int y) {\n        switch (f(y)) {\n"
+        "            case 1:\n                throw new IllegalStateException();\n"
+        "            default:\n                break;\n        }\n    }\n"
+        "    void k(int y) {\n        int x = 0;\n        x += y - 1;\n"
+        "        if (x > 3) throw new IllegalStateException();\n    }\n}\n"
+    )
+    ctx = load_repo(tmp_path)
+    rendered = [
+        compute_guard_expression(
+            StackTrace((Frame("G", s.method.name, "G.java", s.line),)), ctx, s
+        ).rendered
+        for s in ctx.throw_sites
+    ]
+    assert rendered == ["(0 + f(y)) > 3", "f(y) == 1", "(0 + (y - 1)) > 3"]

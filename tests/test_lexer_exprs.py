@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from exbt.errors import JavaParseError, UnboundName, UnsupportedConstruct
 from exbt.jmodel.exprs import (
     Binary,
+    Call,
     New,
     Grouped,
     Lit,
@@ -252,6 +253,8 @@ def test_tokenize_rejects_unterminated_string():
         "(Map<K, List<V>>) o != null",
         "x > 0 && x.y::z",
         "list.stream().map(Foo::bar).count() > 0",
+        "f(x -> g(x, y), m[k -> k]) != null",
+        "f(s -> { return s; }, n)",
     ],
 )
 def test_parse_render_round_trip_is_stable(source):
@@ -336,6 +339,21 @@ def test_new_with_type_arguments_is_parsed_not_opaque():
     assert free_names(e) == {"n"}
     assert render(substitute(e, {"n": Name("s")})) == "new Box<>(s) == null"
     assert render(parse_expr("new a.b.Box<String>(n)")) == "new a.b.Box<String>(n)"
+
+
+def test_a_lambda_argument_ends_with_its_argument():
+    e = parse_expr("a.anyMatch(s -> s == null) && n > 0")
+    assert isinstance(e, Binary) and e.op == "&&"
+    assert e.left.args == (Opaque("s -> s == null"),)
+    assert "n" in free_names(e)
+    assert render(substitute(e, {"n": Lit("3")})) == "a.anyMatch(s -> s == null) && 3 > 0"
+    assert parse_expr(render(e)) == e
+    e = parse_expr("f((a, b) -> a + b, n) > 0")
+    assert isinstance(e.left, Call) and len(e.left.args) == 2
+    assert e.left.args == (Opaque("(a, b) -> a + b"), Name("n"))
+    assert parse_expr(render(e)) == e
+    # outside call arguments a lambda still runs to the end of the input
+    assert parse_expr("x -> x + 1") == Opaque("x -> x + 1")
 
 
 @pytest.mark.parametrize(

@@ -215,11 +215,11 @@ def test_same_named_test_elsewhere_is_not_same_mut(tmp_path):
 def _old_rank(same_mut, same_file, budget):
     order = lambda t: (t.id.decl_file, t.id.decl_line)
     ranked = sorted(same_mut, key=order)
-    seen = {label_of(t) for t in ranked}
+    seen = {label_of(t.id) for t in ranked}
     for t in sorted(same_file, key=order):
-        if label_of(t) not in seen:
+        if label_of(t.id) not in seen:
             ranked.append(t)
-            seen.add(label_of(t))
+            seen.add(label_of(t.id))
     selected = []
     used = 0
     for t in ranked:
@@ -318,7 +318,7 @@ def test_two_tests_sharing_a_label_rank_alike_in_the_sweep_and_the_corpus(tmp_pa
     ctx = load_repo(tmp_path / "repo")
     _, nonebts = split_test_suite(ctx)
     same_label = [t for t in nonebts if t.id.name == "testWithdrawOk"]
-    assert len(same_label) == 2 and len({label_of(t) for t in same_label}) == 1
+    assert len(same_label) == 2 and len({label_of(t.id) for t in same_label}) == 1
     log = parse_trace_log((REPO_A / "logs/nonebt-traces.log").read_text())
     pool = collect_stacktrace_set(nonebts, ctx, log)
     site = _site(ctx, "withdraw")

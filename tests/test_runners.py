@@ -7,23 +7,14 @@ import pytest
 
 from conftest import REPO_A
 from exbt import runners
-from exbt.instrument import parse_trace_log
 from exbt.jmodel import MethodId, ThrowSite, find_throw_sites, parse_unit
 from exbt.metrics import FunctionalResult
-from exbt.prompting import assemble_prompt, collect_stacktrace_set
 from exbt.runners import JavacRunner, RecordedRunner, _mark_throw, jvm_available
 
 
 @pytest.fixture(scope="module")
-def withdraw_bundle(repo_a, repo_a_suite):
-    _, nonebts = repo_a_suite
-    log = parse_trace_log((REPO_A / "logs/nonebt-traces.log").read_text())
-    pool = collect_stacktrace_set(nonebts, repo_a, log)
-    site = next(s for s in find_throw_sites(repo_a, "main") if s.method.name == "withdraw")
-    return assemble_prompt(
-        site.method, site, "src/test/java/com/fix/AccountTest.java",
-        pool, nonebts, repo_a, seed=42,
-    )
+def withdraw_site(repo_a):
+    return next(s for s in find_throw_sites(repo_a, "main") if s.method.name == "withdraw")
 
 
 GOOD_CANDIDATE = """@Test(expected = IllegalArgumentException.class)
@@ -33,36 +24,36 @@ public void testWithdrawRejectsNegativeAmount() {
 }"""
 
 
-def test_recorded_runner_matches_target_and_substring(withdraw_bundle):
+def test_recorded_runner_matches_target_and_substring(withdraw_site):
     runner = RecordedRunner.from_file(REPO_A / "canned/runner-results.json")
-    result = runner.check(GOOD_CANDIDATE, withdraw_bundle)
+    result = runner.check(GOOD_CANDIDATE, withdraw_site)
     assert result == FunctionalResult(True, True, True)
 
 
-def test_recorded_runner_unknown_candidate_absent(withdraw_bundle):
+def test_recorded_runner_unknown_candidate_absent(withdraw_site):
     runner = RecordedRunner.from_file(REPO_A / "canned/runner-results.json")
-    result = runner.check("@Test public void other() { }", withdraw_bundle)
+    result = runner.check("@Test public void other() { }", withdraw_site)
     assert result == FunctionalResult(None, None, None)
 
 
 @pytest.mark.skipif(not jvm_available(), reason="javac/java not on PATH")
-def test_javac_runner_known_good_candidate(repo_a, withdraw_bundle):
+def test_javac_runner_known_good_candidate(repo_a, withdraw_site):
     runner = JavacRunner(repo_a)
-    result = runner.check(GOOD_CANDIDATE, withdraw_bundle).normalized()
+    result = runner.check(GOOD_CANDIDATE, withdraw_site).normalized()
     assert (result.compilable, result.runnable, result.covers_target) == (True, True, True)
 
 
 @pytest.mark.skipif(not jvm_available(), reason="javac/java not on PATH")
-def test_javac_runner_non_compiling_candidate(repo_a, withdraw_bundle):
+def test_javac_runner_non_compiling_candidate(repo_a, withdraw_site):
     runner = JavacRunner(repo_a)
     result = runner.check(
-        "@Test public void broken() { undefinedSymbol(); }", withdraw_bundle
+        "@Test public void broken() { undefinedSymbol(); }", withdraw_site
     ).normalized()
     assert result.compilable is False
     assert result.runnable in (None, False)
 
 
-def test_javac_runner_timeouts_are_results(repo_a, withdraw_bundle, monkeypatch, caplog):
+def test_javac_runner_timeouts_are_results(repo_a, withdraw_site, monkeypatch, caplog):
     monkeypatch.setattr(runners, "jvm_available", lambda: True)
     runner = JavacRunner(repo_a, timeout=0.5)
 
@@ -76,10 +67,10 @@ def test_javac_runner_timeouts_are_results(repo_a, withdraw_bundle, monkeypatch,
 
     monkeypatch.setattr(subprocess, "run", timeout_on("javac"))
     with caplog.at_level(logging.WARNING, logger="exbt.runners"):
-        assert runner.check(GOOD_CANDIDATE, withdraw_bundle) == FunctionalResult()
+        assert runner.check(GOOD_CANDIDATE, withdraw_site) == FunctionalResult()
     assert "timed out" in caplog.text
     monkeypatch.setattr(subprocess, "run", timeout_on("java"))
-    result = runner.check(GOOD_CANDIDATE, withdraw_bundle)
+    result = runner.check(GOOD_CANDIDATE, withdraw_site)
     assert (result.compilable, result.runnable) == (True, False)
 
 
