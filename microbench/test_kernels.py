@@ -23,7 +23,7 @@ from exbt.jmodel import RepoContext, load_repo, parse_unit  # noqa: E402
 from exbt.jmodel.exprs import children, free_names, parse_expr, substitute  # noqa: E402
 from exbt.jmodel.lexer import tokenize  # noqa: E402
 from exbt.jmodel.stmts import BodyParser  # noqa: E402
-from exbt.metrics import code_bleu_components, edit_similarity  # noqa: E402
+from exbt.metrics import code_bleu_components, edit_similarity, score_candidate  # noqa: E402
 
 GUARDS = REPO_G / "src/main/java/gx/Guards.java"
 
@@ -42,6 +42,18 @@ def test_pair():
 
 def test_tokenize(benchmark, guards_source):
     assert benchmark(tokenize, guards_source)
+
+
+@pytest.fixture(scope="module")
+def sweep_sources(tmp_path_factory):
+    """Every `.java` file of a K=4 sweep repository: repoA in four packages."""
+    repo = tmp_path_factory.mktemp("sweep-k4")
+    write_replicated_repo_a(repo, 4)
+    return [p.read_text(encoding="utf-8") for p in sorted(repo.rglob("*.java"))]
+
+
+def test_tokenize_sweep_files(benchmark, sweep_sources):
+    assert len(benchmark(lambda: [tokenize(s) for s in sweep_sources])) == 28
 
 
 def test_parse_unit(benchmark, guards_source):
@@ -146,3 +158,9 @@ def test_edit_similarity(benchmark, test_pair):
 
 def test_code_bleu_components(benchmark, test_pair):
     assert benchmark(code_bleu_components, *test_pair)
+
+
+def test_score_candidate(benchmark, test_pair):
+    """One candidate against its reference, both lexed and parsed afresh."""
+    score = benchmark(score_candidate, *test_pair, "IllegalArgumentException", "t")
+    assert score.code_bleu is not None

@@ -38,6 +38,7 @@ from exbt.jmodel import find_throw_sites, load_repo, reachable_throws
 from exbt.manifest import Manifest, verify_manifest
 from exbt.metrics import (
     CandidateScore,
+    Sides,
     aggregate,
     report_table,
     score_candidate,
@@ -452,6 +453,7 @@ def cmd_sweep(args) -> int:
     bundle_rows = [bundle_to_record(outcome, site) for site, outcome in results]
     candidate_rows = []
     scores: list[CandidateScore] = []
+    sides = Sides()  # extraction's parse of a candidate is the one scoring uses
     matched = [(site, o) for site, o in results if not isinstance(o, NoMatch)]
     completions = generate_many(
         backend,
@@ -461,7 +463,7 @@ def cmd_sweep(args) -> int:
         log=request_log,
     )
     for (site, bundle), completion in zip(matched, completions, strict=True):
-        candidate = extract_candidate(completion)
+        candidate = extract_candidate(completion, sides.parses)
         manifest.bump("generations")
         row = {
             "target": site.label(),
@@ -475,7 +477,7 @@ def cmd_sweep(args) -> int:
         manifest.bump("candidates_extracted")
         score = score_candidate(
             candidate, gold_by_site.get(site), site.exception_type, site,
-            site=site, runner=runner,
+            site=site, runner=runner, sides=sides,
         )
         scores.append(score)
         row.update(status="generated", candidate=candidate)
@@ -545,6 +547,7 @@ def cmd_eval(args) -> int:
     if args.runner_results:
         runner = RecordedRunner.from_file(args.runner_results)
     scores = []
+    sides = Sides()  # each distinct candidate and reference is scored from one side
     targets = sorted({row["target"] for row in candidates} | set(refs))
     for row in candidates:
         candidate = row.get("candidate")
@@ -558,7 +561,7 @@ def cmd_eval(args) -> int:
         scores.append(
             score_candidate(
                 candidate, ref_row.get("reference"), exception_type, row["target"],
-                site=site, runner=runner,
+                site=site, runner=runner, sides=sides,
             )
         )
     agg = aggregate(scores, targets)

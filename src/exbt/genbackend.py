@@ -280,22 +280,29 @@ def _balanced_method_at(text: str, start: int) -> str | None:
     return None
 
 
-def _reparses_as_test_method(source: str) -> bool:
-    try:
-        _, m = parse_member(source)
-    except Exception:
-        return False
+def _reparses_as_test_method(source: str, parses: dict) -> bool:
+    if source not in parses:
+        try:
+            parses[source] = parse_member(source)
+        except Exception:
+            parses[source] = None
     from exbt.classifier import _has_test_annotation
 
+    _, m = parses[source] or (None, None)
     return m is not None and m.tok_open is not None and _has_test_annotation(m)
 
 
-def extract_candidate(completion: str) -> str | None:
+def extract_candidate(completion: str, parses: dict | None = None) -> str | None:
     """First complete test-annotated method in a completion, or None.
 
     Code fences and surrounding prose are stripped; the extracted method
-    must re-parse (balanced braces, test annotation present).
+    must re-parse (balanced braces, test annotation present). `parses`
+    maps each text parsed to its `parse_member` result, None when it does
+    not parse: a text found there is not parsed again, and one parsed here
+    is added, so one dict shared with scoring (`metrics.Sides.parses`)
+    parses each text of a command once.
     """
+    parses = {} if parses is None else parses
     chunks = _fenced_blocks(completion) or [completion]
     for chunk in chunks:
         pos = 0
@@ -304,7 +311,7 @@ def extract_candidate(completion: str) -> str | None:
             if at < 0:
                 break
             candidate = _balanced_method_at(chunk, at)
-            if candidate and _reparses_as_test_method(candidate):
+            if candidate and _reparses_as_test_method(candidate, parses):
                 return candidate
             pos = at + 1
     return None

@@ -7,6 +7,7 @@ map stack-trace lines back onto source constructs.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from exbt.errors import JavaParseError
@@ -20,17 +21,18 @@ KEYWORDS = frozenset(
     sealed permits non-sealed""".split()
 )
 
-# longest-first so that e.g. ">>>=" wins over ">>"
-OPERATORS = sorted(
-    [
-        ">>>=", "<<=", ">>=", ">>>", "...", "->", "::", "==", "!=", "<=", ">=",
-        "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-        "<<", ">>", "+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|",
-        "^", "?", ":", "@",
-    ],
-    key=len,
-    reverse=True,
+OPERATORS = (
+    ">>>=", "<<=", ">>=", ">>>", "...", "->", "::", "==", "!=", "<=", ">=",
+    "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+    "<<", ">>", "+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|",
+    "^", "?", ":", "@",
 )
+# the operators by first character, longest first so that ">>>=" wins over
+# ">>"; every list but '.' ends with its one-character operator
+_OPERATORS_BY_FIRST = {
+    c: tuple(sorted((op for op in OPERATORS if op[0] == c), key=len, reverse=True))
+    for c in {op[0] for op in OPERATORS}
+}
 
 PUNCT = frozenset("(){}[];,.")
 
@@ -51,110 +53,127 @@ class Token(NamedTuple):
         return self.offset + len(self.text)
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c in "_$"
+# `\s` and `\w` are exactly `str.isspace` and `str.isalnum` plus '_'
+_space_run = re.compile(r"\s+").match
+_word_run = re.compile(r"\w*").match
+_ident_tail = re.compile(r"[\w$]*").match
+# a quoted literal ends at its first unescaped quote, and no line break may
+# come before it unescaped
+_LITERALS = {
+    '"': ("string", re.compile(r'"(?:[^"\\\n]|\\[\s\S])*"').match),
+    "'": ("char", re.compile(r"'(?:[^'\\\n]|\\[\s\S])*'").match),
+}
+# a text block ends at its first three unescaped quotes, so `\"""` is text
+_text_block = re.compile(r'"""(?:[^"\\]|\\[\s\S]|"(?!""))*"""').match
 
 
-def _is_ident_part(c: str) -> bool:
-    return c.isalnum() or c in "_$"
+def _char_class(c: str) -> str | None:
+    """What a token or gap that starts with c is; None when nothing starts
+    with it."""
+    if c.isspace():
+        return "space"
+    if c.isdigit():
+        return "number"
+    if c.isalpha() or c in "_$":
+        return "word"
+    if c == ".":
+        return "dot"
+    if c in PUNCT:
+        return "punct"
+    if c in "\"'":
+        return "quote"
+    if c == "/":
+        return "slash"
+    if c in _OPERATORS_BY_FIRST:
+        return "op"
+    return None
+
+
+_ASCII_CLASSES = {c: k for c in map(chr, range(128)) if (k := _char_class(c))}
+
+
+def _number_end(source: str, i: int) -> int:
+    """End of the number literal at i, which is a digit or a '.' before
+    one: a hex or binary literal runs over word characters; a decimal one
+    also takes a '.' before a digit and a sign after an exponent's 'e'."""
+    if source.startswith(("0x", "0X", "0b", "0B"), i):
+        return _word_run(source, i + 2).end()
+    n = len(source)
+    j = i
+    while True:
+        j = _word_run(source, j).end()
+        if j + 1 < n and source[j] == "." and source[j + 1].isdigit():
+            j += 1
+        elif j < n and source[j] in "+-" and source[j - 1] in "eE":
+            j += 1
+        else:
+            return j
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize Java source. Raises JavaParseError on unterminated literals."""
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
+    classes = _ASCII_CLASSES
     i = 0
     line = 1
     n = len(source)
     while i < n:
         c = source[i]
-        if c == "\n":
-            line += 1
+        kind = classes.get(c) or _char_class(c)
+        if kind == "word":
+            j = _ident_tail(source, i + 1).end()
+            text = source[i:j]
+            append(new(Token, ("keyword" if text in KEYWORDS else "ident", text, line, i)))
+            i = j
+        elif kind == "space":
+            j = _space_run(source, i).end()
+            line += source.count("\n", i, j)
+            i = j
+        elif kind == "punct":
+            append(new(Token, ("punct", c, line, i)))
             i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if source.startswith("//", i):
+        elif kind == "dot" and not (i + 1 < n and source[i + 1].isdigit()):
+            text = "..." if source.startswith("...", i) else "."
+            append(new(Token, ("op" if text == "..." else "punct", text, line, i)))
+            i += len(text)
+        elif kind == "number" or kind == "dot":
+            j = _number_end(source, i)
+            append(new(Token, ("number", source[i:j], line, i)))
+            i = j
+        elif kind == "quote":
+            if source.startswith('"""', i):
+                m = _text_block(source, i)
+                if m is None:
+                    raise JavaParseError(f"unterminated text block at line {line}")
+                text = m.group()
+                append(new(Token, ("string", text, line, i)))
+                line += text.count("\n")
+            else:
+                literal_kind, literal = _LITERALS[c]
+                m = literal(source, i)
+                if m is None:
+                    raise JavaParseError(f"unterminated literal at line {line}")
+                append(new(Token, (literal_kind, m.group(), line, i)))
+            i = m.end()
+        elif kind == "slash" and source.startswith("//", i):
             j = source.find("\n", i)
             i = n if j < 0 else j
-            continue
-        if source.startswith("/*", i):
+        elif kind == "slash" and source.startswith("/*", i):
             j = source.find("*/", i + 2)
             if j < 0:
                 raise JavaParseError(f"unterminated comment at line {line}")
             line += source.count("\n", i, j)
             i = j + 2
-            continue
-        if source.startswith('"""', i):
-            j = source.find('"""', i + 3)
-            if j < 0:
-                raise JavaParseError(f"unterminated text block at line {line}")
-            text = source[i : j + 3]
-            tokens.append(Token("string", text, line, i))
-            line += text.count("\n")
-            i = j + 3
-            continue
-        if c == '"' or c == "'":
-            quote = c
-            j = i + 1
-            while j < n:
-                if source[j] == "\\":
-                    j += 2
-                    continue
-                if source[j] == quote:
-                    break
-                if source[j] == "\n":
-                    raise JavaParseError(f"unterminated literal at line {line}")
-                j += 1
-            if j >= n:
-                raise JavaParseError(f"unterminated literal at line {line}")
-            kind = "string" if quote == '"' else "char"
-            tokens.append(Token(kind, source[i : j + 1], line, i))
-            i = j + 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            if source.startswith(("0x", "0X", "0b", "0B"), i):
-                j = i + 2
-                while j < n and (source[j].isalnum() or source[j] == "_"):
-                    j += 1
-            else:
-                while j < n and (source[j].isalnum() or source[j] in "._"):
-                    # stop before '.' that starts a method call on a literal
-                    if source[j] == "." and not (j + 1 < n and source[j + 1].isdigit()):
-                        break
-                    # exponent sign
-                    if source[j] in "eE" and j + 1 < n and source[j + 1] in "+-":
-                        j += 2
-                        continue
-                    j += 1
-            tokens.append(Token("number", source[i:j], line, i))
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i + 1
-            while j < n and _is_ident_part(source[j]):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, i))
-            i = j
-            continue
-        if c == "." and source.startswith("...", i):
-            tokens.append(Token("op", "...", line, i))
-            i += 3
-            continue
-        if c in PUNCT:
-            tokens.append(Token("punct", c, line, i))
-            i += 1
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, i))
-                i += len(op)
-                break
-        else:
+        elif kind is None:
             raise JavaParseError(f"unexpected character {c!r} at line {line}")
+        else:
+            for op in _OPERATORS_BY_FIRST[c]:
+                if source.startswith(op, i):
+                    break
+            append(new(Token, ("op", op, line, i)))
+            i += len(op)
     return tokens
 
 

@@ -377,6 +377,7 @@ def parse_unit(source: str, path: str) -> CompilationUnit:
 
 
 MEMBER_FIRST_LINE = 2  # the unit line on which parse_member's source starts
+MEMBER_TOKENS = slice(3, -1)  # the unit's tokens that parse_member's source made
 
 
 def parse_member(source: str) -> tuple[CompilationUnit, MethodDecl | None]:

@@ -21,11 +21,15 @@ from exbt.errors import ExbtError, RunnerUnavailable
 from exbt.jmodel import exprs as E
 from exbt.jmodel import CompilationUnit, MethodDecl, ThrowSite, parse_member
 from exbt.jmodel.lexer import KEYWORDS, tokenize
+from exbt.jmodel.model import MEMBER_TOKENS
 from exbt.jmodel.stmts import BodyParser
 
 _FALLBACK_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _LINE_COMMENT_RE = re.compile(r"//[^\n]*")
 _BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
+
+# what `parse_member` returns: the wrapping unit and its first method
+Member = tuple[CompilationUnit, MethodDecl | None]
 
 
 def code_tokens(text: str) -> list[str]:
@@ -89,14 +93,6 @@ def _weighted_bleu(
     geo = math.exp(log_sum / max_n)
     bp = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
     return bp * geo
-
-
-def _member(source: str) -> tuple[CompilationUnit, MethodDecl | None] | None:
-    """`parse_member` of the source, or None when it does not parse."""
-    try:
-        return parse_member(source)
-    except ExbtError:
-        return None
 
 
 # the kinds labelled with a detail: an operator or a type
@@ -169,19 +165,23 @@ def _def_use_pairs(method, node_exprs) -> Counter:
 
 class _Side(NamedTuple):
     """One side of a scored pair, lexed once and parsed once: its code
-    tokens, its `_member` parse and, when its method body parses, its AST
-    signatures and def-use edges (both None otherwise)."""
+    tokens, its `parse_member` result and, when its method body parses, its
+    AST signatures and def-use edges (both None otherwise)."""
 
     tokens: list[str]
     ast_sigs: Counter | None
     def_use: Counter | None
-    member: tuple[CompilationUnit, MethodDecl | None] | None
+    member: Member | None
 
 
-def _side(text: str) -> _Side:
-    tokens = code_tokens(text)
-    member = _member(text)
-    unit, method = member or (None, None)
+def _side(text: str, member: Member | None) -> _Side:
+    """The side of text, given its `parse_member` result (None when it does
+    not parse). A parsed text's code tokens are its member's own tokens, so
+    it is not lexed again; `code_tokens` reads one that does not parse."""
+    if member is None:
+        return _Side(code_tokens(text), None, None, None)
+    unit, method = member
+    tokens = [t.text for t in unit.tokens[MEMBER_TOKENS]]
     if method is None or method.tok_open is None:
         return _Side(tokens, None, None, member)
     try:
@@ -192,6 +192,31 @@ def _side(text: str) -> _Side:
     return _Side(
         tokens, _ast_signatures(tree, node_exprs), _def_use_pairs(method, node_exprs), member
     )
+
+
+class Sides:
+    """The texts one command scores, each parsed once and made a side once.
+
+    `parses` maps a text to its `parse_member` result, or to None when it
+    does not parse. Extraction may record a candidate's parse there first;
+    the text is then not parsed again."""
+
+    def __init__(self) -> None:
+        self.parses: dict[str, Member | None] = {}
+        self._sides: dict[str, _Side] = {}
+
+    def member(self, text: str) -> Member | None:
+        if text not in self.parses:
+            try:
+                self.parses[text] = parse_member(text)
+            except ExbtError:
+                self.parses[text] = None
+        return self.parses[text]
+
+    def side(self, text: str) -> _Side:
+        if text not in self._sides:
+            self._sides[text] = _side(text, self.member(text))
+        return self._sides[text]
 
 
 def _clipped_ratio(cand: Counter, ref: Counter) -> float:
@@ -212,8 +237,8 @@ def code_bleu_components(candidate: str | _Side, reference: str | _Side) -> dict
     Each side is a source string or a `_Side` already built from one. When
     either side does not parse as a Java method, the score degrades to
     plain BLEU and the result is flagged."""
-    cand = candidate if isinstance(candidate, _Side) else _side(candidate)
-    ref = reference if isinstance(reference, _Side) else _side(reference)
+    cand = candidate if isinstance(candidate, _Side) else Sides().side(candidate)
+    ref = reference if isinstance(reference, _Side) else Sides().side(reference)
     ngram = _weighted_bleu(cand.tokens, ref.tokens, 1.0)
     if cand.ast_sigs is None or ref.ast_sigs is None:
         return {
@@ -279,14 +304,14 @@ def _simple_name(type_name: str) -> str:
     return type_name.rsplit(".", 1)[-1]
 
 
-def matched_exception(candidate: str, target_exception: str) -> bool:
-    """Candidate checks the target exception type (simple-name compare)."""
-    return _member_matches(_member(candidate), target_exception)
+def matched_exception(candidate: str, target_exception: str, sides: Sides | None = None) -> bool:
+    """Candidate checks the target exception type (simple-name compare).
+    The candidate's parse comes from `sides` when given."""
+    sides = Sides() if sides is None else sides
+    return _member_matches(sides.member(candidate), target_exception)
 
 
-def _member_matches(
-    member: tuple[CompilationUnit, MethodDecl | None] | None, target_exception: str
-) -> bool:
+def _member_matches(member: Member | None, target_exception: str) -> bool:
     if member is None or member[1] is None:
         return False
     try:
@@ -353,10 +378,16 @@ def score_candidate(
     target: ThrowSite | str,
     site: ThrowSite | None = None,
     runner=None,
+    sides: Sides | None = None,
 ) -> CandidateScore:
+    """The similarity, exception and functional fields of one candidate.
+
+    Pass one `Sides` for every candidate of a command: a text extracted or
+    scored before is then not lexed, parsed or made a side again."""
     score = CandidateScore(target=target)
+    sides = Sides() if sides is None else sides
     if reference is not None:
-        cand, ref = _side(candidate), _side(reference)
+        cand, ref = sides.side(candidate), sides.side(reference)
         score.xmatch = cand.tokens == ref.tokens
         score.xmatch_strict = xmatch_strict(candidate, reference)
         comp = code_bleu_components(cand, ref)
@@ -366,7 +397,7 @@ def score_candidate(
         score.edit_sim = edit_similarity(candidate, reference)
         score.matched_e = _member_matches(cand.member, target_exception)
     else:
-        score.matched_e = matched_exception(candidate, target_exception)
+        score.matched_e = matched_exception(candidate, target_exception, sides)
     if runner is not None and site is not None:
         result = functional_check(candidate, site, runner)
         score.compilable = result.compilable

@@ -191,21 +191,28 @@ def test_eval_with_recorded_runner_matches_pinned_digest(capsys, tmp_path):
     )
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """The first argument of every call to module.name, counted in every
+    exbt module that holds the function."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("exbt") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 def test_sweep_renders_each_prompt_once(capsys, tmp_path, monkeypatch):
     """One render per corpus example plus one per sweep bundle, counted in
     every exbt module that holds the renderer."""
     from exbt import prompting
 
-    original = prompting.render_instruction
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("exbt") and getattr(module, "render_instruction", None) is original:
-            monkeypatch.setattr(module, "render_instruction", counting)
+    calls = _count_calls(monkeypatch, prompting, "render_instruction")
     out = tmp_path / "out"
     code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub", "--out", out)
     assert code == 0
@@ -214,6 +221,64 @@ def test_sweep_renders_each_prompt_once(capsys, tmp_path, monkeypatch):
     bundles = sum(b["status"] == "bundle" for b in bundles)
     assert (examples, bundles) == (3, 3)
     assert len(calls) == examples + bundles
+
+
+def _count_lexes_and_parses(monkeypatch):
+    from exbt.jmodel import lexer, model
+
+    lexed = _count_calls(monkeypatch, lexer, "tokenize")
+    return lexed, _count_calls(monkeypatch, model, "parse_member")
+
+
+def test_sweep_lexes_each_file_and_each_scored_text_once(capsys, tmp_path, monkeypatch):
+    """Extraction's parse of a candidate is the one scoring uses, and a
+    scored text is lexed only by that parse. When extraction and scoring
+    each parsed, and scoring lexed each side again, the sweep made 19 lexes
+    and 8 member parses."""
+    lexed, parsed = _count_lexes_and_parses(monkeypatch)
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub", "--out", out)
+    assert code == 0
+    rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
+    golds = {
+        f"{e['throw']['file']}:{e['throw']['line']}": e["gold_ebt"]
+        for e in map(json.loads, (out / "corpus.jsonl").read_text().splitlines())
+    }
+    texts = {r["candidate"] for r in rows if "candidate" in r}
+    texts |= {golds[r["target"]] for r in rows if "candidate" in r and r["target"] in golds}
+    files = len(list(REPO_A.rglob("*.java")))
+    assert (files, len(texts)) == (7, 5)
+    assert sorted(parsed) == sorted(texts)
+    assert len(lexed) == len(set(lexed)) == files + len(texts)
+
+
+def test_eval_lexes_each_file_and_each_distinct_text_once(capsys, tmp_path, monkeypatch):
+    """Three candidates per reference, one of them the reference itself:
+    each distinct text is lexed and parsed once. When each scored pair
+    lexed and parsed both its sides, this eval made 43 lexes and 18 member
+    parses."""
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub", "--out", out)
+    assert code == 0
+    refs, cands = [], []
+    for e in map(json.loads, (out / "corpus.jsonl").read_text().splitlines()):
+        target, gold = f"{e['throw']['file']}:{e['throw']['line']}", e["gold_ebt"]
+        refs.append({"target": target, "reference": gold,
+                     "exception_type": e["throw"]["exception_type"]})
+        for cand in (gold, gold.replace("() {", "2() {"), gold.replace("{", "{ // x\n", 1)):
+            cands.append({"target": target, "candidate": cand})
+    (tmp_path / "refs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in refs))
+    (tmp_path / "cands.jsonl").write_text("".join(json.dumps(c) + "\n" for c in cands))
+    lexed, parsed = _count_lexes_and_parses(monkeypatch)
+    code, _, _ = run(
+        capsys, "eval", "--candidates", tmp_path / "cands.jsonl", "--refs",
+        tmp_path / "refs.jsonl", "--repo", REPO_A,
+    )
+    assert code == 0
+    texts = {c["candidate"] for c in cands} | {r["reference"] for r in refs}
+    assert (len(cands), len(texts)) == (9, 9)
+    assert sorted(parsed) == sorted(texts)
+    assert len(lexed) == len(set(lexed)) == 7 + len(texts)
 
 
 def _two_throw_sweep(capsys, tmp_path, extra_files=None):

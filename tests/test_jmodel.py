@@ -361,6 +361,27 @@ def test_no_throws_empty_list(tmp_path):
     assert find_throw_sites(ctx, "all") == []
 
 
+def test_an_escaped_delimiter_does_not_end_a_text_block(tmp_path):
+    r'''javac compiles this class: in a text block `\"""` is text and
+    `\\"""` closes it. Ending the block at the first `\"""` made the whole
+    file a parse warning with no throw sites.'''
+    (tmp_path / "Doc.java").write_text(
+        "class Doc {\n"
+        "    String usage() {\n"
+        '        return """\n'
+        '            use \\""" to quote\n'
+        '            a backslash ends it: \\\\""";\n'
+        "    }\n"
+        "    void check(int n) {\n"
+        '        if (n < 0) throw new IllegalArgumentException("n");\n'
+        "    }\n"
+        "}\n"
+    )
+    ctx = load_repo(tmp_path)
+    assert ctx.warnings == []
+    assert [(s.method.name, s.line) for s in ctx.throw_sites] == [("check", 8)]
+
+
 def test_find_throw_sites_ordering_and_scope(repo_a):
     main_sites = find_throw_sites(repo_a, "main")
     all_sites = find_throw_sites(repo_a, "all")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import exbt.classifier
+import exbt.jmodel.model
 import exbt.metrics
 from exbt.errors import RunnerUnavailable
 from exbt.jmodel.stmts import BodyParser
@@ -300,7 +301,9 @@ def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(exbt.metrics, "tokenize", counting("tokenize", exbt.metrics.tokenize))
+    # every module that lexes a side: `code_tokens` and `parse_member`'s unit
+    for module in (exbt.metrics, exbt.jmodel.model):
+        monkeypatch.setattr(module, "tokenize", counting("tokenize", module.tokenize))
     monkeypatch.setattr(
         exbt.metrics, "parse_member", counting("parse_member", exbt.metrics.parse_member)
     )
