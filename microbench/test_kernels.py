@@ -8,6 +8,7 @@ Tier-1 collects only `tests/`, so these never time a Tier-1 run.
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -23,7 +24,12 @@ from exbt.jmodel import RepoContext, load_repo, parse_unit  # noqa: E402
 from exbt.jmodel.exprs import children, free_names, parse_expr, substitute  # noqa: E402
 from exbt.jmodel.lexer import tokenize  # noqa: E402
 from exbt.jmodel.stmts import BodyParser  # noqa: E402
-from exbt.metrics import code_bleu_components, edit_similarity, score_candidate  # noqa: E402
+from exbt.metrics import (  # noqa: E402
+    Sides,
+    code_bleu_components,
+    edit_similarity,
+    score_candidate,
+)
 
 GUARDS = REPO_G / "src/main/java/gx/Guards.java"
 
@@ -164,3 +170,38 @@ def test_score_candidate(benchmark, test_pair):
     """One candidate against its reference, both lexed and parsed afresh."""
     score = benchmark(score_candidate, *test_pair, "IllegalArgumentException", "t")
     assert score.code_bleu is not None
+
+
+def _seeded_edits(reference: str, count: int, seed: int = 7) -> list[str]:
+    """count edits of reference: each replaces, drops or doubles one line."""
+    rng = random.Random(seed)
+    lines = reference.splitlines()
+    out = []
+    for _ in range(count):
+        edited = list(lines)
+        k = rng.randrange(1, len(edited) - 1)
+        edit = rng.choice(("replace", "drop", "double"))
+        if edit == "replace":
+            edited[k] = edited[k].replace("(", f"(v{rng.randrange(100)} + ", 1)
+        elif edit == "drop":
+            del edited[k]
+        else:
+            edited.insert(k, edited[k])
+        out.append("\n".join(edited))
+    return out
+
+
+def test_score_many_against_one_reference(benchmark, test_pair):
+    """What eval does per target: a dozen candidates against one reference
+    through one `Sides`, so the reference is lexed, parsed and counted once."""
+    reference = test_pair[1]
+    candidates = _seeded_edits(reference, 12)
+
+    def score_all():
+        sides = Sides()
+        return [
+            score_candidate(c, reference, "IllegalArgumentException", "t", sides=sides)
+            for c in candidates
+        ]
+
+    assert all(s.code_bleu is not None for s in benchmark(score_all))

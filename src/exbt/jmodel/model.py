@@ -172,10 +172,10 @@ def _import_scopes(imports: list[str]) -> tuple[list[tuple[str, str | None]], li
 
 
 class _UnitParser:
-    def __init__(self, source: str, path: str):
+    def __init__(self, source: str, path: str, tokens: list[Token] | None = None):
         self.src = source
         self.path = path
-        self.toks = tokenize(source)
+        self.toks = tokenize(source) if tokens is None else tokens
 
     def parse(self) -> CompilationUnit:
         package = ""
@@ -372,18 +372,31 @@ class _UnitParser:
         return "".join(t.text for t in self.toks[lo:hi])
 
 
-def parse_unit(source: str, path: str) -> CompilationUnit:
-    return _UnitParser(source, path).parse()
+def parse_unit(source: str, path: str, tokens: list[Token] | None = None) -> CompilationUnit:
+    """Parse source; `tokens`, when given, are its tokens and it is not lexed."""
+    return _UnitParser(source, path, tokens).parse()
 
 
 MEMBER_FIRST_LINE = 2  # the unit line on which parse_member's source starts
 MEMBER_TOKENS = slice(3, -1)  # the unit's tokens that parse_member's source made
 
 
-def parse_member(source: str) -> tuple[CompilationUnit, MethodDecl | None]:
+def _member_unit_source(source: str) -> str:
+    return "class __Member {\n" + source + "\n}"
+
+
+def lex_member(source: str) -> list[Token]:
+    """The tokens of the unit `parse_member` wraps source in."""
+    return tokenize(_member_unit_source(source))
+
+
+def parse_member(
+    source: str, tokens: list[Token] | None = None
+) -> tuple[CompilationUnit, MethodDecl | None]:
     """Parse a member on its own, wrapped in a throwaway class: the unit and
-    its first method, or None when it declares none."""
-    unit = parse_unit("class __Member {\n" + source + "\n}", "<member>")
+    its first method, or None when it declares none. `tokens`, when given,
+    are `lex_member(source)`, and the unit is not lexed again."""
+    unit = parse_unit(_member_unit_source(source), "<member>", tokens)
     return unit, next((m for _, m in unit.all_methods()), None)
 
 

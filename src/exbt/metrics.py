@@ -21,12 +21,13 @@ from exbt.errors import ExbtError, RunnerUnavailable
 from exbt.jmodel import exprs as E
 from exbt.jmodel import CompilationUnit, MethodDecl, ThrowSite, parse_member
 from exbt.jmodel.lexer import KEYWORDS, tokenize
-from exbt.jmodel.model import MEMBER_TOKENS
+from exbt.jmodel.model import MEMBER_TOKENS, lex_member
 from exbt.jmodel.stmts import BodyParser
 
 _FALLBACK_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _LINE_COMMENT_RE = re.compile(r"//[^\n]*")
 _BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
+KEYWORD_WEIGHT = 5.0  # what a Java keyword weighs in CodeBLEU's weighted n-gram match
 
 # what `parse_member` returns: the wrapping unit and its first method
 Member = tuple[CompilationUnit, MethodDecl | None]
@@ -51,47 +52,58 @@ def xmatch_strict(candidate: str, reference: str) -> bool:
     return candidate == reference
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: list[str], max_n: int = 4) -> tuple[Counter, ...]:
+    """The 1- to max_n-gram counts of tokens; entry n - 1 counts the n-grams."""
+    return (Counter(tokens),) + tuple(
+        Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(2, max_n + 1)
+    )
 
 
 def bleu(candidate: str, reference: str, max_n: int = 4) -> float:
     """Smoothed BLEU over code tokens: add-one on every n-gram precision,
     geometric mean, brevity penalty."""
-    return _weighted_bleu(code_tokens(candidate), code_tokens(reference), 1.0, max_n)
+    cand, ref = (_side(code_tokens(text), None, max_n) for text in (candidate, reference))
+    return _weighted_bleu(cand, ref, 1.0, _clipped_logs(cand, ref))
 
 
-def _weighted_unigram_precision(
-    cand: list[str], ref: list[str], keyword_weight: float
-) -> float:
-    """Unigram precision where Java keywords weigh keyword_weight. With
-    weight 1.0 every sum is an exact integer, so the ratio equals the plain
-    count ratio bit for bit."""
-    cand_counts = Counter(cand)
-    ref_counts = Counter(ref)
+def _clipped_logs(cand: _Side, ref: _Side) -> list[float]:
+    """For n = 2 to max_n, the log of the add-one smoothed precision of the
+    candidate's n-gram counts clipped by the reference's. Plain and
+    keyword-weighted BLEU differ only in the unigram term, so a pair's
+    logs serve both."""
+    logs = []
+    for n in range(2, len(cand.grams) + 1):
+        ref_n = ref.grams[n - 1]
+        matched = sum(min(c, ref_n[g]) for g, c in cand.grams[n - 1].items() if g in ref_n)
+        logs.append(math.log((matched + 1) / (max(0, len(cand.tokens) - n + 1) + 1)))
+    return logs
+
+
+def _weighted_unigram_precision(cand: Counter, ref: Counter, keyword_weight: float) -> float:
+    """Unigram precision of the candidate's token counts, where Java
+    keywords weigh keyword_weight. With weight 1.0 every sum is an exact
+    integer, so the ratio equals the plain count ratio bit for bit."""
     matched = 0.0
     total = 0.0
-    for tok, c in cand_counts.items():
+    for tok, c in cand.items():
         w = keyword_weight if tok in KEYWORDS else 1.0
-        matched += w * min(c, ref_counts[tok])
+        matched += w * min(c, ref.get(tok, 0))
         total += w * c
     return (matched + 1) / (total + 1)
 
 
-def _weighted_bleu(
-    cand: list[str], ref: list[str], keyword_weight: float = 5.0, max_n: int = 4
-) -> float:
-    if not cand or not ref:
-        return 1.0 if cand == ref else 0.0
-    log_sum = math.log(_weighted_unigram_precision(cand, ref, keyword_weight))
-    for n in range(2, max_n + 1):
-        cand_ngrams = _ngrams(cand, n)
-        ref_ngrams = _ngrams(ref, n)
-        total = sum(cand_ngrams.values())
-        matched = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
-        log_sum += math.log((matched + 1) / (total + 1))
-    geo = math.exp(log_sum / max_n)
-    bp = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
+def _weighted_bleu(cand: _Side, ref: _Side, keyword_weight: float, logs: list[float]) -> float:
+    """BLEU of two sides from their unigram counts and the pair's
+    `_clipped_logs`, added one by one in order of n: summing them first
+    would round differently in the last bit."""
+    if not cand.tokens or not ref.tokens:
+        return 1.0 if cand.tokens == ref.tokens else 0.0
+    log_sum = math.log(_weighted_unigram_precision(cand.grams[0], ref.grams[0], keyword_weight))
+    for term in logs:
+        log_sum += term
+    geo = math.exp(log_sum / (len(logs) + 1))
+    n_cand, n_ref = len(cand.tokens), len(ref.tokens)
+    bp = 1.0 if n_cand >= n_ref else math.exp(1 - n_ref / n_cand)
     return bp * geo
 
 
@@ -165,57 +177,75 @@ def _def_use_pairs(method, node_exprs) -> Counter:
 
 class _Side(NamedTuple):
     """One side of a scored pair, lexed once and parsed once: its code
-    tokens, its `parse_member` result and, when its method body parses, its
-    AST signatures and def-use edges (both None otherwise)."""
+    tokens, their 1- to 4-gram counts (to max_n in `bleu`), its
+    `parse_member` result and, when its method body parses, its AST
+    signatures and def-use edges (both None otherwise)."""
 
     tokens: list[str]
+    grams: tuple[Counter, ...]
     ast_sigs: Counter | None
     def_use: Counter | None
     member: Member | None
 
 
-def _side(text: str, member: Member | None) -> _Side:
-    """The side of text, given its `parse_member` result (None when it does
-    not parse). A parsed text's code tokens are its member's own tokens, so
-    it is not lexed again; `code_tokens` reads one that does not parse."""
+def _side(tokens: list[str], member: Member | None, max_n: int = 4) -> _Side:
+    """The side of a text with these code tokens, given its `parse_member`
+    result (None when it does not parse)."""
+    grams = _ngram_counts(tokens, max_n)
     if member is None:
-        return _Side(code_tokens(text), None, None, None)
+        return _Side(tokens, grams, None, None, None)
     unit, method = member
-    tokens = [t.text for t in unit.tokens[MEMBER_TOKENS]]
     if method is None or method.tok_open is None:
-        return _Side(tokens, None, None, member)
+        return _Side(tokens, grams, None, None, member)
     try:
         tree = BodyParser(unit.tokens, unit.source).parse_block(method.tok_open)
     except ExbtError:
-        return _Side(tokens, None, None, member)
+        return _Side(tokens, grams, None, None, member)
     node_exprs = [(node, _stmt_expr_trees(unit, node)) for node in tree.iter_tree()]
     return _Side(
-        tokens, _ast_signatures(tree, node_exprs), _def_use_pairs(method, node_exprs), member
+        tokens, grams, _ast_signatures(tree, node_exprs), _def_use_pairs(method, node_exprs),
+        member,
     )
 
 
 class Sides:
-    """The texts one command scores, each parsed once and made a side once.
+    """The texts one command scores, each lexed once, parsed once and made a
+    side once.
 
     `parses` maps a text to its `parse_member` result, or to None when it
     does not parse. Extraction may record a candidate's parse there first;
-    the text is then not parsed again."""
+    the text is then not parsed again. A text whose member unit lexes but
+    does not parse keeps that unit's code tokens for its side, so only a
+    text the lexer rejects goes to `code_tokens`."""
 
     def __init__(self) -> None:
         self.parses: dict[str, Member | None] = {}
+        self._unparsed_tokens: dict[str, list[str]] = {}
         self._sides: dict[str, _Side] = {}
 
     def member(self, text: str) -> Member | None:
         if text not in self.parses:
+            self.parses[text] = None
             try:
-                self.parses[text] = parse_member(text)
+                unit_tokens = lex_member(text)
             except ExbtError:
-                self.parses[text] = None
+                return None
+            try:
+                self.parses[text] = parse_member(text, unit_tokens)
+            except ExbtError:
+                self._unparsed_tokens[text] = [t.text for t in unit_tokens[MEMBER_TOKENS]]
         return self.parses[text]
 
     def side(self, text: str) -> _Side:
         if text not in self._sides:
-            self._sides[text] = _side(text, self.member(text))
+            member = self.member(text)
+            if member is not None:
+                tokens = [t.text for t in member[0].tokens[MEMBER_TOKENS]]
+            elif text in self._unparsed_tokens:
+                tokens = self._unparsed_tokens.pop(text)
+            else:
+                tokens = code_tokens(text)
+            self._sides[text] = _side(tokens, member)
         return self._sides[text]
 
 
@@ -239,7 +269,8 @@ def code_bleu_components(candidate: str | _Side, reference: str | _Side) -> dict
     plain BLEU and the result is flagged."""
     cand = candidate if isinstance(candidate, _Side) else Sides().side(candidate)
     ref = reference if isinstance(reference, _Side) else Sides().side(reference)
-    ngram = _weighted_bleu(cand.tokens, ref.tokens, 1.0)
+    logs = _clipped_logs(cand, ref)
+    ngram = _weighted_bleu(cand, ref, 1.0, logs)
     if cand.ast_sigs is None or ref.ast_sigs is None:
         return {
             "code_bleu": ngram,
@@ -249,7 +280,7 @@ def code_bleu_components(candidate: str | _Side, reference: str | _Side) -> dict
             "dataflow_match": ngram,
             "degraded": True,
         }
-    weighted = _weighted_bleu(cand.tokens, ref.tokens)
+    weighted = _weighted_bleu(cand, ref, KEYWORD_WEIGHT, logs)
     ast_match = _clipped_ratio(cand.ast_sigs, ref.ast_sigs)
     dataflow = _clipped_ratio(cand.def_use, ref.def_use)
     return {
@@ -271,11 +302,42 @@ def edit_similarity(candidate: str, reference: str) -> float:
     return 1.0 - _levenshtein(candidate, reference) / max(len(candidate), len(reference))
 
 
+def _shared_ends(a: str, b: str) -> tuple[int, int]:
+    """The lengths of a's and b's common prefix and of their common suffix
+    in what the prefix leaves. Each is a binary search over slice
+    comparisons that halve in length, so it reads about as many characters
+    as the strings share."""
+    shortest = min(len(a), len(b))
+    lo, hi = 0, shortest
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    prefix = lo
+    lo, hi = 0, shortest - prefix
+    la, lb = len(a), len(b)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[la - mid : la - lo] == b[lb - mid : lb - lo]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return prefix, lo
+
+
 def _levenshtein(a: str, b: str) -> int:
-    """Exact edit distance of two non-empty strings, one text column per
-    step: Myers' bit-parallel algorithm in Hyyro's formulation. Bit i of
+    """Exact edit distance of two non-empty strings. Their shared prefix
+    and suffix cost nothing, since an optimal alignment can always match
+    them, so only the differing middles are compared: one text column per
+    step, by Myers' bit-parallel algorithm in Hyyro's formulation. Bit i of
     the vertical deltas stands for row i of the DP column over `pattern`;
     Python ints make the vectors as wide as the pattern needs."""
+    prefix, suffix = _shared_ends(a, b)
+    a, b = a[prefix : len(a) - suffix], b[prefix : len(b) - suffix]
+    if not a or not b:
+        return len(a) + len(b)
     pattern, text = (a, b) if len(a) >= len(b) else (b, a)
     masks: dict[str, int] = {}
     for i, ch in enumerate(pattern):

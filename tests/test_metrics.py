@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,14 +10,17 @@ import exbt.classifier
 import exbt.jmodel.model
 import exbt.metrics
 from exbt.errors import RunnerUnavailable
+from exbt.jmodel.lexer import KEYWORDS
 from exbt.jmodel.stmts import BodyParser
 from exbt.metrics import (
     CandidateScore,
     FunctionalResult,
+    Sides,
     aggregate,
     bleu,
     code_bleu,
     code_bleu_components,
+    code_tokens,
     edit_similarity,
     functional_check,
     matched_exception,
@@ -95,6 +101,72 @@ def test_bleu_invariant_under_comment_removal():
     assert code_bleu(with_comments, METHOD) == pytest.approx(1.0)
 
 
+# Reference: BLEU as it was computed before n-gram counts were kept on a
+# side, recounting both token lists for every pair and every weighting.
+def _ref_ngrams(tokens: list[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _ref_weighted_unigram_precision(cand, ref, keyword_weight) -> float:
+    cand_counts = Counter(cand)
+    ref_counts = Counter(ref)
+    matched = 0.0
+    total = 0.0
+    for tok, c in cand_counts.items():
+        w = keyword_weight if tok in KEYWORDS else 1.0
+        matched += w * min(c, ref_counts[tok])
+        total += w * c
+    return (matched + 1) / (total + 1)
+
+
+def _ref_weighted_bleu(cand, ref, keyword_weight=5.0, max_n=4) -> float:
+    if not cand or not ref:
+        return 1.0 if cand == ref else 0.0
+    log_sum = math.log(_ref_weighted_unigram_precision(cand, ref, keyword_weight))
+    for n in range(2, max_n + 1):
+        cand_ngrams = _ref_ngrams(cand, n)
+        ref_ngrams = _ref_ngrams(ref, n)
+        total = sum(cand_ngrams.values())
+        matched = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
+        log_sum += math.log((matched + 1) / (total + 1))
+    geo = math.exp(log_sum / max_n)
+    bp = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
+    return bp * geo
+
+
+# few words, so that n-grams repeat within and across lists; keywords weigh
+# more in the weighted BLEU; every word lexes as one token between spaces
+_BLEU_WORDS = ["if", "return", "new", "int", "x", "y", "(", ")", ";", "=", "."]
+_BLEU_TOKENS = st.one_of(
+    st.lists(st.sampled_from(_BLEU_WORDS), max_size=4),
+    st.lists(st.sampled_from(_BLEU_WORDS), max_size=40),
+)
+
+
+def _token_side(tokens: list[str], parsed: bool) -> exbt.metrics._Side:
+    trees = Counter({"block()": 1}) if parsed else None
+    return exbt.metrics._Side(tokens, exbt.metrics._ngram_counts(tokens), trees, trees, None)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_BLEU_TOKENS, _BLEU_TOKENS, st.integers(1, 5))
+@example([], [], 4)
+@example([], ["x"], 4)
+@example(["x", "y"], ["x", "y", "x"], 4)
+@example(["if", "(", "x", ")", "return"] * 4, ["if", "(", "x", ")", "return", ";"] * 3, 4)
+def test_bleu_and_code_bleu_equal_the_per_pair_counts_bit_for_bit(cand, ref, max_n):
+    plain = _ref_weighted_bleu(cand, ref, 1.0, max_n)
+    assert code_tokens(" ".join(cand)) == cand
+    assert bleu(" ".join(cand), " ".join(ref), max_n) == plain
+    if max_n != 4:
+        return
+    comp = code_bleu_components(_token_side(cand, True), _token_side(ref, True))
+    assert comp["ngram"] == plain
+    assert comp["weighted_ngram"] == _ref_weighted_bleu(cand, ref)
+    degraded = code_bleu_components(_token_side(cand, False), _token_side(ref, True))
+    assert degraded["code_bleu"] == degraded["weighted_ngram"] == plain
+
+
 # --- CodeBLEU ---
 
 
@@ -172,6 +244,34 @@ _EDIT_TEXT = st.text(alphabet="ab;{ \né中\U0001F600", max_size=200)
 @example("", "x" * 200)
 def test_edit_similarity_equals_dynamic_program(a, b):
     assert edit_similarity(a, b) == _dp_edit_similarity(a, b)
+
+
+# two texts sharing a long prefix and suffix around short differing middles;
+# either end may be empty, and so may either middle, which makes one text
+# a prefix or a suffix of the other, or both texts the same
+_SHARED_END = st.one_of(st.just(""), st.text(alphabet="ab;{ \né", max_size=120))
+_MIDDLE = st.one_of(st.just(""), st.text(alphabet="ab;{ \né\U0001F600", max_size=16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SHARED_END, _MIDDLE, _MIDDLE, _SHARED_END)
+@example("", "aaa", "aa", "")  # the shared prefix and suffix overlap
+@example("", "abab", "ab", "")
+@example("x", "aXa", "a", "x")
+@example("ab;" * 40, "", "", "{é" * 30)  # identical
+@example("ab;" * 40, "", "é", "")  # a prefix of the other
+@example("", "é", "", "{é" * 30)  # a suffix of the other
+def test_edit_similarity_equals_dynamic_program_around_shared_ends(prefix, x, y, suffix):
+    a, b = prefix + x + suffix, prefix + y + suffix
+    assert edit_similarity(a, b) == _dp_edit_similarity(a, b)
+    assert edit_similarity(b, a) == _dp_edit_similarity(a, b)
+
+
+def test_shared_ends_never_overlap():
+    assert exbt.metrics._shared_ends("aaa", "aa") == (2, 0)
+    assert exbt.metrics._shared_ends("abcab", "ab") == (2, 0)
+    assert exbt.metrics._shared_ends("xab", "ab") == (0, 2)
+    assert exbt.metrics._shared_ends("same", "same") == (4, 0)
 
 
 # --- matched exception ---
@@ -291,6 +391,10 @@ def test_report_table_column_order():
         assert header.index(left) < header.index(right)
 
 
+# a method whose braces do not balance: it lexes, but does not parse
+UNPARSED = "@Test public void t() { f(); "
+
+
 def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
     calls = {"tokenize": 0, "parse_member": 0, "parse_block": 0, "classify_parse": 0}
 
@@ -301,6 +405,7 @@ def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
 
         return wrapper
 
+    unparsed_tokens = code_tokens(UNPARSED)
     # every module that lexes a side: `code_tokens` and `parse_member`'s unit
     for module in (exbt.metrics, exbt.jmodel.model):
         monkeypatch.setattr(module, "tokenize", counting("tokenize", module.tokenize))
@@ -318,6 +423,46 @@ def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
     s = score_candidate(METHOD.replace("acct", "a2"), METHOD, "IOException", "t1")
     assert s.code_bleu_degraded is False
     assert calls == {"tokenize": 2, "parse_member": 2, "parse_block": 2, "classify_parse": 0}
+
+    # a candidate that lexes but does not parse takes its side's tokens from
+    # the unit lexed for its parse, so it is lexed once too
+    calls.update(dict.fromkeys(calls, 0))
+    sides = Sides()
+    s = score_candidate(UNPARSED, METHOD, "IOException", "t1", sides=sides)
+    assert s.code_bleu_degraded is True
+    assert calls == {"tokenize": 2, "parse_member": 2, "parse_block": 1, "classify_parse": 0}
+    assert sides.side(UNPARSED).tokens == unparsed_tokens
+
+
+def test_scoring_counts_each_texts_ngrams_once_and_each_pairs_matches_once(monkeypatch):
+    """Six candidates of one reference through one `Sides`: seven texts
+    counted, and each pair's 2- to 4-gram matches clipped once for both
+    plain and keyword-weighted BLEU."""
+    calls = {"_ngram_counts": 0, "_clipped_logs": 0}
+
+    def counting(name):
+        fn = getattr(exbt.metrics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(exbt.metrics, name, wrapper)
+
+    counting("_ngram_counts")
+    counting("_clipped_logs")
+    candidates = [
+        METHOD.replace("(5);", "(5); // boom"),
+        METHOD.replace("acct", "a2"),
+        METHOD.replace("100", "7"),
+        METHOD.replace("    acct.withdraw(5);\n", ""),
+        METHOD.replace("@Test", "@Test(expected = IOException.class)"),
+        UNPARSED,
+    ]
+    sides = Sides()
+    scores = [score_candidate(c, METHOD, "IOException", "t1", sides=sides) for c in candidates]
+    assert [s.code_bleu_degraded for s in scores] == [False] * 5 + [True]
+    assert calls == {"_ngram_counts": 7, "_clipped_logs": 6}
 
 
 def test_score_candidate_degrades_on_a_malformed_switch():
