@@ -9,9 +9,11 @@ rerun with the stub backend reproduces outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 from exbt import __version__
@@ -37,7 +39,6 @@ from exbt.instrument import (
 from exbt.jmodel import find_throw_sites, load_repo, reachable_throws
 from exbt.manifest import Manifest, verify_manifest
 from exbt.metrics import (
-    CandidateScore,
     Sides,
     aggregate,
     report_table,
@@ -71,7 +72,9 @@ def _load(repo: str, args) -> "RepoContext":
     return load_repo(repo, test_roots=roots)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: each `parse_args` makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="exbt",
         description="context pipeline for exceptional-behavior test generation",
@@ -167,6 +170,29 @@ def _read_trace_log(path: str) -> TraceLog:
     """Parse a trace-log file. Bytes that are not UTF-8 survive the decode as
     lone surrogates, so only the blocks holding them are skipped."""
     return parse_trace_log(Path(path).read_bytes().decode("utf-8", "surrogateescape"))
+
+
+def _nonebt_pool(args, ctx, nonebts, required: bool, cache_dir=None):
+    """(path, trace log, pool) of the non-EBT trace log; (None, None, []) without one."""
+    log_path = _default_path(args.repo, "logs/nonebt-traces.log", args.trace_log)
+    if log_path is None:
+        if required:
+            raise ExbtError("--trace-log is required (no default log found in repo)")
+        return None, None, []
+    trace_log = _read_trace_log(log_path)
+    return log_path, trace_log, collect_stacktrace_set(nonebts, ctx, trace_log, cache_dir)
+
+
+def _backend_kind(args, cfg) -> str:
+    return cfg.get("backend_kind", args.backend, "stub")
+
+
+def _make_backend(args, cfg, stub_file: str | None):
+    """The backend that the flags, the config file and the environment name."""
+    return make_backend(
+        _backend_kind(args, cfg), url=cfg.get("backend_url"), stub_file=stub_file,
+        auth_token=cfg.get("auth_token"),
+    )
 
 
 def cmd_classify(args) -> int:
@@ -295,15 +321,11 @@ def cmd_instrument(args) -> int:
 
 def cmd_pool(args) -> int:
     ctx = _load(args.repo, args)
-    log_path = _default_path(args.repo, "logs/nonebt-traces.log", args.trace_log)
-    if log_path is None:
-        raise ExbtError("--trace-log is required (no default log found in repo)")
     _, nonebts = split_test_suite(ctx)
-    trace_log = _read_trace_log(log_path)
-    pool = collect_stacktrace_set(nonebts, ctx, trace_log, cache_dir=args.cache)
+    _, trace_log, pool = _nonebt_pool(args, ctx, nonebts, required=True, cache_dir=args.cache)
     rows = [
         {
-            "trace": [[f.class_fqn, f.method, f.file, f.line] for f in e.trace.frames],
+            "trace": e.trace.to_rows(),
             "source_test": test_method_label(e.source_test),
             "throw_site": e.throw_site.label(),
         }
@@ -353,11 +375,7 @@ def cmd_prompt(args) -> int:
     if dest is None:
         raise ExbtError("no destination test file found; pass --dest")
     _, nonebts = split_test_suite(ctx)
-    log_path = _default_path(args.repo, "logs/nonebt-traces.log", args.trace_log)
-    pool = []
-    if log_path:
-        trace_log = _read_trace_log(log_path)
-        pool = collect_stacktrace_set(nonebts, ctx, trace_log)
+    _, _, pool = _nonebt_pool(args, ctx, nonebts, required=False)
     variant = "with-name" if args.name else "no-name"
     outcome = assemble_prompt(
         mut, site, dest, pool, nonebts, ctx,
@@ -392,87 +410,99 @@ _CANDIDATE_SCORE_FIELDS = (
 
 
 def cmd_sweep(args) -> int:
+    """The sweep's stages in order; each counts its manifest counters."""
     ctx = _load(args.repo, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = load_config(args.config)
-    backend_kind = cfg.get("backend_kind", args.backend, "stub")
-    manifest = Manifest(
-        "sweep", seed=args.seed, template_id=TEMPLATE_ID, backend_kind=backend_kind
-    )
+    manifest = Manifest("sweep", seed=args.seed, template_id=TEMPLATE_ID,
+                        backend_kind=_backend_kind(args, cfg))
     manifest.add_input_tree("repo", args.repo)
 
+    ebts, nonebts = _classify_stage(ctx, manifest)
+    index = SweepIndex(ctx, nonebts)  # shared by the corpus and the sweep
+    corpus = _corpus_stage(args, ctx, ebts, index, out, manifest)
+    pool = _pool_stage(args, ctx, nonebts, manifest)
+    results = _prompts_stage(args, ctx, pool, index, manifest)
+    rows, scores, request_log = _generate_score_stage(args, cfg, ctx, results, corpus, manifest)
+    agg = aggregate(scores, [site for site, _ in results])
+    _write_stage(out, manifest, results, rows, agg, request_log)
+    print(report_table(agg))
+    print(f"# artifacts in {out}", file=sys.stderr)
+    return 0
+
+
+def _classify_stage(ctx, manifest: Manifest):
     ebts, nonebts = split_test_suite(ctx)
     manifest.bump("tests_classified", len(ebts) + len(nonebts))
-    index = SweepIndex(ctx, nonebts)  # shared by the corpus and the sweep
+    return ebts, nonebts
 
-    # training-path demonstration: corpus from EBT traces when available
+
+def _corpus_stage(args, ctx, ebts, index: SweepIndex, out: Path, manifest: Manifest):
+    """The EBT trace log's training corpus, written to corpus.jsonl, if any."""
     ebt_log_path = _default_path(args.repo, "logs/ebt-traces.log", args.ebt_trace_log)
-    corpus_examples = []
-    if ebt_log_path:
-        manifest.add_input("ebt_trace_log", ebt_log_path)
-        ebt_log = _read_trace_log(ebt_log_path)
-        corpus_examples, corpus_skipped = collect_training_corpus(
-            ebts, index, ctx, ebt_log, repo_name=Path(args.repo).name
-        )
-        manifest.bump("corpus_examples_built", len(corpus_examples))
-        manifest.bump("corpus_examples_skipped", len(corpus_skipped))
-        manifest.bump("guards_computed", len(corpus_examples))
-        corpus_path = out / "corpus.jsonl"
-        write_corpus(corpus_examples, corpus_path)
-        manifest.add_artifact(corpus_path, out)
+    if not ebt_log_path:
+        return []
+    manifest.add_input("ebt_trace_log", ebt_log_path)
+    examples, skipped = collect_training_corpus(
+        ebts, index, ctx, _read_trace_log(ebt_log_path), repo_name=Path(args.repo).name
+    )
+    manifest.bump("corpus_examples_built", len(examples))
+    manifest.bump("corpus_examples_skipped", len(skipped))
+    manifest.bump("guards_computed", len(examples))
+    write_corpus(examples, out / "corpus.jsonl")
+    manifest.add_artifact(out / "corpus.jsonl", out)
+    return examples
 
-    # inference path: pool, prompts, generation, evaluation
-    log_path = _default_path(args.repo, "logs/nonebt-traces.log", args.trace_log)
-    if log_path is None:
-        raise ExbtError("--trace-log is required (no default log found in repo)")
+
+def _pool_stage(args, ctx, nonebts, manifest: Manifest):
+    log_path, _, pool = _nonebt_pool(args, ctx, nonebts, required=True)
     manifest.add_input("nonebt_trace_log", log_path)
-    trace_log = _read_trace_log(log_path)
-    pool = collect_stacktrace_set(nonebts, ctx, trace_log)
     manifest.bump("pool_builds")
     manifest.bump("pool_entries", len(pool))
+    return pool
 
-    results = sweep_targets(
-        ctx, pool, index, seed=args.seed, variant=args.variant,
-        counters=manifest.counters,
-    )
 
+# the manifest counters of a sweep target, by NoMatch reason (None: a bundle)
+_TARGET_COUNTERS = {
+    "no-dest-file": ("dest_none",),
+    "no-matching-trace": ("dest_name-match", "nomatch_no_matching_trace"),
+    None: ("dest_name-match", "prompts_assembled", "guards_computed"),
+}
+
+
+def _prompts_stage(args, ctx, pool, index: SweepIndex, manifest: Manifest):
+    results = sweep_targets(ctx, pool, index, seed=args.seed, variant=args.variant)
+    for _, outcome in results:
+        for counter in _TARGET_COUNTERS[outcome.reason if isinstance(outcome, NoMatch) else None]:
+            manifest.bump(counter)
+    return results
+
+
+def _generate_score_stage(args, cfg, ctx, results, corpus, manifest: Manifest):
+    """(candidate rows, scores, request log): one generation per bundle."""
     stub_file = _default_path(args.repo, "canned/completions.json", args.stub_file)
-    if backend_kind == "stub" and stub_file:
+    if manifest.backend_kind == "stub" and stub_file:
         manifest.add_input("stub_completions", stub_file)
     request_log = RequestLog()
-    backend = make_backend(
-        backend_kind, url=cfg.get("backend_url"), stub_file=stub_file,
-        auth_token=cfg.get("auth_token"),
-    )
-    params = GenerationParams(seed=args.seed)
-
+    backend = _make_backend(args, cfg, stub_file)
     runner = _make_runner(args, ctx)
-    gold_by_site = {e.prompt.throw_site: e.gold_ebt for e in corpus_examples}
-
-    bundle_rows = [bundle_to_record(outcome, site) for site, outcome in results]
-    candidate_rows = []
-    scores: list[CandidateScore] = []
+    gold_by_site = {e.prompt.throw_site: e.gold_ebt for e in corpus}
     sides = Sides()  # extraction's parse of a candidate is the one scoring uses
     matched = [(site, o) for site, o in results if not isinstance(o, NoMatch)]
     completions = generate_many(
-        backend,
-        [bundle.rendered_instruction for _, bundle in matched],
-        params,
-        max_in_flight=args.max_in_flight,
-        log=request_log,
+        backend, [bundle.rendered_instruction for _, bundle in matched],
+        GenerationParams(seed=args.seed), max_in_flight=args.max_in_flight, log=request_log,
     )
+    rows, scores = [], []
     for (site, bundle), completion in zip(matched, completions, strict=True):
-        candidate = extract_candidate(completion, sides.parses)
         manifest.bump("generations")
-        row = {
-            "target": site.label(),
-            "instruction_digest": digest(bundle.rendered_instruction),
-            "completion_digest": digest(completion),
-        }
+        row = {"target": site.label(), "instruction_digest": digest(bundle.rendered_instruction),
+               "completion_digest": digest(completion)}
+        rows.append(row)
+        candidate = extract_candidate(completion, sides.parses)
         if candidate is None:
             row["status"] = "no-candidate"
-            candidate_rows.append(row)
             continue
         manifest.bump("candidates_extracted")
         score = score_candidate(
@@ -482,36 +512,30 @@ def cmd_sweep(args) -> int:
         scores.append(score)
         row.update(status="generated", candidate=candidate)
         row.update((f, getattr(score, f)) for f in _CANDIDATE_SCORE_FIELDS)
-        candidate_rows.append(row)
+    return rows, scores, request_log
 
-    agg = aggregate(scores, [site for site, _ in results])
-    reasons = {}
-    for row in bundle_rows:
-        if row["status"] == "no-match":
-            reasons[row["reason"]] = reasons.get(row["reason"], 0) + 1
+
+def _write_stage(out: Path, manifest: Manifest, results, rows, agg, request_log) -> None:
+    """The five sweep artifacts, each named once, then the manifest."""
     report = {
         "aggregate": agg,
-        "no_match_reasons": reasons,
+        "no_match_reasons": Counter(o.reason for _, o in results if isinstance(o, NoMatch)),
         "targets": [site.label() for site, _ in results],
-        "seed": args.seed,
-        "template_id": TEMPLATE_ID,
-        "backend_kind": backend_kind,
+        "seed": manifest.seed,
+        "template_id": manifest.template_id,
+        "backend_kind": manifest.backend_kind,
     }
-
-    _write_jsonl(out / "bundles.jsonl", bundle_rows)
-    _write_jsonl(out / "candidates.jsonl", candidate_rows)
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / "report.txt").write_text(report_table(agg) + "\n", encoding="utf-8")
-    request_log.write(out / "requests.jsonl")
-    for name in ("bundles.jsonl", "candidates.jsonl", "report.json", "report.txt",
-                 "requests.jsonl"):
+    writers = {
+        "bundles.jsonl": lambda p: _write_jsonl(p, [bundle_to_record(o, s) for s, o in results]),
+        "candidates.jsonl": lambda p: _write_jsonl(p, rows),
+        "report.json": lambda p: p.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n"),
+        "report.txt": lambda p: p.write_text(report_table(agg) + "\n", encoding="utf-8"),
+        "requests.jsonl": request_log.write,
+    }
+    for name, write in writers.items():
+        write(out / name)
         manifest.add_artifact(out / name, out)
     manifest.write(out / "manifest.json")
-    print(report_table(agg))
-    print(f"# artifacts in {out}", file=sys.stderr)
-    return 0
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -522,12 +546,7 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
 
 def cmd_generate(args) -> int:
     instruction = Path(args.instruction).read_text(encoding="utf-8")
-    cfg = load_config(args.config)
-    backend_kind = cfg.get("backend_kind", args.backend, "stub")
-    backend = make_backend(
-        backend_kind, url=cfg.get("backend_url"), stub_file=args.stub_file,
-        auth_token=cfg.get("auth_token"),
-    )
+    backend = _make_backend(args, load_config(args.config), args.stub_file)
     completion = backend.generate(instruction, GenerationParams(seed=args.seed))
     if args.extract:
         candidate = extract_candidate(completion)
@@ -623,6 +642,8 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except OSError as exc:  # a missing or unreadable input file
         error: ExbtError = IoError(str(exc))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # a malformed input file
+        error = BadInput(f"malformed input file: {exc}")
     except ExbtError as exc:
         error = exc
     print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)

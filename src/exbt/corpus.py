@@ -66,10 +66,9 @@ def collect_training_corpus(
     ctx: RepoContext,
     trace_log: TraceLog,
     repo_name: str = "",
-    variant: str = "with-name",
-    budget: int = NONEBT_TOKEN_BUDGET,
 ) -> tuple[list[CorpusExample], list[SkippedExample]]:
-    """One example per exceptional test whose trace resolves end to end."""
+    """One example per exceptional test whose trace resolves end to end;
+    each prompt is the with-name variant, named after its gold test."""
     index = SweepIndex.of(ctx, nonebts)
     traces_by_test: dict[str, StackTrace] = {}
     for trace, test_id in trace_log:
@@ -96,9 +95,7 @@ def collect_training_corpus(
             continue
         bundle = make_bundle(
             mut, site, dest, trace, guard, index, ctx,
-            variant=variant,
-            test_name=ebt.id.name if variant == "with-name" else None,
-            budget=budget,
+            variant="with-name", test_name=ebt.id.name,
         )
         example = CorpusExample(
             example_id=f"{repo_name}:{label}" if repo_name else label,
@@ -138,9 +135,7 @@ def example_to_record(e: CorpusExample) -> dict:
             "exception_type": p.throw_site.exception_type,
         },
         "dest": {"path": p.dest_path, "skeleton": p.dest_skeleton},
-        "trace": [
-            [f.class_fqn, f.method, f.file, f.line] for f in p.trace.frames
-        ],
+        "trace": p.trace.to_rows(),
         "guard": {
             "rendered": p.guard.rendered,
             "conditions": list(p.guard.conditions),
@@ -157,7 +152,6 @@ def example_to_record(e: CorpusExample) -> dict:
 
 
 def record_to_example(rec: dict, ctx: RepoContext) -> CorpusExample:
-    from exbt.stacktrace import Frame
     from exbt.jmodel.exprs import parse_expr
 
     mut = MethodId(
@@ -186,7 +180,7 @@ def record_to_example(rec: dict, ctx: RepoContext) -> CorpusExample:
         throw_site=site,
         dest_path=rec["dest"]["path"],
         dest_skeleton=rec["dest"]["skeleton"],
-        trace=StackTrace(tuple(Frame(*f) for f in rec["trace"])),
+        trace=StackTrace.from_rows(rec["trace"]),
         guard=guard,
         nonebts=tuple(rec["nonebts"]),
         variant=rec["variant"],

@@ -3,8 +3,8 @@
 The wire contract is one POST of {prompt, max_tokens, temperature, seed,
 stop[]} answered with {"text": ...}. A stub backend replays canned
 completions (matched by instruction digest or by substring) so the whole
-pipeline runs hermetically and byte-reproducibly. Every request/response
-pair is logged with digests for replay.
+pipeline runs hermetically and byte-reproducibly. `generate_many` logs
+every request/response pair with digests for replay.
 """
 
 from __future__ import annotations
@@ -76,17 +76,16 @@ class StubBackend:
 
     kind = "stub"
 
-    def __init__(self, canned: list[dict] | None = None, log: RequestLog | None = None):
+    def __init__(self, canned: list[dict] | None = None):
         self.canned = canned or []
-        self.log = log
 
     @classmethod
-    def from_file(cls, path, log: RequestLog | None = None) -> "StubBackend":
+    def from_file(cls, path) -> "StubBackend":
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
         if isinstance(data, dict):
             data = data.get("completions", [])
-        return cls(data, log)
+        return cls(data)
 
     def generate(self, instruction: str, params: GenerationParams) -> str:
         inst_digest = digest(instruction)
@@ -105,8 +104,6 @@ class StubBackend:
             raise BackendUnavailable(
                 f"stub has no completion for instruction {inst_digest[:12]}"
             )
-        if self.log is not None:
-            self.log.record(instruction, params, completion, self.kind)
         return completion
 
 
@@ -115,19 +112,12 @@ class HttpBackend:
 
     kind = "http"
 
-    def __init__(
-        self,
-        url: str,
-        auth_token: str | None = None,
-        timeout: float = 60.0,
-        log: RequestLog | None = None,
-    ):
+    def __init__(self, url: str, auth_token: str | None = None, timeout: float = 60.0):
         if not url:
             raise BackendUnavailable("BACKEND_URL is not configured")
         self.url = url
         self.auth_token = auth_token
         self.timeout = timeout
-        self.log = log
 
     def generate(self, instruction: str, params: GenerationParams) -> str:
         import requests
@@ -161,8 +151,6 @@ class HttpBackend:
         text = _extract_text_field(data)
         if text is None:
             raise MalformedResponse(f"no text field in response keys {sorted(data)}")
-        if self.log is not None:
-            self.log.record(instruction, params, text, self.kind)
         return text
 
 
@@ -214,7 +202,6 @@ def make_backend(
     kind: str | None = None,
     url: str | None = None,
     stub_file=None,
-    log: RequestLog | None = None,
     auth_token: str | None = None,
 ):
     """The backend of `kind` (default "stub"); callers resolve kind, url
@@ -222,10 +209,10 @@ def make_backend(
     kind = kind or "stub"
     if kind == "stub":
         if stub_file:
-            return StubBackend.from_file(stub_file, log)
-        return StubBackend([], log)
+            return StubBackend.from_file(stub_file)
+        return StubBackend([])
     if kind == "http":
-        return HttpBackend(url or "", auth_token=auth_token, log=log)
+        return HttpBackend(url or "", auth_token=auth_token)
     raise BackendUnavailable(f"unknown backend kind {kind!r}")
 
 

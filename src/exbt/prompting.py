@@ -21,7 +21,7 @@ from exbt.errors import EmptyAfterExclusion
 from exbt.guardexpr import GuardExpression, compute_guard_expression
 from exbt.instrument import TraceLog
 from exbt.jmodel import MethodId, RepoContext, ThrowSite
-from exbt.stacktrace import Frame, StackTrace, exclude_test_and_util_frames
+from exbt.stacktrace import StackTrace, exclude_test_and_util_frames
 
 logger = logging.getLogger(__name__)
 
@@ -173,9 +173,7 @@ def _dump_pool(entries: list[TracePoolEntry], ctx: RepoContext) -> str:
     for e in entries:
         rows.append(
             {
-                "frames": [
-                    [f.class_fqn, f.method, f.file, f.line] for f in e.trace.frames
-                ],
+                "frames": e.trace.to_rows(),
                 "test": [
                     e.source_test.fqn,
                     e.source_test.name,
@@ -192,7 +190,7 @@ def _dump_pool(entries: list[TracePoolEntry], ctx: RepoContext) -> str:
 def _read_pool(text: str, ctx: RepoContext) -> list[TracePoolEntry]:
     entries = []
     for row in json.loads(text):
-        trace = StackTrace(tuple(Frame(*f) for f in row["frames"]))
+        trace = StackTrace.from_rows(row["frames"])
         test = MethodId(*row["test"])
         entries.append(TracePoolEntry(trace, test, ctx.throw_sites[row["site"]]))
     return entries
@@ -383,7 +381,6 @@ def assemble_prompt(
     seed: int = 0,
     variant: str = "no-name",
     test_name: str | None = None,
-    budget: int = NONEBT_TOKEN_BUDGET,
 ) -> PromptBundle | NoMatch:
     """Match the pool, pick one trace with a seeded RNG, build the bundle.
     The pool may hold only the entries of `throw_site`, as a sweep passes it."""
@@ -400,7 +397,7 @@ def assemble_prompt(
     guard = compute_guard_expression(trace, ctx, throw_site)
     return make_bundle(
         mut, throw_site, dest, trace, guard, nonebts, ctx, pool_same_mut,
-        variant=variant, test_name=test_name, seed=seed, budget=budget,
+        variant=variant, test_name=test_name, seed=seed,
     )
 
 
@@ -409,14 +406,13 @@ def sweep_targets(
     pool: list[TracePoolEntry],
     nonebts: list[TestMethod] | SweepIndex,
     seed: int = 0,
-    coverage_index: dict[str, str] | None = None,
     variant: str = "no-name",
-    counters=None,
-):
+) -> list[tuple[ThrowSite, PromptBundle | NoMatch]]:
     """Machine-oriented sweep: one (site, bundle-or-NoMatch) per main throw.
 
     The method under test is the method containing the throw; destination
-    files come from the naming heuristics, then the coverage index.
+    files come from the naming heuristics alone, so a target without a
+    name-matched test file is `NoMatch("no-dest-file")`.
     """
     main = set(ctx.main_files)
     index = SweepIndex.of(ctx, nonebts)
@@ -428,21 +424,13 @@ def sweep_targets(
         if site.method.decl_file not in main:
             continue
         mut = site.method
-        dest, mechanism = select_dest_with_reason(mut, ctx, coverage_index)
-        if counters is not None:
-            counters[f"dest_{mechanism}"] += 1
+        dest, _ = select_dest_with_reason(mut, ctx)
         if dest is None:
             results.append((site, NoMatch("no-dest-file", mut, site)))
             continue
         outcome = assemble_prompt(
             mut, site, dest, pool_by_site.get(site, []), index, ctx, seed=seed, variant=variant
         )
-        if counters is not None:
-            if isinstance(outcome, NoMatch):
-                counters["nomatch_no_matching_trace"] += 1
-            else:
-                counters["prompts_assembled"] += 1
-                counters["guards_computed"] += 1
         results.append((site, outcome))
     return results
 
@@ -467,7 +455,7 @@ def bundle_to_record(outcome, site: ThrowSite) -> dict:
             "test_name": b.test_name,
             "seed": b.seed,
             "template_id": b.template_id,
-            "trace": [[f.class_fqn, f.method, f.file, f.line] for f in b.trace.frames],
+            "trace": b.trace.to_rows(),
             "guard": {
                 "rendered": b.guard.rendered,
                 "conditions": list(b.guard.conditions),

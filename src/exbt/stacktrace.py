@@ -60,6 +60,15 @@ class Frame:
 class StackTrace:
     frames: tuple[Frame, ...]  # MUT-first; last frame holds the throw
 
+    @classmethod
+    def from_rows(cls, rows) -> "StackTrace":
+        """Inverse of `to_rows`."""
+        return cls(tuple(Frame(*row) for row in rows))
+
+    def to_rows(self) -> list[list]:
+        """The JSON form of a trace: [class_fqn, method, file, line] per frame."""
+        return [[f.class_fqn, f.method, f.file, f.line] for f in self.frames]
+
     def __len__(self) -> int:
         return len(self.frames)
 

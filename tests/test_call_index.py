@@ -16,7 +16,7 @@ from conftest import (
     write_two_throw_repo,
 )
 from exbt import cli
-from exbt.classifier import TestMethod
+from exbt.classifier import TestMethod as Method
 from exbt.jmodel import MethodId, RepoContext, load_repo, reachable_throws
 from exbt.jmodel.lexer import match_paren, split_top_level
 from exbt.prompting import directly_invokes
@@ -344,7 +344,7 @@ def test_directly_invokes_tells_a_constructor_from_a_same_named_method(tmp_path)
     inner_ctor = ids[("Box$Inner", "<init>")]
 
     def invokes(caller, mut):
-        test = TestMethod(ids[("Box", caller)], "", "NonEBT", None, None)
+        test = Method(ids[("Box", caller)], "", "NonEBT", None, None)
         return directly_invokes(test, mut, ctx)
 
     assert invokes("a", item_method) and not invokes("a", item_ctor)

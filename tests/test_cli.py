@@ -500,6 +500,87 @@ def test_a_malformed_manifest_gives_a_typed_error(capsys, tmp_path, text):
     assert str(manifest) in err
 
 
+_MALFORMED_INPUTS = {
+    "sweep-config": ("cfg", b"backend_kind=stub\n\xff\n", ("sweep", REPO_A, "--config")),
+    "sweep-stub-file": ("stub.json", b'{"completions": [', ("sweep", REPO_A, "--stub-file")),
+    "sweep-runner-results": ("rr.json", b'[{"target": ', ("sweep", REPO_A, "--runner-results")),
+    "generate-instruction": ("inst.txt", b"x\xff\n", ("generate", "--instruction")),
+    "eval-candidates": ("c.jsonl", b'{"target": "T.java:1", "candidate": "\xff"}\n',
+                        ("eval", "--candidates")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_a_malformed_input_file_gives_a_typed_error(capsys, tmp_path, case):
+    """A file that is not UTF-8, or not JSON where JSON is read, is a
+    BadInput line on stderr, never a traceback."""
+    name, data, argv = _MALFORMED_INPUTS[case]
+    (tmp_path / name).write_bytes(data)
+    code, _, err = run(capsys, *argv, tmp_path / name, *(
+        ("--out", tmp_path / "out") if argv[0] == "sweep" else ()))
+    assert code == 1
+    assert "Traceback" not in err
+    [line] = err.strip().splitlines()
+    assert json.loads(line)["error"] == "BadInput"
+
+
+def test_main_reuses_one_parser_and_no_flag_leaks_into_the_next_call(monkeypatch):
+    from exbt import cli
+
+    seen = []
+    for command in ("sweep", "classify"):
+        monkeypatch.setitem(cli._HANDLERS, command, lambda args: seen.append(vars(args)) or 0)
+    assert main(["sweep", "r", "--seed", "7", "--variant", "with-name", "--json",
+                 "--backend", "http", "--max-in-flight", "1", "--source-roots", "a,b"]) == 0
+    assert main(["classify", "r"]) == 0
+    assert main(["sweep", "r"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert (seen[0]["seed"], seen[0]["variant"], seen[0]["json"]) == (7, "with-name", True)
+    assert seen[1] == {"command": "classify", "repo": "r", "seed": 42, "config": None,
+                       "json": False, "source_roots": None}
+    fresh = cli.build_parser.__wrapped__()  # a parser no call has used
+    assert seen[2] == vars(fresh.parse_args(["sweep", "r"]))
+    assert (seen[2]["seed"], seen[2]["variant"], seen[2]["backend"]) == (42, "no-name", None)
+
+
+REPO_A_SWEEP_COUNTERS = {
+    "candidates_extracted": 3, "corpus_examples_built": 3, "corpus_examples_skipped": 1,
+    "dest_name-match": 5, "dest_none": 1, "generations": 3, "guards_computed": 6,
+    "nomatch_no_matching_trace": 2, "pool_builds": 1, "pool_entries": 4,
+    "prompts_assembled": 3, "tests_classified": 7,
+}
+
+
+def test_sweep_manifest_counters_are_pinned(capsys, tmp_path):
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub",
+                     "--out", tmp_path / "out")
+    assert code == 0
+    counters = json.loads((tmp_path / "out/manifest.json").read_text())["counters"]
+    assert counters == REPO_A_SWEEP_COUNTERS
+
+
+def test_sweep_without_an_ebt_log_writes_no_corpus_counters(capsys, tmp_path):
+    """No EBT trace log: no corpus_* key at all; a second main throw without
+    a test file is one more dest_none."""
+    repo = tmp_path / "repo"
+    shutil.copytree(REPO_A, repo)
+    (repo / "logs/ebt-traces.log").unlink()
+    (repo / "src/main/java/com/fix/Lonely.java").write_text(
+        "package com.fix;\n\npublic class Lonely {\n    public void go(int x) {\n"
+        "        if (x < 0) throw new IllegalStateException(\"neg\");\n    }\n}\n"
+    )
+    code, _, _ = run(capsys, "sweep", repo, "--seed", "42", "--backend", "stub",
+                     "--out", tmp_path / "out")
+    assert code == 0
+    counters = json.loads((tmp_path / "out/manifest.json").read_text())["counters"]
+    assert counters == {
+        "candidates_extracted": 3, "dest_name-match": 5, "dest_none": 2, "generations": 3,
+        "guards_computed": 3, "nomatch_no_matching_trace": 2, "pool_builds": 1,
+        "pool_entries": 4, "prompts_assembled": 3, "tests_classified": 7,
+    }
+    assert not (tmp_path / "out/corpus.jsonl").exists()
+
+
 def test_config_layering(capsys, tmp_path, monkeypatch):
     # file value loses to the flag, which loses to the environment
     cfg = tmp_path / "exbt.cfg"

@@ -15,6 +15,7 @@ from exbt.genbackend import (
     StubBackend,
     digest,
     extract_candidate,
+    generate_many,
     make_backend,
 )
 
@@ -48,9 +49,8 @@ def test_stub_no_match_is_unavailable():
 
 def test_stub_replay_determinism(tmp_path):
     log = RequestLog()
-    stub = StubBackend([{"contains": "x", "completion": "fixed body"}], log=log)
-    first = stub.generate("x marks the spot", PARAMS)
-    second = stub.generate("x marks the spot", PARAMS)
+    stub = StubBackend([{"contains": "x", "completion": "fixed body"}])
+    first, second = generate_many(stub, ["x marks the spot"] * 2, PARAMS, log=log)
     assert first == second
     log.write(tmp_path / "requests.jsonl")
     entries = [json.loads(l) for l in (tmp_path / "requests.jsonl").read_text().splitlines()]
