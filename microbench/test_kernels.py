@@ -30,6 +30,7 @@ from exbt.metrics import (  # noqa: E402
     edit_similarity,
     score_candidate,
 )
+from exbt.prompting import SweepIndex  # noqa: E402
 
 GUARDS = REPO_G / "src/main/java/gx/Guards.java"
 
@@ -97,23 +98,27 @@ def test_parse_block(benchmark, guards_source):
 
 
 def test_calls_scan(benchmark):
-    ctx = load_repo(REPO_G)
-    assert benchmark(RepoContext.calls.func, ctx)
+    """Scan every caller's call sites, on a fresh context each round."""
+    fresh = lambda: ((load_repo(REPO_G),), {})
+    assert benchmark.pedantic(RepoContext.calls.func, setup=fresh, rounds=50)
 
 
-def test_callees_and_callers_of(benchmark, tmp_path):
-    """Resolve every call site of repoA x 16 and invert the result; the
-    call-site scan is done once beforehand."""
+def test_invert_callees_over_non_ebts(benchmark, tmp_path):
+    """Resolve the calls of repoA x 16's non-EBTs and invert them, as the
+    first ranking of a sweep does, on a fresh context each round."""
     write_replicated_repo_a(tmp_path, 16)
-    ctx = load_repo(tmp_path)
-    assert ctx.calls
 
-    def resolve():
-        vars(ctx).pop("callees", None)
-        vars(ctx).pop("callers_of", None)
-        return ctx.callers_of
+    def fresh():
+        ctx = load_repo(tmp_path)
+        return (SweepIndex(ctx, split_test_suite(ctx)[1]),), {}
 
-    assert benchmark(resolve)
+    assert benchmark.pedantic(lambda index: index.callers, setup=fresh, rounds=30)
+
+
+def test_load_repo_and_tree_digest(benchmark, tmp_path):
+    """Load repoA x 16 and digest its tree from the bytes the load read."""
+    write_replicated_repo_a(tmp_path, 16)
+    assert benchmark(lambda: load_repo(tmp_path).tree_digest())
 
 
 def _guard_traces(ctx):

@@ -160,7 +160,7 @@ def split_test_suite(ctx: RepoContext) -> tuple[list[TestMethod], list[TestMetho
             if not _has_test_annotation(m):
                 continue
             try:
-                t = _classify_decl(unit, m, ctx.method_id(unit, m))
+                t = _classify_decl(unit, m, m.mid)
             except JavaParseError as exc:
                 ctx.warnings.append(f"{unit.path}: test {m.name} skipped ({exc})")
                 continue

@@ -20,7 +20,7 @@ from exbt import __version__
 from exbt.classifier import split_test_suite
 from exbt.config import load_config
 from exbt.corpus import collect_training_corpus, write_corpus
-from exbt.errors import BadInput, ExbtError, IoError, MalformedTrace
+from exbt.errors import BadInput, ExbtError, IoError, MalformedTrace, read_input
 from exbt.genbackend import (
     GenerationParams,
     RequestLog,
@@ -293,7 +293,7 @@ def cmd_instrument(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest("instrument", seed=args.seed)
-    manifest.add_input_tree("repo", args.repo)
+    manifest.add_input_tree("repo", args.repo, ctx.tree_digest())
     rewrites = instrument_print_trace(ctx, log_path=args.log_path)
     # copy the tree, then overlay rewrites and sidecars
     for rel in ctx.main_files + ctx.test_files:
@@ -417,7 +417,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     manifest = Manifest("sweep", seed=args.seed, template_id=TEMPLATE_ID,
                         backend_kind=_backend_kind(args, cfg))
-    manifest.add_input_tree("repo", args.repo)
+    manifest.add_input_tree("repo", args.repo, ctx.tree_digest())
 
     ebts, nonebts = _classify_stage(ctx, manifest)
     index = SweepIndex(ctx, nonebts)  # shared by the corpus and the sweep
@@ -545,7 +545,7 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
 
 
 def cmd_generate(args) -> int:
-    instruction = Path(args.instruction).read_text(encoding="utf-8")
+    instruction = read_input(args.instruction)
     backend = _make_backend(args, load_config(args.config), args.stub_file)
     completion = backend.generate(instruction, GenerationParams(seed=args.seed))
     if args.extract:
@@ -602,15 +602,14 @@ def _bundle_for_target(ctx, target: str):
 def _read_jsonl(path) -> list[dict]:
     """JSONL rows, each an object with a `target`."""
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            if line.strip():
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise BadInput(f"{path}:{n}: not JSON ({exc.msg})") from exc
-                if not isinstance(rows[-1], dict) or "target" not in rows[-1]:
-                    raise BadInput(f"{path}:{n}: row has no target")
+    for n, line in enumerate(read_input(path).split("\n"), 1):
+        if line.strip():
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise BadInput(f"{path}:{n}: not JSON ({exc.msg})") from exc
+            if not isinstance(rows[-1], dict) or "target" not in rows[-1]:
+                raise BadInput(f"{path}:{n}: row has no target")
     return rows
 
 
@@ -642,8 +641,6 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except OSError as exc:  # a missing or unreadable input file
         error: ExbtError = IoError(str(exc))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # a malformed input file
-        error = BadInput(f"malformed input file: {exc}")
     except ExbtError as exc:
         error = exc
     print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)

@@ -12,6 +12,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from exbt.errors import read_input
+
 _ENV_ALIASES = {
     "backend_kind": ("EXBT_BACKEND_KIND", "BACKEND_KIND"),
     "backend_url": ("EXBT_BACKEND_URL", "BACKEND_URL"),
@@ -38,8 +40,7 @@ def load_config(path: str | Path | None) -> Config:
     cfg = Config()
     if path is None:
         return cfg
-    text = Path(path).read_text(encoding="utf-8")
-    for raw in text.splitlines():
+    for raw in read_input(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,6 +1,10 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, and `read_input`, the
+one reader of input files, which names a malformed file in a BadInput."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class ExbtError(Exception):
@@ -29,6 +33,18 @@ class UnknownMethod(ExbtError):
 
 class BadInput(ExbtError):
     """A command-line argument or an input row is malformed."""
+
+
+def read_input(path, as_json: bool = False):
+    """An input file's UTF-8 text, or the JSON value it holds; BadInput,
+    naming the file, when it is not UTF-8 or not JSON."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if as_json else text
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"{path}: not UTF-8 ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise BadInput(f"{path}: not JSON ({exc})") from exc
 
 
 # --- test classification ---

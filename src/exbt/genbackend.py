@@ -20,6 +20,7 @@ from exbt.errors import (
     BackendTimeout,
     BackendUnavailable,
     MalformedResponse,
+    read_input,
 )
 from exbt.jmodel import parse_member
 
@@ -81,8 +82,7 @@ class StubBackend:
 
     @classmethod
     def from_file(cls, path) -> "StubBackend":
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+        data = read_input(path, as_json=True)
         if isinstance(data, dict):
             data = data.get("completions", [])
         return cls(data)

@@ -153,7 +153,7 @@ def instrument_print_trace(
     for unit in ctx.units:
         targets = [
             m for _, m in unit.all_methods()
-            if ctx.method_id(unit, m) in ctx.throw_sites_by_method
+            if m.mid in ctx.throw_sites_by_method
         ]
         if not targets:
             continue

@@ -1,16 +1,20 @@
 """Repository model: parsed units, methods, throw sites and the call graph.
 
 Parsing only looks at repository sources, so throws living in dependency
-libraries can never enter the model. Loading builds no call graph: the
-`calls` index records each caller's call sites on first use, the `callees`
-index resolves them by name+arity in the caller's nearest scope that
-declares a candidate (its own top-level type, package, imports, then the
-whole repository) only when asked, and `callers_of` inverts it; equal-arity
-overloads resolve to every candidate of that scope.
+libraries can never enter the model. Loading lists the tree once and reads
+each `.java` file once; the repository's digest comes from those bytes.
+Loading builds no call graph: `callees_of` scans one caller's call sites on
+first use and resolves them by name+arity in the caller's nearest scope
+that declares a candidate (its own top-level type, package, imports, then
+the whole repository); equal-arity overloads resolve to every candidate of
+that scope. `calls` and `callees` are the whole-repository maps of the same
+answers, built only when something asks for them.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -30,6 +34,7 @@ from exbt.jmodel.lexer import (
     tokenize,
 )
 from exbt.jmodel.stmts import BodyParser, Stmt, declarators
+from exbt.manifest import files_digest
 
 _MODIFIERS = {
     "public", "private", "protected", "static", "final", "abstract",
@@ -77,6 +82,8 @@ class MethodDecl:
     modifiers: list[str]
     is_ctor: bool = False
     compact: bool = False
+    # set once by the RepoContext that holds the declaration; None outside one
+    mid: MethodId | None = field(default=None, compare=False, repr=False)
 
     @property
     def arity(self) -> int:
@@ -403,8 +410,9 @@ def parse_member(
 class RepoContext:
     """Immutable-after-load view of one Java repository.
 
-    Loading parses every unit; the lookup indexes, the call graph among
-    them, are built on first use and then answer every later lookup.
+    Loading parses every unit and makes each method's MethodId; the lookup
+    indexes, the call graph among them, are built on first use and then
+    answer every later lookup.
     """
 
     def __init__(
@@ -414,30 +422,52 @@ class RepoContext:
         main_files: list[str],
         test_files: list[str],
         warnings: list[str],
+        tree: dict[str, bytes | None],
     ):
         self.root_path = root_path
         self.units = units
         self.main_files = main_files
         self.test_files = test_files
         self.warnings = warnings
+        # every file under the root, in digest order, with the bytes loading
+        # read where no unit's source gives them back
+        self._tree = tree
         self._unit_by_path = {u.path: u for u in units}
         self._type_by_fqn: dict[str, tuple[CompilationUnit, TypeDecl]] = {}
         self._methods: list[tuple[CompilationUnit, TypeDecl, MethodDecl]] = []
+        # every declaration of each MethodId, in declaration order
+        self._decls: dict[MethodId, list[tuple[CompilationUnit, TypeDecl, MethodDecl]]] = {}
         for u in units:
             for t in u.all_types():
                 self._type_by_fqn[t.fqn] = (u, t)
                 for m in t.methods:
+                    m.mid = MethodId(m.owner_fqn, m.name, m.arity, u.path, m.decl_line)
                     self._methods.append((u, t, m))
+                    self._decls.setdefault(m.mid, []).append((u, t, m))
+        self._sites: dict[MethodId, list[tuple[str, int, int, bool]]] = {}
+        self._callees: dict[MethodId, tuple[MethodId, ...]] = {}
         self._body_cache: dict[tuple[str, int, str], Stmt] = {}
         # guardexpr's guards by (trace frames, throw site or None)
         self.guard_cache: dict[tuple, object] = {}
+
+    def tree_digest(self) -> str:
+        """`manifest.tree_digest` of the root, from the bytes loading read:
+        only the files it did not read are read now."""
+
+        def contents(rel: str, raw: bytes | None) -> bytes:
+            if raw is not None:
+                return raw
+            unit = self._unit_by_path.get(rel)
+            return unit.source.encode() if unit is not None else (self.root_path / rel).read_bytes()
+
+        return files_digest((rel, contents(rel, raw)) for rel, raw in self._tree.items())
 
     # --- indexes, built on first use ---
 
     @cached_property
     def throw_sites(self) -> tuple[ThrowSite, ...]:
         """Every throw statement, ordered by (file, line)."""
-        sites = [s for u, _, m in self._methods for s in throw_sites_of(u, m, self)]
+        sites = [s for u, _, m in self._methods for s in throw_sites_of(u, m)]
         return tuple(sorted(sites, key=lambda s: (s.method.decl_file, s.line)))
 
     @cached_property
@@ -452,42 +482,64 @@ class RepoContext:
             index.setdefault(site.method, []).append(site)
         return index
 
+    def call_sites_of(self, caller: MethodId) -> list[tuple[str, int, int, bool]]:
+        """The caller's call sites in body order, scanned on first use:
+        (name, arity, line, whether the call follows `new`). An unbalanced
+        call parenthesis ends its caller's sites with a warning."""
+        sites = self._sites.get(caller)
+        if sites is None:
+            sites = self._sites[caller] = []
+            for u, _, m in self._decls.get(caller, ()):
+                if m.tok_open is None:
+                    continue
+                try:
+                    for k, new, args, _ in call_sites(u.tokens, m.tok_open + 1, m.tok_close):
+                        sites.append((u.tokens[k].text, len(args), u.tokens[k].line, new))
+                except JavaParseError as exc:
+                    self.warnings.append(f"{u.path}: call sites of {m.name} cut short ({exc})")
+        return sites
+
     @cached_property
     def calls(self) -> dict[MethodId, list[tuple[str, int, int, bool]]]:
-        """Each caller's call sites in body order: (name, arity, line,
-        whether the call follows `new`). An unbalanced call parenthesis
-        ends its caller's sites with a warning."""
-        index: dict[MethodId, list[tuple[str, int, int, bool]]] = {}
-        for u, _, m in self._methods:
-            if m.tok_open is None:
-                continue
-            sites = index.setdefault(self.method_id(u, m), [])
-            try:
-                for k, new, args, _ in call_sites(u.tokens, m.tok_open + 1, m.tok_close):
-                    sites.append((u.tokens[k].text, len(args), u.tokens[k].line, new))
-            except JavaParseError as exc:
-                self.warnings.append(f"{u.path}: call sites of {m.name} cut short ({exc})")
-        return index
+        """`call_sites_of` of every method with a body."""
+        return {m.mid: self.call_sites_of(m.mid) for _, _, m in self._methods
+                if m.tok_open is not None}
 
     @cached_property
-    def callees(self) -> dict[MethodId, tuple[MethodId, ...]]:
-        """Each caller's in-repository callees, de-duplicated and ordered by
-        (file, line, name, fqn, arity). A call site names a constructor
-        after `new`, any other method otherwise, and resolves by name and
-        arity to every candidate of the first scope that declares one: the
-        caller's top-level type (its innermost enclosing type that declares
-        one, else every member type), its package, its single-type imports,
-        its on-demand imports, and last the whole repository."""
-        by_top: dict[tuple, list[MethodId]] = {}  # (name, arity, new, top-level fqn)
-        by_pkg: dict[tuple, list[MethodId]] = {}  # (name, arity, new, package)
-        anywhere: dict[tuple, list[MethodId]] = {}  # (name, arity, new)
+    def _scopes(self) -> tuple[dict, dict, dict]:
+        """Candidate callees by (name, arity, new, top-level fqn), by
+        (name, arity, new, package) and by (name, arity, new)."""
+        by_top: dict[tuple, list[MethodId]] = {}
+        by_pkg: dict[tuple, list[MethodId]] = {}
+        anywhere: dict[tuple, list[MethodId]] = {}
         for u, _, m in self._methods:
-            key, mid = (m.called_as, m.arity, m.is_ctor), self.method_id(u, m)
-            by_top.setdefault((*key, _top_level(m.owner_fqn)), []).append(mid)
-            by_pkg.setdefault((*key, u.package), []).append(mid)
-            anywhere.setdefault(key, []).append(mid)
+            key = (m.called_as, m.arity, m.is_ctor)
+            by_top.setdefault((*key, _top_level(m.owner_fqn)), []).append(m.mid)
+            by_pkg.setdefault((*key, u.package), []).append(m.mid)
+            anywhere.setdefault(key, []).append(m.mid)
+        return by_top, by_pkg, anywhere
 
-        def resolve(key, chain, package, types, packages):
+    def callees_of(self, caller: MethodId) -> tuple[MethodId, ...]:
+        """The caller's in-repository callees, resolved on first use,
+        de-duplicated and ordered by (file, line, name, fqn, arity). A call
+        site names a constructor after `new`, any other method otherwise,
+        and resolves by name and arity to every candidate of the first
+        scope that declares one: the caller's top-level type (its innermost
+        enclosing type that declares one, else every member type), its
+        package, its single-type imports, its on-demand imports, and last
+        the whole repository."""
+        found = self._callees.get(caller)
+        if found is not None:
+            return found
+        sites = self.call_sites_of(caller)
+        if not sites:
+            return ()
+        by_top, by_pkg, anywhere = self._scopes
+        u, _, m = self._decls[caller][0]
+        chain = _enclosing(m.owner_fqn)
+        types, packages = _import_scopes(u.imports)
+
+        def resolve(key):
             in_top = by_top.get((*key, _top_level(chain[0])))
             if in_top:
                 for owner in chain:
@@ -496,39 +548,21 @@ class RepoContext:
                         return own
                 return in_top
             return (
-                by_pkg.get((*key, package))
+                by_pkg.get((*key, u.package))
                 or [c for typ, member in types if member in (None, key[0])
                     for c in by_top.get((*key, typ), ())]
                 or [c for pkg in packages for c in by_pkg.get((*key, pkg), ())]
                 or anywhere.get(key, ())
             )
 
-        index: dict[MethodId, tuple[MethodId, ...]] = {}
-        for caller, sites in self.calls.items():
-            u, _, m = self._method_by_id[caller]
-            chain = _enclosing(m.owner_fqn)
-            types, packages = _import_scopes(u.imports)
-            found = {
-                c for name, arity, _, new in sites
-                for c in resolve((name, arity, new), chain, u.package, types, packages)
-            }
-            index[caller] = tuple(sorted(found, key=_position))
-        return index
+        found = {c for name, arity, _, new in sites for c in resolve((name, arity, new))}
+        self._callees[caller] = tuple(sorted(found, key=_position))
+        return self._callees[caller]
 
     @cached_property
-    def callers_of(self) -> dict[MethodId, tuple[MethodId, ...]]:
-        """The inverse of `callees`: each method's in-repository callers,
-        ordered by (file, line, name, fqn, arity)."""
-        index: dict[MethodId, list[MethodId]] = {}
-        for caller, found in self.callees.items():
-            for callee in found:
-                index.setdefault(callee, []).append(caller)
-        return {c: tuple(sorted(v, key=_position)) for c, v in index.items()}
-
-    @cached_property
-    def _method_by_id(self) -> dict[MethodId, tuple[CompilationUnit, TypeDecl, MethodDecl]]:
-        """First declaration per MethodId."""
-        return {self.method_id(u, m): (u, t, m) for u, t, m in reversed(self._methods)}
+    def callees(self) -> dict[MethodId, tuple[MethodId, ...]]:
+        """`callees_of` of every method with a body."""
+        return {caller: self.callees_of(caller) for caller in self.calls}
 
     @cached_property
     def test_files_by_name(self) -> dict[tuple[str, str | None], list[str]]:
@@ -559,15 +593,12 @@ class RepoContext:
     def declares_type(self, fqn: str) -> bool:
         return fqn in self._type_by_fqn
 
-    def method_id(self, unit: CompilationUnit, m: MethodDecl) -> MethodId:
-        return MethodId(m.owner_fqn, m.name, m.arity, unit.path, m.decl_line)
-
     def resolve_method_id(self, mid: MethodId):
-        """(unit, type, decl) for a MethodId, or UnknownMethod."""
-        hit = self._method_by_id.get(mid)
-        if hit is None:
+        """(unit, type, decl) of a MethodId's first declaration, or UnknownMethod."""
+        decls = self._decls.get(mid)
+        if decls is None:
             raise UnknownMethod(mid.label())
-        return hit
+        return decls[0]
 
     def resolve_frame(self, class_fqn: str, method_name: str, line: int):
         """(unit, type, decl) for a stack frame, matching by fqn+name+line."""
@@ -590,7 +621,7 @@ class RepoContext:
         return candidates[0]
 
     def all_method_ids(self) -> list[MethodId]:
-        return [self.method_id(u, m) for u, _, m in self._methods]
+        return [m.mid for _, _, m in self._methods]
 
     def method_source(self, mid: MethodId) -> str:
         u, _, m = self.resolve_method_id(mid)
@@ -618,52 +649,95 @@ def _is_test_path(rel: str) -> bool:
     return any(seg in ("test", "tests") for seg in parts[:-1])
 
 
+_DANGLING = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)  # a link that leads to no file
+
+
+def _tree_files(root: Path) -> list[str]:
+    """Every file under root, repository-relative and posix, in the order of
+    `sorted(root.glob("**/*"))` filtered by `is_file()`: by path parts,
+    through no symlinked directory, symlinked files included. Like glob, it
+    skips a directory it may not list."""
+    files: list[str] = []
+
+    def visit(directory: str, prefix: str) -> None:
+        try:
+            with os.scandir(directory) as it:
+                entries = sorted(it, key=lambda e: e.name)
+        except PermissionError:
+            return
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                visit(entry.path, prefix + entry.name + "/")
+                continue
+            try:
+                is_file = entry.is_file()
+            except OSError as exc:
+                if exc.errno not in _DANGLING:
+                    raise
+                is_file = False
+            if is_file:
+                files.append(prefix + entry.name)
+
+    visit(str(root), "")
+    return files
+
+
+def _decode(data: bytes) -> str:
+    """`read_text(encoding="utf-8")` of a file holding data: strict UTF-8
+    with universal newlines, so CRLF and a lone CR both read as LF."""
+    text = data.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def load_repo(root, test_roots: list[str] | None = None) -> RepoContext:
     """Parse every .java file under root into a RepoContext.
 
-    Unparseable files become warnings, not failures. test_roots overrides
-    the src/main vs src/test convention with explicit path prefixes.
+    The tree is listed once and each .java file read once. Unparseable
+    files become warnings, not failures. test_roots overrides the
+    src/main vs src/test convention with explicit path prefixes.
     """
     root = Path(root)
     if not root.exists() or not root.is_dir():
         raise IoError(f"repository root {root} is not a readable directory")
     try:
-        files = sorted(p for p in root.rglob("*.java") if p.is_file())
+        tree: dict[str, bytes | None] = dict.fromkeys(_tree_files(root))
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    files = [rel for rel in tree if rel.endswith(".java")]
     if not files:
         raise NoJavaSources(f"no .java files under {root}")
     units: list[CompilationUnit] = []
     main_files: list[str] = []
     test_files: list[str] = []
     warnings: list[str] = []
-    for path in files:
-        rel = path.relative_to(root).as_posix()
+    for rel in files:
         if test_roots is not None:
             is_test = any(rel == r or rel.startswith(r.rstrip("/") + "/") for r in test_roots)
         else:
             is_test = _is_test_path(rel)
         (test_files if is_test else main_files).append(rel)
         try:
-            source = path.read_text(encoding="utf-8")
+            with open(os.path.join(root, rel), "rb") as f:
+                data = f.read()
         except OSError as exc:
             warnings.append(f"{rel}: unreadable ({exc})")
             continue
+        try:
+            units.append(parse_unit(_decode(data), rel))
+            if b"\r" not in data:
+                continue  # the unit's source encodes back to these bytes
         except UnicodeDecodeError as exc:
             warnings.append(f"{rel}: undecodable ({exc})")
-            continue
-        try:
-            units.append(parse_unit(source, rel))
         except JavaParseError as exc:
             warnings.append(f"{rel}: parse failed ({exc})")
-    return RepoContext(root, units, main_files, test_files, warnings)
+        tree[rel] = data  # kept for the digest: no unit's source gives them back
+    return RepoContext(root, units, main_files, test_files, warnings, tree)
 
 
-def throw_sites_of(unit: CompilationUnit, m: MethodDecl, ctx: RepoContext) -> list[ThrowSite]:
+def throw_sites_of(unit: CompilationUnit, m: MethodDecl) -> list[ThrowSite]:
     if m.tok_open is None:
         return []
     sites: list[ThrowSite] = []
-    mid = ctx.method_id(unit, m)
     k = m.tok_open + 1
     while k < m.tok_close:
         t = unit.tokens[k]
@@ -672,7 +746,7 @@ def throw_sites_of(unit: CompilationUnit, m: MethodDecl, ctx: RepoContext) -> li
             text = unit.source[t.offset : unit.tokens[end].end]
             sites.append(
                 ThrowSite(
-                    method=mid,
+                    method=m.mid,
                     line=t.line,
                     exception_type=_thrown_type(unit.tokens, k, end),
                     statement_text=text,
@@ -706,7 +780,7 @@ def reachable_throws(
 ) -> list[tuple[ThrowSite, list[MethodId]]]:
     """Throws reachable from mut through at most max_depth call edges.
 
-    BFS over `ctx.callees`; each site carries one shortest witness path
+    BFS over `ctx.callees_of`; each site carries one shortest witness path
     starting at mut. Deterministic order: path length, then (file, line)
     of the site.
     """
@@ -725,7 +799,7 @@ def reachable_throws(
                 if site not in seen_sites:
                     seen_sites.add(site)
                     results.append((site, path))
-            for callee in ctx.callees.get(mid, ()):
+            for callee in ctx.callees_of(mid):
                 if callee not in visited:
                     visited.add(callee)
                     next_frontier.append((callee, path + [callee]))

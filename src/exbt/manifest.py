@@ -10,11 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import exbt
-from exbt.errors import BadInput
+from exbt.errors import BadInput, read_input
 
 
 def file_digest(path: str | Path) -> str:
@@ -23,17 +24,26 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def tree_digest(root: str | Path, pattern: str = "**/*") -> str:
-    """Digest of a directory tree: sorted relative paths and contents."""
-    root = Path(root)
+def files_digest(files: Iterable[tuple[str, bytes]]) -> str:
+    """Digest of (relative posix path, contents) pairs, in the given order."""
     h = hashlib.sha256()
-    for p in sorted(root.glob(pattern)):
-        if p.is_file():
-            h.update(p.relative_to(root).as_posix().encode())
-            h.update(b"\0")
-            h.update(p.read_bytes())
-            h.update(b"\0")
+    for rel, data in files:
+        h.update(rel.encode())
+        h.update(b"\0")
+        h.update(data)
+        h.update(b"\0")
     return h.hexdigest()
+
+
+def tree_digest(root: str | Path) -> str:
+    """Digest of a directory tree: sorted relative paths and contents.
+    `RepoContext.tree_digest` gives the same value from the bytes that
+    loading the repository read."""
+    root = Path(root)
+    return files_digest(
+        (p.relative_to(root).as_posix(), p.read_bytes())
+        for p in sorted(root.glob("**/*")) if p.is_file()
+    )
 
 
 @dataclass
@@ -50,8 +60,9 @@ class Manifest:
     def add_input(self, label: str, path: str | Path) -> None:
         self.inputs[label] = {"path": str(path), "sha256": file_digest(path)}
 
-    def add_input_tree(self, label: str, root: str | Path) -> None:
-        self.inputs[label] = {"path": str(root), "sha256": tree_digest(root)}
+    def add_input_tree(self, label: str, root: str | Path, sha256: str) -> None:
+        """Record a directory tree by its `tree_digest`."""
+        self.inputs[label] = {"path": str(root), "sha256": sha256}
 
     def add_artifact(self, path: str | Path, base: str | Path | None = None) -> None:
         key = str(Path(path).relative_to(base)) if base else str(path)
@@ -85,10 +96,7 @@ def verify_manifest(path: str | Path) -> list[str]:
     Returns a list of problems, empty when everything verifies. Raises
     BadInput when the file is not a JSON object with an artifacts object."""
     manifest_path = Path(path)
-    try:
-        data = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise BadInput(f"{manifest_path}: not JSON ({exc})") from exc
+    data = read_input(manifest_path, as_json=True)
     artifacts = data.get("artifacts", {}) if isinstance(data, dict) else None
     if not isinstance(artifacts, dict):
         raise BadInput(f"{manifest_path}: not a manifest object with an artifacts object")

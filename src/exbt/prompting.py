@@ -14,6 +14,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from exbt.classifier import TestMethod
@@ -69,9 +70,9 @@ def test_method_label(mid: MethodId) -> str:
 class SweepIndex:
     """The per-target lookups of one sweep, built once: the non-EBTs by
     MethodId, as (rank, test), and by declaring file, in position order
-    (declaring file, line, then list order), and one destination skeleton
-    per file, built on first use. Every function that takes `nonebts` also
-    takes a SweepIndex in its place."""
+    (declaring file, line, then list order); on first use, the non-EBTs
+    that call each method, and one destination skeleton per file. Every
+    function that takes `nonebts` also takes a SweepIndex in its place."""
 
     def __init__(self, ctx: RepoContext, nonebts):
         self.ctx = ctx
@@ -86,6 +87,16 @@ class SweepIndex:
     @classmethod
     def of(cls, ctx: RepoContext, nonebts) -> "SweepIndex":
         return nonebts if isinstance(nonebts, cls) else cls(ctx, nonebts)
+
+    @cached_property
+    def callers(self) -> dict[MethodId, list[MethodId]]:
+        """The non-EBTs calling each method: `callees_of` of each non-EBT,
+        inverted. Only non-EBTs get their call sites resolved."""
+        index: dict[MethodId, list[MethodId]] = {}
+        for test in self.by_id:
+            for callee in self.ctx.callees_of(test):
+                index.setdefault(callee, []).append(test)
+        return index
 
     def skeleton(self, dest: str) -> str:
         if dest not in self._skeletons:
@@ -142,10 +153,10 @@ def collect_stacktrace_set(
             continue
         last = excluded.frames[-1]
         try:
-            unit, _, decl = ctx.resolve_frame(last.class_fqn, last.method, last.line)
+            _, _, decl = ctx.resolve_frame(last.class_fqn, last.method, last.line)
         except Exception:
             continue
-        for site in ctx.throw_sites_by_method.get(ctx.method_id(unit, decl), ()):
+        for site in ctx.throw_sites_by_method.get(decl.mid, ()):
             key = (excluded.frames, test.id, site)
             if key in seen:
                 continue
@@ -210,12 +221,12 @@ def rank_relevant_nonebts(
     also_same_mut: frozenset[MethodId] | set[MethodId] = frozenset(),
     budget: int = NONEBT_TOKEN_BUDGET,
 ) -> list[TestMethod]:
-    """Same-MUT tests (the MUT's callers in `ctx.callers_of` and the tests
-    whose id is in `also_same_mut`), then same-destination-file tests whose
-    label is not ranked yet, each group in position order, cut at `budget`
+    """Same-MUT tests (the non-EBTs that call the MUT and the tests whose
+    id is in `also_same_mut`), then same-destination-file tests whose label
+    is not ranked yet, each group in position order, cut at `budget`
     tokens."""
     index = SweepIndex.of(ctx, nonebts)
-    ids = set(also_same_mut).union(ctx.callers_of.get(mut, ()))
+    ids = set(also_same_mut).union(index.callers.get(mut, ()))
     same_mut = {rank: t for mid in ids for rank, t in index.by_id.get(mid, ())}
     ranked = [same_mut[rank] for rank in sorted(same_mut)]
     seen = {test_method_label(t.id) for t in ranked}
@@ -233,7 +244,7 @@ def rank_relevant_nonebts(
 
 def directly_invokes(test: TestMethod, mut: MethodId, ctx: RepoContext) -> bool:
     """Whether one of the test's call sites resolves to the method."""
-    return mut in ctx.callees.get(test.id, ())
+    return mut in ctx.callees_of(test.id)
 
 
 def select_dest_with_reason(

@@ -15,14 +15,13 @@ site is the target ThrowSite. Two implementations ship:
 
 from __future__ import annotations
 
-import json
 import logging
 import shutil
 import subprocess
 import tempfile
 from pathlib import Path
 
-from exbt.errors import RunnerUnavailable
+from exbt.errors import RunnerUnavailable, read_input
 from exbt.genbackend import digest
 from exbt.instrument import HELPER_FILE, HELPER_SOURCE
 from exbt.jmodel import RepoContext, ThrowSite, parse_member, parse_unit
@@ -49,8 +48,7 @@ class RecordedRunner:
 
     @classmethod
     def from_file(cls, path) -> "RecordedRunner":
-        with open(path, encoding="utf-8") as f:
-            return cls(json.load(f))
+        return cls(read_input(path, as_json=True))
 
     def check(self, candidate: str, site: ThrowSite) -> FunctionalResult:
         target = site.label()

@@ -161,11 +161,11 @@ def endpoints(
     throws on the throw frame's line, the one whose exception type has the
     simple name of `expected_exception` wins, else the first."""
     first = trace.frames[0]
-    unit, _, decl = ctx.resolve_frame(first.class_fqn, first.method, first.line)
-    mut = ctx.method_id(unit, decl)
+    _, _, decl = ctx.resolve_frame(first.class_fqn, first.method, first.line)
+    mut = decl.mid
     last = trace.frames[-1]
-    unit2, _, decl2 = ctx.resolve_frame(last.class_fqn, last.method, last.line)
-    sites = ctx.throw_sites_by_method.get(ctx.method_id(unit2, decl2), ())
+    _, _, decl2 = ctx.resolve_frame(last.class_fqn, last.method, last.line)
+    sites = ctx.throw_sites_by_method.get(decl2.mid, ())
     on_line = [site for site in sites if site.line == last.line]
     if not on_line:
         raise NoThrowAtFrame(f"{last.file}:{last.line} holds no throw statement in {decl2.name}")

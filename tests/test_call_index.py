@@ -1,6 +1,7 @@
-"""The call index on RepoContext: `calls` records call sites, `callees`
-resolves them on first use in the caller's nearest scope, `callers_of`
-inverts it, and a sweep's work grows linearly with the repository."""
+"""The call index on RepoContext: `call_sites_of` records one caller's call
+sites and `callees_of` resolves them on first use in the caller's nearest
+scope; a sweep's `SweepIndex` inverts them over the non-EBTs only, and a
+sweep's work grows linearly with the repository."""
 
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ from conftest import (
     write_two_throw_repo,
 )
 from exbt import cli
-from exbt.classifier import TestMethod as Method
+from exbt.classifier import TestMethod as Method, split_test_suite
 from exbt.jmodel import MethodId, RepoContext, load_repo, reachable_throws
 from exbt.jmodel.lexer import match_paren, split_top_level
-from exbt.prompting import directly_invokes
+from exbt.prompting import SweepIndex, directly_invokes, rank_relevant_nonebts
 
 
 def _old_call_edges(ctx):
@@ -37,7 +38,7 @@ def _old_call_edges(ctx):
     for unit, _, m in ctx._methods:
         if m.tok_open is None:
             continue
-        caller = ctx.method_id(unit, m)
+        caller = m.mid
         toks = unit.tokens
         for k in range(m.tok_open + 1, m.tok_close):
             t = toks[k]
@@ -52,8 +53,8 @@ def _old_call_edges(ctx):
                 targets = methods_by_key.get((t.text, arity), [])
                 targets = [(u2, t2, m2) for u2, t2, m2 in targets if not m2.is_ctor]
             if targets:
-                for u2, _, m2 in targets:
-                    edges.append((caller, ctx.method_id(u2, m2), t.text, arity, t.line))
+                for _, _, m2 in targets:
+                    edges.append((caller, m2.mid, t.text, arity, t.line))
             else:
                 edges.append((caller, None, t.text, arity, t.line))
     return edges
@@ -165,9 +166,11 @@ def test_each_replica_resolves_within_its_own_package(tmp_path):
         assert got == REPO_A_CALLEES, pkg
         assert all(c.fqn.startswith(pkg + ".") for caller, found in ctx.callees.items()
                    if caller.fqn.startswith(pkg + ".") for c in found)
-    for callee, callers in ctx.callers_of.items():
-        assert callers and all(callee in ctx.callees[c] for c in callers)
-    assert sum(map(len, ctx.callers_of.values())) == sum(map(len, ctx.callees.values()))
+    index = SweepIndex(ctx, split_test_suite(ctx)[1])
+    for callee, callers in index.callers.items():
+        assert callers and all(callee in ctx.callees_of(c) for c in callers)
+    assert sum(map(len, index.callers.values())) == sum(
+        len(ctx.callees_of(t)) for t in index.by_id)
 
 
 _SCOPES = {
@@ -250,7 +253,84 @@ def test_callees_resolve_in_the_nearest_scope_that_declares_one(tmp_path):
         ]),
     }
     peer_pong = next(m for m in ctx.all_method_ids() if m.fqn == "p.Peer" and m.name == "pong")
-    assert [f"{c.fqn}#{c.name}" for c in ctx.callers_of[peer_pong]] == ["p.User#k"]
+    callers = [m for m in ctx.all_method_ids() if peer_pong in ctx.callees_of(m)]
+    assert [f"{c.fqn}#{c.name}" for c in callers] == ["p.User#k"]
+
+
+# the same-MUT non-EBTs that ranking takes from the callers of each MUT,
+# computed with the whole-repository inverse of `callees` that ranking used
+# before: repoA's by `Class#name/arity@line`, and repoG's, with every
+# method standing in as a non-EBT, by name
+REPO_A_SAME_MUT = {
+    "Account#balance/0@33": ["AccountTest#testWithdrawOk", "AccountTest#testDepositOk"],
+    "Account#deposit/1@19": ["AccountTest#testWithdrawOk", "AccountTest#testDepositOk"],
+    "Account#withdraw/1@12": ["AccountTest#testWithdrawOk"],
+    "AccountTest#open/0@9": ["AccountTest#testWithdrawOk", "AccountTest#testDepositOk"],
+    "Ledger#post/1@6": ["TestLedger#testPostOk"],
+    "Ledger#size/0@13": ["TestLedger#testPostOk"],
+}
+REPO_G_SAME_MUT = {
+    "callee": ["caller"], "inner": ["chainAssign"], "noop": ["elseOnly", "pickCase", "negated"],
+}
+
+
+def _same_mut(ctx, nonebts):
+    """Each method's ranked non-EBTs when no destination file adds any."""
+    index = SweepIndex(ctx, nonebts)
+    ranked = {m: rank_relevant_nonebts(m, "", index, ctx) for m in ctx.all_method_ids()}
+    return {m: [t.id for t in got] for m, got in ranked.items() if got}
+
+
+@pytest.mark.parametrize("k", [None, 4])
+def test_ranking_takes_the_non_ebts_that_call_the_mut(tmp_path, k):
+    """repoA, and each package of repoA x 4, ranks the pinned tests."""
+    if k:
+        write_replicated_repo_a(tmp_path, k)
+    ctx = load_repo(tmp_path if k else REPO_A)
+    simple = lambda m: m.fqn.rsplit(".", 1)[-1] + "#" + m.name
+    by_pkg: dict = {}
+    for mut, tests in _same_mut(ctx, split_test_suite(ctx)[1]).items():
+        label = f"{simple(mut)}/{mut.param_arity}@{mut.decl_line}"
+        by_pkg.setdefault(mut.fqn.rsplit(".", 1)[0], {})[label] = [simple(t) for t in tests]
+    assert len(by_pkg) == (k or 1)
+    assert all(got == REPO_A_SAME_MUT for got in by_pkg.values())
+
+
+def test_ranking_in_repo_g_takes_every_calling_method():
+    ctx = load_repo(REPO_G)
+    stand_ins = [Method(m, "", "NonEBT", None, None) for m in ctx.all_method_ids()]
+    got = _same_mut(ctx, stand_ins)
+    assert {m.name: [t.name for t in tests] for m, tests in got.items()} == REPO_G_SAME_MUT
+
+
+def test_a_sweep_resolves_the_calls_of_non_ebts_only(tmp_path, monkeypatch):
+    """Ranking inverts `callees_of` over the non-EBTs: a sweep of repoA x 8
+    scans the call sites of every non-EBT and of no other method, and never
+    builds the whole-repository maps."""
+    contexts, scanned = [], []
+    original = RepoContext.call_sites_of
+
+    def loading(*args, **kwargs):
+        contexts.append(load_repo(*args, **kwargs))
+        return contexts[-1]
+
+    def call_sites_of(self, caller):
+        scanned.append(caller)
+        return original(self, caller)
+
+    monkeypatch.setattr(cli, "load_repo", loading)
+    monkeypatch.setattr(RepoContext, "call_sites_of", call_sites_of)
+    write_replicated_repo_a(tmp_path / "repo", 8)
+    argv = ["sweep", str(tmp_path / "repo"), "--seed", "1", "--backend", "stub",
+            "--runner", "recorded", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    (ctx,) = contexts
+    _, nonebts = split_test_suite(ctx)
+    assert len(nonebts) == 8 * 3
+    assert set(scanned) == {t.id for t in nonebts}
+    assert not set(ctx.main_files) & {m.decl_file for m in scanned}
+    assert len(scanned) == len(set(scanned))
+    assert "calls" not in vars(ctx) and "callees" not in vars(ctx)
 
 
 def _sweep_counts(tmp_path, monkeypatch, k):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import sys
 
@@ -507,13 +508,15 @@ _MALFORMED_INPUTS = {
     "generate-instruction": ("inst.txt", b"x\xff\n", ("generate", "--instruction")),
     "eval-candidates": ("c.jsonl", b'{"target": "T.java:1", "candidate": "\xff"}\n',
                         ("eval", "--candidates")),
+    "eval-refs": ("r.jsonl", b'{"target": "T.java:1", "reference": "\xff"}\n',
+                  ("eval", "--candidates", os.devnull, "--refs")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
 def test_a_malformed_input_file_gives_a_typed_error(capsys, tmp_path, case):
     """A file that is not UTF-8, or not JSON where JSON is read, is a
-    BadInput line on stderr, never a traceback."""
+    BadInput line on stderr that names the file, never a traceback."""
     name, data, argv = _MALFORMED_INPUTS[case]
     (tmp_path / name).write_bytes(data)
     code, _, err = run(capsys, *argv, tmp_path / name, *(
@@ -521,7 +524,9 @@ def test_a_malformed_input_file_gives_a_typed_error(capsys, tmp_path, case):
     assert code == 1
     assert "Traceback" not in err
     [line] = err.strip().splitlines()
-    assert json.loads(line)["error"] == "BadInput"
+    error = json.loads(line)
+    assert error["error"] == "BadInput"
+    assert error["message"].startswith(f"{tmp_path / name}:"), error["message"]
 
 
 def test_main_reuses_one_parser_and_no_flag_leaks_into_the_next_call(monkeypatch):

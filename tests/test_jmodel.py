@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import builtins
+import io
+import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, REPO_A
+from exbt import cli
 from exbt.errors import ExbtError, IoError, JavaParseError, NoJavaSources, UnknownMethod
 from exbt.jmodel import (
     RepoContext,
@@ -16,6 +21,7 @@ from exbt.jmodel import (
     reachable_throws,
 )
 from exbt.jmodel.stmts import BodyParser
+from exbt.manifest import tree_digest
 
 TEMPLATE = Path(__file__).resolve().parents[1] / "perfbench" / "repoA_template"
 FIXTURE_SOURCES = [p.read_text() for p in sorted(FIXTURES.rglob("*.java"))]
@@ -159,7 +165,7 @@ def _observe(what: str, source: str):
     if what == "annotations":
         return [m.annotations for _, m in unit.all_methods()]
     if what == "throws":
-        ctx = RepoContext(Path("."), [unit], ["G.java"], [], [])
+        ctx = RepoContext(Path("."), [unit], ["G.java"], [], [], {})
         return [(s.method.name, s.line, s.exception_type) for s in find_throw_sites(ctx, "all")]
     # "locals": every assignment in the first method's body, rhs as text
     m = next(m for _, m in unit.all_methods())
@@ -296,6 +302,82 @@ def test_load_repo_missing_root_raises(tmp_path):
         load_repo(tmp_path / "nope")
 
 
+def _write_awkward_tree(root: Path) -> bool:
+    """A repository that exercises listing, ordering and decoding; True when
+    it holds a symlinked directory and a symlinked file."""
+    files = {
+        "src/main/java/p/q/Deep.java": b"package p.q;\nclass Deep { void f() { g(); } void g() { } }\n",
+        "a/Y.java": b"package a;\nclass Y { }\n",
+        "a-b/X.java": b"class X { void x() { new Y(); } }\n",  # after a/, by path parts
+        ".Hidden.java": b"class Hidden { }\n",
+        ".dot/Z.java": b"class Z { }\n",
+        ".gitignore": b"out/\n",
+        "logs/run.log": b"at p.q.Deep.f(Deep.java:2)\n\xff\n",
+        "canned/data.json": b'{"k": [1, 2]}\n',
+        "notes.txt": b"free text\r\n",
+        "src/test/java/p/Crlf.java":
+            b"package p;\r\nclass Crlf {\r\n  void t() {\r\n    int x = 1;\r\n  }\r\n}\r\n",
+        "src/test/java/p/LoneCr.java": b"package p;\rclass LoneCr {\r  void t() { }\r}\r\n",
+        "src/main/java/p/Bad.java": b'class Bad { String s = "\xff"; }\n',
+        "src/main/java/p/Broken.java": b"package p\n",
+        "tests/T.java": b"class T { }\n",
+    }
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+    try:
+        os.symlink("a", root / "linked", target_is_directory=True)
+        os.symlink("a/Y.java", root / "Alias.java")
+    except (OSError, NotImplementedError):
+        return False
+    return True
+
+
+def test_load_repo_reads_the_tree_as_the_manifest_and_read_text_do(tmp_path):
+    """One listing and one read per file give what `tree_digest` and
+    `read_text` give: files by path parts, no symlinked directory, symlinked
+    files included, universal newlines. The lists were taken at the rglob
+    and read_text implementation."""
+    linked = _write_awkward_tree(tmp_path)
+    ctx = load_repo(tmp_path)
+    assert ctx.tree_digest() == tree_digest(tmp_path)
+    for unit in ctx.units:
+        assert unit.source == (tmp_path / unit.path).read_text(encoding="utf-8"), unit.path
+    assert "\r" not in "".join(u.source for u in ctx.units)
+    alias = ["Alias.java"] if linked else []
+    assert ctx.main_files == [
+        ".Hidden.java", ".dot/Z.java", *alias, "a/Y.java", "a-b/X.java",
+        "src/main/java/p/Bad.java", "src/main/java/p/Broken.java", "src/main/java/p/q/Deep.java",
+    ]
+    assert ctx.test_files == [
+        "src/test/java/p/Crlf.java", "src/test/java/p/LoneCr.java", "tests/T.java",
+    ]
+    assert ctx.warnings == [
+        "src/main/java/p/Bad.java: undecodable ('utf-8' codec can't decode byte 0xff in "
+        "position 24: invalid start byte)",
+        "src/main/java/p/Broken.java: parse failed (missing ';' after line 1)",
+    ]
+
+
+def test_a_sweep_opens_each_java_file_once(tmp_path, monkeypatch):
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened[Path(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    argv = ["sweep", str(REPO_A), "--seed", "1", "--backend", "stub",
+            "--runner", "recorded", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    java = sorted(REPO_A.rglob("*.java"))
+    assert len(java) == 7
+    assert {p: opened[p] for p in java} == {p: 1 for p in java}
+
+
 def test_load_repo_purity():
     a = load_repo(REPO_A)
     b = load_repo(REPO_A)
@@ -328,7 +410,7 @@ def test_two_throws_one_method_share_method_id():
     from exbt.jmodel import RepoContext
     from pathlib import Path
 
-    ctx = RepoContext(Path("."), [unit], ["C.java"], [], [])
+    ctx = RepoContext(Path("."), [unit], ["C.java"], [], [], {})
     sites = find_throw_sites(ctx, "all")
     assert len(sites) == 2
     assert sites[0].method == sites[1].method
@@ -349,7 +431,7 @@ def test_throw_in_lambda_attributed_to_enclosing_method():
     from exbt.jmodel import RepoContext
     from pathlib import Path
 
-    ctx = RepoContext(Path("."), [unit], ["C.java"], [], [])
+    ctx = RepoContext(Path("."), [unit], ["C.java"], [], [], {})
     sites = find_throw_sites(ctx, "all")
     assert len(sites) == 1
     assert sites[0].method.name == "f"
