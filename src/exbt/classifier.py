@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from exbt.errors import JavaParseError, NotATest, NotEBT
+from exbt.errors import JavaParseError, NotATest
 from exbt.jmodel import CompilationUnit, MethodDecl, MethodId, RepoContext, parse_member
 from exbt.jmodel.lexer import call_sites, index_of, match_brace, match_paren, skip_name, skip_type
 
@@ -166,9 +166,3 @@ def split_test_suite(ctx: RepoContext) -> tuple[list[TestMethod], list[TestMetho
                 continue
             (ebts if t.is_ebt else nonebts).append(t)
     return ebts, nonebts
-
-
-def extract_expected_exception(t: TestMethod) -> str:
-    if not t.is_ebt or t.expected_exception is None:
-        raise NotEBT(f"{t.id.label()} is not an exceptional-behavior test")
-    return t.expected_exception

@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pool", help="build the trace pool from a recorded log")
     p.add_argument("repo")
     p.add_argument("--trace-log", default=None)
-    p.add_argument("--cache", default=None)
     p.add_argument("--out", default=None)
     _add_common(p)
 
@@ -172,7 +171,7 @@ def _read_trace_log(path: str) -> TraceLog:
     return parse_trace_log(Path(path).read_bytes().decode("utf-8", "surrogateescape"))
 
 
-def _nonebt_pool(args, ctx, nonebts, required: bool, cache_dir=None):
+def _nonebt_pool(args, ctx, nonebts, required: bool):
     """(path, trace log, pool) of the non-EBT trace log; (None, None, []) without one."""
     log_path = _default_path(args.repo, "logs/nonebt-traces.log", args.trace_log)
     if log_path is None:
@@ -180,7 +179,7 @@ def _nonebt_pool(args, ctx, nonebts, required: bool, cache_dir=None):
             raise ExbtError("--trace-log is required (no default log found in repo)")
         return None, None, []
     trace_log = _read_trace_log(log_path)
-    return log_path, trace_log, collect_stacktrace_set(nonebts, ctx, trace_log, cache_dir)
+    return log_path, trace_log, collect_stacktrace_set(nonebts, ctx, trace_log)
 
 
 def _backend_kind(args, cfg) -> str:
@@ -322,7 +321,7 @@ def cmd_instrument(args) -> int:
 def cmd_pool(args) -> int:
     ctx = _load(args.repo, args)
     _, nonebts = split_test_suite(ctx)
-    _, trace_log, pool = _nonebt_pool(args, ctx, nonebts, required=True, cache_dir=args.cache)
+    _, trace_log, pool = _nonebt_pool(args, ctx, nonebts, required=True)
     rows = [
         {
             "trace": e.trace.to_rows(),
@@ -559,8 +558,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    candidates = _read_jsonl(args.candidates)
-    refs = {r["target"]: r for r in _read_jsonl(args.refs)} if args.refs else {}
+    candidates = _read_jsonl(args.candidates, ("candidate", "exception_type"))
+    refs = {}
+    if args.refs:
+        refs = {r["target"]: r for r in _read_jsonl(args.refs, ("reference", "exception_type"))}
     ctx = _load(args.repo, args) if args.repo else None
     runner = None
     if args.runner_results:
@@ -599,17 +600,23 @@ def _bundle_for_target(ctx, target: str):
     return ctx.throw_site_by_label.get(target)
 
 
-def _read_jsonl(path) -> list[dict]:
-    """JSONL rows, each an object with a `target`."""
+def _read_jsonl(path, text_fields: tuple[str, ...]) -> list[dict]:
+    """JSONL rows, each an object with a string `target`; each of
+    `text_fields` is a string, null or absent."""
     rows = []
     for n, line in enumerate(read_input(path).split("\n"), 1):
-        if line.strip():
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise BadInput(f"{path}:{n}: not JSON ({exc.msg})") from exc
-            if not isinstance(rows[-1], dict) or "target" not in rows[-1]:
-                raise BadInput(f"{path}:{n}: row has no target")
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BadInput(f"{path}:{n}: not JSON ({exc.msg})") from exc
+        if not isinstance(row, dict) or not isinstance(row.get("target"), str):
+            raise BadInput(f"{path}:{n}: row has no string target")
+        for key in text_fields:
+            if not isinstance(row.get(key), (str, type(None))):
+                raise BadInput(f"{path}:{n}: {key} is not a string")
+        rows.append(row)
     return rows
 
 

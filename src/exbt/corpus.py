@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 from exbt.classifier import TestMethod
 from exbt.errors import EmptyAfterExclusion, ExbtError
-from exbt.guardexpr import GuardExpression, compute_guard_expression
+from exbt.guardexpr import compute_guard_expression
 from exbt.instrument import TraceLog
-from exbt.jmodel import MethodId, RepoContext, ThrowSite
+from exbt.jmodel import RepoContext
 from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
     PromptBundle,
@@ -151,65 +151,8 @@ def example_to_record(e: CorpusExample) -> dict:
     }
 
 
-def record_to_example(rec: dict, ctx: RepoContext) -> CorpusExample:
-    from exbt.jmodel.exprs import parse_expr
-
-    mut = MethodId(
-        rec["mut"]["fqn"],
-        rec["mut"]["name"],
-        rec["mut"]["param_arity"],
-        rec["mut"]["decl_file"],
-        rec["mut"]["decl_line"],
-    )
-    site = ThrowSite(
-        method=_site_method(rec, ctx),
-        line=rec["throw"]["line"],
-        exception_type=rec["throw"]["exception_type"],
-        statement_text=rec["throw"]["statement"],
-    )
-    guard = GuardExpression(
-        conditions=tuple(rec["guard"]["conditions"]),
-        condition_exprs=tuple(parse_expr(c) for c in rec["guard"]["conditions"]),
-        source_texts=tuple(rec["guard"]["source_texts"]),
-        rendered=rec["guard"]["rendered"],
-        unresolved_names=tuple(rec["guard"]["unresolved_names"]),
-    )
-    bundle = PromptBundle(
-        mut=mut,
-        mut_source=rec["mut"]["source"],
-        throw_site=site,
-        dest_path=rec["dest"]["path"],
-        dest_skeleton=rec["dest"]["skeleton"],
-        trace=StackTrace.from_rows(rec["trace"]),
-        guard=guard,
-        nonebts=tuple(rec["nonebts"]),
-        variant=rec["variant"],
-        test_name=rec["test_name"],
-        template_id=rec["template_id"],
-        rendered_instruction=rec["rendered_instruction"],
-        seed=None,
-    )
-    return CorpusExample(rec["id"], rec["repo"], bundle, rec["gold_ebt"])
-
-
-def _site_method(rec: dict, ctx: RepoContext) -> MethodId:
-    site = ctx.throw_site_by_label.get(f"{rec['throw']['file']}:{rec['throw']['line']}")
-    if site is not None:
-        return site.method
-    # synthesize when the repository is not available for resolution
-    return MethodId("<unresolved>", "<unresolved>", 0, rec["throw"]["file"], 1)
-
-
 def write_corpus(examples: list[CorpusExample], path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for e in examples:
             f.write(json.dumps(example_to_record(e), sort_keys=True) + "\n")
 
-
-def read_corpus(path, ctx: RepoContext) -> list[CorpusExample]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                out.append(record_to_example(json.loads(line), ctx))
-    return out

@@ -16,6 +16,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from exbt.classifier import _has_test_annotation
 from exbt.errors import (
     BackendTimeout,
     BackendUnavailable,
@@ -273,8 +274,6 @@ def _reparses_as_test_method(source: str, parses: dict) -> bool:
             parses[source] = parse_member(source)
         except Exception:
             parses[source] = None
-    from exbt.classifier import _has_test_annotation
-
     _, m = parses[source] or (None, None)
     return m is not None and m.tok_open is not None and _has_test_annotation(m)
 

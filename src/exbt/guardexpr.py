@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from exbt.errors import FrameOutOfSpan, JavaParseError
+from exbt.errors import FrameOutOfSpan, JavaParseError, UnknownMethod
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, ThrowSite
 from exbt.jmodel import exprs
 from exbt.jmodel.exprs import Binary, Expr, Grouped, Lit, Name, Opaque, Unary
@@ -383,7 +383,7 @@ def _compute_guard(
             unit, type_decl, decl = ctx.resolve_frame(mut.class_fqn, mut.method, mut.line)
             visible.update(decl.params)
             visible.update(type_decl.field_names)
-        except Exception:
+        except UnknownMethod:
             pass
     free: set[str] = set()
     for e in conds:

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from exbt.classifier import classify_member
 from exbt.errors import ExbtError, RunnerUnavailable
+from exbt.guardexpr import _parse_or_opaque
 from exbt.jmodel import exprs as E
 from exbt.jmodel import CompilationUnit, MethodDecl, ThrowSite, parse_member
 from exbt.jmodel.lexer import KEYWORDS, tokenize
@@ -127,8 +128,6 @@ def _expr_signatures(expr, out: Counter) -> str:
 
 
 def _stmt_expr_trees(unit, stmt):
-    from exbt.guardexpr import _parse_or_opaque
-
     trees = []
     for rng in (stmt.cond_range, stmt.selector_range):
         if rng is not None and stmt.kind != "catch":

@@ -9,16 +9,13 @@ never an exception.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 
-from exbt.classifier import TestMethod
-from exbt.errors import EmptyAfterExclusion
+from exbt.classifier import TestMethod, _has_test_annotation
+from exbt.errors import EmptyAfterExclusion, UnknownMethod
 from exbt.guardexpr import GuardExpression, compute_guard_expression
 from exbt.instrument import TraceLog
 from exbt.jmodel import MethodId, RepoContext, ThrowSite
@@ -27,7 +24,6 @@ from exbt.stacktrace import StackTrace, exclude_test_and_util_frames
 logger = logging.getLogger(__name__)
 
 TEMPLATE_ID = "exbt-inst-v1"
-POOL_CACHE_FORMAT = "pool-v3"  # bump when the cached pool layout changes
 NONEBT_TOKEN_BUDGET = 2048  # whitespace tokens for the relevant-test slot
 
 
@@ -104,41 +100,16 @@ class SweepIndex:
         return self._skeletons[dest]
 
 
-def _pool_digest(ctx: RepoContext, trace_log: TraceLog) -> str:
-    """Digest of everything a pool is built from: the cache format, every
-    parsed main and test source, and the parsed trace log."""
-    h = hashlib.sha256(POOL_CACHE_FORMAT.encode())
-    for unit in ctx.units:
-        h.update(unit.path.encode() + b"\0")
-        h.update(unit.source.encode() + b"\0")
-    for trace, test_id in trace_log:
-        frames = "\n".join(f.render() for f in trace.frames)
-        h.update(f"test: {test_id}\n{frames}\n---\n".encode())
-    return h.hexdigest()
-
-
 def collect_stacktrace_set(
     nonebts: list[TestMethod],
     ctx: RepoContext,
     trace_log: TraceLog,
-    cache_dir: str | Path | None = None,
 ) -> list[TracePoolEntry]:
     """Pool of throw-reaching traces from non-EBT executions.
 
     Each logged trace yields one entry per throw statement declared in its
-    innermost method. Building is cached keyed by the digest of the main
-    and test sources and of the trace log; the cache invalidates as soon as
-    any of them changes.
+    innermost method.
     """
-    digest = _pool_digest(ctx, trace_log)
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = Path(cache_dir) / f"pool-{digest[:16]}.json"
-        if cache_file.exists():
-            try:
-                return _read_pool(cache_file.read_text(), ctx)
-            except Exception as exc:  # stale or corrupt cache is not fatal
-                logger.warning("ignoring unreadable pool cache: %s", exc)
     by_label = {test_method_label(t.id): t for t in nonebts}
     entries: list[TracePoolEntry] = []
     seen: set[tuple] = set()
@@ -154,7 +125,7 @@ def collect_stacktrace_set(
         last = excluded.frames[-1]
         try:
             _, _, decl = ctx.resolve_frame(last.class_fqn, last.method, last.line)
-        except Exception:
+        except UnknownMethod:
             continue
         for site in ctx.throw_sites_by_method.get(decl.mid, ()):
             key = (excluded.frames, test.id, site)
@@ -170,40 +141,6 @@ def collect_stacktrace_set(
             e.source_test.decl_line,
         )
     )
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(_dump_pool(entries, ctx))
-    return entries
-
-
-def _dump_pool(entries: list[TracePoolEntry], ctx: RepoContext) -> str:
-    """A site is stored as its index in ctx.throw_sites: the digest the cache
-    is keyed on covers every source, and two throws can share a line."""
-    site_index = {site: k for k, site in enumerate(ctx.throw_sites)}
-    rows = []
-    for e in entries:
-        rows.append(
-            {
-                "frames": e.trace.to_rows(),
-                "test": [
-                    e.source_test.fqn,
-                    e.source_test.name,
-                    e.source_test.param_arity,
-                    e.source_test.decl_file,
-                    e.source_test.decl_line,
-                ],
-                "site": site_index[e.throw_site],
-            }
-        )
-    return json.dumps(rows, indent=0)
-
-
-def _read_pool(text: str, ctx: RepoContext) -> list[TracePoolEntry]:
-    entries = []
-    for row in json.loads(text):
-        trace = StackTrace.from_rows(row["frames"])
-        test = MethodId(*row["test"])
-        entries.append(TracePoolEntry(trace, test, ctx.throw_sites[row["site"]]))
     return entries
 
 
@@ -273,8 +210,6 @@ def build_dest_skeleton(ctx: RepoContext, dest_path: str) -> str:
     unit = ctx.unit_for(dest_path)
     if unit is None:
         return ""
-    from exbt.classifier import _has_test_annotation
-
     drop: list[tuple[int, int]] = []
     for _, m in unit.all_methods():
         if _has_test_annotation(m):

@@ -60,25 +60,12 @@ class Frame:
 class StackTrace:
     frames: tuple[Frame, ...]  # MUT-first; last frame holds the throw
 
-    @classmethod
-    def from_rows(cls, rows) -> "StackTrace":
-        """Inverse of `to_rows`."""
-        return cls(tuple(Frame(*row) for row in rows))
-
     def to_rows(self) -> list[list]:
         """The JSON form of a trace: [class_fqn, method, file, line] per frame."""
         return [[f.class_fqn, f.method, f.file, f.line] for f in self.frames]
 
     def __len__(self) -> int:
         return len(self.frames)
-
-    @property
-    def mut_frame(self) -> Frame:
-        return self.frames[0]
-
-    @property
-    def throw_frame(self) -> Frame:
-        return self.frames[-1]
 
     def with_last_line(self, line: int) -> "StackTrace":
         """Same trace with the throw frame retargeted to another line."""

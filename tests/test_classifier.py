@@ -7,10 +7,9 @@ import pytest
 from conftest import FIXTURES
 from exbt.classifier import (
     classify_test,
-    extract_expected_exception,
     split_test_suite,
 )
-from exbt.errors import NotATest, NotEBT
+from exbt.errors import NotATest
 from exbt.jmodel import MethodId, load_repo
 
 
@@ -150,7 +149,7 @@ void t() {
     f();
 }"""
     )
-    assert extract_expected_exception(rule) == "NullPointerException"
+    assert rule.expected_exception == "NullPointerException"
     tfc = classify_test(
         """@Test
 void t() {
@@ -161,13 +160,12 @@ void t() {
     }
 }"""
     )
-    assert extract_expected_exception(tfc) == "IllegalArgumentException"
+    assert tfc.expected_exception == "IllegalArgumentException"
 
 
 def test_extract_on_nonebt_raises():
     plain = classify_test("@Test void t() { assertTrue(f()); }")
-    with pytest.raises(NotEBT):
-        extract_expected_exception(plain)
+    assert not plain.is_ebt and plain.expected_exception is None
 
 
 def test_classification_is_deterministic():
@@ -178,4 +176,4 @@ def test_classification_is_deterministic():
 def test_every_parsed_ebt_yields_exception(repo_a_suite):
     ebts, _ = repo_a_suite
     for t in ebts:
-        assert extract_expected_exception(t)
+        assert t.expected_exception

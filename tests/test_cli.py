@@ -133,6 +133,21 @@ def test_pool_skips_a_non_utf8_trace_block(capsys, tmp_path):
     assert "1 malformed blocks" in err
 
 
+def test_pool_follows_source_roots(capsys):
+    """The pool is built from the test roots of each run: with only
+    AccountTest.java as a test root, TestLedger's trace has no non-EBT."""
+    _, out, _ = run(capsys, "pool", REPO_A)
+    assert len(json.loads(out)) == 4
+    code, out, err = run(capsys, "pool", REPO_A,
+                         "--source-roots", "src/test/java/com/fix/AccountTest.java")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 3
+    assert {r["source_test"] for r in rows} == {
+        "com.fix.AccountTest#testWithdrawOk", "com.fix.AccountTest#testDepositOk"}
+    assert "# 3 pool entries" in err
+
+
 def test_sweep_reruns_are_byte_identical(capsys, tmp_path):
     digests = []
     for i in range(3):
@@ -510,6 +525,14 @@ _MALFORMED_INPUTS = {
                         ("eval", "--candidates")),
     "eval-refs": ("r.jsonl", b'{"target": "T.java:1", "reference": "\xff"}\n',
                   ("eval", "--candidates", os.devnull, "--refs")),
+    "eval-candidate-not-text": ("c.jsonl", b'{"target": "a:1", "candidate": 5}\n',
+                                ("eval", "--candidates")),
+    "eval-reference-not-text": ("r.jsonl", b'{"target": "a:1", "reference": 7}\n',
+                                ("eval", "--candidates", os.devnull, "--refs")),
+    "eval-exception-type-not-text": ("c.jsonl", b'{"target": "a:1", "exception_type": 1}\n',
+                                     ("eval", "--candidates")),
+    "eval-target-not-text": ("c.jsonl", b'{"target": ["a"], "candidate": "x"}\n',
+                             ("eval", "--candidates")),
 }
 
 

@@ -9,7 +9,6 @@ from exbt.corpus import (
     collect_training_corpus,
     example_to_record,
     link_relevant_nonebts,
-    read_corpus,
     write_corpus,
 )
 from exbt.instrument import parse_trace_log
@@ -103,17 +102,6 @@ def test_link_dedupes_double_qualifiers(corpus, repo_a, repo_a_suite):
     linked = link_relevant_nonebts(withdraw, nonebts, repo_a)
     # testWithdrawOk qualifies via same-MUT and same-file; appears once
     assert sum("testWithdrawOk" in s for s in linked.prompt.nonebts) == 1
-
-
-def test_serialization_round_trip(corpus, repo_a, tmp_path):
-    examples, _ = corpus
-    path = tmp_path / "corpus.jsonl"
-    write_corpus(examples, path)
-    back = read_corpus(path, repo_a)
-    assert back == examples
-    # and the file itself is stable
-    write_corpus(back, tmp_path / "again.jsonl")
-    assert (tmp_path / "again.jsonl").read_text() == path.read_text()
 
 
 def test_records_have_contract_fields(corpus):

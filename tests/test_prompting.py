@@ -77,53 +77,6 @@ def test_empty_pool_when_no_nonebts_reach_throws(repo_a, trace_log):
     assert collect_stacktrace_set([], repo_a, trace_log) == []
 
 
-def test_pool_cache_hits_and_invalidates(repo_a, repo_a_suite, trace_log, tmp_path):
-    _, nonebts = repo_a_suite
-    first = collect_stacktrace_set(nonebts, repo_a, trace_log, cache_dir=tmp_path)
-    caches = list(tmp_path.glob("pool-*.json"))
-    assert len(caches) == 1
-    second = collect_stacktrace_set(nonebts, repo_a, trace_log, cache_dir=tmp_path)
-    assert second == first
-    # a changed main source must produce a different cache key
-    import shutil
-    altered = tmp_path / "altered-repo"
-    shutil.copytree(REPO_A, altered)
-    account = altered / "src/main/java/com/fix/Account.java"
-    account.write_text(account.read_text() + "\n// touched\n")
-    from exbt.jmodel import load_repo
-    from exbt.classifier import split_test_suite
-
-    ctx2 = load_repo(altered)
-    _, nonebts2 = split_test_suite(ctx2)
-    collect_stacktrace_set(nonebts2, ctx2, trace_log, cache_dir=tmp_path)
-    assert len(list(tmp_path.glob("pool-*.json"))) == 2
-    # so must a changed trace log: one logged block reaches one throw
-    one_block = parse_trace_log(
-        (REPO_A / "logs/nonebt-traces.log").read_text().split("\n---")[-2]
-    )
-    assert len(first) == 4 and len(one_block) == 1
-    third = collect_stacktrace_set(nonebts, repo_a, one_block, cache_dir=tmp_path)
-    assert len(third) == 1
-    assert len(list(tmp_path.glob("pool-*.json"))) == 3
-
-
-def test_pool_cache_keeps_two_throws_on_one_line(tmp_path):
-    from exbt.classifier import split_test_suite
-    from exbt.jmodel import load_repo
-
-    repo = tmp_path / "repo"
-    write_two_throw_repo(repo)
-    log = parse_trace_log((repo / "logs/nonebt-traces.log").read_text())
-    ctx = load_repo(repo)
-    _, nonebts = split_test_suite(ctx)
-    cache = tmp_path / "cache"
-    built = collect_stacktrace_set(nonebts, ctx, log, cache_dir=cache)
-    cached = collect_stacktrace_set(nonebts, ctx, log, cache_dir=cache)
-    assert len(list(cache.glob("pool-*.json"))) == 1
-    assert [e.throw_site.exception_type for e in cached] == ["A", "B"]
-    assert cached == built
-
-
 # --- prompt assembly ---
 
 

@@ -29,8 +29,8 @@ def test_parse_reverses_to_mut_first():
     )
     t = parse_stack_trace(text)
     assert [f.method for f in t.frames] == ["h", "check"]
-    assert t.mut_frame.method == "h"
-    assert t.throw_frame.method == "check"
+    assert t.frames[0].method == "h"
+    assert t.frames[-1].method == "check"
 
 
 def test_parse_drops_frames_without_line_numbers():
