@@ -17,7 +17,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 
-from conftest import REPO_A, REPO_G, guard_trace, write_replicated_repo_a  # noqa: E402
+from conftest import (  # noqa: E402
+    REPO_A,
+    REPO_G,
+    guard_trace,
+    write_call_chain,
+    write_replicated_repo_a,
+)
 from exbt.classifier import split_test_suite  # noqa: E402
 from exbt.guardexpr import compute_guard_expression  # noqa: E402
 from exbt.jmodel import RepoContext, load_repo, parse_unit  # noqa: E402
@@ -135,8 +141,8 @@ def largest_conditions():
     """The ten largest condition trees of repoG's guards."""
     ctx = load_repo(REPO_G)
     trees = [
-        e for trace, site in _guard_traces(ctx)
-        for e in compute_guard_expression(trace, ctx, site).condition_exprs
+        parse_expr(text) for trace, site in _guard_traces(ctx)
+        for text in compute_guard_expression(trace, ctx, site).conditions
     ]
     return sorted(trees, key=_size, reverse=True)[:10]
 
@@ -161,6 +167,18 @@ def test_guard(benchmark):
         return [compute_guard_expression(trace, ctx, site) for trace, site in traces]
 
     assert len(benchmark(every_guard)) == len(traces)
+
+
+def test_guard_deep_chain(benchmark, tmp_path):
+    """One guard on a call chain of depth 64, the shape guard-deep stresses."""
+    trace = write_call_chain(tmp_path, 64)
+    ctx = load_repo(tmp_path)
+
+    def one_guard():
+        ctx.guard_cache.clear()  # time the computation, not the memo
+        return compute_guard_expression(trace, ctx)
+
+    assert len(benchmark(one_guard).conditions) == 64
 
 
 def test_edit_similarity(benchmark, test_pair):

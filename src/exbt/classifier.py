@@ -21,13 +21,6 @@ from exbt.errors import JavaParseError, NotATest
 from exbt.jmodel import CompilationUnit, MethodDecl, MethodId, RepoContext, parse_member
 from exbt.jmodel.lexer import call_sites, index_of, match_brace, match_paren, skip_name, skip_type
 
-PATTERNS = (
-    "AnnotationExpected",
-    "AssertThrows",
-    "ExpectedExceptionRule",
-    "TryFailCatch",
-)
-
 _EXPECTED_ARG_RE = re.compile(r"\bexpected\s*=\s*([\w.$]+)\s*\.\s*class")
 
 

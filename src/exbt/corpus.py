@@ -11,7 +11,6 @@ skipped with a recorded reason.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, replace
 
 from exbt.classifier import TestMethod
@@ -27,8 +26,6 @@ from exbt.prompting import (
     test_method_label,
 )
 from exbt.stacktrace import StackTrace, endpoints, exclude_test_and_util_frames
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,8 +23,6 @@ from exbt.errors import (
     read_input,
 )
 from exbt.jmodel import parse_member
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,19 @@ method-call node pair bridges every caller boundary. The innermost frame
 starts at the target site's own throw statement when the site is known.
 
 The computation pass folds the collected nodes into a conjunction, walking
-them from last to first with an environment that maps each assigned name
-and each parameter to its final replacement tree: an assignment or call
-argument is substituted once, into that environment, and each condition
-once, with it. The result equals substituting every later assignment and
-call into every earlier condition, one at a time, without its quadratic
-cost on deep traces.
+them from last to first. Each assigned name and each parameter is bound to
+two facts about its final replacement as seen from the current node: its
+rendered text, grouped, with the earlier bindings it reads already in
+place, and its free names. Each assignment, call argument and condition is
+rendered once, from its own small tree. The result equals
+substituting every later assignment and call into every earlier condition,
+one at a time, and rendering the trees; but no substituted tree is built,
+so the work grows linearly with the trace's depth (render calls on a call
+chain: 183, 375 and 759 at depths 16, 32 and 64).
 
-Substitution happens on parse trees and wraps compound replacements in
-explicit parentheses, so a rendered guard can never change meaning through
-operator precedence. The original condition text is kept alongside.
+A compound replacement renders inside explicit parentheses, so a rendered
+guard can never change meaning through operator precedence. The original
+condition text is kept alongside.
 
 A guard is computed once per repository context, trace and throw site;
 `RepoContext.guard_cache` holds it, so the corpus and the sweep share it
@@ -26,9 +29,9 @@ and it lives exactly as long as the context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from exbt.errors import FrameOutOfSpan, JavaParseError, UnknownMethod
+from exbt.errors import FrameOutOfSpan, JavaParseError, UnknownMethod, UnsupportedConstruct
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, ThrowSite
 from exbt.jmodel import exprs
 from exbt.jmodel.exprs import Binary, Expr, Grouped, Lit, Name, Opaque, Unary
@@ -59,7 +62,6 @@ class CollectedNode:
 @dataclass(frozen=True)
 class GuardExpression:
     conditions: tuple[str, ...]  # rendered, in collection order
-    condition_exprs: tuple[Expr, ...] = field(compare=False)
     source_texts: tuple[str, ...] = ()  # conditions as originally written
     rendered: str = ""  # conjunction joined with &&
     unresolved_names: tuple[str, ...] = ()
@@ -321,42 +323,52 @@ def merge(conditions, mapping):
     return out
 
 
-def _substituted(e: Expr, env: dict[str, Expr]) -> Expr:
-    """`exprs.substitute`, skipping the rebuild while nothing is bound."""
-    return exprs.substitute(e, env) if env else e
-
-
-def _fold(nodes: list[CollectedNode]) -> tuple[list[Expr], list[str]]:
-    """The substituted conditions and their source texts, in collection order.
+def _fold(nodes: list[CollectedNode]) -> tuple[list[str], list[str], set[str]]:
+    """The rendered conditions and their source texts, in collection order,
+    and the names the conditions leave free.
 
     A node's substitutions come from the nodes after it (earlier in
-    execution), so the walk runs from last to first and keeps `env`, each
-    name's final replacement as seen from the current node."""
+    execution), so the walk runs from last to first. Each name bound so far
+    keeps its final replacement as seen from the current node in two forms:
+    `texts`, the grouped replacement rendered, and `frees`, its free names.
+    A condition is rendered once from its own tree with `texts`, which
+    equals rendering the substituted tree: a grouped replacement has
+    primary precedence, as the bare name it stands for does."""
     params_at: list[tuple[str, ...]] = []  # a call's parameters: the last decl's
     pending: tuple[str, ...] = ()
     for node in nodes:
         if node.tag == METHOD_DECL:
             pending = node.params
         params_at.append(pending)
-    env: dict[str, Expr] = {}
-    conds: list[Expr] = []
-    texts: list[str] = []
+    texts: dict[str, str] = {}
+    frees: dict[str, set[str]] = {}
+
+    def bind(e: Expr) -> tuple[str, set[str]]:
+        """e's text and free names, with every bound name replaced."""
+        names: set[str] = set()
+        for n in exprs.free_names(e):
+            names.update(frees.get(n, (n,)))
+        return exprs.render(e, texts), names
+
+    conds: list[str] = []
+    sources: list[str] = []
+    free: set[str] = set()
     for i in range(len(nodes) - 1, -1, -1):
         node = nodes[i]
         if node.tag in (CONDITION, NEGATED) and node.expr is not None:
-            cond = node.expr if node.tag == CONDITION else _negate(node.expr)
-            conds.append(_substituted(cond, env))
-            texts.append(node.text)
+            text, names = bind(node.expr if node.tag == CONDITION else _negate(node.expr))
+            conds.append(text)
+            sources.append(node.text)
+            free |= names
         elif node.tag == ASSIGNMENT and node.name is not None and node.rhs is not None:
-            env[node.name] = _substituted(exprs.grouped(node.rhs), env)
+            texts[node.name], frees[node.name] = bind(exprs.grouped(node.rhs))
         elif node.tag == METHOD_CALL:
-            env.update({
-                p: _substituted(exprs.grouped(a), env)
-                for p, a in zip(params_at[i], node.args)
-            })
+            bound = {p: bind(exprs.grouped(a)) for p, a in zip(params_at[i], node.args)}
+            for p, (text, names) in bound.items():
+                texts[p], frees[p] = text, names
     conds.reverse()
-    texts.reverse()
-    return conds, texts
+    sources.reverse()
+    return conds, sources, free
 
 
 def compute_guard_expression(
@@ -374,7 +386,7 @@ def compute_guard_expression(
 def _compute_guard(
     trace: StackTrace, ctx: RepoContext, site: ThrowSite | None
 ) -> GuardExpression:
-    conds, texts = _fold(collect_nodes(trace, ctx, site))
+    conds, texts, free = _fold(collect_nodes(trace, ctx, site))
     # visible names: parameters and fields of the method under test
     visible = {"this", "super", "true", "false", "null"}
     if trace.frames:
@@ -385,15 +397,10 @@ def _compute_guard(
             visible.update(type_decl.field_names)
         except UnknownMethod:
             pass
-    free: set[str] = set()
-    for e in conds:
-        free.update(exprs.free_names(e))
-    rendered_each = tuple(exprs.render(e) for e in conds)
     return GuardExpression(
-        conditions=rendered_each,
-        condition_exprs=tuple(conds),
+        conditions=tuple(conds),
         source_texts=tuple(texts),
-        rendered=" && ".join(rendered_each),
+        rendered=" && ".join(conds),
         unresolved_names=tuple(sorted(free - visible)),
     )
 
@@ -405,7 +412,11 @@ def evaluate_guard(guard: GuardExpression, env: dict[str, int | bool]) -> bool:
     Raises UnboundName for missing names and UnsupportedConstruct for
     anything beyond arithmetic, comparisons and boolean operators.
     """
-    for e in guard.condition_exprs:
+    for text in guard.conditions:
+        try:
+            e = exprs.parse_expr(text)
+        except JavaParseError as exc:
+            raise UnsupportedConstruct(f"condition {text!r} does not parse: {exc}") from exc
         if not exprs.evaluate(e, env):
             return False
     return True

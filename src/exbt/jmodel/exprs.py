@@ -427,53 +427,57 @@ def _prec(e: Expr) -> int:
     return _PRIMARY_PREC
 
 
-def render(e: Expr) -> str:
-    """Render with minimal parenthesization; explicit groups always show."""
+def render(e: Expr, names: dict[str, str] | None = None) -> str:
+    """Render with minimal parenthesization; explicit groups always show.
+
+    A Name found in `names` renders as its text there, which must have
+    primary precedence, as a bare name does."""
     if isinstance(e, Name):
-        return e.id
+        return names.get(e.id, e.id) if names else e.id
     if isinstance(e, Lit):
         return e.text
     if isinstance(e, Opaque):
         return e.text
     if isinstance(e, Grouped):
-        return f"({render(e.inner)})"
+        return f"({render(e.inner, names)})"
     if isinstance(e, Field):
-        return f"{_child(e.recv, _PRIMARY_PREC)}.{e.name}"
+        return f"{_child(e.recv, _PRIMARY_PREC, names)}.{e.name}"
     if isinstance(e, Call):
-        args = ", ".join(render(a) for a in e.args)
+        args = ", ".join(render(a, names) for a in e.args)
         if e.recv is None:
             return f"{e.name}({args})"
-        return f"{_child(e.recv, _PRIMARY_PREC)}.{e.name}({args})"
+        return f"{_child(e.recv, _PRIMARY_PREC, names)}.{e.name}({args})"
     if isinstance(e, Index):
-        return f"{_child(e.arr, _PRIMARY_PREC)}[{render(e.idx)}]"
+        return f"{_child(e.arr, _PRIMARY_PREC, names)}[{render(e.idx, names)}]"
     if isinstance(e, New):
-        args = ", ".join(render(a) for a in e.args)
+        args = ", ".join(render(a, names) for a in e.args)
         return f"new {e.type_text}({args})"
     if isinstance(e, Unary):
         if e.postfix:
-            return f"{_child(e.operand, _UNARY_PREC)}{e.op}"
-        operand = _child(e.operand, _UNARY_PREC)
+            return f"{_child(e.operand, _UNARY_PREC, names)}{e.op}"
+        operand = _child(e.operand, _UNARY_PREC, names)
         # keep '-(-x)' from gluing into the '--' operator
         if e.op in ("+", "-") and operand.startswith(e.op[0]):
             operand = f"({operand})"
         return f"{e.op}{operand}"
     if isinstance(e, Cast):
-        return f"({e.type_text}) {_child(e.operand, _UNARY_PREC)}"
+        return f"({e.type_text}) {_child(e.operand, _UNARY_PREC, names)}"
     if isinstance(e, InstanceOf):
-        return f"{_child(e.operand, 9)} instanceof {e.type_text}"
+        return f"{_child(e.operand, 9, names)} instanceof {e.type_text}"
     if isinstance(e, Binary):
         p = _prec(e)
-        left = _child(e.left, p)
-        right = _child(e.right, p + 1)
+        left = _child(e.left, p, names)
+        right = _child(e.right, p + 1, names)
         return f"{left} {e.op} {right}"
     if isinstance(e, Ternary):
-        cond = _child(e.cond, _TERNARY_PREC + 1)
-        return f"{cond} ? {render(e.then)} : {_child(e.other, _TERNARY_PREC)}"
+        cond = _child(e.cond, _TERNARY_PREC + 1, names)
+        then = render(e.then, names)
+        return f"{cond} ? {then} : {_child(e.other, _TERNARY_PREC, names)}"
     raise TypeError(f"cannot render {type(e).__name__}")
 
 
-def _child(e: Expr, min_prec: int) -> str:
-    text = render(e)
+def _child(e: Expr, min_prec: int, names: dict[str, str] | None) -> str:
+    text = render(e, names)
     if _prec(e) < min_prec:
         return f"({text})"
     return text

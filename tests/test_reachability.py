@@ -1,6 +1,6 @@
-"""Every function and method in src/exbt is reached: some other code in
-src/ names it, the benchmark's tracer wraps it, or the allowlist below
-says why it stays without a caller."""
+"""Every function, method and module-level name in src/exbt is reached:
+some other code in src/ names it, the benchmark's tracer wraps it, or the
+allowlist below says why it stays without a reader."""
 
 from __future__ import annotations
 
@@ -51,11 +51,64 @@ def _names(node: ast.AST) -> Counter:
     )
 
 
-def unreached() -> list[str]:
-    trees = {
+def _bindings(tree: ast.Module):
+    """(name, statement) of every name a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name):
+                    yield n.id, node
+
+
+def _imported(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, name) of every `from module import name` in src/."""
+    return {
+        (node.module, alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {
         ".".join(path.relative_to(SRC).with_suffix("").parts): ast.parse(path.read_text())
         for path in sorted(SRC.rglob("*.py"))
     }
+
+
+def unread_bindings() -> list[str]:
+    """Module-level names that their module reads nowhere outside their own
+    binding, that no other module imports and that no code reads as an
+    attribute. Module-level names are counted per module, as a common name
+    such as `logger` may be read in one module and not in another."""
+    trees = _trees()
+    attrs = Counter(
+        n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    )
+    imported = _imported(trees)
+    kept = _wrapped() | set(ALLOWED)
+    found = []
+    for module, tree in trees.items():
+        here = _names(tree)
+        for name, node in _bindings(tree):
+            if (name.startswith("__") and name.endswith("__")) or (module, name) in kept:
+                continue
+            if here[name] == _names(node)[name] and not attrs[name] \
+                    and (module, name) not in imported:
+                found.append(f"{module}.{name}")
+    return sorted(found)
+
+
+def unreached() -> list[str]:
+    trees = _trees()
     everywhere = sum((_names(tree) for tree in trees.values()), Counter())
     kept = _wrapped() | set(ALLOWED)
     found = []
@@ -71,3 +124,7 @@ def unreached() -> list[str]:
 
 def test_every_def_in_src_is_reached():
     assert unreached() == []
+
+
+def test_every_module_level_name_in_src_is_read():
+    assert unread_bindings() == []
