@@ -14,6 +14,7 @@ import json
 import shutil
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 from exbt import __version__
@@ -24,6 +25,7 @@ from exbt.errors import BadInput, ExbtError, IoError, MalformedTrace, read_input
 from exbt.genbackend import (
     GenerationParams,
     RequestLog,
+    answer_fields,
     digest,
     extract_candidate,
     generate_many,
@@ -36,9 +38,10 @@ from exbt.instrument import (
     instrument_print_trace,
     parse_trace_log,
 )
-from exbt.jmodel import find_throw_sites, load_repo, reachable_throws
+from exbt.jmodel import ThrowSite, find_throw_sites, load_repo, reachable_throws
 from exbt.manifest import Manifest, verify_manifest
 from exbt.metrics import (
+    CandidateScore,
     Sides,
     aggregate,
     report_table,
@@ -46,6 +49,7 @@ from exbt.metrics import (
 )
 from exbt.prompting import (
     NoMatch,
+    PromptBundle,
     SweepIndex,
     TEMPLATE_ID,
     assemble_prompt,
@@ -408,11 +412,28 @@ _CANDIDATE_SCORE_FIELDS = (
 )
 
 
+@dataclass
+class TargetOutcome:
+    """One sweep target: its bundle or NoMatch, answer, candidate and score."""
+    site: ThrowSite
+    prompt: PromptBundle | NoMatch
+    answer: str | ExbtError | None = None
+    candidate: str | None = None
+    score: CandidateScore | None = None
+
+    @property
+    def status(self) -> str:
+        """How the target ended; the one place that decides it."""
+        if isinstance(self.prompt, NoMatch):
+            return self.prompt.reason
+        if isinstance(self.answer, ExbtError):
+            return "backend-error"
+        return "no-candidate" if self.candidate is None else "generated"
+
+
 def cmd_sweep(args) -> int:
     """The sweep's stages in order; each counts its manifest counters."""
     ctx = _load(args.repo, args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = load_config(args.config)
     manifest = Manifest("sweep", seed=args.seed, template_id=TEMPLATE_ID,
                         backend_kind=_backend_kind(args, cfg))
@@ -420,14 +441,14 @@ def cmd_sweep(args) -> int:
 
     ebts, nonebts = _classify_stage(ctx, manifest)
     index = SweepIndex(ctx, nonebts)  # shared by the corpus and the sweep
-    corpus = _corpus_stage(args, ctx, ebts, index, out, manifest)
+    corpus = _corpus_stage(args, ctx, ebts, index, manifest)
     pool = _pool_stage(args, ctx, nonebts, manifest)
-    results = _prompts_stage(args, ctx, pool, index, manifest)
-    rows, scores, request_log = _generate_score_stage(args, cfg, ctx, results, corpus, manifest)
-    agg = aggregate(scores, [site for site, _ in results])
-    _write_stage(out, manifest, results, rows, agg, request_log)
+    outcomes = _prompts_stage(args, ctx, pool, index)
+    request_log = _generate_score_stage(args, cfg, ctx, outcomes, corpus or (), manifest)
+    agg = aggregate([o.score for o in outcomes if o.score is not None], [o.site for o in outcomes])
+    _write_stage(Path(args.out), manifest, corpus, outcomes, agg, request_log)
     print(report_table(agg))
-    print(f"# artifacts in {out}", file=sys.stderr)
+    print(f"# artifacts in {Path(args.out)}", file=sys.stderr)
     return 0
 
 
@@ -437,11 +458,11 @@ def _classify_stage(ctx, manifest: Manifest):
     return ebts, nonebts
 
 
-def _corpus_stage(args, ctx, ebts, index: SweepIndex, out: Path, manifest: Manifest):
-    """The EBT trace log's training corpus, written to corpus.jsonl, if any."""
+def _corpus_stage(args, ctx, ebts, index: SweepIndex, manifest: Manifest):
+    """The EBT trace log's training corpus; None without that log."""
     ebt_log_path = _default_path(args.repo, "logs/ebt-traces.log", args.ebt_trace_log)
     if not ebt_log_path:
-        return []
+        return None
     manifest.add_input("ebt_trace_log", ebt_log_path)
     examples, skipped = collect_training_corpus(
         ebts, index, ctx, _read_trace_log(ebt_log_path), repo_name=Path(args.repo).name
@@ -449,8 +470,6 @@ def _corpus_stage(args, ctx, ebts, index: SweepIndex, out: Path, manifest: Manif
     manifest.bump("corpus_examples_built", len(examples))
     manifest.bump("corpus_examples_skipped", len(skipped))
     manifest.bump("guards_computed", len(examples))
-    write_corpus(examples, out / "corpus.jsonl")
-    manifest.add_artifact(out / "corpus.jsonl", out)
     return examples
 
 
@@ -462,24 +481,24 @@ def _pool_stage(args, ctx, nonebts, manifest: Manifest):
     return pool
 
 
-# the manifest counters of a sweep target, by NoMatch reason (None: a bundle)
+def _prompts_stage(args, ctx, pool, index: SweepIndex) -> list[TargetOutcome]:
+    return [TargetOutcome(site, prompt) for site, prompt in
+            sweep_targets(ctx, pool, index, seed=args.seed, variant=args.variant)]
+
+
+# the manifest counters of a sweep target, by its status (_ASSEMBLED: any bundle's)
+_ASSEMBLED = ("dest_name-match", "prompts_assembled", "guards_computed")
 _TARGET_COUNTERS = {
     "no-dest-file": ("dest_none",),
     "no-matching-trace": ("dest_name-match", "nomatch_no_matching_trace"),
-    None: ("dest_name-match", "prompts_assembled", "guards_computed"),
+    "backend-error": (*_ASSEMBLED, "backend_errors"),
+    "no-candidate": (*_ASSEMBLED, "generations"),
+    "generated": (*_ASSEMBLED, "generations", "candidates_extracted"),
 }
 
 
-def _prompts_stage(args, ctx, pool, index: SweepIndex, manifest: Manifest):
-    results = sweep_targets(ctx, pool, index, seed=args.seed, variant=args.variant)
-    for _, outcome in results:
-        for counter in _TARGET_COUNTERS[outcome.reason if isinstance(outcome, NoMatch) else None]:
-            manifest.bump(counter)
-    return results
-
-
-def _generate_score_stage(args, cfg, ctx, results, corpus, manifest: Manifest):
-    """(candidate rows, scores, request log): one generation per bundle."""
+def _generate_score_stage(args, cfg, ctx, outcomes, corpus, manifest: Manifest) -> RequestLog:
+    """One generation per bundle, extraction, scoring, then each target's counters."""
     stub_file = _default_path(args.repo, "canned/completions.json", args.stub_file)
     if manifest.backend_kind == "stub" and stub_file:
         manifest.add_input("stub_completions", stub_file)
@@ -488,49 +507,59 @@ def _generate_score_stage(args, cfg, ctx, results, corpus, manifest: Manifest):
     runner = _make_runner(args, ctx)
     gold_by_site = {e.prompt.throw_site: e.gold_ebt for e in corpus}
     sides = Sides()  # extraction's parse of a candidate is the one scoring uses
-    matched = [(site, o) for site, o in results if not isinstance(o, NoMatch)]
-    completions = generate_many(
-        backend, [bundle.rendered_instruction for _, bundle in matched],
-        GenerationParams(seed=args.seed), max_in_flight=args.max_in_flight, log=request_log,
-    )
-    rows, scores = [], []
-    for (site, bundle), completion in zip(matched, completions, strict=True):
-        manifest.bump("generations")
-        row = {"target": site.label(), "instruction_digest": digest(bundle.rendered_instruction),
-               "completion_digest": digest(completion)}
-        rows.append(row)
-        candidate = extract_candidate(completion, sides.parses)
-        if candidate is None:
-            row["status"] = "no-candidate"
-            continue
-        manifest.bump("candidates_extracted")
-        score = score_candidate(
-            candidate, gold_by_site.get(site), site.exception_type, site,
-            site=site, runner=runner, sides=sides,
-        )
-        scores.append(score)
-        row.update(status="generated", candidate=candidate)
-        row.update((f, getattr(score, f)) for f in _CANDIDATE_SCORE_FIELDS)
-    return rows, scores, request_log
+    params = GenerationParams(seed=args.seed)
+    asked = [o for o in outcomes if not isinstance(o.prompt, NoMatch)]
+    answers = generate_many(backend, [o.prompt.rendered_instruction for o in asked], params,
+                            max_in_flight=args.max_in_flight)
+    for o, answer in zip(asked, answers, strict=True):
+        o.answer = answer
+        request_log.record(o.prompt.rendered_instruction, params, answer, backend.kind)
+        if isinstance(answer, str):
+            o.candidate = extract_candidate(answer, sides.parses)
+        if o.candidate is not None:
+            o.score = score_candidate(
+                o.candidate, gold_by_site.get(o.site), o.site.exception_type, o.site,
+                site=o.site, runner=runner, sides=sides,
+            )
+    for o in outcomes:
+        for counter in _TARGET_COUNTERS[o.status]:
+            manifest.bump(counter)
+    return request_log
 
 
-def _write_stage(out: Path, manifest: Manifest, results, rows, agg, request_log) -> None:
-    """The five sweep artifacts, each named once, then the manifest."""
+def _candidate_row(o: TargetOutcome) -> dict:
+    """The candidates.jsonl row of a target the backend was asked about."""
+    row = {"target": o.site.label(), "status": o.status, **answer_fields(o.answer),
+           "instruction_digest": digest(o.prompt.rendered_instruction)}
+    if o.score is not None:
+        row["candidate"] = o.candidate
+        row.update((f, getattr(o.score, f)) for f in _CANDIDATE_SCORE_FIELDS)
+    return row
+
+
+def _write_stage(out: Path, manifest: Manifest, corpus, outcomes, agg, request_log) -> None:
+    """Make `out`, write the sweep artifacts, each named once, then the manifest."""
     report = {
         "aggregate": agg,
-        "no_match_reasons": Counter(o.reason for _, o in results if isinstance(o, NoMatch)),
-        "targets": [site.label() for site, _ in results],
+        "no_match_reasons": Counter(o.status for o in outcomes if isinstance(o.prompt, NoMatch)),
+        "targets": [o.site.label() for o in outcomes],
         "seed": manifest.seed,
         "template_id": manifest.template_id,
         "backend_kind": manifest.backend_kind,
     }
     writers = {
-        "bundles.jsonl": lambda p: _write_jsonl(p, [bundle_to_record(o, s) for s, o in results]),
-        "candidates.jsonl": lambda p: _write_jsonl(p, rows),
+        "corpus.jsonl": lambda p: write_corpus(corpus, p),
+        "bundles.jsonl": lambda p: _write_jsonl(
+            p, [bundle_to_record(o.prompt, o.site) for o in outcomes]),
+        "candidates.jsonl": lambda p: _write_jsonl(
+            p, [_candidate_row(o) for o in outcomes if o.answer is not None]),
         "report.json": lambda p: p.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n"),
         "report.txt": lambda p: p.write_text(report_table(agg) + "\n", encoding="utf-8"),
         "requests.jsonl": request_log.write,
     }
+    if corpus is None:
+        del writers["corpus.jsonl"]
+    out.mkdir(parents=True, exist_ok=True)
     for name, write in writers.items():
         write(out / name)
         manifest.add_artifact(out / name, out)

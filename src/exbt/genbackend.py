@@ -3,8 +3,8 @@
 The wire contract is one POST of {prompt, max_tokens, temperature, seed,
 stop[]} answered with {"text": ...}. A stub backend replays canned
 completions (matched by instruction digest or by substring) so the whole
-pipeline runs hermetically and byte-reproducibly. `generate_many` logs
-every request/response pair with digests for replay.
+pipeline runs hermetically and byte-reproducibly. A `RequestLog` records
+every request with the digest of its answer, or its error, for replay.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from exbt.classifier import _has_test_annotation
 from exbt.errors import (
     BackendTimeout,
     BackendUnavailable,
+    ExbtError,
     MalformedResponse,
     read_input,
 )
@@ -37,25 +38,29 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def answer_fields(answer: str | ExbtError) -> dict:
+    """A completion's digest, or the name of the error its request raised."""
+    if isinstance(answer, ExbtError):
+        return {"error": type(answer).__name__}
+    return {"completion_digest": digest(answer)}
+
+
 @dataclass
 class RequestLog:
     entries: list[dict] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def record(self, instruction: str, params: GenerationParams, completion: str, backend: str):
+    def record(self, instruction: str, params: GenerationParams, answer: str | ExbtError,
+               backend: str):
+        """One request, with `answer_fields` of its answer."""
         with self._lock:
             self.entries.append(
                 {
                     "n": len(self.entries),
                     "backend": backend,
                     "instruction_digest": digest(instruction),
-                    "params": {
-                        "max_new_tokens": params.max_new_tokens,
-                        "temperature": params.temperature,
-                        "seed": params.seed,
-                        "stop": list(params.stop),
-                    },
-                    "completion_digest": digest(completion),
+                    "params": dict(vars(params)),
+                    **answer_fields(answer),
                 }
             )
 
@@ -177,23 +182,18 @@ def generate_many(
     instructions: list[str],
     params: GenerationParams,
     max_in_flight: int = 4,
-    log: RequestLog | None = None,
-) -> list[str]:
+) -> list[str | ExbtError]:
     """Run many generations with bounded in-flight concurrency.
 
-    Completions come back in input order and are logged in input order
-    after all requests finish, so replay logs stay deterministic.
+    Each instruction's completion, or the `ExbtError` its request raised,
+    comes back in input order; any other exception propagates.
     """
     if not instructions:
         return []
     workers = max(1, min(max_in_flight, len(instructions)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(backend.generate, inst, params) for inst in instructions]
-        completions = [f.result() for f in futures]
-    if log is not None:
-        for inst, completion in zip(instructions, completions):
-            log.record(inst, params, completion, getattr(backend, "kind", "?"))
-    return completions
+        return [e if isinstance(e := f.exception(), ExbtError) else f.result() for f in futures]
 
 
 def make_backend(

@@ -79,7 +79,6 @@ class MethodDecl:
     tok_open: int | None  # '{' of the body, None for abstract members
     tok_close: int | None
     annotations: list[str]
-    modifiers: list[str]
     is_ctor: bool = False
     compact: bool = False
     # set once by the RepoContext that holds the declaration; None outside one
@@ -287,7 +286,7 @@ class _UnitParser:
                 continue
             # what every member declared here shares
             head = dict(owner_fqn=decl.fqn, start_line=self.toks[member_start].line,
-                        tok_start=member_start, annotations=annotations, modifiers=modifiers)
+                        tok_start=member_start, annotations=annotations)
             if t.text == "{":  # initializer block
                 close = match_brace(self.toks, p)
                 pseudo = "<clinit>" if "static" in modifiers else "<init>"

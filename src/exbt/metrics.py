@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from exbt.classifier import classify_member
@@ -429,7 +429,6 @@ class CandidateScore:
     compilable: bool | None = None
     runnable: bool | None = None
     covers_target: bool | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def score_candidate(

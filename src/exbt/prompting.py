@@ -37,8 +37,6 @@ class TracePoolEntry:
 @dataclass(frozen=True)
 class NoMatch:
     reason: str  # no-matching-trace | no-dest-file
-    mut: MethodId | None = None
-    throw_site: ThrowSite | None = None
 
 
 @dataclass(frozen=True)
@@ -243,13 +241,13 @@ def _reindent(text: str) -> str:
     return "\n".join([lines[0]] + [l[cut:] if l.strip() else l for l in lines[1:]])
 
 
-def render_instruction(bundle: PromptBundle, template_id: str = TEMPLATE_ID) -> str:
+def render_instruction(bundle: PromptBundle) -> str:
     """Deterministic instruction text with stable section markers.
 
     Section order is fixed; empty sections are omitted together with their
     headers. The with-name variant adds exactly one extra section.
     """
-    parts: list[str] = [f"// template: {template_id}"]
+    parts: list[str] = [f"// template: {bundle.template_id}"]
     parts.append(
         "### Task\n"
         "Write a JUnit test method that calls the method under test and "
@@ -336,7 +334,7 @@ def assemble_prompt(
         if q.throw_site == throw_site and any(_frame_matches(f, mut) for f in q.trace.frames)
     ]
     if not matching:
-        return NoMatch("no-matching-trace", mut, throw_site)
+        return NoMatch("no-matching-trace")
     pool_same_mut = {q.source_test for q in matching if _frame_matches(q.trace.frames[0], mut)}
     pick = random.Random(seed).choice(matching)
     trace = pick.trace.with_last_line(throw_site.line)
@@ -372,7 +370,7 @@ def sweep_targets(
         mut = site.method
         dest, _ = select_dest_with_reason(mut, ctx)
         if dest is None:
-            results.append((site, NoMatch("no-dest-file", mut, site)))
+            results.append((site, NoMatch("no-dest-file")))
             continue
         outcome = assemble_prompt(
             mut, site, dest, pool_by_site.get(site, []), index, ctx, seed=seed, variant=variant

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import sys
+from collections import Counter
 
 import pytest
 
@@ -188,6 +189,61 @@ def test_sweep_outputs_match_pinned_digests(capsys, tmp_path):
     assert code == 0
     got = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in REPO_A_SWEEP_SHA256}
     assert got == REPO_A_SWEEP_SHA256
+
+
+def test_each_sweep_target_ends_exactly_once(capsys, tmp_path):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub", "--out", out)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
+    bundles = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
+    statuses = Counter(r["status"] for r in rows)
+    assert statuses == {"generated": 3}
+    assert sum(statuses.values()) + sum(report["no_match_reasons"].values()) \
+        == len(report["targets"]) == len(set(report["targets"])) == 6
+    unmatched = [b["target"] for b in bundles if b["status"] == "no-match"]
+    ended = [r["target"] for r in rows] + unmatched
+    assert sorted(ended) == sorted(report["targets"])
+
+
+def test_sweep_with_a_partial_stub_ends_only_the_unanswered_target(capsys, tmp_path):
+    canned = json.loads((REPO_A / "canned/completions.json").read_text())
+    canned["completions"] = [c for c in canned["completions"] if c["contains"] != "Ledger.java:8"]
+    stub = tmp_path / "partial.json"
+    stub.write_text(json.dumps(canned))
+    full, partial = tmp_path / "full", tmp_path / "partial"
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub", "--out", full)
+    assert code == 0
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub",
+                     "--stub-file", stub, "--out", partial)
+    assert code == 0
+    *full_accounts, full_ledger = (full / "candidates.jsonl").read_text().splitlines()
+    *accounts, ledger = (partial / "candidates.jsonl").read_text().splitlines()
+    assert accounts == full_accounts
+    assert all("Account.java" in json.loads(l)["target"] for l in accounts)
+    asked = json.loads(full_ledger)["instruction_digest"]
+    assert json.loads(ledger) == {
+        "target": "src/main/java/com/fix/Ledger.java:8", "status": "backend-error",
+        "error": "BackendUnavailable", "instruction_digest": asked,
+    }
+    *_, request = [json.loads(l) for l in (partial / "requests.jsonl").read_text().splitlines()]
+    assert (request["instruction_digest"], request["error"]) == (asked, "BackendUnavailable")
+    assert "completion_digest" not in request
+    counters = json.loads((partial / "manifest.json").read_text())["counters"]
+    assert (counters["backend_errors"], counters["generations"],
+            counters["candidates_extracted"]) == (1, 2, 2)
+    code, _, _ = run(capsys, "verify-manifest", partial / "manifest.json")
+    assert code == 0
+
+
+def test_a_sweep_that_fails_before_its_write_stage_leaves_no_out(capsys, tmp_path, monkeypatch):
+    for name in ("EXBT_BACKEND_KIND", "BACKEND_KIND", "EXBT_BACKEND_URL", "BACKEND_URL"):
+        monkeypatch.delenv(name, raising=False)
+    code, _, err = run(capsys, "sweep", REPO_A, "--backend", "http", "--out", tmp_path / "out")
+    assert code == 1
+    assert _error_of(err) == "BackendUnavailable"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_with_recorded_runner_matches_pinned_digest(capsys, tmp_path):

@@ -6,6 +6,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from conftest import REPO_A
+from exbt.cli import main
 from exbt.config import Config
 from exbt.errors import BackendTimeout, BackendUnavailable, MalformedResponse
 from exbt.genbackend import (
@@ -50,7 +52,9 @@ def test_stub_no_match_is_unavailable():
 def test_stub_replay_determinism(tmp_path):
     log = RequestLog()
     stub = StubBackend([{"contains": "x", "completion": "fixed body"}])
-    first, second = generate_many(stub, ["x marks the spot"] * 2, PARAMS, log=log)
+    first, second = generate_many(stub, ["x marks the spot"] * 2, PARAMS)
+    for completion in (first, second):
+        log.record("x marks the spot", PARAMS, completion, stub.kind)
     assert first == second
     log.write(tmp_path / "requests.jsonl")
     entries = [json.loads(l) for l in (tmp_path / "requests.jsonl").read_text().splitlines()]
@@ -59,7 +63,29 @@ def test_stub_replay_determinism(tmp_path):
     assert entries[0]["instruction_digest"] == digest("x marks the spot")
 
 
+class _SecondTimesOut:
+    kind = "fake"
+
+    def generate(self, instruction, params):
+        if instruction == "two":
+            raise BackendTimeout("no answer", elapsed=1.0)
+        if instruction == "bug":
+            raise TypeError("not a backend error")
+        return instruction.upper()
+
+
+def test_generate_many_keeps_each_error_in_its_place():
+    one, two, three = generate_many(_SecondTimesOut(), ["one", "two", "three"], PARAMS,
+                                    max_in_flight=3)
+    assert (one, three) == ("ONE", "THREE")
+    assert isinstance(two, BackendTimeout)
+    with pytest.raises(TypeError):
+        generate_many(_SecondTimesOut(), ["one", "bug", "three"], PARAMS, max_in_flight=3)
+
+
 # --- http backend against a real local server ---
+
+CANNED = json.loads((REPO_A / "canned/completions.json").read_text())["completions"]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -74,6 +100,15 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(payload.encode())
         elif self.path == "/choices":
             payload = json.dumps({"choices": [{"message": {"content": "chatty"}}]})
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(payload.encode())
+        elif self.path == "/canned":  # repoA's completions; non-JSON for Ledger.java:8
+            if "Ledger.java:8" in body["prompt"]:
+                payload = "<html>oops</html>"
+            else:
+                payload = json.dumps({"text": next(
+                    c["completion"] for c in CANNED if c["contains"] in body["prompt"])})
             self.send_response(200)
             self.end_headers()
             self.wfile.write(payload.encode())
@@ -128,6 +163,26 @@ def test_http_deadline(server):
     with pytest.raises(BackendTimeout) as err:
         HttpBackend(server + "/slow", timeout=0.2).generate("x", PARAMS)
     assert err.value.elapsed == 0.2
+
+
+def test_sweep_over_http_ends_only_the_malformed_target(server, tmp_path, monkeypatch, capsys):
+    for name in ("EXBT_BACKEND_KIND", "BACKEND_KIND", "BACKEND_URL"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("EXBT_BACKEND_URL", server + "/canned")
+    out = tmp_path / "out"
+    code = main(["sweep", str(REPO_A), "--seed", "42", "--backend", "http",
+                 "--max-in-flight", "4", "--out", str(out)])
+    assert code == 0
+    rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
+    assert {r["target"].rsplit("/", 1)[1]: (r["status"], r.get("error")) for r in rows} == {
+        "Account.java:14": ("generated", None),
+        "Account.java:22": ("generated", None),
+        "Ledger.java:8": ("backend-error", "MalformedResponse"),
+    }
+    requests = [json.loads(l) for l in (out / "requests.jsonl").read_text().splitlines()]
+    assert [(e["backend"], e.get("error")) for e in requests] == [
+        ("http", None), ("http", None), ("http", "MalformedResponse")]
+    assert json.loads((out / "manifest.json").read_text())["counters"]["backend_errors"] == 1
 
 
 def test_http_unreachable_is_unavailable():

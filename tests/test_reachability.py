@@ -1,6 +1,7 @@
 """Every function, method and module-level name in src/exbt is reached:
 some other code in src/ names it, the benchmark's tracer wraps it, or the
-allowlist below says why it stays without a reader."""
+allowlist below says why it stays without a reader. Every dataclass and
+NamedTuple field in src/exbt is read by some code of the project."""
 
 from __future__ import annotations
 
@@ -9,8 +10,11 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+TRACER = ROOT / "perfbench" / "tracer.py"
+# where a field of a record in src/ may be read
+READERS = ("src", "tests", "perfbench", "microbench")
 
 # (module, qualified name): why it stays although nothing in src/ names it
 ALLOWED = {
@@ -21,6 +25,9 @@ ALLOWED = {
     ("exbt.instrument", "Rewrite.to_original_line"): "README: instrument line mapping",
     ("exbt.jmodel.model", "RepoContext.callees"): "README: library call graph",
 }
+
+# (module, Class.field): why a record keeps a field that no code reads
+ALLOWED_FIELDS: dict[tuple[str, str], str] = {}
 
 
 def _wrapped() -> set[tuple[str, str]]:
@@ -122,9 +129,76 @@ def unreached() -> list[str]:
     return sorted(found)
 
 
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A `@dataclass` (called or not) or a `NamedTuple` subclass."""
+    for deco in cls.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "id", None) == "dataclass" or getattr(func, "attr", None) == "dataclass":
+            return True
+    return any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases)
+
+
+def _record_fields(tree: ast.Module):
+    """(Class.field, field) of every annotated field of every record."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and _is_record(cls):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield f"{cls.name}.{node.target.id}", node.target.id
+
+
+def _getattr_strings(tree: ast.Module) -> set[str]:
+    """Names read through `getattr`: a literal name, or, for a name argument
+    that is a loop variable over a module-level tuple or list, its strings."""
+    tables = {name: node.value for name, node in _bindings(tree)
+              if isinstance(node.value, (ast.Tuple, ast.List))}
+    loops = {
+        node.target.id: tables[node.iter.id]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name)
+        and isinstance(node.iter, ast.Name) and node.iter.id in tables
+    }
+    found = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr" \
+                and len(call.args) > 1:
+            arg = call.args[1]
+            if isinstance(arg, ast.Constant):
+                found.add(arg.value)
+            elif isinstance(arg, ast.Name) and arg.id in loops:
+                found.update(e.value for e in loops[arg.id].elts if isinstance(e, ast.Constant))
+    return found
+
+
+def unread_fields() -> list[str]:
+    """Record fields in src/ that no code in READERS reads as an attribute
+    or through `getattr`. Fields are matched by name, not by class."""
+    read: set[str] = set()
+    for folder in READERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            read.update(n.attr for n in ast.walk(tree)
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+            read |= _getattr_strings(tree)
+    return sorted(
+        f"{module}.{qualname}"
+        for module, tree in _trees().items()
+        for qualname, name in _record_fields(tree)
+        if name not in read and (module, qualname) not in ALLOWED_FIELDS
+    )
+
+
 def test_every_def_in_src_is_reached():
     assert unreached() == []
 
 
 def test_every_module_level_name_in_src_is_read():
     assert unread_bindings() == []
+
+
+def test_every_dataclass_field_is_read():
+    fields = {qualname for tree in _trees().values() for qualname, _ in _record_fields(tree)}
+    assert {"CandidateScore.xmatch", "ThrowSite.line", "TracePoolEntry.trace"} <= fields
+    snippet = ast.parse('F = ("a", "b")\nx = [getattr(o, f) for f in F]\ny = getattr(o, "c")\n')
+    assert _getattr_strings(snippet) == {"a", "b", "c"}
+    assert unread_fields() == []
