@@ -25,9 +25,15 @@ from conftest import (  # noqa: E402
     write_replicated_repo_a,
 )
 from exbt.classifier import split_test_suite  # noqa: E402
-from exbt.guardexpr import compute_guard_expression  # noqa: E402
+from exbt.guardexpr import collect_nodes, compute_guard_expression  # noqa: E402
 from exbt.jmodel import RepoContext, load_repo, parse_unit  # noqa: E402
-from exbt.jmodel.exprs import children, free_names, parse_expr, substitute  # noqa: E402
+from exbt.jmodel.exprs import (  # noqa: E402
+    children,
+    free_names,
+    parse_expr,
+    parse_expr_tokens,
+    substitute,
+)
 from exbt.jmodel.lexer import tokenize  # noqa: E402
 from exbt.jmodel.stmts import BodyParser  # noqa: E402
 from exbt.metrics import (  # noqa: E402
@@ -179,6 +185,34 @@ def test_guard_deep_chain(benchmark, tmp_path):
         return compute_guard_expression(trace, ctx)
 
     assert len(benchmark(one_guard).conditions) == 64
+
+
+def test_collect_nodes_deep_chain(benchmark, tmp_path):
+    """The collection pass of one guard on a call chain of depth 64: the
+    nodes of 64 frames, each condition, assignment and argument parsed."""
+    trace = write_call_chain(tmp_path, 64)
+    ctx = load_repo(tmp_path)
+    assert len(benchmark(collect_nodes, trace, ctx)) == 64 * 5 - 3
+
+
+def test_parse_guard_ranges(benchmark, tmp_path):
+    """Every condition and assignment range of a depth-16 call chain, each
+    parsed from its token slice."""
+    write_call_chain(tmp_path, 16)
+    unit = parse_unit((tmp_path / "src/main/java/Chain.java").read_text(), "Chain.java")
+    parser = BodyParser(unit.tokens, unit.source)
+    ranges = [
+        r
+        for _, m in unit.all_methods()
+        for s in parser.parse_block(m.tok_open).iter_tree()
+        for r in ([s.cond_range] if s.cond_range else []) + [a[1] for a in s.assignments]
+    ]
+    tokens, source = unit.tokens, unit.source
+
+    def parse_all():
+        return [parse_expr_tokens(tokens[lo:hi], source) for lo, hi in ranges]
+
+    assert len(benchmark(parse_all)) == 2 * 16 - 1
 
 
 def test_edit_similarity(benchmark, test_pair):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -48,21 +47,19 @@ def answer_fields(answer: str | ExbtError) -> dict:
 @dataclass
 class RequestLog:
     entries: list[dict] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record(self, instruction: str, params: GenerationParams, answer: str | ExbtError,
                backend: str):
         """One request, with `answer_fields` of its answer."""
-        with self._lock:
-            self.entries.append(
-                {
-                    "n": len(self.entries),
-                    "backend": backend,
-                    "instruction_digest": digest(instruction),
-                    "params": dict(vars(params)),
-                    **answer_fields(answer),
-                }
-            )
+        self.entries.append(
+            {
+                "n": len(self.entries),
+                "backend": backend,
+                "instruction_digest": digest(instruction),
+                "params": dict(vars(params)),
+                **answer_fields(answer),
+            }
+        )
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -111,16 +108,23 @@ class StubBackend:
 
 
 class HttpBackend:
-    """Minimal HTTP adapter for hosted or local generation servers."""
+    """Minimal HTTP adapter for hosted or local generation servers.
+
+    Every request goes through one `requests.Session`, which the worker
+    threads of `generate_many` share, so a sweep's requests reuse their
+    connections to the server."""
 
     kind = "http"
 
     def __init__(self, url: str, auth_token: str | None = None, timeout: float = 60.0):
         if not url:
             raise BackendUnavailable("BACKEND_URL is not configured")
+        import requests
+
         self.url = url
         self.auth_token = auth_token
         self.timeout = timeout
+        self.session = requests.Session()
 
     def generate(self, instruction: str, params: GenerationParams) -> str:
         import requests
@@ -136,7 +140,7 @@ class HttpBackend:
             "stop": list(params.stop),
         }
         try:
-            resp = requests.post(
+            resp = self.session.post(
                 self.url, json=payload, headers=headers, timeout=self.timeout
             )
         except requests.Timeout as exc:

@@ -30,6 +30,7 @@ and it lives exactly as long as the context.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from exbt.errors import FrameOutOfSpan, JavaParseError, UnknownMethod, UnsupportedConstruct
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, ThrowSite
@@ -47,8 +48,7 @@ METHOD_DECL = "MethodDecl"
 METHOD_CALL = "MethodCall"
 
 
-@dataclass(frozen=True)
-class CollectedNode:
+class CollectedNode(NamedTuple):
     tag: str
     text: str  # source text of the construct
     line: int
@@ -71,11 +71,10 @@ class GuardExpression:
 
 
 def _parse_or_opaque(unit: CompilationUnit, rng: tuple[int, int]) -> Expr:
-    text = _text(unit, rng)
     try:
         return exprs.parse_expr_tokens(unit.tokens[rng[0] : rng[1]], unit.source)
     except JavaParseError:
-        return Opaque(text)
+        return Opaque(_text(unit, rng))
 
 
 def _text(unit: CompilationUnit, rng: tuple[int, int]) -> str:
@@ -104,18 +103,17 @@ def _assignment_rhs(unit: CompilationUnit, name: str, rng, op: str) -> Expr:
 
 
 def _assignment_nodes(unit: CompilationUnit, stmt: Stmt) -> list[CollectedNode]:
-    nodes = []
-    for name, rng, op in stmt.assignments:
-        nodes.append(
-            CollectedNode(
-                tag=ASSIGNMENT,
-                text=_text(unit, (stmt.tok_start, stmt.tok_end)).strip(),
-                line=stmt.start_line,
-                name=name,
-                rhs=_assignment_rhs(unit, name, rng, op),
-            )
+    text = _text(unit, (stmt.tok_start, stmt.tok_end)).strip()
+    return [
+        CollectedNode(
+            tag=ASSIGNMENT,
+            text=text,
+            line=stmt.start_line,
+            name=name,
+            rhs=_assignment_rhs(unit, name, rng, op),
         )
-    return nodes
+        for name, rng, op in stmt.assignments
+    ]
 
 
 def _condition_node(unit: CompilationUnit, rng, line: int, negated: bool) -> CollectedNode:
@@ -302,27 +300,6 @@ def collect_nodes(
     return nodes
 
 
-def merge(conditions, mapping):
-    """Substitute mapped names inside each condition.
-
-    Accepts rendered strings or expression trees (and string or tree
-    replacement values); returns the same shape. Matching respects
-    identifier boundaries because it runs on parse trees.
-    """
-    as_text = bool(conditions) and isinstance(conditions[0], str)
-    parsed = [
-        exprs.parse_expr(c) if isinstance(c, str) else c for c in conditions
-    ]
-    mapped = {
-        k: (exprs.parse_expr(v) if isinstance(v, str) else v)
-        for k, v in mapping.items()
-    }
-    out = [exprs.substitute(e, mapped) for e in parsed]
-    if as_text:
-        return [exprs.render(e) for e in out]
-    return out
-
-
 def _fold(nodes: list[CollectedNode]) -> tuple[list[str], list[str], set[str]]:
     """The rendered conditions and their source texts, in collection order,
     and the names the conditions leave free.
@@ -345,10 +322,12 @@ def _fold(nodes: list[CollectedNode]) -> tuple[list[str], list[str], set[str]]:
 
     def bind(e: Expr) -> tuple[str, set[str]]:
         """e's text and free names, with every bound name replaced."""
+        used: set[str] = set()
+        text = exprs.render(e, texts, used)
         names: set[str] = set()
-        for n in exprs.free_names(e):
+        for n in used:
             names.update(frees.get(n, (n,)))
-        return exprs.render(e, texts), names
+        return text, names
 
     conds: list[str] = []
     sources: list[str] = []

@@ -12,7 +12,7 @@ never change meaning through operator precedence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 from exbt.errors import JavaParseError, UnboundName, UnsupportedConstruct
 from exbt.jmodel.lexer import ASSIGN_OPS, PRIMITIVES, Token, match_paren, skip_type, tokenize
@@ -22,22 +22,42 @@ class Expr:
     __slots__ = ()
 
 
+def _dict_init(cls: type) -> type:
+    """Give a frozen dataclass an __init__ that stores each field straight
+    into the instance dict. The one dataclasses writes for a frozen class
+    calls object.__setattr__ once per field, which doubles the cost of
+    building a small node; eq, hash, repr and the ban on assignment stay
+    the frozen dataclass's own."""
+    params = ", ".join(
+        f.name if f.default is MISSING else f"{f.name}={f.default!r}" for f in fields(cls)
+    )
+    stores = "".join(f"\n    d[{f.name!r}] = {f.name}" for f in fields(cls))
+    namespace: dict = {}
+    exec(f"def __init__(self, {params}):\n    d = self.__dict__{stores}", namespace)
+    cls.__init__ = namespace["__init__"]
+    return cls
+
+
+@_dict_init
 @dataclass(frozen=True)
 class Name(Expr):
     id: str
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Lit(Expr):
     text: str
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Field(Expr):
     recv: Expr
     name: str
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Call(Expr):
     recv: Expr | None
@@ -45,12 +65,14 @@ class Call(Expr):
     args: tuple[Expr, ...]
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Index(Expr):
     arr: Expr
     idx: Expr
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Unary(Expr):
     op: str
@@ -58,6 +80,7 @@ class Unary(Expr):
     postfix: bool = False
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Binary(Expr):
     op: str
@@ -65,6 +88,7 @@ class Binary(Expr):
     right: Expr
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Ternary(Expr):
     cond: Expr
@@ -72,24 +96,28 @@ class Ternary(Expr):
     other: Expr
 
 
+@_dict_init
 @dataclass(frozen=True)
 class InstanceOf(Expr):
     operand: Expr
     type_text: str
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Cast(Expr):
     type_text: str
     operand: Expr
 
 
+@_dict_init
 @dataclass(frozen=True)
 class New(Expr):
     type_text: str
-    args: tuple[Expr, ...] = field(default_factory=tuple)
+    args: tuple[Expr, ...] = ()
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Grouped(Expr):
     """Explicit parentheses inserted by substitution."""
@@ -97,6 +125,7 @@ class Grouped(Expr):
     inner: Expr
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Opaque(Expr):
     """Verbatim source for constructs outside the supported grammar."""
@@ -157,6 +186,14 @@ _ASSIGN_PREC = 1
 _PRIMARY_PREC = 15
 
 
+# an identifier or literal operand ends at once unless one of these follows
+_FOLLOWERS = frozenset((".", "[", "(", "++", "--", "::", "->"))
+_LEAF_KINDS = frozenset(("ident", "number", "string", "char"))
+_LITERAL_KINDS = frozenset(("number", "string", "char"))
+_CONSTANTS = frozenset(("true", "false", "null"))  # lexed as identifiers
+_PREFIX_OPS = frozenset(("!", "~", "+", "-", "++", "--"))
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], source: str):
         self.toks = tokens
@@ -164,9 +201,8 @@ class _Parser:
         self.pos = 0
         self.arg_lists = 0  # call argument lists open around self.pos
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        k = self.pos + ahead
-        return self.toks[k] if k < len(self.toks) else None
+    def peek(self) -> Token | None:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -174,15 +210,15 @@ class _Parser:
         return t
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t is not None and t.text == text
+        return self.pos < len(self.toks) and self.toks[self.pos].text == text
 
     def expect(self, text: str) -> Token:
         t = self.peek()
         if t is None or t.text != text:
             got = "end of input" if t is None else repr(t.text)
             raise JavaParseError(f"expected {text!r}, got {got}")
-        return self.next()
+        self.pos += 1
+        return t
 
     def slice_text(self, start: int, end: int) -> str:
         if start >= end:
@@ -195,23 +231,21 @@ class _Parser:
         e = self.parse_assign()
         if self.pos != len(self.toks):
             raise JavaParseError(
-                f"trailing tokens in expression near {self.peek().text!r}"
+                f"trailing tokens in expression near {self.toks[self.pos].text!r}"
             )
         return e
 
     def parse_assign(self) -> Expr:
         left = self.parse_ternary()
-        t = self.peek()
-        if t is not None and t.text in ASSIGN_OPS:
-            self.next()
-            right = self.parse_assign()
-            return Binary(t.text, left, right)
+        if self.pos < len(self.toks) and (op := self.toks[self.pos].text) in ASSIGN_OPS:
+            self.pos += 1
+            return Binary(op, left, self.parse_assign())
         return left
 
     def parse_ternary(self) -> Expr:
         cond = self.parse_binary(0)
         if self.at("?"):
-            self.next()
+            self.pos += 1
             then = self.parse_assign()
             self.expect(":")
             other = self.parse_ternary()
@@ -219,106 +253,98 @@ class _Parser:
         return cond
 
     def parse_binary(self, min_prec: int) -> Expr:
-        left = self.parse_unary()
-        while True:
-            t = self.peek()
-            if t is None:
-                return left
-            if t.text == "instanceof":
-                self.next()
+        left = self.parse_operand()
+        toks = self.toks
+        while self.pos < len(toks):
+            op = toks[self.pos].text
+            if op == "instanceof":
+                self.pos += 1
                 left = InstanceOf(left, self._parse_type_text())
                 continue
-            prec = _BIN_PREC.get(t.text)
+            prec = _BIN_PREC.get(op)
             if prec is None or prec < min_prec:
-                return left
-            self.next()
-            right = self.parse_binary(prec + 1)
-            left = Binary(t.text, left, right)
+                break
+            self.pos += 1
+            left = Binary(op, left, self.parse_binary(prec + 1))
+        return left
 
-    def parse_unary(self) -> Expr:
-        t = self.peek()
-        if t is None:
-            raise JavaParseError("expression ended unexpectedly")
-        if t.text in ("!", "~", "+", "-", "++", "--"):
-            self.next()
-            return Unary(t.text, self.parse_unary())
-        if t.text == "(" and self._looks_like_cast():
-            self.next()
-            close = match_paren(self.toks, self.pos - 1)
-            type_text = self.slice_text(self.pos, close)
-            self.pos = close + 1
-            return Cast(type_text, self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
-        start = self.toks[self.pos].offset if self.pos < len(self.toks) else 0
-        e = self.parse_primary()
+    def parse_operand(self) -> Expr:
+        """Prefix operators and casts, a primary, then its postfix chain."""
+        toks = self.toks
+        n = len(toks)
+        pos = self.pos
+        prefixes: list[tuple[type, str]] = []  # (Unary, operator) or (Cast, type text)
         while True:
-            t = self.peek()
-            if t is None:
-                return e
-            if t.text == ".":
-                nxt = self.peek(1)
-                if nxt is None or nxt.kind not in ("ident", "keyword"):
+            if pos >= n:
+                raise JavaParseError("expression ended unexpectedly")
+            t = toks[pos]
+            kind, text = t.kind, t.text
+            if kind in _LEAF_KINDS and (pos + 1 == n or toks[pos + 1].text not in _FOLLOWERS):
+                self.pos = pos + 1
+                e = Name(text) if kind == "ident" and text not in _CONSTANTS else Lit(text)
+                return _prefixed(e, prefixes) if prefixes else e
+            if text in _PREFIX_OPS:
+                prefixes.append((Unary, text))
+                pos += 1
+            elif text == "(" and self._looks_like_cast(pos):
+                close = match_paren(toks, pos)
+                prefixes.append((Cast, self.slice_text(pos + 1, close)))
+                pos = close + 1
+            else:
+                break
+        self.pos = pos
+        # the primary
+        if kind in _LITERAL_KINDS or text in _CONSTANTS:
+            self.pos += 1
+            e = Lit(text)
+        elif text in ("this", "super"):
+            self.pos += 1
+            e = Name(text)
+        elif text == "new":
+            e = self._parse_new()
+        elif text == "(":
+            # parenthesized lambda: (a, b) -> ...
+            close = match_paren(toks, pos)
+            if close + 1 < n and toks[close + 1].text == "->":
+                e = self._lambda(t.offset)
+            else:
+                self.pos += 1
+                e = self.parse_assign()
+                self.expect(")")
+        elif kind == "ident" or (kind == "keyword" and text in PRIMITIVES):
+            if pos + 1 < n and toks[pos + 1].text == "->":
+                e = self._lambda(t.offset)
+            else:
+                self.pos += 1
+                e = Call(None, text, self._parse_args()) if self.at("(") else Name(text)
+        else:
+            raise JavaParseError(f"unexpected token {text!r} in expression")
+        # the postfix chain
+        while self.pos < n:
+            text = toks[self.pos].text
+            if text == ".":
+                name = toks[self.pos + 1] if self.pos + 1 < n else None
+                if name is None or name.kind not in ("ident", "keyword"):
                     raise JavaParseError("dangling '.' in expression")
-                self.next()
-                name_tok = self.next()
-                if self.at("("):
-                    args = self._parse_args()
-                    e = Call(e, name_tok.text, args)
-                else:
-                    e = Field(e, name_tok.text)
-            elif t.text == "[":
-                self.next()
+                self.pos += 2
+                e = Call(e, name.text, self._parse_args()) if self.at("(") else Field(e, name.text)
+            elif text == "[":
+                self.pos += 1
                 idx = self.parse_assign()
                 self.expect("]")
                 e = Index(e, idx)
-            elif t.text in ("++", "--"):
-                self.next()
-                e = Unary(t.text, e, postfix=True)
-            elif t.text == "::":
+            elif text in ("++", "--"):
+                self.pos += 1
+                e = Unary(text, e, True)
+            elif text == "::":
                 # method reference: keep the whole chain verbatim
-                self.next()
-                ref = self.next()
-                return Opaque(self.src[start : ref.end])
+                ref = toks[self.pos + 1]
+                self.pos += 2
+                e = Opaque(self.src[t.offset : ref.end])
+                break
             else:
-                return e
-
-    def parse_primary(self) -> Expr:
-        t = self.peek()
-        if t is None:
-            raise JavaParseError("expression ended unexpectedly")
-        if t.kind in ("number", "string", "char"):
-            self.next()
-            return Lit(t.text)
-        if t.text in ("true", "false", "null"):
-            self.next()
-            return Lit(t.text)
-        if t.text in ("this", "super"):
-            self.next()
-            return Name(t.text)
-        if t.text == "new":
-            return self._parse_new()
-        if t.text == "(":
-            # parenthesized lambda: (a, b) -> ...
-            close = match_paren(self.toks, self.pos)
-            after = self.toks[close + 1] if close + 1 < len(self.toks) else None
-            if after is not None and after.text == "->":
-                return self._lambda(t.offset)
-            self.next()
-            inner = self.parse_assign()
-            self.expect(")")
-            return inner
-        if t.kind == "ident" or (t.kind == "keyword" and t.text in PRIMITIVES):
-            nxt = self.peek(1)
-            if nxt is not None and nxt.text == "->":
-                return self._lambda(t.offset)
-            self.next()
-            if self.at("("):
-                args = self._parse_args()
-                return Call(None, t.text, args)
-            return Name(t.text)
-        raise JavaParseError(f"unexpected token {t.text!r} in expression")
+                break
+        return _prefixed(e, prefixes) if prefixes else e
 
     # --- helpers ---
 
@@ -380,9 +406,10 @@ class _Parser:
             raise JavaParseError("instanceof without a type")
         return self.slice_text(start, self.pos)
 
-    def _looks_like_cast(self) -> bool:
-        close = match_paren(self.toks, self.pos)
-        if close == self.pos + 1 or skip_type(self.toks, self.pos + 1, close) != close:
+    def _looks_like_cast(self, k: int) -> bool:
+        """Whether the '(' at k opens a cast."""
+        close = match_paren(self.toks, k)
+        if close == k + 1 or skip_type(self.toks, k + 1, close) != close:
             return False
         after = self.toks[close + 1] if close + 1 < len(self.toks) else None
         if after is None:
@@ -393,8 +420,15 @@ class _Parser:
             return True
         # (int) -1 is a cast, (a) - b is a subtraction
         if after.text in ("+", "-"):
-            return self.toks[self.pos + 1].text in PRIMITIVES
+            return self.toks[k + 1].text in PRIMITIVES
         return False
+
+
+def _prefixed(e: Expr, prefixes: list[tuple[type, str]]) -> Expr:
+    """e under its prefix operators and casts, the innermost applied first."""
+    for cls, text in reversed(prefixes):
+        e = cls(text, e)
+    return e
 
 
 def parse_expr(source: str) -> Expr:
@@ -409,75 +443,74 @@ def parse_expr_tokens(tokens: list[Token], source: str) -> Expr:
     """Parse an expression from a token slice of a larger source."""
     if not tokens:
         raise JavaParseError("empty expression")
-    return _Parser(list(tokens), source).parse()
+    return _Parser(tokens, source).parse()
 
 
 # --- rendering ---
 
 
+# each node type's precedence; a Binary's is its operator's, any other
+# node type's is _PRIMARY_PREC
+_PREC = {Unary: _UNARY_PREC, Cast: _UNARY_PREC, Ternary: _TERNARY_PREC, InstanceOf: 9}
+_OP_PREC = {**_BIN_PREC, **dict.fromkeys(ASSIGN_OPS, _ASSIGN_PREC)}
+
+
 def _prec(e: Expr) -> int:
-    if isinstance(e, Binary):
-        return _ASSIGN_PREC if e.op in ASSIGN_OPS else _BIN_PREC[e.op]
-    if isinstance(e, (Unary, Cast)):
-        return _UNARY_PREC
-    if isinstance(e, (Ternary,)):
-        return _TERNARY_PREC
-    if isinstance(e, InstanceOf):
-        return 9
-    return _PRIMARY_PREC
+    cls = type(e)
+    return _OP_PREC[e.op] if cls is Binary else _PREC.get(cls, _PRIMARY_PREC)
 
 
-def render(e: Expr, names: dict[str, str] | None = None) -> str:
+def render(e: Expr, names: dict[str, str] | None = None, used: set[str] | None = None) -> str:
     """Render with minimal parenthesization; explicit groups always show.
 
     A Name found in `names` renders as its text there, which must have
-    primary precedence, as a bare name does."""
-    if isinstance(e, Name):
+    primary precedence, as a bare name does. When `used` is given, the id
+    of every Name rendered is added to it: that is `free_names(e)`."""
+    cls = type(e)
+    if cls is Name:
+        if used is not None:
+            used.add(e.id)
         return names.get(e.id, e.id) if names else e.id
-    if isinstance(e, Lit):
+    if cls is Lit or cls is Opaque:
         return e.text
-    if isinstance(e, Opaque):
-        return e.text
-    if isinstance(e, Grouped):
-        return f"({render(e.inner, names)})"
-    if isinstance(e, Field):
-        return f"{_child(e.recv, _PRIMARY_PREC, names)}.{e.name}"
-    if isinstance(e, Call):
-        args = ", ".join(render(a, names) for a in e.args)
+    if cls is Binary:
+        p = _OP_PREC[e.op]
+        return f"{_child(e.left, p, names, used)} {e.op} {_child(e.right, p + 1, names, used)}"
+    if cls is Call:
+        args = ", ".join([render(a, names, used) for a in e.args])
         if e.recv is None:
             return f"{e.name}({args})"
-        return f"{_child(e.recv, _PRIMARY_PREC, names)}.{e.name}({args})"
-    if isinstance(e, Index):
-        return f"{_child(e.arr, _PRIMARY_PREC, names)}[{render(e.idx, names)}]"
-    if isinstance(e, New):
-        args = ", ".join(render(a, names) for a in e.args)
-        return f"new {e.type_text}({args})"
-    if isinstance(e, Unary):
+        return f"{_child(e.recv, _PRIMARY_PREC, names, used)}.{e.name}({args})"
+    if cls is Unary:
+        operand = _child(e.operand, _UNARY_PREC, names, used)
         if e.postfix:
-            return f"{_child(e.operand, _UNARY_PREC, names)}{e.op}"
-        operand = _child(e.operand, _UNARY_PREC, names)
+            return f"{operand}{e.op}"
         # keep '-(-x)' from gluing into the '--' operator
         if e.op in ("+", "-") and operand.startswith(e.op[0]):
             operand = f"({operand})"
         return f"{e.op}{operand}"
-    if isinstance(e, Cast):
-        return f"({e.type_text}) {_child(e.operand, _UNARY_PREC, names)}"
-    if isinstance(e, InstanceOf):
-        return f"{_child(e.operand, 9, names)} instanceof {e.type_text}"
-    if isinstance(e, Binary):
-        p = _prec(e)
-        left = _child(e.left, p, names)
-        right = _child(e.right, p + 1, names)
-        return f"{left} {e.op} {right}"
-    if isinstance(e, Ternary):
-        cond = _child(e.cond, _TERNARY_PREC + 1, names)
-        then = render(e.then, names)
-        return f"{cond} ? {then} : {_child(e.other, _TERNARY_PREC, names)}"
-    raise TypeError(f"cannot render {type(e).__name__}")
+    if cls is Grouped:
+        return f"({render(e.inner, names, used)})"
+    if cls is Field:
+        return f"{_child(e.recv, _PRIMARY_PREC, names, used)}.{e.name}"
+    if cls is Index:
+        return f"{_child(e.arr, _PRIMARY_PREC, names, used)}[{render(e.idx, names, used)}]"
+    if cls is Ternary:
+        cond = _child(e.cond, _TERNARY_PREC + 1, names, used)
+        then = render(e.then, names, used)
+        return f"{cond} ? {then} : {_child(e.other, _TERNARY_PREC, names, used)}"
+    if cls is Cast:
+        return f"({e.type_text}) {_child(e.operand, _UNARY_PREC, names, used)}"
+    if cls is InstanceOf:
+        return f"{_child(e.operand, 9, names, used)} instanceof {e.type_text}"
+    if cls is New:
+        args = ", ".join([render(a, names, used) for a in e.args])
+        return f"new {e.type_text}({args})"
+    raise TypeError(f"cannot render {cls.__name__}")
 
 
-def _child(e: Expr, min_prec: int, names: dict[str, str] | None) -> str:
-    text = render(e, names)
+def _child(e: Expr, min_prec: int, names: dict[str, str] | None, used: set[str] | None) -> str:
+    text = render(e, names, used)
     if _prec(e) < min_prec:
         return f"({text})"
     return text

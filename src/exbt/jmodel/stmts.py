@@ -23,7 +23,7 @@ from exbt.jmodel.lexer import (
 )
 
 
-@dataclass
+@dataclass(eq=False)  # a tree node: equal only to itself
 class Stmt:
     kind: str
     start_line: int
@@ -40,9 +40,6 @@ class Stmt:
     labels: list[tuple[int, int] | None] | None = None  # None label == default
     assignments: list[tuple[str, tuple[int, int], str]] = field(default_factory=list)
     # each assignment: (lhs name, rhs token range, operator text)
-
-    def contains_line(self, line: int) -> bool:
-        return self.start_line <= line <= self.end_line
 
     def iter_tree(self):
         yield self
@@ -244,13 +241,8 @@ class BodyParser:
     def _stmt(self, kind: str, start: int, end: int) -> Stmt:
         start = min(start, len(self.toks) - 1)
         last = max(start, min(end - 1, len(self.toks) - 1))
-        return Stmt(
-            kind=kind,
-            start_line=self.toks[start].line,
-            end_line=self.toks[last].line,
-            tok_start=start,
-            tok_end=end,
-        )
+        # kind, start_line, end_line, tok_start, tok_end
+        return Stmt(kind, self.toks[start].line, self.toks[last].line, start, end)
 
     def _stmt_end(self, pos: int, limit: int) -> int:
         """Index just past the ';' terminating a simple statement."""
@@ -286,13 +278,20 @@ def declarators(tokens: list[Token], k: int, end: int) -> list[tuple[int, int | 
 
 
 def stmts_at_line(root: Stmt, line: int) -> list[Stmt]:
-    """Leaf-most statements whose span contains the line, in source order."""
-    hits = [s for s in root.iter_tree() if s.contains_line(line)]
-    leafmost = [
-        s for s in hits
-        if not any(c.contains_line(line) for c in s.children)
-    ]
-    return leafmost
+    """Leaf-most statements whose span contains the line, in source order.
+
+    A statement's span holds its children's, so the walk enters only the
+    statements whose span contains the line."""
+    found: list[Stmt] = []
+    stack = [root] if root.start_line <= line <= root.end_line else []
+    while stack:
+        s = stack.pop()
+        inner = [c for c in s.children if c.start_line <= line <= c.end_line]
+        if inner:
+            stack += reversed(inner)
+        else:
+            found.append(s)
+    return found
 
 
 def statement_at_line(root: Stmt, line: int, prefer_kind: str | None = None) -> Stmt | None:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 from conftest import FIXTURES, REPO_A, guard_trace, parse_env_key
 from exbt.cli import main as cli_main
-from exbt.guardexpr import compute_guard_expression, evaluate_guard, merge
+from exbt.guardexpr import compute_guard_expression, evaluate_guard
 from exbt.jmodel import MethodId, parse_unit
 from exbt.metrics import bleu, code_bleu, edit_similarity
 from exbt.runners import JavacRunner, jvm_available
@@ -25,6 +25,7 @@ from exbt.stacktrace import (
     parse_stack_trace,
     render_stack_trace,
 )
+from guard_merge import merge
 from test_stacktrace import traces
 
 # committed constants (see the fixture files they describe)

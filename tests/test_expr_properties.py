@@ -14,7 +14,6 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from exbt.guardexpr import merge
 from exbt.jmodel import exprs as E
 from exbt.jmodel.exprs import (
     Binary,
@@ -38,6 +37,7 @@ from exbt.jmodel.exprs import (
     substitute,
 )
 from exbt.metrics import _expr_signatures
+from guard_merge import merge
 
 INT_NAMES = ("x", "y")
 

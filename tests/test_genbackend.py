@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
@@ -183,6 +185,73 @@ def test_sweep_over_http_ends_only_the_malformed_target(server, tmp_path, monkey
     assert [(e["backend"], e.get("error")) for e in requests] == [
         ("http", None), ("http", None), ("http", "MalformedResponse")]
     assert json.loads((out / "manifest.json").read_text())["counters"]["backend_errors"] == 1
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """Answers every POST over HTTP/1.1 with a Content-Length, so a client
+    may send its next request on the same connection, and records the
+    client port of each request."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.ports.append(self.client_address[1])
+        payload = json.dumps({"text": "re: " + body["prompt"]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _keep_alive_server():
+    """(url, client ports of the requests served) of a threading HTTP/1.1
+    server, shut down on exit."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    httpd.ports = []
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_port}/", httpd.ports
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+
+
+def test_http_requests_share_one_connection():
+    with _keep_alive_server() as (url, ports):
+        backend = HttpBackend(url)
+        try:
+            assert [backend.generate(p, PARAMS) for p in "abc"] == ["re: a", "re: b", "re: c"]
+        finally:
+            backend.session.close()
+    assert len(ports) == 3 and len(set(ports)) == 1
+
+
+def test_generate_many_threads_share_one_session():
+    """Eight workers on two cores post through one session, with thread
+    switches forced often: each answer stays with its own prompt, and no
+    more connections open than there are workers."""
+    prompts = [f"p{k}" for k in range(40)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _keep_alive_server() as (url, ports):
+            backend = HttpBackend(url, timeout=10)
+            try:
+                answers = generate_many(backend, prompts, PARAMS, max_in_flight=8)
+            finally:
+                backend.session.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == [f"re: {p}" for p in prompts]
+    assert len(ports) == 40 and len(set(ports)) <= 8
 
 
 def test_http_unreachable_is_unavailable():

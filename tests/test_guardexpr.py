@@ -19,11 +19,11 @@ from exbt.guardexpr import (
     collect_nodes,
     compute_guard_expression,
     evaluate_guard,
-    merge,
 )
 from exbt.jmodel import exprs, load_repo
 from exbt.jmodel.exprs import Binary, Call, Expr, Field, Grouped, Lit, Name, Ternary, Unary
 from exbt.stacktrace import Frame, StackTrace
+from guard_merge import merge
 
 
 # --- node collection (trace walk) ---
