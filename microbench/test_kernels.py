@@ -25,6 +25,7 @@ from conftest import (  # noqa: E402
     write_replicated_repo_a,
 )
 from exbt.classifier import split_test_suite  # noqa: E402
+from exbt.genbackend import extract_candidate  # noqa: E402
 from exbt.guardexpr import collect_nodes, compute_guard_expression  # noqa: E402
 from exbt.jmodel import RepoContext, load_repo, parse_unit  # noqa: E402
 from exbt.jmodel.exprs import (  # noqa: E402
@@ -73,6 +74,28 @@ def sweep_sources(tmp_path_factory):
 
 def test_tokenize_sweep_files(benchmark, sweep_sources):
     assert len(benchmark(lambda: [tokenize(s) for s in sweep_sources])) == 28
+
+
+COMMENTED_COMPLETION = """Here is the test:
+
+```java
+@Test(expected = IllegalArgumentException.class)
+public void testWithdrawNegative() {
+    // it's negative, so withdraw throws }
+    Account account = new Account(100); /* { */
+    account.withdraw(-1);
+}
+```
+
+That's it: it's the negative-amount case.
+"""
+
+
+def test_extract_candidate(benchmark):
+    """Lex the fenced method, match its braces and parse it from the same
+    tokens; a fresh parse dict each round, as every sweep target has."""
+    method = benchmark(lambda: extract_candidate(COMMENTED_COMPLETION, {}))
+    assert method.endswith("account.withdraw(-1);\n}")
 
 
 def test_parse_unit(benchmark, guards_source):

@@ -22,7 +22,13 @@ class NoJavaSources(ExbtError):
 
 
 class JavaParseError(ExbtError):
-    """A source file could not be tokenized or structurally parsed."""
+    """A source file could not be tokenized or structurally parsed.
+    `offset`, set when tokenizing failed, is where the lexer stopped: the
+    text before it lexes."""
+
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message)
+        self.offset = offset
 
 
 class UnknownMethod(ExbtError):

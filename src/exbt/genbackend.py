@@ -19,10 +19,13 @@ from exbt.errors import (
     BackendTimeout,
     BackendUnavailable,
     ExbtError,
+    JavaParseError,
     MalformedResponse,
     read_input,
 )
 from exbt.jmodel import parse_member
+from exbt.jmodel.lexer import Token, index_of, match_brace
+from exbt.jmodel.model import MEMBER_HEAD, MEMBER_TOKENS, lex_member
 
 
 @dataclass(frozen=True)
@@ -238,67 +241,55 @@ def _fenced_blocks(completion: str) -> list[str]:
     return blocks
 
 
-def _balanced_method_at(text: str, start: int) -> str | None:
-    """From an annotation start, the full method text with balanced braces."""
-    open_idx = text.find("{", start)
-    if open_idx < 0:
-        return None
-    sig = text[start:open_idx]
-    if "(" not in sig or ")" not in sig:
-        return None
-    depth = 0
-    i = open_idx
-    in_str: str | None = None
-    while i < len(text):
-        c = text[i]
-        if in_str:
-            if c == "\\":
-                i += 2
-                continue
-            if c == in_str:
-                in_str = None
-        elif c in ("\"", "'"):
-            in_str = c
-        elif c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return text[start : i + 1].strip()
-        i += 1
-    return None
+def _test_method_at(chunk: str, at: int, parses: dict) -> str | None:
+    """The method whose annotation starts at chunk[at], when its braces
+    balance under the lexer and it parses as a test method; else None.
 
-
-def _reparses_as_test_method(source: str, parses: dict) -> bool:
-    if source not in parses:
+    The text from `at` is lexed as `parse_member` wraps it; when the prose
+    after the method does not lex, the text before the point where the
+    lexer stopped is lexed instead. The method is parsed from these same
+    tokens, cut after its closing brace and closed with the wrapper's '}',
+    so a candidate is lexed once."""
+    text = chunk[at:]
+    try:
+        tokens = lex_member(text)
+    except JavaParseError as exc:
+        tokens = lex_member(text[: exc.offset - len(MEMBER_HEAD)])
+    try:
+        close = match_brace(tokens, index_of(tokens, MEMBER_TOKENS.start, "{"))
+    except JavaParseError:
+        return None
+    if close == len(tokens) - 1:  # only the wrapper's own '}' closes it
+        return None
+    last = tokens[close]
+    candidate = text[: last.end - len(MEMBER_HEAD)]
+    if candidate not in parses:
+        wrapper_close = Token("punct", "}", last.line + 1, last.end + 1)  # after a "\n"
         try:
-            parses[source] = parse_member(source)
+            parses[candidate] = parse_member(candidate, tokens[: close + 1] + [wrapper_close])
         except Exception:
-            parses[source] = None
-    _, m = parses[source] or (None, None)
-    return m is not None and m.tok_open is not None and _has_test_annotation(m)
+            parses[candidate] = None
+    _, m = parses[candidate] or (None, None)
+    return candidate if m and m.tok_open is not None and _has_test_annotation(m) else None
 
 
 def extract_candidate(completion: str, parses: dict | None = None) -> str | None:
     """First complete test-annotated method in a completion, or None.
 
-    Code fences and surrounding prose are stripped; the extracted method
-    must re-parse (balanced braces, test annotation present). `parses`
-    maps each text parsed to its `parse_member` result, None when it does
-    not parse: a text found there is not parsed again, and one parsed here
-    is added, so one dict shared with scoring (`metrics.Sides.parses`)
-    parses each text of a command once.
+    The fenced code blocks are searched in order, or the whole completion
+    when it has none; in each, every `@Test` in turn starts a candidate,
+    and the first whose braces balance under the lexer and that parses as
+    a test method wins. `parses` maps each text parsed to its `parse_member`
+    result, None when it does not parse: a text found there is not parsed
+    again, and one parsed here is added, so one dict shared with scoring
+    (`metrics.Sides.parses`) lexes and parses each text of a command once.
     """
     parses = {} if parses is None else parses
-    chunks = _fenced_blocks(completion) or [completion]
-    for chunk in chunks:
-        pos = 0
-        while True:
-            at = chunk.find("@Test", pos)
-            if at < 0:
-                break
-            candidate = _balanced_method_at(chunk, at)
-            if candidate and _reparses_as_test_method(candidate, parses):
+    for chunk in _fenced_blocks(completion) or [completion]:
+        at = chunk.find("@Test")
+        while at >= 0:
+            candidate = _test_method_at(chunk, at, parses)
+            if candidate is not None:
                 return candidate
-            pos = at + 1
+            at = chunk.find("@Test", at + 1)
     return None

@@ -217,11 +217,12 @@ def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl):
 def _throw_statement(
     unit: CompilationUnit, tree: Stmt, line: int, site: ThrowSite | None
 ) -> Stmt | None:
-    """The site's own throw statement on the line, else the line's first
-    throw (or first statement)."""
-    if site is not None:
+    """The statement on the line whose token span holds the site's `throw`
+    token, else the line's first throw (or first statement). A site's token
+    index counts only in its own unit."""
+    if site is not None and site.method.decl_file == unit.path:
         for s in stmts_at_line(tree, line):
-            if s.kind == "throw" and _text(unit, (s.tok_start, s.tok_end)) == site.statement_text:
+            if s.tok_start <= site.tok < s.tok_end:
                 return s
     return statement_at_line(tree, line, prefer_kind="throw")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from exbt.classifier import TestMethod
 from exbt.errors import NotEBT
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, parse_member
-from exbt.jmodel.lexer import call_sites, match_paren
+from exbt.jmodel.lexer import call_sites, find_top_level, match_paren
 from exbt.jmodel.model import MEMBER_FIRST_LINE
 from exbt.stacktrace import StackTrace, parse_stack_trace
 from exbt.errors import MalformedTrace
@@ -267,47 +267,38 @@ def _print_in_catch(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -> None:
         k += 1
 
 
-_ASSERT_THROWS_RE = re.compile(r"^(\s*)((?:\w[\w.]*\.)?assertThrows\s*\()")
-
-
 def _capture_assert_throws(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -> None:
+    """Print what the first assertThrows call returns, right after the ';'
+    of its statement. A call assigned to a name prints that name; a call
+    that starts its statement is bound to `exbtEx` at its first token; any
+    other call is skipped with a reason."""
     toks = unit.tokens
     for k, _, _, close in call_sites(toks, m.tok_open + 1, m.tok_close):
         if toks[k].text == "assertThrows":
-            # find the terminating ';'
-            semi = close + 1
-            while semi < m.tok_close and toks[semi].text != ";":
-                semi += 1
-            # token starting the statement may be a qualifier (Assertions.)
-            start = k
-            while start - 1 > m.tok_open and toks[start - 1].text == ".":
-                start -= 2
-            line0 = toks[start].line - MEMBER_FIRST_LINE
-            semi_line0 = toks[semi].line - MEMBER_FIRST_LINE
-            # already bound to a variable? then only append the print
-            prev = toks[start - 1].text if start - 1 > m.tok_open else ""
-            bound_var = None
-            if prev == "=":
-                bound_var = toks[start - 2].text
-            if bound_var is None:
-                original_first = lines[line0]
-                match = _ASSERT_THROWS_RE.match(original_first)
-                if match is None:
-                    return
-                indent = match.group(1)
-                lines[line0] = (
-                    f"{indent}java.lang.Throwable exbtEx = "
-                    + original_first[len(indent):]
-                )
-                rw.replaced_lines.append((line0 + 1, original_first))
-                bound_var = "exbtEx"
-            if semi_line0 != line0 or bound_var != "exbtEx":  # else recorded above
-                rw.replaced_lines.append((semi_line0 + 1, lines[semi_line0]))
-            lines[semi_line0] = (
-                lines[semi_line0]
-                + f" {HELPER_PACKAGE}.ExbtTraceLog.dumpException({bound_var}); {EXC_MARKER}"
-            )
-            return
+            break
+    else:
+        return
+    start = k  # a qualifier (Assertions.) starts the call
+    while toks[start - 1].text == "." and start - 2 > m.tok_open:
+        start -= 2
+    semi = toks[find_top_level(toks, close + 1, m.tok_close, (";",))]
+    edits = []  # (unit line, unit offset, text to insert there), in source order
+    if toks[start - 1].text == "=":
+        bound = toks[start - 2].text
+    elif toks[start - 1].text in ("{", ";", "}"):
+        bound = "exbtEx"
+        edits.append((toks[start].line, toks[start].offset, "java.lang.Throwable exbtEx = "))
+    else:
+        rw.skipped.append(f"{m.name}: assertThrows does not start its statement, cannot bind it")
+        return
+    dump = f" {HELPER_PACKAGE}.ExbtTraceLog.dumpException({bound}); {EXC_MARKER}"
+    edits.append((semi.line, semi.end, dump))
+    for line in dict.fromkeys(e[0] for e in edits):
+        rw.replaced_lines.append((line - MEMBER_FIRST_LINE + 1, lines[line - MEMBER_FIRST_LINE]))
+    for line, offset, text in reversed(edits):  # the later one first: columns hold
+        i = line - MEMBER_FIRST_LINE
+        col = offset - unit.source.rfind("\n", 0, offset) - 1  # MEMBER_HEAD ends a line
+        lines[i] = lines[i][:col] + text + lines[i][col:]
 
 
 @dataclass

@@ -338,6 +338,8 @@ class _Parser:
                 e = Unary(text, e, True)
             elif text == "::":
                 # method reference: keep the whole chain verbatim
+                if self.pos + 1 == n:
+                    raise JavaParseError("dangling '::' in expression")
                 ref = toks[self.pos + 1]
                 self.pos += 2
                 e = Opaque(self.src[t.offset : ref.end])

@@ -111,7 +111,9 @@ def _number_end(source: str, i: int) -> int:
 
 
 def tokenize(source: str) -> list[Token]:
-    """Tokenize Java source. Raises JavaParseError on unterminated literals."""
+    """Tokenize Java source. Raises JavaParseError, with the offset of the
+    construct it stopped at, on an unterminated literal or comment and on a
+    character no token starts with."""
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
@@ -146,7 +148,7 @@ def tokenize(source: str) -> list[Token]:
             if source.startswith('"""', i):
                 m = _text_block(source, i)
                 if m is None:
-                    raise JavaParseError(f"unterminated text block at line {line}")
+                    raise JavaParseError(f"unterminated text block at line {line}", i)
                 text = m.group()
                 append(new(Token, ("string", text, line, i)))
                 line += text.count("\n")
@@ -154,7 +156,7 @@ def tokenize(source: str) -> list[Token]:
                 literal_kind, literal = _LITERALS[c]
                 m = literal(source, i)
                 if m is None:
-                    raise JavaParseError(f"unterminated literal at line {line}")
+                    raise JavaParseError(f"unterminated literal at line {line}", i)
                 append(new(Token, (literal_kind, m.group(), line, i)))
             i = m.end()
         elif kind == "slash" and source.startswith("//", i):
@@ -163,11 +165,11 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "slash" and source.startswith("/*", i):
             j = source.find("*/", i + 2)
             if j < 0:
-                raise JavaParseError(f"unterminated comment at line {line}")
+                raise JavaParseError(f"unterminated comment at line {line}", i)
             line += source.count("\n", i, j)
             i = j + 2
         elif kind is None:
-            raise JavaParseError(f"unexpected character {c!r} at line {line}")
+            raise JavaParseError(f"unexpected character {c!r} at line {line}", i)
         else:
             for op in _OPERATORS_BY_FIRST[c]:
                 if source.startswith(op, i):

@@ -58,10 +58,15 @@ class MethodId:
 
 @dataclass(frozen=True)
 class ThrowSite:
+    """One throw statement. `tok` indexes its `throw` token in the tokens
+    of its method's unit, so two throws on one line are two sites; the
+    `file:line` label names them both."""
+
     method: MethodId
     line: int
     exception_type: str
     statement_text: str
+    tok: int
 
     def label(self) -> str:
         return f"{self.method.decl_file}:{self.line}"
@@ -383,12 +388,13 @@ def parse_unit(source: str, path: str, tokens: list[Token] | None = None) -> Com
     return _UnitParser(source, path, tokens).parse()
 
 
+MEMBER_HEAD = "class __Member {\n"  # what parse_member's source follows in its unit
 MEMBER_FIRST_LINE = 2  # the unit line on which parse_member's source starts
 MEMBER_TOKENS = slice(3, -1)  # the unit's tokens that parse_member's source made
 
 
 def _member_unit_source(source: str) -> str:
-    return "class __Member {\n" + source + "\n}"
+    return MEMBER_HEAD + source + "\n}"
 
 
 def lex_member(source: str) -> list[Token]:
@@ -749,6 +755,7 @@ def throw_sites_of(unit: CompilationUnit, m: MethodDecl) -> list[ThrowSite]:
                     line=t.line,
                     exception_type=_thrown_type(unit.tokens, k, end),
                     statement_text=text,
+                    tok=k,
                 )
             )
             k = end + 1

@@ -25,6 +25,7 @@ from exbt.errors import RunnerUnavailable, read_input
 from exbt.genbackend import digest
 from exbt.instrument import HELPER_FILE, HELPER_SOURCE
 from exbt.jmodel import RepoContext, ThrowSite, parse_member, parse_unit
+from exbt.jmodel.lexer import tokenize
 from exbt.metrics import FunctionalResult
 from exbt.prompting import build_dest_skeleton, select_dest_with_reason
 
@@ -279,31 +280,20 @@ def _strip_roots(rel: str) -> str:
 def _mark_throw(unit, site) -> str:
     """Wrap the target throw statement in '{ mark(...); throw ...; }'.
 
-    The statement is the site's own token span, from the throw keyword to
+    The statement is the site's own token span, from its `throw` token to
     its terminating ';' token, so a ';' inside a literal, a statement that
     spans lines and code after it on the same line stay where they were."""
     source = unit.source
-    start = next(
-        (
-            t.offset
-            for t in unit.tokens
-            if t.text == "throw"
-            and t.line == site.line
-            and source.startswith(site.statement_text, t.offset)
-        ),
-        None,
-    )
-    if start is None:
-        return source
+    start = unit.tokens[site.tok].offset
     end = start + len(site.statement_text)
     mark = '{ exbtruntime.ExbtTraceLog.mark("' + f"covered: {site.label()}" + '"); '
     return source[:start] + mark + source[start:end] + " }" + source[end:]
 
 
 def _inject_candidate(skeleton: str, candidate: str) -> str:
-    """Insert the candidate method before the last closing brace."""
-    idx = skeleton.rfind("}")
-    if idx < 0:
+    """Insert the candidate method before the skeleton's last '}' token."""
+    idx = next((t.offset for t in reversed(tokenize(skeleton)) if t.text == "}"), None)
+    if idx is None:
         return skeleton + "\n" + candidate + "\n"
     indented = "\n".join(
         ("    " + l if l.strip() else l) for l in candidate.split("\n")

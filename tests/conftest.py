@@ -76,14 +76,15 @@ def guard_trace(ctx, oracle_entry) -> StackTrace:
     return StackTrace(tuple(frames)), site
 
 
-def write_two_throw_repo(repo: Path) -> None:
+def write_two_throw_repo(repo: Path, second: str = "B") -> None:
     """A repository whose only main method has two throws on one line
-    (`Range.java:5`), one non-EBT reaching it and its trace log."""
+    (`Range.java:5`), of A and of `second`, one non-EBT reaching it and its
+    trace log."""
     for rel, text in {
         "src/main/java/p/Range.java": (
             "package p;\n\npublic class Range {\n"
             "    public static void check(int x) {\n"
-            "        if (x < 0) throw new A(); else if (x > 9) throw new B();\n"
+            f"        if (x < 0) throw new A(); else if (x > 9) throw new {second}();\n"
             "    }\n}\n"
         ),
         "src/test/java/p/RangeTest.java": (

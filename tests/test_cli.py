@@ -85,6 +85,23 @@ def test_guard_command_rejects_a_non_utf8_trace(capsys, tmp_path):
     assert json.loads(err)["error"] == "MalformedTrace"
 
 
+def test_guard_command_keeps_a_condition_ending_in_a_method_reference(capsys, tmp_path):
+    """A condition that ends after `::` is a parse error, so it stays
+    verbatim, as every condition the parser rejects does, and the command
+    ends without a traceback."""
+    main = tmp_path / "src/main/java/p"
+    main.mkdir(parents=True)
+    (main / "G.java").write_text(
+        "package p;\n\npublic class G {\n    public void go(int x) {\n"
+        "        if (x ::) throw new IllegalStateException();\n    }\n}\n"
+    )
+    trace = tmp_path / "trace.txt"
+    trace.write_text("at p.G.go(G.java:5)\n")
+    code, out, err = run(capsys, "guard", "--trace", trace, "--repo", tmp_path)
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[1])["conditions"] == ["x ::"]
+
+
 def test_prompt_developer_oriented(capsys):
     code, out, _ = run(
         capsys,
@@ -353,9 +370,9 @@ def test_eval_lexes_each_file_and_each_distinct_text_once(capsys, tmp_path, monk
     assert len(lexed) == len(set(lexed)) == 7 + len(texts)
 
 
-def _two_throw_sweep(capsys, tmp_path, extra_files=None):
+def _two_throw_sweep(capsys, tmp_path, extra_files=None, second="B"):
     repo = tmp_path / "repo"
-    write_two_throw_repo(repo)
+    write_two_throw_repo(repo, second)
     (repo / "canned").mkdir()
     for rel, text in (extra_files or {}).items():
         (repo / rel).write_text(text)
@@ -397,6 +414,24 @@ def test_sweep_guards_each_of_two_throws_on_one_line(capsys, tmp_path):
     out = _two_throw_sweep(capsys, tmp_path)
     rows = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
     assert [r["guard"]["rendered"] for r in rows] == ["x < 0", "x > 9 && !(x < 0)"]
+
+
+def test_sweep_keeps_two_identical_throws_on_one_line_apart(capsys, tmp_path):
+    """`throw new A();` twice on one line: two targets, each with its own
+    guard, both covered, though the recorded row's `file:line` names both."""
+    label = "src/main/java/p/Range.java:5"
+    out = _two_throw_sweep(capsys, tmp_path, {
+        "canned/runner-results.json": json.dumps([{
+            "target": label, "compilable": True, "runnable": True, "covers_target": True,
+        }]),
+    }, second="A")
+    bundles = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
+    assert [b["statement"] for b in bundles] == ["throw new A();"] * 2
+    assert [b["guard"]["rendered"] for b in bundles] == ["x < 0", "x > 9 && !(x < 0)"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["targets"] == [label, label]
+    assert report["aggregate"]["targets"] == 2
+    assert report["aggregate"]["throw_cov"] == 1.0
 
 
 def test_corpus_files_an_ebt_under_its_expected_exceptions_throw(capsys, tmp_path):

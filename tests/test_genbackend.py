@@ -22,6 +22,9 @@ from exbt.genbackend import (
     generate_many,
     make_backend,
 )
+from exbt.jmodel import lexer
+from exbt.metrics import Sides, score_candidate
+from test_cli import _count_calls
 
 PARAMS = GenerationParams(max_new_tokens=64, temperature=0.0, seed=7)
 
@@ -140,6 +143,7 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_port}"
     httpd.shutdown()
+    httpd.server_close()
 
 
 def test_http_plain_text_contract(server):
@@ -332,3 +336,34 @@ def test_extract_handles_string_braces():
     completion = '@Test public void s() { log("{unbalanced"); }'
     method = extract_candidate(completion)
     assert method == completion
+
+
+COMMENTED = """@Test(expected = IllegalArgumentException.class)
+public void testNegative() {
+    // it's negative, so withdraw throws }
+    /* a { opens nothing here */
+    new Account(10).withdraw(-1); // '}'
+}"""
+
+
+@pytest.mark.parametrize("completion", [
+    COMMENTED,
+    f"Here it is:\n```java\n{COMMENTED}\n```\nThat's all: it's the negative case.\n",
+    f"{COMMENTED}\nThat's all \u2014 it's the negative case.\n",
+], ids=["comments", "fenced-then-prose", "prose-after"])
+def test_extract_reads_comments_and_trailing_prose_through_the_lexer(completion):
+    """Braces and apostrophes in comments count for nothing, and prose
+    after the method that does not lex is cut where the lexer stops."""
+    assert extract_candidate(completion) == COMMENTED
+
+
+def test_extract_then_score_lexes_a_fenced_candidate_once(monkeypatch):
+    """Extraction parses the candidate from the tokens it found it with,
+    and scoring takes that parse from the shared `Sides`."""
+    lexed = _count_calls(monkeypatch, lexer, "tokenize")
+    sides = Sides()
+    completion = f"Here it is:\n```java\n{COMMENTED}\n```\nIt's done.\n"
+    candidate = extract_candidate(completion, sides.parses)
+    score = score_candidate(candidate, None, "IllegalArgumentException", "t", sides=sides)
+    assert (candidate, score.matched_e) == (COMMENTED, True)
+    assert len(lexed) == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -140,6 +141,35 @@ def test_assertthrows_rewrite_matches_golden(ebt_repo):
     assert rw.restore() == rw.original
 
 
+def test_assertthrows_mid_line_is_bound_at_its_column(ebt_repo):
+    """An assertThrows after other code on its line is bound where its
+    statement starts, and the print goes right after its ';', before a
+    trailing comment."""
+    source = (
+        "@Test\npublic void rejectsOversize() {\n"
+        "    Widget w = new Widget(); assertThrows(IllegalStateException.class, "
+        "() -> w.resize(9000)); // too big\n}"
+    )
+    rw = instrument_print_exception(replace(_ebt(ebt_repo, "AssertThrows"), body_text=source))
+    assert rw.rewritten.split("\n")[2] == (
+        "    Widget w = new Widget(); java.lang.Throwable exbtEx = assertThrows("
+        "IllegalStateException.class, () -> w.resize(9000));"
+        " exbtruntime.ExbtTraceLog.dumpException(exbtEx); /* exbt:exc */ // too big"
+    )
+    assert rw.skipped == []
+    assert rw.restore() == source
+
+
+def test_assertthrows_inside_another_call_is_skipped_with_a_reason(ebt_repo):
+    source = (
+        "@Test\npublic void rejectsOversize() {\n    Widget w = new Widget();\n"
+        "    assertNotNull(assertThrows(IllegalStateException.class, () -> w.resize(9000)));\n}"
+    )
+    rw = instrument_print_exception(replace(_ebt(ebt_repo, "AssertThrows"), body_text=source))
+    assert rw.rewritten == source
+    assert rw.skipped == ["rejectsOversize: assertThrows does not start its statement, cannot bind it"]
+
+
 def test_annotation_rewrite_matches_golden(ebt_repo):
     rw = instrument_print_exception(_ebt(ebt_repo, "AnnotationExpected"))
     assert rw.rewritten == (INSTR / "AnnotationEbt.golden").read_text()
@@ -147,8 +177,6 @@ def test_annotation_rewrite_matches_golden(ebt_repo):
 
 
 def test_exception_rewrite_idempotent(ebt_repo):
-    from dataclasses import replace
-
     first = instrument_print_exception(_ebt(ebt_repo, "TryFailCatch"))
     again = instrument_print_exception(
         replace(_ebt(ebt_repo, "TryFailCatch"), body_text=first.rewritten)
@@ -158,8 +186,6 @@ def test_exception_rewrite_idempotent(ebt_repo):
 
 def test_nonebt_input_rejected(ebt_repo):
     _, nonebts = split_test_suite(ebt_repo)
-    from dataclasses import replace
-
     fake = replace(_ebt(ebt_repo, "TryFailCatch"), kind="NonEBT", pattern=None)
     with pytest.raises(NotEBT):
         instrument_print_exception(fake)

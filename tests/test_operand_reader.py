@@ -174,6 +174,8 @@ class _RefParser:
                 e = Unary(t.text, e, postfix=True)
             elif t.text == "::":
                 # method reference: keep the whole chain verbatim
+                if self.peek(1) is None:
+                    raise JavaParseError("dangling '::' in expression")
                 self.next()
                 ref = self.next()
                 return Opaque(self.src[start : ref.end])
@@ -440,6 +442,35 @@ def test_every_fixture_range_parses_as_before(bodies):
     assert len(ranges) > 500 and trees > 450
 
 
+METHOD_REFS = """class Refs {
+    void check(java.util.List<String> names, Object o) {
+        if (names.stream().anyMatch(String::isEmpty)) throw new IllegalStateException();
+        while (java.util.Objects.equals(o, names) && test(Object::toString)) o = null;
+    }
+}
+"""
+
+
+def test_every_prefix_of_a_fixture_condition_parses_or_is_a_parse_error(bodies):
+    """A condition cut after any of its tokens gives a tree or a
+    JavaParseError, never another exception. The fixtures hold no method
+    reference, so two conditions with one are added."""
+    refs = parse_unit(METHOD_REFS, "Refs.java")
+    [(_, check)] = refs.all_methods()
+    bodies = [*bodies, (refs, BodyParser(refs.tokens, refs.source).parse_block(check.tok_open))]
+    conditions = [(unit, s.cond_range) for unit, tree in bodies
+                  for s in tree.iter_tree() if s.cond_range is not None]
+    prefixes = errors = 0
+    for unit, (lo, hi) in conditions:
+        for end in range(lo + 1, hi + 1):
+            prefixes += 1
+            try:
+                parse_expr_tokens(unit.tokens[lo:end], unit.source)
+            except JavaParseError:
+                errors += 1
+    assert len(conditions) > 100 and 0 < errors < prefixes
+
+
 def test_stmts_at_line_equals_the_two_pass_walk(bodies):
     for _, tree in bodies:
         for line in range(tree.start_line - 1, tree.end_line + 2):
@@ -467,6 +498,13 @@ PIECES = (
 @example("-!~(String) (true) . b [ 0 ] --")
 def test_token_strings_parse_as_before(text):
     assert _disagreements(tokenize(text), text) == []
+
+
+def test_a_dangling_method_reference_is_a_parse_error():
+    """Neither parser reads past the last token."""
+    for text in ("a ::", "x < 0 || f(y) ::"):
+        assert _outcome(parse_expr_tokens, tokenize(text), text) == (
+            "JavaParseError", "dangling '::' in expression")
 
 
 @settings(max_examples=500, deadline=None)

@@ -5,11 +5,17 @@ import subprocess
 
 import pytest
 
-from conftest import REPO_A
+from conftest import REPO_A, write_two_throw_repo
 from exbt import runners
-from exbt.jmodel import MethodId, ThrowSite, find_throw_sites, parse_unit
+from exbt.jmodel import MethodId, ThrowSite, find_throw_sites, load_repo, parse_unit
 from exbt.metrics import FunctionalResult
-from exbt.runners import JavacRunner, RecordedRunner, _mark_throw, jvm_available
+from exbt.runners import (
+    JavacRunner,
+    RecordedRunner,
+    _inject_candidate,
+    _mark_throw,
+    jvm_available,
+)
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +95,11 @@ class Guard {
 def test_mark_throw_closes_at_the_statements_semicolon():
     unit = parse_unit(MARK_SOURCE, "p/Guard.java")
     mid = MethodId("p.Guard", "check", 1, "p/Guard.java", 4)
+    first, second = (k for k, t in enumerate(unit.tokens) if t.text == "throw")
     inline = ThrowSite(mid, 5, "IllegalArgumentException",
-                       'throw new IllegalArgumentException("neg;" + a);')
+                       'throw new IllegalArgumentException("neg;" + a);', first)
     spanning = ThrowSite(mid, 6, "IllegalStateException",
-                         'throw new IllegalStateException("multi;"\n                + a);')
+                         'throw new IllegalStateException("multi;"\n                + a);', second)
     mark = 'exbtruntime.ExbtTraceLog.mark("covered: p/Guard.java:{}"); '
     assert _mark_throw(unit, inline) == MARK_SOURCE.replace(
         'throw new IllegalArgumentException("neg;" + a);',
@@ -102,3 +109,25 @@ def test_mark_throw_closes_at_the_statements_semicolon():
         'throw new IllegalStateException("multi;"\n                + a);',
         '{ ' + mark.format(6) + 'throw new IllegalStateException("multi;"\n                + a); }',
     )
+
+
+def test_mark_throw_marks_its_own_of_two_identical_throws(tmp_path):
+    write_two_throw_repo(tmp_path, second="A")
+    ctx = load_repo(tmp_path)
+    first, second = find_throw_sites(ctx, "main")
+    unit = ctx.unit_for(first.method.decl_file)
+    line = "        if (x < 0) throw new A(); else if (x > 9) throw new A();\n"
+    mark = '{ exbtruntime.ExbtTraceLog.mark("covered: src/main/java/p/Range.java:5"); '
+    assert _mark_throw(unit, first) == unit.source.replace(
+        line, line.replace("throw new A(); else", mark + "throw new A(); } else"))
+    assert _mark_throw(unit, second) == unit.source.replace(
+        line, line.replace("9) throw new A();", "9) " + mark + "throw new A(); }"))
+
+
+def test_inject_candidate_goes_before_the_last_brace_token():
+    """A '}' in a comment after the class is not where the class ends."""
+    skeleton = "package p;\n\npublic class AccountTest {\n    void helper() { }\n} // note }\n"
+    dest = _inject_candidate(skeleton, GOOD_CANDIDATE)
+    [cls] = parse_unit(dest, "p/AccountTest.java").types
+    assert [m.name for m in cls.methods] == ["helper", "testWithdrawRejectsNegativeAmount"]
+    assert dest.endswith("\n} // note }\n")
