@@ -24,7 +24,9 @@ from conftest import (  # noqa: E402
     write_call_chain,
     write_replicated_repo_a,
 )
+from exbt import cli  # noqa: E402
 from exbt.classifier import split_test_suite  # noqa: E402
+from exbt.config import load_config  # noqa: E402
 from exbt.genbackend import extract_candidate  # noqa: E402
 from exbt.guardexpr import collect_nodes, compute_guard_expression  # noqa: E402
 from exbt.jmodel import RepoContext, load_repo, parse_unit  # noqa: E402
@@ -37,6 +39,7 @@ from exbt.jmodel.exprs import (  # noqa: E402
 )
 from exbt.jmodel.lexer import tokenize  # noqa: E402
 from exbt.jmodel.stmts import BodyParser  # noqa: E402
+from exbt.manifest import Manifest  # noqa: E402
 from exbt.metrics import (  # noqa: E402
     Sides,
     code_bleu_components,
@@ -285,3 +288,27 @@ def test_score_many_against_one_reference(benchmark, test_pair):
         ]
 
     assert all(s.code_bleu is not None for s in benchmark(score_all))
+
+
+def test_generate_score_stage(benchmark, tmp_path):
+    """The sweep's generation, extraction and scoring over a K=4 sweep
+    repository's bundles: the stub answers 12 targets with 3 completions,
+    and 8 of them are scored against 2 distinct references."""
+    write_replicated_repo_a(tmp_path, 4)
+    args = cli.build_parser().parse_args(
+        ["sweep", str(tmp_path), "--seed", "1", "--backend", "stub", "--runner", "recorded"])
+    cfg, ctx = load_config(None), load_repo(tmp_path)
+    manifest = Manifest("sweep", seed=1, backend_kind="stub")
+    ebts, nonebts = cli._classify_stage(ctx, manifest)
+    index = SweepIndex(ctx, nonebts)
+    corpus = cli._corpus_stage(args, ctx, ebts, index, manifest)
+    targets = cli._prompts_stage(args, ctx, cli._pool_stage(args, ctx, nonebts, manifest), index)
+
+    def stage():
+        outcomes = [cli.TargetOutcome(o.site, o.prompt) for o in targets]
+        cli._generate_score_stage(args, cfg, ctx, outcomes, corpus,
+                                  Manifest("sweep", seed=1, backend_kind="stub"))
+        return outcomes
+
+    outcomes = benchmark(stage)
+    assert [o.status for o in outcomes].count("generated") == 12

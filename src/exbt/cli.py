@@ -250,10 +250,19 @@ def _resolve_throw(ctx, ref: str):
     if not (path and line_s.isdecimal()):
         raise BadInput(f"--throw must look like file:line, got {ref!r}")
     line = int(line_s)
-    for site in ctx.throw_sites:
-        if site.line == line and ("/" + site.method.decl_file).endswith("/" + path):
-            return site
-    raise ExbtError(f"no throw statement at {ref!r}")
+    matches = [s for s in ctx.throw_sites
+               if s.line == line and ("/" + s.method.decl_file).endswith("/" + path)]
+    if not matches:
+        raise ExbtError(f"no throw statement at {ref!r}")
+    return _only_site(ref, matches)
+
+
+def _only_site(ref: str, sites) -> ThrowSite:
+    """The one throw site that `ref` names; `BadInput` naming each of two or more."""
+    if len(sites) > 1:
+        named = "; ".join(f"{s.label()} {s.statement_text}" for s in sites)
+        raise BadInput(f"{ref!r} names {len(sites)} throw statements: {named}")
+    return sites[0]
 
 
 def cmd_find_throws(args) -> int:
@@ -498,7 +507,8 @@ _TARGET_COUNTERS = {
 
 
 def _generate_score_stage(args, cfg, ctx, outcomes, corpus, manifest: Manifest) -> RequestLog:
-    """One generation per bundle, extraction, scoring, then each target's counters."""
+    """One generation per bundle, one extraction per distinct answer,
+    scoring, then each target's counters."""
     stub_file = _default_path(args.repo, "canned/completions.json", args.stub_file)
     if manifest.backend_kind == "stub" and stub_file:
         manifest.add_input("stub_completions", stub_file)
@@ -511,11 +521,14 @@ def _generate_score_stage(args, cfg, ctx, outcomes, corpus, manifest: Manifest) 
     asked = [o for o in outcomes if not isinstance(o.prompt, NoMatch)]
     answers = generate_many(backend, [o.prompt.rendered_instruction for o in asked], params,
                             max_in_flight=args.max_in_flight)
+    candidates: dict[str, str | None] = {}  # each distinct answer's candidate
     for o, answer in zip(asked, answers, strict=True):
         o.answer = answer
         request_log.record(o.prompt.rendered_instruction, params, answer, backend.kind)
         if isinstance(answer, str):
-            o.candidate = extract_candidate(answer, sides.parses)
+            if answer not in candidates:
+                candidates[answer] = extract_candidate(answer, sides.parses)
+            o.candidate = candidates[answer]
         if o.candidate is not None:
             o.score = score_candidate(
                 o.candidate, gold_by_site.get(o.site), o.site.exception_type, o.site,
@@ -625,8 +638,9 @@ def cmd_eval(args) -> int:
 
 def _bundle_for_target(ctx, target: str):
     """The throw site of a `file:line` label, for the runner; None if the
-    repository has no throw there."""
-    return ctx.throw_site_by_label.get(target)
+    repository has no throw there, `BadInput` if it has two."""
+    sites = ctx.throw_sites_by_label.get(target)
+    return None if sites is None else _only_site(target, sites)
 
 
 def _read_jsonl(path, text_fields: tuple[str, ...]) -> list[dict]:

@@ -190,17 +190,28 @@ def generate_many(
     params: GenerationParams,
     max_in_flight: int = 4,
 ) -> list[str | ExbtError]:
-    """Run many generations with bounded in-flight concurrency.
+    """Run many generations; only `HttpBackend` requests run concurrently,
+    at most `max_in_flight` at a time.
 
     Each instruction's completion, or the `ExbtError` its request raised,
-    comes back in input order; any other exception propagates.
+    comes back in input order; any other exception propagates. Any other
+    backend does no I/O that threads could overlap, so it answers inline,
+    one instruction after another.
     """
-    if not instructions:
-        return []
+    if not isinstance(backend, HttpBackend):
+        return [_answer(backend, inst, params) for inst in instructions]
     workers = max(1, min(max_in_flight, len(instructions)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(backend.generate, inst, params) for inst in instructions]
         return [e if isinstance(e := f.exception(), ExbtError) else f.result() for f in futures]
+
+
+def _answer(backend, instruction: str, params: GenerationParams) -> str | ExbtError:
+    """The backend's completion, or the `ExbtError` its request raised."""
+    try:
+        return backend.generate(instruction, params)
+    except ExbtError as exc:
+        return exc
 
 
 def make_backend(

@@ -476,9 +476,12 @@ class RepoContext:
         return tuple(sorted(sites, key=lambda s: (s.method.decl_file, s.line)))
 
     @cached_property
-    def throw_site_by_label(self) -> dict[str, ThrowSite]:
-        """First throw site per `file:line` label."""
-        return {s.label(): s for s in reversed(self.throw_sites)}
+    def throw_sites_by_label(self) -> dict[str, list[ThrowSite]]:
+        """The throw sites of each `file:line` label, in source order."""
+        index: dict[str, list[ThrowSite]] = {}
+        for site in self.throw_sites:
+            index.setdefault(site.label(), []).append(site)
+        return index
 
     @cached_property
     def throw_sites_by_method(self) -> dict[MethodId, list[ThrowSite]]:

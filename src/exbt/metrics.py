@@ -176,40 +176,37 @@ def _def_use_pairs(method, node_exprs) -> Counter:
 
 class _Side(NamedTuple):
     """One side of a scored pair, lexed once and parsed once: its code
-    tokens, their 1- to 4-gram counts (to max_n in `bleu`), its
-    `parse_member` result and, when its method body parses, its AST
-    signatures and def-use edges (both None otherwise)."""
+    tokens, their 1- to 4-gram counts (to max_n in `bleu`) and, when its
+    method body parses, its AST signatures and def-use edges (both None
+    otherwise)."""
 
     tokens: list[str]
     grams: tuple[Counter, ...]
     ast_sigs: Counter | None
     def_use: Counter | None
-    member: Member | None
 
 
 def _side(tokens: list[str], member: Member | None, max_n: int = 4) -> _Side:
     """The side of a text with these code tokens, given its `parse_member`
     result (None when it does not parse)."""
     grams = _ngram_counts(tokens, max_n)
-    if member is None:
-        return _Side(tokens, grams, None, None, None)
-    unit, method = member
+    unit, method = member or (None, None)
     if method is None or method.tok_open is None:
-        return _Side(tokens, grams, None, None, member)
+        return _Side(tokens, grams, None, None)
     try:
         tree = BodyParser(unit.tokens, unit.source).parse_block(method.tok_open)
     except ExbtError:
-        return _Side(tokens, grams, None, None, member)
+        return _Side(tokens, grams, None, None)
     node_exprs = [(node, _stmt_expr_trees(unit, node)) for node in tree.iter_tree()]
     return _Side(
-        tokens, grams, _ast_signatures(tree, node_exprs), _def_use_pairs(method, node_exprs),
-        member,
+        tokens, grams, _ast_signatures(tree, node_exprs), _def_use_pairs(method, node_exprs)
     )
 
 
 class Sides:
-    """The texts one command scores, each lexed once, parsed once and made a
-    side once.
+    """The texts one command scores, each lexed once, parsed once, made a
+    side once and classified once, and each (candidate, reference) pair
+    scored once.
 
     `parses` maps a text to its `parse_member` result, or to None when it
     does not parse. Extraction may record a candidate's parse there first;
@@ -221,6 +218,8 @@ class Sides:
         self.parses: dict[str, Member | None] = {}
         self._unparsed_tokens: dict[str, list[str]] = {}
         self._sides: dict[str, _Side] = {}
+        self._pairs: dict[tuple[str, str], dict] = {}
+        self._expected: dict[str, str | None] = {}
 
     def member(self, text: str) -> Member | None:
         if text not in self.parses:
@@ -246,6 +245,31 @@ class Sides:
                 tokens = code_tokens(text)
             self._sides[text] = _side(tokens, member)
         return self._sides[text]
+
+    def pair(self, candidate: str, reference: str) -> dict:
+        """The `CandidateScore` fields that only the two texts decide: both
+        exact matches, BLEU, CodeBLEU and edit similarity."""
+        key = (candidate, reference)
+        if key not in self._pairs:
+            cand, ref = self.side(candidate), self.side(reference)
+            comp = code_bleu_components(cand, ref)
+            self._pairs[key] = {
+                "xmatch": cand.tokens == ref.tokens,
+                "xmatch_strict": xmatch_strict(candidate, reference),
+                "bleu": comp["ngram"],
+                "code_bleu": comp["code_bleu"],
+                "code_bleu_degraded": comp["degraded"],
+                "edit_sim": edit_similarity(candidate, reference),
+            }
+        return self._pairs[key]
+
+    def expected(self, text: str) -> str | None:
+        """The simple name of the exception the text's test method expects,
+        from its `classify_member` result; None when it is not a method or
+        not an EBT."""
+        if text not in self._expected:
+            self._expected[text] = _expected_simple_name(self.member(text))
+        return self._expected[text]
 
 
 def _clipped_ratio(cand: Counter, ref: Counter) -> float:
@@ -367,21 +391,21 @@ def _simple_name(type_name: str) -> str:
 
 def matched_exception(candidate: str, target_exception: str, sides: Sides | None = None) -> bool:
     """Candidate checks the target exception type (simple-name compare).
-    The candidate's parse comes from `sides` when given."""
-    sides = Sides() if sides is None else sides
-    return _member_matches(sides.member(candidate), target_exception)
+    The candidate's parse and classification come from `sides` when given."""
+    expected = (Sides() if sides is None else sides).expected(candidate)
+    return expected is not None and expected == _simple_name(target_exception)
 
 
-def _member_matches(member: Member | None, target_exception: str) -> bool:
+def _expected_simple_name(member: Member | None) -> str | None:
     if member is None or member[1] is None:
-        return False
+        return None
     try:
         t = classify_member(*member)
     except ExbtError:
-        return False
+        return None
     if not t.is_ebt or t.expected_exception is None:
-        return False
-    return _simple_name(t.expected_exception) == _simple_name(target_exception)
+        return None
+    return _simple_name(t.expected_exception)
 
 
 @dataclass(frozen=True)
@@ -443,21 +467,14 @@ def score_candidate(
     """The similarity, exception and functional fields of one candidate.
 
     Pass one `Sides` for every candidate of a command: a text extracted or
-    scored before is then not lexed, parsed or made a side again."""
-    score = CandidateScore(target=target)
+    scored before is then not lexed, parsed, made a side or classified
+    again, and a pair scored before is not scored again."""
     sides = Sides() if sides is None else sides
-    if reference is not None:
-        cand, ref = sides.side(candidate), sides.side(reference)
-        score.xmatch = cand.tokens == ref.tokens
-        score.xmatch_strict = xmatch_strict(candidate, reference)
-        comp = code_bleu_components(cand, ref)
-        score.bleu = comp["ngram"]
-        score.code_bleu = comp["code_bleu"]
-        score.code_bleu_degraded = comp["degraded"]
-        score.edit_sim = edit_similarity(candidate, reference)
-        score.matched_e = _member_matches(cand.member, target_exception)
-    else:
-        score.matched_e = matched_exception(candidate, target_exception, sides)
+    similarity = {} if reference is None else sides.pair(candidate, reference)
+    score = CandidateScore(
+        target=target, **similarity,
+        matched_e=matched_exception(candidate, target_exception, sides),
+    )
     if runner is not None and site is not None:
         result = functional_check(candidate, site, runner)
         score.compilable = result.compilable

@@ -39,7 +39,10 @@ class RecordedRunner:
       {"target": "path:line", "candidate_contains": "...",
        "compilable": true, "runnable": true, "covers_target": true}
     A row may match by candidate digest instead of substring; rows without
-    a matcher match any candidate for their target.
+    a matcher match any candidate for their target. A row with a
+    "statement" field answers only for the throw on its line whose
+    statement text equals it, so two throws on one line can each have
+    their own row; a row without one answers for every throw on its line.
     """
 
     def __init__(self, rows: list[dict]):
@@ -55,6 +58,8 @@ class RecordedRunner:
         target = site.label()
         cand_digest = digest(candidate)
         for row in self._rows_by_target.get(target, ()):
+            if "statement" in row and row["statement"] != site.statement_text:
+                continue
             if "candidate_digest" in row and row["candidate_digest"] != cand_digest:
                 continue
             if "candidate_contains" in row and row["candidate_contains"] not in candidate:

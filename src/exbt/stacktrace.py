@@ -2,7 +2,7 @@
 
 Traces are stored MUT-first: frames[0] is the method under test and the
 last frame holds the target throw statement. The JVM prints the opposite
-(innermost first), so the parser reverses and the renderer reverses back.
+(innermost first), so the parser reverses it.
 """
 
 from __future__ import annotations
@@ -106,11 +106,6 @@ def parse_stack_trace(text: str) -> StackTrace:
     if not jvm_order:
         raise MalformedTrace("all frames were synthetic or lacked line numbers")
     return StackTrace(tuple(reversed(jvm_order)))
-
-
-def render_stack_trace(trace: StackTrace) -> str:
-    """Inverse of parse_stack_trace: JVM order, one frame per line."""
-    return "\n".join(f.render() for f in reversed(trace.frames))
 
 
 def exclude_test_and_util_frames(

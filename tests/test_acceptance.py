@@ -23,9 +23,9 @@ from exbt.stacktrace import (
     StackTrace,
     exclude_test_and_util_frames,
     parse_stack_trace,
-    render_stack_trace,
 )
 from guard_merge import merge
+from stack_render import render_stack_trace
 from test_stacktrace import traces
 
 # committed constants (see the fixture files they describe)

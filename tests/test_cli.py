@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import FIXTURES, REPO_A, write_two_throw_repo
+from conftest import FIXTURES, REPO_A, write_replicated_repo_a, write_two_throw_repo
 from exbt.cli import main
 from exbt.genbackend import HttpBackend
 
@@ -370,6 +370,109 @@ def test_eval_lexes_each_file_and_each_distinct_text_once(capsys, tmp_path, monk
     assert len(lexed) == len(set(lexed)) == 7 + len(texts)
 
 
+def test_sweep_extracts_each_distinct_completion_once(capsys, tmp_path, monkeypatch):
+    """One completion answers both `Account.java` targets: three answers,
+    two distinct completions, two extractions. When every answer was
+    extracted, this sweep made three."""
+    from exbt import genbackend
+
+    withdraw, _, post = json.loads((REPO_A / "canned/completions.json").read_text())["completions"]
+    withdraw["contains"], post["contains"] = "Account.java", "Ledger.java"
+    stub = tmp_path / "stub.json"
+    stub.write_text(json.dumps({"completions": [withdraw, post]}))
+    calls = _count_calls(monkeypatch, genbackend, "extract_candidate")
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub",
+                     "--stub-file", stub, "--out", out)
+    assert code == 0
+    rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
+    assert [r["status"] for r in rows] == ["generated"] * 3
+    assert len({r["completion_digest"] for r in rows}) == len(calls) == len(set(calls)) == 2
+    by_digest = {r["completion_digest"]: r["candidate"] for r in rows}
+    assert [r["candidate"] for r in rows] == [by_digest[r["completion_digest"]] for r in rows]
+
+
+# candidates.jsonl of a repoA x 2 sweep at seed 1, written before scoring
+# reused any pair's score or any text's classification
+REPLICATED_CANDIDATES_SHA256 = "4b0053f0d78879ea1951d74aca73d52b83a00068f3171a27f220c26f89d74db5"
+
+
+def test_sweep_scores_each_distinct_pair_and_classifies_each_text_once(
+        capsys, tmp_path, monkeypatch):
+    """repoA in two packages answers six targets with three completions,
+    and four of the six are scored against two distinct references. When
+    every target was scored afresh, this sweep made four CodeBLEU and edit
+    similarity calls and six classifications."""
+    from exbt import classifier, metrics
+
+    repo, out = tmp_path / "repo", tmp_path / "out"
+    write_replicated_repo_a(repo, 2)
+    counted = {name: _count_calls(monkeypatch, module, name) for module, name in (
+        (metrics, "code_bleu_components"), (metrics, "edit_similarity"),
+        (classifier, "classify_member"),
+    )}
+    code, _, _ = run(capsys, "sweep", repo, "--seed", "1", "--backend", "stub",
+                     "--runner", "recorded", "--out", out)
+    assert code == 0
+    assert hashlib.sha256((out / "candidates.jsonl").read_bytes()).hexdigest() \
+        == REPLICATED_CANDIDATES_SHA256
+    rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
+    golds = {
+        f"{e['throw']['file']}:{e['throw']['line']}": e["gold_ebt"]
+        for e in map(json.loads, (out / "corpus.jsonl").read_text().splitlines())
+    }
+    pairs = [(r["candidate"], golds[r["target"]]) for r in rows if r["target"] in golds]
+    texts = {r["candidate"] for r in rows}
+    assert (len(rows), len(texts), len(pairs), len(set(pairs))) == (6, 3, 4, 2)
+    assert {name: len(calls) for name, calls in counted.items()} == {
+        "code_bleu_components": 2, "edit_similarity": 2, "classify_member": 3,
+    }
+    assert sorted(counted["edit_similarity"]) == sorted(c for c, _ in set(pairs))
+
+
+def test_prompt_with_a_throw_that_names_two_statements_is_bad_input(capsys, tmp_path):
+    write_two_throw_repo(tmp_path)
+    code, out, err = run(capsys, "prompt", "--repo", tmp_path, "--mut", "p.Range#check/1",
+                         "--throw", "src/main/java/p/Range.java:5")
+    assert (code, out) == (1, "")
+    assert _error_of(err) == "BadInput"
+    message = json.loads(err.strip().splitlines()[-1])["message"]
+    assert "throw new A();" in message and "throw new B();" in message
+
+
+def test_prompt_with_a_throw_that_names_two_files_is_bad_input(capsys, tmp_path):
+    """A path suffix shared by two packages names both; a full path names one."""
+    write_replicated_repo_a(tmp_path, 2)
+    paths = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("Account.java"))
+    pkg = paths[0].removeprefix("src/main/java/").removesuffix("/Account.java")
+    mut = pkg.replace("/", ".") + ".Account#withdraw/1"
+    code, _, err = run(capsys, "prompt", "--repo", tmp_path, "--mut", mut,
+                       "--throw", "Account.java:14")
+    assert code == 1
+    assert _error_of(err) == "BadInput"
+    message = json.loads(err.strip().splitlines()[-1])["message"]
+    assert all(f"{p}:14" in message for p in paths) and len(paths) == 2
+    code, out, _ = run(capsys, "prompt", "--repo", tmp_path, "--mut", mut,
+                       "--throw", f"{paths[0]}:14")
+    assert code == 0 and out
+
+
+def test_eval_with_a_label_that_names_two_throws_is_bad_input(capsys, tmp_path):
+    repo = tmp_path / "repo"
+    write_two_throw_repo(repo)
+    label = "src/main/java/p/Range.java:5"
+    cands = tmp_path / "cands.jsonl"
+    cands.write_text(json.dumps({"target": label, "candidate": "@Test void t() { }",
+                                 "exception_type": "A"}) + "\n")
+    results = tmp_path / "rr.json"
+    results.write_text(json.dumps([{"target": label, "compilable": True}]))
+    code, _, err = run(capsys, "eval", "--candidates", cands, "--repo", repo,
+                       "--runner-results", results)
+    assert code == 1
+    assert _error_of(err) == "BadInput"
+    assert "throw new A();" in err and "throw new B();" in err
+
+
 def _two_throw_sweep(capsys, tmp_path, extra_files=None, second="B"):
     repo = tmp_path / "repo"
     write_two_throw_repo(repo, second)
@@ -408,6 +511,23 @@ def test_sweep_counts_two_throws_on_one_line_as_two_covered_targets(capsys, tmp_
     assert report["targets"] == [label, label]
     assert report["aggregate"]["targets"] == 2
     assert report["aggregate"]["throw_cov"] == 1.0
+
+
+def test_recorded_rows_with_a_statement_answer_for_their_own_throw(capsys, tmp_path):
+    """Each throw on `Range.java:5` has its own row, picked by statement."""
+    label = "src/main/java/p/Range.java:5"
+    out = _two_throw_sweep(capsys, tmp_path, {
+        "canned/runner-results.json": json.dumps([
+            {"target": label, "statement": "throw new A();", "compilable": True,
+             "runnable": True, "covers_target": True},
+            {"target": label, "statement": "throw new B();", "compilable": True,
+             "runnable": False, "covers_target": False},
+        ]),
+    })
+    rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
+    assert [(r["runnable"], r["covers_target"]) for r in rows] == [(True, True), (False, False)]
+    report = json.loads((out / "report.json").read_text())
+    assert report["aggregate"]["throw_cov"] == 0.5
 
 
 def test_sweep_guards_each_of_two_throws_on_one_line(capsys, tmp_path):

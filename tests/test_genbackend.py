@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 import pytest
 
 from conftest import REPO_A
+from exbt import genbackend
 from exbt.cli import main
 from exbt.config import Config
 from exbt.errors import BackendTimeout, BackendUnavailable, MalformedResponse
@@ -86,6 +87,33 @@ def test_generate_many_keeps_each_error_in_its_place():
     assert isinstance(two, BackendTimeout)
     with pytest.raises(TypeError):
         generate_many(_SecondTimesOut(), ["one", "bug", "three"], PARAMS, max_in_flight=3)
+
+
+def _no_threads(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an in-process backend started a thread pool")
+
+    monkeypatch.setattr(genbackend, "ThreadPoolExecutor", fail)
+
+
+def test_generate_many_answers_a_stub_inline(monkeypatch):
+    """The stub does no I/O, so it answers in the caller's thread, in
+    input order, with each error in its place."""
+    _no_threads(monkeypatch)
+    stub = StubBackend([{"contains": "one", "completion": "ONE"},
+                        {"contains": "three", "completion": "THREE"}])
+    one, two, three = generate_many(stub, ["one", "two", "three"], PARAMS, max_in_flight=3)
+    assert (one, three) == ("ONE", "THREE")
+    assert isinstance(two, BackendUnavailable)
+    assert generate_many(stub, [], PARAMS) == []
+
+
+def test_stub_sweep_starts_no_thread(capsys, tmp_path, monkeypatch):
+    _no_threads(monkeypatch)
+    code = main(["sweep", str(REPO_A), "--seed", "42", "--backend", "stub",
+                 "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 0
 
 
 # --- http backend against a real local server ---

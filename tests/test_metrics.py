@@ -29,6 +29,7 @@ from exbt.metrics import (
     xmatch,
     xmatch_strict,
 )
+from test_cli import _count_calls
 
 # frozen by hand from the n-gram counts of ("a b c d", "a b c e"):
 # p1=4/5, p2=3/4, p3=2/3, p4=1/2 under add-one smoothing; BP=1. BLEU is the
@@ -145,7 +146,7 @@ _BLEU_TOKENS = st.one_of(
 
 def _token_side(tokens: list[str], parsed: bool) -> exbt.metrics._Side:
     trees = Counter({"block()": 1}) if parsed else None
-    return exbt.metrics._Side(tokens, exbt.metrics._ngram_counts(tokens), trees, trees, None)
+    return exbt.metrics._Side(tokens, exbt.metrics._ngram_counts(tokens), trees, trees)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -476,3 +477,27 @@ def test_score_candidate_without_reference_keeps_similarity_absent():
     s = score_candidate("@Test public void t() { f(); }", None, "IOException", "t1")
     assert s.bleu is None and s.xmatch is None
     assert s.matched_e is False
+
+
+def test_sides_scores_each_pair_and_classifies_each_text_once(monkeypatch):
+    """One candidate scored against one reference for three targets, then
+    without a reference: one CodeBLEU, one edit similarity and one
+    classification, while `target` and `matched_e` follow each call. When
+    every call scored afresh, this made three, three and four."""
+    counted = {name: _count_calls(monkeypatch, module, name) for module, name in (
+        (exbt.metrics, "code_bleu_components"), (exbt.metrics, "edit_similarity"),
+        (exbt.classifier, "classify_member"),
+    )}
+    candidate = METHOD.replace("@Test", "@Test(expected = IOException.class)")
+    calls = [(METHOD, "IOException", "t1"), (METHOD, "java.io.IOException", "t2"),
+             (METHOD, "IllegalStateException", "t3"), (None, "IOException", "t4")]
+    sides = Sides()
+    scores = [score_candidate(candidate, ref, e, t, sides=sides) for ref, e, t in calls]
+    assert {name: len(c) for name, c in counted.items()} == {
+        "code_bleu_components": 1, "edit_similarity": 1, "classify_member": 1,
+    }
+    assert [(s.target, s.matched_e) for s in scores] == [
+        ("t1", True), ("t2", True), ("t3", False), ("t4", True),
+    ]
+    assert scores == [score_candidate(candidate, ref, e, t) for ref, e, t in calls]
+    assert scores[3].bleu is None and scores[3].edit_sim is None

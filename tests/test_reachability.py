@@ -19,7 +19,6 @@ READERS = ("src", "tests", "perfbench", "microbench")
 # (module, qualified name): why it stays although nothing in src/ names it
 ALLOWED = {
     ("exbt.guardexpr", "evaluate_guard"): "acceptance oracle for guards",
-    ("exbt.stacktrace", "render_stack_trace"): "round-trip oracle of parse_stack_trace",
     ("exbt.instrument", "Rewrite.restore"): "README: originals restore byte-for-byte",
     ("exbt.instrument", "Rewrite.to_original_line"): "README: instrument line mapping",
     ("exbt.jmodel.model", "RepoContext.callees"): "README: library call graph",

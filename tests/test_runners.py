@@ -42,6 +42,17 @@ def test_recorded_runner_unknown_candidate_absent(withdraw_site):
     assert result == FunctionalResult(None, None, None)
 
 
+def test_recorded_runner_row_with_a_statement_picks_one_of_two_throws(tmp_path):
+    write_two_throw_repo(tmp_path)
+    first, second = find_throw_sites(load_repo(tmp_path), "main")
+    runner = RecordedRunner([
+        {"target": first.label(), "statement": "throw new B();", "covers_target": False},
+        {"target": first.label(), "covers_target": True},
+    ])
+    assert runner.check(GOOD_CANDIDATE, first) == FunctionalResult(covers_target=True)
+    assert runner.check(GOOD_CANDIDATE, second) == FunctionalResult(covers_target=False)
+
+
 @pytest.mark.skipif(not jvm_available(), reason="javac/java not on PATH")
 def test_javac_runner_known_good_candidate(repo_a, withdraw_site):
     runner = JavacRunner(repo_a)

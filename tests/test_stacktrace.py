@@ -11,8 +11,8 @@ from exbt.stacktrace import (
     endpoints,
     exclude_test_and_util_frames,
     parse_stack_trace,
-    render_stack_trace,
 )
+from stack_render import render_stack_trace
 
 
 def test_parse_canonical_frame():
