@@ -37,7 +37,7 @@ from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, ThrowSite
 from exbt.jmodel import exprs
 from exbt.jmodel.exprs import Binary, Expr, Grouped, Lit, Name, Opaque, Unary
 from exbt.jmodel.lexer import call_sites
-from exbt.jmodel.stmts import Stmt, statement_at_line, stmts_at_line
+from exbt.jmodel.stmts import Stmt, chains_at_line
 from exbt.stacktrace import StackTrace
 
 START = "StartStatement"
@@ -176,11 +176,11 @@ def _preceding_assignments(
     return nodes
 
 
-def _walk_up(unit: CompilationUnit, start: Stmt) -> list[CollectedNode]:
+def _walk_up(unit: CompilationUnit, chain: tuple[Stmt, ...]) -> list[CollectedNode]:
+    """The nodes met climbing from chain[0] through its ancestors."""
     nodes: list[CollectedNode] = []
-    current = start
-    while current.parent is not None:
-        parent = current.parent
+    for k in range(1, len(chain)):
+        current, parent = chain[k - 1], chain[k]
         if parent.kind == "if" and parent.cond_range is not None:
             if current.role == "then":
                 nodes.append(
@@ -195,12 +195,11 @@ def _walk_up(unit: CompilationUnit, start: Stmt) -> list[CollectedNode]:
                 nodes.append(
                     _condition_node(unit, parent.cond_range, parent.start_line, False)
                 )
-        elif parent.kind == "case" and parent.parent is not None:
+        elif parent.kind == "case" and k + 1 < len(chain):
             nodes.extend(_preceding_assignments(unit, parent, current))
-            nodes.extend(_switch_nodes(unit, parent, parent.parent))
+            nodes.extend(_switch_nodes(unit, parent, chain[k + 1]))
         elif parent.kind == "block":
             nodes.extend(_preceding_assignments(unit, parent, current))
-        current = parent
     return nodes
 
 
@@ -214,17 +213,20 @@ def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl):
     return None
 
 
-def _throw_statement(
-    unit: CompilationUnit, tree: Stmt, line: int, site: ThrowSite | None
-) -> Stmt | None:
-    """The statement on the line whose token span holds the site's `throw`
-    token, else the line's first throw (or first statement). A site's token
-    index counts only in its own unit."""
+def _throw_chain(
+    unit: CompilationUnit, chains: list[tuple[Stmt, ...]], site: ThrowSite | None
+) -> tuple[Stmt, ...] | None:
+    """Of a line's statement chains, the one whose statement's token span
+    holds the site's `throw` token, else the line's first throw (or first
+    statement). A site's token index counts only in its own unit."""
     if site is not None and site.method.decl_file == unit.path:
-        for s in stmts_at_line(tree, line):
-            if s.tok_start <= site.tok < s.tok_end:
-                return s
-    return statement_at_line(tree, line, prefer_kind="throw")
+        for chain in chains:
+            if chain[0].tok_start <= site.tok < chain[0].tok_end:
+                return chain
+    for chain in chains:
+        if chain[0].kind == "throw":
+            return chain
+    return chains[0] if chains else None
 
 
 def collect_nodes(
@@ -233,8 +235,8 @@ def collect_nodes(
     """Collect condition, assignment and call nodes along the trace.
 
     Frames are traversed in reversed order (throw site first); within a
-    frame the walk climbs child to parent from the statement at the frame
-    line to the method declaration. The statement at the frame line is
+    frame the walk climbs the ancestor chain of the statement at the frame
+    line up to the method body. The statement at the frame line is
     always included; in the innermost frame it is `site`'s throw statement
     when that sits on the line, since one line can hold several throws.
     """
@@ -250,14 +252,16 @@ def collect_nodes(
         tree = ctx.body_tree(unit, decl)
         if tree is None:
             raise FrameOutOfSpan(f"{decl.name} has no body")
+        chains = chains_at_line(tree, frame.line)
         if prev is None:
-            start = _throw_statement(unit, tree, frame.line, site)
+            chain = _throw_chain(unit, chains, site)
         else:
-            start = statement_at_line(tree, frame.line)
-        if start is None:
+            chain = chains[0] if chains else None
+        if chain is None:
             raise FrameOutOfSpan(
                 f"no statement at line {frame.line} of {decl.name} in {unit.path}"
             )
+        start = chain[0]
         found = None
         if prev is not None:
             _, prev_decl = prev
@@ -265,10 +269,10 @@ def collect_nodes(
             if found is None:
                 # several statements may share the frame line; prefer the
                 # one actually holding the call
-                for candidate in stmts_at_line(tree, frame.line):
-                    found = _find_call(unit, candidate, prev_decl)
+                for candidate in chains[1:]:
+                    found = _find_call(unit, candidate[0], prev_decl)
                     if found is not None:
-                        start = candidate
+                        chain, start = candidate, candidate[0]
                         break
             if found is not None:
                 args, call_text = found
@@ -296,7 +300,7 @@ def collect_nodes(
         nodes.append(start_node)
         if start.assignments:
             nodes.extend(_assignment_nodes(unit, start))
-        nodes.extend(_walk_up(unit, start))
+        nodes.extend(_walk_up(unit, chain))
         prev = (unit, decl)
     return nodes
 

@@ -123,16 +123,23 @@ def tokenize(source: str) -> list[Token]:
     n = len(source)
     while i < n:
         c = source[i]
-        kind = classes.get(c) or _char_class(c)
+        try:
+            kind = classes[c]
+        except KeyError:
+            kind = _char_class(c)
         if kind == "word":
             j = _ident_tail(source, i + 1).end()
             text = source[i:j]
             append(new(Token, ("keyword" if text in KEYWORDS else "ident", text, line, i)))
-            i = j
+            # the space that most often follows a word, stepped over here
+            i = j + 1 if j < n and source[j] == " " else j
         elif kind == "space":
-            j = _space_run(source, i).end()
-            line += source.count("\n", i, j)
-            i = j
+            if c == " " and i + 1 < n and not source[i + 1].isspace():
+                i += 1  # a lone plain space: no line break to count
+            else:
+                j = _space_run(source, i).end()
+                line += source.count("\n", i, j)
+                i = j
         elif kind == "punct":
             append(new(Token, ("punct", c, line, i)))
             i += 1

@@ -666,28 +666,30 @@ def _tree_files(root: Path) -> list[str]:
     through no symlinked directory, symlinked files included. Like glob, it
     skips a directory it may not list."""
     files: list[str] = []
-
-    def visit(directory: str, prefix: str) -> None:
-        try:
-            with os.scandir(directory) as it:
-                entries = sorted(it, key=lambda e: e.name)
-        except PermissionError:
-            return
-        for entry in entries:
-            if entry.is_dir(follow_symlinks=False):
-                visit(entry.path, prefix + entry.name + "/")
-                continue
-            try:
-                is_file = entry.is_file()
-            except OSError as exc:
-                if exc.errno not in _DANGLING:
-                    raise
-                is_file = False
-            if is_file:
-                files.append(prefix + entry.name)
-
-    visit(str(root), "")
+    _add_tree_files(str(root), "", files)
     return files
+
+
+def _add_tree_files(directory: str, prefix: str, files: list[str]) -> None:
+    """Append every file under directory to files, as prefix plus its path
+    below directory."""
+    try:
+        with os.scandir(directory) as it:
+            entries = sorted(it, key=lambda e: e.name)
+    except PermissionError:
+        return
+    for entry in entries:
+        if entry.is_dir(follow_symlinks=False):
+            _add_tree_files(entry.path, prefix + entry.name + "/", files)
+            continue
+        try:
+            is_file = entry.is_file()
+        except OSError as exc:
+            if exc.errno not in _DANGLING:
+                raise
+            is_file = False
+        if is_file:
+            files.append(prefix + entry.name)
 
 
 def _decode(data: bytes) -> str:

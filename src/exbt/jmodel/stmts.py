@@ -2,8 +2,14 @@
 
 The parser is deliberately shallow: it recovers the control-flow shape
 (blocks, branches, loops, switches, try/catch, throws, assignments) plus
-line spans and parent links, which is exactly what the trace walk needs.
-Anything it cannot interpret becomes an opaque statement with a span.
+line spans and each child's role, which is exactly what the trace walk
+needs. Anything it cannot interpret becomes an opaque statement with a
+span.
+
+A tree links parents to children only, so it holds no reference cycle and
+is freed by reference counting alone. A statement's ancestors come from
+the descent that finds it: `chains_at_line` returns each statement with
+the chain of statements above it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from exbt.jmodel.lexer import (
 )
 
 
-@dataclass(eq=False)  # a tree node: equal only to itself
+@dataclass(eq=False, slots=True)  # a tree node: equal only to itself
 class Stmt:
     kind: str
     start_line: int
@@ -31,7 +37,6 @@ class Stmt:
     tok_start: int
     tok_end: int  # exclusive
     children: list["Stmt"] = field(default_factory=list)
-    parent: "Stmt | None" = field(default=None, repr=False)
     # role of this node relative to its parent: then | else | body | group | plain
     role: str = "plain"
     # kind-specific payloads (token index ranges into the unit token list)
@@ -250,8 +255,7 @@ class BodyParser:
 
 
 def _adopt(parent: Stmt, child: Stmt, role: str | None = None) -> None:
-    """Append child to parent's children, linked back and given its role."""
-    child.parent = parent
+    """Append child to parent's children, given its role."""
     if role is not None:
         child.role = role
     parent.children.append(child)
@@ -277,34 +281,24 @@ def declarators(tokens: list[Token], k: int, end: int) -> list[tuple[int, int | 
     return found
 
 
-def stmts_at_line(root: Stmt, line: int) -> list[Stmt]:
-    """Leaf-most statements whose span contains the line, in source order.
+def chains_at_line(root: Stmt, line: int) -> list[tuple[Stmt, ...]]:
+    """Leaf-most statements whose span contains the line, in source order,
+    each as its chain of ancestors: (statement, its parent, ..., root).
 
     A statement's span holds its children's, so the walk enters only the
     statements whose span contains the line."""
-    found: list[Stmt] = []
-    stack = [root] if root.start_line <= line <= root.end_line else []
+    found: list[tuple[Stmt, ...]] = []
+    stack = [(root,)] if root.start_line <= line <= root.end_line else []
     while stack:
-        s = stack.pop()
-        inner = [c for c in s.children if c.start_line <= line <= c.end_line]
+        chain = stack.pop()
+        inner = [c for c in chain[0].children if c.start_line <= line <= c.end_line]
         if inner:
-            stack += reversed(inner)
+            stack += [(c,) + chain for c in reversed(inner)]
         else:
-            found.append(s)
+            found.append(chain)
     return found
 
 
-def statement_at_line(root: Stmt, line: int, prefer_kind: str | None = None) -> Stmt | None:
-    """The statement a stack-trace line points at.
-
-    When several statements share the line (single-line if/throw), an
-    explicit kind preference wins, then the first in source order.
-    """
-    candidates = stmts_at_line(root, line)
-    if not candidates:
-        return None
-    if prefer_kind is not None:
-        preferred = [s for s in candidates if s.kind == prefer_kind]
-        if preferred:
-            return preferred[0]
-    return candidates[0]
+def stmts_at_line(root: Stmt, line: int) -> list[Stmt]:
+    """Leaf-most statements whose span contains the line, in source order."""
+    return [chain[0] for chain in chains_at_line(root, line)]

@@ -138,17 +138,18 @@ def _stmt_expr_trees(unit, stmt):
     return trees
 
 
+def _stmt_signatures(node, out: Counter) -> str:
+    """The shape of a statement: its kind and its children's shapes,
+    counted into out with every shape below it."""
+    sig = node.kind + "(" + ",".join(_stmt_signatures(c, out) for c in node.children) + ")"
+    out[sig] += 1
+    return sig
+
+
 def _ast_signatures(tree, node_exprs) -> Counter:
     """Statement-shape and expression-shape signatures of a body tree."""
     sigs: Counter = Counter()
-
-    def stmt_sig(node) -> str:
-        child_sigs = [stmt_sig(c) for c in node.children]
-        sig = node.kind + "(" + ",".join(child_sigs) + ")"
-        sigs[sig] += 1
-        return sig
-
-    stmt_sig(tree)
+    _stmt_signatures(tree, sigs)
     for _, trees in node_exprs:
         for expr in trees:
             _expr_signatures(expr, sigs)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import FIXTURES, REPO_A, write_replicated_repo_a, write_two_throw_repo
 from exbt.cli import main
+from exbt.errors import BadInput
 from exbt.genbackend import HttpBackend
 
 
@@ -780,6 +782,99 @@ def test_main_reuses_one_parser_and_no_flag_leaks_into_the_next_call(monkeypatch
     fresh = cli.build_parser.__wrapped__()  # a parser no call has used
     assert seen[2] == vars(fresh.parse_args(["sweep", "r"]))
     assert (seen[2]["seed"], seen[2]["variant"], seen[2]["backend"]) == (42, "no-name", None)
+
+
+def _left_to_collector(call):
+    """call()'s result and every object the cyclic collector finds
+    unreachable after it, with the collector paused from before the call,
+    as `main` pauses it for a command."""
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = call()
+        gc.collect()
+        return result, list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if collecting:
+            gc.enable()
+
+
+def _unreachable_after(argv) -> tuple[int, list]:
+    from exbt import cli
+
+    cli.build_parser()  # built once per process, its own garbage with it
+    return _left_to_collector(lambda: main([str(a) for a in argv]))
+
+
+def _exbt_objects(objects) -> list[str]:
+    """The names of the objects an exbt module defines: its functions and
+    the instances of its classes."""
+    return sorted({
+        f"{o.__module__}.{getattr(o, '__qualname__', type(o).__qualname__)}"
+        for o in objects if str(getattr(o, "__module__", "")).startswith("exbt")
+    })
+
+
+def test_a_command_leaves_the_cyclic_collector_no_exbt_object(tmp_path, capsys):
+    """main pauses the collector, so what a command builds must be freed by
+    reference counting alone: no exbt object (a Stmt, CollectedNode or
+    Token) is left in a cycle, and what is left (json's indented encoder,
+    for one) is per command, the same for repoA x 4 as for repoA x 1."""
+    left = {}
+    for k in (1, 4):
+        repo = tmp_path / f"k{k}"
+        write_replicated_repo_a(repo, k)
+        code, garbage = _unreachable_after(
+            ["sweep", repo, "--seed", 1, "--backend", "stub", "--runner", "recorded",
+             "--out", tmp_path / f"out{k}"])
+        assert code == 0
+        assert _exbt_objects(garbage) == []
+        left[k] = len(garbage)
+    assert left[4] == left[1]
+    trace = tmp_path / "trace.txt"
+    trace.write_text("at gx.Guards.ifPositive(Guards.java:6)\n")
+    code, garbage = _unreachable_after(["guard", "--trace", trace, "--repo", FIXTURES / "repoG"])
+    assert code == 0
+    assert _exbt_objects(garbage) == []
+    code, garbage = _unreachable_after(
+        ["eval", "--candidates", tmp_path / "out1/candidates.jsonl", "--repo", tmp_path / "k1",
+         "--runner-results", REPO_A / "canned/runner-results.json",
+         "--out", tmp_path / "report.json"])
+    assert code == 0
+    assert _exbt_objects(garbage) == []
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("ending", ["exit 0", "ExbtError", "exception"])
+def test_main_gives_the_caller_back_its_collector_state(monkeypatch, capsys, collecting, ending):
+    from exbt import cli
+
+    seen = []
+
+    def handler(args):
+        seen.append(gc.isenabled())
+        if ending == "ExbtError":
+            raise BadInput("bad")
+        if ending == "exception":
+            raise RuntimeError("crash")
+        return 0
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", handler)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if ending == "exception":
+            with pytest.raises(RuntimeError):
+                main(["classify", "r"])
+        else:
+            assert main(["classify", "r"]) == (0 if ending == "exit 0" else 1)
+        assert (seen, gc.isenabled()) == ([False], collecting)
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 REPO_A_SWEEP_COUNTERS = {

@@ -25,7 +25,7 @@ from exbt.genbackend import (
 )
 from exbt.jmodel import lexer
 from exbt.metrics import Sides, score_candidate
-from test_cli import _count_calls
+from test_cli import _count_calls, _left_to_collector
 
 PARAMS = GenerationParams(max_new_tokens=64, temperature=0.0, seed=7)
 
@@ -284,6 +284,23 @@ def test_generate_many_threads_share_one_session():
         sys.setswitchinterval(interval)
     assert answers == [f"re: {p}" for p in prompts]
     assert len(ports) == 40 and len(set(ports)) <= 8
+
+
+def _unreachable_after_requests(url: str, n: int) -> int:
+    backend = HttpBackend(url, timeout=10)
+    try:
+        prompts = [f"p{k}" for k in range(n)]
+        answers, garbage = _left_to_collector(
+            lambda: generate_many(backend, prompts, PARAMS, max_in_flight=4))
+    finally:
+        backend.session.close()
+    assert answers == [f"re: {p}" for p in prompts]
+    return len(garbage)
+
+
+def test_http_requests_leave_no_cycles_that_grow_with_their_number():
+    with _keep_alive_server() as (url, _):
+        assert _unreachable_after_requests(url, 10) == _unreachable_after_requests(url, 50)
 
 
 def test_http_unreachable_is_unavailable():

@@ -20,7 +20,7 @@ from exbt.jmodel import (
     parse_unit,
     reachable_throws,
 )
-from exbt.jmodel.stmts import BodyParser
+from exbt.jmodel.stmts import BodyParser, chains_at_line
 from exbt.manifest import tree_digest
 
 TEMPLATE = Path(__file__).resolve().parents[1] / "perfbench" / "repoA_template"
@@ -126,7 +126,9 @@ def _implied_roles(node) -> list[str]:
     return [_BODY_ROLE.get(node.kind, "plain")] * len(kids)
 
 
-def test_every_body_node_is_linked_to_its_parent_with_its_role():
+def test_every_body_node_chains_to_the_root_with_its_role():
+    """Every leaf is found on each line it spans, with a chain that ends
+    at the root and whose every link is a child of the next one."""
     sources = [p.read_text() for p in sorted(FIXTURES.rglob("*.java"))]
     sources += [p.read_text() for p in sorted(TEMPLATE.rglob("*.java"))] + [_EVERY_KIND]
     kinds = set()
@@ -136,9 +138,16 @@ def test_every_body_node_is_linked_to_its_parent_with_its_role():
             if m.tok_open is None:
                 continue
             root = BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
-            assert (root.kind, root.parent, root.role) == ("block", None, "plain")
+            assert (root.kind, root.role) == ("block", "plain")
+            found = set()
+            for line in range(root.start_line, root.end_line + 1):
+                for chain in chains_at_line(root, line):
+                    assert chain[-1] is root
+                    assert all(any(c is below for c in above.children)
+                               for below, above in zip(chain, chain[1:]))
+                    found.add(id(chain[0]))
             for node in root.iter_tree():
-                assert all(c.parent is node for c in node.children)
+                assert node.children or id(node) in found
                 assert [c.role for c in node.children] == _implied_roles(node)
                 kinds.add(node.kind)
     assert kinds >= {"if", "while", "dowhile", "for", "synchronized", "labeled", "switch",

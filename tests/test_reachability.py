@@ -22,6 +22,8 @@ ALLOWED = {
     ("exbt.instrument", "Rewrite.restore"): "README: originals restore byte-for-byte",
     ("exbt.instrument", "Rewrite.to_original_line"): "README: instrument line mapping",
     ("exbt.jmodel.model", "RepoContext.callees"): "README: library call graph",
+    ("exbt.jmodel.stmts", "stmts_at_line"): "the line lookup's statements without their "
+    "chains; test_operand_reader checks the descent through it against a two-pass walk",
 }
 
 # (module, Class.field): why a record keeps a field that no code reads
