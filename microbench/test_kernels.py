@@ -290,6 +290,34 @@ def test_score_many_against_one_reference(benchmark, test_pair):
     assert all(s.code_bleu is not None for s in benchmark(score_all))
 
 
+@pytest.fixture(scope="module")
+def eval_rows():
+    """eval-long's shape on repoA's gold EBTs: each scored against itself,
+    against a variant that adds only comments and whitespace, and against
+    a one-token edit that renames the method."""
+    ebts, _ = split_test_suite(load_repo(REPO_A))
+    rows = []
+    for t in ebts:
+        ref = t.body_text
+        noise = "/* generated */\n" + ref.replace("{", "{ // note\n\n", 1)
+        for cand in (ref, noise, ref.replace("() {", "2() {", 1)):
+            rows.append((cand, ref, t.expected_exception))
+    return rows
+
+
+def test_eval_scoring(benchmark, eval_rows):
+    """What eval does with those rows: every candidate scored through one
+    `Sides`, fresh each round."""
+
+    def score_all():
+        sides = Sides()
+        return [score_candidate(c, r, e, "t", sides=sides) for c, r, e in eval_rows]
+
+    scores = benchmark(score_all)
+    assert [s.xmatch for s in scores] == [True, True, False] * (len(scores) // 3)
+    assert [s.code_bleu for s in scores[:2]] == [1.0, 1.0]
+
+
 def test_generate_score_stage(benchmark, tmp_path):
     """The sweep's generation, extraction and scoring over a K=4 sweep
     repository's bundles: the stub answers 12 targets with 3 completions,

@@ -14,14 +14,11 @@ are accepted. Only methods annotated @Test are considered tests.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from exbt.errors import JavaParseError, NotATest
 from exbt.jmodel import CompilationUnit, MethodDecl, MethodId, RepoContext, parse_member
 from exbt.jmodel.lexer import call_sites, index_of, match_brace, match_paren, skip_name, skip_type
-
-_EXPECTED_ARG_RE = re.compile(r"\bexpected\s*=\s*([\w.$]+)\s*\.\s*class")
 
 
 @dataclass(frozen=True)
@@ -37,22 +34,27 @@ class TestMethod:
         return self.kind == "EBT"
 
 
+def _test_annotations(m: MethodDecl):
+    """Each `@Test` annotation of m, as its tokens and the index past its
+    dotted name. Reading tokens, a comment anywhere in it hides nothing."""
+    for toks in m.annotation_tokens:
+        end = skip_name(toks, 1, len(toks))
+        if toks[end - 1].text == "Test":
+            yield toks, end
+
+
 def _has_test_annotation(m: MethodDecl) -> bool:
-    for ann in m.annotations:
-        name = ann.split("(")[0].lstrip("@").strip()
-        if name.split(".")[-1] == "Test":
-            return True
-    return False
+    return any(_test_annotations(m))
 
 
 def _annotation_expected(m: MethodDecl) -> str | None:
-    for ann in m.annotations:
-        name = ann.split("(")[0].lstrip("@").strip()
-        if name.split(".")[-1] != "Test":
-            continue
-        hit = _EXPECTED_ARG_RE.search(ann)
-        if hit:
-            return hit.group(1)
+    """X of the first `expected = X.class` in m's `@Test` annotation."""
+    for toks, end in _test_annotations(m):
+        for k in range(end, len(toks) - 1):
+            if toks[k].text == "expected" and toks[k + 1].text == "=":
+                stop = skip_name(toks, k + 2, len(toks))
+                if stop > k + 2 and [t.text for t in toks[stop : stop + 2]] == [".", "class"]:
+                    return "".join(t.text for t in toks[k + 2 : stop])
     return None
 
 

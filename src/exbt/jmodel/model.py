@@ -83,7 +83,8 @@ class MethodDecl:
     tok_start: int  # first member token (annotations included)
     tok_open: int | None  # '{' of the body, None for abstract members
     tok_close: int | None
-    annotations: list[str]
+    annotations: list[str]  # each annotation's source text, comments kept
+    annotation_tokens: list[list[Token]]  # each annotation's tokens
     is_ctor: bool = False
     compact: bool = False
     # set once by the RepoContext that holds the declaration; None outside one
@@ -263,13 +264,16 @@ class _UnitParser:
         while p < hi:
             member_start = p
             annotations: list[str] = []
+            annotation_tokens: list[list[Token]] = []
             modifiers: list[str] = []
             # annotations, modifiers and a generic method's type parameters
             while p < hi:
                 t = self.toks[p]
                 if t.text == "@" and p + 1 < hi and self.toks[p + 1].text != "interface":
+                    start = p
                     p, text = self._skip_annotation(p)
                     annotations.append(text)
+                    annotation_tokens.append(self.toks[start:p])
                 elif t.text in _MODIFIERS:
                     modifiers.append(t.text)
                     p += 1
@@ -291,7 +295,8 @@ class _UnitParser:
                 continue
             # what every member declared here shares
             head = dict(owner_fqn=decl.fqn, start_line=self.toks[member_start].line,
-                        tok_start=member_start, annotations=annotations)
+                        tok_start=member_start, annotations=annotations,
+                        annotation_tokens=annotation_tokens)
             if t.text == "{":  # initializer block
                 close = match_brace(self.toks, p)
                 pseudo = "<clinit>" if "static" in modifiers else "<init>"

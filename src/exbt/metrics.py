@@ -179,7 +179,7 @@ class _Side(NamedTuple):
     """One side of a scored pair, lexed once and parsed once: its code
     tokens, their 1- to 4-gram counts (to max_n in `bleu`) and, when its
     method body parses, its AST signatures and def-use edges (both None
-    otherwise)."""
+    otherwise). Each is decided by the code tokens and whether they parse."""
 
     tokens: list[str]
     grams: tuple[Counter, ...]
@@ -205,20 +205,26 @@ def _side(tokens: list[str], member: Member | None, max_n: int = 4) -> _Side:
 
 
 class Sides:
-    """The texts one command scores, each lexed once, parsed once, made a
-    side once and classified once, and each (candidate, reference) pair
-    scored once.
+    """The texts one command scores, each lexed once, parsed once and
+    classified once; each distinct code-token sequence made a side once;
+    and each (candidate, reference) pair of texts scored once.
 
     `parses` maps a text to its `parse_member` result, or to None when it
     does not parse. Extraction may record a candidate's parse there first;
     the text is then not parsed again. A text whose member unit lexes but
     does not parse keeps that unit's code tokens for its side, so only a
-    text the lexer rejects goes to `code_tokens`."""
+    text the lexer rejects goes to `code_tokens`.
+
+    Texts that differ only in comments or layout share one side when both
+    parse as a member or neither does: a side is keyed by its code tokens
+    and by that, since a parsed text's tokens may equal the regex split of
+    one the lexer rejects while only the parsed one has a body tree."""
 
     def __init__(self) -> None:
         self.parses: dict[str, Member | None] = {}
         self._unparsed_tokens: dict[str, list[str]] = {}
         self._sides: dict[str, _Side] = {}
+        self._shared: dict[tuple[tuple[str, ...], bool], _Side] = {}
         self._pairs: dict[tuple[str, str], dict] = {}
         self._expected: dict[str, str | None] = {}
 
@@ -236,7 +242,8 @@ class Sides:
         return self.parses[text]
 
     def side(self, text: str) -> _Side:
-        if text not in self._sides:
+        side = self._sides.get(text)
+        if side is None:
             member = self.member(text)
             if member is not None:
                 tokens = [t.text for t in member[0].tokens[MEMBER_TOKENS]]
@@ -244,12 +251,17 @@ class Sides:
                 tokens = self._unparsed_tokens.pop(text)
             else:
                 tokens = code_tokens(text)
-            self._sides[text] = _side(tokens, member)
-        return self._sides[text]
+            key = (tuple(tokens), member is not None)
+            side = self._shared.get(key)
+            if side is None:
+                side = self._shared[key] = _side(tokens, member)
+            self._sides[text] = side
+        return side
 
     def pair(self, candidate: str, reference: str) -> dict:
         """The `CandidateScore` fields that only the two texts decide: both
-        exact matches, BLEU, CodeBLEU and edit similarity."""
+        exact matches, BLEU, CodeBLEU and edit similarity. Strict match and
+        edit similarity read the texts; the rest read only their sides."""
         key = (candidate, reference)
         if key not in self._pairs:
             cand, ref = self.side(candidate), self.side(reference)
@@ -293,6 +305,16 @@ def code_bleu_components(candidate: str | _Side, reference: str | _Side) -> dict
     plain BLEU and the result is flagged."""
     cand = candidate if isinstance(candidate, _Side) else Sides().side(candidate)
     ref = reference if isinstance(reference, _Side) else Sides().side(reference)
+    if cand is ref:
+        # every n-gram, signature and edge matches: each term is exactly 1.0
+        return {
+            "code_bleu": 1.0,
+            "ngram": 1.0,
+            "weighted_ngram": 1.0,
+            "ast_match": 1.0,
+            "dataflow_match": 1.0,
+            "degraded": cand.ast_sigs is None,
+        }
     logs = _clipped_logs(cand, ref)
     ngram = _weighted_bleu(cand, ref, 1.0, logs)
     if cand.ast_sigs is None or ref.ast_sigs is None:

@@ -24,6 +24,28 @@ void t() {
     assert t.expected_exception == "IllegalStateException"
 
 
+@pytest.mark.parametrize("source", [
+    "@Test /* why */ (expected = IllegalStateException.class) public void t() { f(); }",
+    "@Test // why\n(expected = IllegalStateException.class) public void t() { f(); }",
+    "@org.junit. /* x */ Test(expected = IllegalStateException.class) void t() { f(); }",
+], ids=["block-before-args", "line-before-args", "inside-the-name"])
+def test_a_comment_in_the_test_annotation_hides_no_test(source):
+    """The annotation is read through its tokens, not its source text."""
+    t = classify_test(source)
+    assert (t.kind, t.pattern) == ("EBT", "AnnotationExpected")
+    assert t.expected_exception == "IllegalStateException"
+
+
+@pytest.mark.parametrize("argument", [
+    "expected = IllegalStateException /* x */ .class",
+    "expected /* x */ = java.lang. /* y */ IllegalStateException.class",
+])
+def test_a_comment_in_the_expected_argument_hides_no_exception(argument):
+    t = classify_test(f"@Test({argument}) public void t() {{ f(); }}")
+    assert (t.kind, t.pattern) == ("EBT", "AnnotationExpected")
+    assert t.expected_exception.endswith("IllegalStateException")
+
+
 def test_assert_throws_body():
     t = classify_test(
         """@Test

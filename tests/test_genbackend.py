@@ -402,6 +402,15 @@ def test_extract_reads_comments_and_trailing_prose_through_the_lexer(completion)
     assert extract_candidate(completion) == COMMENTED
 
 
+def test_extract_reads_the_test_annotation_through_a_comment():
+    """A comment inside `@Test(...)` neither hides the method from
+    extraction nor its expected exception from scoring."""
+    method = "@Test /* why */ (expected = IllegalStateException.class)\npublic void t() { f(); }"
+    assert extract_candidate(f"```java\n{method}\n```\n") == method
+    score = score_candidate(method, None, "IllegalStateException", "t")
+    assert score.matched_e is True
+
+
 def test_extract_then_score_lexes_a_fenced_candidate_once(monkeypatch):
     """Extraction parses the candidate from the tokens it found it with,
     and scoring takes that parse from the shared `Sides`."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 import exbt.classifier
 import exbt.jmodel.model
 import exbt.metrics
+from conftest import REPO_A, REPO_G
 from exbt.errors import RunnerUnavailable
+from exbt.jmodel import load_repo
 from exbt.jmodel.lexer import KEYWORDS
 from exbt.jmodel.stmts import BodyParser
 from exbt.metrics import (
@@ -166,6 +169,12 @@ def test_bleu_and_code_bleu_equal_the_per_pair_counts_bit_for_bit(cand, ref, max
     assert comp["weighted_ngram"] == _ref_weighted_bleu(cand, ref)
     degraded = code_bleu_components(_token_side(cand, False), _token_side(ref, True))
     assert degraded["code_bleu"] == degraded["weighted_ngram"] == plain
+    # a side scored against itself skips the clipping and gives what an
+    # equal side computed in full does
+    for parsed in (True, False):
+        side = _token_side(cand, parsed)
+        assert code_bleu_components(side, side) == code_bleu_components(
+            side, _token_side(cand, parsed))
 
 
 # --- CodeBLEU ---
@@ -436,9 +445,11 @@ def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
 
 
 def test_scoring_counts_each_texts_ngrams_once_and_each_pairs_matches_once(monkeypatch):
-    """Six candidates of one reference through one `Sides`: seven texts
-    counted, and each pair's 2- to 4-gram matches clipped once for both
-    plain and keyword-weighted BLEU."""
+    """Six candidates of one reference through one `Sides`: the `// boom`
+    variant shares the reference's side, so six sides are counted, and each
+    other pair's 2- to 4-gram matches are clipped once for both plain and
+    keyword-weighted BLEU; a side scored against itself clips none. When a
+    side was built per text, this counted seven and clipped six."""
     calls = {"_ngram_counts": 0, "_clipped_logs": 0}
 
     def counting(name):
@@ -463,7 +474,7 @@ def test_scoring_counts_each_texts_ngrams_once_and_each_pairs_matches_once(monke
     sides = Sides()
     scores = [score_candidate(c, METHOD, "IOException", "t1", sides=sides) for c in candidates]
     assert [s.code_bleu_degraded for s in scores] == [False] * 5 + [True]
-    assert calls == {"_ngram_counts": 7, "_clipped_logs": 6}
+    assert calls == {"_ngram_counts": 6, "_clipped_logs": 5}
 
 
 def test_score_candidate_degrades_on_a_malformed_switch():
@@ -501,3 +512,100 @@ def test_sides_scores_each_pair_and_classifies_each_text_once(monkeypatch):
     ]
     assert scores == [score_candidate(candidate, ref, e, t) for ref, e, t in calls]
     assert scores[3].bleu is None and scores[3].edit_sim is None
+
+
+# --- shared sides ---
+
+
+def _fresh_score(candidate: str, reference: str, exception: str) -> CandidateScore:
+    """What `score_candidate` gives when every text is made a side by its
+    own `Sides`, so no two texts share a side and every pair is computed
+    in full."""
+    comp = code_bleu_components(candidate, reference)
+    return CandidateScore(
+        "t", xmatch=xmatch(candidate, reference),
+        xmatch_strict=xmatch_strict(candidate, reference), bleu=comp["ngram"],
+        code_bleu=comp["code_bleu"], code_bleu_degraded=comp["degraded"],
+        edit_sim=edit_similarity(candidate, reference),
+        matched_e=matched_exception(candidate, exception),
+    )
+
+
+def _bits(score: CandidateScore) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in vars(score).items()}
+
+
+@cache
+def _repo_methods() -> list[tuple[str, list[int], list[int]]]:
+    """Each method of repoA and repoG that has a body: its source, from its
+    first annotation to its closing brace; the offsets in it where one
+    token ends and the gap before the next begins; and the offsets where
+    an identifier ends."""
+    out = []
+    for repo in (REPO_A, REPO_G):
+        for unit in load_repo(repo).units:
+            for _, m in unit.all_methods():
+                if m.tok_close is not None:
+                    toks = unit.tokens[m.tok_start : m.tok_close + 1]
+                    base = toks[0].offset
+                    text = unit.source[base : toks[-1].end]
+                    ends = [t.end - base for t in toks[:-1]]
+                    idents = [t.end - base for t in toks if t.kind == "ident"]
+                    out.append((text, ends, idents))
+    return out
+
+
+# what goes into a gap between two tokens: it adds no code token
+_NOISE = st.sampled_from(["// note\n", "//\n", "/* c */", "/* a\n b */", "  ", "\n\t\n", "\n"])
+
+
+def _insert(text: str, inserts: list[tuple[int, str]]) -> str:
+    for at, inserted in sorted(inserts, reverse=True):
+        text = text[:at] + inserted + text[at:]
+    return text
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_shared_sides_score_every_field_as_a_side_per_text_does(data):
+    """Two fixture methods, each with two comment and whitespace variants
+    and a one-token edit, every pair scored through one `Sides`: each
+    `CandidateScore` field equals, bit for bit, the one computed from a
+    side per text, and the variants of a method share its side."""
+    methods = _repo_methods()
+    groups = []
+    for _ in range(2):
+        text, ends, idents = data.draw(st.sampled_from(methods))
+        inserts = st.lists(st.tuples(st.sampled_from(ends), _NOISE), min_size=1, max_size=6)
+        edit = _insert(text, [(data.draw(st.sampled_from(idents)), "9")])
+        groups.append(([text] + [_insert(text, data.draw(inserts)) for _ in range(2)], edit))
+    texts = [t for variants, edit in groups for t in variants + [edit]]
+    sides = Sides()
+    for cand in texts:
+        for ref in texts:
+            shared = score_candidate(cand, ref, "IllegalArgumentException", "t", sides=sides)
+            assert _bits(shared) == _bits(_fresh_score(cand, ref, "IllegalArgumentException"))
+    for variants, edit in groups:
+        assert all(sides.side(t) is sides.side(variants[0]) for t in variants)
+        assert sides.side(edit) is not sides.side(variants[0])
+
+
+def test_a_rejected_text_shares_no_side_with_a_parsed_text_of_its_tokens():
+    """An open `/*` makes the lexer reject a text whose regex split equals
+    the tokens of the same text with `/ *`, which parses and has a body
+    tree. A side per code-token sequence alone would give one of them the
+    other's tree, or take it away."""
+    parsed = "@Test public void t() { f(); } / *"
+    rejected = "@Test public void t() { f(); } /*"
+    pairs = [(rejected, parsed), (parsed, rejected), (rejected, rejected), (rejected, METHOD),
+             (parsed, METHOD)]
+    for first in (parsed, rejected):
+        sides = Sides()
+        sides.side(first)
+        assert sides.member(rejected) is None and sides.member(parsed)[1] is not None
+        assert sides.side(rejected).tokens == sides.side(parsed).tokens
+        assert sides.side(rejected) is not sides.side(parsed)
+        scores = [score_candidate(c, r, "E", "t", sides=sides) for c, r in pairs]
+        assert [_bits(s) for s in scores] == [_bits(_fresh_score(c, r, "E")) for c, r in pairs]
+        assert [s.code_bleu_degraded for s in scores] == [True, True, True, True, False]
+        assert scores[0].xmatch is True

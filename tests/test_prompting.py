@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import REPO_A, write_two_throw_repo
 from exbt.classifier import TestMethod as Method
 from exbt.instrument import parse_trace_log
-from exbt.jmodel import MethodId, find_throw_sites
+from exbt.jmodel import MethodId, find_throw_sites, load_repo
 from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
     NoMatch,
@@ -380,6 +380,24 @@ def test_skeleton_used_in_dest_section(repo_a, repo_a_suite, pool):
     assert "testWithdrawOk" in text  # as a relevant test ...
     skeleton = build_dest_skeleton(repo_a, "src/test/java/com/fix/AccountTest.java")
     assert "testWithdrawOk" not in skeleton  # ... but not in the skeleton
+
+
+def test_skeleton_drops_a_test_whose_annotation_holds_a_comment(tmp_path):
+    path = "src/test/java/p/FooTest.java"
+    (tmp_path / path).parent.mkdir(parents=True)
+    (tmp_path / path).write_text(
+        "package p;\n"
+        "class FooTest {\n"
+        "    @Test /* why */ (expected = IllegalStateException.class)\n"
+        "    public void commented() { f(); }\n"
+        "    @org.junit. // which\n"
+        "    Test public void qualified() { f(); }\n"
+        "    private void helper() { }\n"
+        "}\n"
+    )
+    skeleton = build_dest_skeleton(load_repo(tmp_path), path)
+    assert "helper" in skeleton
+    assert "commented" not in skeleton and "qualified" not in skeleton
 
 
 # --- machine-oriented sweep ---
