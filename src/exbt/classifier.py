@@ -43,7 +43,7 @@ def _test_annotations(m: MethodDecl):
             yield toks, end
 
 
-def _has_test_annotation(m: MethodDecl) -> bool:
+def has_test_annotation(m: MethodDecl) -> bool:
     return any(_test_annotations(m))
 
 
@@ -112,7 +112,7 @@ def _try_fail_catch(unit: CompilationUnit, m: MethodDecl) -> str | None:
 
 
 def _classify_decl(unit: CompilationUnit, m: MethodDecl, mid: MethodId) -> TestMethod:
-    if not _has_test_annotation(m):
+    if not has_test_annotation(m):
         raise NotATest(f"{mid.label()} carries no @Test annotation")
     last = m.tok_close if m.tok_close is not None else m.tok_start
     body_text = unit.text(m.tok_start, last)
@@ -152,7 +152,7 @@ def split_test_suite(ctx: RepoContext) -> tuple[list[TestMethod], list[TestMetho
         if unit.path not in test_paths:
             continue
         for _, m in unit.all_methods():
-            if not _has_test_annotation(m):
+            if not has_test_annotation(m):
                 continue
             try:
                 t = _classify_decl(unit, m, m.mid)

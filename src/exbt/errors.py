@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the pipeline, and `read_input`, the
-one reader of input files, which names a malformed file in a BadInput."""
+"""Exception hierarchy shared across the pipeline, `read_input`, the one
+reader of input files, and `check_records`, which checks the shape of the
+JSON records a file holds; both name a malformed file in a BadInput."""
 
 from __future__ import annotations
 
@@ -51,6 +52,21 @@ def read_input(path, as_json: bool = False):
         raise BadInput(f"{path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise BadInput(f"{path}: not JSON ({exc})") from exc
+
+
+def check_records(path, data, strings: tuple[str, ...], required: tuple[str, ...] = ()):
+    """data, when it is a list of objects in which each field of `strings`
+    is a string where present and each of `required` is present; else
+    BadInput naming the file."""
+    if not isinstance(data, list):
+        raise BadInput(f"{path}: not a JSON list of objects")
+    for i, row in enumerate(data):
+        if not isinstance(row, dict):
+            raise BadInput(f"{path}: entry {i} is not an object")
+        for key in strings:
+            if (key in row or key in required) and not isinstance(row.get(key), str):
+                raise BadInput(f"{path}: entry {i} has no string {key!r}")
+    return data
 
 
 # --- test classification ---

@@ -14,18 +14,18 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from exbt.classifier import _has_test_annotation
+from exbt.classifier import has_test_annotation
 from exbt.errors import (
     BackendTimeout,
     BackendUnavailable,
     ExbtError,
     JavaParseError,
     MalformedResponse,
+    check_records,
     read_input,
 )
 from exbt.jmodel import parse_member
-from exbt.jmodel.lexer import Token, index_of, match_brace
-from exbt.jmodel.model import MEMBER_HEAD, MEMBER_TOKENS, lex_member
+from exbt.jmodel.lexer import index_of, match_brace, tokenize
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class StubBackend:
         data = read_input(path, as_json=True)
         if isinstance(data, dict):
             data = data.get("completions", [])
-        return cls(data)
+        return cls(check_records(path, data, ("completion", "contains"), ("completion",)))
 
     def generate(self, instruction: str, params: GenerationParams) -> str:
         inst_digest = digest(instruction)
@@ -256,32 +256,27 @@ def _test_method_at(chunk: str, at: int, parses: dict) -> str | None:
     """The method whose annotation starts at chunk[at], when its braces
     balance under the lexer and it parses as a test method; else None.
 
-    The text from `at` is lexed as `parse_member` wraps it; when the prose
-    after the method does not lex, the text before the point where the
-    lexer stopped is lexed instead. The method is parsed from these same
-    tokens, cut after its closing brace and closed with the wrapper's '}',
-    so a candidate is lexed once."""
+    The text from `at` is lexed; when the prose after the method does not
+    lex, the text before the point where the lexer stopped is lexed
+    instead. The candidate ends at the '}' that closes its first '{', and
+    is parsed from those same tokens, so it is lexed once."""
     text = chunk[at:]
     try:
-        tokens = lex_member(text)
+        tokens = tokenize(text)
     except JavaParseError as exc:
-        tokens = lex_member(text[: exc.offset - len(MEMBER_HEAD)])
+        tokens = tokenize(text[: exc.offset])
     try:
-        close = match_brace(tokens, index_of(tokens, MEMBER_TOKENS.start, "{"))
+        close = match_brace(tokens, index_of(tokens, 0, "{"))
     except JavaParseError:
         return None
-    if close == len(tokens) - 1:  # only the wrapper's own '}' closes it
-        return None
-    last = tokens[close]
-    candidate = text[: last.end - len(MEMBER_HEAD)]
+    candidate = text[: tokens[close].end]
     if candidate not in parses:
-        wrapper_close = Token("punct", "}", last.line + 1, last.end + 1)  # after a "\n"
         try:
-            parses[candidate] = parse_member(candidate, tokens[: close + 1] + [wrapper_close])
+            parses[candidate] = parse_member(candidate, tokens[: close + 1])
         except Exception:
             parses[candidate] = None
     _, m = parses[candidate] or (None, None)
-    return candidate if m and m.tok_open is not None and _has_test_annotation(m) else None
+    return candidate if m and m.tok_open is not None and has_test_annotation(m) else None
 
 
 def extract_candidate(completion: str, parses: dict | None = None) -> str | None:

@@ -70,7 +70,7 @@ class GuardExpression:
         return bool(self.conditions)
 
 
-def _parse_or_opaque(unit: CompilationUnit, rng: tuple[int, int]) -> Expr:
+def parse_or_opaque(unit: CompilationUnit, rng: tuple[int, int]) -> Expr:
     try:
         return exprs.parse_expr_tokens(unit.tokens[rng[0] : rng[1]], unit.source)
     except JavaParseError:
@@ -95,11 +95,11 @@ def _negate(e: Expr) -> Expr:
 
 def _assignment_rhs(unit: CompilationUnit, name: str, rng, op: str) -> Expr:
     if op == "=":
-        return _parse_or_opaque(unit, rng)
+        return parse_or_opaque(unit, rng)
     if op in ("++", "--"):
         return Binary("+" if op == "++" else "-", Name(name), Lit("1"))
     base = op[:-1]  # '+=' -> '+'
-    return Binary(base, Name(name), exprs.grouped(_parse_or_opaque(unit, rng)))
+    return Binary(base, Name(name), exprs.grouped(parse_or_opaque(unit, rng)))
 
 
 def _assignment_nodes(unit: CompilationUnit, stmt: Stmt) -> list[CollectedNode]:
@@ -121,13 +121,13 @@ def _condition_node(unit: CompilationUnit, rng, line: int, negated: bool) -> Col
         tag=NEGATED if negated else CONDITION,
         text=_text(unit, rng),
         line=line,
-        expr=_parse_or_opaque(unit, rng),
+        expr=parse_or_opaque(unit, rng),
     )
 
 
 def _switch_nodes(unit: CompilationUnit, group: Stmt, switch: Stmt) -> list[CollectedNode]:
     """Equality conditions for the matched case; negations for default."""
-    selector = exprs.grouped(_parse_or_opaque(unit, switch.selector_range))
+    selector = exprs.grouped(parse_or_opaque(unit, switch.selector_range))
     own = group.labels or []
     nodes: list[CollectedNode] = []
     if None in own:  # default: conjunction of negations of every other label
@@ -137,7 +137,7 @@ def _switch_nodes(unit: CompilationUnit, group: Stmt, switch: Stmt) -> list[Coll
             for lab in sibling.labels or []:
                 if lab is None:
                     continue
-                eq = Binary("==", selector, _parse_or_opaque(unit, lab))
+                eq = Binary("==", selector, parse_or_opaque(unit, lab))
                 nodes.append(
                     CollectedNode(
                         tag=NEGATED,
@@ -147,7 +147,7 @@ def _switch_nodes(unit: CompilationUnit, group: Stmt, switch: Stmt) -> list[Coll
                     )
                 )
         return nodes
-    eqs = [Binary("==", selector, _parse_or_opaque(unit, lab)) for lab in own if lab]
+    eqs = [Binary("==", selector, parse_or_opaque(unit, lab)) for lab in own if lab]
     if not eqs:
         return nodes
     cond: Expr = eqs[0]
@@ -209,7 +209,7 @@ def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl):
     for k, _, args, close in call_sites(toks, stmt.tok_start, stmt.tok_end):
         if toks[k].text == callee.called_as and len(args) == callee.arity:
             text = unit.source[toks[k].offset : toks[close].end]
-            return tuple(_parse_or_opaque(unit, r) for r in args), text
+            return tuple(parse_or_opaque(unit, r) for r in args), text
     return None
 
 

@@ -24,7 +24,6 @@ from exbt.classifier import TestMethod
 from exbt.errors import NotEBT
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, parse_member
 from exbt.jmodel.lexer import call_sites, find_top_level, match_paren
-from exbt.jmodel.model import MEMBER_FIRST_LINE
 from exbt.stacktrace import StackTrace, parse_stack_trace
 from exbt.errors import MalformedTrace
 
@@ -212,7 +211,7 @@ def instrument_print_exception(ebt: TestMethod) -> Rewrite:
     if EXC_MARKER in source:
         return rw  # already instrumented
     unit, m = parse_member(source)
-    lines = source.split("\n")  # unit line L is lines[L - MEMBER_FIRST_LINE]
+    lines = source.split("\n")  # line L is lines[L - 1]
     if ebt.pattern in ("AnnotationExpected", "ExpectedExceptionRule"):
         _wrap_body(unit, m, lines, rw)
     elif ebt.pattern == "TryFailCatch":
@@ -224,8 +223,8 @@ def instrument_print_exception(ebt: TestMethod) -> Rewrite:
 
 
 def _wrap_body(unit: CompilationUnit, m: MethodDecl, lines: list[str], rw: Rewrite) -> None:
-    open_line0 = unit.tokens[m.tok_open].line - MEMBER_FIRST_LINE
-    close_line0 = unit.tokens[m.tok_close].line - MEMBER_FIRST_LINE
+    open_line0 = unit.tokens[m.tok_open].line - 1
+    close_line0 = unit.tokens[m.tok_close].line - 1
     if close_line0 <= open_line0:
         rw.skipped.append(f"{m.name}: single-line body, cannot wrap")
         return
@@ -256,7 +255,7 @@ def _print_in_catch(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -> None:
             if toks[open_b + 1].line == toks[open_b].line:
                 rw.skipped.append("catch body starts on the brace line, cannot insert")
                 return
-            line0 = toks[open_b].line - MEMBER_FIRST_LINE
+            line0 = toks[open_b].line - 1
             indent = _indent_of(lines[line0]) + "    "
             stmt = (
                 f"{indent}{HELPER_PACKAGE}.ExbtTraceLog.dumpException({var_tok.text});"
@@ -282,7 +281,7 @@ def _capture_assert_throws(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -
     while toks[start - 1].text == "." and start - 2 > m.tok_open:
         start -= 2
     semi = toks[find_top_level(toks, close + 1, m.tok_close, (";",))]
-    edits = []  # (unit line, unit offset, text to insert there), in source order
+    edits = []  # (line, offset, text to insert there), in source order
     if toks[start - 1].text == "=":
         bound = toks[start - 2].text
     elif toks[start - 1].text in ("{", ";", "}"):
@@ -294,11 +293,10 @@ def _capture_assert_throws(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -
     dump = f" {HELPER_PACKAGE}.ExbtTraceLog.dumpException({bound}); {EXC_MARKER}"
     edits.append((semi.line, semi.end, dump))
     for line in dict.fromkeys(e[0] for e in edits):
-        rw.replaced_lines.append((line - MEMBER_FIRST_LINE + 1, lines[line - MEMBER_FIRST_LINE]))
+        rw.replaced_lines.append((line, lines[line - 1]))
     for line, offset, text in reversed(edits):  # the later one first: columns hold
-        i = line - MEMBER_FIRST_LINE
-        col = offset - unit.source.rfind("\n", 0, offset) - 1  # MEMBER_HEAD ends a line
-        lines[i] = lines[i][:col] + text + lines[i][col:]
+        col = offset - unit.source.rfind("\n", 0, offset) - 1
+        lines[line - 1] = lines[line - 1][:col] + text + lines[line - 1][col:]
 
 
 @dataclass

@@ -83,7 +83,6 @@ class MethodDecl:
     tok_start: int  # first member token (annotations included)
     tok_open: int | None  # '{' of the body, None for abstract members
     tok_close: int | None
-    annotations: list[str]  # each annotation's source text, comments kept
     annotation_tokens: list[list[Token]]  # each annotation's tokens
     is_ctor: bool = False
     compact: bool = False
@@ -184,16 +183,15 @@ def _import_scopes(imports: list[str]) -> tuple[list[tuple[str, str | None]], li
 
 
 class _UnitParser:
-    def __init__(self, source: str, path: str, tokens: list[Token] | None = None):
+    def __init__(self, source: str, tokens: list[Token]):
         self.src = source
-        self.path = path
-        self.toks = tokenize(source) if tokens is None else tokens
+        self.toks = tokens
 
-    def parse(self) -> CompilationUnit:
+    def parse(self, i: int, types: list[TypeDecl]) -> tuple[str, list[str], list[TypeDecl]]:
+        """The package, the imports and the top-level types declared from
+        token i on, the types after `types`."""
         package = ""
         imports: list[str] = []
-        types: list[TypeDecl] = []
-        i = 0
         n = len(self.toks)
         while i < n:
             t = self.toks[i]
@@ -219,7 +217,7 @@ class _UnitParser:
                 types.append(decl)
             else:
                 i += 1
-        return CompilationUnit(self.path, self.src, self.toks, package, imports, types)
+        return package, imports, types
 
     def _parse_type(self, kw_index: int, package: str | None, outer_fqn: str | None):
         kind = self.toks[kw_index].text
@@ -263,16 +261,15 @@ class _UnitParser:
         p = lo
         while p < hi:
             member_start = p
-            annotations: list[str] = []
             annotation_tokens: list[list[Token]] = []
             modifiers: list[str] = []
             # annotations, modifiers and a generic method's type parameters
             while p < hi:
                 t = self.toks[p]
                 if t.text == "@" and p + 1 < hi and self.toks[p + 1].text != "interface":
-                    start = p
-                    p, text = self._skip_annotation(p)
-                    annotations.append(text)
+                    start, p = p, skip_name(self.toks, p + 1, len(self.toks))
+                    if p < len(self.toks) and self.toks[p].text == "(":
+                        p = match_paren(self.toks, p) + 1
                     annotation_tokens.append(self.toks[start:p])
                 elif t.text in _MODIFIERS:
                     modifiers.append(t.text)
@@ -295,8 +292,7 @@ class _UnitParser:
                 continue
             # what every member declared here shares
             head = dict(owner_fqn=decl.fqn, start_line=self.toks[member_start].line,
-                        tok_start=member_start, annotations=annotations,
-                        annotation_tokens=annotation_tokens)
+                        tok_start=member_start, annotation_tokens=annotation_tokens)
             if t.text == "{":  # initializer block
                 close = match_brace(self.toks, p)
                 pseudo = "<clinit>" if "static" in modifiers else "<init>"
@@ -337,7 +333,8 @@ class _UnitParser:
             if q >= hi:
                 break
             method, p = self._parse_method(decl, q, head)
-            decl.methods.append(method)
+            if t.text != "(":  # a head that starts with '(' names no method
+                decl.methods.append(method)
 
     def _parse_method(self, decl, open_paren, head):
         name_tok = self.toks[open_paren - 1]
@@ -374,46 +371,35 @@ class _UnitParser:
             lo = end + 1
         return names
 
-    def _skip_annotation(self, p: int):
-        start = self.toks[p]
-        p = skip_name(self.toks, p + 1, len(self.toks))
-        end_tok = self.toks[p - 1]
-        if p < len(self.toks) and self.toks[p].text == "(":
-            close = match_paren(self.toks, p)
-            end_tok = self.toks[close]
-            p = close + 1
-        return p, self.src[start.offset : end_tok.end]
-
     def _join(self, lo: int, hi: int) -> str:
         return "".join(t.text for t in self.toks[lo:hi])
 
 
-def parse_unit(source: str, path: str, tokens: list[Token] | None = None) -> CompilationUnit:
-    """Parse source; `tokens`, when given, are its tokens and it is not lexed."""
-    return _UnitParser(source, path, tokens).parse()
-
-
-MEMBER_HEAD = "class __Member {\n"  # what parse_member's source follows in its unit
-MEMBER_FIRST_LINE = 2  # the unit line on which parse_member's source starts
-MEMBER_TOKENS = slice(3, -1)  # the unit's tokens that parse_member's source made
-
-
-def _member_unit_source(source: str) -> str:
-    return MEMBER_HEAD + source + "\n}"
-
-
-def lex_member(source: str) -> list[Token]:
-    """The tokens of the unit `parse_member` wraps source in."""
-    return tokenize(_member_unit_source(source))
+def parse_unit(source: str, path: str) -> CompilationUnit:
+    tokens = tokenize(source)
+    return CompilationUnit(path, source, tokens, *_UnitParser(source, tokens).parse(0, []))
 
 
 def parse_member(
     source: str, tokens: list[Token] | None = None
 ) -> tuple[CompilationUnit, MethodDecl | None]:
-    """Parse a member on its own, wrapped in a throwaway class: the unit and
-    its first method, or None when it declares none. `tokens`, when given,
-    are `lex_member(source)`, and the unit is not lexed again."""
-    unit = parse_unit(_member_unit_source(source), "<member>", tokens)
+    """Parse a member on its own, as the body of an unnamed class: the unit
+    and its first method, or None when it declares none. The unit's tokens
+    are the source's, so every offset and line in it is the source's own.
+
+    The body ends at the first '}' that closes no '{' of the source; what
+    follows is read as top-level declarations, and the class's own '}'
+    comes just after the source, on a line of its own. `tokens`, when
+    given, are `tokenize(source)`, and the source is not lexed again."""
+    tokens = tokenize(source) if tokens is None else tokens
+    # the class's own braces, as if on the lines before and after the source
+    own_open = Token("punct", "{", 0, -1)
+    own_close = Token("punct", "}", source.count("\n") + 2, len(source) + 1)
+    parser = _UnitParser(source, tokens + [own_close])
+    close = match_brace([own_open, *parser.toks], 0) - 1
+    body = TypeDecl("class", "", "", 1, parser.toks[close].line)
+    parser._parse_members(body, 0, close)
+    unit = CompilationUnit("<member>", source, tokens, *parser.parse(close + 1, [body]))
     return unit, next((m for _, m in unit.all_methods()), None)
 
 

@@ -18,11 +18,10 @@ from typing import NamedTuple
 
 from exbt.classifier import classify_member
 from exbt.errors import ExbtError, RunnerUnavailable
-from exbt.guardexpr import _parse_or_opaque
+from exbt.guardexpr import parse_or_opaque
 from exbt.jmodel import exprs as E
 from exbt.jmodel import CompilationUnit, MethodDecl, ThrowSite, parse_member
 from exbt.jmodel.lexer import KEYWORDS, tokenize
-from exbt.jmodel.model import MEMBER_TOKENS, lex_member
 from exbt.jmodel.stmts import BodyParser
 
 _FALLBACK_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -30,7 +29,7 @@ _LINE_COMMENT_RE = re.compile(r"//[^\n]*")
 _BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
 KEYWORD_WEIGHT = 5.0  # what a Java keyword weighs in CodeBLEU's weighted n-gram match
 
-# what `parse_member` returns: the wrapping unit and its first method
+# what `parse_member` returns: the member's unit and its first method
 Member = tuple[CompilationUnit, MethodDecl | None]
 
 
@@ -40,8 +39,13 @@ def code_tokens(text: str) -> list[str]:
     try:
         return [t.text for t in tokenize(text)]
     except ExbtError:
-        stripped = _BLOCK_COMMENT_RE.sub(" ", _LINE_COMMENT_RE.sub(" ", text))
-        return _FALLBACK_TOKEN_RE.findall(stripped)
+        return _split_tokens(text)
+
+
+def _split_tokens(text: str) -> list[str]:
+    """The regex split of a text the Java lexer rejects, comments dropped."""
+    stripped = _BLOCK_COMMENT_RE.sub(" ", _LINE_COMMENT_RE.sub(" ", text))
+    return _FALLBACK_TOKEN_RE.findall(stripped)
 
 
 def xmatch(candidate: str, reference: str) -> bool:
@@ -131,10 +135,10 @@ def _stmt_expr_trees(unit, stmt):
     trees = []
     for rng in (stmt.cond_range, stmt.selector_range):
         if rng is not None and stmt.kind != "catch":
-            trees.append(_parse_or_opaque(unit, rng))
+            trees.append(parse_or_opaque(unit, rng))
     for _, rng, op in stmt.assignments:
         if rng[1] > rng[0]:
-            trees.append(_parse_or_opaque(unit, rng))
+            trees.append(parse_or_opaque(unit, rng))
     return trees
 
 
@@ -211,9 +215,10 @@ class Sides:
 
     `parses` maps a text to its `parse_member` result, or to None when it
     does not parse. Extraction may record a candidate's parse there first;
-    the text is then not parsed again. A text whose member unit lexes but
-    does not parse keeps that unit's code tokens for its side, so only a
-    text the lexer rejects goes to `code_tokens`.
+    the text is then not parsed again, and its side takes its code tokens
+    from that parse's unit. Any other text is lexed once, by `member`,
+    which keeps its code tokens for its side: the token texts, or the regex
+    split when the lexer rejects it.
 
     Texts that differ only in comments or layout share one side when both
     parse as a member or neither does: a side is keyed by its code tokens
@@ -222,7 +227,7 @@ class Sides:
 
     def __init__(self) -> None:
         self.parses: dict[str, Member | None] = {}
-        self._unparsed_tokens: dict[str, list[str]] = {}
+        self._tokens: dict[str, list[str]] = {}  # the code tokens `member` keeps
         self._sides: dict[str, _Side] = {}
         self._shared: dict[tuple[tuple[str, ...], bool], _Side] = {}
         self._pairs: dict[tuple[str, str], dict] = {}
@@ -232,25 +237,24 @@ class Sides:
         if text not in self.parses:
             self.parses[text] = None
             try:
-                unit_tokens = lex_member(text)
+                tokens = tokenize(text)
             except ExbtError:
+                self._tokens[text] = _split_tokens(text)
                 return None
+            self._tokens[text] = [t.text for t in tokens]
             try:
-                self.parses[text] = parse_member(text, unit_tokens)
+                self.parses[text] = parse_member(text, tokens)
             except ExbtError:
-                self._unparsed_tokens[text] = [t.text for t in unit_tokens[MEMBER_TOKENS]]
+                pass
         return self.parses[text]
 
     def side(self, text: str) -> _Side:
         side = self._sides.get(text)
         if side is None:
             member = self.member(text)
-            if member is not None:
-                tokens = [t.text for t in member[0].tokens[MEMBER_TOKENS]]
-            elif text in self._unparsed_tokens:
-                tokens = self._unparsed_tokens.pop(text)
-            else:
-                tokens = code_tokens(text)
+            tokens = self._tokens.pop(text, None)
+            if tokens is None:  # extraction recorded its parse
+                tokens = [t.text for t in member[0].tokens] if member else code_tokens(text)
             key = (tuple(tokens), member is not None)
             side = self._shared.get(key)
             if side is None:

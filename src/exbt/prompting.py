@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from exbt.classifier import TestMethod, _has_test_annotation
+from exbt.classifier import TestMethod, has_test_annotation
 from exbt.errors import EmptyAfterExclusion, UnknownMethod
 from exbt.guardexpr import GuardExpression, compute_guard_expression
 from exbt.instrument import TraceLog
@@ -182,12 +182,9 @@ def directly_invokes(test: TestMethod, mut: MethodId, ctx: RepoContext) -> bool:
     return mut in ctx.callees_of(test.id)
 
 
-def select_dest_with_reason(
-    mut: MethodId, ctx: RepoContext, coverage_index: dict[str, str] | None = None
-) -> tuple[str | None, str]:
+def select_dest_with_reason(mut: MethodId, ctx: RepoContext) -> tuple[str | None, str]:
     """(path, mechanism): <FNM>Test.java then Test<FNM>.java among test files,
-    same package preferred, is a name-match; else the coverage index (keys:
-    method label, class fqn, simple name, file stem); else (None, "none")."""
+    same package preferred, is a name-match; else (None, "none")."""
     stem = mut.decl_file.rsplit("/", 1)[-1].removesuffix(".java")
     mut_unit = ctx.unit_for(mut.decl_file)
     mut_pkg = mut_unit.package if mut_unit is not None else ""
@@ -196,10 +193,6 @@ def select_dest_with_reason(
         found = by_name.get((name, mut_pkg)) or by_name.get((name, None))
         if found:
             return found[0], "name-match"
-    if coverage_index:
-        for key in (mut.label(), mut.fqn, mut.fqn.split(".")[-1], stem):
-            if key in coverage_index:
-                return coverage_index[key], "coverage"
     return None, "none"
 
 
@@ -210,7 +203,7 @@ def build_dest_skeleton(ctx: RepoContext, dest_path: str) -> str:
         return ""
     drop: list[tuple[int, int]] = []
     for _, m in unit.all_methods():
-        if _has_test_annotation(m):
+        if has_test_annotation(m):
             drop.append((m.start_line, m.end_line))
     lines = unit.source.split("\n")
     kept = [

@@ -21,7 +21,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-from exbt.errors import RunnerUnavailable, read_input
+from exbt.errors import RunnerUnavailable, check_records, read_input
 from exbt.genbackend import digest
 from exbt.instrument import HELPER_FILE, HELPER_SOURCE
 from exbt.jmodel import RepoContext, ThrowSite, parse_member, parse_unit
@@ -52,7 +52,8 @@ class RecordedRunner:
 
     @classmethod
     def from_file(cls, path) -> "RecordedRunner":
-        return cls(read_input(path, as_json=True))
+        rows = read_input(path, as_json=True)
+        return cls(check_records(path, rows, ("target", "candidate_contains")))
 
     def check(self, candidate: str, site: ThrowSite) -> FunctionalResult:
         target = site.label()

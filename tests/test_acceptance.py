@@ -41,7 +41,7 @@ def _ok(name: str) -> None:
 def test_criterion_classifier_fixture_suite():
     """>=20 labeled methods, all four patterns, >=6 negatives, 100%
     agreement, under one second."""
-    from exbt.classifier import _classify_decl, _has_test_annotation
+    from exbt.classifier import _classify_decl, has_test_annotation
 
     labels = {r["method"]: r for r in json.loads(
         (FIXTURES / "classifier/labels.json").read_text())}
@@ -52,7 +52,7 @@ def test_criterion_classifier_fixture_suite():
     patterns = set()
     for tdecl in unit.all_types():
         for m in tdecl.methods:
-            if not _has_test_annotation(m):
+            if not has_test_annotation(m):
                 continue
             got = _classify_decl(
                 unit, m,

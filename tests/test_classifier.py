@@ -98,7 +98,7 @@ def test_invariants_hold():
 def test_fixture_corpus_full_agreement():
     labels = {r["method"]: r for r in json.loads((FIXTURES / "classifier/labels.json").read_text())}
     source = (FIXTURES / "classifier/PatternsTest.java").read_text()
-    from exbt.classifier import _classify_decl, _has_test_annotation
+    from exbt.classifier import _classify_decl, has_test_annotation
     from exbt.jmodel import parse_unit
 
     unit = parse_unit(source, "PatternsTest.java")
@@ -106,7 +106,7 @@ def test_fixture_corpus_full_agreement():
     patterns_seen = set()
     for tdecl in unit.all_types():
         for m in tdecl.methods:
-            if not _has_test_annotation(m):
+            if not has_test_annotation(m):
                 continue
             got = _classify_decl(
                 unit, m, MethodId(tdecl.fqn, m.name, m.arity, "PatternsTest.java", m.decl_line)

@@ -746,13 +746,24 @@ _MALFORMED_INPUTS = {
                                      ("eval", "--candidates")),
     "eval-target-not-text": ("c.jsonl", b'{"target": ["a"], "candidate": "x"}\n',
                              ("eval", "--candidates")),
+    "eval-runner-results-not-a-list": ("rr.json", b'{"a": 1}',
+                                       ("eval", "--candidates", os.devnull, "--runner-results")),
+    "sweep-runner-results-target-not-text": ("rr.json", b'[{"target": ["a"]}]',
+                                             ("sweep", REPO_A, "--runner-results")),
+    "generate-stub-entry-not-an-object": ("s.json", b'["x"]',
+                                          ("generate", "--instruction", os.devnull, "--stub-file")),
+    "generate-stub-entry-without-completion": (
+        "s.json", b'{"completions": [{"contains": ""}]}',
+        ("generate", "--instruction", os.devnull, "--stub-file"),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
 def test_a_malformed_input_file_gives_a_typed_error(capsys, tmp_path, case):
-    """A file that is not UTF-8, or not JSON where JSON is read, is a
-    BadInput line on stderr that names the file, never a traceback."""
+    """A file that is not UTF-8, not JSON where JSON is read, or JSON
+    records of the wrong shape, is a BadInput line on stderr that names the
+    file, never a traceback."""
     name, data, argv = _MALFORMED_INPUTS[case]
     (tmp_path / name).write_bytes(data)
     code, _, err = run(capsys, *argv, tmp_path / name, *(

@@ -4,6 +4,7 @@ import builtins
 import io
 import os
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,13 @@ from exbt.jmodel import (
     call_name,
     find_throw_sites,
     load_repo,
+    parse_member,
     parse_unit,
     reachable_throws,
 )
 from exbt.jmodel.stmts import BodyParser, chains_at_line
 from exbt.manifest import tree_digest
+from member_wrap import LINES_BEFORE, TOKENS_BEFORE, parse_member_wrapped
 
 TEMPLATE = Path(__file__).resolve().parents[1] / "perfbench" / "repoA_template"
 FIXTURE_SOURCES = [p.read_text() for p in sorted(FIXTURES.rglob("*.java"))]
@@ -172,7 +175,8 @@ def _observe(what: str, source: str):
     if what == "fields":
         return unit.types[0].field_names
     if what == "annotations":
-        return [m.annotations for _, m in unit.all_methods()]
+        return [["".join(t.text for t in a) for a in m.annotation_tokens]
+                for _, m in unit.all_methods()]
     if what == "throws":
         ctx = RepoContext(Path("."), [unit], ["G.java"], [], [], {})
         return [(s.method.name, s.line, s.exception_type) for s in find_throw_sites(ctx, "all")]
@@ -270,11 +274,79 @@ def test_type_reader_regressions(what, source, expected):
             "annotations", "class G { @Test <T> void f() {} }", [["@Test"]],
             id="annotation-before-type-parameters",
         ),
+        pytest.param(
+            "methods", "class G { int a; (int x) { throw new E(); } void g() {} }", [("g", 0)],
+            id="nameless-head-declares-no-method",
+        ),
     ],
 )
 def test_member_heads_read_as_before(what, source, expected):
     """Heads that a plain scan to the first '(' already read right."""
     assert _observe(what, source) == expected
+
+
+@cache
+def _method_texts() -> list[str]:
+    """The text of every method with a body in the fixtures and the
+    benchmark's repoA template, annotations included."""
+    texts = []
+    for path in sorted([*FIXTURES.rglob("*.java"), *TEMPLATE.rglob("*.java")]):
+        try:
+            unit = parse_unit(path.read_text(), path.name)
+        except ExbtError:
+            continue
+        texts += [unit.text(m.tok_start, m.tok_close)
+                  for _, m in unit.all_methods() if m.tok_close is not None]
+    return texts
+
+
+# what a mutation inserts: stray brackets, a nameless head, a type that
+# swallows the rest, a stray '}' then a type, unterminated literals and
+# comments
+_INSERTS = ["{", "}", "(", "(int x)", "class X {", "} class Y { void q() {} }",
+            '"', "'", '"""', "/*", "//"]
+
+
+@st.composite
+def mutated_methods(draw):
+    text = draw(st.sampled_from(_method_texts()))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(_INSERTS)) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 8)):]
+    return text
+
+
+def _first_method(parse, text: str, tokens_before: int = 0, lines_before: int = 0):
+    """The exception class `parse` raises on text, or what its first
+    method is, token indexes and lines shifted down by the given counts."""
+    try:
+        _, m = parse(text)
+    except Exception as exc:
+        return type(exc)
+    if m is None:
+        return None
+    index = lambda k: None if k is None else k - tokens_before
+    return (
+        m.name, m.params, m.is_ctor, m.compact,
+        [[t.text for t in a] for a in m.annotation_tokens],
+        index(m.tok_start), index(m.tok_open), index(m.tok_close),
+        m.decl_line - lines_before, m.start_line - lines_before, m.end_line - lines_before,
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_methods())
+def test_member_parses_in_its_own_coordinates_as_the_wrapper_did(text):
+    """`parse_member` reads a text as the body of an unnamed class and finds
+    the first method that wrapping it in `class __Member {` … `}` finds, or
+    raises the same exception class: a stray '}' ends the body, and what
+    follows it is read as top-level declarations."""
+    assert _first_method(parse_member, text) == _first_method(
+        parse_member_wrapped, text, TOKENS_BEFORE, LINES_BEFORE
+    )
 
 
 @st.composite

@@ -416,7 +416,7 @@ def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
         return wrapper
 
     unparsed_tokens = code_tokens(UNPARSED)
-    # every module that lexes a side: `code_tokens` and `parse_member`'s unit
+    # every module that lexes a side: `Sides.member`, `code_tokens` and `parse_member`
     for module in (exbt.metrics, exbt.jmodel.model):
         monkeypatch.setattr(module, "tokenize", counting("tokenize", module.tokenize))
     monkeypatch.setattr(
@@ -435,13 +435,27 @@ def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
     assert calls == {"tokenize": 2, "parse_member": 2, "parse_block": 2, "classify_parse": 0}
 
     # a candidate that lexes but does not parse takes its side's tokens from
-    # the unit lexed for its parse, so it is lexed once too
+    # the lex made for its parse, so it is lexed once too
     calls.update(dict.fromkeys(calls, 0))
     sides = Sides()
     s = score_candidate(UNPARSED, METHOD, "IOException", "t1", sides=sides)
     assert s.code_bleu_degraded is True
     assert calls == {"tokenize": 2, "parse_member": 2, "parse_block": 1, "classify_parse": 0}
     assert sides.side(UNPARSED).tokens == unparsed_tokens
+
+
+def test_a_text_the_lexer_rejects_is_lexed_once(monkeypatch):
+    """Its side keeps the regex split made when `Sides.member` failed to lex
+    it. When the member was lexed wrapped in a class, `code_tokens` lexed
+    the text a second time."""
+    text = "@Test public void t() { f(); } /*"
+    split = code_tokens(text)
+    lexed = []
+    for module in (exbt.metrics, exbt.jmodel.model):
+        tokenize = module.tokenize
+        monkeypatch.setattr(module, "tokenize", lambda t, f=tokenize: lexed.append(t) or f(t))
+    assert Sides().side(text).tokens == split
+    assert lexed == [text]
 
 
 def test_scoring_counts_each_texts_ngrams_once_and_each_pairs_matches_once(monkeypatch):

@@ -299,14 +299,6 @@ def test_dest_prefix_naming(repo_a):
     )
 
 
-def test_dest_coverage_index_fallback(repo_a):
-    mut = _site(repo_a, "boom").method
-    index = {"com.fix.Orphan": "src/test/java/com/fix/AccountTest.java"}
-    assert select_dest_with_reason(mut, repo_a, index) == (
-        "src/test/java/com/fix/AccountTest.java", "coverage"
-    )
-
-
 def test_dest_none_without_match_or_index(repo_a):
     mut = _site(repo_a, "boom").method
     assert select_dest_with_reason(mut, repo_a) == (None, "none")

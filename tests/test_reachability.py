@@ -1,7 +1,8 @@
 """Every function, method and module-level name in src/exbt is reached:
 some other code in src/ names it, the benchmark's tracer wraps it, or the
 allowlist below says why it stays without a reader. Every dataclass and
-NamedTuple field in src/exbt is read by some code of the project."""
+NamedTuple field in src/exbt is read by some code of the project. No
+module in src/exbt imports an underscore name from another module."""
 
 from __future__ import annotations
 
@@ -186,6 +187,23 @@ def unread_fields() -> list[str]:
         for qualname, name in _record_fields(tree)
         if name not in read and (module, qualname) not in ALLOWED_FIELDS
     )
+
+
+def private_imports() -> list[str]:
+    """`module: name` for every underscore name that a module of src/
+    imports from another module."""
+    return sorted(
+        f"{module}: {node.module}.{alias.name}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def test_no_module_imports_a_private_name():
+    assert private_imports() == []
 
 
 def test_every_def_in_src_is_reached():
