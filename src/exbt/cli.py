@@ -308,7 +308,7 @@ def cmd_instrument(args) -> int:
     manifest = Manifest("instrument", seed=args.seed)
     manifest.add_input_tree("repo", args.repo, ctx.tree_digest())
     rewrites = instrument_print_trace(ctx, log_path=args.log_path)
-    # copy the tree, then overlay rewrites and sidecars
+    # copy the tree, then overlay the rewrites
     for rel in ctx.main_files + ctx.test_files:
         src = Path(args.repo) / rel
         dst = out / rel
@@ -319,14 +319,10 @@ def cmd_instrument(args) -> int:
         dst.parent.mkdir(parents=True, exist_ok=True)
         if isinstance(rewrite, str):  # generated helper source
             dst.write_text(rewrite, encoding="utf-8")
-            manifest.add_artifact(dst, out)
-            continue
-        dst.write_text(rewrite.rewritten, encoding="utf-8")
-        sidecar = out / (rel + ".offsets")
-        sidecar.write_text(rewrite.offsets_json() + "\n", encoding="utf-8")
+        else:
+            dst.write_text(rewrite.rewritten, encoding="utf-8")
+            manifest.bump("methods_instrumented", len(rewrite.inserts))
         manifest.add_artifact(dst, out)
-        manifest.add_artifact(sidecar, out)
-        manifest.bump("methods_instrumented", len(rewrite.inserted_lines))
     manifest.write(out / "manifest.json")
     print(f"instrumented tree written to {out}", file=sys.stderr)
     return 0

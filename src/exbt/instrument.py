@@ -3,9 +3,10 @@
 Two rewrites exist. The inference-path rewrite adds a one-line stack dump
 at the top of every method that contains a throw statement. The
 training-path rewrite makes an exceptional test print the caught
-exception's trace at the point it is observed. Both insert whole lines
-and record every edit, so originals can be restored byte-for-byte and
-logged line numbers can be normalized back to original coordinates.
+exception's trace at the point it is observed. Every edit inserts text
+at a token of the original, on that token's own line, so no line moves:
+a logged line number is a line of the original, and the original is
+restored byte-for-byte by cutting the recorded inserts out again.
 
 Running the instrumented code needs a JVM and is delegated to an external
 build runner; the hermetic pipeline consumes pre-recorded logs in the
@@ -97,46 +98,35 @@ class Rewrite:
     path: str
     original: str
     rewritten: str
-    inserted_lines: list[int] = field(default_factory=list)  # 1-based, rewritten coords
-    replaced_lines: list[tuple[int, str]] = field(default_factory=list)
+    # (offset in the original, text), in source order
+    inserts: list[tuple[int, str]] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
 
     def restore(self) -> str:
-        """Byte-identical original, reconstructed from the recorded edits."""
-        lines = self.rewritten.split("\n")
-        for lineno, original_text in self.replaced_lines:
-            lines[lineno - 1] = original_text
-        for lineno in sorted(self.inserted_lines, reverse=True):
-            del lines[lineno - 1]
-        return "\n".join(lines)
-
-    def to_original_line(self, rewritten_line: int) -> int:
-        shift = sum(1 for l in self.inserted_lines if l <= rewritten_line)
-        return rewritten_line - shift
-
-    def offsets_json(self) -> str:
-        return json.dumps(
-            {
-                "path": self.path,
-                "inserted": sorted(self.inserted_lines),
-                "replaced": [[l, t] for l, t in self.replaced_lines],
-            },
-            indent=0,
-        )
+        """Byte-identical original: `rewritten` with every insert cut out."""
+        parts, at, shift = [], 0, 0
+        for offset, text in self.inserts:
+            parts.append(self.rewritten[at : offset + shift])
+            shift += len(text)
+            at = offset + shift
+        parts.append(self.rewritten[at:])
+        return "".join(parts)
 
 
-def _indent_of(line: str) -> str:
-    return line[: len(line) - len(line.lstrip())]
+def _apply(rw: Rewrite) -> Rewrite:
+    """Put the inserts in source order (two at one offset keep the order
+    they were made in) and set `rewritten` to the original with each made."""
+    rw.inserts.sort(key=lambda e: e[0])
+    parts, at = [], 0
+    for offset, text in rw.inserts:
+        parts += [rw.original[at:offset], text]
+        at = offset
+    parts.append(rw.original[at:])
+    rw.rewritten = "".join(parts)
+    return rw
 
 
-def _insert_after(lines: list[str], index0: int, text: str, rw: Rewrite) -> None:
-    lines.insert(index0 + 1, text)
-    insert_line = index0 + 2  # 1-based line number of the inserted line
-    rw.inserted_lines = [l + 1 if l >= insert_line else l for l in rw.inserted_lines]
-    rw.replaced_lines = [
-        (l + 1 if l >= insert_line else l, t) for l, t in rw.replaced_lines
-    ]
-    rw.inserted_lines.append(insert_line)
+DUMP = f" {HELPER_PACKAGE}.ExbtTraceLog.dump(); {TRACE_MARKER}"
 
 
 def instrument_print_trace(
@@ -145,8 +135,8 @@ def instrument_print_trace(
     """Per-file rewrites adding an entry dump to every throw-bearing method.
 
     Returns {relative path: Rewrite} plus the generated helper class under
-    its own key. Methods whose body starts on the brace line, compact
-    constructors and abstract members are skipped with a warning.
+    its own key. Compact constructors and abstract members are skipped
+    with a warning.
     """
     out: dict[str, Rewrite | str] = {}
     for unit in ctx.units:
@@ -166,35 +156,32 @@ def instrument_print_trace(
 
 
 def _rewrite_trace_dumps(unit: CompilationUnit, targets: list[MethodDecl]) -> Rewrite | None:
-    lines = unit.source.split("\n")
     rw = Rewrite(path=unit.path, original=unit.source, rewritten=unit.source)
-    # bottom-up keeps earlier insert positions valid
-    for m in sorted(targets, key=lambda m: m.decl_line, reverse=True):
+    for m in targets:
         if m.tok_open is None:
             rw.skipped.append(f"{m.name}: no body to instrument")
             continue
         if m.compact:
             rw.skipped.append(f"{m.name}: compact constructor skipped")
             continue
-        open_tok = unit.tokens[m.tok_open]
-        first_body_tok = unit.tokens[m.tok_open + 1]
-        if first_body_tok.line == open_tok.line:
-            rw.skipped.append(
-                f"{m.name}: body starts on the brace line, cannot insert"
-            )
-            continue
-        open_line0 = open_tok.line - 1
-        if open_line0 + 1 < len(lines) and TRACE_MARKER in lines[open_line0 + 1]:
-            continue  # already instrumented
-        indent = _indent_of(lines[open_line0]) + "    "
-        stmt = f"{indent}{HELPER_PACKAGE}.ExbtTraceLog.dump(); {TRACE_MARKER}"
-        _insert_after(lines, open_line0, stmt, rw)
+        at = unit.tokens[_entry_token(unit.tokens, m)].end
+        if not unit.source.startswith(DUMP, at):  # else already instrumented
+            rw.inserts.append((at, DUMP))
     for reason in rw.skipped:
         logger.warning("%s: %s", unit.path, reason)
-    if not rw.inserted_lines and not rw.skipped:
+    if not rw.inserts and not rw.skipped:
         return None
-    rw.rewritten = "\n".join(lines)
-    return rw
+    return _apply(rw)
+
+
+def _entry_token(toks, m: MethodDecl) -> int:
+    """The token the entry dump follows: the body's '{', or the ';' of a
+    constructor's leading this(...) or super(...) call, which Java requires
+    to stay the first statement."""
+    k = m.tok_open
+    if m.is_ctor and toks[k + 1].text in ("this", "super") and toks[k + 2].text == "(":
+        return find_top_level(toks, k + 1, m.tok_close, (";",))
+    return k
 
 
 def instrument_print_exception(ebt: TestMethod) -> Rewrite:
@@ -211,62 +198,40 @@ def instrument_print_exception(ebt: TestMethod) -> Rewrite:
     if EXC_MARKER in source:
         return rw  # already instrumented
     unit, m = parse_member(source)
-    lines = source.split("\n")  # line L is lines[L - 1]
     if ebt.pattern in ("AnnotationExpected", "ExpectedExceptionRule"):
-        _wrap_body(unit, m, lines, rw)
+        _wrap_body(unit, m, rw)
     elif ebt.pattern == "TryFailCatch":
-        _print_in_catch(unit, m, lines, rw)
+        _print_in_catch(unit, m, rw)
     elif ebt.pattern == "AssertThrows":
-        _capture_assert_throws(unit, m, lines, rw)
-    rw.rewritten = "\n".join(lines)
-    return rw
+        _capture_assert_throws(unit, m, rw)
+    return _apply(rw)
 
 
-def _wrap_body(unit: CompilationUnit, m: MethodDecl, lines: list[str], rw: Rewrite) -> None:
-    open_line0 = unit.tokens[m.tok_open].line - 1
-    close_line0 = unit.tokens[m.tok_close].line - 1
-    if close_line0 <= open_line0:
-        rw.skipped.append(f"{m.name}: single-line body, cannot wrap")
-        return
-    indent = _indent_of(lines[open_line0]) + "    "
+def _wrap_body(unit: CompilationUnit, m: MethodDecl, rw: Rewrite) -> None:
     catch = (
-        f"{indent}}} catch (Throwable exbtEx) {{ "
+        f"}} catch (Throwable exbtEx) {{ "
         f"{HELPER_PACKAGE}.ExbtTraceLog.dumpException(exbtEx); "
         "if (exbtEx instanceof RuntimeException) { throw (RuntimeException) exbtEx; } "
         "else if (exbtEx instanceof Error) { throw (Error) exbtEx; } "
-        f"else {{ throw new RuntimeException(exbtEx); }} }} {EXC_MARKER}"
+        f"else {{ throw new RuntimeException(exbtEx); }} }} {EXC_MARKER} "
     )
-    _insert_after(lines, close_line0 - 1, catch, rw)
-    _insert_after(lines, open_line0, f"{indent}try {{ {EXC_MARKER}", rw)
+    rw.inserts.append((unit.tokens[m.tok_open].end, f" try {{ {EXC_MARKER}"))
+    rw.inserts.append((unit.tokens[m.tok_close].offset, catch))
 
 
-def _print_in_catch(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -> None:
+def _print_in_catch(unit: CompilationUnit, m: MethodDecl, rw: Rewrite) -> None:
     toks = unit.tokens
-    k = m.tok_open + 1
-    while k < m.tok_close:
+    for k in range(m.tok_open + 1, m.tok_close):
         if toks[k].text == "catch":
-            open_p = k + 1
-            close_p = match_paren(toks, open_p)
-            var_tok = toks[close_p - 1]
-            open_b = close_p + 1
-            if toks[open_b].text != "{":
-                k += 1
-                continue
-            if toks[open_b + 1].line == toks[open_b].line:
-                rw.skipped.append("catch body starts on the brace line, cannot insert")
+            close_p = match_paren(toks, k + 1)
+            if toks[close_p + 1].text == "{":
+                var = toks[close_p - 1].text
+                dump = f" {HELPER_PACKAGE}.ExbtTraceLog.dumpException({var}); {EXC_MARKER}"
+                rw.inserts.append((toks[close_p + 1].end, dump))
                 return
-            line0 = toks[open_b].line - 1
-            indent = _indent_of(lines[line0]) + "    "
-            stmt = (
-                f"{indent}{HELPER_PACKAGE}.ExbtTraceLog.dumpException({var_tok.text});"
-                f" {EXC_MARKER}"
-            )
-            _insert_after(lines, line0, stmt, rw)
-            return
-        k += 1
 
 
-def _capture_assert_throws(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -> None:
+def _capture_assert_throws(unit: CompilationUnit, m: MethodDecl, rw: Rewrite) -> None:
     """Print what the first assertThrows call returns, right after the ';'
     of its statement. A call assigned to a name prints that name; a call
     that starts its statement is bound to `exbtEx` at its first token; any
@@ -281,22 +246,16 @@ def _capture_assert_throws(unit, m: MethodDecl, lines: list[str], rw: Rewrite) -
     while toks[start - 1].text == "." and start - 2 > m.tok_open:
         start -= 2
     semi = toks[find_top_level(toks, close + 1, m.tok_close, (";",))]
-    edits = []  # (line, offset, text to insert there), in source order
     if toks[start - 1].text == "=":
         bound = toks[start - 2].text
     elif toks[start - 1].text in ("{", ";", "}"):
         bound = "exbtEx"
-        edits.append((toks[start].line, toks[start].offset, "java.lang.Throwable exbtEx = "))
+        rw.inserts.append((toks[start].offset, "java.lang.Throwable exbtEx = "))
     else:
         rw.skipped.append(f"{m.name}: assertThrows does not start its statement, cannot bind it")
         return
     dump = f" {HELPER_PACKAGE}.ExbtTraceLog.dumpException({bound}); {EXC_MARKER}"
-    edits.append((semi.line, semi.end, dump))
-    for line in dict.fromkeys(e[0] for e in edits):
-        rw.replaced_lines.append((line, lines[line - 1]))
-    for line, offset, text in reversed(edits):  # the later one first: columns hold
-        col = offset - unit.source.rfind("\n", 0, offset) - 1
-        lines[line - 1] = lines[line - 1][:col] + text + lines[line - 1][col:]
+    rw.inserts.append((semi.end, dump))
 
 
 @dataclass

@@ -106,7 +106,8 @@ def collect_stacktrace_set(
     """Pool of throw-reaching traces from non-EBT executions.
 
     Each logged trace yields one entry per throw statement declared in its
-    innermost method.
+    innermost method. A trace with a frame that names no method of the
+    repository is skipped with a warning.
     """
     by_label = {test_method_label(t.id): t for t in nonebts}
     entries: list[TracePoolEntry] = []
@@ -120,10 +121,11 @@ def collect_stacktrace_set(
             excluded = exclude_test_and_util_frames(trace, test.id.decl_file, ctx)
         except EmptyAfterExclusion:
             continue
-        last = excluded.frames[-1]
         try:
-            _, _, decl = ctx.resolve_frame(last.class_fqn, last.method, last.line)
-        except UnknownMethod:
+            for f in excluded.frames:  # the innermost frame's decl is left
+                _, _, decl = ctx.resolve_frame(f.class_fqn, f.method, f.line)
+        except UnknownMethod as exc:
+            logger.warning("trace of %s skipped: frame %s does not resolve", test_id, exc)
             continue
         for site in ctx.throw_sites_by_method.get(decl.mid, ()):
             key = (excluded.frames, test.id, site)

@@ -109,26 +109,26 @@ def parse_stack_trace(text: str) -> StackTrace:
 
 
 def exclude_test_and_util_frames(
-    trace: StackTrace, dest: str, ctx: RepoContext | None = None
+    trace: StackTrace, dest: str, ctx: RepoContext
 ) -> StackTrace:
-    """Drop frames declared in the destination test file or any test file.
+    """Cut the trace at the test, then drop test and util frames.
 
-    With a repository context, a frame of a known class goes when that
-    class is declared in a test file, any other frame when its file name is
-    the destination's or a test file's. Without one, file names decide: the
-    destination file itself and nothing else.
+    Every frame before the outermost one whose class is declared in a test
+    file goes: launchers, runners, build tools and harnesses. Of the rest,
+    a frame of a known class goes when that class is declared in a test
+    file, any other frame when its file name is the destination's or a
+    test file's.
     """
     dest_name = dest.rsplit("/", 1)[-1]
+    tests = ctx.test_class_fqns
+    cut = next((k for k, f in enumerate(trace.frames) if f.class_fqn in tests), 0)
 
     def keep(f: Frame) -> bool:
-        if ctx is not None:
-            if ctx.declares_type(f.class_fqn):
-                return f.class_fqn not in ctx.test_class_fqns
-            if (f.file, None) in ctx.test_files_by_name:
-                return False
-        return f.file != dest_name
+        if ctx.declares_type(f.class_fqn):
+            return f.class_fqn not in tests
+        return (f.file, None) not in ctx.test_files_by_name and f.file != dest_name
 
-    kept = tuple(f for f in trace.frames if keep(f))
+    kept = tuple(f for f in trace.frames[cut:] if keep(f))
     if not kept:
         raise EmptyAfterExclusion(
             f"no frames left after excluding test/util methods against {dest_name}"

@@ -3,8 +3,7 @@ package com.fix;
 public class Simple {
     private int state;
 
-    public void guarded(int v) {
-        exbtruntime.ExbtTraceLog.dump(); /* exbt:trace */
+    public void guarded(int v) { exbtruntime.ExbtTraceLog.dump(); /* exbt:trace */
         if (v < 0) {
             throw new IllegalArgumentException("negative");
         }

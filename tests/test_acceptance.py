@@ -26,7 +26,7 @@ from exbt.stacktrace import (
 )
 from guard_merge import merge
 from stack_render import render_stack_trace
-from test_stacktrace import traces
+from test_stacktrace import exclusion_traces, traces
 
 # committed constants (see the fixture files they describe)
 BLEU_ORACLE = 0.668740304976422  # bleu("a b c d", "a b c e"), hand n-gram count
@@ -117,15 +117,15 @@ def test_criterion_round_trip_property(trace):
 
 
 @settings(max_examples=200, deadline=None)
-@given(traces())
-def test_criterion_exclusion_idempotence(trace):
+@given(exclusion_traces())
+def test_criterion_exclusion_idempotence(repo_a, trace):
     from exbt.errors import EmptyAfterExclusion
 
     try:
-        once = exclude_test_and_util_frames(trace, "SomeTest.java")
+        once = exclude_test_and_util_frames(trace, "SomeTest.java", repo_a)
     except EmptyAfterExclusion:
         return
-    assert exclude_test_and_util_frames(once, "SomeTest.java") == once
+    assert exclude_test_and_util_frames(once, "SomeTest.java", repo_a) == once
 
 
 def test_criterion_round_trip_summary():

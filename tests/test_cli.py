@@ -119,18 +119,18 @@ def test_prompt_developer_oriented(capsys):
     assert "### Guard expression\namount < 0" in out
 
 
-def test_instrument_writes_tree_and_offsets(capsys, tmp_path):
+def test_instrument_writes_tree_in_original_lines(capsys, tmp_path):
     out_dir = tmp_path / "instrumented"
     code, _, err = run(capsys, "instrument", REPO_A, "--out", out_dir)
     assert code == 0
+    original = (REPO_A / "src/main/java/com/fix/Account.java").read_text()
     rewritten = (out_dir / "src/main/java/com/fix/Account.java").read_text()
     assert rewritten.count("/* exbt:trace */") == 3
-    sidecar = json.loads(
-        (out_dir / "src/main/java/com/fix/Account.java.offsets").read_text()
-    )
-    assert len(sidecar["inserted"]) == 3
+    assert rewritten.count("\n") == original.count("\n")
+    assert not list(out_dir.rglob("*.offsets"))
     assert (out_dir / "exbtruntime/ExbtTraceLog.java").exists()
-    assert (out_dir / "manifest.json").exists()
+    counters = json.loads((out_dir / "manifest.json").read_text())["counters"]
+    assert counters == {"methods_instrumented": 7}
 
 
 def test_pool_command(capsys):
@@ -166,6 +166,53 @@ def test_pool_follows_source_roots(capsys):
     assert {r["source_test"] for r in rows} == {
         "com.fix.AccountTest#testWithdrawOk", "com.fix.AccountTest#testDepositOk"}
     assert "# 3 pool entries" in err
+
+
+JUNIT_STARTER = "at com.intellij.rt.junit.JUnitStarter.main(JUnitStarter.java:69)\n"
+HARNESS_MAIN = "at ExbtHarness.main(ExbtHarness.java:18)\n"
+WITHDRAW = "at com.fix.Account.withdraw(Account.java:13)\n"
+CHECK_STATE = "at com.google.common.base.Preconditions.checkState(Preconditions.java:5)\n"
+# edits of repoA's non-EBT log, one trace block at a time
+LOG_EDITS = {
+    "intellij-launcher": lambda block: block + JUNIT_STARTER if WITHDRAW in block else block,
+    "harness-launcher": lambda block: block + HARNESS_MAIN if block else block,
+    "library-frame": lambda block: block.replace(WITHDRAW, WITHDRAW + CHECK_STATE),
+}
+
+
+def _sweep_bundles(capsys, tmp_path, edit=None) -> list[dict]:
+    """repoA's bundles, from its committed log or from that log edited."""
+    out = tmp_path / (edit or "committed")
+    argv = ["sweep", REPO_A, "--seed", "42", "--backend", "stub", "--out", out]
+    if edit:
+        blocks = (REPO_A / "logs/nonebt-traces.log").read_text().split("---\n")
+        log = tmp_path / f"{edit}.log"
+        log.write_text("---\n".join(map(LOG_EDITS[edit], blocks)))
+        argv += ["--trace-log", log]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    return [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("edit", ["intellij-launcher", "harness-launcher"])
+def test_launcher_frames_that_call_the_test_are_cut(capsys, tmp_path, edit):
+    assert _sweep_bundles(capsys, tmp_path, edit) == _sweep_bundles(capsys, tmp_path)
+
+
+def test_a_trace_with_a_frame_that_does_not_resolve_is_skipped(capsys, tmp_path, caplog):
+    """A library frame between the test and the throw leaves its trace out
+    of the pool; the sweep goes on without it."""
+    edited = _sweep_bundles(capsys, tmp_path, "library-frame")
+    assert "Preconditions.checkState" in caplog.text
+    committed = _sweep_bundles(capsys, tmp_path)
+    withdraw = "src/main/java/com/fix/Account.java:14"
+    assert [b for b in edited if b["target"] == withdraw] == [{
+        "target": withdraw, "exception_type": "IllegalArgumentException",
+        "statement": 'throw new IllegalArgumentException("negative amount");',
+        "status": "no-match", "reason": "no-matching-trace",
+    }]
+    assert [b for b in edited if b["target"] != withdraw] \
+        == [b for b in committed if b["target"] != withdraw]
 
 
 def test_sweep_reruns_are_byte_identical(capsys, tmp_path):

@@ -4,20 +4,25 @@ import shutil
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, GEN_SWEEP
 from exbt.classifier import split_test_suite
-from exbt.errors import NotEBT
+from exbt.errors import ExbtError, NotEBT
 from exbt.instrument import (
     HELPER_FILE,
     TRACE_MARKER,
+    _rewrite_trace_dumps,
     instrument_print_exception,
     instrument_print_trace,
     parse_trace_log,
 )
-from exbt.jmodel import load_repo
+from exbt.jmodel import load_repo, parse_unit
+from exbt.jmodel.lexer import tokenize
 
 INSTR = FIXTURES / "instrument"
+GATE = FIXTURES / "gate"
+REPO_A_TEMPLATE = GEN_SWEEP.parent / "repoA_template"
 
 
 @pytest.fixture()
@@ -65,7 +70,7 @@ def test_throwless_method_untouched(main_repo):
 
 def test_exactly_one_dump_per_throw_bearing_method(main_repo):
     for rw in _trace_rewrites(main_repo).values():
-        assert rw.rewritten.count(TRACE_MARKER) == len(rw.inserted_lines) == 1
+        assert rw.rewritten.count(TRACE_MARKER) == len(rw.inserts) == 1
 
 
 def test_trace_rewrite_idempotent(main_repo, tmp_path):
@@ -84,21 +89,19 @@ def test_restore_is_byte_identical(main_repo):
         assert rw.restore() == rw.original
 
 
-def test_offset_map_normalizes_lines(main_repo):
+def test_rewrite_keeps_every_line(main_repo):
+    """The dump goes on the line of the body's '{', so every line of the
+    original keeps its number and a logged line is an original line."""
     rw = _trace_rewrites(main_repo)["src/main/java/com/fix/Simple.java"]
-    insert = rw.inserted_lines[0]
-    # lines above the insertion keep their number, lines below shift by one
-    assert rw.to_original_line(insert - 1) == insert - 1
-    assert rw.to_original_line(insert + 1) == insert
+    [(offset, text)] = rw.inserts
     original_lines = rw.original.split("\n")
     rewritten_lines = rw.rewritten.split("\n")
-    for rewritten_no in range(1, len(rewritten_lines) + 1):
-        if rewritten_no == insert:
-            continue
-        assert (
-            rewritten_lines[rewritten_no - 1]
-            == original_lines[rw.to_original_line(rewritten_no) - 1]
-        )
+    assert len(rewritten_lines) == len(original_lines)
+    dump_line = rw.original.count("\n", 0, offset)
+    assert original_lines[dump_line] == "    public void guarded(int v) {"
+    assert rewritten_lines[dump_line] == original_lines[dump_line] + text
+    del rewritten_lines[dump_line], original_lines[dump_line]
+    assert rewritten_lines == original_lines
 
 
 def test_helper_class_emitted(main_repo):
@@ -107,7 +110,7 @@ def test_helper_class_emitted(main_repo):
     assert "getStackTrace" in out[HELPER_FILE]
 
 
-def test_abstract_and_single_line_members_skipped(tmp_path):
+def test_abstract_member_skipped_and_one_liner_dumped(tmp_path):
     (tmp_path / "Edge.java").write_text(
         """abstract class Edge {
     abstract void noBody();
@@ -118,9 +121,103 @@ def test_abstract_and_single_line_members_skipped(tmp_path):
     ctx = load_repo(tmp_path)
     rewrites = {k: v for k, v in instrument_print_trace(ctx).items() if k != HELPER_FILE}
     rw = rewrites["Edge.java"]
-    assert rw.inserted_lines == []
-    assert any("brace line" in s for s in rw.skipped)
-    assert rw.rewritten == rw.original
+    assert rw.rewritten.split("\n")[3] == (
+        "    void oneLiner(int x) { exbtruntime.ExbtTraceLog.dump(); /* exbt:trace */"
+        " if (x > 0) { throw new IllegalStateException(); } }"
+    )
+    assert rw.skipped == []
+    assert rw.restore() == rw.original
+
+
+def test_constructor_dump_follows_its_this_or_super_call():
+    """Java requires a this(...) or super(...) call to stay a constructor's
+    first statement, so the dump goes right after its ';'."""
+    ctx = load_repo(GATE)
+    rw = _trace_rewrites(ctx)["src/main/java/com/gate/Box.java"]
+    lines = rw.rewritten.split("\n")
+    assert lines[5] == (
+        "    public Box() { this(4); exbtruntime.ExbtTraceLog.dump(); /* exbt:trace */"
+        " if (size > 8) { throw new IllegalStateException(\"default too big\"); } }"
+    )
+    assert lines[8] == "        super(); exbtruntime.ExbtTraceLog.dump(); /* exbt:trace */"
+    assert rw.restore() == rw.original
+
+
+def _members() -> list[tuple[str, tuple]]:
+    """(text as written, tokens) of every member with a body declared in a
+    fixture or in the benchmark's repoA template."""
+    found = {}
+    for path in sorted([*FIXTURES.rglob("*.java"), *REPO_A_TEMPLATE.rglob("*.java")]):
+        try:
+            unit = parse_unit(path.read_text(), path.name)
+        except ExbtError:
+            continue
+        for _, m in unit.all_methods():
+            if m.tok_open is not None:
+                text = unit.text(m.tok_start, m.tok_close)
+                found.setdefault(text, tuple(unit.tokens[m.tok_start : m.tok_close + 1]))
+    return sorted(found.items())
+
+
+MEMBERS = _members()
+LAYOUTS = ("as-written", "one-line", "k&r", "allman")
+
+
+def _laid_out(member: tuple[str, tuple], layout: str) -> str:
+    """The member as written, its tokens on one line, or its tokens broken
+    after each '{' and ';' and before each '}' (K&R), and also before each
+    '{' (Allman)."""
+    text, tokens = member
+    if layout == "as-written":
+        return text
+    if layout == "one-line":
+        return " ".join(t.text for t in tokens)
+    out = ""
+    for t in tokens:
+        if t.text == "}" or (t.text == "{" and layout == "allman"):
+            out += "\n"
+        out += t.text + ("\n" if t.text in ("{", ";") else " ")
+    return out
+
+
+def _keeps_lines_and_restores(rw, rewrite_again) -> None:
+    """The rewrite moves no line and no original token off its line, cuts
+    back out to the original, and is a fixed point of its own rewrite."""
+    assert rw.rewritten.count("\n") == rw.original.count("\n")
+    rewritten = iter([(t.text, t.line) for t in tokenize(rw.rewritten)])
+    assert all(tok in rewritten for tok in ((t.text, t.line) for t in tokenize(rw.original)))
+    assert rw.restore() == rw.original
+    assert rewrite_again(rw.rewritten) == rw.rewritten
+
+
+def _dump_every_body(source: str):
+    unit = parse_unit(source, "Probe.java")
+    return _rewrite_trace_dumps(unit, [m for _, m in unit.all_methods() if m.tok_open is not None])
+
+
+def test_members_come_from_every_fixture():
+    assert len(MEMBERS) > 70
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MEMBERS), st.sampled_from(LAYOUTS))
+def test_every_rewrite_keeps_lines_restores_and_is_idempotent(repo_a_suite, member, layout):
+    text = _laid_out(member, layout)
+    rw = _dump_every_body(f"class Probe {{\n{text}\n}}\n")
+    if rw is not None:
+
+        def dump_again(source: str) -> str:
+            again = _dump_every_body(source)
+            return source if again is None else again.rewritten
+
+        _keeps_lines_and_restores(rw, dump_again)
+    ebt = repo_a_suite[0][0]
+    for pattern in ("AnnotationExpected", "TryFailCatch", "AssertThrows"):
+        probe = replace(ebt, body_text=text, pattern=pattern)
+        _keeps_lines_and_restores(
+            instrument_print_exception(probe),
+            lambda source: instrument_print_exception(replace(probe, body_text=source)).rewritten,
+        )
 
 
 def _ebt(ctx, pattern):

@@ -1,8 +1,9 @@
 """Every function, method and module-level name in src/exbt is reached:
 some other code in src/ names it, the benchmark's tracer wraps it, or the
-allowlist below says why it stays without a reader. Every dataclass and
-NamedTuple field in src/exbt is read by some code of the project. No
-module in src/exbt imports an underscore name from another module."""
+allowlist below says why it stays without a reader, and every allowlist
+entry names a def that exists. Every dataclass and NamedTuple field in
+src/exbt is read by some code of the project. No module in src/exbt
+imports an underscore name from another module."""
 
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ READERS = ("src", "tests", "perfbench", "microbench")
 ALLOWED = {
     ("exbt.guardexpr", "evaluate_guard"): "acceptance oracle for guards",
     ("exbt.instrument", "Rewrite.restore"): "README: originals restore byte-for-byte",
-    ("exbt.instrument", "Rewrite.to_original_line"): "README: instrument line mapping",
     ("exbt.jmodel.model", "RepoContext.callees"): "README: library call graph",
     ("exbt.jmodel.stmts", "stmts_at_line"): "the line lookup's statements without their "
     "chains; test_operand_reader checks the descent through it against a two-pass walk",
@@ -208,6 +208,12 @@ def test_no_module_imports_a_private_name():
 
 def test_every_def_in_src_is_reached():
     assert unreached() == []
+
+
+def test_every_allowed_entry_names_a_def():
+    """An entry whose def was deleted or renamed would keep nothing."""
+    defs = {(module, qualname) for module, tree in _trees().items() for qualname, _ in _defs(tree)}
+    assert sorted(set(ALLOWED) - defs) == []
 
 
 def test_every_module_level_name_in_src_is_read():

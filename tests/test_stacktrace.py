@@ -142,15 +142,49 @@ def test_exclusion_keeps_main_class_sharing_a_test_file_name(tmp_path):
     assert [f.class_fqn for f in out.frames] == ["a.Util"]
 
 
+# frames of repoA's test and main classes, and of the launchers around a test
+_KNOWN_FRAMES = st.sampled_from([
+    Frame("com.fix.AccountTest", "testWithdrawOk", "AccountTest.java", 17),
+    Frame("com.fix.CornerTest", "explode", "CornerTest.java", 24),
+    Frame("com.fix.Account", "withdraw", "Account.java", 13),
+    Frame("ExbtHarness", "main", "ExbtHarness.java", 18),
+    Frame("com.intellij.rt.junit.JUnitStarter", "main", "JUnitStarter.java", 69),
+])
+
+
+@st.composite
+def exclusion_traces(draw):
+    """Generated frames shuffled among repoA's and the launchers' frames."""
+    known = draw(st.lists(_KNOWN_FRAMES, max_size=4))
+    return StackTrace(tuple(draw(st.permutations(draw(traces()).frames + tuple(known)))))
+
+
 @settings(max_examples=200, deadline=None)
-@given(traces())
-def test_exclusion_idempotent(trace):
+@given(exclusion_traces())
+def test_exclusion_idempotent(repo_a, trace):
     try:
-        once = exclude_test_and_util_frames(trace, "SomeTest.java")
+        once = exclude_test_and_util_frames(trace, "SomeTest.java", repo_a)
     except EmptyAfterExclusion:
         return
-    twice = exclude_test_and_util_frames(once, "SomeTest.java")
+    twice = exclude_test_and_util_frames(once, "SomeTest.java", repo_a)
     assert once == twice
+
+
+def test_exclusion_cuts_frames_outside_the_outermost_test_frame(repo_a):
+    """Launchers and harnesses call the test; only what the test calls stays."""
+    trace = StackTrace(
+        (
+            Frame("com.intellij.rt.junit.JUnitStarter", "main", "JUnitStarter.java", 69),
+            Frame("ExbtHarness", "main", "ExbtHarness.java", 18),
+            Frame("com.fix.AccountTest", "testWithdrawOk", "AccountTest.java", 17),
+            Frame("com.google.common.base.Preconditions", "checkState", "Preconditions.java", 5),
+            Frame("com.fix.Account", "withdraw", "Account.java", 13),
+        )
+    )
+    out = exclude_test_and_util_frames(trace, "src/test/java/com/fix/AccountTest.java", repo_a)
+    assert [f.method for f in out.frames] == ["checkState", "withdraw"]
+    no_test = StackTrace(trace.frames[:2] + trace.frames[3:])
+    assert exclude_test_and_util_frames(no_test, "AccountTest.java", repo_a) == no_test
 
 
 def test_endpoints_resolve(repo_a):
