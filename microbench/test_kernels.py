@@ -47,6 +47,7 @@ from exbt.metrics import (  # noqa: E402
     score_candidate,
 )
 from exbt.prompting import SweepIndex  # noqa: E402
+from exbt.stacktrace import resolve_trace  # noqa: E402
 
 GUARDS = REPO_G / "src/main/java/gx/Guards.java"
 
@@ -205,6 +206,7 @@ def test_guard_deep_chain(benchmark, tmp_path):
     """One guard on a call chain of depth 64, the shape guard-deep stresses."""
     trace = write_call_chain(tmp_path, 64)
     ctx = load_repo(tmp_path)
+    trace = resolve_trace(trace, ctx)
 
     def one_guard():
         ctx.guard_cache.clear()  # time the computation, not the memo
@@ -218,6 +220,7 @@ def test_collect_nodes_deep_chain(benchmark, tmp_path):
     nodes of 64 frames, each condition, assignment and argument parsed."""
     trace = write_call_chain(tmp_path, 64)
     ctx = load_repo(tmp_path)
+    trace = resolve_trace(trace, ctx)
     assert len(benchmark(collect_nodes, trace, ctx)) == 64 * 5 - 3
 
 

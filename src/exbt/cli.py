@@ -61,7 +61,7 @@ from exbt.prompting import (
     test_method_label,
 )
 from exbt.runners import JavacRunner, RecordedRunner
-from exbt.stacktrace import exclude_test_and_util_frames, parse_stack_trace
+from exbt.stacktrace import exclude_test_and_util_frames, parse_stack_trace, resolve_trace
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -361,7 +361,7 @@ def cmd_guard(args) -> int:
     trace = parse_stack_trace(text)
     if args.dest:
         trace = exclude_test_and_util_frames(trace, args.dest, ctx)
-    guard = compute_guard_expression(trace, ctx)
+    guard = compute_guard_expression(resolve_trace(trace, ctx), ctx)
     print(guard.rendered)
     print(
         json.dumps(

@@ -25,7 +25,7 @@ from exbt.prompting import (
     make_bundle,
     test_method_label,
 )
-from exbt.stacktrace import StackTrace, endpoints, exclude_test_and_util_frames
+from exbt.stacktrace import StackTrace, endpoints, exclude_test_and_util_frames, resolve_trace
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,7 @@ def collect_training_corpus(
             skipped.append(SkippedExample(label, "EmptyAfterExclusion"))
             continue
         try:
+            trace = resolve_trace(trace, ctx)
             mut, site = endpoints(trace, ctx, ebt.expected_exception)
             guard = compute_guard_expression(trace, ctx, site)
         except ExbtError as exc:

@@ -94,7 +94,7 @@ class NoThrowAtFrame(ExbtError):
 
 
 class FrameOutOfSpan(ExbtError):
-    """A frame's line is not inside the resolved method declaration."""
+    """A frame's line is not inside the body of any declaration of that name."""
 
 
 # --- guard expressions ---

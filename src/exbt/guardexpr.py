@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from exbt.errors import FrameOutOfSpan, JavaParseError, UnknownMethod, UnsupportedConstruct
+from exbt.errors import JavaParseError, UnsupportedConstruct
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, ThrowSite
 from exbt.jmodel import exprs
 from exbt.jmodel.exprs import Binary, Expr, Grouped, Lit, Name, Opaque, Unary
@@ -203,11 +203,16 @@ def _walk_up(unit: CompilationUnit, chain: tuple[Stmt, ...]) -> list[CollectedNo
     return nodes
 
 
-def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl):
-    """The call to `callee` inside stmt: (args, source text), or None."""
+def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl, caller: MethodDecl):
+    """The call to `callee` inside stmt, a statement of `caller`: (args,
+    source text), or None. A constructor is also called as `this(…)` from
+    its own class and as `super(…)` from another."""
+    names = {callee.called_as}
+    if callee.is_ctor:
+        names.add("this" if callee.owner_fqn == caller.owner_fqn else "super")
     toks = unit.tokens
     for k, _, args, close in call_sites(toks, stmt.tok_start, stmt.tok_end):
-        if toks[k].text == callee.called_as and len(args) == callee.arity:
+        if toks[k].text in names and len(args) == callee.arity:
             text = unit.source[toks[k].offset : toks[close].end]
             return tuple(parse_or_opaque(unit, r) for r in args), text
     return None
@@ -215,7 +220,7 @@ def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl):
 
 def _throw_chain(
     unit: CompilationUnit, chains: list[tuple[Stmt, ...]], site: ThrowSite | None
-) -> tuple[Stmt, ...] | None:
+) -> tuple[Stmt, ...]:
     """Of a line's statement chains, the one whose statement's token span
     holds the site's `throw` token, else the line's first throw (or first
     statement). A site's token index counts only in its own unit."""
@@ -226,13 +231,13 @@ def _throw_chain(
     for chain in chains:
         if chain[0].kind == "throw":
             return chain
-    return chains[0] if chains else None
+    return chains[0]
 
 
 def collect_nodes(
     trace: StackTrace, ctx: RepoContext, site: ThrowSite | None = None
 ) -> list[CollectedNode]:
-    """Collect condition, assignment and call nodes along the trace.
+    """Collect condition, assignment and call nodes along a resolved trace.
 
     Frames are traversed in reversed order (throw site first); within a
     frame the walk climbs the ancestor chain of the statement at the frame
@@ -241,36 +246,20 @@ def collect_nodes(
     when that sits on the line, since one line can hold several throws.
     """
     nodes: list[CollectedNode] = []
-    prev: tuple[CompilationUnit, MethodDecl] | None = None
+    prev_decl: MethodDecl | None = None
     for frame in reversed(trace.frames):
-        unit, _, decl = ctx.resolve_frame(frame.class_fqn, frame.method, frame.line)
-        if not (decl.start_line <= frame.line <= decl.end_line):
-            raise FrameOutOfSpan(
-                f"line {frame.line} outside {decl.name} "
-                f"({decl.start_line}..{decl.end_line}) in {unit.path}"
-            )
-        tree = ctx.body_tree(unit, decl)
-        if tree is None:
-            raise FrameOutOfSpan(f"{decl.name} has no body")
-        chains = chains_at_line(tree, frame.line)
-        if prev is None:
-            chain = _throw_chain(unit, chains, site)
-        else:
-            chain = chains[0] if chains else None
-        if chain is None:
-            raise FrameOutOfSpan(
-                f"no statement at line {frame.line} of {decl.name} in {unit.path}"
-            )
+        unit, _, decl = ctx.resolve_method_id(frame.mid)
+        # a resolved line is inside the body, so some statement chain holds it
+        chains = chains_at_line(ctx.body_tree(unit, decl), frame.line)
+        chain = _throw_chain(unit, chains, site) if prev_decl is None else chains[0]
         start = chain[0]
-        found = None
-        if prev is not None:
-            _, prev_decl = prev
-            found = _find_call(unit, start, prev_decl)
+        if prev_decl is not None:
+            found = _find_call(unit, start, prev_decl, decl)
             if found is None:
                 # several statements may share the frame line; prefer the
                 # one actually holding the call
                 for candidate in chains[1:]:
-                    found = _find_call(unit, candidate[0], prev_decl)
+                    found = _find_call(unit, candidate[0], prev_decl, decl)
                     if found is not None:
                         chain, start = candidate, candidate[0]
                         break
@@ -301,7 +290,7 @@ def collect_nodes(
         if start.assignments:
             nodes.extend(_assignment_nodes(unit, start))
         nodes.extend(_walk_up(unit, chain))
-        prev = (unit, decl)
+        prev_decl = decl
     return nodes
 
 
@@ -358,8 +347,8 @@ def _fold(nodes: list[CollectedNode]) -> tuple[list[str], list[str], set[str]]:
 def compute_guard_expression(
     trace: StackTrace, ctx: RepoContext, site: ThrowSite | None = None
 ) -> GuardExpression:
-    """The guard conjunction for the trace, ending at `site` when given;
-    computed once per context, trace and site."""
+    """The guard conjunction for a resolved trace, ending at `site` when
+    given; computed once per context, trace and site."""
     key = (trace.frames, site)
     guard = ctx.guard_cache.get(key)
     if guard is None:
@@ -374,13 +363,9 @@ def _compute_guard(
     # visible names: parameters and fields of the method under test
     visible = {"this", "super", "true", "false", "null"}
     if trace.frames:
-        mut = trace.frames[0]
-        try:
-            unit, type_decl, decl = ctx.resolve_frame(mut.class_fqn, mut.method, mut.line)
-            visible.update(decl.params)
-            visible.update(type_decl.field_names)
-        except UnknownMethod:
-            pass
+        _, type_decl, decl = ctx.resolve_method_id(trace.frames[0].mid)
+        visible.update(decl.params)
+        visible.update(type_decl.field_names)
     return GuardExpression(
         conditions=tuple(conds),
         source_texts=tuple(texts),

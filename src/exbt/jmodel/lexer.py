@@ -279,7 +279,8 @@ def call_sites(tokens: list[Token], lo: int, hi: int):
     A call is a name followed by '(', or `new`, a type (type arguments
     included) and '('; a `new` call is named by the last part of the dotted
     name. A name is an identifier or a contextual keyword, but `yield` only
-    after '.': `yield (x);` is a statement. `()` has no argument ranges.
+    after '.': `yield (x);` is a statement; an explicit constructor call is
+    named `this` or `super`. `()` has no argument ranges.
     Raises JavaParseError at the first call whose '(' does not close before
     hi, after the calls that come before it."""
     k = lo
@@ -289,7 +290,8 @@ def call_sites(tokens: list[Token], lo: int, hi: int):
             name, paren = skip_name(tokens, k + 1, hi) - 1, skip_type(tokens, k + 1, hi)
         word = tokens[name]
         if (
-            name < paren < hi and tokens[paren].text == "(" and is_name(word)
+            name < paren < hi and tokens[paren].text == "("
+            and (is_name(word) or word.text in ("this", "super"))
             and (word.text != "yield" or name > 0 and tokens[name - 1].text == ".")
         ):
             close = match_paren(tokens, paren, hi)

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from exbt.errors import BadInput, IoError, JavaParseError, NoJavaSources, UnknownMethod
+from exbt.errors import (
+    BadInput, FrameOutOfSpan, IoError, JavaParseError, NoJavaSources, UnknownMethod,
+)
 from exbt.jmodel.lexer import (
     Token,
     call_sites,
@@ -483,8 +485,9 @@ class RepoContext:
 
     def call_sites_of(self, caller: MethodId) -> list[tuple[str, int, int, bool]]:
         """The caller's call sites in body order, scanned on first use:
-        (name, arity, line, whether the call follows `new`). An unbalanced
-        call parenthesis ends its caller's sites with a warning."""
+        (name, arity, line, whether the call follows `new`); an explicit
+        `this(…)` or `super(…)` call is not one. An unbalanced call
+        parenthesis ends its caller's sites with a warning."""
         sites = self._sites.get(caller)
         if sites is None:
             sites = self._sites[caller] = []
@@ -493,7 +496,8 @@ class RepoContext:
                     continue
                 try:
                     for k, new, args, _ in call_sites(u.tokens, m.tok_open + 1, m.tok_close):
-                        sites.append((u.tokens[k].text, len(args), u.tokens[k].line, new))
+                        if u.tokens[k].text not in ("this", "super"):
+                            sites.append((u.tokens[k].text, len(args), u.tokens[k].line, new))
                 except JavaParseError as exc:
                     self.warnings.append(f"{u.path}: call sites of {m.name} cut short ({exc})")
         return sites
@@ -600,7 +604,10 @@ class RepoContext:
         return decls[0]
 
     def resolve_frame(self, class_fqn: str, method_name: str, line: int):
-        """(unit, type, decl) for a stack frame, matching by fqn+name+line."""
+        """(unit, type, decl) of the method a stack frame names: the first
+        declaration of that name whose body braces hold the line.
+        `UnknownMethod` when the class declares no method of that name,
+        `FrameOutOfSpan` when no such body holds the line."""
         hit = self._type_by_fqn.get(class_fqn)
         candidates = []
         if hit is not None:
@@ -614,10 +621,13 @@ class RepoContext:
                     candidates.append((u, t, m))
         if not candidates:
             raise UnknownMethod(f"{class_fqn}.{method_name}")
-        in_span = [c for c in candidates if c[2].start_line <= line <= c[2].end_line]
-        if in_span:
-            return in_span[0]
-        return candidates[0]
+        for u, t, m in candidates:
+            if m.tok_open is not None \
+                    and u.tokens[m.tok_open].line <= line <= u.tokens[m.tok_close].line:
+                return u, t, m
+        u, _, m = candidates[0]
+        raise FrameOutOfSpan(
+            f"line {line} outside {m.name} ({m.start_line}..{m.end_line}) in {u.path}")
 
     def all_method_ids(self) -> list[MethodId]:
         return [m.mid for _, _, m in self._methods]
@@ -627,9 +637,7 @@ class RepoContext:
         last = m.tok_close if m.tok_close is not None else m.tok_start
         return u.text(m.tok_start, last)
 
-    def body_tree(self, unit: CompilationUnit, m: MethodDecl) -> Stmt | None:
-        if m.tok_open is None:
-            return None
+    def body_tree(self, unit: CompilationUnit, m: MethodDecl) -> Stmt:
         key = (unit.path, m.decl_line, m.name)
         tree = self._body_cache.get(key)
         if tree is None:

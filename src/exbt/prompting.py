@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from exbt.classifier import TestMethod, has_test_annotation
-from exbt.errors import EmptyAfterExclusion, UnknownMethod
+from exbt.errors import EmptyAfterExclusion, FrameOutOfSpan, UnknownMethod
 from exbt.guardexpr import GuardExpression, compute_guard_expression
 from exbt.instrument import TraceLog
 from exbt.jmodel import MethodId, RepoContext, ThrowSite
-from exbt.stacktrace import StackTrace, exclude_test_and_util_frames
+from exbt.stacktrace import StackTrace, exclude_test_and_util_frames, resolve_trace
 
 logger = logging.getLogger(__name__)
 
@@ -29,7 +29,7 @@ NONEBT_TOKEN_BUDGET = 2048  # whitespace tokens for the relevant-test slot
 
 @dataclass(frozen=True)
 class TracePoolEntry:
-    trace: StackTrace  # MUT-first, test/util frames excluded
+    trace: StackTrace  # MUT-first, test/util frames excluded, resolved
     source_test: MethodId
     throw_site: ThrowSite
 
@@ -106,8 +106,8 @@ def collect_stacktrace_set(
     """Pool of throw-reaching traces from non-EBT executions.
 
     Each logged trace yields one entry per throw statement declared in its
-    innermost method. A trace with a frame that names no method of the
-    repository is skipped with a warning.
+    innermost method. A trace with a frame that does not resolve (see
+    `resolve_trace`) is skipped with a warning.
     """
     by_label = {test_method_label(t.id): t for t in nonebts}
     entries: list[TracePoolEntry] = []
@@ -118,21 +118,19 @@ def collect_stacktrace_set(
             logger.warning("trace for unknown non-EBT %r skipped", test_id)
             continue
         try:
-            excluded = exclude_test_and_util_frames(trace, test.id.decl_file, ctx)
+            resolved = resolve_trace(
+                exclude_test_and_util_frames(trace, test.id.decl_file, ctx), ctx)
         except EmptyAfterExclusion:
             continue
-        try:
-            for f in excluded.frames:  # the innermost frame's decl is left
-                _, _, decl = ctx.resolve_frame(f.class_fqn, f.method, f.line)
-        except UnknownMethod as exc:
+        except (UnknownMethod, FrameOutOfSpan) as exc:
             logger.warning("trace of %s skipped: frame %s does not resolve", test_id, exc)
             continue
-        for site in ctx.throw_sites_by_method.get(decl.mid, ()):
-            key = (excluded.frames, test.id, site)
+        for site in ctx.throw_sites_by_method.get(resolved.frames[-1].mid, ()):
+            key = (resolved.frames, test.id, site)
             if key in seen:
                 continue
             seen.add(key)
-            entries.append(TracePoolEntry(excluded, test.id, site))
+            entries.append(TracePoolEntry(resolved, test.id, site))
     entries.sort(
         key=lambda e: (
             e.throw_site.method.decl_file,
@@ -142,12 +140,6 @@ def collect_stacktrace_set(
         )
     )
     return entries
-
-
-def _frame_matches(frame, mut: MethodId) -> bool:
-    return frame.method == mut.name and (
-        frame.class_fqn == mut.fqn or frame.class_fqn.endswith("." + mut.fqn)
-    )
 
 
 def rank_relevant_nonebts(
@@ -326,11 +318,11 @@ def assemble_prompt(
     matching = [
         q
         for q in pool
-        if q.throw_site == throw_site and any(_frame_matches(f, mut) for f in q.trace.frames)
+        if q.throw_site == throw_site and any(f.mid == mut for f in q.trace.frames)
     ]
     if not matching:
         return NoMatch("no-matching-trace")
-    pool_same_mut = {q.source_test for q in matching if _frame_matches(q.trace.frames[0], mut)}
+    pool_same_mut = {q.source_test for q in matching if q.trace.frames[0].mid == mut}
     pick = random.Random(seed).choice(matching)
     trace = pick.trace.with_last_line(throw_site.line)
     guard = compute_guard_expression(trace, ctx, throw_site)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from exbt.errors import (
     EmptyAfterExclusion,
@@ -20,13 +20,10 @@ from exbt.jmodel import RepoContext, MethodId, ThrowSite
 
 logger = logging.getLogger(__name__)
 
-# canonical frame: at com.foo.Bar.check(Bar.java:12)
+# a frame: at com.foo.Bar.check(Bar.java:12); the JVM may print the file
+# without a line, a negative line, `Unknown Source` or `Native Method`
 FRAME_RE = re.compile(
-    r"^\s*at\s+([\w.$]+)\.([\w$]+|<init>|<clinit>)\(([^():]+\.java):(\d+)\)\s*$"
-)
-# frames the JVM emits around user code but never useful for AST lookup
-NO_LINE_RE = re.compile(
-    r"^\s*at\s+([\w.$]+)\.([\w$<>]+)\((?:Unknown Source|Native Method)\)\s*$"
+    r"^\s*at\s+([\w.$]+)\.([\w$]+|<init>|<clinit>)\(([^():]*)(?::(-?\d+))?\)\s*$"
 )
 
 SYNTHETIC_PREFIXES = (
@@ -49,8 +46,10 @@ SYNTHETIC_PREFIXES = (
 class Frame:
     class_fqn: str
     method: str
-    file: str  # file name only, e.g. Bar.java, or <unknown>
+    file: str  # file name only, e.g. Bar.java
     line: int
+    # the method the frame names, set by `resolve_trace`; None before
+    mid: MethodId | None = field(default=None, compare=False, repr=False)
 
     def render(self) -> str:
         return f"at {self.class_fqn}.{self.method}({self.file}:{self.line})"
@@ -69,9 +68,7 @@ class StackTrace:
 
     def with_last_line(self, line: int) -> "StackTrace":
         """Same trace with the throw frame retargeted to another line."""
-        last = self.frames[-1]
-        retargeted = Frame(last.class_fqn, last.method, last.file, line)
-        return StackTrace(self.frames[:-1] + (retargeted,))
+        return StackTrace(self.frames[:-1] + (replace(self.frames[-1], line=line),))
 
 
 def _is_synthetic(class_fqn: str) -> bool:
@@ -81,8 +78,9 @@ def _is_synthetic(class_fqn: str) -> bool:
 def parse_stack_trace(text: str) -> StackTrace:
     """Parse raw JVM trace text into a MUT-first StackTrace.
 
-    Only the first cause segment is read; synthetic frames (reflection,
-    runners) and frames without a usable line number are dropped.
+    Only the first cause segment is read. Synthetic frames (reflection,
+    runners) are dropped; so is any other frame without a usable line (no
+    line, a negative one, `Unknown Source`, `Native Method`), with a warning.
     """
     jvm_order: list[Frame] = []
     saw_frame_line = False
@@ -90,17 +88,16 @@ def parse_stack_trace(text: str) -> StackTrace:
         if raw.strip().startswith("Caused by:"):
             break
         m = FRAME_RE.match(raw)
-        if m:
-            saw_frame_line = True
-            fqn, method, file_name, line = m.groups()
-            if _is_synthetic(fqn):
-                continue
-            jvm_order.append(Frame(fqn, method, file_name, int(line)))
+        if not m:
             continue
-        if NO_LINE_RE.match(raw):
-            saw_frame_line = True
+        saw_frame_line = True
+        fqn, method, file_name, line = m.groups()
+        if _is_synthetic(fqn):
+            continue
+        if line is None or line.startswith("-") or not file_name.endswith(".java"):
             logger.warning("dropping frame without line number: %s", raw.strip())
             continue
+        jvm_order.append(Frame(fqn, method, file_name, int(line)))
     if not saw_frame_line:
         raise MalformedTrace("no line matches the canonical frame syntax")
     if not jvm_order:
@@ -136,21 +133,28 @@ def exclude_test_and_util_frames(
     return StackTrace(kept)
 
 
+def resolve_trace(trace: StackTrace, ctx: RepoContext) -> StackTrace:
+    """The trace with each frame's method set: `UnknownMethod` for a frame
+    that names no method of the repository, `FrameOutOfSpan` for one whose
+    line no body of that name holds. The one place frames are resolved."""
+    frames = []
+    for f in trace.frames:
+        _, _, decl = ctx.resolve_frame(f.class_fqn, f.method, f.line)
+        frames.append(Frame(f.class_fqn, f.method, f.file, f.line, decl.mid))
+    return StackTrace(tuple(frames))
+
+
 def endpoints(
     trace: StackTrace, ctx: RepoContext, expected_exception: str | None = None
 ) -> tuple[MethodId, ThrowSite]:
-    """(method under test, target throw site) for a normalized trace. Of two
+    """(method under test, target throw site) for a resolved trace. Of two
     throws on the throw frame's line, the one whose exception type has the
     simple name of `expected_exception` wins, else the first."""
-    first = trace.frames[0]
-    _, _, decl = ctx.resolve_frame(first.class_fqn, first.method, first.line)
-    mut = decl.mid
     last = trace.frames[-1]
-    _, _, decl2 = ctx.resolve_frame(last.class_fqn, last.method, last.line)
-    sites = ctx.throw_sites_by_method.get(decl2.mid, ())
-    on_line = [site for site in sites if site.line == last.line]
+    on_line = [site for site in ctx.throw_sites_by_method.get(last.mid, ())
+               if site.line == last.line]
     if not on_line:
-        raise NoThrowAtFrame(f"{last.file}:{last.line} holds no throw statement in {decl2.name}")
+        raise NoThrowAtFrame(f"{last.file}:{last.line} holds no throw statement in {last.method}")
     want = (expected_exception or "").rsplit(".", 1)[-1]
     named = [site for site in on_line if site.exception_type.rsplit(".", 1)[-1] == want]
-    return mut, (named or on_line)[0]
+    return trace.frames[0].mid, (named or on_line)[0]

@@ -8,7 +8,7 @@ import pytest
 
 from exbt.classifier import split_test_suite
 from exbt.jmodel import find_throw_sites, load_repo
-from exbt.stacktrace import Frame, StackTrace
+from exbt.stacktrace import Frame, StackTrace, resolve_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_A = FIXTURES / "repoA"
@@ -45,7 +45,7 @@ def sites_by_method(ctx, scope="main"):
 
 
 def guard_trace(ctx, oracle_entry) -> StackTrace:
-    """Build the MUT-first trace a fixture describes.
+    """Build the MUT-first trace a fixture describes, resolved against ctx.
 
     Frame lines are derived from the parsed model (throw line for the
     innermost frame, the call line for each caller) so the committed
@@ -73,7 +73,7 @@ def guard_trace(ctx, oracle_entry) -> StackTrace:
         fqn = next(m.fqn for m in ctx.all_method_ids() if m.name == caller)
         frames.append(Frame(fqn, caller, file_name, line))
     frames.append(Frame(site.method.fqn, site_method, file_name, site.line))
-    return StackTrace(tuple(frames)), site
+    return resolve_trace(StackTrace(tuple(frames)), ctx), site
 
 
 def write_two_throw_repo(repo: Path, second: str = "B") -> None:
@@ -111,8 +111,9 @@ def write_replicated_repo_a(repo: Path, k: int, seed: int = 1) -> None:
 
 def write_call_chain(repo: Path, depth: int) -> StackTrace:
     """A call chain `Chain.s0 -> ... -> s<depth-1>` and the MUT-first trace
-    that reaches its throw. Every level assigns a local from a parameter,
-    branches on it and passes it down; only the innermost level throws."""
+    that reaches its throw, not yet resolved. Every level assigns a local
+    from a parameter, branches on it and passes it down; only the innermost
+    level throws."""
     lines = ["public class Chain {"]
     frames = []
     for j in range(depth - 1):

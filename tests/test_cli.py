@@ -172,11 +172,16 @@ JUNIT_STARTER = "at com.intellij.rt.junit.JUnitStarter.main(JUnitStarter.java:69
 HARNESS_MAIN = "at ExbtHarness.main(ExbtHarness.java:18)\n"
 WITHDRAW = "at com.fix.Account.withdraw(Account.java:13)\n"
 CHECK_STATE = "at com.google.common.base.Preconditions.checkState(Preconditions.java:5)\n"
+# `deposit` spans lines 19..25 of Account.java: 40 is past the file, 18 between methods
+DEPOSIT_AT = "at com.fix.Account.deposit(Account.java:{})\n"
 # edits of repoA's non-EBT log, one trace block at a time
 LOG_EDITS = {
     "intellij-launcher": lambda block: block + JUNIT_STARTER if WITHDRAW in block else block,
     "harness-launcher": lambda block: block + HARNESS_MAIN if block else block,
     "library-frame": lambda block: block.replace(WITHDRAW, WITHDRAW + CHECK_STATE),
+    "deposit-past-the-file": lambda block: block.replace(WITHDRAW, WITHDRAW + DEPOSIT_AT.format(40)),
+    "deposit-between-methods":
+        lambda block: block.replace(WITHDRAW, WITHDRAW + DEPOSIT_AT.format(18)),
 }
 
 
@@ -199,12 +204,9 @@ def test_launcher_frames_that_call_the_test_are_cut(capsys, tmp_path, edit):
     assert _sweep_bundles(capsys, tmp_path, edit) == _sweep_bundles(capsys, tmp_path)
 
 
-def test_a_trace_with_a_frame_that_does_not_resolve_is_skipped(capsys, tmp_path, caplog):
-    """A library frame between the test and the throw leaves its trace out
-    of the pool; the sweep goes on without it."""
-    edited = _sweep_bundles(capsys, tmp_path, "library-frame")
-    assert "Preconditions.checkState" in caplog.text
-    committed = _sweep_bundles(capsys, tmp_path)
+def _only_withdraw_lost_its_trace(edited: list[dict], committed: list[dict]) -> None:
+    """The withdraw throw has no matching trace; every other bundle is the
+    committed log's."""
     withdraw = "src/main/java/com/fix/Account.java:14"
     assert [b for b in edited if b["target"] == withdraw] == [{
         "target": withdraw, "exception_type": "IllegalArgumentException",
@@ -213,6 +215,23 @@ def test_a_trace_with_a_frame_that_does_not_resolve_is_skipped(capsys, tmp_path,
     }]
     assert [b for b in edited if b["target"] != withdraw] \
         == [b for b in committed if b["target"] != withdraw]
+
+
+def test_a_trace_with_a_frame_that_does_not_resolve_is_skipped(capsys, tmp_path, caplog):
+    """A library frame between the test and the throw leaves its trace out
+    of the pool; the sweep goes on without it."""
+    edited = _sweep_bundles(capsys, tmp_path, "library-frame")
+    assert "Preconditions.checkState" in caplog.text
+    _only_withdraw_lost_its_trace(edited, _sweep_bundles(capsys, tmp_path))
+
+
+@pytest.mark.parametrize("edit", ["deposit-past-the-file", "deposit-between-methods"])
+def test_a_frame_outside_every_body_of_its_method_is_skipped(capsys, tmp_path, caplog, edit):
+    """A frame whose line no `deposit` body holds does not resolve, so the
+    pool leaves its trace out instead of the guard walk failing on it."""
+    edited = _sweep_bundles(capsys, tmp_path, edit)
+    assert "outside deposit (19..25)" in caplog.text
+    _only_withdraw_lost_its_trace(edited, _sweep_bundles(capsys, tmp_path))
 
 
 def test_sweep_reruns_are_byte_identical(capsys, tmp_path):

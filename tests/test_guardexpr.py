@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import guard_trace, parse_env_key, write_call_chain, write_two_throw_repo
+from conftest import FIXTURES, guard_trace, parse_env_key, write_call_chain, write_two_throw_repo
 from exbt import guardexpr
 from exbt.errors import FrameOutOfSpan, JavaParseError, UnboundName, UnsupportedConstruct
 from exbt.guardexpr import (
@@ -22,7 +22,7 @@ from exbt.guardexpr import (
 )
 from exbt.jmodel import exprs, load_repo
 from exbt.jmodel.exprs import Binary, Call, Expr, Field, Grouped, Lit, Name, Ternary, Unary
-from exbt.stacktrace import Frame, StackTrace
+from exbt.stacktrace import Frame, StackTrace, resolve_trace
 from guard_merge import merge
 
 
@@ -75,9 +75,28 @@ def test_decl_call_pairs_always_adjacent(repo_g, guards_oracle):
 
 
 def test_collect_frame_out_of_span(repo_g):
+    """A frame outside its method never reaches the walk: it does not resolve."""
     trace = StackTrace((Frame("gx.Guards", "ifPositive", "Guards.java", 9999),))
     with pytest.raises(FrameOutOfSpan):
-        collect_nodes(trace, repo_g)
+        resolve_trace(trace, repo_g)
+
+
+def test_a_guard_through_an_explicit_constructor_call_binds_its_parameters(tmp_path):
+    """`this(4)` in `Box()` calls `Box(int n)`, whose throw needs `n < 0`;
+    `super(m - 1)` in a subclass calls its superclass's constructor."""
+    ctx = load_repo(FIXTURES / "gate")
+    box = [Frame("com.gate.Box", "<init>", "Box.java", line) for line in (6, 11)]
+    guard = compute_guard_expression(resolve_trace(StackTrace(tuple(box)), ctx), ctx)
+    assert (guard.conditions, guard.source_texts, guard.unresolved_names) \
+        == (("4 < 0",), ("n < 0",), ())
+    (tmp_path / "A.java").write_text(
+        "class A {\n    A(int n) {\n        if (n < 0) throw new IllegalStateException();\n"
+        "    }\n}\nclass B extends A {\n    B(int m) {\n        super(m - 1);\n    }\n}\n"
+    )
+    ctx = load_repo(tmp_path)
+    sub = StackTrace((Frame("B", "<init>", "A.java", 8), Frame("A", "<init>", "A.java", 3)))
+    guard = compute_guard_expression(resolve_trace(sub, ctx), ctx)
+    assert (guard.rendered, guard.unresolved_names) == ("(m - 1) < 0", ())
 
 
 # --- merge ---
@@ -184,7 +203,7 @@ def test_empty_guard_is_vacuously_true(tmp_path):
 
     ctx = load_repo(tmp_path)
     site = find_throw_sites(ctx, "all")[0]
-    trace = StackTrace((Frame("Always", "die", "Always.java", site.line),))
+    trace = resolve_trace(StackTrace((Frame("Always", "die", "Always.java", site.line),)), ctx)
     guard = compute_guard_expression(trace, ctx)
     assert guard.rendered == ""
     assert evaluate_guard(guard, {}) is True
@@ -204,8 +223,9 @@ def test_evaluate_guard_on_a_condition_that_does_not_parse(tmp_path):
         "        if (((Predicate<Integer>) v -> v > 0).test(x)) {\n"
         "            throw new IllegalStateException();\n        }\n    }\n}\n"
     )
-    trace = StackTrace((Frame("G", "f", "G.java", 4),))
-    guard = compute_guard_expression(trace, load_repo(tmp_path))
+    ctx = load_repo(tmp_path)
+    guard = compute_guard_expression(
+        resolve_trace(StackTrace((Frame("G", "f", "G.java", 4),)), ctx), ctx)
     assert guard.conditions == ("((Predicate<Integer>) v -> v > 0).test(x)",)
     with pytest.raises(JavaParseError):
         exprs.parse_expr(guard.conditions[0])
@@ -307,7 +327,7 @@ def test_a_name_bound_to_a_literal_is_not_free(tmp_path):
         "        if (t > q) throw new IllegalStateException();\n    }\n}\n"
     )
     ctx = load_repo(tmp_path)
-    trace = StackTrace((Frame("G", "f", "G.java", 4),))
+    trace = resolve_trace(StackTrace((Frame("G", "f", "G.java", 4),)), ctx)
     assert _fold(collect_nodes(trace, ctx)) == (["5 > q"], ["t > q"], {"q"})
     assert compute_guard_expression(trace, ctx).unresolved_names == ()
 
@@ -325,8 +345,10 @@ def test_fold_substitutions_grow_linearly_with_depth(tmp_path, monkeypatch):
     made = {}
     for depth in (16, 32, 64):
         trace = write_call_chain(tmp_path / str(depth), depth)
+        ctx = load_repo(tmp_path / str(depth))
+        trace = resolve_trace(trace, ctx)
         calls = 0
-        guard = compute_guard_expression(trace, load_repo(tmp_path / str(depth)))
+        guard = compute_guard_expression(trace, ctx)
         assert len(guard.conditions) == depth
         made[depth] = calls
     # rendering substituted trees made 813, 3,165 and 12,477 on these chains
@@ -350,14 +372,14 @@ def test_guard_memo_is_scoped_to_its_context(tmp_path, monkeypatch):
     trace = StackTrace((Frame("G", "f", "G.java", 3),))
     first = _one_branch_repo(tmp_path / "one", "x > 0")
     second = _one_branch_repo(tmp_path / "two", "x < 5")
-    guard = compute_guard_expression(trace, first)
+    guard = compute_guard_expression(resolve_trace(trace, first), first)
     assert guard.rendered == "x > 0"
-    assert compute_guard_expression(trace, second).rendered == "x < 5"
+    assert compute_guard_expression(resolve_trace(trace, second), second).rendered == "x < 5"
     collected = []
     monkeypatch.setattr(
         guardexpr, "collect_nodes", lambda *a: collected.append(a) or []
     )
-    assert compute_guard_expression(trace, first) is guard
+    assert compute_guard_expression(resolve_trace(trace, first), first) is guard
     assert collected == []
 
 
@@ -365,7 +387,7 @@ def test_guard_starts_at_the_sites_own_throw(tmp_path):
     write_two_throw_repo(tmp_path)
     ctx = load_repo(tmp_path)
     a, b = ctx.throw_sites
-    trace = StackTrace((Frame("p.Range", "check", "Range.java", 5),))
+    trace = resolve_trace(StackTrace((Frame("p.Range", "check", "Range.java", 5),)), ctx)
     assert compute_guard_expression(trace, ctx, a).rendered == "x < 0"
     assert compute_guard_expression(trace, ctx, b).rendered == "x > 9 && !(x < 0)"
     assert compute_guard_expression(trace, ctx).rendered == "x < 0"
@@ -387,7 +409,7 @@ def test_a_call_replacement_takes_the_one_grouping_rule(tmp_path):
     ctx = load_repo(tmp_path)
     rendered = [
         compute_guard_expression(
-            StackTrace((Frame("G", s.method.name, "G.java", s.line),)), ctx, s
+            resolve_trace(StackTrace((Frame("G", s.method.name, "G.java", s.line),)), ctx), ctx, s
         ).rendered
         for s in ctx.throw_sites
     ]

@@ -167,9 +167,10 @@ def _calls(source: str, hi: int | None = None):
           ("HashMap", True, [], 10), ("g", False, [], 21)]),
         ("x.<T>m(y)", [("m", False, ["y"], 8)]),
         ("new int[3]", []),
-        ("if (a) return this(b);", []),
+        ("if (a) return this(b);", [("this", False, ["b"], 8)]),
         ("new R(1) { void run() { g(); } }", [("R", True, ["1"], 4), ("run", False, [], 9),
                                                 ("g", False, [], 13)]),
+        ("super(n); super.f(x)", [("super", False, ["n"], 3), ("f", False, ["x"], 10)]),
     ],
 )
 def test_call_sites_reads_calls_in_source_order(source, calls):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_A, write_two_throw_repo
-from exbt.classifier import TestMethod as Method
-from exbt.instrument import parse_trace_log
+from exbt.classifier import TestMethod as Method, split_test_suite
+from exbt.guardexpr import compute_guard_expression
+from exbt.instrument import TraceLog, parse_trace_log
 from exbt.jmodel import MethodId, find_throw_sites, load_repo
 from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
@@ -24,6 +25,7 @@ from exbt.prompting import (
     sweep_targets,
     test_method_label as label_of,
 )
+from exbt.stacktrace import StackTrace
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +71,33 @@ def test_pool_entries_exclude_test_frames(pool):
 def test_pool_site_reachable_from_last_frame(repo_a, pool):
     for e in pool:
         last = e.trace.frames[-1]
-        unit, _, decl = repo_a.resolve_frame(last.class_fqn, last.method, last.line)
+        _, _, decl = repo_a.resolve_method_id(last.mid)
         assert decl.start_line <= e.throw_site.line <= decl.end_line
+
+
+@pytest.fixture(scope="module")
+def own_repo_a():
+    """repoA in a context of its own, so generated guards fill no shared cache."""
+    ctx = load_repo(REPO_A)
+    return ctx, split_test_suite(ctx)[1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_trace_the_pool_keeps_never_fails_in_the_guard_walk(own_repo_a, trace_log, data):
+    """With every frame line of repoA's non-EBT log redrawn, each pool entry
+    gives a guard, for its own trace and retargeted at its throw as a
+    sweep asks: the pool and the guard walk resolve frames by one rule."""
+    ctx, nonebts = own_repo_a
+    lines = st.integers(min_value=1, max_value=60)
+    redrawn = TraceLog([
+        (StackTrace(tuple(replace(f, line=data.draw(lines)) for f in trace.frames)), test)
+        for trace, test in trace_log
+    ])
+    for entry in collect_stacktrace_set(nonebts, ctx, redrawn):
+        site = entry.throw_site
+        compute_guard_expression(entry.trace, ctx, site)
+        compute_guard_expression(entry.trace.with_last_line(site.line), ctx, site)
 
 
 def test_empty_pool_when_no_nonebts_reach_throws(repo_a, trace_log):

@@ -202,6 +202,33 @@ def private_imports() -> list[str]:
     )
 
 
+def _where(match) -> list[str]:
+    """`module.qualname` of the innermost def around each node of src/ that
+    `match` accepts; `module` alone for a node outside every def."""
+    found = set()
+    for module, tree in _trees().items():
+        owner = {}
+        for qualname, node in _defs(tree):  # a def comes before the defs inside it
+            owner.update((id(n), qualname) for n in ast.walk(node))
+        found.update(
+            f"{module}.{owner[id(n)]}" if id(n) in owner else module
+            for n in ast.walk(tree) if match(n)
+        )
+    return sorted(found)
+
+
+def test_frames_are_resolved_in_one_place():
+    """`resolve_trace` is the one reader of `resolve_frame`, and only
+    `resolve_frame` decides that a frame is out of its method's span."""
+    def reads_resolve_frame(n: ast.AST) -> bool:
+        return getattr(n, "id", None) == "resolve_frame" \
+            or isinstance(n, ast.Attribute) and n.attr == "resolve_frame"
+
+    assert _where(reads_resolve_frame) == ["exbt.stacktrace.resolve_trace"]
+    assert _where(lambda n: isinstance(n, ast.Raise) and "FrameOutOfSpan" in _names(n)) \
+        == ["exbt.jmodel.model.RepoContext.resolve_frame"]
+
+
 def test_no_module_imports_a_private_name():
     assert private_imports() == []
 

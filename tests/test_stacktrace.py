@@ -4,13 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, write_two_throw_repo
-from exbt.errors import EmptyAfterExclusion, MalformedTrace, NoThrowAtFrame
+from exbt.errors import (
+    EmptyAfterExclusion,
+    FrameOutOfSpan,
+    MalformedTrace,
+    NoThrowAtFrame,
+    UnknownMethod,
+)
 from exbt.stacktrace import (
     Frame,
     StackTrace,
     endpoints,
     exclude_test_and_util_frames,
     parse_stack_trace,
+    resolve_trace,
 )
 from stack_render import render_stack_trace
 
@@ -43,6 +50,35 @@ def test_parse_drops_synthetic_frames():
     text = (FIXTURES / "traces/basic.txt").read_text()
     t = parse_stack_trace(text)
     assert [f.method for f in t.frames] == ["testWithdrawNegative", "withdraw"]
+
+
+# what the JVM and exbt's trace log print around user code: reflection with
+# no line, a negative line or no file line at all, and unusable user frames
+JVM_BLOCK = """java.lang.IllegalStateException: over limit
+	at com.fix.Account.deposit(Account.java:22)
+	at com.fix.Account.audit(Account.java:-1)
+	at com.fix.Account.log(Unknown Source)
+	at com.fix.Account.hash(Native Method)
+	at com.fix.Account.trim(Account.java)
+	at com.fix.AccountTest.testDepositOk(AccountTest.java:24)
+	at jdk.internal.reflect.NativeMethodAccessorImpl.invoke0(NativeMethodAccessorImpl.java:-2)
+	at jdk.internal.reflect.NativeMethodAccessorImpl.invoke0(Native Method)
+	at jdk.internal.reflect.GeneratedMethodAccessor1.invoke(Unknown Source)
+	at java.lang.reflect.Method.invoke(Method.java:568)
+	at org.junit.runners.model.FrameworkMethod$1.runReflectiveCall(FrameworkMethod.java:59)
+"""
+
+
+def test_parse_drops_a_frame_without_a_usable_line_with_one_warning_each(caplog):
+    """Synthetic frames go silently, whatever their line; any other frame
+    without a usable line goes with a warning."""
+    t = parse_stack_trace(JVM_BLOCK)
+    assert [(f.method, f.line) for f in t.frames] == [("testDepositOk", 24), ("deposit", 22)]
+    dropped = [r.getMessage() for r in caplog.records if "without line number" in r.getMessage()]
+    assert [m.split("com.fix.Account.")[1] for m in dropped] == [
+        "audit(Account.java:-1)", "log(Unknown Source)", "hash(Native Method)",
+        "trim(Account.java)",
+    ]
 
 
 def test_parse_stops_at_caused_by():
@@ -187,8 +223,37 @@ def test_exclusion_cuts_frames_outside_the_outermost_test_frame(repo_a):
     assert exclude_test_and_util_frames(no_test, "AccountTest.java", repo_a) == no_test
 
 
+def test_resolve_trace_sets_each_frames_method(repo_a):
+    trace = StackTrace(
+        (
+            Frame("com.fix.Account", "deposit", "Account.java", 20),
+            Frame("com.fix.Account", "withdraw", "Account.java", 12),
+            Frame("com.fix.Account", "withdraw", "Account.java", 17),
+        )
+    )
+    resolved = resolve_trace(trace, repo_a)
+    assert resolved == trace
+    assert [(f.mid.name, f.mid.decl_line) for f in resolved.frames] == [
+        ("deposit", 19), ("withdraw", 12), ("withdraw", 12)]
+    assert [f.mid for f in trace.frames] == [None, None, None]
+
+
+@pytest.mark.parametrize("frame, error", [
+    (Frame("com.fix.Account", "deposit", "Account.java", 40), FrameOutOfSpan),  # past the file
+    (Frame("com.fix.Account", "deposit", "Account.java", 18), FrameOutOfSpan),  # between methods
+    (Frame("com.fix.Account", "deposit", "Account.java", 14), FrameOutOfSpan),  # in withdraw
+    (Frame("com.fix.Account", "refund", "Account.java", 14), UnknownMethod),
+    (Frame("com.fix.Ledger", "withdraw", "Ledger.java", 14), UnknownMethod),
+])
+def test_resolve_trace_rejects_a_line_outside_every_body_of_the_name(repo_a, frame, error):
+    ok = Frame("com.fix.Account", "withdraw", "Account.java", 14)
+    with pytest.raises(error):
+        resolve_trace(StackTrace((frame, ok)), repo_a)
+
+
 def test_endpoints_resolve(repo_a):
-    trace = StackTrace((Frame("com.fix.Account", "withdraw", "Account.java", 14),))
+    trace = resolve_trace(
+        StackTrace((Frame("com.fix.Account", "withdraw", "Account.java", 14),)), repo_a)
     mut, site = endpoints(trace, repo_a)
     assert mut.name == "withdraw"
     assert mut.name == trace.frames[0].method
@@ -203,7 +268,7 @@ def test_endpoints_two_frames(repo_a):
             Frame("com.fix.Account", "withdraw", "Account.java", 14),
         )
     )
-    mut, site = endpoints(trace, repo_a)
+    mut, site = endpoints(resolve_trace(trace, repo_a), repo_a)
     assert mut.name == "open"
     assert site.line == 14
 
@@ -213,13 +278,14 @@ def test_endpoints_pick_the_expected_exceptions_throw(tmp_path):
 
     write_two_throw_repo(tmp_path)
     ctx = load_repo(tmp_path)
-    trace = StackTrace((Frame("p.Range", "check", "Range.java", 5),))
+    trace = resolve_trace(StackTrace((Frame("p.Range", "check", "Range.java", 5),)), ctx)
     picked = [endpoints(trace, ctx, e)[1] for e in ("B", "p.B", "A", None, "Other")]
     assert [s.exception_type for s in picked] == ["B", "B", "A", "A", "A"]
     assert picked[0].statement_text == "throw new B();"
 
 
 def test_endpoints_no_throw_at_line(repo_a):
-    trace = StackTrace((Frame("com.fix.Account", "withdraw", "Account.java", 13),))
+    trace = resolve_trace(
+        StackTrace((Frame("com.fix.Account", "withdraw", "Account.java", 13),)), repo_a)
     with pytest.raises(NoThrowAtFrame):
         endpoints(trace, repo_a)
