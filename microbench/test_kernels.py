@@ -332,8 +332,8 @@ def test_generate_score_stage(benchmark, tmp_path):
     manifest = Manifest("sweep", seed=1, backend_kind="stub")
     ebts, nonebts = cli._classify_stage(ctx, manifest)
     index = SweepIndex(ctx, nonebts)
-    corpus = cli._corpus_stage(args, ctx, ebts, index, manifest)
-    targets = cli._prompts_stage(args, ctx, cli._pool_stage(args, ctx, nonebts, manifest), index)
+    corpus = cli._corpus_stage(args, ebts, index, manifest)
+    targets = cli._prompts_stage(args, cli._pool_stage(args, index, manifest), index)
 
     def stage():
         outcomes = [cli.TargetOutcome(o.site, o.prompt) for o in targets]

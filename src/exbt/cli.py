@@ -64,12 +64,18 @@ from exbt.runners import JavacRunner, RecordedRunner
 from exbt.stacktrace import exclude_test_and_util_frames, parse_stack_trace, resolve_trace
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--config", default=None, help="KEY=VALUE config file")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--source-roots", default=None,
-                   help="comma-separated test-root prefixes overriding src/main vs src/test")
+# the flags several subcommands read; each subcommand takes only those it reads
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=42),
+    "--config": dict(default=None, help="KEY=VALUE config file"),
+    "--source-roots": dict(
+        default=None, help="comma-separated test-root prefixes overriding src/main vs src/test"),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _load(repo: str, args) -> "RepoContext":
@@ -89,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify test methods into EBT/non-EBT")
     p.add_argument("repo")
-    _add_common(p)
+    _add_shared(p, "--source-roots")
 
     p = sub.add_parser("find-throws", help="list throw sites, optionally reachable ones")
     p.add_argument("repo")
@@ -97,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-method", default=None,
                    help="fqn#name[/arity]: list throws reachable from this method")
     p.add_argument("--max-depth", type=int, default=5)
-    _add_common(p)
+    _add_shared(p, "--source-roots")
 
     p = sub.add_parser("instrument", help="rewrite sources to emit trace logs")
     p.add_argument("repo")
@@ -105,19 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-path", default="exbt-trace.log")
     p.add_argument("--ebt", default=None,
                    help="fqn#name: print the exception-print rewrite of one EBT instead")
-    _add_common(p)
+    _add_shared(p, "--source-roots", "--seed")
 
     p = sub.add_parser("pool", help="build the trace pool from a recorded log")
     p.add_argument("repo")
     p.add_argument("--trace-log", default=None)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_shared(p, "--source-roots")
 
     p = sub.add_parser("guard", help="compute the guard expression for a trace")
     p.add_argument("--trace", required=True, help="file holding one raw JVM trace")
     p.add_argument("--repo", required=True)
     p.add_argument("--dest", default=None, help="destination test file for frame exclusion")
-    _add_common(p)
+    _add_shared(p, "--source-roots")
 
     p = sub.add_parser("prompt", help="assemble one developer-oriented prompt")
     p.add_argument("--repo", required=True)
@@ -126,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dest", default=None)
     p.add_argument("--name", default=None, help="requested test method name")
     p.add_argument("--trace-log", default=None)
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_shared(p, "--source-roots", "--seed")
 
     p = sub.add_parser("sweep", help="machine-oriented sweep over all main throws")
     p.add_argument("repo")
@@ -140,14 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-in-flight", type=int, default=4,
                    help="bound on concurrent backend requests")
     p.add_argument("--out", default="exbt-out")
-    _add_common(p)
+    _add_shared(p, "--source-roots", "--seed", "--config")
 
     p = sub.add_parser("generate", help="send one instruction to the backend")
     p.add_argument("--instruction", required=True, help="file with the instruction text")
     p.add_argument("--backend", default=None, choices=["stub", "http"])
     p.add_argument("--stub-file", default=None)
     p.add_argument("--extract", action="store_true", help="print the extracted candidate")
-    _add_common(p)
+    _add_shared(p, "--seed", "--config")
 
     p = sub.add_parser("eval", help="score candidates against references")
     p.add_argument("--candidates", required=True, help="JSONL {target, candidate, ...}")
@@ -155,11 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repo", default=None)
     p.add_argument("--runner-results", default=None)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_shared(p, "--source-roots")
 
     p = sub.add_parser("verify-manifest", help="check artifact digests of a manifest")
     p.add_argument("manifest")
-    _add_common(p)
     return parser
 
 
@@ -176,7 +182,7 @@ def _read_trace_log(path: str) -> TraceLog:
     return parse_trace_log(Path(path).read_bytes().decode("utf-8", "surrogateescape"))
 
 
-def _nonebt_pool(args, ctx, nonebts, required: bool):
+def _nonebt_pool(args, index: SweepIndex, required: bool):
     """(path, trace log, pool) of the non-EBT trace log; (None, None, []) without one."""
     log_path = _default_path(args.repo, "logs/nonebt-traces.log", args.trace_log)
     if log_path is None:
@@ -184,7 +190,7 @@ def _nonebt_pool(args, ctx, nonebts, required: bool):
             raise ExbtError("--trace-log is required (no default log found in repo)")
         return None, None, []
     trace_log = _read_trace_log(log_path)
-    return log_path, trace_log, collect_stacktrace_set(nonebts, ctx, trace_log)
+    return log_path, trace_log, collect_stacktrace_set(index, trace_log)
 
 
 def _backend_kind(args, cfg) -> str:
@@ -330,8 +336,8 @@ def cmd_instrument(args) -> int:
 
 def cmd_pool(args) -> int:
     ctx = _load(args.repo, args)
-    _, nonebts = split_test_suite(ctx)
-    _, trace_log, pool = _nonebt_pool(args, ctx, nonebts, required=True)
+    index = SweepIndex(ctx, split_test_suite(ctx)[1])
+    _, trace_log, pool = _nonebt_pool(args, index, required=True)
     rows = [
         {
             "trace": e.trace.to_rows(),
@@ -383,11 +389,11 @@ def cmd_prompt(args) -> int:
     dest = args.dest or select_dest_with_reason(mut, ctx)[0]
     if dest is None:
         raise ExbtError("no destination test file found; pass --dest")
-    _, nonebts = split_test_suite(ctx)
-    _, _, pool = _nonebt_pool(args, ctx, nonebts, required=False)
+    index = SweepIndex(ctx, split_test_suite(ctx)[1])
+    _, _, pool = _nonebt_pool(args, index, required=False)
     variant = "with-name" if args.name else "no-name"
     outcome = assemble_prompt(
-        mut, site, dest, pool, nonebts, ctx,
+        mut, site, dest, pool, index,
         seed=args.seed, variant=variant, test_name=args.name,
     )
     if isinstance(outcome, NoMatch):
@@ -446,10 +452,10 @@ def cmd_sweep(args) -> int:
     manifest.add_input_tree("repo", args.repo, ctx.tree_digest())
 
     ebts, nonebts = _classify_stage(ctx, manifest)
-    index = SweepIndex(ctx, nonebts)  # shared by the corpus and the sweep
-    corpus = _corpus_stage(args, ctx, ebts, index, manifest)
-    pool = _pool_stage(args, ctx, nonebts, manifest)
-    outcomes = _prompts_stage(args, ctx, pool, index)
+    index = SweepIndex(ctx, nonebts)  # shared by the corpus, the pool and the sweep
+    corpus = _corpus_stage(args, ebts, index, manifest)
+    pool = _pool_stage(args, index, manifest)
+    outcomes = _prompts_stage(args, pool, index)
     request_log = _generate_score_stage(args, cfg, ctx, outcomes, corpus or (), manifest)
     agg = aggregate([o.score for o in outcomes if o.score is not None], [o.site for o in outcomes])
     _write_stage(Path(args.out), manifest, corpus, outcomes, agg, request_log)
@@ -464,14 +470,14 @@ def _classify_stage(ctx, manifest: Manifest):
     return ebts, nonebts
 
 
-def _corpus_stage(args, ctx, ebts, index: SweepIndex, manifest: Manifest):
+def _corpus_stage(args, ebts, index: SweepIndex, manifest: Manifest):
     """The EBT trace log's training corpus; None without that log."""
     ebt_log_path = _default_path(args.repo, "logs/ebt-traces.log", args.ebt_trace_log)
     if not ebt_log_path:
         return None
     manifest.add_input("ebt_trace_log", ebt_log_path)
     examples, skipped = collect_training_corpus(
-        ebts, index, ctx, _read_trace_log(ebt_log_path), repo_name=Path(args.repo).name
+        ebts, index, _read_trace_log(ebt_log_path), repo_name=Path(args.repo).name
     )
     manifest.bump("corpus_examples_built", len(examples))
     manifest.bump("corpus_examples_skipped", len(skipped))
@@ -479,17 +485,17 @@ def _corpus_stage(args, ctx, ebts, index: SweepIndex, manifest: Manifest):
     return examples
 
 
-def _pool_stage(args, ctx, nonebts, manifest: Manifest):
-    log_path, _, pool = _nonebt_pool(args, ctx, nonebts, required=True)
+def _pool_stage(args, index: SweepIndex, manifest: Manifest):
+    log_path, _, pool = _nonebt_pool(args, index, required=True)
     manifest.add_input("nonebt_trace_log", log_path)
     manifest.bump("pool_builds")
     manifest.bump("pool_entries", len(pool))
     return pool
 
 
-def _prompts_stage(args, ctx, pool, index: SweepIndex) -> list[TargetOutcome]:
+def _prompts_stage(args, pool, index: SweepIndex) -> list[TargetOutcome]:
     return [TargetOutcome(site, prompt) for site, prompt in
-            sweep_targets(ctx, pool, index, seed=args.seed, variant=args.variant)]
+            sweep_targets(pool, index, seed=args.seed, variant=args.variant)]
 
 
 # the manifest counters of a sweep target, by its status (_ASSEMBLED: any bundle's)

@@ -14,10 +14,9 @@ import json
 from dataclasses import dataclass, replace
 
 from exbt.classifier import TestMethod
-from exbt.errors import EmptyAfterExclusion, ExbtError
+from exbt.errors import ExbtError
 from exbt.guardexpr import compute_guard_expression
 from exbt.instrument import TraceLog
-from exbt.jmodel import RepoContext
 from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
     PromptBundle,
@@ -44,14 +43,13 @@ class SkippedExample:
 
 def link_relevant_nonebts(
     example: CorpusExample,
-    nonebts: list[TestMethod],
-    ctx: RepoContext,
+    index: SweepIndex,
     budget: int = NONEBT_TOKEN_BUDGET,
 ) -> CorpusExample:
     """The example with its non-EBTs ranked afresh by the prompt builder."""
     p = example.prompt
     bundle = make_bundle(
-        p.mut, p.throw_site, p.dest_path, p.trace, p.guard, nonebts, ctx,
+        p.mut, p.throw_site, p.dest_path, p.trace, p.guard, index,
         variant=p.variant, test_name=p.test_name, seed=p.seed, budget=budget,
     )
     return replace(example, prompt=bundle)
@@ -59,14 +57,13 @@ def link_relevant_nonebts(
 
 def collect_training_corpus(
     ebts: list[TestMethod],
-    nonebts: list[TestMethod] | SweepIndex,
-    ctx: RepoContext,
+    index: SweepIndex,
     trace_log: TraceLog,
     repo_name: str = "",
 ) -> tuple[list[CorpusExample], list[SkippedExample]]:
     """One example per exceptional test whose trace resolves end to end;
     each prompt is the with-name variant, named after its gold test."""
-    index = SweepIndex.of(ctx, nonebts)
+    ctx = index.ctx
     traces_by_test: dict[str, StackTrace] = {}
     for trace, test_id in trace_log:
         traces_by_test.setdefault(test_id, trace)  # first trace per test wins
@@ -80,19 +77,14 @@ def collect_training_corpus(
             continue
         dest = ebt.id.decl_file
         try:
-            trace = exclude_test_and_util_frames(raw, dest, ctx)
-        except EmptyAfterExclusion:
-            skipped.append(SkippedExample(label, "EmptyAfterExclusion"))
-            continue
-        try:
-            trace = resolve_trace(trace, ctx)
+            trace = resolve_trace(exclude_test_and_util_frames(raw, dest, ctx), ctx)
             mut, site = endpoints(trace, ctx, ebt.expected_exception)
             guard = compute_guard_expression(trace, ctx, site)
         except ExbtError as exc:
             skipped.append(SkippedExample(label, type(exc).__name__))
             continue
         bundle = make_bundle(
-            mut, site, dest, trace, guard, index, ctx,
+            mut, site, dest, trace, guard, index,
             variant="with-name", test_name=ebt.id.name,
         )
         example = CorpusExample(

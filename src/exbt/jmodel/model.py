@@ -606,19 +606,14 @@ class RepoContext:
     def resolve_frame(self, class_fqn: str, method_name: str, line: int):
         """(unit, type, decl) of the method a stack frame names: the first
         declaration of that name whose body braces hold the line.
-        `UnknownMethod` when the class declares no method of that name,
+        `UnknownMethod` when the repository declares no class of that name
+        (as the JVM prints it) or the class no method of that name,
         `FrameOutOfSpan` when no such body holds the line."""
         hit = self._type_by_fqn.get(class_fqn)
         candidates = []
         if hit is not None:
             u, t = hit
             candidates = [(u, t, m) for m in t.methods if m.name == method_name]
-        else:
-            # fall back to simple-name matching for default-package fixtures
-            simple = class_fqn.rsplit(".", 1)[-1]
-            for u, t, m in self._methods:
-                if m.name == method_name and (t.fqn == simple or t.name == simple):
-                    candidates.append((u, t, m))
         if not candidates:
             raise UnknownMethod(f"{class_fqn}.{method_name}")
         for u, t, m in candidates:

@@ -57,22 +57,25 @@ def xmatch_strict(candidate: str, reference: str) -> bool:
     return candidate == reference
 
 
-def _ngram_counts(tokens: list[str], max_n: int = 4) -> tuple[Counter, ...]:
-    """The 1- to max_n-gram counts of tokens; entry n - 1 counts the n-grams."""
+MAX_N = 4  # BLEU's longest n-gram
+
+
+def _ngram_counts(tokens: list[str]) -> tuple[Counter, ...]:
+    """The 1- to MAX_N-gram counts of tokens; entry n - 1 counts the n-grams."""
     return (Counter(tokens),) + tuple(
-        Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(2, max_n + 1)
+        Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(2, MAX_N + 1)
     )
 
 
-def bleu(candidate: str, reference: str, max_n: int = 4) -> float:
+def bleu(candidate: str, reference: str) -> float:
     """Smoothed BLEU over code tokens: add-one on every n-gram precision,
     geometric mean, brevity penalty."""
-    cand, ref = (_side(code_tokens(text), None, max_n) for text in (candidate, reference))
+    cand, ref = (_side(code_tokens(text), None) for text in (candidate, reference))
     return _weighted_bleu(cand, ref, 1.0, _clipped_logs(cand, ref))
 
 
 def _clipped_logs(cand: _Side, ref: _Side) -> list[float]:
-    """For n = 2 to max_n, the log of the add-one smoothed precision of the
+    """For n = 2 to MAX_N, the log of the add-one smoothed precision of the
     candidate's n-gram counts clipped by the reference's. Plain and
     keyword-weighted BLEU differ only in the unigram term, so a pair's
     logs serve both."""
@@ -181,9 +184,9 @@ def _def_use_pairs(method, node_exprs) -> Counter:
 
 class _Side(NamedTuple):
     """One side of a scored pair, lexed once and parsed once: its code
-    tokens, their 1- to 4-gram counts (to max_n in `bleu`) and, when its
-    method body parses, its AST signatures and def-use edges (both None
-    otherwise). Each is decided by the code tokens and whether they parse."""
+    tokens, their 1- to MAX_N-gram counts and, when its method body
+    parses, its AST signatures and def-use edges (both None otherwise).
+    Each is decided by the code tokens and whether they parse."""
 
     tokens: list[str]
     grams: tuple[Counter, ...]
@@ -191,10 +194,10 @@ class _Side(NamedTuple):
     def_use: Counter | None
 
 
-def _side(tokens: list[str], member: Member | None, max_n: int = 4) -> _Side:
+def _side(tokens: list[str], member: Member | None) -> _Side:
     """The side of a text with these code tokens, given its `parse_member`
     result (None when it does not parse)."""
-    grams = _ngram_counts(tokens, max_n)
+    grams = _ngram_counts(tokens)
     unit, method = member or (None, None)
     if method is None or method.tok_open is None:
         return _Side(tokens, grams, None, None)

@@ -62,25 +62,25 @@ def test_method_label(mid: MethodId) -> str:
 
 
 class SweepIndex:
-    """The per-target lookups of one sweep, built once: the non-EBTs by
-    MethodId, as (rank, test), and by declaring file, in position order
-    (declaring file, line, then list order); on first use, the non-EBTs
-    that call each method, and one destination skeleton per file. Every
-    function that takes `nonebts` also takes a SweepIndex in its place."""
+    """The non-EBTs of one command and its per-target lookups, built once
+    over one repository: the non-EBTs by MethodId, as (rank, test), by
+    declaring file and by label, in position order (declaring file, line,
+    then list order), so of two tests sharing a label the later one is
+    kept; on first use, the non-EBTs that call each method, and one
+    destination skeleton per file. The pool, ranking, the prompt builder
+    and the corpus read the non-EBTs and the repository only through it."""
 
-    def __init__(self, ctx: RepoContext, nonebts):
+    def __init__(self, ctx: RepoContext, nonebts: list[TestMethod]):
         self.ctx = ctx
         self.by_id: dict[MethodId, list[tuple[int, TestMethod]]] = {}
         self.by_file: dict[str, list[TestMethod]] = {}
+        self.by_label: dict[str, TestMethod] = {}
         ordered = sorted(nonebts, key=lambda t: (t.id.decl_file, t.id.decl_line))  # stable
         for rank, t in enumerate(ordered):
             self.by_id.setdefault(t.id, []).append((rank, t))
             self.by_file.setdefault(t.id.decl_file, []).append(t)
+            self.by_label[test_method_label(t.id)] = t
         self._skeletons: dict[str, str] = {}
-
-    @classmethod
-    def of(cls, ctx: RepoContext, nonebts) -> "SweepIndex":
-        return nonebts if isinstance(nonebts, cls) else cls(ctx, nonebts)
 
     @cached_property
     def callers(self) -> dict[MethodId, list[MethodId]]:
@@ -98,22 +98,18 @@ class SweepIndex:
         return self._skeletons[dest]
 
 
-def collect_stacktrace_set(
-    nonebts: list[TestMethod],
-    ctx: RepoContext,
-    trace_log: TraceLog,
-) -> list[TracePoolEntry]:
+def collect_stacktrace_set(index: SweepIndex, trace_log: TraceLog) -> list[TracePoolEntry]:
     """Pool of throw-reaching traces from non-EBT executions.
 
     Each logged trace yields one entry per throw statement declared in its
     innermost method. A trace with a frame that does not resolve (see
     `resolve_trace`) is skipped with a warning.
     """
-    by_label = {test_method_label(t.id): t for t in nonebts}
+    ctx = index.ctx
     entries: list[TracePoolEntry] = []
     seen: set[tuple] = set()
     for trace, test_id in trace_log:
-        test = by_label.get(test_id)
+        test = index.by_label.get(test_id)
         if test is None:
             logger.warning("trace for unknown non-EBT %r skipped", test_id)
             continue
@@ -145,8 +141,7 @@ def collect_stacktrace_set(
 def rank_relevant_nonebts(
     mut: MethodId,
     dest: str,
-    nonebts: list[TestMethod] | SweepIndex,
-    ctx: RepoContext,
+    index: SweepIndex,
     also_same_mut: frozenset[MethodId] | set[MethodId] = frozenset(),
     budget: int = NONEBT_TOKEN_BUDGET,
 ) -> list[TestMethod]:
@@ -154,7 +149,6 @@ def rank_relevant_nonebts(
     id is in `also_same_mut`), then same-destination-file tests whose label
     is not ranked yet, each group in position order, cut at `budget`
     tokens."""
-    index = SweepIndex.of(ctx, nonebts)
     ids = set(also_same_mut).union(index.callers.get(mut, ()))
     same_mut = {rank: t for mid in ids for rank, t in index.by_id.get(mid, ())}
     ranked = [same_mut[rank] for rank in sorted(same_mut)]
@@ -272,8 +266,7 @@ def make_bundle(
     dest: str,
     trace: StackTrace,
     guard: GuardExpression,
-    nonebts: list[TestMethod] | SweepIndex,
-    ctx: RepoContext,
+    index: SweepIndex,
     also_same_mut: frozenset[MethodId] | set[MethodId] = frozenset(),
     variant: str = "no-name",
     test_name: str | None = None,
@@ -282,11 +275,10 @@ def make_bundle(
 ) -> PromptBundle:
     """The one prompt builder: rank the relevant non-EBTs, read the MUT
     source and the destination skeleton, and render the instruction once."""
-    index = SweepIndex.of(ctx, nonebts)
-    ranked = rank_relevant_nonebts(mut, dest, index, ctx, also_same_mut, budget)
+    ranked = rank_relevant_nonebts(mut, dest, index, also_same_mut, budget)
     bundle = PromptBundle(
         mut=mut,
-        mut_source=ctx.method_source(mut),
+        mut_source=index.ctx.method_source(mut),
         throw_site=site,
         dest_path=dest,
         dest_skeleton=index.skeleton(dest),
@@ -307,8 +299,7 @@ def assemble_prompt(
     throw_site: ThrowSite,
     dest: str,
     pool: list[TracePoolEntry],
-    nonebts: list[TestMethod] | SweepIndex,
-    ctx: RepoContext,
+    index: SweepIndex,
     seed: int = 0,
     variant: str = "no-name",
     test_name: str | None = None,
@@ -325,17 +316,16 @@ def assemble_prompt(
     pool_same_mut = {q.source_test for q in matching if q.trace.frames[0].mid == mut}
     pick = random.Random(seed).choice(matching)
     trace = pick.trace.with_last_line(throw_site.line)
-    guard = compute_guard_expression(trace, ctx, throw_site)
+    guard = compute_guard_expression(trace, index.ctx, throw_site)
     return make_bundle(
-        mut, throw_site, dest, trace, guard, nonebts, ctx, pool_same_mut,
+        mut, throw_site, dest, trace, guard, index, pool_same_mut,
         variant=variant, test_name=test_name, seed=seed,
     )
 
 
 def sweep_targets(
-    ctx: RepoContext,
     pool: list[TracePoolEntry],
-    nonebts: list[TestMethod] | SweepIndex,
+    index: SweepIndex,
     seed: int = 0,
     variant: str = "no-name",
 ) -> list[tuple[ThrowSite, PromptBundle | NoMatch]]:
@@ -345,8 +335,8 @@ def sweep_targets(
     files come from the naming heuristics alone, so a target without a
     name-matched test file is `NoMatch("no-dest-file")`.
     """
+    ctx = index.ctx
     main = set(ctx.main_files)
-    index = SweepIndex.of(ctx, nonebts)
     pool_by_site: dict[ThrowSite, list[TracePoolEntry]] = {}
     for entry in pool:
         pool_by_site.setdefault(entry.throw_site, []).append(entry)
@@ -360,7 +350,7 @@ def sweep_targets(
             results.append((site, NoMatch("no-dest-file")))
             continue
         outcome = assemble_prompt(
-            mut, site, dest, pool_by_site.get(site, []), index, ctx, seed=seed, variant=variant
+            mut, site, dest, pool_by_site.get(site, []), index, seed=seed, variant=variant
         )
         results.append((site, outcome))
     return results

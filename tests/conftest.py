@@ -8,6 +8,7 @@ import pytest
 
 from exbt.classifier import split_test_suite
 from exbt.jmodel import find_throw_sites, load_repo
+from exbt.prompting import SweepIndex
 from exbt.stacktrace import Frame, StackTrace, resolve_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -29,6 +30,12 @@ def repo_g():
 @pytest.fixture(scope="session")
 def repo_a_suite(repo_a):
     return split_test_suite(repo_a)
+
+
+@pytest.fixture(scope="session")
+def repo_a_index(repo_a, repo_a_suite):
+    """repoA's non-EBTs indexed as a command indexes them."""
+    return SweepIndex(repo_a, repo_a_suite[1])
 
 
 @pytest.fixture(scope="session")

@@ -277,7 +277,7 @@ REPO_G_SAME_MUT = {
 def _same_mut(ctx, nonebts):
     """Each method's ranked non-EBTs when no destination file adds any."""
     index = SweepIndex(ctx, nonebts)
-    ranked = {m: rank_relevant_nonebts(m, "", index, ctx) for m in ctx.all_method_ids()}
+    ranked = {m: rank_relevant_nonebts(m, "", index) for m in ctx.all_method_ids()}
     return {m: [t.id for t in got] for m, got in ranked.items() if got}
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import json
@@ -182,6 +183,8 @@ LOG_EDITS = {
     "deposit-past-the-file": lambda block: block.replace(WITHDRAW, WITHDRAW + DEPOSIT_AT.format(40)),
     "deposit-between-methods":
         lambda block: block.replace(WITHDRAW, WITHDRAW + DEPOSIT_AT.format(18)),
+    "undeclared-class": lambda block: block.replace(
+        WITHDRAW, WITHDRAW.replace("com.fix.Account", "org.example.Account")),
 }
 
 
@@ -231,6 +234,17 @@ def test_a_frame_outside_every_body_of_its_method_is_skipped(capsys, tmp_path, c
     pool leaves its trace out instead of the guard walk failing on it."""
     edited = _sweep_bundles(capsys, tmp_path, edit)
     assert "outside deposit (19..25)" in caplog.text
+    _only_withdraw_lost_its_trace(edited, _sweep_bundles(capsys, tmp_path))
+
+
+def test_a_frame_of_a_class_the_repository_does_not_declare_is_skipped(
+        capsys, tmp_path, caplog):
+    """`org.example.Account.withdraw` shares its simple class name and its
+    method name with repoA's `com.fix.Account.withdraw`, but repoA does not
+    declare that class: the pool leaves the trace out instead of walking
+    repoA's `withdraw` for it."""
+    edited = _sweep_bundles(capsys, tmp_path, "undeclared-class")
+    assert "frame org.example.Account.withdraw does not resolve" in caplog.text
     _only_withdraw_lost_its_trace(edited, _sweep_bundles(capsys, tmp_path))
 
 
@@ -848,17 +862,48 @@ def test_main_reuses_one_parser_and_no_flag_leaks_into_the_next_call(monkeypatch
     seen = []
     for command in ("sweep", "classify"):
         monkeypatch.setitem(cli._HANDLERS, command, lambda args: seen.append(vars(args)) or 0)
-    assert main(["sweep", "r", "--seed", "7", "--variant", "with-name", "--json",
+    assert main(["sweep", "r", "--seed", "7", "--variant", "with-name", "--config", "c",
                  "--backend", "http", "--max-in-flight", "1", "--source-roots", "a,b"]) == 0
     assert main(["classify", "r"]) == 0
     assert main(["sweep", "r"]) == 0
     assert cli.build_parser() is cli.build_parser()
-    assert (seen[0]["seed"], seen[0]["variant"], seen[0]["json"]) == (7, "with-name", True)
-    assert seen[1] == {"command": "classify", "repo": "r", "seed": 42, "config": None,
-                       "json": False, "source_roots": None}
+    assert (seen[0]["seed"], seen[0]["variant"], seen[0]["config"]) == (7, "with-name", "c")
+    assert seen[1] == {"command": "classify", "repo": "r", "source_roots": None}
     fresh = cli.build_parser.__wrapped__()  # a parser no call has used
     assert seen[2] == vars(fresh.parse_args(["sweep", "r"]))
     assert (seen[2]["seed"], seen[2]["variant"], seen[2]["backend"]) == (42, "no-name", None)
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["eval", "--candidates", "c.jsonl"], ["--seed", "1"]),
+    (["sweep", "r"], ["--json"]),
+    (["classify", "r"], ["--config", "c"]),
+    (["generate", "--instruction", "i"], ["--source-roots", "a"]),
+    (["verify-manifest", "m"], ["--seed", "1"]),
+], ids=["eval-seed", "sweep-json", "classify-config", "generate-source-roots",
+        "verify-manifest-seed"])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv, unread):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + unread)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_the_shared_flags_it_reads():
+    from exbt import cli
+
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    shared = {"--seed", "--config", "--json", "--source-roots"}
+    taken = {cmd: sorted(shared & set(p._option_string_actions)) for cmd, p in sub.choices.items()}
+    roots = ["--source-roots"]
+    assert taken == {
+        "classify": roots, "find-throws": roots, "pool": roots, "guard": roots, "eval": roots,
+        "instrument": ["--seed", "--source-roots"],
+        "prompt": ["--json", "--seed", "--source-roots"],
+        "sweep": ["--config", "--seed", "--source-roots"],
+        "generate": ["--config", "--seed"],
+        "verify-manifest": [],
+    }
 
 
 def _left_to_collector(call):

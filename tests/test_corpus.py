@@ -15,10 +15,9 @@ from exbt.instrument import parse_trace_log
 
 
 @pytest.fixture(scope="module")
-def corpus(repo_a, repo_a_suite):
-    ebts, nonebts = repo_a_suite
+def corpus(repo_a_index, repo_a_suite):
     log = parse_trace_log((REPO_A / "logs/ebt-traces.log").read_text())
-    return collect_training_corpus(ebts, nonebts, repo_a, log, repo_name="repoA")
+    return collect_training_corpus(repo_a_suite[0], repo_a_index, log, repo_name="repoA")
 
 
 def test_one_example_per_traced_ebt(corpus):
@@ -75,31 +74,29 @@ def test_guard_and_trace_attached(corpus):
     assert withdraw.prompt.trace.frames[-1].line == 14
 
 
-def test_link_ranks_same_mut_before_same_file(corpus, repo_a, repo_a_suite):
+def test_link_ranks_same_mut_before_same_file(corpus, repo_a_index):
     examples, _ = corpus
-    _, nonebts = repo_a_suite
     withdraw = next(e for e in examples if e.prompt.mut.name == "withdraw")
-    linked = link_relevant_nonebts(withdraw, nonebts, repo_a)
+    linked = link_relevant_nonebts(withdraw, repo_a_index)
     sources = linked.prompt.nonebts
     assert len(sources) == 2
     assert "testWithdrawOk" in sources[0]  # invokes the MUT directly
     assert "testDepositOk" in sources[1]  # same destination file only
 
 
-def test_link_budget_truncates(corpus, repo_a, repo_a_suite):
+def test_link_budget_truncates(corpus, repo_a_index, repo_a_suite):
     examples, _ = corpus
     _, nonebts = repo_a_suite
     withdraw = next(e for e in examples if e.prompt.mut.name == "withdraw")
-    tight = link_relevant_nonebts(withdraw, nonebts, repo_a, budget=len(nonebts[0].body_text.split()))
+    tight = link_relevant_nonebts(withdraw, repo_a_index, budget=len(nonebts[0].body_text.split()))
     assert len(tight.prompt.nonebts) == 1
     assert "testWithdrawOk" in tight.prompt.nonebts[0]
 
 
-def test_link_dedupes_double_qualifiers(corpus, repo_a, repo_a_suite):
+def test_link_dedupes_double_qualifiers(corpus, repo_a_index):
     examples, _ = corpus
-    _, nonebts = repo_a_suite
     withdraw = next(e for e in examples if e.prompt.mut.name == "withdraw")
-    linked = link_relevant_nonebts(withdraw, nonebts, repo_a)
+    linked = link_relevant_nonebts(withdraw, repo_a_index)
     # testWithdrawOk qualifies via same-MUT and same-file; appears once
     assert sum("testWithdrawOk" in s for s in linked.prompt.nonebts) == 1
 

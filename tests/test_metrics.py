@@ -153,17 +153,15 @@ def _token_side(tokens: list[str], parsed: bool) -> exbt.metrics._Side:
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(_BLEU_TOKENS, _BLEU_TOKENS, st.integers(1, 5))
-@example([], [], 4)
-@example([], ["x"], 4)
-@example(["x", "y"], ["x", "y", "x"], 4)
-@example(["if", "(", "x", ")", "return"] * 4, ["if", "(", "x", ")", "return", ";"] * 3, 4)
-def test_bleu_and_code_bleu_equal_the_per_pair_counts_bit_for_bit(cand, ref, max_n):
-    plain = _ref_weighted_bleu(cand, ref, 1.0, max_n)
+@given(_BLEU_TOKENS, _BLEU_TOKENS)
+@example([], [])
+@example([], ["x"])
+@example(["x", "y"], ["x", "y", "x"])
+@example(["if", "(", "x", ")", "return"] * 4, ["if", "(", "x", ")", "return", ";"] * 3)
+def test_bleu_and_code_bleu_equal_the_per_pair_counts_bit_for_bit(cand, ref):
+    plain = _ref_weighted_bleu(cand, ref, 1.0)
     assert code_tokens(" ".join(cand)) == cand
-    assert bleu(" ".join(cand), " ".join(ref), max_n) == plain
-    if max_n != 4:
-        return
+    assert bleu(" ".join(cand), " ".join(ref)) == plain
     comp = code_bleu_components(_token_side(cand, True), _token_side(ref, True))
     assert comp["ngram"] == plain
     assert comp["weighted_ngram"] == _ref_weighted_bleu(cand, ref)

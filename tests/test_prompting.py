@@ -15,6 +15,7 @@ from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
     NoMatch,
     PromptBundle,
+    SweepIndex,
     assemble_prompt,
     build_dest_skeleton,
     collect_stacktrace_set,
@@ -34,9 +35,8 @@ def trace_log():
 
 
 @pytest.fixture(scope="module")
-def pool(repo_a, repo_a_suite, trace_log):
-    _, nonebts = repo_a_suite
-    return collect_stacktrace_set(nonebts, repo_a, trace_log)
+def pool(repo_a_index, trace_log):
+    return collect_stacktrace_set(repo_a_index, trace_log)
 
 
 def _site(ctx, name):
@@ -79,7 +79,7 @@ def test_pool_site_reachable_from_last_frame(repo_a, pool):
 def own_repo_a():
     """repoA in a context of its own, so generated guards fill no shared cache."""
     ctx = load_repo(REPO_A)
-    return ctx, split_test_suite(ctx)[1]
+    return SweepIndex(ctx, split_test_suite(ctx)[1])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -88,59 +88,55 @@ def test_a_trace_the_pool_keeps_never_fails_in_the_guard_walk(own_repo_a, trace_
     """With every frame line of repoA's non-EBT log redrawn, each pool entry
     gives a guard, for its own trace and retargeted at its throw as a
     sweep asks: the pool and the guard walk resolve frames by one rule."""
-    ctx, nonebts = own_repo_a
+    ctx = own_repo_a.ctx
     lines = st.integers(min_value=1, max_value=60)
     redrawn = TraceLog([
         (StackTrace(tuple(replace(f, line=data.draw(lines)) for f in trace.frames)), test)
         for trace, test in trace_log
     ])
-    for entry in collect_stacktrace_set(nonebts, ctx, redrawn):
+    for entry in collect_stacktrace_set(own_repo_a, redrawn):
         site = entry.throw_site
         compute_guard_expression(entry.trace, ctx, site)
         compute_guard_expression(entry.trace.with_last_line(site.line), ctx, site)
 
 
 def test_empty_pool_when_no_nonebts_reach_throws(repo_a, trace_log):
-    assert collect_stacktrace_set([], repo_a, trace_log) == []
+    assert collect_stacktrace_set(SweepIndex(repo_a, []), trace_log) == []
 
 
 # --- prompt assembly ---
 
 
-def test_assemble_deterministic_for_seed(repo_a, repo_a_suite, pool):
-    _, nonebts = repo_a_suite
+def test_assemble_deterministic_for_seed(repo_a, repo_a_index, pool):
     site = _site(repo_a, "deposit")
     picks = {
         assemble_prompt(site.method, site, "src/test/java/com/fix/AccountTest.java",
-                        pool, nonebts, repo_a, seed=42).rendered_instruction
+                        pool, repo_a_index, seed=42).rendered_instruction
         for _ in range(5)
     }
     assert len(picks) == 1
 
 
-def test_assemble_no_match_when_mut_absent(repo_a, repo_a_suite, pool):
-    _, nonebts = repo_a_suite
+def test_assemble_no_match_when_mut_absent(repo_a, repo_a_index, pool):
     site = _site(repo_a, "close")
     out = assemble_prompt(site.method, site, "src/test/java/com/fix/AccountTest.java",
-                          pool, nonebts, repo_a, seed=42)
+                          pool, repo_a_index, seed=42)
     assert isinstance(out, NoMatch)
     assert out.reason == "no-matching-trace"
 
 
-def test_assemble_retargets_trace_to_throw_line(repo_a, repo_a_suite, pool):
-    _, nonebts = repo_a_suite
+def test_assemble_retargets_trace_to_throw_line(repo_a, repo_a_index, pool):
     site = _site(repo_a, "withdraw")
     bundle = assemble_prompt(site.method, site, "src/test/java/com/fix/AccountTest.java",
-                             pool, nonebts, repo_a, seed=42)
+                             pool, repo_a_index, seed=42)
     assert bundle.trace.frames[-1].line == site.line
     assert bundle.guard.rendered == "amount < 0"
 
 
-def test_assemble_includes_invoking_test_in_nonebts(repo_a, repo_a_suite, pool):
-    _, nonebts = repo_a_suite
+def test_assemble_includes_invoking_test_in_nonebts(repo_a, repo_a_index, pool):
     site = _site(repo_a, "withdraw")
     bundle = assemble_prompt(site.method, site, "src/test/java/com/fix/AccountTest.java",
-                             pool, nonebts, repo_a, seed=42)
+                             pool, repo_a_index, seed=42)
     assert any("testWithdrawOk" in s for s in bundle.nonebts)
 
 
@@ -169,18 +165,18 @@ def test_same_named_test_elsewhere_is_not_same_mut(tmp_path):
         (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / rel).write_text(text)
     ctx = load_repo(tmp_path)
-    _, nonebts = split_test_suite(ctx)
+    index = SweepIndex(ctx, split_test_suite(ctx)[1])
     site = _site(ctx, "check")
     log = parse_trace_log(
         "test: p.GateTest#testOpen\n"
         "at p.Gate.check(Gate.java:4)\n"
         "at p.GateTest.testOpen(GateTest.java:6)\n"
     )
-    pool = collect_stacktrace_set(nonebts, ctx, log)
+    pool = collect_stacktrace_set(index, log)
     dest = "src/test/java/p/GateTest.java"
-    bundle = assemble_prompt(site.method, site, dest, pool, nonebts, ctx, seed=42)
+    bundle = assemble_prompt(site.method, site, dest, pool, index, seed=42)
     assert len(bundle.nonebts) == 1 and "testOpen" in bundle.nonebts[0]
-    linked = link_relevant_nonebts(CorpusExample("x", "", bundle, ""), nonebts, ctx)
+    linked = link_relevant_nonebts(CorpusExample("x", "", bundle, ""), index)
     assert linked.prompt.nonebts == bundle.nonebts
 
 
@@ -273,9 +269,10 @@ def _ids(tests):
 def test_one_ranking_rule_equals_both_old_copies(repo_a, repo_a_suite, data):
     _, real = repo_a_suite
     nonebts, mut, dest, pool_ids, budget = data.draw(_ranking_inputs(repo_a, real))
-    sweep = rank_relevant_nonebts(mut, dest, nonebts, repo_a, pool_ids, budget)
+    index = SweepIndex(repo_a, nonebts)
+    sweep = rank_relevant_nonebts(mut, dest, index, pool_ids, budget)
     assert _ids(sweep) == _ids(_old_sweep_rule(mut, dest, nonebts, repo_a, pool_ids, budget))
-    corpus = rank_relevant_nonebts(mut, dest, nonebts, repo_a, budget=budget)
+    corpus = rank_relevant_nonebts(mut, dest, index, budget=budget)
     assert _ids(corpus) == _ids(_old_corpus_rule(mut, dest, nonebts, repo_a, budget))
 
 
@@ -300,11 +297,12 @@ def test_two_tests_sharing_a_label_rank_alike_in_the_sweep_and_the_corpus(tmp_pa
     same_label = [t for t in nonebts if t.id.name == "testWithdrawOk"]
     assert len(same_label) == 2 and len({label_of(t.id) for t in same_label}) == 1
     log = parse_trace_log((REPO_A / "logs/nonebt-traces.log").read_text())
-    pool = collect_stacktrace_set(nonebts, ctx, log)
+    index = SweepIndex(ctx, nonebts)
+    pool = collect_stacktrace_set(index, log)
     site = _site(ctx, "withdraw")
     dest = "src/test/java/com/fix/AccountTest.java"
-    bundle = assemble_prompt(site.method, site, dest, pool, nonebts, ctx, seed=42)
-    linked = link_relevant_nonebts(CorpusExample("x", "", bundle, ""), nonebts, ctx)
+    bundle = assemble_prompt(site.method, site, dest, pool, index, seed=42)
+    linked = link_relevant_nonebts(CorpusExample("x", "", bundle, ""), index)
     assert bundle.nonebts == linked.prompt.nonebts
     assert sum("testWithdrawOk" in s for s in bundle.nonebts) == 2
 
@@ -334,15 +332,14 @@ def test_dest_none_without_match_or_index(repo_a):
 # --- instruction rendering ---
 
 
-def _bundle(repo_a, repo_a_suite, pool, name="withdraw", **kw):
-    _, nonebts = repo_a_suite
-    site = _site(repo_a, name)
+def _bundle(index, pool, name="withdraw", **kw):
+    site = _site(index.ctx, name)
     return assemble_prompt(site.method, site, "src/test/java/com/fix/AccountTest.java",
-                           pool, nonebts, repo_a, seed=42, **kw)
+                           pool, index, seed=42, **kw)
 
 
-def test_render_section_order(repo_a, repo_a_suite, pool):
-    text = _bundle(repo_a, repo_a_suite, pool).rendered_instruction
+def test_render_section_order(repo_a_index, pool):
+    text = _bundle(repo_a_index, pool).rendered_instruction
     anchors = [
         "### Task",
         "### Method under test",
@@ -383,8 +380,8 @@ def test_render_empty_sections_omitted_with_headers(repo_a):
     assert "### Destination test file" not in text
 
 
-def test_with_name_vs_no_name_differ_only_in_name_section(repo_a, repo_a_suite, pool):
-    no_name = _bundle(repo_a, repo_a_suite, pool)
+def test_with_name_vs_no_name_differ_only_in_name_section(repo_a_index, pool):
+    no_name = _bundle(repo_a_index, pool)
     with_name = replace(no_name, variant="with-name", test_name="testWithdrawRejects")
     a = no_name.rendered_instruction
     b = render_instruction(with_name)
@@ -393,8 +390,8 @@ def test_with_name_vs_no_name_differ_only_in_name_section(repo_a, repo_a_suite, 
     assert extra.strip() == "### Test name\ntestWithdrawRejects"
 
 
-def test_skeleton_used_in_dest_section(repo_a, repo_a_suite, pool):
-    text = _bundle(repo_a, repo_a_suite, pool).rendered_instruction
+def test_skeleton_used_in_dest_section(repo_a, repo_a_index, pool):
+    text = _bundle(repo_a_index, pool).rendered_instruction
     assert "class AccountTest" in text
     assert "testWithdrawOk" in text  # as a relevant test ...
     skeleton = build_dest_skeleton(repo_a, "src/test/java/com/fix/AccountTest.java")
@@ -422,9 +419,8 @@ def test_skeleton_drops_a_test_whose_annotation_holds_a_comment(tmp_path):
 # --- machine-oriented sweep ---
 
 
-def test_sweep_partitions_targets(repo_a, repo_a_suite, pool):
-    _, nonebts = repo_a_suite
-    results = sweep_targets(repo_a, pool, nonebts, seed=42)
+def test_sweep_partitions_targets(repo_a, repo_a_index, pool):
+    results = sweep_targets(pool, repo_a_index, seed=42)
     sites = find_throw_sites(repo_a, "main")
     assert [s.label() for s, _ in results] == [s.label() for s in sites]
     reasons = {}
@@ -440,7 +436,7 @@ def test_sweep_partitions_targets(repo_a, repo_a_suite, pool):
     assert set(reasons) <= {"no-dest-file", "no-matching-trace"}
 
 
-def test_golden_instruction_for_fixture_bundle(repo_a, repo_a_suite, pool):
+def test_golden_instruction_for_fixture_bundle(repo_a_index, pool):
     golden = (REPO_A / "golden-instruction.txt").read_text()
-    text = _bundle(repo_a, repo_a_suite, pool).rendered_instruction
+    text = _bundle(repo_a_index, pool).rendered_instruction
     assert text == golden

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -227,6 +228,38 @@ def test_frames_are_resolved_in_one_place():
     assert _where(reads_resolve_frame) == ["exbt.stacktrace.resolve_trace"]
     assert _where(lambda n: isinstance(n, ast.Raise) and "FrameOutOfSpan" in _names(n)) \
         == ["exbt.jmodel.model.RepoContext.resolve_frame"]
+
+
+def _params(fn: ast.FunctionDef) -> list[ast.arg]:
+    a = fn.args
+    return [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+
+
+def _typed(arg: ast.arg, name: str) -> bool:
+    """Whether the parameter's annotation names the type `name`."""
+    return arg.annotation is not None \
+        and re.search(rf"\b{name}\b", ast.unparse(arg.annotation)) is not None
+
+
+def test_one_sweep_index_per_command():
+    """The pool, ranking, the prompt builder and the corpus read the
+    non-EBTs and the repository only through one `SweepIndex`, which each
+    command that needs it builds once: no function takes the non-EBTs
+    or a `RepoContext` beside an index, so no index built over one
+    repository meets another."""
+    defs = {f"{module}.{qualname}": node
+            for module, tree in _trees().items() for qualname, node in _defs(tree)}
+    assert "exbt.prompting.SweepIndex.of" not in defs
+    assert [q for q, fn in defs.items() if any(_typed(a, "SweepIndex") for a in _params(fn))
+            and any(_typed(a, "RepoContext") for a in _params(fn))] == []
+    assert [q for q, fn in defs.items() if any(a.arg == "nonebts" for a in _params(fn))] \
+        == ["exbt.prompting.SweepIndex.__init__"]
+
+    def builds_index(n: ast.AST) -> bool:
+        return isinstance(n, ast.Call) and (getattr(n.func, "id", None) == "SweepIndex"
+                                            or getattr(n.func, "attr", None) == "SweepIndex")
+
+    assert _where(builds_index) == ["exbt.cli.cmd_pool", "exbt.cli.cmd_prompt", "exbt.cli.cmd_sweep"]
 
 
 def test_no_module_imports_a_private_name():

@@ -11,6 +11,7 @@ from exbt.errors import (
     NoThrowAtFrame,
     UnknownMethod,
 )
+from exbt.jmodel import load_repo
 from exbt.stacktrace import (
     Frame,
     StackTrace,
@@ -153,8 +154,6 @@ def test_exclusion_empty_raises(repo_a):
 
 
 def test_exclusion_keeps_main_class_sharing_a_test_file_name(tmp_path):
-    from exbt.jmodel import load_repo
-
     main = tmp_path / "src/main/java/a/Util.java"
     helper = tmp_path / "src/test/java/b/Util.java"
     main.parent.mkdir(parents=True)
@@ -249,6 +248,23 @@ def test_resolve_trace_rejects_a_line_outside_every_body_of_the_name(repo_a, fra
     ok = Frame("com.fix.Account", "withdraw", "Account.java", 14)
     with pytest.raises(error):
         resolve_trace(StackTrace((frame, ok)), repo_a)
+
+
+def test_a_frame_resolves_only_in_a_class_the_repository_declares(repo_a, tmp_path):
+    """Matching the simple class name would take `org.example.Account` for
+    repoA's `com.fix.Account`; a default-package class is still found, as
+    the JVM prints its declared name."""
+    with pytest.raises(UnknownMethod):
+        repo_a.resolve_frame("org.example.Account", "withdraw", 14)
+    assert repo_a.resolve_frame("com.fix.Account", "withdraw", 14)[2].mid.fqn == "com.fix.Account"
+    (tmp_path / "src/main/java").mkdir(parents=True)
+    (tmp_path / "src/main/java/Gate.java").write_text(
+        "public class Gate {\n    void check() {\n        throw new IllegalStateException();\n"
+        "    }\n}\n")
+    ctx = load_repo(tmp_path)
+    assert ctx.resolve_frame("Gate", "check", 3)[2].mid.label() == "Gate#check/0"
+    with pytest.raises(UnknownMethod):
+        ctx.resolve_frame("p.Gate", "check", 3)
 
 
 def test_endpoints_resolve(repo_a):
