@@ -34,7 +34,9 @@ from exbt.genbackend import (
 )
 from exbt.guardexpr import compute_guard_expression
 from exbt.instrument import (
+    HELPER_FILE,
     TraceLog,
+    helper_source,
     instrument_print_exception,
     instrument_print_trace,
     parse_trace_log,
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-path", default="exbt-trace.log")
     p.add_argument("--ebt", default=None,
                    help="fqn#name: print the exception-print rewrite of one EBT instead")
-    _add_shared(p, "--source-roots", "--seed")
+    _add_shared(p, "--source-roots")
 
     p = sub.add_parser("pool", help="build the trace pool from a recorded log")
     p.add_argument("repo")
@@ -122,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("guard", help="compute the guard expression for a trace")
     p.add_argument("--trace", required=True, help="file holding one raw JVM trace")
     p.add_argument("--repo", required=True)
-    p.add_argument("--dest", default=None, help="destination test file for frame exclusion")
     _add_shared(p, "--source-roots")
 
     p = sub.add_parser("prompt", help="assemble one developer-oriented prompt")
@@ -143,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ebt-trace-log", default=None)
     p.add_argument("--runner-results", default=None)
     p.add_argument("--runner", default=None, choices=["recorded", "javac"])
-    p.add_argument("--variant", default="no-name", choices=["no-name", "with-name"])
     p.add_argument("--max-in-flight", type=int, default=4,
                    help="bound on concurrent backend requests")
     p.add_argument("--out", default="exbt-out")
@@ -311,23 +311,22 @@ def cmd_instrument(args) -> int:
         return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest("instrument", seed=args.seed)
+    manifest = Manifest("instrument")
     manifest.add_input_tree("repo", args.repo, ctx.tree_digest())
-    rewrites = instrument_print_trace(ctx, log_path=args.log_path)
-    # copy the tree, then overlay the rewrites
+    overlay = {HELPER_FILE: helper_source(args.log_path)}
+    for rel, rewrite in instrument_print_trace(ctx).items():
+        overlay[rel] = rewrite.rewritten
+        manifest.bump("methods_instrumented", len(rewrite.inserts))
+    # copy the tree, then overlay the rewrites and the helper
     for rel in ctx.main_files + ctx.test_files:
         src = Path(args.repo) / rel
         dst = out / rel
         dst.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(src, dst)
-    for rel, rewrite in rewrites.items():
+    for rel, text in overlay.items():
         dst = out / rel
         dst.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(rewrite, str):  # generated helper source
-            dst.write_text(rewrite, encoding="utf-8")
-        else:
-            dst.write_text(rewrite.rewritten, encoding="utf-8")
-            manifest.bump("methods_instrumented", len(rewrite.inserts))
+        dst.write_text(text, encoding="utf-8")
         manifest.add_artifact(dst, out)
     manifest.write(out / "manifest.json")
     print(f"instrumented tree written to {out}", file=sys.stderr)
@@ -364,9 +363,7 @@ def cmd_guard(args) -> int:
         text = Path(args.trace).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedTrace(f"{args.trace} is not UTF-8: {exc.reason}") from exc
-    trace = parse_stack_trace(text)
-    if args.dest:
-        trace = exclude_test_and_util_frames(trace, args.dest, ctx)
+    trace = exclude_test_and_util_frames(parse_stack_trace(text), ctx)
     guard = compute_guard_expression(resolve_trace(trace, ctx), ctx)
     print(guard.rendered)
     print(
@@ -391,11 +388,7 @@ def cmd_prompt(args) -> int:
         raise ExbtError("no destination test file found; pass --dest")
     index = SweepIndex(ctx, split_test_suite(ctx)[1])
     _, _, pool = _nonebt_pool(args, index, required=False)
-    variant = "with-name" if args.name else "no-name"
-    outcome = assemble_prompt(
-        mut, site, dest, pool, index,
-        seed=args.seed, variant=variant, test_name=args.name,
-    )
+    outcome = assemble_prompt(mut, site, dest, pool, index, seed=args.seed, test_name=args.name)
     if isinstance(outcome, NoMatch):
         print(json.dumps({"status": "no-match", "reason": outcome.reason}, sort_keys=True))
         return 0
@@ -495,7 +488,7 @@ def _pool_stage(args, index: SweepIndex, manifest: Manifest):
 
 def _prompts_stage(args, pool, index: SweepIndex) -> list[TargetOutcome]:
     return [TargetOutcome(site, prompt) for site, prompt in
-            sweep_targets(pool, index, seed=args.seed, variant=args.variant)]
+            sweep_targets(pool, index, seed=args.seed)]
 
 
 # the manifest counters of a sweep target, by its status (_ASSEMBLED: any bundle's)

@@ -19,6 +19,7 @@ from exbt.guardexpr import compute_guard_expression
 from exbt.instrument import TraceLog
 from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
+    TEMPLATE_ID,
     PromptBundle,
     SweepIndex,
     make_bundle,
@@ -50,7 +51,7 @@ def link_relevant_nonebts(
     p = example.prompt
     bundle = make_bundle(
         p.mut, p.throw_site, p.dest_path, p.trace, p.guard, index,
-        variant=p.variant, test_name=p.test_name, seed=p.seed, budget=budget,
+        test_name=p.test_name, seed=p.seed, budget=budget,
     )
     return replace(example, prompt=bundle)
 
@@ -75,18 +76,15 @@ def collect_training_corpus(
         if raw is None:
             skipped.append(SkippedExample(label, "no-trace"))
             continue
-        dest = ebt.id.decl_file
         try:
-            trace = resolve_trace(exclude_test_and_util_frames(raw, dest, ctx), ctx)
+            trace = resolve_trace(exclude_test_and_util_frames(raw, ctx), ctx)
             mut, site = endpoints(trace, ctx, ebt.expected_exception)
             guard = compute_guard_expression(trace, ctx, site)
         except ExbtError as exc:
             skipped.append(SkippedExample(label, type(exc).__name__))
             continue
         bundle = make_bundle(
-            mut, site, dest, trace, guard, index,
-            variant="with-name", test_name=ebt.id.name,
-        )
+            mut, site, ebt.id.decl_file, trace, guard, index, test_name=ebt.id.name)
         example = CorpusExample(
             example_id=f"{repo_name}:{label}" if repo_name else label,
             repo=repo_name,
@@ -136,7 +134,7 @@ def example_to_record(e: CorpusExample) -> dict:
         "gold_ebt": e.gold_ebt,
         "variant": p.variant,
         "test_name": p.test_name,
-        "template_id": p.template_id,
+        "template_id": TEMPLATE_ID,
         "rendered_instruction": p.rendered_instruction,
     }
 

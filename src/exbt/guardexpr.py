@@ -63,11 +63,15 @@ class CollectedNode(NamedTuple):
 class GuardExpression:
     conditions: tuple[str, ...]  # rendered, in collection order
     source_texts: tuple[str, ...] = ()  # conditions as originally written
-    rendered: str = ""  # conjunction joined with &&
     unresolved_names: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return bool(self.conditions)
+
+    @property
+    def rendered(self) -> str:
+        """The conjunction, joined with &&."""
+        return " && ".join(self.conditions)
 
 
 def parse_or_opaque(unit: CompilationUnit, rng: tuple[int, int]) -> Expr:
@@ -369,7 +373,6 @@ def _compute_guard(
     return GuardExpression(
         conditions=tuple(conds),
         source_texts=tuple(texts),
-        rendered=" && ".join(conds),
         unresolved_names=tuple(sorted(free - visible)),
     )
 

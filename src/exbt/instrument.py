@@ -129,16 +129,18 @@ def _apply(rw: Rewrite) -> Rewrite:
 DUMP = f" {HELPER_PACKAGE}.ExbtTraceLog.dump(); {TRACE_MARKER}"
 
 
-def instrument_print_trace(
-    ctx: RepoContext, log_path: str = "exbt-trace.log"
-) -> dict[str, Rewrite | str]:
+def helper_source(log_path: str) -> str:
+    """The generated helper class, logging to `log_path`; its file is `HELPER_FILE`."""
+    return HELPER_SOURCE.replace('"exbt-trace.log"', json.dumps(log_path))
+
+
+def instrument_print_trace(ctx: RepoContext) -> dict[str, Rewrite]:
     """Per-file rewrites adding an entry dump to every throw-bearing method.
 
-    Returns {relative path: Rewrite} plus the generated helper class under
-    its own key. Compact constructors and abstract members are skipped
-    with a warning.
+    Returns {relative path: Rewrite}. Compact constructors and abstract
+    members are skipped with a warning.
     """
-    out: dict[str, Rewrite | str] = {}
+    out: dict[str, Rewrite] = {}
     for unit in ctx.units:
         targets = [
             m for _, m in unit.all_methods()
@@ -149,9 +151,6 @@ def instrument_print_trace(
         rw = _rewrite_trace_dumps(unit, targets)
         if rw is not None:
             out[unit.path] = rw
-    out[HELPER_FILE] = HELPER_SOURCE.replace(
-        '"exbt-trace.log"', json.dumps(log_path)
-    )
     return out
 
 

@@ -106,8 +106,6 @@ class TypeDecl:
     kind: str  # class | interface | enum | record | annotation
     name: str
     fqn: str
-    start_line: int
-    end_line: int
     methods: list[MethodDecl] = field(default_factory=list)
     nested: list["TypeDecl"] = field(default_factory=list)
     field_names: list[str] = field(default_factory=list)
@@ -225,8 +223,7 @@ class _UnitParser:
         kind = self.toks[kw_index].text
         if kw_index + 1 >= len(self.toks):
             raise JavaParseError(f"{kind} without a name at line {self.toks[kw_index].line}")
-        name_tok = self.toks[kw_index + 1]
-        name = name_tok.text
+        name = self.toks[kw_index + 1].text
         if outer_fqn:
             fqn = f"{outer_fqn}${name}"
         elif package:
@@ -243,13 +240,7 @@ class _UnitParser:
             open_b = close_p + 1
         open_b = index_of(self.toks, open_b, "{")
         close_b = match_brace(self.toks, open_b)
-        decl = TypeDecl(
-            kind=kind,
-            name=name,
-            fqn=fqn,
-            start_line=name_tok.line,
-            end_line=self.toks[close_b].line,
-        )
+        decl = TypeDecl(kind=kind, name=name, fqn=fqn)
         # record components behave like fields and constructor parameters
         decl.record_components = record_params
         decl.field_names.extend(record_params)
@@ -399,7 +390,7 @@ def parse_member(
     own_close = Token("punct", "}", source.count("\n") + 2, len(source) + 1)
     parser = _UnitParser(source, tokens + [own_close])
     close = match_brace([own_open, *parser.toks], 0) - 1
-    body = TypeDecl("class", "", "", 1, parser.toks[close].line)
+    body = TypeDecl("class", "", "")
     parser._parse_members(body, 0, close)
     unit = CompilationUnit("<member>", source, tokens, *parser.parse(close + 1, [body]))
     return unit, next((m for _, m in unit.all_methods()), None)

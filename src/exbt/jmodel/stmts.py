@@ -199,7 +199,6 @@ class BodyParser:
             close_p = match_paren(self.toks, open_p)
             cbody, p = self._parse_stmt(close_p + 1, limit)
             catch = self._stmt("catch", open_p, p)
-            catch.cond_range = (open_p + 1, close_p)  # catch parameter tokens
             _adopt(catch, cbody, "body")
             _adopt(st, catch, "catch")
         if p < limit and self.toks[p].text == "finally":

@@ -137,7 +137,7 @@ def _expr_signatures(expr, out: Counter) -> str:
 def _stmt_expr_trees(unit, stmt):
     trees = []
     for rng in (stmt.cond_range, stmt.selector_range):
-        if rng is not None and stmt.kind != "catch":
+        if rng is not None:
             trees.append(parse_or_opaque(unit, rng))
     for _, rng, op in stmt.assignments:
         if rng[1] > rng[0]:

@@ -49,11 +49,13 @@ class PromptBundle:
     trace: StackTrace
     guard: GuardExpression
     nonebts: tuple[str, ...]  # relevant non-EBT sources, ranked
-    variant: str  # with-name | no-name
     test_name: str | None
-    template_id: str
     rendered_instruction: str
     seed: int | None = None
+
+    @property
+    def variant(self) -> str:
+        return "with-name" if self.test_name else "no-name"
 
 
 def test_method_label(mid: MethodId) -> str:
@@ -114,8 +116,7 @@ def collect_stacktrace_set(index: SweepIndex, trace_log: TraceLog) -> list[Trace
             logger.warning("trace for unknown non-EBT %r skipped", test_id)
             continue
         try:
-            resolved = resolve_trace(
-                exclude_test_and_util_frames(trace, test.id.decl_file, ctx), ctx)
+            resolved = resolve_trace(exclude_test_and_util_frames(trace, ctx), ctx)
         except EmptyAfterExclusion:
             continue
         except (UnknownMethod, FrameOutOfSpan) as exc:
@@ -228,7 +229,7 @@ def render_instruction(bundle: PromptBundle) -> str:
     Section order is fixed; empty sections are omitted together with their
     headers. The with-name variant adds exactly one extra section.
     """
-    parts: list[str] = [f"// template: {bundle.template_id}"]
+    parts: list[str] = [f"// template: {TEMPLATE_ID}"]
     parts.append(
         "### Task\n"
         "Write a JUnit test method that calls the method under test and "
@@ -255,7 +256,7 @@ def render_instruction(bundle: PromptBundle) -> str:
         )
     if bundle.dest_skeleton:
         parts.append("### Destination test file\n" + bundle.dest_skeleton)
-    if bundle.variant == "with-name" and bundle.test_name:
+    if bundle.test_name:
         parts.append("### Test name\n" + bundle.test_name)
     return "\n\n".join(parts) + "\n"
 
@@ -268,7 +269,6 @@ def make_bundle(
     guard: GuardExpression,
     index: SweepIndex,
     also_same_mut: frozenset[MethodId] | set[MethodId] = frozenset(),
-    variant: str = "no-name",
     test_name: str | None = None,
     seed: int | None = None,
     budget: int = NONEBT_TOKEN_BUDGET,
@@ -285,9 +285,7 @@ def make_bundle(
         trace=trace,
         guard=guard,
         nonebts=tuple(t.body_text for t in ranked),
-        variant=variant,
         test_name=test_name,
-        template_id=TEMPLATE_ID,
         rendered_instruction="",
         seed=seed,
     )
@@ -301,7 +299,6 @@ def assemble_prompt(
     pool: list[TracePoolEntry],
     index: SweepIndex,
     seed: int = 0,
-    variant: str = "no-name",
     test_name: str | None = None,
 ) -> PromptBundle | NoMatch:
     """Match the pool, pick one trace with a seeded RNG, build the bundle.
@@ -319,7 +316,7 @@ def assemble_prompt(
     guard = compute_guard_expression(trace, index.ctx, throw_site)
     return make_bundle(
         mut, throw_site, dest, trace, guard, index, pool_same_mut,
-        variant=variant, test_name=test_name, seed=seed,
+        test_name=test_name, seed=seed,
     )
 
 
@@ -327,7 +324,6 @@ def sweep_targets(
     pool: list[TracePoolEntry],
     index: SweepIndex,
     seed: int = 0,
-    variant: str = "no-name",
 ) -> list[tuple[ThrowSite, PromptBundle | NoMatch]]:
     """Machine-oriented sweep: one (site, bundle-or-NoMatch) per main throw.
 
@@ -349,9 +345,7 @@ def sweep_targets(
         if dest is None:
             results.append((site, NoMatch("no-dest-file")))
             continue
-        outcome = assemble_prompt(
-            mut, site, dest, pool_by_site.get(site, []), index, seed=seed, variant=variant
-        )
+        outcome = assemble_prompt(mut, site, dest, pool_by_site.get(site, []), index, seed=seed)
         results.append((site, outcome))
     return results
 
@@ -375,7 +369,7 @@ def bundle_to_record(outcome, site: ThrowSite) -> dict:
             "variant": b.variant,
             "test_name": b.test_name,
             "seed": b.seed,
-            "template_id": b.template_id,
+            "template_id": TEMPLATE_ID,
             "trace": b.trace.to_rows(),
             "guard": {
                 "rendered": b.guard.rendered,

@@ -105,31 +105,26 @@ def parse_stack_trace(text: str) -> StackTrace:
     return StackTrace(tuple(reversed(jvm_order)))
 
 
-def exclude_test_and_util_frames(
-    trace: StackTrace, dest: str, ctx: RepoContext
-) -> StackTrace:
+def exclude_test_and_util_frames(trace: StackTrace, ctx: RepoContext) -> StackTrace:
     """Cut the trace at the test, then drop test and util frames.
 
     Every frame before the outermost one whose class is declared in a test
     file goes: launchers, runners, build tools and harnesses. Of the rest,
     a frame of a known class goes when that class is declared in a test
-    file, any other frame when its file name is the destination's or a
-    test file's.
+    file, any other frame when its file name is a test file's. Only the
+    repository is read.
     """
-    dest_name = dest.rsplit("/", 1)[-1]
     tests = ctx.test_class_fqns
     cut = next((k for k, f in enumerate(trace.frames) if f.class_fqn in tests), 0)
 
     def keep(f: Frame) -> bool:
         if ctx.declares_type(f.class_fqn):
             return f.class_fqn not in tests
-        return (f.file, None) not in ctx.test_files_by_name and f.file != dest_name
+        return (f.file, None) not in ctx.test_files_by_name
 
     kept = tuple(f for f in trace.frames[cut:] if keep(f))
     if not kept:
-        raise EmptyAfterExclusion(
-            f"no frames left after excluding test/util methods against {dest_name}"
-        )
+        raise EmptyAfterExclusion("no frames left after excluding test/util methods")
     return StackTrace(kept)
 
 

@@ -122,10 +122,10 @@ def test_criterion_exclusion_idempotence(repo_a, trace):
     from exbt.errors import EmptyAfterExclusion
 
     try:
-        once = exclude_test_and_util_frames(trace, "SomeTest.java", repo_a)
+        once = exclude_test_and_util_frames(trace, repo_a)
     except EmptyAfterExclusion:
         return
-    assert exclude_test_and_util_frames(once, "SomeTest.java", repo_a) == once
+    assert exclude_test_and_util_frames(once, repo_a) == once
 
 
 def test_criterion_round_trip_summary():

@@ -80,6 +80,23 @@ def test_guard_command(capsys, tmp_path):
     assert payload == {"conditions": ["x > 0"], "rendered": "x > 0", "unresolved_names": []}
 
 
+def test_guard_command_cuts_a_jvm_printed_trace_at_the_test(capsys, tmp_path):
+    """A trace as a JVM prints it, with the harness and the IDE launcher
+    that called the test, gives the guard of the method under test."""
+    trace = tmp_path / "trace.txt"
+    trace.write_text(
+        "java.lang.IllegalArgumentException: negative\n"
+        "\tat com.fix.Account.withdraw(Account.java:14)\n"
+        "\tat com.fix.AccountTest.testWithdrawNegative(AccountTest.java:31)\n"
+        "\tat java.base/jdk.internal.reflect.NativeMethodAccessorImpl.invoke0(Native Method)\n"
+        "\tat ExbtHarness.main(ExbtHarness.java:18)\n"
+        "\tat com.intellij.rt.junit.JUnitStarter.main(JUnitStarter.java:69)\n"
+    )
+    code, out, _ = run(capsys, "guard", "--trace", trace, "--repo", REPO_A)
+    assert code == 0
+    assert out.splitlines()[0] == "amount < 0"
+
+
 def test_guard_command_rejects_a_non_utf8_trace(capsys, tmp_path):
     trace = tmp_path / "trace.txt"
     trace.write_bytes(b"at gx.Guards.ifPositive(Guards.java:6)\xff\n")
@@ -862,16 +879,16 @@ def test_main_reuses_one_parser_and_no_flag_leaks_into_the_next_call(monkeypatch
     seen = []
     for command in ("sweep", "classify"):
         monkeypatch.setitem(cli._HANDLERS, command, lambda args: seen.append(vars(args)) or 0)
-    assert main(["sweep", "r", "--seed", "7", "--variant", "with-name", "--config", "c",
+    assert main(["sweep", "r", "--seed", "7", "--runner", "javac", "--config", "c",
                  "--backend", "http", "--max-in-flight", "1", "--source-roots", "a,b"]) == 0
     assert main(["classify", "r"]) == 0
     assert main(["sweep", "r"]) == 0
     assert cli.build_parser() is cli.build_parser()
-    assert (seen[0]["seed"], seen[0]["variant"], seen[0]["config"]) == (7, "with-name", "c")
+    assert (seen[0]["seed"], seen[0]["runner"], seen[0]["config"]) == (7, "javac", "c")
     assert seen[1] == {"command": "classify", "repo": "r", "source_roots": None}
     fresh = cli.build_parser.__wrapped__()  # a parser no call has used
     assert seen[2] == vars(fresh.parse_args(["sweep", "r"]))
-    assert (seen[2]["seed"], seen[2]["variant"], seen[2]["backend"]) == (42, "no-name", None)
+    assert (seen[2]["seed"], seen[2]["runner"], seen[2]["backend"]) == (42, None, None)
 
 
 @pytest.mark.parametrize("argv, unread", [
@@ -880,8 +897,11 @@ def test_main_reuses_one_parser_and_no_flag_leaks_into_the_next_call(monkeypatch
     (["classify", "r"], ["--config", "c"]),
     (["generate", "--instruction", "i"], ["--source-roots", "a"]),
     (["verify-manifest", "m"], ["--seed", "1"]),
+    (["sweep", "r"], ["--variant", "with-name"]),
+    (["guard", "--trace", "t", "--repo", "r"], ["--dest", "p"]),
+    (["instrument", "r", "--out", "o"], ["--seed", "1"]),
 ], ids=["eval-seed", "sweep-json", "classify-config", "generate-source-roots",
-        "verify-manifest-seed"])
+        "verify-manifest-seed", "sweep-variant", "guard-dest", "instrument-seed"])
 def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv, unread):
     with pytest.raises(SystemExit) as exc:
         main(argv + unread)
@@ -898,7 +918,7 @@ def test_each_subcommand_takes_the_shared_flags_it_reads():
     roots = ["--source-roots"]
     assert taken == {
         "classify": roots, "find-throws": roots, "pool": roots, "guard": roots, "eval": roots,
-        "instrument": ["--seed", "--source-roots"],
+        "instrument": roots,
         "prompt": ["--json", "--seed", "--source-roots"],
         "sweep": ["--config", "--seed", "--source-roots"],
         "generate": ["--config", "--seed"],

@@ -13,6 +13,7 @@ from exbt.instrument import (
     HELPER_FILE,
     TRACE_MARKER,
     _rewrite_trace_dumps,
+    helper_source,
     instrument_print_exception,
     instrument_print_trace,
     parse_trace_log,
@@ -50,49 +51,45 @@ def ebt_repo(tmp_path):
     return load_repo(tmp_path)
 
 
-def _trace_rewrites(ctx):
-    return {k: v for k, v in instrument_print_trace(ctx).items() if k != HELPER_FILE}
-
-
 def test_trace_dump_matches_golden(main_repo):
-    rewrites = _trace_rewrites(main_repo)
+    rewrites = instrument_print_trace(main_repo)
     for rel, rw in rewrites.items():
         golden = (INSTR / rel.split("/")[-1].replace(".java", ".instrumented.java")).read_text()
         assert rw.rewritten == golden
 
 
 def test_throwless_method_untouched(main_repo):
-    rw = _trace_rewrites(main_repo)["src/main/java/com/fix/Simple.java"]
+    rw = instrument_print_trace(main_repo)["src/main/java/com/fix/Simple.java"]
     original_read = "    public int read() {\n        return state;\n    }"
     assert original_read in rw.rewritten
     assert rw.rewritten.count(TRACE_MARKER) == 1
 
 
 def test_exactly_one_dump_per_throw_bearing_method(main_repo):
-    for rw in _trace_rewrites(main_repo).values():
+    for rw in instrument_print_trace(main_repo).values():
         assert rw.rewritten.count(TRACE_MARKER) == len(rw.inserts) == 1
 
 
 def test_trace_rewrite_idempotent(main_repo, tmp_path):
-    rewrites = _trace_rewrites(main_repo)
+    rewrites = instrument_print_trace(main_repo)
     round2root = tmp_path / "round2/src/main/java/com/fix"
     round2root.mkdir(parents=True)
     for rel, rw in rewrites.items():
         (round2root / rel.split("/")[-1]).write_text(rw.rewritten)
     ctx2 = load_repo(tmp_path / "round2")
-    again = _trace_rewrites(ctx2)
+    again = instrument_print_trace(ctx2)
     assert again == {}  # nothing left to change
 
 
 def test_restore_is_byte_identical(main_repo):
-    for rw in _trace_rewrites(main_repo).values():
+    for rw in instrument_print_trace(main_repo).values():
         assert rw.restore() == rw.original
 
 
 def test_rewrite_keeps_every_line(main_repo):
     """The dump goes on the line of the body's '{', so every line of the
     original keeps its number and a logged line is an original line."""
-    rw = _trace_rewrites(main_repo)["src/main/java/com/fix/Simple.java"]
+    rw = instrument_print_trace(main_repo)["src/main/java/com/fix/Simple.java"]
     [(offset, text)] = rw.inserts
     original_lines = rw.original.split("\n")
     rewritten_lines = rw.rewritten.split("\n")
@@ -105,9 +102,8 @@ def test_rewrite_keeps_every_line(main_repo):
 
 
 def test_helper_class_emitted(main_repo):
-    out = instrument_print_trace(main_repo)
-    assert HELPER_FILE in out
-    assert "getStackTrace" in out[HELPER_FILE]
+    assert HELPER_FILE not in instrument_print_trace(main_repo)
+    assert "getStackTrace" in helper_source("exbt-trace.log")
 
 
 def test_abstract_member_skipped_and_one_liner_dumped(tmp_path):
@@ -119,8 +115,7 @@ def test_abstract_member_skipped_and_one_liner_dumped(tmp_path):
 }"""
     )
     ctx = load_repo(tmp_path)
-    rewrites = {k: v for k, v in instrument_print_trace(ctx).items() if k != HELPER_FILE}
-    rw = rewrites["Edge.java"]
+    rw = instrument_print_trace(ctx)["Edge.java"]
     assert rw.rewritten.split("\n")[3] == (
         "    void oneLiner(int x) { exbtruntime.ExbtTraceLog.dump(); /* exbt:trace */"
         " if (x > 0) { throw new IllegalStateException(); } }"
@@ -133,7 +128,7 @@ def test_constructor_dump_follows_its_this_or_super_call():
     """Java requires a this(...) or super(...) call to stay a constructor's
     first statement, so the dump goes right after its ';'."""
     ctx = load_repo(GATE)
-    rw = _trace_rewrites(ctx)["src/main/java/com/gate/Box.java"]
+    rw = instrument_print_trace(ctx)["src/main/java/com/gate/Box.java"]
     lines = rw.rewritten.split("\n")
     assert lines[5] == (
         "    public Box() { this(4); exbtruntime.ExbtTraceLog.dump(); /* exbt:trace */"

@@ -369,9 +369,7 @@ def test_render_empty_sections_omitted_with_headers(repo_a):
         trace=StackTrace((Frame("com.fix.Account", "withdraw", "Account.java", 14),)),
         guard=GuardExpression((), ()),
         nonebts=(),
-        variant="no-name",
         test_name=None,
-        template_id="exbt-inst-v1",
         rendered_instruction="",
     )
     text = render_instruction(bundle)
@@ -382,12 +380,27 @@ def test_render_empty_sections_omitted_with_headers(repo_a):
 
 def test_with_name_vs_no_name_differ_only_in_name_section(repo_a_index, pool):
     no_name = _bundle(repo_a_index, pool)
-    with_name = replace(no_name, variant="with-name", test_name="testWithdrawRejects")
+    with_name = replace(no_name, test_name="testWithdrawRejects")
     a = no_name.rendered_instruction
     b = render_instruction(with_name)
     assert b.startswith(a.rstrip("\n"))
     extra = b[len(a.rstrip("\n")):]
     assert extra.strip() == "### Test name\ntestWithdrawRejects"
+
+
+def test_the_variant_follows_from_the_test_name(repo_a_index, pool):
+    no_name = _bundle(repo_a_index, pool)
+    assert no_name.variant == "no-name"
+    assert replace(no_name, test_name="testWithdrawRejects").variant == "with-name"
+
+
+def test_a_bundle_and_a_guard_store_no_value_another_field_decides():
+    from dataclasses import fields
+
+    from exbt.guardexpr import GuardExpression
+
+    assert {"variant", "template_id"}.isdisjoint(f.name for f in fields(PromptBundle))
+    assert "rendered" not in {f.name for f in fields(GuardExpression)}
 
 
 def test_skeleton_used_in_dest_section(repo_a, repo_a_index, pool):

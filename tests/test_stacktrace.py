@@ -123,14 +123,14 @@ def test_round_trip_parse_render(trace):
     assert parse_stack_trace(render_stack_trace(trace)) == trace
 
 
-def test_exclusion_removes_dest_and_test_files(repo_a):
+def test_exclusion_removes_test_files(repo_a):
     trace = StackTrace(
         (
             Frame("com.fix.AccountTest", "testWithdrawNegative", "AccountTest.java", 31),
             Frame("com.fix.Account", "withdraw", "Account.java", 14),
         )
     )
-    out = exclude_test_and_util_frames(trace, "src/test/java/com/fix/AccountTest.java", repo_a)
+    out = exclude_test_and_util_frames(trace, repo_a)
     assert [f.method for f in out.frames] == ["withdraw"]
 
 
@@ -141,7 +141,7 @@ def test_exclusion_removes_helper_in_other_test_file(repo_a):
             Frame("com.fix.Account", "withdraw", "Account.java", 14),
         )
     )
-    out = exclude_test_and_util_frames(trace, "src/test/java/com/fix/AccountTest.java", repo_a)
+    out = exclude_test_and_util_frames(trace, repo_a)
     assert [f.method for f in out.frames] == ["withdraw"]
 
 
@@ -150,7 +150,7 @@ def test_exclusion_empty_raises(repo_a):
         (Frame("com.fix.CornerTest", "explode", "CornerTest.java", 24),)
     )
     with pytest.raises(EmptyAfterExclusion):
-        exclude_test_and_util_frames(trace, "src/test/java/com/fix/CornerTest.java", repo_a)
+        exclude_test_and_util_frames(trace, repo_a)
 
 
 def test_exclusion_keeps_main_class_sharing_a_test_file_name(tmp_path):
@@ -173,7 +173,7 @@ def test_exclusion_keeps_main_class_sharing_a_test_file_name(tmp_path):
             Frame("a.Util", "check", "Util.java", 4),
         )
     )
-    out = exclude_test_and_util_frames(trace, "src/test/java/b/UtilTest.java", load_repo(tmp_path))
+    out = exclude_test_and_util_frames(trace, load_repo(tmp_path))
     assert [f.class_fqn for f in out.frames] == ["a.Util"]
 
 
@@ -198,10 +198,10 @@ def exclusion_traces(draw):
 @given(exclusion_traces())
 def test_exclusion_idempotent(repo_a, trace):
     try:
-        once = exclude_test_and_util_frames(trace, "SomeTest.java", repo_a)
+        once = exclude_test_and_util_frames(trace, repo_a)
     except EmptyAfterExclusion:
         return
-    twice = exclude_test_and_util_frames(once, "SomeTest.java", repo_a)
+    twice = exclude_test_and_util_frames(once, repo_a)
     assert once == twice
 
 
@@ -216,10 +216,10 @@ def test_exclusion_cuts_frames_outside_the_outermost_test_frame(repo_a):
             Frame("com.fix.Account", "withdraw", "Account.java", 13),
         )
     )
-    out = exclude_test_and_util_frames(trace, "src/test/java/com/fix/AccountTest.java", repo_a)
+    out = exclude_test_and_util_frames(trace, repo_a)
     assert [f.method for f in out.frames] == ["checkState", "withdraw"]
     no_test = StackTrace(trace.frames[:2] + trace.frames[3:])
-    assert exclude_test_and_util_frames(no_test, "AccountTest.java", repo_a) == no_test
+    assert exclude_test_and_util_frames(no_test, repo_a) == no_test
 
 
 def test_resolve_trace_sets_each_frames_method(repo_a):
