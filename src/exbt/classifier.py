@@ -47,35 +47,38 @@ def has_test_annotation(m: MethodDecl) -> bool:
     return any(_test_annotations(m))
 
 
-def _annotation_expected(m: MethodDecl) -> str | None:
-    """X of the first `expected = X.class` in m's `@Test` annotation."""
+def _annotation_expected(m: MethodDecl) -> tuple[str] | None:
+    """(X,) of the first `expected = X.class` in m's `@Test` annotation."""
     for toks, end in _test_annotations(m):
         for k in range(end, len(toks) - 1):
             if toks[k].text == "expected" and toks[k + 1].text == "=":
                 stop = skip_name(toks, k + 2, len(toks))
                 if stop > k + 2 and [t.text for t in toks[stop : stop + 2]] == [".", "class"]:
-                    return "".join(t.text for t in toks[k + 2 : stop])
+                    return ("".join(t.text for t in toks[k + 2 : stop]),)
     return None
 
 
-def _class_literal_arg(
+def class_literal_arg(
     unit: CompilationUnit, m: MethodDecl, name: str, on_receiver: bool = False
-) -> str | None:
-    """X of the first `X.class` that is the first argument of a call to
-    `name` in the body, as in `rule.expect(X.class)` when on_receiver."""
+) -> tuple[str, int, int] | None:
+    """(X, index of the call's name, index of its `)`) of the first call to
+    `name` in the body whose first argument is `X.class`, as in
+    `rule.expect(X.class)` when on_receiver."""
     if m.tok_open is None:
         return None
     toks = unit.tokens
-    for k, _, args, _ in call_sites(toks, m.tok_open + 1, m.tok_close):
+    for k, _, args, close in call_sites(toks, m.tok_open + 1, m.tok_close):
         if toks[k].text != name or not args or (on_receiver and toks[k - 1].text != "."):
             continue
         lo, hi = args[0]
         if hi - lo >= 3 and toks[hi - 1].text == "class" and toks[hi - 2].text == ".":
-            return "".join(t.text for t in toks[lo : hi - 2])
+            return "".join(t.text for t in toks[lo : hi - 2]), k, close
     return None
 
 
-def _try_fail_catch(unit: CompilationUnit, m: MethodDecl) -> str | None:
+def try_fail_catch(unit: CompilationUnit, m: MethodDecl) -> tuple[str, int] | None:
+    """(X, index of the `catch`) of the first `try { …; fail(…); … }
+    catch (X e)` in the body."""
     if m.tok_open is None:
         return None
     toks = unit.tokens
@@ -104,7 +107,7 @@ def _try_fail_catch(unit: CompilationUnit, m: MethodDecl) -> str | None:
                         lo = match_paren(toks, lo, close_p) + 1
                 hi = skip_type(toks, lo, close_p)  # a multi-catch's first alternative
                 if lo < hi < close_p:
-                    return "".join(t.text for t in toks[lo:hi])
+                    return "".join(t.text for t in toks[lo:hi]), close_b + 1
             k = close_b + 1
             continue
         k += 1
@@ -115,16 +118,16 @@ def _classify_decl(unit: CompilationUnit, m: MethodDecl, mid: MethodId) -> TestM
     if not has_test_annotation(m):
         raise NotATest(f"{mid.label()} carries no @Test annotation")
     last = m.tok_close if m.tok_close is not None else m.tok_start
-    body_text = unit.text(m.tok_start, last)
+    body_text = unit.text(m.tok_start, last + 1)
     for pattern, probe in (
         ("AnnotationExpected", lambda: _annotation_expected(m)),
-        ("AssertThrows", lambda: _class_literal_arg(unit, m, "assertThrows")),
-        ("ExpectedExceptionRule", lambda: _class_literal_arg(unit, m, "expect", True)),
-        ("TryFailCatch", lambda: _try_fail_catch(unit, m)),
+        ("AssertThrows", lambda: class_literal_arg(unit, m, "assertThrows")),
+        ("ExpectedExceptionRule", lambda: class_literal_arg(unit, m, "expect", True)),
+        ("TryFailCatch", lambda: try_fail_catch(unit, m)),
     ):
-        expected = probe()
-        if expected:
-            return TestMethod(mid, body_text, "EBT", pattern, expected)
+        found = probe()  # the expected type, then where it was found
+        if found:
+            return TestMethod(mid, body_text, "EBT", pattern, found[0])
     return TestMethod(mid, body_text, "NonEBT", None, None)
 
 

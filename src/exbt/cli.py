@@ -35,8 +35,8 @@ from exbt.genbackend import (
 from exbt.guardexpr import compute_guard_expression
 from exbt.instrument import (
     HELPER_FILE,
+    HELPER_SOURCE,
     TraceLog,
-    helper_source,
     instrument_print_exception,
     instrument_print_trace,
     parse_trace_log,
@@ -63,7 +63,7 @@ from exbt.prompting import (
     test_method_label,
 )
 from exbt.runners import JavacRunner, RecordedRunner
-from exbt.stacktrace import exclude_test_and_util_frames, parse_stack_trace, resolve_trace
+from exbt.stacktrace import parse_stack_trace, resolve_trace
 
 
 # the flags several subcommands read; each subcommand takes only those it reads
@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("instrument", help="rewrite sources to emit trace logs")
     p.add_argument("repo")
     p.add_argument("--out", required=True)
-    p.add_argument("--log-path", default="exbt-trace.log")
     p.add_argument("--ebt", default=None,
                    help="fqn#name: print the exception-print rewrite of one EBT instead")
     _add_shared(p, "--source-roots")
@@ -313,7 +312,7 @@ def cmd_instrument(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest("instrument")
     manifest.add_input_tree("repo", args.repo, ctx.tree_digest())
-    overlay = {HELPER_FILE: helper_source(args.log_path)}
+    overlay = {HELPER_FILE: HELPER_SOURCE}
     for rel, rewrite in instrument_print_trace(ctx).items():
         overlay[rel] = rewrite.rewritten
         manifest.bump("methods_instrumented", len(rewrite.inserts))
@@ -363,8 +362,7 @@ def cmd_guard(args) -> int:
         text = Path(args.trace).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedTrace(f"{args.trace} is not UTF-8: {exc.reason}") from exc
-    trace = exclude_test_and_util_frames(parse_stack_trace(text), ctx)
-    guard = compute_guard_expression(resolve_trace(trace, ctx), ctx)
+    guard = compute_guard_expression(resolve_trace(parse_stack_trace(text), ctx), ctx)
     print(guard.rendered)
     print(
         json.dumps(

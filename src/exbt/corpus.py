@@ -25,7 +25,7 @@ from exbt.prompting import (
     make_bundle,
     test_method_label,
 )
-from exbt.stacktrace import StackTrace, endpoints, exclude_test_and_util_frames, resolve_trace
+from exbt.stacktrace import StackTrace, endpoints, resolve_trace
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def collect_training_corpus(
             skipped.append(SkippedExample(label, "no-trace"))
             continue
         try:
-            trace = resolve_trace(exclude_test_and_util_frames(raw, ctx), ctx)
+            trace = resolve_trace(raw, ctx)
             mut, site = endpoints(trace, ctx, ebt.expected_exception)
             guard = compute_guard_expression(trace, ctx, site)
         except ExbtError as exc:

@@ -51,7 +51,6 @@ METHOD_CALL = "MethodCall"
 class CollectedNode(NamedTuple):
     tag: str
     text: str  # source text of the construct
-    line: int
     expr: Expr | None = None  # condition expression (un-negated source form)
     name: str | None = None  # assignment target
     rhs: Expr | None = None  # assignment right-hand side
@@ -65,9 +64,6 @@ class GuardExpression:
     source_texts: tuple[str, ...] = ()  # conditions as originally written
     unresolved_names: tuple[str, ...] = ()
 
-    def __bool__(self) -> bool:
-        return bool(self.conditions)
-
     @property
     def rendered(self) -> str:
         """The conjunction, joined with &&."""
@@ -78,14 +74,7 @@ def parse_or_opaque(unit: CompilationUnit, rng: tuple[int, int]) -> Expr:
     try:
         return exprs.parse_expr_tokens(unit.tokens[rng[0] : rng[1]], unit.source)
     except JavaParseError:
-        return Opaque(_text(unit, rng))
-
-
-def _text(unit: CompilationUnit, rng: tuple[int, int]) -> str:
-    lo, hi = rng
-    if hi <= lo:
-        return ""
-    return unit.source[unit.tokens[lo].offset : unit.tokens[hi - 1].end]
+        return Opaque(unit.text(*rng))
 
 
 def _negate(e: Expr) -> Expr:
@@ -107,12 +96,11 @@ def _assignment_rhs(unit: CompilationUnit, name: str, rng, op: str) -> Expr:
 
 
 def _assignment_nodes(unit: CompilationUnit, stmt: Stmt) -> list[CollectedNode]:
-    text = _text(unit, (stmt.tok_start, stmt.tok_end)).strip()
+    text = unit.text(stmt.tok_start, stmt.tok_end).strip()
     return [
         CollectedNode(
             tag=ASSIGNMENT,
             text=text,
-            line=stmt.start_line,
             name=name,
             rhs=_assignment_rhs(unit, name, rng, op),
         )
@@ -120,11 +108,10 @@ def _assignment_nodes(unit: CompilationUnit, stmt: Stmt) -> list[CollectedNode]:
     ]
 
 
-def _condition_node(unit: CompilationUnit, rng, line: int, negated: bool) -> CollectedNode:
+def _condition_node(unit: CompilationUnit, rng, negated: bool) -> CollectedNode:
     return CollectedNode(
         tag=NEGATED if negated else CONDITION,
-        text=_text(unit, rng),
-        line=line,
+        text=unit.text(*rng),
         expr=parse_or_opaque(unit, rng),
     )
 
@@ -145,8 +132,7 @@ def _switch_nodes(unit: CompilationUnit, group: Stmt, switch: Stmt) -> list[Coll
                 nodes.append(
                     CollectedNode(
                         tag=NEGATED,
-                        text=_text(unit, lab),
-                        line=group.start_line,
+                        text=unit.text(*lab),
                         expr=eq,
                     )
                 )
@@ -160,8 +146,7 @@ def _switch_nodes(unit: CompilationUnit, group: Stmt, switch: Stmt) -> list[Coll
     nodes.append(
         CollectedNode(
             tag=CONDITION,
-            text=_text(unit, (group.tok_start, group.tok_end)),
-            line=group.start_line,
+            text=unit.text(group.tok_start, group.tok_end),
             expr=cond,
         )
     )
@@ -188,16 +173,16 @@ def _walk_up(unit: CompilationUnit, chain: tuple[Stmt, ...]) -> list[CollectedNo
         if parent.kind == "if" and parent.cond_range is not None:
             if current.role == "then":
                 nodes.append(
-                    _condition_node(unit, parent.cond_range, parent.start_line, False)
+                    _condition_node(unit, parent.cond_range, False)
                 )
             elif current.role == "else":
                 nodes.append(
-                    _condition_node(unit, parent.cond_range, parent.start_line, True)
+                    _condition_node(unit, parent.cond_range, True)
                 )
         elif parent.kind in ("while", "for") and current.role == "body":
             if parent.cond_range is not None:
                 nodes.append(
-                    _condition_node(unit, parent.cond_range, parent.start_line, False)
+                    _condition_node(unit, parent.cond_range, False)
                 )
         elif parent.kind == "case" and k + 1 < len(chain):
             nodes.extend(_preceding_assignments(unit, parent, current))
@@ -217,7 +202,7 @@ def _find_call(unit: CompilationUnit, stmt: Stmt, callee: MethodDecl, caller: Me
     toks = unit.tokens
     for k, _, args, close in call_sites(toks, stmt.tok_start, stmt.tok_end):
         if toks[k].text in names and len(args) == callee.arity:
-            text = unit.source[toks[k].offset : toks[close].end]
+            text = unit.text(k, close + 1)
             return tuple(parse_or_opaque(unit, r) for r in args), text
     return None
 
@@ -273,7 +258,6 @@ def collect_nodes(
                     CollectedNode(
                         tag=METHOD_DECL,
                         text=f"{prev_decl.name}({', '.join(prev_decl.params)})",
-                        line=prev_decl.decl_line,
                         params=tuple(prev_decl.params),
                     )
                 )
@@ -281,14 +265,12 @@ def collect_nodes(
                     CollectedNode(
                         tag=METHOD_CALL,
                         text=call_text,
-                        line=frame.line,
                         args=args,
                     )
                 )
         start_node = CollectedNode(
             tag=START,
-            text=_text(unit, (start.tok_start, start.tok_end)).strip(),
-            line=start.start_line,
+            text=unit.text(start.tok_start, start.tok_end).strip(),
         )
         nodes.append(start_node)
         if start.assignments:

@@ -16,15 +16,14 @@ block format defined here: frame lines in JVM order, one optional
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 
-from exbt.classifier import TestMethod
+from exbt.classifier import TestMethod, class_literal_arg, try_fail_catch
 from exbt.errors import NotEBT
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, parse_member
-from exbt.jmodel.lexer import call_sites, find_top_level, match_paren
+from exbt.jmodel.lexer import find_top_level, match_paren
 from exbt.stacktrace import StackTrace, parse_stack_trace
 from exbt.errors import MalformedTrace
 
@@ -95,7 +94,6 @@ public final class ExbtTraceLog {
 class Rewrite:
     """One rewritten source file plus everything needed to undo it."""
 
-    path: str
     original: str
     rewritten: str
     # (offset in the original, text), in source order
@@ -129,11 +127,6 @@ def _apply(rw: Rewrite) -> Rewrite:
 DUMP = f" {HELPER_PACKAGE}.ExbtTraceLog.dump(); {TRACE_MARKER}"
 
 
-def helper_source(log_path: str) -> str:
-    """The generated helper class, logging to `log_path`; its file is `HELPER_FILE`."""
-    return HELPER_SOURCE.replace('"exbt-trace.log"', json.dumps(log_path))
-
-
 def instrument_print_trace(ctx: RepoContext) -> dict[str, Rewrite]:
     """Per-file rewrites adding an entry dump to every throw-bearing method.
 
@@ -155,7 +148,7 @@ def instrument_print_trace(ctx: RepoContext) -> dict[str, Rewrite]:
 
 
 def _rewrite_trace_dumps(unit: CompilationUnit, targets: list[MethodDecl]) -> Rewrite | None:
-    rw = Rewrite(path=unit.path, original=unit.source, rewritten=unit.source)
+    rw = Rewrite(original=unit.source, rewritten=unit.source)
     for m in targets:
         if m.tok_open is None:
             rw.skipped.append(f"{m.name}: no body to instrument")
@@ -188,12 +181,13 @@ def instrument_print_exception(ebt: TestMethod) -> Rewrite:
 
     AnnotationExpected and ExpectedExceptionRule bodies are wrapped in a
     try/print/rethrow; TryFailCatch gains a print at the top of its catch
-    block; AssertThrows binds the returned exception and prints it.
+    block; AssertThrows binds the returned exception and prints it. The
+    catch and the call are the ones the classifier matched.
     """
     if not ebt.is_ebt:
         raise NotEBT(f"{ebt.id.label()} is not an exceptional-behavior test")
     source = ebt.body_text
-    rw = Rewrite(path=ebt.id.decl_file, original=source, rewritten=source)
+    rw = Rewrite(original=source, rewritten=source)
     if EXC_MARKER in source:
         return rw  # already instrumented
     unit, m = parse_member(source)
@@ -219,28 +213,27 @@ def _wrap_body(unit: CompilationUnit, m: MethodDecl, rw: Rewrite) -> None:
 
 
 def _print_in_catch(unit: CompilationUnit, m: MethodDecl, rw: Rewrite) -> None:
+    found = try_fail_catch(unit, m)
+    if found is None:
+        return
     toks = unit.tokens
-    for k in range(m.tok_open + 1, m.tok_close):
-        if toks[k].text == "catch":
-            close_p = match_paren(toks, k + 1)
-            if toks[close_p + 1].text == "{":
-                var = toks[close_p - 1].text
-                dump = f" {HELPER_PACKAGE}.ExbtTraceLog.dumpException({var}); {EXC_MARKER}"
-                rw.inserts.append((toks[close_p + 1].end, dump))
-                return
+    _, k = found
+    close_p = match_paren(toks, k + 1)
+    var = toks[close_p - 1].text
+    dump = f" {HELPER_PACKAGE}.ExbtTraceLog.dumpException({var}); {EXC_MARKER}"
+    rw.inserts.append((toks[close_p + 1].end, dump))
 
 
 def _capture_assert_throws(unit: CompilationUnit, m: MethodDecl, rw: Rewrite) -> None:
-    """Print what the first assertThrows call returns, right after the ';'
-    of its statement. A call assigned to a name prints that name; a call
-    that starts its statement is bound to `exbtEx` at its first token; any
-    other call is skipped with a reason."""
-    toks = unit.tokens
-    for k, _, _, close in call_sites(toks, m.tok_open + 1, m.tok_close):
-        if toks[k].text == "assertThrows":
-            break
-    else:
+    """Print what the assertThrows call returns, right after the ';' of its
+    statement. A call assigned to a name prints that name; a call that
+    starts its statement is bound to `exbtEx` at its first token; any other
+    call is skipped with a reason."""
+    found = class_literal_arg(unit, m, "assertThrows")
+    if found is None:
         return
+    toks = unit.tokens
+    _, k, close = found
     start = k  # a qualifier (Assertions.) starts the call
     while toks[start - 1].text == "." and start - 2 > m.tok_open:
         start -= 2

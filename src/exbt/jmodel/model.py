@@ -103,7 +103,6 @@ class MethodDecl:
 
 @dataclass
 class TypeDecl:
-    kind: str  # class | interface | enum | record | annotation
     name: str
     fqn: str
     methods: list[MethodDecl] = field(default_factory=list)
@@ -135,10 +134,11 @@ class CompilationUnit:
             for m in t.methods:
                 yield t, m
 
-    def text(self, tok_lo: int, tok_hi_inclusive: int) -> str:
-        lo = self.tokens[tok_lo].offset
-        hi = self.tokens[tok_hi_inclusive].end
-        return self.source[lo:hi]
+    def text(self, lo: int, hi: int) -> str:
+        """The source of tokens [lo, hi); "" when the range is empty."""
+        if hi <= lo:
+            return ""
+        return self.source[self.tokens[lo].offset : self.tokens[hi - 1].end]
 
 
 def call_name(fqn: str, name: str) -> str:
@@ -213,7 +213,6 @@ class _UnitParser:
                 types.append(decl)
             elif t.text == "@" and i + 1 < n and self.toks[i + 1].text == "interface":
                 decl, i = self._parse_type(i + 1, package or None, None)
-                decl.kind = "annotation"
                 types.append(decl)
             else:
                 i += 1
@@ -240,7 +239,7 @@ class _UnitParser:
             open_b = close_p + 1
         open_b = index_of(self.toks, open_b, "{")
         close_b = match_brace(self.toks, open_b)
-        decl = TypeDecl(kind=kind, name=name, fqn=fqn)
+        decl = TypeDecl(name=name, fqn=fqn)
         # record components behave like fields and constructor parameters
         decl.record_components = record_params
         decl.field_names.extend(record_params)
@@ -280,7 +279,6 @@ class _UnitParser:
                 continue
             if t.text == "@" and p + 1 < hi and self.toks[p + 1].text == "interface":
                 nested, p = self._parse_type(p + 1, None, decl.fqn)
-                nested.kind = "annotation"
                 decl.nested.append(nested)
                 continue
             # what every member declared here shares
@@ -390,7 +388,7 @@ def parse_member(
     own_close = Token("punct", "}", source.count("\n") + 2, len(source) + 1)
     parser = _UnitParser(source, tokens + [own_close])
     close = match_brace([own_open, *parser.toks], 0) - 1
-    body = TypeDecl("class", "", "")
+    body = TypeDecl("", "")
     parser._parse_members(body, 0, close)
     unit = CompilationUnit("<member>", source, tokens, *parser.parse(close + 1, [body]))
     return unit, next((m for _, m in unit.all_methods()), None)
@@ -621,7 +619,7 @@ class RepoContext:
     def method_source(self, mid: MethodId) -> str:
         u, _, m = self.resolve_method_id(mid)
         last = m.tok_close if m.tok_close is not None else m.tok_start
-        return u.text(m.tok_start, last)
+        return u.text(m.tok_start, last + 1)
 
     def body_tree(self, unit: CompilationUnit, m: MethodDecl) -> Stmt:
         key = (unit.path, m.decl_line, m.name)
@@ -738,13 +736,12 @@ def throw_sites_of(unit: CompilationUnit, m: MethodDecl) -> list[ThrowSite]:
         t = unit.tokens[k]
         if t.text == "throw":
             end = find_top_level(unit.tokens, k, m.tok_close, (";",))
-            text = unit.source[t.offset : unit.tokens[end].end]
             sites.append(
                 ThrowSite(
                     method=m.mid,
                     line=t.line,
                     exception_type=_thrown_type(unit.tokens, k, end),
-                    statement_text=text,
+                    statement_text=unit.text(k, end + 1),
                     tok=k,
                 )
             )

@@ -296,8 +296,3 @@ def chains_at_line(root: Stmt, line: int) -> list[tuple[Stmt, ...]]:
         else:
             found.append(chain)
     return found
-
-
-def stmts_at_line(root: Stmt, line: int) -> list[Stmt]:
-    """Leaf-most statements whose span contains the line, in source order."""
-    return [chain[0] for chain in chains_at_line(root, line)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from exbt.classifier import classify_member
-from exbt.errors import ExbtError, RunnerUnavailable
+from exbt.errors import ExbtError
 from exbt.guardexpr import parse_or_opaque
 from exbt.jmodel import exprs as E
 from exbt.jmodel import CompilationUnit, MethodDecl, ThrowSite, parse_member
@@ -460,16 +460,6 @@ class FunctionalResult:
         return FunctionalResult(compilable, runnable, covers)
 
 
-def functional_check(candidate: str, site: ThrowSite, runner) -> FunctionalResult:
-    """Compile/run/coverage fields of the candidate against the target
-    ThrowSite, via the configured build runner.
-
-    Without a runner the fields stay absent (None), never false."""
-    if runner is None:
-        raise RunnerUnavailable("no build runner configured")
-    return runner.check(candidate, site).normalized()
-
-
 @dataclass
 class CandidateScore:
     target: ThrowSite | str  # a sweep's ThrowSite, or eval's file:line label
@@ -494,7 +484,8 @@ def score_candidate(
     runner=None,
     sides: Sides | None = None,
 ) -> CandidateScore:
-    """The similarity, exception and functional fields of one candidate.
+    """The similarity, exception and functional fields of one candidate;
+    without a runner the functional fields stay absent (None), never false.
 
     Pass one `Sides` for every candidate of a command: a text extracted or
     scored before is then not lexed, parsed, made a side or classified
@@ -506,7 +497,7 @@ def score_candidate(
         matched_e=matched_exception(candidate, target_exception, sides),
     )
     if runner is not None and site is not None:
-        result = functional_check(candidate, site, runner)
+        result = runner.check(candidate, site).normalized()
         score.compilable = result.compilable
         score.runnable = result.runnable
         score.covers_target = result.covers_target

@@ -18,8 +18,8 @@ from exbt.classifier import TestMethod, has_test_annotation
 from exbt.errors import EmptyAfterExclusion, FrameOutOfSpan, UnknownMethod
 from exbt.guardexpr import GuardExpression, compute_guard_expression
 from exbt.instrument import TraceLog
-from exbt.jmodel import MethodId, RepoContext, ThrowSite
-from exbt.stacktrace import StackTrace, exclude_test_and_util_frames, resolve_trace
+from exbt.jmodel import MethodId, RepoContext, ThrowSite, find_throw_sites
+from exbt.stacktrace import StackTrace, resolve_trace
 
 logger = logging.getLogger(__name__)
 
@@ -116,7 +116,7 @@ def collect_stacktrace_set(index: SweepIndex, trace_log: TraceLog) -> list[Trace
             logger.warning("trace for unknown non-EBT %r skipped", test_id)
             continue
         try:
-            resolved = resolve_trace(exclude_test_and_util_frames(trace, ctx), ctx)
+            resolved = resolve_trace(trace, ctx)
         except EmptyAfterExclusion:
             continue
         except (UnknownMethod, FrameOutOfSpan) as exc:
@@ -332,14 +332,11 @@ def sweep_targets(
     name-matched test file is `NoMatch("no-dest-file")`.
     """
     ctx = index.ctx
-    main = set(ctx.main_files)
     pool_by_site: dict[ThrowSite, list[TracePoolEntry]] = {}
     for entry in pool:
         pool_by_site.setdefault(entry.throw_site, []).append(entry)
     results = []
-    for site in ctx.throw_sites:
-        if site.method.decl_file not in main:
-            continue
+    for site in find_throw_sites(ctx, "main"):
         mut = site.method
         dest, _ = select_dest_with_reason(mut, ctx)
         if dest is None:

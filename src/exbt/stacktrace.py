@@ -63,9 +63,6 @@ class StackTrace:
         """The JSON form of a trace: [class_fqn, method, file, line] per frame."""
         return [[f.class_fqn, f.method, f.file, f.line] for f in self.frames]
 
-    def __len__(self) -> int:
-        return len(self.frames)
-
     def with_last_line(self, line: int) -> "StackTrace":
         """Same trace with the throw frame retargeted to another line."""
         return StackTrace(self.frames[:-1] + (replace(self.frames[-1], line=line),))
@@ -129,11 +126,13 @@ def exclude_test_and_util_frames(trace: StackTrace, ctx: RepoContext) -> StackTr
 
 
 def resolve_trace(trace: StackTrace, ctx: RepoContext) -> StackTrace:
-    """The trace with each frame's method set: `UnknownMethod` for a frame
-    that names no method of the repository, `FrameOutOfSpan` for one whose
-    line no body of that name holds. The one place frames are resolved."""
+    """The trace cut at the test, with test and util frames excluded (see
+    `exclude_test_and_util_frames`) and each frame's method set:
+    `UnknownMethod` for a frame that names no method of the repository,
+    `FrameOutOfSpan` for one whose line no body of that name holds. The
+    one place frames are resolved."""
     frames = []
-    for f in trace.frames:
+    for f in exclude_test_and_util_frames(trace, ctx).frames:
         _, _, decl = ctx.resolve_frame(f.class_fqn, f.method, f.line)
         frames.append(Frame(f.class_fqn, f.method, f.file, f.line, decl.mid))
     return StackTrace(tuple(frames))

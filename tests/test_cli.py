@@ -900,8 +900,10 @@ def test_main_reuses_one_parser_and_no_flag_leaks_into_the_next_call(monkeypatch
     (["sweep", "r"], ["--variant", "with-name"]),
     (["guard", "--trace", "t", "--repo", "r"], ["--dest", "p"]),
     (["instrument", "r", "--out", "o"], ["--seed", "1"]),
+    (["instrument", "r", "--out", "o"], ["--log-path", "x"]),
 ], ids=["eval-seed", "sweep-json", "classify-config", "generate-source-roots",
-        "verify-manifest-seed", "sweep-variant", "guard-dest", "instrument-seed"])
+        "verify-manifest-seed", "sweep-variant", "guard-dest", "instrument-seed",
+        "instrument-log-path"])
 def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv, unread):
     with pytest.raises(SystemExit) as exc:
         main(argv + unread)

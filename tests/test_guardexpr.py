@@ -280,7 +280,7 @@ _EXPRS = st.recursive(_LEAVES, _compound, max_leaves=6)
 
 
 def _condition(tag):
-    return _EXPRS.map(lambda e: [CollectedNode(tag, exprs.render(e), 1, expr=e)])
+    return _EXPRS.map(lambda e: [CollectedNode(tag, exprs.render(e), expr=e)])
 
 
 def _assignment(name, op, e):
@@ -290,14 +290,14 @@ def _assignment(name, op, e):
         rhs = Binary("+", Name(name), e if isinstance(e, (Name, Lit, Grouped)) else Grouped(e))
     else:
         rhs = e
-    return [CollectedNode(ASSIGNMENT, f"{name} {op}", 1, name=name, rhs=rhs)]
+    return [CollectedNode(ASSIGNMENT, f"{name} {op}", name=name, rhs=rhs)]
 
 
 def _decl_call(params, data):
     args = tuple(data.draw(_EXPRS) for _ in params)
     return [
-        CollectedNode(METHOD_DECL, "m(..)", 1, params=tuple(params)),
-        CollectedNode(METHOD_CALL, "m(..)", 1, args=args),
+        CollectedNode(METHOD_DECL, "m(..)", params=tuple(params)),
+        CollectedNode(METHOD_CALL, "m(..)", args=args),
     ]
 
 
@@ -306,7 +306,7 @@ _NODE_GROUPS = st.one_of(
     _condition(NEGATED),
     st.builds(_assignment, _NAMES, st.sampled_from(["=", "+=", "++"]), _EXPRS),
     st.builds(_decl_call, st.lists(_NAMES, unique=True, max_size=3), st.data()),
-    st.just([CollectedNode(START, "throw ..;", 1)]),
+    st.just([CollectedNode(START, "throw ..;")]),
 )
 
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, GEN_SWEEP
-from exbt.classifier import split_test_suite
+from exbt.classifier import classify_test, split_test_suite
 from exbt.errors import ExbtError, NotEBT
 from exbt.instrument import (
     HELPER_FILE,
+    HELPER_SOURCE,
     TRACE_MARKER,
     _rewrite_trace_dumps,
-    helper_source,
     instrument_print_exception,
     instrument_print_trace,
     parse_trace_log,
@@ -103,7 +103,7 @@ def test_rewrite_keeps_every_line(main_repo):
 
 def test_helper_class_emitted(main_repo):
     assert HELPER_FILE not in instrument_print_trace(main_repo)
-    assert "getStackTrace" in helper_source("exbt-trace.log")
+    assert "getStackTrace" in HELPER_SOURCE
 
 
 def test_abstract_member_skipped_and_one_liner_dumped(tmp_path):
@@ -149,7 +149,7 @@ def _members() -> list[tuple[str, tuple]]:
             continue
         for _, m in unit.all_methods():
             if m.tok_open is not None:
-                text = unit.text(m.tok_start, m.tok_close)
+                text = unit.text(m.tok_start, m.tok_close + 1)
                 found.setdefault(text, tuple(unit.tokens[m.tok_start : m.tok_close + 1]))
     return sorted(found.items())
 
@@ -260,6 +260,41 @@ def test_assertthrows_inside_another_call_is_skipped_with_a_reason(ebt_repo):
     rw = instrument_print_exception(replace(_ebt(ebt_repo, "AssertThrows"), body_text=source))
     assert rw.rewritten == source
     assert rw.skipped == ["rejectsOversize: assertThrows does not start its statement, cannot bind it"]
+
+
+def test_tryfailcatch_prints_in_the_catch_the_classifier_matched():
+    """An earlier try/catch without `fail()` is not the one printed in."""
+    source = (
+        "@Test\npublic void rejectsNegative() {\n"
+        "    try { setup(); } catch (IllegalStateException ignored) { }\n"
+        "    try { account.withdraw(-1); fail(); } catch (IllegalArgumentException e) { }\n}"
+    )
+    ebt = classify_test(source)
+    assert (ebt.pattern, ebt.expected_exception) == ("TryFailCatch", "IllegalArgumentException")
+    rw = instrument_print_exception(ebt)
+    assert rw.rewritten.split("\n")[2:4] == [
+        "    try { setup(); } catch (IllegalStateException ignored) { }",
+        "    try { account.withdraw(-1); fail(); } catch (IllegalArgumentException e) {"
+        " exbtruntime.ExbtTraceLog.dumpException(e); /* exbt:exc */ }",
+    ]
+
+
+def test_assertthrows_binds_the_call_the_classifier_read():
+    """An earlier assertThrows without a class literal is not the one bound."""
+    source = (
+        "@Test\npublic void rejectsNegative() {\n"
+        "    assertThrows(any, () -> open());\n"
+        "    assertThrows(IllegalArgumentException.class, () -> account.withdraw(-1));\n}"
+    )
+    ebt = classify_test(source)
+    assert (ebt.pattern, ebt.expected_exception) == ("AssertThrows", "IllegalArgumentException")
+    rw = instrument_print_exception(ebt)
+    assert rw.rewritten.split("\n")[2:4] == [
+        "    assertThrows(any, () -> open());",
+        "    java.lang.Throwable exbtEx = assertThrows(IllegalArgumentException.class,"
+        " () -> account.withdraw(-1)); exbtruntime.ExbtTraceLog.dumpException(exbtEx);"
+        " /* exbt:exc */",
+    ]
 
 
 def test_annotation_rewrite_matches_golden(ebt_repo):

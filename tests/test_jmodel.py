@@ -184,7 +184,7 @@ def _observe(what: str, source: str):
     m = next(m for _, m in unit.all_methods())
     body = BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
     return [
-        (name, unit.text(lo, hi - 1))
+        (name, unit.text(lo, hi))
         for st in body.iter_tree()
         for name, (lo, hi), _ in st.assignments
     ]
@@ -295,7 +295,7 @@ def _method_texts() -> list[str]:
             unit = parse_unit(path.read_text(), path.name)
         except ExbtError:
             continue
-        texts += [unit.text(m.tok_start, m.tok_close)
+        texts += [unit.text(m.tok_start, m.tok_close + 1)
                   for _, m in unit.all_methods() if m.tok_close is not None]
     return texts
 

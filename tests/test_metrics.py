@@ -11,7 +11,6 @@ import exbt.classifier
 import exbt.jmodel.model
 import exbt.metrics
 from conftest import REPO_A, REPO_G
-from exbt.errors import RunnerUnavailable
 from exbt.jmodel import load_repo
 from exbt.jmodel.lexer import KEYWORDS
 from exbt.jmodel.stmts import BodyParser
@@ -25,7 +24,6 @@ from exbt.metrics import (
     code_bleu_components,
     code_tokens,
     edit_similarity,
-    functional_check,
     matched_exception,
     report_table,
     score_candidate,
@@ -320,11 +318,6 @@ def test_score_candidate_matched_e_agrees_with_matched_exception(candidate):
 
 
 # --- functional checks ---
-
-
-def test_functional_requires_runner():
-    with pytest.raises(RunnerUnavailable):
-        functional_check("@Test void t() {}", None, None)
 
 
 def test_functional_normalization_cascades():

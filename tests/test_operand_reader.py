@@ -5,8 +5,8 @@ and renderer they replaced.
 operand went through `parse_unary`, `parse_postfix` and `parse_primary`.
 `ref_render` is the earlier `isinstance` ladder. Each input must give
 equal trees, or the same error, from both parsers, and equal text from
-both renderers. `ref_stmts_at_line` is the earlier two-pass
-`stmts.stmts_at_line`.
+both renderers. `ref_stmts_at_line` is the earlier two-pass line lookup,
+the statements that `stmts.chains_at_line` starts its chains with.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from exbt.jmodel.exprs import (
     render,
 )
 from exbt.jmodel.lexer import ASSIGN_OPS, PRIMITIVES, Token, call_sites, match_paren, skip_type, tokenize
-from exbt.jmodel.stmts import BodyParser, stmts_at_line
+from exbt.jmodel.stmts import BodyParser, chains_at_line
 from test_expr_properties import NAMES, any_exprs, bool_exprs, int_exprs
 
 
@@ -471,10 +471,10 @@ def test_every_prefix_of_a_fixture_condition_parses_or_is_a_parse_error(bodies):
     assert len(conditions) > 100 and 0 < errors < prefixes
 
 
-def test_stmts_at_line_equals_the_two_pass_walk(bodies):
+def test_chains_at_line_start_with_the_two_pass_walks_statements(bodies):
     for _, tree in bodies:
         for line in range(tree.start_line - 1, tree.end_line + 2):
-            assert [id(s) for s in stmts_at_line(tree, line)] == \
+            assert [id(chain[0]) for chain in chains_at_line(tree, line)] == \
                 [id(s) for s in ref_stmts_at_line(tree, line)]
 
 

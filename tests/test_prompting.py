@@ -403,6 +403,20 @@ def test_a_bundle_and_a_guard_store_no_value_another_field_decides():
     assert "rendered" not in {f.name for f in fields(GuardExpression)}
 
 
+def test_no_record_keeps_the_fields_that_nothing_read():
+    """`unread_fields` in test_reachability matches fields by name, and
+    other records have read fields named `line`, `kind` and `path`."""
+    from dataclasses import fields
+
+    from exbt.guardexpr import CollectedNode
+    from exbt.instrument import Rewrite
+    from exbt.jmodel.model import TypeDecl
+
+    assert "line" not in CollectedNode._fields
+    assert "kind" not in {f.name for f in fields(TypeDecl)}
+    assert "path" not in {f.name for f in fields(Rewrite)}
+
+
 def test_skeleton_used_in_dest_section(repo_a, repo_a_index, pool):
     text = _bundle(repo_a_index, pool).rendered_instruction
     assert "class AccountTest" in text

@@ -24,8 +24,6 @@ ALLOWED = {
     ("exbt.guardexpr", "evaluate_guard"): "acceptance oracle for guards",
     ("exbt.instrument", "Rewrite.restore"): "README: originals restore byte-for-byte",
     ("exbt.jmodel.model", "RepoContext.callees"): "README: library call graph",
-    ("exbt.jmodel.stmts", "stmts_at_line"): "the line lookup's statements without their "
-    "chains; test_operand_reader checks the descent through it against a two-pass walk",
 }
 
 # (module, Class.field): why a record keeps a field that no code reads
@@ -219,13 +217,15 @@ def _where(match) -> list[str]:
 
 
 def test_frames_are_resolved_in_one_place():
-    """`resolve_trace` is the one reader of `resolve_frame`, and only
-    `resolve_frame` decides that a frame is out of its method's span."""
-    def reads_resolve_frame(n: ast.AST) -> bool:
-        return getattr(n, "id", None) == "resolve_frame" \
-            or isinstance(n, ast.Attribute) and n.attr == "resolve_frame"
+    """`resolve_trace` is the one reader of `resolve_frame` and of
+    `exclude_test_and_util_frames`, and only `resolve_frame` decides that a
+    frame is out of its method's span."""
+    def reads(name: str):
+        return lambda n: getattr(n, "id", None) == name \
+            or isinstance(n, ast.Attribute) and n.attr == name
 
-    assert _where(reads_resolve_frame) == ["exbt.stacktrace.resolve_trace"]
+    for name in ("resolve_frame", "exclude_test_and_util_frames"):
+        assert _where(reads(name)) == ["exbt.stacktrace.resolve_trace"], name
     assert _where(lambda n: isinstance(n, ast.Raise) and "FrameOutOfSpan" in _names(n)) \
         == ["exbt.jmodel.model.RepoContext.resolve_frame"]
 
@@ -286,3 +286,11 @@ def test_every_dataclass_field_is_read():
     snippet = ast.parse('F = ("a", "b")\nx = [getattr(o, f) for f in F]\ny = getattr(o, "c")\n')
     assert _getattr_strings(snippet) == {"a", "b", "c"}
     assert unread_fields() == []
+
+
+def test_the_microbenchmarks_import():
+    """Tier-1 collects only tests/, so importing the micro-benchmark module
+    here makes a deleted or renamed name it uses fail Tier-1 too."""
+    spec = importlib.util.spec_from_file_location(
+        "microbench_kernels", ROOT / "microbench" / "test_kernels.py")
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))

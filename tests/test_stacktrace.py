@@ -277,16 +277,16 @@ def test_endpoints_resolve(repo_a):
     assert site.exception_type == "IllegalArgumentException"
 
 
-def test_endpoints_two_frames(repo_a):
+def test_endpoints_two_frames(repo_g):
     trace = StackTrace(
         (
-            Frame("com.fix.AccountTest", "open", "AccountTest.java", 10),
-            Frame("com.fix.Account", "withdraw", "Account.java", 14),
+            Frame("gx.Guards", "caller", "Guards.java", 27),
+            Frame("gx.Guards", "callee", "Guards.java", 32),
         )
     )
-    mut, site = endpoints(resolve_trace(trace, repo_a), repo_a)
-    assert mut.name == "open"
-    assert site.line == 14
+    mut, site = endpoints(resolve_trace(trace, repo_g), repo_g)
+    assert mut.name == "caller"
+    assert site.line == 32
 
 
 def test_endpoints_pick_the_expected_exceptions_throw(tmp_path):
