@@ -130,7 +130,7 @@ def test_parse_block(benchmark, guards_source):
     opens = [m.tok_open for _, m in unit.all_methods() if m.tok_open is not None]
 
     def parse_every_body():
-        parser = BodyParser(unit.tokens, unit.source)
+        parser = BodyParser(unit.tokens)
         return [parser.parse_block(k) for k in opens]
 
     assert len(benchmark(parse_every_body)) == len(opens)
@@ -229,7 +229,7 @@ def test_parse_guard_ranges(benchmark, tmp_path):
     parsed from its token slice."""
     write_call_chain(tmp_path, 16)
     unit = parse_unit((tmp_path / "src/main/java/Chain.java").read_text(), "Chain.java")
-    parser = BodyParser(unit.tokens, unit.source)
+    parser = BodyParser(unit.tokens)
     ranges = [
         r
         for _, m in unit.all_methods()

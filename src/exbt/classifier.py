@@ -117,8 +117,7 @@ def try_fail_catch(unit: CompilationUnit, m: MethodDecl) -> tuple[str, int] | No
 def _classify_decl(unit: CompilationUnit, m: MethodDecl, mid: MethodId) -> TestMethod:
     if not has_test_annotation(m):
         raise NotATest(f"{mid.label()} carries no @Test annotation")
-    last = m.tok_close if m.tok_close is not None else m.tok_start
-    body_text = unit.text(m.tok_start, last + 1)
+    body_text = unit.text(m.tok_start, m.tok_last + 1)
     for pattern, probe in (
         ("AnnotationExpected", lambda: _annotation_expected(m)),
         ("AssertThrows", lambda: class_literal_arg(unit, m, "assertThrows")),

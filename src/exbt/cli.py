@@ -602,6 +602,8 @@ def cmd_eval(args) -> int:
     runner = None
     if args.runner_results:
         runner = RecordedRunner.from_file(args.runner_results)
+        if ctx is None:
+            raise BadInput("--runner-results needs --repo: the runner resolves each target there")
     scores = []
     sides = Sides()  # each distinct candidate and reference is scored from one side
     targets = sorted({row["target"] for row in candidates} | set(refs))
@@ -612,7 +614,7 @@ def cmd_eval(args) -> int:
         ref_row = refs.get(row["target"], {})
         exception_type = row.get("exception_type") or ref_row.get("exception_type", "")
         site = None
-        if runner is not None and ctx is not None:
+        if runner is not None:
             site = _bundle_for_target(ctx, row["target"])
         scores.append(
             score_candidate(

@@ -54,7 +54,7 @@ class CollectedNode(NamedTuple):
     expr: Expr | None = None  # condition expression (un-negated source form)
     name: str | None = None  # assignment target
     rhs: Expr | None = None  # assignment right-hand side
-    params: tuple[str, ...] = ()  # MethodDecl parameter names
+    params: tuple[str, ...] = ()  # MethodCall: the callee's parameter names
     args: tuple[Expr, ...] = ()  # MethodCall actual arguments
 
 
@@ -258,13 +258,13 @@ def collect_nodes(
                     CollectedNode(
                         tag=METHOD_DECL,
                         text=f"{prev_decl.name}({', '.join(prev_decl.params)})",
-                        params=tuple(prev_decl.params),
                     )
                 )
                 nodes.append(
                     CollectedNode(
                         tag=METHOD_CALL,
                         text=call_text,
+                        params=tuple(prev_decl.params),
                         args=args,
                     )
                 )
@@ -291,12 +291,6 @@ def _fold(nodes: list[CollectedNode]) -> tuple[list[str], list[str], set[str]]:
     A condition is rendered once from its own tree with `texts`, which
     equals rendering the substituted tree: a grouped replacement has
     primary precedence, as the bare name it stands for does."""
-    params_at: list[tuple[str, ...]] = []  # a call's parameters: the last decl's
-    pending: tuple[str, ...] = ()
-    for node in nodes:
-        if node.tag == METHOD_DECL:
-            pending = node.params
-        params_at.append(pending)
     texts: dict[str, str] = {}
     frees: dict[str, set[str]] = {}
 
@@ -312,17 +306,16 @@ def _fold(nodes: list[CollectedNode]) -> tuple[list[str], list[str], set[str]]:
     conds: list[str] = []
     sources: list[str] = []
     free: set[str] = set()
-    for i in range(len(nodes) - 1, -1, -1):
-        node = nodes[i]
-        if node.tag in (CONDITION, NEGATED) and node.expr is not None:
+    for node in reversed(nodes):
+        if node.tag in (CONDITION, NEGATED):
             text, names = bind(node.expr if node.tag == CONDITION else _negate(node.expr))
             conds.append(text)
             sources.append(node.text)
             free |= names
-        elif node.tag == ASSIGNMENT and node.name is not None and node.rhs is not None:
+        elif node.tag == ASSIGNMENT:
             texts[node.name], frees[node.name] = bind(exprs.grouped(node.rhs))
         elif node.tag == METHOD_CALL:
-            bound = {p: bind(exprs.grouped(a)) for p, a in zip(params_at[i], node.args)}
+            bound = {p: bind(exprs.grouped(a)) for p, a in zip(node.params, node.args)}
             for p, (text, names) in bound.items():
                 texts[p], frees[p] = text, names
     conds.reverse()
@@ -334,8 +327,9 @@ def compute_guard_expression(
     trace: StackTrace, ctx: RepoContext, site: ThrowSite | None = None
 ) -> GuardExpression:
     """The guard conjunction for a resolved trace, ending at `site` when
-    given; computed once per context, trace and site."""
-    key = (trace.frames, site)
+    given; computed once per context, trace, methods its frames name (a
+    frame's equality leaves its method out) and site."""
+    key = (trace.frames, tuple(f.mid for f in trace.frames), site)
     guard = ctx.guard_cache.get(key)
     if guard is None:
         guard = ctx.guard_cache[key] = _compute_guard(trace, ctx, site)

@@ -24,7 +24,7 @@ from exbt.classifier import TestMethod, class_literal_arg, try_fail_catch
 from exbt.errors import NotEBT
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, parse_member
 from exbt.jmodel.lexer import find_top_level, match_paren
-from exbt.stacktrace import StackTrace, parse_stack_trace
+from exbt.stacktrace import FRAME_RE, StackTrace, parse_stack_trace
 from exbt.errors import MalformedTrace
 
 logger = logging.getLogger(__name__)
@@ -272,8 +272,9 @@ _UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
 def parse_trace_log(text: str) -> TraceLog:
     """Parse the block format: one trace per '---'-separated block.
 
-    Malformed blocks (any line that is neither a tag nor a frame, or bytes
-    that are not UTF-8) are skipped and counted, never fatal.
+    Malformed blocks (any line that is neither a tag nor a frame as
+    `FRAME_RE` reads one, or bytes that are not UTF-8) are skipped and
+    counted, never fatal.
     """
     log = TraceLog()
     for block in text.split("\n---"):
@@ -293,10 +294,7 @@ def parse_trace_log(text: str) -> TraceLog:
         if not frame_lines:
             log.skipped_blocks += 1
             continue
-        ok = all(
-            l.strip().startswith("at ") or l.strip() == "---" for l in frame_lines
-        )
-        if not ok:
+        if not all(FRAME_RE.match(l) or l.strip() == "---" for l in frame_lines):
             logger.warning("skipping malformed trace block: %r", lines[0][:60])
             log.skipped_blocks += 1
             continue

@@ -80,9 +80,8 @@ class MethodDecl:
     owner_fqn: str
     params: list[str]  # parameter names
     decl_line: int
-    start_line: int
-    end_line: int
     tok_start: int  # first member token (annotations included)
+    tok_last: int  # last member token: the body's '}' or the ';'
     tok_open: int | None  # '{' of the body, None for abstract members
     tok_close: int | None
     annotation_tokens: list[list[Token]]  # each annotation's tokens
@@ -106,14 +105,8 @@ class TypeDecl:
     name: str
     fqn: str
     methods: list[MethodDecl] = field(default_factory=list)
-    nested: list["TypeDecl"] = field(default_factory=list)
     field_names: list[str] = field(default_factory=list)
     record_components: list[str] = field(default_factory=list)
-
-    def all_types(self):
-        yield self
-        for t in self.nested:
-            yield from t.all_types()
 
 
 @dataclass
@@ -123,14 +116,10 @@ class CompilationUnit:
     tokens: list[Token]
     package: str
     imports: list[str]
-    types: list[TypeDecl]
-
-    def all_types(self):
-        for t in self.types:
-            yield from t.all_types()
+    types: list[TypeDecl]  # every type, each before the types nested in it
 
     def all_methods(self):
-        for t in self.all_types():
+        for t in self.types:
             for m in t.methods:
                 yield t, m
 
@@ -183,13 +172,13 @@ def _import_scopes(imports: list[str]) -> tuple[list[tuple[str, str | None]], li
 
 
 class _UnitParser:
-    def __init__(self, source: str, tokens: list[Token]):
-        self.src = source
+    def __init__(self, tokens: list[Token]):
         self.toks = tokens
+        self.types: list[TypeDecl] = []  # each type as it is created
 
-    def parse(self, i: int, types: list[TypeDecl]) -> tuple[str, list[str], list[TypeDecl]]:
-        """The package, the imports and the top-level types declared from
-        token i on, the types after `types`."""
+    def parse(self, i: int) -> tuple[str, list[str], list[TypeDecl]]:
+        """The package, the imports and every type: those created so far,
+        then those declared from token i on."""
         package = ""
         imports: list[str] = []
         n = len(self.toks)
@@ -209,16 +198,16 @@ class _UnitParser:
                 imports.append(prefix + self._join(start, j))
                 i = j + 1
             elif t.text in _TYPE_KEYWORDS:
-                decl, i = self._parse_type(i, package or None, None)
-                types.append(decl)
+                i = self._parse_type(i, package or None, None)
             elif t.text == "@" and i + 1 < n and self.toks[i + 1].text == "interface":
-                decl, i = self._parse_type(i + 1, package or None, None)
-                types.append(decl)
+                i = self._parse_type(i + 1, package or None, None)
             else:
                 i += 1
-        return package, imports, types
+        return package, imports, self.types
 
-    def _parse_type(self, kw_index: int, package: str | None, outer_fqn: str | None):
+    def _parse_type(self, kw_index: int, package: str | None, outer_fqn: str | None) -> int:
+        """Append the type declared at kw_index, then the types nested in
+        it; the index past its '}'."""
         kind = self.toks[kw_index].text
         if kw_index + 1 >= len(self.toks):
             raise JavaParseError(f"{kind} without a name at line {self.toks[kw_index].line}")
@@ -240,6 +229,7 @@ class _UnitParser:
         open_b = index_of(self.toks, open_b, "{")
         close_b = match_brace(self.toks, open_b)
         decl = TypeDecl(name=name, fqn=fqn)
+        self.types.append(decl)
         # record components behave like fields and constructor parameters
         decl.record_components = record_params
         decl.field_names.extend(record_params)
@@ -247,7 +237,7 @@ class _UnitParser:
         if kind == "enum":
             lo = min(find_top_level(self.toks, lo, close_b, (";",)) + 1, close_b)
         self._parse_members(decl, lo, close_b)
-        return decl, close_b + 1
+        return close_b + 1
 
     def _parse_members(self, decl: TypeDecl, lo: int, hi: int) -> None:
         p = lo
@@ -274,21 +264,19 @@ class _UnitParser:
                 break
             t = self.toks[p]
             if t.text in _TYPE_KEYWORDS:
-                nested, p = self._parse_type(p, None, decl.fqn)
-                decl.nested.append(nested)
+                p = self._parse_type(p, None, decl.fqn)
                 continue
             if t.text == "@" and p + 1 < hi and self.toks[p + 1].text == "interface":
-                nested, p = self._parse_type(p + 1, None, decl.fqn)
-                decl.nested.append(nested)
+                p = self._parse_type(p + 1, None, decl.fqn)
                 continue
             # what every member declared here shares
-            head = dict(owner_fqn=decl.fqn, start_line=self.toks[member_start].line,
-                        tok_start=member_start, annotation_tokens=annotation_tokens)
+            head = dict(owner_fqn=decl.fqn, tok_start=member_start,
+                        annotation_tokens=annotation_tokens)
             if t.text == "{":  # initializer block
                 close = match_brace(self.toks, p)
                 pseudo = "<clinit>" if "static" in modifiers else "<init>"
                 decl.methods.append(
-                    MethodDecl(pseudo, params=[], decl_line=t.line, end_line=self.toks[close].line,
+                    MethodDecl(pseudo, params=[], decl_line=t.line, tok_last=close,
                                tok_open=p, tok_close=close, **head)
                 )
                 p = close + 1
@@ -302,7 +290,7 @@ class _UnitParser:
                 if name_t.text == decl.name:
                     decl.methods.append(
                         MethodDecl("<init>", params=list(decl.record_components),
-                                   decl_line=name_t.line, end_line=self.toks[close].line,
+                                   decl_line=name_t.line, tok_last=close,
                                    tok_open=q, tok_close=close, is_ctor=True, compact=True, **head)
                     )
                 p = close + 1
@@ -339,10 +327,10 @@ class _UnitParser:
         if p < len(self.toks) and self.toks[p].text == "{":
             tok_open, tok_close = p, match_brace(self.toks, p)
             p = tok_close
-        end_line = self.toks[p if p < len(self.toks) else close_paren].line
         method = MethodDecl(
             "<init>" if is_ctor else name_tok.text, params=params, decl_line=name_tok.line,
-            end_line=end_line, tok_open=tok_open, tok_close=tok_close, is_ctor=is_ctor, **head
+            tok_last=p if p < len(self.toks) else close_paren, tok_open=tok_open,
+            tok_close=tok_close, is_ctor=is_ctor, **head
         )
         return method, p + 1
 
@@ -368,7 +356,7 @@ class _UnitParser:
 
 def parse_unit(source: str, path: str) -> CompilationUnit:
     tokens = tokenize(source)
-    return CompilationUnit(path, source, tokens, *_UnitParser(source, tokens).parse(0, []))
+    return CompilationUnit(path, source, tokens, *_UnitParser(tokens).parse(0))
 
 
 def parse_member(
@@ -386,11 +374,12 @@ def parse_member(
     # the class's own braces, as if on the lines before and after the source
     own_open = Token("punct", "{", 0, -1)
     own_close = Token("punct", "}", source.count("\n") + 2, len(source) + 1)
-    parser = _UnitParser(source, tokens + [own_close])
+    parser = _UnitParser(tokens + [own_close])
     close = match_brace([own_open, *parser.toks], 0) - 1
     body = TypeDecl("", "")
+    parser.types.append(body)
     parser._parse_members(body, 0, close)
-    unit = CompilationUnit("<member>", source, tokens, *parser.parse(close + 1, [body]))
+    unit = CompilationUnit("<member>", source, tokens, *parser.parse(close + 1))
     return unit, next((m for _, m in unit.all_methods()), None)
 
 
@@ -425,7 +414,7 @@ class RepoContext:
         # every declaration of each MethodId, in declaration order
         self._decls: dict[MethodId, list[tuple[CompilationUnit, TypeDecl, MethodDecl]]] = {}
         for u in units:
-            for t in u.all_types():
+            for t in u.types:
                 self._type_by_fqn[t.fqn] = (u, t)
                 for m in t.methods:
                     m.mid = MethodId(m.owner_fqn, m.name, m.arity, u.path, m.decl_line)
@@ -433,8 +422,8 @@ class RepoContext:
                     self._decls.setdefault(m.mid, []).append((u, t, m))
         self._sites: dict[MethodId, list[tuple[str, int, int, bool]]] = {}
         self._callees: dict[MethodId, tuple[MethodId, ...]] = {}
-        self._body_cache: dict[tuple[str, int, str], Stmt] = {}
-        # guardexpr's guards by (trace frames, throw site or None)
+        self._body_cache: dict[tuple[str, int], Stmt] = {}
+        # guardexpr's guards by (trace frames, their methods, throw site or None)
         self.guard_cache: dict[tuple, object] = {}
 
     def tree_digest(self) -> str:
@@ -574,7 +563,7 @@ class RepoContext:
         """Fqns of every type declared in a test file."""
         test_paths = set(self.test_files)
         return frozenset(
-            t.fqn for u in self.units if u.path in test_paths for t in u.all_types()
+            t.fqn for u in self.units if u.path in test_paths for t in u.types
         )
 
     # --- lookups ---
@@ -610,22 +599,21 @@ class RepoContext:
                     and u.tokens[m.tok_open].line <= line <= u.tokens[m.tok_close].line:
                 return u, t, m
         u, _, m = candidates[0]
-        raise FrameOutOfSpan(
-            f"line {line} outside {m.name} ({m.start_line}..{m.end_line}) in {u.path}")
+        first, last = u.tokens[m.tok_start].line, u.tokens[m.tok_last].line
+        raise FrameOutOfSpan(f"line {line} outside {m.name} ({first}..{last}) in {u.path}")
 
     def all_method_ids(self) -> list[MethodId]:
         return [m.mid for _, _, m in self._methods]
 
     def method_source(self, mid: MethodId) -> str:
         u, _, m = self.resolve_method_id(mid)
-        last = m.tok_close if m.tok_close is not None else m.tok_start
-        return u.text(m.tok_start, last + 1)
+        return u.text(m.tok_start, m.tok_last + 1)
 
     def body_tree(self, unit: CompilationUnit, m: MethodDecl) -> Stmt:
-        key = (unit.path, m.decl_line, m.name)
+        key = (unit.path, m.tok_open)
         tree = self._body_cache.get(key)
         if tree is None:
-            tree = BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
+            tree = BodyParser(unit.tokens).parse_block(m.tok_open)
             self._body_cache[key] = tree
         return tree
 

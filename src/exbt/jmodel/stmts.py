@@ -55,9 +55,8 @@ class Stmt:
 class BodyParser:
     """Parses one method body token range into a Stmt tree."""
 
-    def __init__(self, tokens: list[Token], source: str):
+    def __init__(self, tokens: list[Token]):
         self.toks = tokens
-        self.src = source
 
     def parse_block(self, open_index: int) -> Stmt:
         """Parse the block whose '{' sits at open_index."""

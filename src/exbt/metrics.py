@@ -202,7 +202,7 @@ def _side(tokens: list[str], member: Member | None) -> _Side:
     if method is None or method.tok_open is None:
         return _Side(tokens, grams, None, None)
     try:
-        tree = BodyParser(unit.tokens, unit.source).parse_block(method.tok_open)
+        tree = BodyParser(unit.tokens).parse_block(method.tok_open)
     except ExbtError:
         return _Side(tokens, grams, None, None)
     node_exprs = [(node, _stmt_expr_trees(unit, node)) for node in tree.iter_tree()]

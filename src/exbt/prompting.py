@@ -185,23 +185,31 @@ def select_dest_with_reason(mut: MethodId, ctx: RepoContext) -> tuple[str | None
     return None, "none"
 
 
-# strip @Test methods, keep class structure and helpers
 def build_dest_skeleton(ctx: RepoContext, dest_path: str) -> str:
+    """The destination file without its @Test methods, keeping the class
+    structure and helpers: each such method's token span is cut, with the
+    indent before it and the line break after it when only whitespace
+    shares its first or last line, and runs of blank lines collapse."""
     unit = ctx.unit_for(dest_path)
     if unit is None:
         return ""
-    drop: list[tuple[int, int]] = []
-    for _, m in unit.all_methods():
-        if has_test_annotation(m):
-            drop.append((m.start_line, m.end_line))
-    lines = unit.source.split("\n")
-    kept = [
-        line
-        for i, line in enumerate(lines, start=1)
-        if not any(lo <= i <= hi for lo, hi in drop)
-    ]
+    src, toks = unit.source, unit.tokens
+    kept: list[str] = []
+    pos = 0
+    for first, last in sorted((m.tok_start, m.tok_last) for _, m in unit.all_methods()
+                              if has_test_annotation(m)):
+        lo, hi = toks[first].offset, toks[last].end
+        line_start = src.rfind("\n", 0, lo) + 1
+        if not src[line_start:lo].strip():
+            lo = line_start
+        line_end = src.find("\n", hi) + 1 or len(src)
+        if not src[hi:line_end].strip():
+            hi = line_end
+        kept.append(src[pos:lo])
+        pos = hi
+    kept.append(src[pos:])
     out: list[str] = []
-    for line in kept:  # collapse runs of blank lines left by removal
+    for line in "".join(kept).split("\n"):  # collapse runs of blank lines left by removal
         if line.strip() == "" and out and out[-1].strip() == "":
             continue
         out.append(line)

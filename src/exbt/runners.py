@@ -271,7 +271,7 @@ class JavacRunner:
         dest_out.parent.mkdir(parents=True, exist_ok=True)
         dest_out.write_text(dest_text, encoding="utf-8")
         dest_unit = parse_unit(dest_text, dest)
-        test_class = next(t.fqn for t in dest_unit.all_types())
+        test_class = dest_unit.types[0].fqn
         _, test_method = parse_member(candidate)
         return {"test_class": test_class, "test_method": test_method.name}
 

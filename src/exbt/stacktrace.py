@@ -20,10 +20,11 @@ from exbt.jmodel import RepoContext, MethodId, ThrowSite
 
 logger = logging.getLogger(__name__)
 
-# a frame: at com.foo.Bar.check(Bar.java:12); the JVM may print the file
+# a frame: at com.foo.Bar.check(Bar.java:12); the JVM may print the class
+# after its class loader and module (`java.base/`, `app//`), and the file
 # without a line, a negative line, `Unknown Source` or `Native Method`
 FRAME_RE = re.compile(
-    r"^\s*at\s+([\w.$]+)\.([\w$]+|<init>|<clinit>)\(([^():]*)(?::(-?\d+))?\)\s*$"
+    r"^\s*at\s+(?:[^\s/()]*/)*([\w.$]+)\.([\w$]+|<init>|<clinit>)\(([^():]*)(?::(-?\d+))?\)\s*$"
 )
 
 SYNTHETIC_PREFIXES = (

@@ -50,7 +50,7 @@ def test_criterion_classifier_fixture_suite():
     unit = parse_unit(source, "PatternsTest.java")
     checked = 0
     patterns = set()
-    for tdecl in unit.all_types():
+    for tdecl in unit.types:
         for m in tdecl.methods:
             if not has_test_annotation(m):
                 continue

@@ -104,7 +104,7 @@ def test_fixture_corpus_full_agreement():
     unit = parse_unit(source, "PatternsTest.java")
     seen = 0
     patterns_seen = set()
-    for tdecl in unit.all_types():
+    for tdecl in unit.types:
         for m in tdecl.methods:
             if not has_test_annotation(m):
                 continue

@@ -572,6 +572,19 @@ def test_eval_with_a_label_that_names_two_throws_is_bad_input(capsys, tmp_path):
     assert "throw new A();" in err and "throw new B();" in err
 
 
+def test_eval_runner_results_without_a_repo_is_bad_input(capsys, tmp_path):
+    """The runner resolves each target in the repository, so without one it
+    would run nothing."""
+    cands = tmp_path / "cands.jsonl"
+    cands.write_text(json.dumps({"target": "T.java:1", "candidate": "@Test void t() { }"}) + "\n")
+    results = tmp_path / "rr.json"
+    results.write_text(json.dumps([{"target": "T.java:1", "compilable": True}]))
+    code, out, err = run(capsys, "eval", "--candidates", cands, "--runner-results", results)
+    assert code == 1 and out == ""
+    assert _error_of(err) == "BadInput"
+    assert "--runner-results" in err and "--repo" in err
+
+
 def _two_throw_sweep(capsys, tmp_path, extra_files=None, second="B"):
     repo = tmp_path / "repo"
     write_two_throw_repo(repo, second)

@@ -60,7 +60,8 @@ def test_collect_two_frames_orders_decl_call_pair(repo_g, guards_oracle):
     ]
     decl = nodes[tags.index("MethodDecl")]
     call = nodes[tags.index("MethodCall")]
-    assert decl.params == ("v",)
+    assert decl.text == "callee(v)"
+    assert call.params == ("v",)
     assert len(call.args) == 1
     assert call.text == "callee(a + 1)"
 
@@ -242,7 +243,6 @@ def _left_to_right_fold(nodes):
     the reference the environment fold must equal."""
     conds: list[Expr] = []
     texts: list[str] = []
-    pending_params: tuple[str, ...] = ()
     for node in nodes:
         if node.tag == CONDITION and node.expr is not None:
             conds.append(node.expr)
@@ -252,10 +252,8 @@ def _left_to_right_fold(nodes):
             texts.append(node.text)
         elif node.tag == ASSIGNMENT and node.name is not None and node.rhs is not None:
             conds = [exprs.substitute(e, {node.name: node.rhs}) for e in conds]
-        elif node.tag == METHOD_DECL:
-            pending_params = node.params
         elif node.tag == METHOD_CALL:
-            argmap = dict(zip(pending_params, node.args))
+            argmap = dict(zip(node.params, node.args))
             conds = [exprs.substitute(e, argmap) for e in conds]
     return conds, texts
 
@@ -296,8 +294,8 @@ def _assignment(name, op, e):
 def _decl_call(params, data):
     args = tuple(data.draw(_EXPRS) for _ in params)
     return [
-        CollectedNode(METHOD_DECL, "m(..)", params=tuple(params)),
-        CollectedNode(METHOD_CALL, "m(..)", args=args),
+        CollectedNode(METHOD_DECL, "m(..)"),
+        CollectedNode(METHOD_CALL, "m(..)", params=tuple(params), args=args),
     ]
 
 
@@ -330,6 +328,23 @@ def test_a_name_bound_to_a_literal_is_not_free(tmp_path):
     trace = resolve_trace(StackTrace((Frame("G", "f", "G.java", 4),)), ctx)
     assert _fold(collect_nodes(trace, ctx)) == (["5 > q"], ["t > q"], {"q"})
     assert compute_guard_expression(trace, ctx).unresolved_names == ()
+
+
+def test_overloads_on_one_line_each_get_the_guard_of_their_own_body(tmp_path):
+    """Bodies are cached by their '{', so two methods of one name declared
+    on one line never share a body tree."""
+    (tmp_path / "G.java").write_text(
+        "class G {\n    int b;\n"
+        "    void f(int a) { if (a > 0) throw new IllegalStateException(); }"
+        " void f() { if (b < 0) throw new IllegalStateException(); }\n}\n"
+    )
+    ctx = load_repo(tmp_path)
+    guards = {
+        mid.param_arity: compute_guard_expression(
+            StackTrace((Frame("G", "f", "G.java", 3, mid),)), ctx).rendered
+        for mid in sorted(ctx.all_method_ids(), key=lambda m: -m.param_arity)
+    }
+    assert guards == {1: "a > 0", 0: "b < 0"}
 
 
 def test_fold_substitutions_grow_linearly_with_depth(tmp_path, monkeypatch):

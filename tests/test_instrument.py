@@ -344,3 +344,16 @@ def test_parse_log_corrupted_block_skipped():
         "com.fix.AccountTest#testWithdrawOk",
         "com.fix.TestLedger#testPostOk",
     ]
+
+
+def test_parse_log_block_with_a_line_that_is_not_a_frame_is_skipped():
+    """A line that starts with `at ` but is no frame makes its block
+    malformed, rather than vanishing from the trace; a frame printed after
+    its module is a frame."""
+    log = parse_trace_log(
+        "test: p.ATest#t\nat p.A.f(A.java:4)\nat p.A.g(A.java\nat p.ATest.t(ATest.java:9)\n---\n"
+        "test: p.ATest#u\nat p.A.f(A.java:4)\nat p.ATest.u(ATest.java:12)\n"
+        "at java.base/jdk.internal.reflect.Method.invoke(Method.java:568)\n---\n"
+    )
+    assert [t for _, t in log] == ["p.ATest#u"]
+    assert log.skipped_blocks == 1

@@ -99,7 +99,7 @@ def test_malformed_source_raises_only_typed_errors(source):
         unit = parse_unit(source, "M.java")
         for _, m in unit.all_methods():
             if m.tok_open is not None:
-                BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
+                BodyParser(unit.tokens).parse_block(m.tok_open)
     except ExbtError:
         pass
 
@@ -140,7 +140,7 @@ def test_every_body_node_chains_to_the_root_with_its_role():
         for _, m in unit.all_methods():
             if m.tok_open is None:
                 continue
-            root = BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
+            root = BodyParser(unit.tokens).parse_block(m.tok_open)
             assert (root.kind, root.role) == ("block", "plain")
             found = set()
             for line in range(root.start_line, root.end_line + 1):
@@ -182,7 +182,7 @@ def _observe(what: str, source: str):
         return [(s.method.name, s.line, s.exception_type) for s in find_throw_sites(ctx, "all")]
     # "locals": every assignment in the first method's body, rhs as text
     m = next(m for _, m in unit.all_methods())
-    body = BodyParser(unit.tokens, unit.source).parse_block(m.tok_open)
+    body = BodyParser(unit.tokens).parse_block(m.tok_open)
     return [
         (name, unit.text(lo, hi))
         for st in body.iter_tree()
@@ -333,7 +333,7 @@ def _first_method(parse, text: str, tokens_before: int = 0, lines_before: int = 
         m.name, m.params, m.is_ctor, m.compact,
         [[t.text for t in a] for a in m.annotation_tokens],
         index(m.tok_start), index(m.tok_open), index(m.tok_close),
-        m.decl_line - lines_before, m.start_line - lines_before, m.end_line - lines_before,
+        index(m.tok_last), m.decl_line - lines_before,
     )
 
 
@@ -560,7 +560,7 @@ def test_statement_text_starts_with_throw(repo_a):
     for site in find_throw_sites(repo_a, "all"):
         assert site.statement_text.strip().startswith("throw")
         u, _, m = repo_a.resolve_method_id(site.method)
-        assert m.start_line <= site.line <= m.end_line
+        assert u.tokens[m.tok_start].line <= site.line <= u.tokens[m.tok_last].line
 
 
 def test_reachable_direct_call_chain(tmp_path):

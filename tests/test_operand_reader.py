@@ -410,7 +410,7 @@ def bodies(tmp_path_factory):
     paths = [*FIXTURES.rglob("*.java"), *chain.rglob("*.java"), *guard.rglob("*.java")]
     for path in sorted(paths):
         unit = parse_unit(path.read_text(encoding="utf-8"), Path(path).name)
-        parser = BodyParser(unit.tokens, unit.source)
+        parser = BodyParser(unit.tokens)
         found += [(unit, parser.parse_block(m.tok_open))
                   for _, m in unit.all_methods() if m.tok_open is not None]
     return found
@@ -457,7 +457,7 @@ def test_every_prefix_of_a_fixture_condition_parses_or_is_a_parse_error(bodies):
     reference, so two conditions with one are added."""
     refs = parse_unit(METHOD_REFS, "Refs.java")
     [(_, check)] = refs.all_methods()
-    bodies = [*bodies, (refs, BodyParser(refs.tokens, refs.source).parse_block(check.tok_open))]
+    bodies = [*bodies, (refs, BodyParser(refs.tokens).parse_block(check.tok_open))]
     conditions = [(unit, s.cond_range) for unit, tree in bodies
                   for s in tree.iter_tree() if s.cond_range is not None]
     prefixes = errors = 0

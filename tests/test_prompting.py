@@ -71,8 +71,8 @@ def test_pool_entries_exclude_test_frames(pool):
 def test_pool_site_reachable_from_last_frame(repo_a, pool):
     for e in pool:
         last = e.trace.frames[-1]
-        _, _, decl = repo_a.resolve_method_id(last.mid)
-        assert decl.start_line <= e.throw_site.line <= decl.end_line
+        u, _, decl = repo_a.resolve_method_id(last.mid)
+        assert u.tokens[decl.tok_start].line <= e.throw_site.line <= u.tokens[decl.tok_last].line
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +441,20 @@ def test_skeleton_drops_a_test_whose_annotation_holds_a_comment(tmp_path):
     skeleton = build_dest_skeleton(load_repo(tmp_path), path)
     assert "helper" in skeleton
     assert "commented" not in skeleton and "qualified" not in skeleton
+
+
+@pytest.mark.parametrize("source, want", [
+    ("class ATest {\n    void helper() {}\n    @Test public void t() { f(); } }\n",
+     "class ATest {\n    void helper() {}\n }\n"),
+    ("public class ATest { @Test public void t() { f(); } }\n", "public class ATest {  }\n"),
+])
+def test_skeleton_keeps_the_class_braces_on_a_test_method_line(tmp_path, source, want):
+    """The skeleton cuts a test method's tokens, not its lines, so a class
+    brace that shares a line with the method stays."""
+    path = "src/test/java/p/ATest.java"
+    (tmp_path / path).parent.mkdir(parents=True)
+    (tmp_path / path).write_text(source)
+    assert build_dest_skeleton(load_repo(tmp_path), path) == want
 
 
 # --- machine-oriented sweep ---

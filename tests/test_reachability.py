@@ -2,8 +2,11 @@
 some other code in src/ names it, the benchmark's tracer wraps it, or the
 allowlist below says why it stays without a reader, and every allowlist
 entry names a def that exists. Every dataclass and NamedTuple field in
-src/exbt is read by some code of the project. No module in src/exbt
-imports an underscore name from another module."""
+src/exbt is read by some code of the project, and every attribute that
+another class of src/exbt stores on `self` is read in src/exbt. No module
+in src/exbt imports an underscore name from another module. The functions
+of src/exbt that call themselves are an explicit list that can only
+shrink."""
 
 from __future__ import annotations
 
@@ -26,8 +29,27 @@ ALLOWED = {
     ("exbt.jmodel.model", "RepoContext.callees"): "README: library call graph",
 }
 
-# (module, Class.field): why a record keeps a field that no code reads
-ALLOWED_FIELDS: dict[tuple[str, str], str] = {}
+# (module, Class.field): why a class keeps a field or attribute that no code reads
+ALLOWED_FIELDS = {
+    ("exbt.errors", "BackendTimeout.elapsed"):
+        "the error's detail for library callers; test_genbackend reads it",
+}
+
+# the functions of src/ that call themselves, one Python frame per level of
+# their input; `Stmt.iter_tree` recurses through its children, a receiver
+# that `self_calls` does not follow
+SELF_CALLING = {
+    "exbt.jmodel.exprs._Parser.parse_assign",
+    "exbt.jmodel.exprs._Parser.parse_binary",
+    "exbt.jmodel.exprs._Parser.parse_ternary",
+    "exbt.jmodel.exprs.evaluate",
+    "exbt.jmodel.exprs.render",
+    "exbt.jmodel.exprs.substitute",
+    "exbt.jmodel.model._add_tree_files",
+    "exbt.jmodel.stmts.BodyParser._parse_stmt",
+    "exbt.metrics._expr_signatures",
+    "exbt.metrics._stmt_signatures",
+}
 
 
 def _wrapped() -> set[tuple[str, str]]:
@@ -170,22 +192,80 @@ def _getattr_strings(tree: ast.Module) -> set[str]:
     return found
 
 
+def _in_classes(tree: ast.Module):
+    """(innermost class around the node or None, node) of every node."""
+    stack: list[tuple[ast.AST, ast.ClassDef | None]] = [(tree, None)]
+    while stack:
+        node, cls = stack.pop()
+        yield cls, node
+        inner = node if isinstance(node, ast.ClassDef) else cls
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+
+
+def _on_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"
+
+
+def _stored(tree: ast.Module):
+    """(class, name) of each `self.name = …` in the body of that class."""
+    for cls, n in _in_classes(tree):
+        if cls is not None and _on_self(n) and isinstance(n.ctx, ast.Store):
+            yield cls, n.attr
+
+
+def _reads(tree: ast.Module) -> tuple[set[str], set[tuple[str, str]]]:
+    """The attributes the tree reads: the names it reads through a receiver
+    other than `self` or through `getattr`, and (class, name) of each
+    `self.name` it reads in the body of that class."""
+    other, own = _getattr_strings(tree), set()
+    for cls, n in _in_classes(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            if cls is not None and _on_self(n):
+                own.add((cls.name, n.attr))
+            else:
+                other.add(n.attr)
+    return other, own
+
+
 def unread_fields() -> list[str]:
-    """Record fields in src/ that no code in READERS reads as an attribute
-    or through `getattr`. Fields are matched by name, not by class."""
-    read: set[str] = set()
+    """Record fields in src/ that no code in READERS reads, and attributes
+    that a non-record class of src/ stores as `self.f = …` and src/ never
+    reads. A `self.f` read counts only for the class whose body holds it;
+    a read through another receiver or through `getattr` is matched by the
+    attribute's name alone, whatever the receiver's class."""
+    readers: set[str] = set()
     for folder in READERS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            read.update(n.attr for n in ast.walk(tree)
-                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
-            read |= _getattr_strings(tree)
-    return sorted(
-        f"{module}.{qualname}"
-        for module, tree in _trees().items()
-        for qualname, name in _record_fields(tree)
-        if name not in read and (module, qualname) not in ALLOWED_FIELDS
-    )
+            readers |= _reads(ast.parse(path.read_text()))[0]
+    trees = _trees()
+    reads = {module: _reads(tree) for module, tree in trees.items()}
+    in_src = set().union(*(other for other, _ in reads.values()))
+    found = set()
+    for module, tree in trees.items():
+        own = reads[module][1]
+        for qualname, name in _record_fields(tree):
+            if name not in readers and (qualname.split(".")[0], name) not in own:
+                found.add((module, qualname))
+        for cls, name in _stored(tree):
+            if not _is_record(cls) and name not in in_src and (cls.name, name) not in own:
+                found.add((module, f"{cls.name}.{name}"))
+    return sorted(f"{module}.{qualname}" for module, qualname in found - set(ALLOWED_FIELDS))
+
+
+def self_calls() -> list[str]:
+    """`module.qualname` of each def in src/ that calls itself directly: by
+    its bare name, or, in a method, as `self.<name>`."""
+    found = []
+    for module, tree in _trees().items():
+        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body}
+        for qualname, node in _defs(tree):
+            if any(isinstance(n, ast.Call) and (
+                    getattr(n.func, "id", None) == node.name
+                    or id(node) in methods and _on_self(n.func) and n.func.attr == node.name)
+                   for n in ast.walk(node)):
+                found.append(f"{module}.{qualname}")
+    return sorted(found)
 
 
 def private_imports() -> list[str]:
@@ -285,7 +365,25 @@ def test_every_dataclass_field_is_read():
     assert {"CandidateScore.xmatch", "ThrowSite.line", "TracePoolEntry.trace"} <= fields
     snippet = ast.parse('F = ("a", "b")\nx = [getattr(o, f) for f in F]\ny = getattr(o, "c")\n')
     assert _getattr_strings(snippet) == {"a", "b", "c"}
+    snippet = ast.parse("class A:\n    def g(self):\n        return self.f\n"
+                        "class B:\n    def g(self, a):\n        return a.h + self.k\n")
+    assert _reads(snippet) == ({"h"}, {("A", "f"), ("B", "k")})
     assert unread_fields() == []
+
+
+def test_every_allowed_field_names_a_field():
+    """An entry whose field was deleted or renamed would keep nothing."""
+    stored = {(module, f"{cls.name}.{name}") for module, tree in _trees().items()
+              for cls, name in _stored(tree)}
+    fields = {(module, qualname) for module, tree in _trees().items()
+              for qualname, _ in _record_fields(tree)}
+    assert sorted(set(ALLOWED_FIELDS) - stored - fields) == []
+
+
+def test_the_functions_that_call_themselves_only_shrink():
+    """Each listed function recurses once per level of its input (ROADMAP
+    item 4); a new one fails here, and a mended one leaves the list."""
+    assert self_calls() == sorted(SELF_CALLING)
 
 
 def test_the_microbenchmarks_import():

@@ -53,6 +53,14 @@ def test_parse_drops_synthetic_frames():
     assert [f.method for f in t.frames] == ["testWithdrawNegative", "withdraw"]
 
 
+def test_parse_reads_a_frame_printed_after_its_class_loader_and_module():
+    t = parse_stack_trace("java.lang.IllegalArgumentException\n"
+                          "\tat app//com.fix.Account.withdraw(Account.java:14)\n"
+                          "\tat java.base/java.lang.Thread.run(Thread.java:833)\n")
+    assert [(f.class_fqn, f.method, f.line) for f in t.frames] == [
+        ("com.fix.Account", "withdraw", 14)]
+
+
 # what the JVM and exbt's trace log print around user code: reflection with
 # no line, a negative line or no file line at all, and unusable user frames
 JVM_BLOCK = """java.lang.IllegalStateException: over limit
