@@ -22,6 +22,7 @@ from conftest import (  # noqa: E402
     REPO_G,
     guard_trace,
     write_call_chain,
+    write_guard_deep_repo,
     write_replicated_repo_a,
 )
 from exbt import cli  # noqa: E402
@@ -29,6 +30,7 @@ from exbt.classifier import split_test_suite  # noqa: E402
 from exbt.config import load_config  # noqa: E402
 from exbt.genbackend import extract_candidate  # noqa: E402
 from exbt.guardexpr import collect_nodes, compute_guard_expression  # noqa: E402
+from exbt.instrument import parse_trace_log  # noqa: E402
 from exbt.jmodel import RepoContext, load_repo, parse_unit  # noqa: E402
 from exbt.jmodel.exprs import (  # noqa: E402
     children,
@@ -200,6 +202,16 @@ def test_guard(benchmark):
         return [compute_guard_expression(trace, ctx, site) for trace, site in traces]
 
     assert len(benchmark(every_guard)) == len(traces)
+
+
+def test_parse_trace_log(benchmark, tmp_path):
+    """The two trace logs of a guard-deep repository (16 chains of depth
+    16, seed 1): one block per chain each, every frame line read once."""
+    write_guard_deep_repo(tmp_path, 16, 16, 1)
+    texts = [(tmp_path / "logs" / name).read_text()
+             for name in ("nonebt-traces.log", "ebt-traces.log")]
+    logs = benchmark(lambda: [parse_trace_log(text) for text in texts])
+    assert [(len(log), log.skipped_blocks) for log in logs] == [(16, 0), (16, 0)]
 
 
 def test_guard_deep_chain(benchmark, tmp_path):

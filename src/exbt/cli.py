@@ -36,7 +36,6 @@ from exbt.guardexpr import compute_guard_expression
 from exbt.instrument import (
     HELPER_FILE,
     HELPER_SOURCE,
-    TraceLog,
     instrument_print_exception,
     instrument_print_trace,
     parse_trace_log,
@@ -63,7 +62,7 @@ from exbt.prompting import (
     test_method_label,
 )
 from exbt.runners import JavacRunner, RecordedRunner
-from exbt.stacktrace import parse_stack_trace, resolve_trace
+from exbt.stacktrace import TraceLog, parse_stack_trace, resolve_trace
 
 
 # the flags several subcommands read; each subcommand takes only those it reads

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from exbt.classifier import TestMethod
 from exbt.errors import ExbtError
 from exbt.guardexpr import compute_guard_expression
-from exbt.instrument import TraceLog
 from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
     TEMPLATE_ID,
@@ -25,7 +24,7 @@ from exbt.prompting import (
     make_bundle,
     test_method_label,
 )
-from exbt.stacktrace import StackTrace, endpoints, resolve_trace
+from exbt.stacktrace import StackTrace, TraceLog, endpoints, resolve_trace
 
 
 @dataclass(frozen=True)

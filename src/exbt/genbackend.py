@@ -273,7 +273,7 @@ def _test_method_at(chunk: str, at: int, parses: dict) -> str | None:
     if candidate not in parses:
         try:
             parses[candidate] = parse_member(candidate, tokens[: close + 1])
-        except Exception:
+        except ExbtError:
             parses[candidate] = None
     _, m = parses[candidate] or (None, None)
     return candidate if m and m.tok_open is not None and has_test_annotation(m) else None

@@ -327,9 +327,8 @@ def compute_guard_expression(
     trace: StackTrace, ctx: RepoContext, site: ThrowSite | None = None
 ) -> GuardExpression:
     """The guard conjunction for a resolved trace, ending at `site` when
-    given; computed once per context, trace, methods its frames name (a
-    frame's equality leaves its method out) and site."""
-    key = (trace.frames, tuple(f.mid for f in trace.frames), site)
+    given; computed once per context, frames (each with its method) and site."""
+    key = (trace.frames, site)
     guard = ctx.guard_cache.get(key)
     if guard is None:
         guard = ctx.guard_cache[key] = _compute_guard(trace, ctx, site)

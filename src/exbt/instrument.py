@@ -21,11 +21,10 @@ import re
 from dataclasses import dataclass, field
 
 from exbt.classifier import TestMethod, class_literal_arg, try_fail_catch
-from exbt.errors import NotEBT
+from exbt.errors import MalformedTrace, NotEBT
 from exbt.jmodel import CompilationUnit, MethodDecl, RepoContext, parse_member
 from exbt.jmodel.lexer import find_top_level, match_paren
-from exbt.stacktrace import FRAME_RE, StackTrace, parse_stack_trace
-from exbt.errors import MalformedTrace
+from exbt.stacktrace import FRAME_RE, TraceLog, trace_of
 
 logger = logging.getLogger(__name__)
 
@@ -250,20 +249,6 @@ def _capture_assert_throws(unit: CompilationUnit, m: MethodDecl, rw: Rewrite) ->
     rw.inserts.append((semi.end, dump))
 
 
-@dataclass
-class TraceLog:
-    """Parsed trace-log file: (trace, originating test id) entries."""
-
-    entries: list[tuple[StackTrace, str]] = field(default_factory=list)
-    skipped_blocks: int = 0
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
 _TEST_TAG_RE = re.compile(r"^test:\s*(\S.*)$")
 # a byte that is not UTF-8, as a surrogateescape decode keeps it
 _UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
@@ -273,8 +258,8 @@ def parse_trace_log(text: str) -> TraceLog:
     """Parse the block format: one trace per '---'-separated block.
 
     Malformed blocks (any line that is neither a tag nor a frame as
-    `FRAME_RE` reads one, or bytes that are not UTF-8) are skipped and
-    counted, never fatal.
+    `FRAME_RE` reads one, bytes that are not UTF-8, or no frame that
+    `trace_of` keeps) are skipped with a warning and counted, never fatal.
     """
     log = TraceLog()
     for block in text.split("\n---"):
@@ -287,21 +272,25 @@ def parse_trace_log(text: str) -> TraceLog:
             continue
         test_id = ""
         tag = _TEST_TAG_RE.match(lines[0].strip())
-        frame_lines = lines
         if tag:
             test_id = tag.group(1).strip()
-            frame_lines = lines[1:]
-        if not frame_lines:
-            log.skipped_blocks += 1
-            continue
-        if not all(FRAME_RE.match(l) or l.strip() == "---" for l in frame_lines):
-            logger.warning("skipping malformed trace block: %r", lines[0][:60])
-            log.skipped_blocks += 1
-            continue
+            lines = lines[1:]
         try:
-            trace = parse_stack_trace("\n".join(frame_lines))
-        except MalformedTrace:
+            log.entries.append((trace_of(_frame_matches(lines)), test_id))
+        except MalformedTrace as exc:
+            logger.warning("skipping trace block: %s", exc)
             log.skipped_blocks += 1
-            continue
-        log.entries.append((trace, test_id))
     return log
+
+
+def _frame_matches(lines: list[str]) -> list[re.Match]:
+    """The `FRAME_RE` match of each line but a `---` one, each line matched
+    once; `MalformedTrace` naming the first line that is neither."""
+    matches = []
+    for line in lines:
+        m = FRAME_RE.match(line)
+        if m:
+            matches.append(m)
+        elif line.strip() != "---":
+            raise MalformedTrace(f"not a frame line: {line.strip()[:60]!r}")
+    return matches

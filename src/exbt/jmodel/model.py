@@ -423,12 +423,13 @@ class RepoContext:
         self._sites: dict[MethodId, list[tuple[str, int, int, bool]]] = {}
         self._callees: dict[MethodId, tuple[MethodId, ...]] = {}
         self._body_cache: dict[tuple[str, int], Stmt] = {}
-        # guardexpr's guards by (trace frames, their methods, throw site or None)
+        # guardexpr's guards by (trace frames, throw site or None)
         self.guard_cache: dict[tuple, object] = {}
 
     def tree_digest(self) -> str:
-        """`manifest.tree_digest` of the root, from the bytes loading read:
-        only the files it did not read are read now."""
+        """`manifest.files_digest` of every file under the root, sorted by
+        relative path, from the bytes loading read: only the files it did not
+        read are read now."""
 
         def contents(rel: str, raw: bytes | None) -> bytes:
             if raw is not None:

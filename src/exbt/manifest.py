@@ -35,17 +35,6 @@ def files_digest(files: Iterable[tuple[str, bytes]]) -> str:
     return h.hexdigest()
 
 
-def tree_digest(root: str | Path) -> str:
-    """Digest of a directory tree: sorted relative paths and contents.
-    `RepoContext.tree_digest` gives the same value from the bytes that
-    loading the repository read."""
-    root = Path(root)
-    return files_digest(
-        (p.relative_to(root).as_posix(), p.read_bytes())
-        for p in sorted(root.glob("**/*")) if p.is_file()
-    )
-
-
 @dataclass
 class Manifest:
     command: str
@@ -61,7 +50,7 @@ class Manifest:
         self.inputs[label] = {"path": str(path), "sha256": file_digest(path)}
 
     def add_input_tree(self, label: str, root: str | Path, sha256: str) -> None:
-        """Record a directory tree by its `tree_digest`."""
+        """Record a directory tree by its digest (`RepoContext.tree_digest`)."""
         self.inputs[label] = {"path": str(root), "sha256": sha256}
 
     def add_artifact(self, path: str | Path, base: str | Path | None = None) -> None:

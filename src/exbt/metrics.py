@@ -300,10 +300,6 @@ def _clipped_ratio(cand: Counter, ref: Counter) -> float:
     return matched / total
 
 
-def code_bleu(candidate: str, reference: str) -> float:
-    return code_bleu_components(candidate, reference)["code_bleu"]
-
-
 def code_bleu_components(candidate: str | _Side, reference: str | _Side) -> dict:
     """CodeBLEU = 0.25 * (ngram + keyword-weighted ngram + AST + def-use).
 

@@ -17,9 +17,8 @@ from functools import cached_property
 from exbt.classifier import TestMethod, has_test_annotation
 from exbt.errors import EmptyAfterExclusion, FrameOutOfSpan, UnknownMethod
 from exbt.guardexpr import GuardExpression, compute_guard_expression
-from exbt.instrument import TraceLog
 from exbt.jmodel import MethodId, RepoContext, ThrowSite, find_throw_sites
-from exbt.stacktrace import StackTrace, resolve_trace
+from exbt.stacktrace import StackTrace, TraceLog, resolve_trace
 
 logger = logging.getLogger(__name__)
 

@@ -21,7 +21,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-from exbt.errors import RunnerUnavailable, check_records, read_input
+from exbt.errors import ExbtError, RunnerUnavailable, check_records, read_input
 from exbt.genbackend import digest
 from exbt.instrument import HELPER_FILE, HELPER_SOURCE
 from exbt.jmodel import RepoContext, ThrowSite, parse_member, parse_unit
@@ -199,7 +199,7 @@ class JavacRunner:
             src = work / "src"
             try:
                 names = self._prepare(work, src, candidate, site)
-            except Exception as exc:
+            except (ExbtError, OSError) as exc:
                 logger.warning("runner workspace setup failed: %s", exc)
                 return FunctionalResult()
             java_files = [str(p) for p in sorted(src.rglob("*.java"))]

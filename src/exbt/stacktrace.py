@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from exbt.errors import (
@@ -50,7 +51,7 @@ class Frame:
     file: str  # file name only, e.g. Bar.java
     line: int
     # the method the frame names, set by `resolve_trace`; None before
-    mid: MethodId | None = field(default=None, compare=False, repr=False)
+    mid: MethodId | None = field(default=None, repr=False)
 
     def render(self) -> str:
         return f"at {self.class_fqn}.{self.method}({self.file}:{self.line})"
@@ -69,38 +70,55 @@ class StackTrace:
         return StackTrace(self.frames[:-1] + (replace(self.frames[-1], line=line),))
 
 
-def _is_synthetic(class_fqn: str) -> bool:
-    return class_fqn.startswith(SYNTHETIC_PREFIXES)
+@dataclass
+class TraceLog:
+    """Parsed trace-log file: (trace, originating test id) entries."""
+
+    entries: list[tuple[StackTrace, str]] = field(default_factory=list)
+    skipped_blocks: int = 0
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+
+def trace_of(matches: Iterable[re.Match]) -> StackTrace:
+    """The MUT-first StackTrace of `FRAME_RE` matches given in JVM order.
+
+    Synthetic frames (reflection, runners) are dropped; so is any other
+    frame without a usable line (no line, a negative one, `Unknown Source`,
+    `Native Method`), with a warning. `MalformedTrace` when no frame is left.
+    """
+    jvm_order: list[Frame] = []
+    for m in matches:
+        fqn, method, file_name, line = m.groups()
+        if fqn.startswith(SYNTHETIC_PREFIXES):
+            continue
+        if line is None or line.startswith("-") or not file_name.endswith(".java"):
+            logger.warning("dropping frame without line number: %s", m.string.strip())
+            continue
+        jvm_order.append(Frame(fqn, method, file_name, int(line)))
+    if not jvm_order:
+        raise MalformedTrace("no frame with a line number outside the synthetic packages")
+    return StackTrace(tuple(reversed(jvm_order)))
 
 
 def parse_stack_trace(text: str) -> StackTrace:
-    """Parse raw JVM trace text into a MUT-first StackTrace.
+    """Parse raw JVM trace text into a MUT-first StackTrace (see `trace_of`).
 
-    Only the first cause segment is read. Synthetic frames (reflection,
-    runners) are dropped; so is any other frame without a usable line (no
-    line, a negative one, `Unknown Source`, `Native Method`), with a warning.
+    Only the first cause segment is read; lines that are not frames are
+    passed over.
     """
-    jvm_order: list[Frame] = []
-    saw_frame_line = False
+    matches = []
     for raw in text.splitlines():
         if raw.strip().startswith("Caused by:"):
             break
         m = FRAME_RE.match(raw)
-        if not m:
-            continue
-        saw_frame_line = True
-        fqn, method, file_name, line = m.groups()
-        if _is_synthetic(fqn):
-            continue
-        if line is None or line.startswith("-") or not file_name.endswith(".java"):
-            logger.warning("dropping frame without line number: %s", raw.strip())
-            continue
-        jvm_order.append(Frame(fqn, method, file_name, int(line)))
-    if not saw_frame_line:
-        raise MalformedTrace("no line matches the canonical frame syntax")
-    if not jvm_order:
-        raise MalformedTrace("all frames were synthetic or lacked line numbers")
-    return StackTrace(tuple(reversed(jvm_order)))
+        if m:
+            matches.append(m)
+    return trace_of(matches)
 
 
 def exclude_test_and_util_frames(trace: StackTrace, ctx: RepoContext) -> StackTrace:
@@ -135,7 +153,7 @@ def resolve_trace(trace: StackTrace, ctx: RepoContext) -> StackTrace:
     frames = []
     for f in exclude_test_and_util_frames(trace, ctx).frames:
         _, _, decl = ctx.resolve_frame(f.class_fqn, f.method, f.line)
-        frames.append(Frame(f.class_fqn, f.method, f.file, f.line, decl.mid))
+        frames.append(replace(f, mid=decl.mid))
     return StackTrace(tuple(frames))
 
 

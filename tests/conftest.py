@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,15 @@ def write_replicated_repo_a(repo: Path, k: int, seed: int = 1) -> None:
     gen_sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen_sweep)
     gen_sweep.write_repo(repo, k, seed)
+
+
+def write_guard_deep_repo(repo: Path, chains: int, depth: int, seed: int) -> None:
+    """`chains` call chains of depth `depth`, with their trace logs: the
+    benchmark's guard-deep generator."""
+    spec = importlib.util.spec_from_file_location("gen_guard", GEN_SWEEP.with_name("gen_guard.py"))
+    gen_guard = sys.modules["gen_guard"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_guard)
+    gen_guard.write_repo(repo, chains, depth, seed)
 
 
 def write_call_chain(repo: Path, depth: int) -> StackTrace:

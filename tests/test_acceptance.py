@@ -17,7 +17,7 @@ from conftest import FIXTURES, REPO_A, guard_trace, parse_env_key
 from exbt.cli import main as cli_main
 from exbt.guardexpr import compute_guard_expression, evaluate_guard
 from exbt.jmodel import MethodId, parse_unit
-from exbt.metrics import bleu, code_bleu, edit_similarity
+from exbt.metrics import bleu, code_bleu_components, edit_similarity
 from exbt.runners import JavacRunner, jvm_available
 from exbt.stacktrace import (
     StackTrace,
@@ -138,7 +138,7 @@ def test_criterion_metric_identities():
 
     for m in _fixture_methods(50):
         assert bleu(m, m) == pytest.approx(1.0)
-        assert code_bleu(m, m) == pytest.approx(1.0)
+        assert code_bleu_components(m, m)["code_bleu"] == pytest.approx(1.0)
         assert edit_similarity(m, m) == pytest.approx(1.0)
     assert edit_similarity("ab", "abc") == pytest.approx(EDIT_SIM_ORACLE, abs=1e-4)
     assert bleu("a b c d", "a b c e") == pytest.approx(BLEU_ORACLE, abs=1e-6)

@@ -366,6 +366,16 @@ def test_extract_unbalanced_braces_is_none():
     assert extract_candidate("@Test public void broken() { if (x) {") is None
 
 
+def test_extract_lets_an_error_that_is_not_a_parse_error_through(monkeypatch):
+    """Only an `ExbtError` marks a candidate as unparsed; a bug raises."""
+    def broken(*args):
+        raise RuntimeError("bug in the parser")
+
+    monkeypatch.setattr(genbackend, "parse_member", broken)
+    with pytest.raises(RuntimeError, match="bug in the parser"):
+        extract_candidate("@Test public void first() { a(); }")
+
+
 def test_extract_requires_test_annotation():
     assert extract_candidate("public void helper() { a(); }") is None
 

@@ -6,7 +6,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, GEN_SWEEP
+import trace_log_two_pass
+from conftest import FIXTURES, GEN_SWEEP, write_guard_deep_repo, write_replicated_repo_a
+from exbt import instrument, stacktrace
 from exbt.classifier import classify_test, split_test_suite
 from exbt.errors import ExbtError, NotEBT
 from exbt.instrument import (
@@ -20,6 +22,7 @@ from exbt.instrument import (
 )
 from exbt.jmodel import load_repo, parse_unit
 from exbt.jmodel.lexer import tokenize
+from exbt.stacktrace import FRAME_RE
 
 INSTR = FIXTURES / "instrument"
 GATE = FIXTURES / "gate"
@@ -346,10 +349,10 @@ def test_parse_log_corrupted_block_skipped():
     ]
 
 
-def test_parse_log_block_with_a_line_that_is_not_a_frame_is_skipped():
+def test_parse_log_block_with_a_line_that_is_not_a_frame_is_skipped(caplog):
     """A line that starts with `at ` but is no frame makes its block
-    malformed, rather than vanishing from the trace; a frame printed after
-    its module is a frame."""
+    malformed, rather than vanishing from the trace, and the warning names
+    that line; a frame printed after its module is a frame."""
     log = parse_trace_log(
         "test: p.ATest#t\nat p.A.f(A.java:4)\nat p.A.g(A.java\nat p.ATest.t(ATest.java:9)\n---\n"
         "test: p.ATest#u\nat p.A.f(A.java:4)\nat p.ATest.u(ATest.java:12)\n"
@@ -357,3 +360,99 @@ def test_parse_log_block_with_a_line_that_is_not_a_frame_is_skipped():
     )
     assert [t for _, t in log] == ["p.ATest#u"]
     assert log.skipped_blocks == 1
+    assert "not a frame line: 'at p.A.g(A.java'" in caplog.text
+    assert "p.ATest#t" not in caplog.text
+
+
+# --- one reader: each frame line is matched once, with the two-pass entries ---
+
+
+class _CountingPattern:
+    """`FRAME_RE` with a count of its `match` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def match(self, line):
+        self.calls += 1
+        return FRAME_RE.match(line)
+
+
+def test_each_frame_line_is_matched_once(monkeypatch):
+    """A log of N frame lines costs N matches; the two-pass reader that
+    checked each block's lines before parsing them again cost 2N."""
+    text = "".join((FIXTURES / "repoA/logs" / name).read_text()
+                   for name in ("ebt-traces.log", "nonebt-traces.log"))
+    frame_lines = sum(1 for line in text.splitlines() if FRAME_RE.match(line))
+    counter = _CountingPattern()
+    for module in (stacktrace, instrument, trace_log_two_pass):
+        monkeypatch.setattr(module, "FRAME_RE", counter)
+    assert len(parse_trace_log(text)) > 0
+    assert counter.calls == frame_lines
+    counter.calls = 0
+    trace_log_two_pass.parse_trace_log(text)
+    assert counter.calls == 2 * frame_lines
+
+
+def _entries(log):
+    return [(trace.to_rows(), test_id) for trace, test_id in log], log.skipped_blocks
+
+
+def test_the_reader_equals_the_two_pass_reader_on_committed_and_generated_logs(tmp_path):
+    write_replicated_repo_a(tmp_path / "sweep", 2)
+    write_guard_deep_repo(tmp_path / "guard", 16, 16, 1)
+    paths = [*FIXTURES.rglob("*.log"), *REPO_A_TEMPLATE.rglob("*.log"), *tmp_path.rglob("*.log")]
+    assert len(paths) == 9
+    for path in paths:
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+        assert _entries(parse_trace_log(text)) == _entries(trace_log_two_pass.parse_trace_log(text))
+
+
+# every `str.splitlines` boundary but `\n` and `\r\n`: the two-pass reader
+# split a line at one of them a second time, the reader reads the line whole
+_OTHER_BOUNDARIES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_UNDECODABLE = st.sampled_from(["\udc80", "\udcff", "\udcfe"])
+
+_frame_lines = st.builds(
+    "{}at {}{}.{}({}){}".format,
+    st.sampled_from(["", "\t", "    "]),
+    st.sampled_from(["", "app//", "java.base/", "jdk.internal.vm.ci@17/", "loader/mod/"]),
+    st.sampled_from(["p.A", "com.fix.Account", "a.B$C", "java.lang.Thread",
+                     "org.junit.Assert", "jdk.internal.reflect.M", "sun.misc.X"]),
+    st.sampled_from(["f", "<init>", "<clinit>", "lambda$g$0", "run"]),
+    st.one_of(
+        st.integers(-3, 40).map("A.java:{}".format),
+        st.sampled_from(["A.java", "Unknown Source", "Native Method", "A.kt:3", "A.java:1:2"]),
+    ),
+    st.sampled_from(["", " ", "\t"]),
+)
+_tag_lines = st.sampled_from(["test: p.ATest#t", "test:p.BTest#u ", "  test: x y", "test:"])
+_other_lines = st.one_of(
+    _tag_lines,
+    st.sampled_from(["", " ", "\t", " ---", "--- ", "----", "---x", "--", "---test: p.T#v",
+                     "junk", "at p.A.g(A.java", "Caused by: java.lang.X: y", "at",
+                     "java.lang.IllegalStateException: boom", "\tat p.A.f(A.java:1) x"]),
+    _UNDECODABLE,
+    st.text(st.characters(blacklist_characters="\n" + _OTHER_BOUNDARIES), max_size=12),
+)
+
+
+@st.composite
+def _trace_logs(draw):
+    """Blocks of mostly frame lines, each an optional tag line first and a
+    `---` line (or a variant) last, with one `\n` or `\r\n` per line."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        lines += draw(st.lists(_tag_lines, max_size=1))
+        for _ in range(draw(st.integers(0, 6))):  # one line in ten is not a frame
+            lines.append(draw(_frame_lines if draw(st.integers(0, 9)) else _other_lines))
+        lines.append(draw(st.sampled_from(["---"] * 16 + [" ---", "----", "---x", ""])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_trace_logs())
+def test_the_reader_equals_the_two_pass_reader(text):
+    assert _entries(parse_trace_log(text)) == _entries(trace_log_two_pass.parse_trace_log(text))

@@ -23,7 +23,7 @@ from exbt.jmodel import (
     reachable_throws,
 )
 from exbt.jmodel.stmts import BodyParser, chains_at_line
-from exbt.manifest import tree_digest
+from exbt.manifest import files_digest
 from member_wrap import LINES_BEFORE, TOKENS_BEFORE, parse_member_wrapped
 
 TEMPLATE = Path(__file__).resolve().parents[1] / "perfbench" / "repoA_template"
@@ -100,6 +100,36 @@ def test_malformed_source_raises_only_typed_errors(source):
         for _, m in unit.all_methods():
             if m.tok_open is not None:
                 BodyParser(unit.tokens).parse_block(m.tok_open)
+    except ExbtError:
+        pass
+
+
+TEST_STARTS = [source[at:]
+               for source in [*FIXTURE_SOURCES, *(p.read_text() for p in sorted(TEMPLATE.rglob("*.java")))]
+               for at in range(len(source)) if source.startswith("@Test", at)]
+
+
+@st.composite
+def cut_test_methods(draw):
+    """The text from an `@Test` of a fixture or template source on,
+    truncated, with 1 to 8 characters cut, or with a bracket or quote put in."""
+    source = draw(st.sampled_from(TEST_STARTS))
+    at = draw(st.integers(0, len(source)))
+    how = draw(st.sampled_from(["truncate", "cut", "insert"]))
+    if how == "truncate":
+        return source[:at]
+    if how == "cut":
+        return source[:at] + source[at + draw(st.integers(1, 8)) :]
+    return source[:at] + draw(st.sampled_from(list("{}()[]<>\"'"))) + source[at:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cut_test_methods())
+def test_a_cut_test_method_raises_only_typed_errors(source):
+    """What extraction and scoring hand to `parse_member` parses, or fails
+    with an ExbtError: they catch that error alone."""
+    try:
+        parse_member(source)
     except ExbtError:
         pass
 
@@ -412,6 +442,16 @@ def _write_awkward_tree(root: Path) -> bool:
     except (OSError, NotImplementedError):
         return False
     return True
+
+
+def tree_digest(root: Path) -> str:
+    """Digest of a directory tree: sorted relative paths and contents, each
+    file listed by `glob` and read on its own; `RepoContext.tree_digest`
+    must give the same value from the bytes that loading read."""
+    return files_digest(
+        (p.relative_to(root).as_posix(), p.read_bytes())
+        for p in sorted(root.glob("**/*")) if p.is_file()
+    )
 
 
 def test_load_repo_reads_the_tree_as_the_manifest_and_read_text_do(tmp_path):

@@ -20,7 +20,6 @@ from exbt.metrics import (
     Sides,
     aggregate,
     bleu,
-    code_bleu,
     code_bleu_components,
     code_tokens,
     edit_similarity,
@@ -100,7 +99,7 @@ def test_bleu_hand_computed_oracle():
 def test_bleu_invariant_under_comment_removal():
     with_comments = METHOD.replace("{", "{ // opening", 1)
     assert bleu(with_comments, METHOD) == pytest.approx(1.0)
-    assert code_bleu(with_comments, METHOD) == pytest.approx(1.0)
+    assert code_bleu_components(with_comments, METHOD)["code_bleu"] == pytest.approx(1.0)
 
 
 # Reference: BLEU as it was computed before n-gram counts were kept on a
@@ -177,7 +176,7 @@ def test_bleu_and_code_bleu_equal_the_per_pair_counts_bit_for_bit(cand, ref):
 
 
 def test_code_bleu_identical_is_one():
-    assert code_bleu(METHOD, METHOD) == pytest.approx(1.0)
+    assert code_bleu_components(METHOD, METHOD)["code_bleu"] == pytest.approx(1.0)
 
 
 def test_code_bleu_renamed_locals_between_components():
@@ -200,7 +199,7 @@ def test_code_bleu_unparseable_degrades_to_bleu():
 def test_similarity_identity_on_fifty_methods():
     for m in _fixture_methods(50):
         assert bleu(m, m) == pytest.approx(1.0)
-        assert code_bleu(m, m) == pytest.approx(1.0)
+        assert code_bleu_components(m, m)["code_bleu"] == pytest.approx(1.0)
         assert edit_similarity(m, m) == pytest.approx(1.0)
 
 
@@ -208,7 +207,8 @@ def test_similarity_bounds():
     methods = _fixture_methods(10)
     for cand in methods[:3]:
         for ref in methods[:3]:
-            for metric in (bleu, code_bleu, edit_similarity):
+            for metric in (bleu, lambda a, b: code_bleu_components(a, b)["code_bleu"],
+                           edit_similarity):
                 value = metric(cand, ref)
                 assert 0.0 <= value <= 1.0
 

@@ -11,14 +11,12 @@ the statements that `stmts.chains_at_line` starts its chains with.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import FIXTURES, GEN_SWEEP, write_call_chain
+from conftest import FIXTURES, write_call_chain, write_guard_deep_repo
 from exbt.errors import JavaParseError
 from exbt.jmodel import parse_unit
 from exbt.jmodel.exprs import (
@@ -390,14 +388,6 @@ def _disagreements(tokens: list[Token], source: str) -> list:
 # --- every expression range of the fixtures and of a deep call chain ---
 
 
-def _write_guard_repo(repo: Path) -> None:
-    """Four chains of depth 16 from the benchmark's guard-deep generator."""
-    spec = importlib.util.spec_from_file_location("gen_guard", GEN_SWEEP.with_name("gen_guard.py"))
-    gen_guard = sys.modules["gen_guard"] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen_guard)
-    gen_guard.write_repo(repo, 4, 16, 1)
-
-
 @pytest.fixture(scope="module")
 def bodies(tmp_path_factory):
     """(unit, body tree) of every method of every fixture Java file, of a
@@ -405,7 +395,7 @@ def bodies(tmp_path_factory):
     chain = tmp_path_factory.mktemp("chain")
     write_call_chain(chain, 16)
     guard = tmp_path_factory.mktemp("guard")
-    _write_guard_repo(guard)
+    write_guard_deep_repo(guard, 4, 16, 1)
     found = []
     paths = [*FIXTURES.rglob("*.java"), *chain.rglob("*.java"), *guard.rglob("*.java")]
     for path in sorted(paths):

@@ -1,12 +1,12 @@
 """Every function, method and module-level name in src/exbt is reached:
-some other code in src/ names it, the benchmark's tracer wraps it, or the
-allowlist below says why it stays without a reader, and every allowlist
-entry names a def that exists. Every dataclass and NamedTuple field in
-src/exbt is read by some code of the project, and every attribute that
-another class of src/exbt stores on `self` is read in src/exbt. No module
-in src/exbt imports an underscore name from another module. The functions
-of src/exbt that call themselves are an explicit list that can only
-shrink."""
+some other code in src/ names it (a module-level function only through its
+own module), the benchmark's tracer wraps it, or the allowlist below says
+why it stays without a reader, and every allowlist entry names a def that
+exists. Every dataclass and NamedTuple field in src/exbt is read by some
+code of the project, and every attribute that another class of src/exbt
+stores on `self` is read in src/exbt. No module in src/exbt imports an
+underscore name from another module. The functions of src/exbt that call
+themselves are an explicit list that can only shrink."""
 
 from __future__ import annotations
 
@@ -136,17 +136,52 @@ def unread_bindings() -> list[str]:
     return sorted(found)
 
 
+def _module_attrs(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, name) of every `alias.name` read in src/ where the alias is
+    bound to a module of src/ (`from exbt.jmodel import exprs as E` makes
+    `E.free_names` a read of `exbt.jmodel.exprs.free_names`)."""
+    found = set()
+    for tree in trees.values():
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                bound.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names
+                             if f"{node.module}.{a.name}" in trees)
+            elif isinstance(node, ast.Import):
+                bound.update((a.asname, a.name) for a in node.names if a.asname and a.name in trees)
+        found.update((bound[n.value.id], n.attr) for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) in bound)
+    return found
+
+
+def _bare_reads(node: ast.AST) -> Counter:
+    return Counter(n.id for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
 def unreached() -> list[str]:
+    """Defs that nothing reaches. A module-level function is reached by a
+    bare-name read in its own module outside itself, by an import from its
+    module, or by an attribute read on a name bound to its module; any other
+    def by a read of its name, as a name or an attribute, anywhere in src/
+    outside itself."""
     trees = _trees()
     everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    through_module = _imported(trees) | _module_attrs(trees)
     kept = _wrapped() | set(ALLOWED)
     found = []
     for module, tree in trees.items():
+        here = _bare_reads(tree)
+        top = {id(node) for node in tree.body}
         for qualname, node in _defs(tree):
             name = node.name
             if (name.startswith("__") and name.endswith("__")) or (module, qualname) in kept:
                 continue
-            if everywhere[name] == _names(node)[name]:  # named only inside itself
+            if id(node) in top:
+                reached = here[name] > _bare_reads(node)[name] or (module, name) in through_module
+            else:
+                reached = everywhere[name] > _names(node)[name]  # named outside itself
+            if not reached:
                 found.append(f"{module}.{qualname}")
     return sorted(found)
 
@@ -347,7 +382,17 @@ def test_no_module_imports_a_private_name():
 
 
 def test_every_def_in_src_is_reached():
+    assert ("exbt.jmodel.exprs", "free_names") in _module_attrs(_trees())
     assert unreached() == []
+
+
+def test_the_prompt_builders_do_not_import_the_instrumenter():
+    """The pool and the corpus read trace logs as `stacktrace.TraceLog`."""
+    trees = _trees()
+    for module in ("exbt.prompting", "exbt.corpus"):
+        assert not [n for n in ast.walk(trees[module])
+                    if isinstance(n, ast.ImportFrom) and n.module == "exbt.instrument"
+                    or isinstance(n, ast.Import) and any(a.name == "exbt.instrument" for a in n.names)]
 
 
 def test_every_allowed_entry_names_a_def():

@@ -91,6 +91,27 @@ def test_javac_runner_timeouts_are_results(repo_a, withdraw_site, monkeypatch, c
     assert (result.compilable, result.runnable) == (True, False)
 
 
+def test_javac_runner_setup_errors(repo_a, withdraw_site, monkeypatch, caplog):
+    """A workspace that cannot be set up for a typed reason is an empty
+    result; any other error is a bug and raises."""
+    monkeypatch.setattr(runners, "jvm_available", lambda: True)
+    runner = JavacRunner(repo_a)
+
+    def prepare_raising(error):
+        def prepare(*args):
+            raise error
+
+        return prepare
+
+    monkeypatch.setattr(runner, "_prepare", prepare_raising(runners.RunnerUnavailable("no dest")))
+    with caplog.at_level(logging.WARNING, logger="exbt.runners"):
+        assert runner.check(GOOD_CANDIDATE, withdraw_site) == FunctionalResult()
+    assert "setup failed: no dest" in caplog.text
+    monkeypatch.setattr(runner, "_prepare", prepare_raising(ValueError("bug")))
+    with pytest.raises(ValueError, match="bug"):
+        runner.check(GOOD_CANDIDATE, withdraw_site)
+
+
 MARK_SOURCE = """package p;
 
 class Guard {

@@ -239,7 +239,7 @@ def test_resolve_trace_sets_each_frames_method(repo_a):
         )
     )
     resolved = resolve_trace(trace, repo_a)
-    assert resolved == trace
+    assert resolved.to_rows() == trace.to_rows()  # every frame keeps its text
     assert [(f.mid.name, f.mid.decl_line) for f in resolved.frames] == [
         ("deposit", 19), ("withdraw", 12), ("withdraw", 12)]
     assert [f.mid for f in trace.frames] == [None, None, None]
