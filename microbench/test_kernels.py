@@ -99,8 +99,8 @@ That's it: it's the negative-amount case.
 
 def test_extract_candidate(benchmark):
     """Lex the fenced method, match its braces and parse it from the same
-    tokens; a fresh parse dict each round, as every sweep target has."""
-    method = benchmark(lambda: extract_candidate(COMMENTED_COMPLETION, {}))
+    tokens; a fresh `Sides` each round, as every sweep target has."""
+    method = benchmark(lambda: extract_candidate(COMMENTED_COMPLETION, Sides()))
     assert method.endswith("account.withdraw(-1);\n}")
 
 

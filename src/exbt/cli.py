@@ -310,7 +310,7 @@ def cmd_instrument(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest("instrument")
-    manifest.add_input_tree("repo", args.repo, ctx.tree_digest())
+    manifest.add_input_tree("repo", ctx.tree_digest())
     overlay = {HELPER_FILE: HELPER_SOURCE}
     for rel, rewrite in instrument_print_trace(ctx).items():
         overlay[rel] = rewrite.rewritten
@@ -380,7 +380,7 @@ def cmd_prompt(args) -> int:
     ctx = _load(args.repo, args)
     mut = _resolve_mut(ctx, args.mut)
     site = _resolve_throw(ctx, args.throw_at)
-    dest = args.dest or select_dest_with_reason(mut, ctx)[0]
+    dest = args.dest or select_dest_with_reason(mut, ctx)
     if dest is None:
         raise ExbtError("no destination test file found; pass --dest")
     index = SweepIndex(ctx, split_test_suite(ctx)[1])
@@ -439,7 +439,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     manifest = Manifest("sweep", seed=args.seed, template_id=TEMPLATE_ID,
                         backend_kind=_backend_kind(args, cfg))
-    manifest.add_input_tree("repo", args.repo, ctx.tree_digest())
+    manifest.add_input_tree("repo", ctx.tree_digest())
 
     ebts, nonebts = _classify_stage(ctx, manifest)
     index = SweepIndex(ctx, nonebts)  # shared by the corpus, the pool and the sweep
@@ -520,7 +520,7 @@ def _generate_score_stage(args, cfg, ctx, outcomes, corpus, manifest: Manifest) 
         request_log.record(o.prompt.rendered_instruction, params, answer, backend.kind)
         if isinstance(answer, str):
             if answer not in candidates:
-                candidates[answer] = extract_candidate(answer, sides.parses)
+                candidates[answer] = extract_candidate(answer, sides)
             o.candidate = candidates[answer]
         if o.candidate is not None:
             o.score = score_candidate(

@@ -24,8 +24,8 @@ from exbt.errors import (
     check_records,
     read_input,
 )
-from exbt.jmodel import parse_member
 from exbt.jmodel.lexer import index_of, match_brace, tokenize
+from exbt.metrics import Sides
 
 
 @dataclass(frozen=True)
@@ -252,14 +252,14 @@ def _fenced_blocks(completion: str) -> list[str]:
     return blocks
 
 
-def _test_method_at(chunk: str, at: int, parses: dict) -> str | None:
+def _test_method_at(chunk: str, at: int, sides: Sides) -> str | None:
     """The method whose annotation starts at chunk[at], when its braces
     balance under the lexer and it parses as a test method; else None.
 
     The text from `at` is lexed; when the prose after the method does not
     lex, the text before the point where the lexer stopped is lexed
     instead. The candidate ends at the '}' that closes its first '{', and
-    is parsed from those same tokens, so it is lexed once."""
+    `sides` parses it from those same tokens, so it is lexed once."""
     text = chunk[at:]
     try:
         tokens = tokenize(text)
@@ -270,31 +270,25 @@ def _test_method_at(chunk: str, at: int, parses: dict) -> str | None:
     except JavaParseError:
         return None
     candidate = text[: tokens[close].end]
-    if candidate not in parses:
-        try:
-            parses[candidate] = parse_member(candidate, tokens[: close + 1])
-        except ExbtError:
-            parses[candidate] = None
-    _, m = parses[candidate] or (None, None)
+    _, m = sides.member(candidate, tokens[: close + 1]) or (None, None)
     return candidate if m and m.tok_open is not None and has_test_annotation(m) else None
 
 
-def extract_candidate(completion: str, parses: dict | None = None) -> str | None:
+def extract_candidate(completion: str, sides: Sides | None = None) -> str | None:
     """First complete test-annotated method in a completion, or None.
 
     The fenced code blocks are searched in order, or the whole completion
     when it has none; in each, every `@Test` in turn starts a candidate,
     and the first whose braces balance under the lexer and that parses as
-    a test method wins. `parses` maps each text parsed to its `parse_member`
-    result, None when it does not parse: a text found there is not parsed
-    again, and one parsed here is added, so one dict shared with scoring
-    (`metrics.Sides.parses`) lexes and parses each text of a command once.
+    a test method wins. Each candidate is lexed and parsed through `sides`,
+    so one `Sides` shared with scoring lexes and parses each text of a
+    command once.
     """
-    parses = {} if parses is None else parses
+    sides = Sides() if sides is None else sides
     for chunk in _fenced_blocks(completion) or [completion]:
         at = chunk.find("@Test")
         while at >= 0:
-            candidate = _test_method_at(chunk, at, parses)
+            candidate = _test_method_at(chunk, at, sides)
             if candidate is not None:
                 return candidate
             at = chunk.find("@Test", at + 1)

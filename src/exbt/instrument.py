@@ -110,9 +110,12 @@ class Rewrite:
         return "".join(parts)
 
 
-def _apply(rw: Rewrite) -> Rewrite:
-    """Put the inserts in source order (two at one offset keep the order
-    they were made in) and set `rewritten` to the original with each made."""
+def _apply(rw: Rewrite, where: str) -> Rewrite:
+    """Warn of each skipped edit, naming `where` the source came from; put
+    the inserts in source order (two at one offset keep the order they were
+    made in) and set `rewritten` to the original with each made."""
+    for reason in rw.skipped:
+        logger.warning("%s: %s", where, reason)
     rw.inserts.sort(key=lambda e: e[0])
     parts, at = [], 0
     for offset, text in rw.inserts:
@@ -158,11 +161,9 @@ def _rewrite_trace_dumps(unit: CompilationUnit, targets: list[MethodDecl]) -> Re
         at = unit.tokens[_entry_token(unit.tokens, m)].end
         if not unit.source.startswith(DUMP, at):  # else already instrumented
             rw.inserts.append((at, DUMP))
-    for reason in rw.skipped:
-        logger.warning("%s: %s", unit.path, reason)
     if not rw.inserts and not rw.skipped:
         return None
-    return _apply(rw)
+    return _apply(rw, unit.path)
 
 
 def _entry_token(toks, m: MethodDecl) -> int:
@@ -196,7 +197,7 @@ def instrument_print_exception(ebt: TestMethod) -> Rewrite:
         _print_in_catch(unit, m, rw)
     elif ebt.pattern == "AssertThrows":
         _capture_assert_throws(unit, m, rw)
-    return _apply(rw)
+    return _apply(rw, ebt.id.decl_file)
 
 
 def _wrap_body(unit: CompilationUnit, m: MethodDecl, rw: Rewrite) -> None:

@@ -47,11 +47,13 @@ class Manifest:
     counters: Counter = field(default_factory=Counter)
 
     def add_input(self, label: str, path: str | Path) -> None:
-        self.inputs[label] = {"path": str(path), "sha256": file_digest(path)}
+        """Record a file by its digest alone, so the manifest does not
+        depend on where the file sits."""
+        self.inputs[label] = {"sha256": file_digest(path)}
 
-    def add_input_tree(self, label: str, root: str | Path, sha256: str) -> None:
+    def add_input_tree(self, label: str, sha256: str) -> None:
         """Record a directory tree by its digest (`RepoContext.tree_digest`)."""
-        self.inputs[label] = {"path": str(root), "sha256": sha256}
+        self.inputs[label] = {"sha256": sha256}
 
     def add_artifact(self, path: str | Path, base: str | Path | None = None) -> None:
         key = str(Path(path).relative_to(base)) if base else str(path)

@@ -21,7 +21,7 @@ from exbt.errors import ExbtError
 from exbt.guardexpr import parse_or_opaque
 from exbt.jmodel import exprs as E
 from exbt.jmodel import CompilationUnit, MethodDecl, ThrowSite, parse_member
-from exbt.jmodel.lexer import KEYWORDS, tokenize
+from exbt.jmodel.lexer import KEYWORDS, Token, tokenize
 from exbt.jmodel.stmts import BodyParser
 
 _FALLBACK_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -33,15 +33,6 @@ KEYWORD_WEIGHT = 5.0  # what a Java keyword weighs in CodeBLEU's weighted n-gram
 Member = tuple[CompilationUnit, MethodDecl | None]
 
 
-def code_tokens(text: str) -> list[str]:
-    """Comment-free token stream; falls back to a regex split for
-    text the Java lexer rejects."""
-    try:
-        return [t.text for t in tokenize(text)]
-    except ExbtError:
-        return _split_tokens(text)
-
-
 def _split_tokens(text: str) -> list[str]:
     """The regex split of a text the Java lexer rejects, comments dropped."""
     stripped = _BLOCK_COMMENT_RE.sub(" ", _LINE_COMMENT_RE.sub(" ", text))
@@ -50,7 +41,7 @@ def _split_tokens(text: str) -> list[str]:
 
 def xmatch(candidate: str, reference: str) -> bool:
     """Token streams identical after comment and whitespace normalization."""
-    return code_tokens(candidate) == code_tokens(reference)
+    return Sides().pair(candidate, reference)["xmatch"]
 
 
 def xmatch_strict(candidate: str, reference: str) -> bool:
@@ -70,8 +61,7 @@ def _ngram_counts(tokens: list[str]) -> tuple[Counter, ...]:
 def bleu(candidate: str, reference: str) -> float:
     """Smoothed BLEU over code tokens: add-one on every n-gram precision,
     geometric mean, brevity penalty."""
-    cand, ref = (_side(code_tokens(text), None) for text in (candidate, reference))
-    return _weighted_bleu(cand, ref, 1.0, _clipped_logs(cand, ref))
+    return Sides().pair(candidate, reference)["bleu"]
 
 
 def _clipped_logs(cand: _Side, ref: _Side) -> list[float]:
@@ -216,12 +206,10 @@ class Sides:
     classified once; each distinct code-token sequence made a side once;
     and each (candidate, reference) pair of texts scored once.
 
-    `parses` maps a text to its `parse_member` result, or to None when it
-    does not parse. Extraction may record a candidate's parse there first;
-    the text is then not parsed again, and its side takes its code tokens
-    from that parse's unit. Any other text is lexed once, by `member`,
-    which keeps its code tokens for its side: the token texts, or the regex
-    split when the lexer rejects it.
+    `member` is the one place a text is lexed and parsed. It keeps the
+    text's code tokens for its side: the token texts, or the regex split
+    when the lexer rejects it. Extraction hands it the lex it found a
+    candidate with, so that text is not lexed again.
 
     Texts that differ only in comments or layout share one side when both
     parse as a member or neither does: a side is keyed by its code tokens
@@ -229,35 +217,35 @@ class Sides:
     one the lexer rejects while only the parsed one has a body tree."""
 
     def __init__(self) -> None:
-        self.parses: dict[str, Member | None] = {}
+        self._parses: dict[str, Member | None] = {}
         self._tokens: dict[str, list[str]] = {}  # the code tokens `member` keeps
         self._sides: dict[str, _Side] = {}
         self._shared: dict[tuple[tuple[str, ...], bool], _Side] = {}
         self._pairs: dict[tuple[str, str], dict] = {}
         self._expected: dict[str, str | None] = {}
 
-    def member(self, text: str) -> Member | None:
-        if text not in self.parses:
-            self.parses[text] = None
+    def member(self, text: str, tokens: list[Token] | None = None) -> Member | None:
+        """The text's `parse_member` result, None when it does not parse;
+        `tokens`, when given, are `tokenize(text)`."""
+        if text not in self._parses:
+            self._parses[text] = None
             try:
-                tokens = tokenize(text)
+                tokens = tokenize(text) if tokens is None else tokens
             except ExbtError:
                 self._tokens[text] = _split_tokens(text)
                 return None
             self._tokens[text] = [t.text for t in tokens]
             try:
-                self.parses[text] = parse_member(text, tokens)
+                self._parses[text] = parse_member(text, tokens)
             except ExbtError:
                 pass
-        return self.parses[text]
+        return self._parses[text]
 
     def side(self, text: str) -> _Side:
         side = self._sides.get(text)
         if side is None:
             member = self.member(text)
-            tokens = self._tokens.pop(text, None)
-            if tokens is None:  # extraction recorded its parse
-                tokens = [t.text for t in member[0].tokens] if member else code_tokens(text)
+            tokens = self._tokens.pop(text)
             key = (tuple(tokens), member is not None)
             side = self._shared.get(key)
             if side is None:
@@ -308,37 +296,23 @@ def code_bleu_components(candidate: str | _Side, reference: str | _Side) -> dict
     plain BLEU and the result is flagged."""
     cand = candidate if isinstance(candidate, _Side) else Sides().side(candidate)
     ref = reference if isinstance(reference, _Side) else Sides().side(reference)
-    if cand is ref:
-        # every n-gram, signature and edge matches: each term is exactly 1.0
-        return {
-            "code_bleu": 1.0,
-            "ngram": 1.0,
-            "weighted_ngram": 1.0,
-            "ast_match": 1.0,
-            "dataflow_match": 1.0,
-            "degraded": cand.ast_sigs is None,
-        }
-    logs = _clipped_logs(cand, ref)
-    ngram = _weighted_bleu(cand, ref, 1.0, logs)
-    if cand.ast_sigs is None or ref.ast_sigs is None:
-        return {
-            "code_bleu": ngram,
-            "ngram": ngram,
-            "weighted_ngram": ngram,
-            "ast_match": ngram,
-            "dataflow_match": ngram,
-            "degraded": True,
-        }
-    weighted = _weighted_bleu(cand, ref, KEYWORD_WEIGHT, logs)
-    ast_match = _clipped_ratio(cand.ast_sigs, ref.ast_sigs)
-    dataflow = _clipped_ratio(cand.def_use, ref.def_use)
+    degraded = cand.ast_sigs is None or ref.ast_sigs is None
+    if cand is ref:  # every n-gram, signature and edge matches
+        ngram = weighted = ast_match = dataflow = 1.0
+    else:
+        logs = _clipped_logs(cand, ref)
+        ngram = weighted = ast_match = dataflow = _weighted_bleu(cand, ref, 1.0, logs)
+        if not degraded:
+            weighted = _weighted_bleu(cand, ref, KEYWORD_WEIGHT, logs)
+            ast_match = _clipped_ratio(cand.ast_sigs, ref.ast_sigs)
+            dataflow = _clipped_ratio(cand.def_use, ref.def_use)
     return {
-        "code_bleu": 0.25 * (ngram + weighted + ast_match + dataflow),
+        "code_bleu": ngram if degraded else 0.25 * (ngram + weighted + ast_match + dataflow),
         "ngram": ngram,
         "weighted_ngram": weighted,
         "ast_match": ast_match,
         "dataflow_match": dataflow,
-        "degraded": False,
+        "degraded": degraded,
     }
 
 
@@ -488,16 +462,11 @@ def score_candidate(
     again, and a pair scored before is not scored again."""
     sides = Sides() if sides is None else sides
     similarity = {} if reference is None else sides.pair(candidate, reference)
-    score = CandidateScore(
-        target=target, **similarity,
-        matched_e=matched_exception(candidate, target_exception, sides),
-    )
+    matched_e = matched_exception(candidate, target_exception, sides)
+    functional = {}
     if runner is not None and site is not None:
-        result = runner.check(candidate, site).normalized()
-        score.compilable = result.compilable
-        score.runnable = result.runnable
-        score.covers_target = result.covers_target
-    return score
+        functional = vars(runner.check(candidate, site).normalized())
+    return CandidateScore(target, **similarity, matched_e=matched_e, **functional)
 
 
 def _mean(values) -> float:

@@ -170,9 +170,9 @@ def directly_invokes(test: TestMethod, mut: MethodId, ctx: RepoContext) -> bool:
     return mut in ctx.callees_of(test.id)
 
 
-def select_dest_with_reason(mut: MethodId, ctx: RepoContext) -> tuple[str | None, str]:
-    """(path, mechanism): <FNM>Test.java then Test<FNM>.java among test files,
-    same package preferred, is a name-match; else (None, "none")."""
+def select_dest_with_reason(mut: MethodId, ctx: RepoContext) -> str | None:
+    """The destination test file by name match: <FNM>Test.java then
+    Test<FNM>.java among test files, same package preferred; else None."""
     stem = mut.decl_file.rsplit("/", 1)[-1].removesuffix(".java")
     mut_unit = ctx.unit_for(mut.decl_file)
     mut_pkg = mut_unit.package if mut_unit is not None else ""
@@ -180,8 +180,8 @@ def select_dest_with_reason(mut: MethodId, ctx: RepoContext) -> tuple[str | None
     for name in (f"{stem}Test.java", f"Test{stem}.java"):
         found = by_name.get((name, mut_pkg)) or by_name.get((name, None))
         if found:
-            return found[0], "name-match"
-    return None, "none"
+            return found[0]
+    return None
 
 
 def build_dest_skeleton(ctx: RepoContext, dest_path: str) -> str:
@@ -345,7 +345,7 @@ def sweep_targets(
     results = []
     for site in find_throw_sites(ctx, "main"):
         mut = site.method
-        dest, _ = select_dest_with_reason(mut, ctx)
+        dest = select_dest_with_reason(mut, ctx)
         if dest is None:
             results.append((site, NoMatch("no-dest-file")))
             continue

@@ -198,7 +198,7 @@ class JavacRunner:
             work = Path(tmp)
             src = work / "src"
             try:
-                names = self._prepare(work, src, candidate, site)
+                names = self._prepare(src, candidate, site)
             except (ExbtError, OSError) as exc:
                 logger.warning("runner workspace setup failed: %s", exc)
                 return FunctionalResult()
@@ -243,44 +243,34 @@ class JavacRunner:
                 covers = f"covered: {site.label()}" in log_file.read_text()
             return FunctionalResult(True, runnable, runnable and covers)
 
-    def _prepare(self, work: Path, src: Path, candidate: str, site: ThrowSite) -> dict:
+    def _prepare(self, src: Path, candidate: str, site: ThrowSite) -> dict:
+        """Write each source at its repository path under src: javac
+        compiles the files it is given wherever they sit."""
         # main sources, with a coverage mark wrapped around the target throw
         for rel in self.ctx.main_files:
             unit = self.ctx.unit_for(rel)
             if unit is None:
                 continue
-            text = unit.source
-            if rel == site.method.decl_file:
-                text = _mark_throw(unit, site)
-            out = src / _strip_roots(rel)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(text, encoding="utf-8")
-        (src / "exbtruntime").mkdir(parents=True, exist_ok=True)
-        (src / _strip_roots(HELPER_FILE)).write_text(HELPER_SOURCE, encoding="utf-8")
-        for rel, source in JUNIT_STUBS.items():
-            out = src / rel
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(source, encoding="utf-8")
-        (src / "ExbtHarness.java").write_text(HARNESS_SOURCE, encoding="utf-8")
+            text = _mark_throw(unit, site) if rel == site.method.decl_file else unit.source
+            _write(src / rel, text)
+        for rel, source in {HELPER_FILE: HELPER_SOURCE, **JUNIT_STUBS,
+                            "ExbtHarness.java": HARNESS_SOURCE}.items():
+            _write(src / rel, source)
         # destination test file: skeleton plus the candidate
-        dest, _ = select_dest_with_reason(site.method, self.ctx)
+        dest = select_dest_with_reason(site.method, self.ctx)
         if dest is None:
             raise RunnerUnavailable(f"no destination test file for {site.method.label()}")
         dest_text = _inject_candidate(build_dest_skeleton(self.ctx, dest), candidate)
-        dest_out = src / _strip_roots(dest)
-        dest_out.parent.mkdir(parents=True, exist_ok=True)
-        dest_out.write_text(dest_text, encoding="utf-8")
+        _write(src / dest, dest_text)
         dest_unit = parse_unit(dest_text, dest)
         test_class = dest_unit.types[0].fqn
         _, test_method = parse_member(candidate)
         return {"test_class": test_class, "test_method": test_method.name}
 
 
-def _strip_roots(rel: str) -> str:
-    for prefix in ("src/main/java/", "src/test/java/", "src/main/", "src/test/"):
-        if rel.startswith(prefix):
-            return rel[len(prefix):]
-    return rel
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def _mark_throw(unit, site) -> str:

@@ -829,6 +829,25 @@ def test_manifest_artifacts_verify(capsys, tmp_path):
     assert "digest mismatch" in err
 
 
+def test_a_sweep_writes_the_same_out_wherever_the_repository_sits(capsys, tmp_path):
+    """repoA copied under two parent directories, keeping its name, and swept
+    by absolute paths: every `out/` file is byte-identical, the manifest
+    included, and an `out/` moved elsewhere still verifies."""
+    outs = []
+    for parent in (tmp_path / "one", tmp_path / "two" / "deeper"):
+        shutil.copytree(REPO_A, parent / "repoA")
+        code, _, _ = run(capsys, "sweep", (parent / "repoA").absolute(), "--seed", "42",
+                         "--backend", "stub", "--out", (parent / "out").absolute())
+        assert code == 0
+        outs.append({p.name: p.read_bytes() for p in (parent / "out").iterdir()})
+    assert "manifest.json" in outs[0]
+    assert outs[0] == outs[1]
+    moved = tmp_path / "moved"
+    shutil.move(tmp_path / "two" / "deeper" / "out", moved)
+    code, _, _ = run(capsys, "verify-manifest", moved / "manifest.json")
+    assert code == 0
+
+
 @pytest.mark.parametrize("text", ['{"artifacts": ', "[1, 2]"], ids=["not-json", "not-an-object"])
 def test_a_malformed_manifest_gives_a_typed_error(capsys, tmp_path, text):
     manifest = tmp_path / "manifest.json"

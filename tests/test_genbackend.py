@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 import pytest
 
 from conftest import REPO_A
-from exbt import genbackend
+from exbt import genbackend, metrics
 from exbt.cli import main
 from exbt.config import Config
 from exbt.errors import BackendTimeout, BackendUnavailable, MalformedResponse
@@ -371,7 +371,7 @@ def test_extract_lets_an_error_that_is_not_a_parse_error_through(monkeypatch):
     def broken(*args):
         raise RuntimeError("bug in the parser")
 
-    monkeypatch.setattr(genbackend, "parse_member", broken)
+    monkeypatch.setattr(metrics, "parse_member", broken)
     with pytest.raises(RuntimeError, match="bug in the parser"):
         extract_candidate("@Test public void first() { a(); }")
 
@@ -427,7 +427,7 @@ def test_extract_then_score_lexes_a_fenced_candidate_once(monkeypatch):
     lexed = _count_calls(monkeypatch, lexer, "tokenize")
     sides = Sides()
     completion = f"Here it is:\n```java\n{COMMENTED}\n```\nIt's done.\n"
-    candidate = extract_candidate(completion, sides.parses)
+    candidate = extract_candidate(completion, sides)
     score = score_candidate(candidate, None, "IllegalArgumentException", "t", sides=sides)
     assert (candidate, score.matched_e) == (COMMENTED, True)
     assert len(lexed) == 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import shutil
 from dataclasses import replace
 
@@ -255,14 +256,20 @@ def test_assertthrows_mid_line_is_bound_at_its_column(ebt_repo):
     assert rw.restore() == source
 
 
-def test_assertthrows_inside_another_call_is_skipped_with_a_reason(ebt_repo):
+def test_assertthrows_inside_another_call_is_skipped_with_a_reason(ebt_repo, caplog):
+    """The skip is warned of, naming the test's file, as a skipped trace
+    dump is."""
     source = (
         "@Test\npublic void rejectsOversize() {\n    Widget w = new Widget();\n"
         "    assertNotNull(assertThrows(IllegalStateException.class, () -> w.resize(9000)));\n}"
     )
-    rw = instrument_print_exception(replace(_ebt(ebt_repo, "AssertThrows"), body_text=source))
+    ebt = replace(_ebt(ebt_repo, "AssertThrows"), body_text=source)
+    with caplog.at_level(logging.WARNING, logger="exbt.instrument"):
+        rw = instrument_print_exception(ebt)
     assert rw.rewritten == source
-    assert rw.skipped == ["rejectsOversize: assertThrows does not start its statement, cannot bind it"]
+    reason = "rejectsOversize: assertThrows does not start its statement, cannot bind it"
+    assert rw.skipped == [reason]
+    assert caplog.messages == [f"{ebt.id.decl_file}: {reason}"]
 
 
 def test_tryfailcatch_prints_in_the_catch_the_classifier_matched():

@@ -11,8 +11,9 @@ import exbt.classifier
 import exbt.jmodel.model
 import exbt.metrics
 from conftest import REPO_A, REPO_G
+from exbt.genbackend import extract_candidate
 from exbt.jmodel import load_repo
-from exbt.jmodel.lexer import KEYWORDS
+from exbt.jmodel.lexer import KEYWORDS, tokenize
 from exbt.jmodel.stmts import BodyParser
 from exbt.metrics import (
     CandidateScore,
@@ -21,7 +22,6 @@ from exbt.metrics import (
     aggregate,
     bleu,
     code_bleu_components,
-    code_tokens,
     edit_similarity,
     matched_exception,
     report_table,
@@ -157,7 +157,7 @@ def _token_side(tokens: list[str], parsed: bool) -> exbt.metrics._Side:
 @example(["if", "(", "x", ")", "return"] * 4, ["if", "(", "x", ")", "return", ";"] * 3)
 def test_bleu_and_code_bleu_equal_the_per_pair_counts_bit_for_bit(cand, ref):
     plain = _ref_weighted_bleu(cand, ref, 1.0)
-    assert code_tokens(" ".join(cand)) == cand
+    assert [t.text for t in tokenize(" ".join(cand))] == cand
     assert bleu(" ".join(cand), " ".join(ref)) == plain
     comp = code_bleu_components(_token_side(cand, True), _token_side(ref, True))
     assert comp["ngram"] == plain
@@ -406,8 +406,8 @@ def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
 
         return wrapper
 
-    unparsed_tokens = code_tokens(UNPARSED)
-    # every module that lexes a side: `Sides.member`, `code_tokens` and `parse_member`
+    unparsed_tokens = [t.text for t in tokenize(UNPARSED)]
+    # every module that lexes a side: `Sides.member` and `parse_member`
     for module in (exbt.metrics, exbt.jmodel.model):
         monkeypatch.setattr(module, "tokenize", counting("tokenize", module.tokenize))
     monkeypatch.setattr(
@@ -437,10 +437,10 @@ def test_score_candidate_lexes_and_parses_each_side_once(monkeypatch):
 
 def test_a_text_the_lexer_rejects_is_lexed_once(monkeypatch):
     """Its side keeps the regex split made when `Sides.member` failed to lex
-    it. When the member was lexed wrapped in a class, `code_tokens` lexed
-    the text a second time."""
+    it. When the member was lexed wrapped in a class, the text was lexed a
+    second time for its code tokens."""
     text = "@Test public void t() { f(); } /*"
-    split = code_tokens(text)
+    split = exbt.metrics._split_tokens(text)
     lexed = []
     for module in (exbt.metrics, exbt.jmodel.model):
         tokenize = module.tokenize
@@ -614,3 +614,39 @@ def test_a_rejected_text_shares_no_side_with_a_parsed_text_of_its_tokens():
         assert [_bits(s) for s in scores] == [_bits(_fresh_score(c, r, "E")) for c, r in pairs]
         assert [s.code_bleu_degraded for s in scores] == [True, True, True, True, False]
         assert scores[0].xmatch is True
+
+
+# what a completion holds before the method it is scored by: prose, or an
+# earlier `@Test` that does not parse as a test method
+_BEFORE = st.sampled_from([
+    "", "Here is the test:\n", "Sure, {see} below.\n\n", "@Test public void t( { f(); }\n",
+    "@Test (( void t() { }\n", "@Test int x = { 1 };\n",
+])
+_AFTER = st.sampled_from(["", "\n", "\nIt's done.\n", "\nThat covers it { twice.\n", " /* open"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_extraction_through_shared_sides_scores_as_fresh_sides_do(data):
+    """A completion built from a fixture method, fenced or bare, with prose
+    around it and sometimes an earlier `@Test` that does not parse or a cut
+    method: extracting through one `Sides` and scoring through it gives,
+    bit for bit, the score of fresh `Sides` where extraction was given none,
+    against another fixture method and against the candidate itself."""
+    methods = _repo_methods()
+    text = data.draw(st.sampled_from([m for m in methods if m[0].startswith("@Test")]))[0]
+    before = data.draw(st.one_of(_BEFORE, st.sampled_from(methods).flatmap(
+        lambda m: st.integers(0, len(m[0])).map(lambda k: m[0][:k] + "\n"))))
+    body = before + text + data.draw(_AFTER)
+    if data.draw(st.booleans()):
+        body = f"{data.draw(_BEFORE)}```java\n{body}\n```\n{data.draw(_AFTER)}"
+    reference = data.draw(st.sampled_from(methods))[0]
+    exception = data.draw(st.sampled_from(["IllegalArgumentException", "IllegalStateException"]))
+    sides = Sides()
+    candidate = extract_candidate(body, sides)
+    assert candidate == extract_candidate(body)
+    if candidate is None:
+        return
+    for ref in (reference, candidate):
+        shared = score_candidate(candidate, ref, exception, "t", sides=sides)
+        assert _bits(shared) == _bits(score_candidate(candidate, ref, exception, "t"))

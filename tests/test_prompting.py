@@ -312,21 +312,17 @@ def test_two_tests_sharing_a_label_rank_alike_in_the_sweep_and_the_corpus(tmp_pa
 
 def test_dest_suffix_naming(repo_a):
     mut = _site(repo_a, "withdraw").method
-    assert select_dest_with_reason(mut, repo_a) == (
-        "src/test/java/com/fix/AccountTest.java", "name-match"
-    )
+    assert select_dest_with_reason(mut, repo_a) == "src/test/java/com/fix/AccountTest.java"
 
 
 def test_dest_prefix_naming(repo_a):
     mut = _site(repo_a, "post").method
-    assert select_dest_with_reason(mut, repo_a) == (
-        "src/test/java/com/fix/TestLedger.java", "name-match"
-    )
+    assert select_dest_with_reason(mut, repo_a) == "src/test/java/com/fix/TestLedger.java"
 
 
 def test_dest_none_without_match_or_index(repo_a):
     mut = _site(repo_a, "boom").method
-    assert select_dest_with_reason(mut, repo_a) == (None, "none")
+    assert select_dest_with_reason(mut, repo_a) is None
 
 
 # --- instruction rendering ---

@@ -395,6 +395,15 @@ def test_the_prompt_builders_do_not_import_the_instrumenter():
                     or isinstance(n, ast.Import) and any(a.name == "exbt.instrument" for a in n.names)]
 
 
+def test_a_scoring_text_is_parsed_only_by_sides_member():
+    """Extraction hands its candidates to `Sides.member`, which lexes and
+    parses them once for scoring too; it does not parse them itself."""
+    tree = _trees()["exbt.genbackend"]
+    assert not [a for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names
+                if a.name == "parse_member"]
+    assert "parse_member" not in _names(tree)
+
+
 def test_every_allowed_entry_names_a_def():
     """An entry whose def was deleted or renamed would keep nothing."""
     defs = {(module, qualname) for module, tree in _trees().items() for qualname, _ in _defs(tree)}
