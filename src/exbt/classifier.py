@@ -25,13 +25,16 @@ from exbt.jmodel.lexer import call_sites, index_of, match_brace, match_paren, sk
 class TestMethod:
     id: MethodId
     body_text: str  # verbatim method source, annotations included
-    kind: str  # EBT | NonEBT
-    pattern: str | None
+    pattern: str | None  # the exceptional pattern it matches; None for a non-EBT
     expected_exception: str | None
 
     @property
     def is_ebt(self) -> bool:
-        return self.kind == "EBT"
+        return self.pattern is not None
+
+    @property
+    def kind(self) -> str:
+        return "EBT" if self.is_ebt else "NonEBT"
 
 
 def _test_annotations(m: MethodDecl):
@@ -126,8 +129,8 @@ def _classify_decl(unit: CompilationUnit, m: MethodDecl, mid: MethodId) -> TestM
     ):
         found = probe()  # the expected type, then where it was found
         if found:
-            return TestMethod(mid, body_text, "EBT", pattern, found[0])
-    return TestMethod(mid, body_text, "NonEBT", None, None)
+            return TestMethod(mid, body_text, pattern, found[0])
+    return TestMethod(mid, body_text, None, None)
 
 
 def classify_test(method_source: str) -> TestMethod:

@@ -41,7 +41,7 @@ from exbt.instrument import (
     parse_trace_log,
 )
 from exbt.jmodel import ThrowSite, find_throw_sites, load_repo, reachable_throws
-from exbt.manifest import Manifest, verify_manifest
+from exbt.manifest import Manifest, json_document, json_line, verify_manifest
 from exbt.metrics import (
     CandidateScore,
     Sides,
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instrument", help="rewrite sources to emit trace logs")
     p.add_argument("repo")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", default=None, help="directory for the instrumented tree")
     p.add_argument("--ebt", default=None,
                    help="fqn#name: print the exception-print rewrite of one EBT instead")
     _add_shared(p, "--source-roots")
@@ -207,18 +207,13 @@ def cmd_classify(args) -> int:
     ctx = _load(args.repo, args)
     ebts, nonebts = split_test_suite(ctx)
     for t in sorted(ebts + nonebts, key=lambda t: (t.id.decl_file, t.id.decl_line)):
-        print(
-            json.dumps(
-                {
-                    "file": t.id.decl_file,
-                    "method": t.id.name,
-                    "kind": t.kind,
-                    "pattern": t.pattern,
-                    "expected_exception": t.expected_exception,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json_line({
+            "file": t.id.decl_file,
+            "method": t.id.name,
+            "kind": t.kind,
+            "pattern": t.pattern,
+            "expected_exception": t.expected_exception,
+        }), end="")
     print(
         f"# {len(ebts)} EBTs, {len(nonebts)} non-EBTs, "
         f"{len(ctx.warnings)} warnings",
@@ -283,21 +278,16 @@ def cmd_find_throws(args) -> int:
             for site, path in reachable_throws(ctx, mut, args.max_depth)
         ]
     else:
-        rows = [
-            {
-                "target": site.label(),
-                "method": site.method.label(),
-                "exception_type": site.exception_type,
-                "statement": site.statement_text,
-            }
-            for site in find_throw_sites(ctx, args.scope)
-        ]
+        rows = [{**site.to_record(), "method": site.method.label()}
+                for site in find_throw_sites(ctx, args.scope)]
     for row in rows:
-        print(json.dumps(row, sort_keys=True))
+        print(json_line(row), end="")
     return 0
 
 
 def cmd_instrument(args) -> int:
+    if not (args.ebt or args.out):
+        raise BadInput("instrument needs --out, or --ebt to print one rewrite")
     ctx = _load(args.repo, args)
     if args.ebt:
         ebts, _ = split_test_suite(ctx)
@@ -343,7 +333,7 @@ def cmd_pool(args) -> int:
         }
         for e in pool
     ]
-    text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    text = json_document(rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -363,16 +353,7 @@ def cmd_guard(args) -> int:
         raise MalformedTrace(f"{args.trace} is not UTF-8: {exc.reason}") from exc
     guard = compute_guard_expression(resolve_trace(parse_stack_trace(text), ctx), ctx)
     print(guard.rendered)
-    print(
-        json.dumps(
-            {
-                "conditions": list(guard.conditions),
-                "rendered": guard.rendered,
-                "unresolved_names": list(guard.unresolved_names),
-            },
-            sort_keys=True,
-        )
-    )
+    print(json_line(guard.to_record()), end="")
     return 0
 
 
@@ -387,22 +368,24 @@ def cmd_prompt(args) -> int:
     _, _, pool = _nonebt_pool(args, index, required=False)
     outcome = assemble_prompt(mut, site, dest, pool, index, seed=args.seed, test_name=args.name)
     if isinstance(outcome, NoMatch):
-        print(json.dumps({"status": "no-match", "reason": outcome.reason}, sort_keys=True))
+        print(json_line({"status": "no-match", "reason": outcome.reason}), end="")
         return 0
     if args.json:
-        print(json.dumps(bundle_to_record(outcome, site), sort_keys=True))
+        print(json_line(bundle_to_record(outcome, site)), end="")
     else:
         print(outcome.rendered_instruction)
     return 0
 
 
-def _make_runner(args, ctx):
+def _make_runner(args, ctx, manifest: Manifest):
+    """The sweep's runner; a recorded runner's results file is a manifest input."""
     if args.runner == "javac":
         return JavacRunner(ctx)
     results_path = _default_path(args.repo, "canned/runner-results.json", args.runner_results)
     if args.runner == "recorded" and results_path is None:
         raise ExbtError("--runner recorded needs --runner-results")
     if results_path is not None:
+        manifest.add_input("runner_results", results_path)
         return RecordedRunner.from_file(results_path)
     return None
 
@@ -507,7 +490,7 @@ def _generate_score_stage(args, cfg, ctx, outcomes, corpus, manifest: Manifest) 
         manifest.add_input("stub_completions", stub_file)
     request_log = RequestLog()
     backend = _make_backend(args, cfg, stub_file)
-    runner = _make_runner(args, ctx)
+    runner = _make_runner(args, ctx, manifest)
     gold_by_site = {e.prompt.throw_site: e.gold_ebt for e in corpus}
     sides = Sides()  # extraction's parse of a candidate is the one scoring uses
     params = GenerationParams(seed=args.seed)
@@ -559,7 +542,7 @@ def _write_stage(out: Path, manifest: Manifest, corpus, outcomes, agg, request_l
             p, [bundle_to_record(o.prompt, o.site) for o in outcomes]),
         "candidates.jsonl": lambda p: _write_jsonl(
             p, [_candidate_row(o) for o in outcomes if o.answer is not None]),
-        "report.json": lambda p: p.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n"),
+        "report.json": lambda p: p.write_text(json_document(report)),
         "report.txt": lambda p: p.write_text(report_table(agg) + "\n", encoding="utf-8"),
         "requests.jsonl": request_log.write,
     }
@@ -575,7 +558,7 @@ def _write_stage(out: Path, manifest: Manifest, corpus, outcomes, agg, request_l
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+            f.write(json_line(row))
 
 
 def cmd_generate(args) -> int:
@@ -623,10 +606,10 @@ def cmd_eval(args) -> int:
         )
     agg = aggregate(scores, targets)
     report = {"aggregate": agg, "targets": targets}
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json_document(report)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+        Path(args.out).write_text(text, encoding="utf-8")
+    print(text, end="")
     print(report_table(agg))
     return 0
 
@@ -700,7 +683,7 @@ def main(argv=None) -> int:
     finally:
         if collecting:
             gc.enable()
-    print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)
+    sys.stderr.write(json_line({"error": type(error).__name__, "message": str(error)}))
     return 1
 
 

@@ -10,12 +10,12 @@ skipped with a recorded reason.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 from exbt.classifier import TestMethod
 from exbt.errors import ExbtError
 from exbt.guardexpr import compute_guard_expression
+from exbt.manifest import json_line
 from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
     TEMPLATE_ID,
@@ -123,12 +123,7 @@ def example_to_record(e: CorpusExample) -> dict:
         },
         "dest": {"path": p.dest_path, "skeleton": p.dest_skeleton},
         "trace": p.trace.to_rows(),
-        "guard": {
-            "rendered": p.guard.rendered,
-            "conditions": list(p.guard.conditions),
-            "source_texts": list(p.guard.source_texts),
-            "unresolved_names": list(p.guard.unresolved_names),
-        },
+        "guard": {**p.guard.to_record(), "source_texts": list(p.guard.source_texts)},
         "nonebts": list(p.nonebts),
         "gold_ebt": e.gold_ebt,
         "variant": p.variant,
@@ -141,5 +136,5 @@ def example_to_record(e: CorpusExample) -> dict:
 def write_corpus(examples: list[CorpusExample], path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for e in examples:
-            f.write(json.dumps(example_to_record(e), sort_keys=True) + "\n")
+            f.write(json_line(example_to_record(e)))
 

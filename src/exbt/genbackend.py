@@ -10,7 +10,6 @@ every request with the digest of its answer, or its error, for replay.
 from __future__ import annotations
 
 import hashlib
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ from exbt.errors import (
     read_input,
 )
 from exbt.jmodel.lexer import index_of, match_brace, tokenize
+from exbt.manifest import json_line
 from exbt.metrics import Sides
 
 
@@ -67,7 +67,7 @@ class RequestLog:
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for e in self.entries:
-                f.write(json.dumps(e, sort_keys=True) + "\n")
+                f.write(json_line(e))
 
 
 class StubBackend:

@@ -69,6 +69,11 @@ class GuardExpression:
         """The conjunction, joined with &&."""
         return " && ".join(self.conditions)
 
+    def to_record(self) -> dict:
+        """The JSON form of a guard: its conjunction, conditions and unresolved names."""
+        return {"rendered": self.rendered, "conditions": list(self.conditions),
+                "unresolved_names": list(self.unresolved_names)}
+
 
 def parse_or_opaque(unit: CompilationUnit, rng: tuple[int, int]) -> Expr:
     try:

@@ -73,6 +73,11 @@ class ThrowSite:
     def label(self) -> str:
         return f"{self.method.decl_file}:{self.line}"
 
+    def to_record(self) -> dict:
+        """The JSON form of a site: its label, exception type and statement."""
+        return {"target": self.label(), "exception_type": self.exception_type,
+                "statement": self.statement_text}
+
 
 @dataclass
 class MethodDecl:

@@ -18,6 +18,16 @@ import exbt
 from exbt.errors import BadInput, read_input
 
 
+def json_line(value) -> str:
+    """One JSON line, keys sorted: every JSONL row and JSON line exbt prints."""
+    return json.dumps(value, sort_keys=True) + "\n"
+
+
+def json_document(value) -> str:
+    """One JSON document, indented by 2, keys sorted, newline-terminated."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def file_digest(path: str | Path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
@@ -75,10 +85,7 @@ class Manifest:
         }
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        Path(path).write_text(json_document(self.to_dict()), encoding="utf-8")
 
 
 def verify_manifest(path: str | Path) -> list[str]:

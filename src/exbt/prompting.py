@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from exbt.classifier import TestMethod, has_test_annotation
@@ -49,8 +49,12 @@ class PromptBundle:
     guard: GuardExpression
     nonebts: tuple[str, ...]  # relevant non-EBT sources, ranked
     test_name: str | None
-    rendered_instruction: str
+    rendered_instruction: str = field(init=False)
     seed: int | None = None
+
+    def __post_init__(self):
+        """Render the instruction once, when the bundle (or a `replace`) is built."""
+        object.__setattr__(self, "rendered_instruction", render_instruction(self))
 
     @property
     def variant(self) -> str:
@@ -280,10 +284,10 @@ def make_bundle(
     seed: int | None = None,
     budget: int = NONEBT_TOKEN_BUDGET,
 ) -> PromptBundle:
-    """The one prompt builder: rank the relevant non-EBTs, read the MUT
-    source and the destination skeleton, and render the instruction once."""
+    """The one prompt builder: rank the relevant non-EBTs and read the MUT
+    source and the destination skeleton; the bundle renders itself once."""
     ranked = rank_relevant_nonebts(mut, dest, index, also_same_mut, budget)
-    bundle = PromptBundle(
+    return PromptBundle(
         mut=mut,
         mut_source=index.ctx.method_source(mut),
         throw_site=site,
@@ -293,10 +297,8 @@ def make_bundle(
         guard=guard,
         nonebts=tuple(t.body_text for t in ranked),
         test_name=test_name,
-        rendered_instruction="",
         seed=seed,
     )
-    return replace(bundle, rendered_instruction=render_instruction(bundle))
 
 
 def assemble_prompt(
@@ -354,34 +356,25 @@ def sweep_targets(
     return results
 
 
-def bundle_to_record(outcome, site: ThrowSite) -> dict:
+def bundle_to_record(outcome: PromptBundle | NoMatch, site: ThrowSite) -> dict:
     """JSON-friendly record for one sweep target."""
-    base = {
-        "target": site.label(),
-        "exception_type": site.exception_type,
-        "statement": site.statement_text,
-    }
+    base = site.to_record()
     if isinstance(outcome, NoMatch):
         base.update({"status": "no-match", "reason": outcome.reason})
         return base
-    b: PromptBundle = outcome
     base.update(
         {
             "status": "bundle",
-            "mut": b.mut.label(),
-            "dest": b.dest_path,
-            "variant": b.variant,
-            "test_name": b.test_name,
-            "seed": b.seed,
+            "mut": outcome.mut.label(),
+            "dest": outcome.dest_path,
+            "variant": outcome.variant,
+            "test_name": outcome.test_name,
+            "seed": outcome.seed,
             "template_id": TEMPLATE_ID,
-            "trace": b.trace.to_rows(),
-            "guard": {
-                "rendered": b.guard.rendered,
-                "conditions": list(b.guard.conditions),
-                "unresolved_names": list(b.guard.unresolved_names),
-            },
-            "nonebts": list(b.nonebts),
-            "instruction": b.rendered_instruction,
+            "trace": outcome.trace.to_rows(),
+            "guard": outcome.guard.to_record(),
+            "nonebts": list(outcome.nonebts),
+            "instruction": outcome.rendered_instruction,
         }
     )
     return base

@@ -298,7 +298,7 @@ def test_ranking_takes_the_non_ebts_that_call_the_mut(tmp_path, k):
 
 def test_ranking_in_repo_g_takes_every_calling_method():
     ctx = load_repo(REPO_G)
-    stand_ins = [Method(m, "", "NonEBT", None, None) for m in ctx.all_method_ids()]
+    stand_ins = [Method(m, "", None, None) for m in ctx.all_method_ids()]
     got = _same_mut(ctx, stand_ins)
     assert {m.name: [t.name for t in tests] for m, tests in got.items()} == REPO_G_SAME_MUT
 
@@ -424,7 +424,7 @@ def test_directly_invokes_tells_a_constructor_from_a_same_named_method(tmp_path)
     inner_ctor = ids[("Box$Inner", "<init>")]
 
     def invokes(caller, mut):
-        test = Method(ids[("Box", caller)], "", "NonEBT", None, None)
+        test = Method(ids[("Box", caller)], "", None, None)
         return directly_invokes(test, mut, ctx)
 
     assert invokes("a", item_method) and not invokes("a", item_ctor)

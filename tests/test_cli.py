@@ -151,6 +151,24 @@ def test_instrument_writes_tree_in_original_lines(capsys, tmp_path):
     assert counters == {"methods_instrumented": 7}
 
 
+def test_instrument_ebt_prints_its_rewrite_without_out(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "instrument", REPO_A,
+                       "--ebt", "com.fix.AccountTest#testWithdrawNegative")
+    assert code == 0
+    assert "public void testWithdrawNegative() { try { /* exbt:exc */" in out
+    assert "exbtruntime.ExbtTraceLog.dumpException(exbtEx)" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_instrument_without_ebt_or_out_is_bad_input(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "instrument", REPO_A)
+    assert (code, out) == (1, "")
+    assert _error_of(err) == "BadInput"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pool_command(capsys):
     code, out, err = run(capsys, "pool", REPO_A)
     assert code == 0
@@ -1067,6 +1085,29 @@ def test_sweep_manifest_counters_are_pinned(capsys, tmp_path):
     assert code == 0
     counters = json.loads((tmp_path / "out/manifest.json").read_text())["counters"]
     assert counters == REPO_A_SWEEP_COUNTERS
+
+
+def test_the_manifest_records_the_recorded_runners_results_file(capsys, tmp_path):
+    """Two results files that differ in one `compilable` value give
+    different candidates and different `inputs.runner_results` digests."""
+    rows = json.loads((REPO_A / "canned/runner-results.json").read_text())
+    manifests, candidates = [], []
+    for n, compilable in enumerate((True, False)):
+        results = tmp_path / f"results-{n}.json"
+        results.write_text(json.dumps([{**rows[0], "compilable": compilable}, *rows[1:]]))
+        out = tmp_path / f"out-{n}"
+        code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub",
+                         "--runner", "recorded", "--runner-results", results, "--out", out)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"]["runner_results"] == {
+            "sha256": hashlib.sha256(results.read_bytes()).hexdigest()}
+        manifests.append(manifest["inputs"])
+        candidates.append((out / "candidates.jsonl").read_bytes())
+    assert candidates[0] != candidates[1]
+    assert manifests[0]["runner_results"] != manifests[1]["runner_results"]
+    assert sorted(manifests[0]) == ["ebt_trace_log", "nonebt_trace_log", "repo",
+                                    "runner_results", "stub_completions"]
 
 
 def test_sweep_without_an_ebt_log_writes_no_corpus_counters(capsys, tmp_path):

@@ -347,6 +347,21 @@ def test_overloads_on_one_line_each_get_the_guard_of_their_own_body(tmp_path):
     assert guards == {1: "a > 0", 0: "b < 0"}
 
 
+def test_a_call_after_another_statement_on_its_frame_line_is_found(tmp_path):
+    """The caller's frame line holds `a();` before the call on the trace;
+    the walk passes over the first statement to the one holding the call."""
+    (tmp_path / "G.java").write_text(
+        "class G {\n    void m(int y) { a(); b(y + 1); }\n    void a() { }\n"
+        "    void b(int x) {\n        if (x > 3) throw new IllegalStateException();\n    }\n}\n"
+    )
+    ctx = load_repo(tmp_path)
+    frames = (Frame("G", "m", "G.java", 2), Frame("G", "b", "G.java", 5))
+    trace = resolve_trace(StackTrace(frames), ctx)
+    guard = compute_guard_expression(trace, ctx)
+    assert (guard.rendered, guard.unresolved_names) == ("(y + 1) > 3", ())
+    assert [n.text for n in collect_nodes(trace, ctx) if n.tag == METHOD_CALL] == ["b(y + 1)"]
+
+
 def test_fold_substitutions_grow_linearly_with_depth(tmp_path, monkeypatch):
     calls = 0
     render = exprs.render

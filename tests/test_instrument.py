@@ -323,7 +323,7 @@ def test_exception_rewrite_idempotent(ebt_repo):
 
 def test_nonebt_input_rejected(ebt_repo):
     _, nonebts = split_test_suite(ebt_repo)
-    fake = replace(_ebt(ebt_repo, "TryFailCatch"), kind="NonEBT", pattern=None)
+    fake = replace(_ebt(ebt_repo, "TryFailCatch"), pattern=None)
     with pytest.raises(NotEBT):
         instrument_print_exception(fake)
 

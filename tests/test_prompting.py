@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import shutil
 from dataclasses import replace
 
@@ -102,6 +103,23 @@ def test_a_trace_the_pool_keeps_never_fails_in_the_guard_walk(own_repo_a, trace_
 
 def test_empty_pool_when_no_nonebts_reach_throws(repo_a, trace_log):
     assert collect_stacktrace_set(SweepIndex(repo_a, []), trace_log) == []
+
+
+def test_a_trace_only_through_test_classes_is_skipped_silently(repo_a_index, caplog):
+    """A non-EBT trace whose frames all lie in test classes leaves no frame
+    after exclusion: it gives no entry and no warning."""
+    log = parse_trace_log("test: com.fix.AccountTest#testWithdrawOk\n"
+                          "at com.fix.AccountTest.testWithdrawOk(AccountTest.java:16)\n---\n")
+    assert len(log) == 1
+    assert collect_stacktrace_set(repo_a_index, log) == []
+    assert caplog.records == []
+
+
+def test_a_block_logged_twice_gives_one_entry(repo_a_index, pool):
+    text = (REPO_A / "logs/nonebt-traces.log").read_text()
+    twice = parse_trace_log(text + text)
+    assert len(twice) == 8
+    assert collect_stacktrace_set(repo_a_index, twice) == pool
 
 
 # --- prompt assembly ---
@@ -245,7 +263,7 @@ def _ranking_inputs(draw, ctx, real):
                 where = (_GEN_FILE, draw(st.integers(1, 2)))
             mid = MethodId(like.id.fqn, draw(st.sampled_from(["testA", "testZ"])), 0, *where)
         body = " ".join(["tok"] * draw(st.integers(1, 40)))
-        tests.append(Method(mid, body, "NonEBT", None, None))
+        tests.append(Method(mid, body, None, None))
     nonebts = draw(st.permutations(tests))
     mut = draw(st.sampled_from([s.method for s in ctx.throw_sites]))
     dest = draw(st.sampled_from(sorted({t.id.decl_file for t in real}) + [_GEN_FILE]))
@@ -366,7 +384,6 @@ def test_render_empty_sections_omitted_with_headers(repo_a):
         guard=GuardExpression((), ()),
         nonebts=(),
         test_name=None,
-        rendered_instruction="",
     )
     text = render_instruction(bundle)
     assert "### Relevant tests" not in text
@@ -378,7 +395,7 @@ def test_with_name_vs_no_name_differ_only_in_name_section(repo_a_index, pool):
     no_name = _bundle(repo_a_index, pool)
     with_name = replace(no_name, test_name="testWithdrawRejects")
     a = no_name.rendered_instruction
-    b = render_instruction(with_name)
+    b = with_name.rendered_instruction
     assert b.startswith(a.rstrip("\n"))
     extra = b[len(a.rstrip("\n")):]
     assert extra.strip() == "### Test name\ntestWithdrawRejects"
@@ -397,6 +414,15 @@ def test_a_bundle_and_a_guard_store_no_value_another_field_decides():
 
     assert {"variant", "template_id"}.isdisjoint(f.name for f in fields(PromptBundle))
     assert "rendered" not in {f.name for f in fields(GuardExpression)}
+    assert [f.name for f in fields(PromptBundle) if not f.init] == ["rendered_instruction"]
+    assert "rendered_instruction" not in inspect.signature(PromptBundle).parameters
+    assert "kind" not in {f.name for f in fields(Method)}
+
+
+def test_a_bundle_made_by_replace_renders_its_own_instruction(repo_a_index, pool):
+    renamed = replace(_bundle(repo_a_index, pool), test_name="t")
+    assert renamed.rendered_instruction == render_instruction(renamed)
+    assert renamed.rendered_instruction.endswith("### Test name\nt\n")
 
 
 def test_no_record_keeps_the_fields_that_nothing_read():

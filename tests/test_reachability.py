@@ -35,6 +35,16 @@ ALLOWED_FIELDS = {
         "the error's detail for library callers; test_genbackend reads it",
 }
 
+# (module, Class.field): why a field whose name another record also declares
+# counts as read by name alone; each is read only through a receiver that
+# `_typed_reads` does not type
+NAME_ONLY = {
+    ("exbt.stacktrace", "Frame.mid"):
+        "read through `trace.frames[…]` and loops over it, an attribute of a trace",
+    ("exbt.corpus", "SkippedExample.reason"):
+        "test_corpus reads it through the skipped list `collect_training_corpus` returns",
+}
+
 # the functions of src/ that call themselves, one Python frame per level of
 # their input; `Stmt.iter_tree` recurses through its children, a receiver
 # that `self_calls` does not follow
@@ -262,24 +272,83 @@ def _reads(tree: ast.Module) -> tuple[set[str], set[tuple[str, str]]]:
     return other, own
 
 
-def unread_fields() -> list[str]:
+_ITERATING = ("reversed", "sorted", "list", "tuple")
+
+
+def _receiver(node: ast.AST) -> str | None:
+    """The name that `x`, `x[…]` or `reversed(x)` (or `sorted`, `list`,
+    `tuple`) reads; None for any other receiver."""
+    while isinstance(node, ast.Subscript) or isinstance(node, ast.Call) and node.args \
+            and getattr(node.func, "id", None) in _ITERATING:
+        node = node.value if isinstance(node, ast.Subscript) else node.args[0]
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _typed_reads(tree: ast.Module, classes: set[str]) -> set[tuple[str, str]]:
+    """(class, name) of each `x.name` that a def of the tree reads where `x`
+    is typed as one of `classes`: a parameter or a name whose annotation
+    names the class, a name that an `isinstance` call tests against it, or
+    a loop variable over such a name (see `_receiver`)."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        types: dict[str | None, set[str]] = {}
+        nodes = list(ast.walk(fn))
+        named = [(a.arg, a.annotation) for a in _params(fn)]
+        for n in nodes:
+            if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name):
+                named.append((n.target.id, n.annotation))
+            elif isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance" \
+                    and isinstance(n.args[0], ast.Name):
+                named.append((n.args[0].id, n.args[1]))
+        for name, annotation in named:
+            types.setdefault(name, set()).update(c for c in classes if _typed(annotation, c))
+        for n in nodes:  # an outer loop comes before the loops inside it
+            if isinstance(n, (ast.For, ast.comprehension)) and isinstance(n.target, ast.Name):
+                types.setdefault(n.target.id, set()).update(types.get(_receiver(n.iter), ()))
+        found.update((c, n.attr) for n in nodes
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                     for c in types.get(_receiver(n.value), ()))
+    return found
+
+
+def _shared_names(trees: dict[str, ast.Module]) -> set[str]:
+    """The field names that two or more records of src/ declare."""
+    counts = Counter(name for tree in trees.values() for _, name in _record_fields(tree))
+    return {name for name, n in counts.items() if n > 1}
+
+
+def unread_fields(name_only=NAME_ONLY) -> list[str]:
     """Record fields in src/ that no code in READERS reads, and attributes
     that a non-record class of src/ stores as `self.f = …` and src/ never
-    reads. A `self.f` read counts only for the class whose body holds it;
-    a read through another receiver or through `getattr` is matched by the
-    attribute's name alone, whatever the receiver's class."""
+    reads. A `self.f` read counts only for the class whose body holds it.
+    A read through another receiver or through `getattr` is matched by the
+    attribute's name alone, except for a name that two or more records
+    declare: such a field is read only through `self` in its class, through
+    a receiver `_typed_reads` types as its class, through `getattr`, or as
+    `name_only` lists it."""
+    trees = _trees()
+    records = {qualname.split(".")[0] for tree in trees.values()
+               for qualname, _ in _record_fields(tree)}
+    shared = _shared_names(trees)
     readers: set[str] = set()
+    typed: set[tuple[str, str]] = set()
     for folder in READERS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            readers |= _reads(ast.parse(path.read_text()))[0]
-    trees = _trees()
+            tree = ast.parse(path.read_text())
+            other = _reads(tree)[0]
+            readers |= {name for name in other if name not in shared} | _getattr_strings(tree)
+            typed |= _typed_reads(tree, records)
     reads = {module: _reads(tree) for module, tree in trees.items()}
     in_src = set().union(*(other for other, _ in reads.values()))
     found = set()
     for module, tree in trees.items():
         own = reads[module][1]
         for qualname, name in _record_fields(tree):
-            if name not in readers and (qualname.split(".")[0], name) not in own:
+            owner = (qualname.split(".")[0], name)
+            if name not in readers and owner not in own and owner not in typed \
+                    and (module, qualname) not in name_only:
                 found.add((module, qualname))
         for cls, name in _stored(tree):
             if not _is_record(cls) and name not in in_src and (cls.name, name) not in own:
@@ -345,15 +414,34 @@ def test_frames_are_resolved_in_one_place():
         == ["exbt.jmodel.model.RepoContext.resolve_frame"]
 
 
+def test_json_is_encoded_only_in_manifest():
+    """`manifest.json_line` and `json_document` encode every JSON line and
+    document src/ writes or prints, so keys are sorted in one place."""
+    assert _where(lambda n: isinstance(n, ast.Attribute) and n.attr == "dumps") \
+        == ["exbt.manifest.json_document", "exbt.manifest.json_line"]
+
+
+def test_a_guard_and_a_throw_site_have_one_record_form():
+    """Only `GuardExpression.to_record` builds a dict holding a guard's
+    `unresolved_names`, and only `ThrowSite.to_record` one holding a site's
+    `target` and `statement`."""
+    def builds(*keys: str):
+        return lambda n: isinstance(n, ast.Dict) and set(keys) <= {
+            k.value for k in n.keys if isinstance(k, ast.Constant)}
+
+    assert _where(builds("unresolved_names")) == ["exbt.guardexpr.GuardExpression.to_record"]
+    assert _where(builds("target", "statement")) == ["exbt.jmodel.model.ThrowSite.to_record"]
+
+
 def _params(fn: ast.FunctionDef) -> list[ast.arg]:
     a = fn.args
     return [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
 
 
-def _typed(arg: ast.arg, name: str) -> bool:
-    """Whether the parameter's annotation names the type `name`."""
-    return arg.annotation is not None \
-        and re.search(rf"\b{name}\b", ast.unparse(arg.annotation)) is not None
+def _typed(annotation: ast.AST | None, name: str) -> bool:
+    """Whether an annotation names the type `name`."""
+    return annotation is not None \
+        and re.search(rf"\b{name}\b", ast.unparse(annotation)) is not None
 
 
 def test_one_sweep_index_per_command():
@@ -365,8 +453,9 @@ def test_one_sweep_index_per_command():
     defs = {f"{module}.{qualname}": node
             for module, tree in _trees().items() for qualname, node in _defs(tree)}
     assert "exbt.prompting.SweepIndex.of" not in defs
-    assert [q for q, fn in defs.items() if any(_typed(a, "SweepIndex") for a in _params(fn))
-            and any(_typed(a, "RepoContext") for a in _params(fn))] == []
+    assert [q for q, fn in defs.items()
+            if any(_typed(a.annotation, "SweepIndex") for a in _params(fn))
+            and any(_typed(a.annotation, "RepoContext") for a in _params(fn))] == []
     assert [q for q, fn in defs.items() if any(a.arg == "nonebts" for a in _params(fn))] \
         == ["exbt.prompting.SweepIndex.__init__"]
 
@@ -422,7 +511,22 @@ def test_every_dataclass_field_is_read():
     snippet = ast.parse("class A:\n    def g(self):\n        return self.f\n"
                         "class B:\n    def g(self, a):\n        return a.h + self.k\n")
     assert _reads(snippet) == ({"h"}, {("A", "f"), ("B", "k")})
+    snippet = ast.parse("def f(a: A, xs: list[B], e, y):\n    if isinstance(e, C):\n        e.k\n"
+                        "    return a.f, [x.g for x in reversed(xs)], xs[0].h, y.i\n")
+    assert _typed_reads(snippet, {"A", "B", "C"}) \
+        == {("A", "f"), ("B", "g"), ("B", "h"), ("C", "k")}
+    assert {"line", "kind", "name", "text", "trace", "prompt", "seed"} <= _shared_names(_trees())
     assert unread_fields() == []
+
+
+def test_each_name_only_field_is_needed_and_read_by_name():
+    """Without `NAME_ONLY` exactly its fields are flagged, and each is read
+    somewhere by its name: an entry whose field gained a typed read or lost
+    its last read fails here."""
+    assert unread_fields(name_only={}) == sorted(f"{m}.{q}" for m, q in NAME_ONLY)
+    names = set().union(*(_reads(ast.parse(path.read_text()))[0] for folder in READERS
+                          for path in sorted((ROOT / folder).rglob("*.py"))))
+    assert {qualname.split(".")[1] for _, qualname in NAME_ONLY} <= names
 
 
 def test_every_allowed_field_names_a_field():
