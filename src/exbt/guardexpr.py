@@ -101,7 +101,7 @@ def _assignment_rhs(unit: CompilationUnit, name: str, rng, op: str) -> Expr:
 
 
 def _assignment_nodes(unit: CompilationUnit, stmt: Stmt) -> list[CollectedNode]:
-    text = unit.text(stmt.tok_start, stmt.tok_end).strip()
+    text = unit.text(stmt.tok_start, stmt.tok_end)
     return [
         CollectedNode(
             tag=ASSIGNMENT,
@@ -170,25 +170,19 @@ def _preceding_assignments(
     return nodes
 
 
+# (statement kind, role of its child on the path) of each statement whose
+# condition guards the path; on the else branch the condition is negated
+_CONDITIONED = {("if", "then"), ("if", "else"), ("while", "body"), ("for", "body")}
+
+
 def _walk_up(unit: CompilationUnit, chain: tuple[Stmt, ...]) -> list[CollectedNode]:
     """The nodes met climbing from chain[0] through its ancestors."""
     nodes: list[CollectedNode] = []
     for k in range(1, len(chain)):
         current, parent = chain[k - 1], chain[k]
-        if parent.kind == "if" and parent.cond_range is not None:
-            if current.role == "then":
-                nodes.append(
-                    _condition_node(unit, parent.cond_range, False)
-                )
-            elif current.role == "else":
-                nodes.append(
-                    _condition_node(unit, parent.cond_range, True)
-                )
-        elif parent.kind in ("while", "for") and current.role == "body":
-            if parent.cond_range is not None:
-                nodes.append(
-                    _condition_node(unit, parent.cond_range, False)
-                )
+        if (parent.kind, current.role) in _CONDITIONED:
+            if parent.cond_range is not None:  # `for (;;)` has none
+                nodes.append(_condition_node(unit, parent.cond_range, current.role == "else"))
         elif parent.kind == "case" and k + 1 < len(chain):
             nodes.extend(_preceding_assignments(unit, parent, current))
             nodes.extend(_switch_nodes(unit, parent, chain[k + 1]))
@@ -244,19 +238,16 @@ def collect_nodes(
     for frame in reversed(trace.frames):
         unit, _, decl = ctx.resolve_method_id(frame.mid)
         # a resolved line is inside the body, so some statement chain holds it
-        chains = chains_at_line(ctx.body_tree(unit, decl), frame.line)
-        chain = _throw_chain(unit, chains, site) if prev_decl is None else chains[0]
-        start = chain[0]
-        if prev_decl is not None:
-            found = _find_call(unit, start, prev_decl, decl)
-            if found is None:
-                # several statements may share the frame line; prefer the
-                # one actually holding the call
-                for candidate in chains[1:]:
-                    found = _find_call(unit, candidate[0], prev_decl, decl)
-                    if found is not None:
-                        chain, start = candidate, candidate[0]
-                        break
+        chains = chains_at_line(ctx.body_tree(unit, decl), unit.tokens, frame.line)
+        if prev_decl is None:
+            chain = _throw_chain(unit, chains, site)
+        else:
+            # several statements may share the frame line: the first that
+            # holds the call
+            chain, found = next(
+                ((c, f) for c in chains if (f := _find_call(unit, c[0], prev_decl, decl))),
+                (chains[0], None),
+            )
             if found is not None:
                 args, call_text = found
                 nodes.append(
@@ -273,11 +264,8 @@ def collect_nodes(
                         args=args,
                     )
                 )
-        start_node = CollectedNode(
-            tag=START,
-            text=unit.text(start.tok_start, start.tok_end).strip(),
-        )
-        nodes.append(start_node)
+        start = chain[0]
+        nodes.append(CollectedNode(tag=START, text=unit.text(start.tok_start, start.tok_end)))
         if start.assignments:
             nodes.extend(_assignment_nodes(unit, start))
         nodes.extend(_walk_up(unit, chain))

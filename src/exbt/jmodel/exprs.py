@@ -167,22 +167,23 @@ def children(e: Expr) -> list[Expr]:
     return kids
 
 
-# operator precedence, higher binds tighter
+# operator precedence, higher binds tighter: the one table that the
+# parser's climbing loop and the renderer read
 _BIN_PREC = {
+    **dict.fromkeys(ASSIGN_OPS, 1),
+    "?": 2,
     "||": 3,
     "&&": 4,
     "|": 5,
     "^": 6,
     "&": 7,
     "==": 8, "!=": 8,
-    "<": 9, ">": 9, "<=": 9, ">=": 9,
+    "<": 9, ">": 9, "<=": 9, ">=": 9, "instanceof": 9,
     "<<": 10, ">>": 10, ">>>": 10,
     "+": 11, "-": 11,
     "*": 12, "/": 12, "%": 12,
 }
 _UNARY_PREC = 14
-_TERNARY_PREC = 2
-_ASSIGN_PREC = 1
 _PRIMARY_PREC = 15
 
 
@@ -228,44 +229,33 @@ class _Parser:
     # --- grammar ---
 
     def parse(self) -> Expr:
-        e = self.parse_assign()
+        e = self.parse_binary(0)
         if self.pos != len(self.toks):
             raise JavaParseError(
                 f"trailing tokens in expression near {self.toks[self.pos].text!r}"
             )
         return e
 
-    def parse_assign(self) -> Expr:
-        left = self.parse_ternary()
-        if self.pos < len(self.toks) and (op := self.toks[self.pos].text) in ASSIGN_OPS:
-            self.pos += 1
-            return Binary(op, left, self.parse_assign())
-        return left
-
-    def parse_ternary(self) -> Expr:
-        cond = self.parse_binary(0)
-        if self.at("?"):
-            self.pos += 1
-            then = self.parse_assign()
-            self.expect(":")
-            other = self.parse_ternary()
-            return Ternary(cond, then, other)
-        return cond
-
     def parse_binary(self, min_prec: int) -> Expr:
+        """An operand and every operator after it that binds at least as
+        tightly as min_prec, climbing `_BIN_PREC`."""
         left = self.parse_operand()
         toks = self.toks
         while self.pos < len(toks):
             op = toks[self.pos].text
-            if op == "instanceof":
-                self.pos += 1
-                left = InstanceOf(left, self._parse_type_text())
-                continue
             prec = _BIN_PREC.get(op)
             if prec is None or prec < min_prec:
                 break
             self.pos += 1
-            left = Binary(op, left, self.parse_binary(prec + 1))
+            if op == "instanceof":
+                left = InstanceOf(left, self._parse_type_text())
+            elif op == "?":
+                then = self.parse_binary(0)
+                self.expect(":")
+                left = Ternary(left, then, self.parse_binary(prec))
+            else:  # an assignment is right-associative
+                right = self.parse_binary(prec if op in ASSIGN_OPS else prec + 1)
+                left = Binary(op, left, right)
         return left
 
     def parse_operand(self) -> Expr:
@@ -309,7 +299,7 @@ class _Parser:
                 e = self._lambda(t.offset)
             else:
                 self.pos += 1
-                e = self.parse_assign()
+                e = self.parse_binary(0)
                 self.expect(")")
         elif kind == "ident" or (kind == "keyword" and text in PRIMITIVES):
             if pos + 1 < n and toks[pos + 1].text == "->":
@@ -330,7 +320,7 @@ class _Parser:
                 e = Call(e, name.text, self._parse_args()) if self.at("(") else Field(e, name.text)
             elif text == "[":
                 self.pos += 1
-                idx = self.parse_assign()
+                idx = self.parse_binary(0)
                 self.expect("]")
                 e = Index(e, idx)
             elif text in ("++", "--"):
@@ -358,7 +348,7 @@ class _Parser:
             return tuple(args)
         self.arg_lists += 1
         while True:
-            args.append(self.parse_assign())
+            args.append(self.parse_binary(0))
             if not self.at(","):
                 break
             self.next()
@@ -435,10 +425,7 @@ def _prefixed(e: Expr, prefixes: list[tuple[type, str]]) -> Expr:
 
 def parse_expr(source: str) -> Expr:
     """Parse a standalone Java expression string."""
-    tokens = tokenize(source)
-    if not tokens:
-        raise JavaParseError("empty expression")
-    return _Parser(tokens, source).parse()
+    return parse_expr_tokens(tokenize(source), source)
 
 
 def parse_expr_tokens(tokens: list[Token], source: str) -> Expr:
@@ -453,13 +440,13 @@ def parse_expr_tokens(tokens: list[Token], source: str) -> Expr:
 
 # each node type's precedence; a Binary's is its operator's, any other
 # node type's is _PRIMARY_PREC
-_PREC = {Unary: _UNARY_PREC, Cast: _UNARY_PREC, Ternary: _TERNARY_PREC, InstanceOf: 9}
-_OP_PREC = {**_BIN_PREC, **dict.fromkeys(ASSIGN_OPS, _ASSIGN_PREC)}
+_PREC = {Unary: _UNARY_PREC, Cast: _UNARY_PREC,
+         Ternary: _BIN_PREC["?"], InstanceOf: _BIN_PREC["instanceof"]}
 
 
 def _prec(e: Expr) -> int:
     cls = type(e)
-    return _OP_PREC[e.op] if cls is Binary else _PREC.get(cls, _PRIMARY_PREC)
+    return _BIN_PREC[e.op] if cls is Binary else _PREC.get(cls, _PRIMARY_PREC)
 
 
 def render(e: Expr, names: dict[str, str] | None = None, used: set[str] | None = None) -> str:
@@ -476,7 +463,7 @@ def render(e: Expr, names: dict[str, str] | None = None, used: set[str] | None =
     if cls is Lit or cls is Opaque:
         return e.text
     if cls is Binary:
-        p = _OP_PREC[e.op]
+        p = _BIN_PREC[e.op]
         return f"{_child(e.left, p, names, used)} {e.op} {_child(e.right, p + 1, names, used)}"
     if cls is Call:
         args = ", ".join([render(a, names, used) for a in e.args])
@@ -498,13 +485,13 @@ def render(e: Expr, names: dict[str, str] | None = None, used: set[str] | None =
     if cls is Index:
         return f"{_child(e.arr, _PRIMARY_PREC, names, used)}[{render(e.idx, names, used)}]"
     if cls is Ternary:
-        cond = _child(e.cond, _TERNARY_PREC + 1, names, used)
+        cond = _child(e.cond, _PREC[Ternary] + 1, names, used)
         then = render(e.then, names, used)
-        return f"{cond} ? {then} : {_child(e.other, _TERNARY_PREC, names, used)}"
+        return f"{cond} ? {then} : {_child(e.other, _PREC[Ternary], names, used)}"
     if cls is Cast:
         return f"({e.type_text}) {_child(e.operand, _UNARY_PREC, names, used)}"
     if cls is InstanceOf:
-        return f"{_child(e.operand, 9, names, used)} instanceof {e.type_text}"
+        return f"{_child(e.operand, _PREC[InstanceOf], names, used)} instanceof {e.type_text}"
     if cls is New:
         args = ", ".join([render(a, names, used) for a in e.args])
         return f"new {e.type_text}({args})"

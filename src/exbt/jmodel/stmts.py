@@ -2,7 +2,7 @@
 
 The parser is deliberately shallow: it recovers the control-flow shape
 (blocks, branches, loops, switches, try/catch, throws, assignments) plus
-line spans and each child's role, which is exactly what the trace walk
+token spans and each child's role, which is exactly what the trace walk
 needs. Anything it cannot interpret becomes an opaque statement with a
 span.
 
@@ -32,9 +32,7 @@ from exbt.jmodel.lexer import (
 @dataclass(eq=False, slots=True)  # a tree node: equal only to itself
 class Stmt:
     kind: str
-    start_line: int
-    end_line: int
-    tok_start: int
+    tok_start: int  # its lines are those of its first and last tokens
     tok_end: int  # exclusive
     children: list["Stmt"] = field(default_factory=list)
     # role of this node relative to its parent: then | else | body | group | plain
@@ -47,9 +45,12 @@ class Stmt:
     # each assignment: (lhs name, rhs token range, operator text)
 
     def iter_tree(self):
-        yield self
-        for c in self.children:
-            yield from c.iter_tree()
+        """This statement and every one below it, in pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += reversed(node.children)
 
 
 class BodyParser:
@@ -182,8 +183,6 @@ class BodyParser:
                 _adopt(st, group, "group")
             _adopt(group, child)
             group.tok_end = child.tok_end
-            group.end_line = max(group.end_line, child.end_line)
-            group.start_line = min(group.start_line, child.start_line)
         return st, close_b + 1
 
     def _parse_try(self, pos: int, limit: int) -> tuple[Stmt, int]:
@@ -204,7 +203,6 @@ class BodyParser:
             fbody, p = self._parse_stmt(p + 1, limit)
             _adopt(st, fbody, "finally")
         st.tok_end = p
-        st.end_line = self.toks[p - 1].line
         return st, p
 
     # --- local variables and assignments ---
@@ -241,11 +239,11 @@ class BodyParser:
 
     # --- small helpers ---
 
-    def _stmt(self, kind: str, start: int, end: int) -> Stmt:
-        start = min(start, len(self.toks) - 1)
-        last = max(start, min(end - 1, len(self.toks) - 1))
-        # kind, start_line, end_line, tok_start, tok_end
-        return Stmt(kind, self.toks[start].line, self.toks[last].line, start, end)
+    @staticmethod
+    def _stmt(kind: str, start: int, end: int) -> Stmt:
+        # a statement that malformed input cuts to nothing, as the body of
+        # `catch (E e) }`, still holds the token where it would start
+        return Stmt(kind, start, max(end, start + 1))
 
     def _stmt_end(self, pos: int, limit: int) -> int:
         """Index just past the ';' terminating a simple statement."""
@@ -279,17 +277,22 @@ def declarators(tokens: list[Token], k: int, end: int) -> list[tuple[int, int | 
     return found
 
 
-def chains_at_line(root: Stmt, line: int) -> list[tuple[Stmt, ...]]:
-    """Leaf-most statements whose span contains the line, in source order,
+def chains_at_line(root: Stmt, tokens: list[Token], line: int) -> list[tuple[Stmt, ...]]:
+    """Leaf-most statements whose lines contain the line, in source order,
     each as its chain of ancestors: (statement, its parent, ..., root).
 
-    A statement's span holds its children's, so the walk enters only the
-    statements whose span contains the line."""
+    A statement's lines run from its first token's to its last token's, and
+    hold its children's, so the walk enters only the statements whose lines
+    contain the line."""
+
+    def holds(s: Stmt) -> bool:
+        return tokens[s.tok_start].line <= line <= tokens[s.tok_end - 1].line
+
     found: list[tuple[Stmt, ...]] = []
-    stack = [(root,)] if root.start_line <= line <= root.end_line else []
+    stack = [(root,)] if holds(root) else []
     while stack:
         chain = stack.pop()
-        inner = [c for c in chain[0].children if c.start_line <= line <= c.end_line]
+        inner = [c for c in chain[0].children if holds(c)]
         if inner:
             stack += [(c,) + chain for c in reversed(inner)]
         else:

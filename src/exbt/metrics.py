@@ -135,12 +135,14 @@ def _stmt_expr_trees(unit, stmt):
     return trees
 
 
-def _stmt_signatures(node, out: Counter) -> str:
-    """The shape of a statement: its kind and its children's shapes,
-    counted into out with every shape below it."""
-    sig = node.kind + "(" + ",".join(_stmt_signatures(c, out) for c in node.children) + ")"
-    out[sig] += 1
-    return sig
+def _stmt_signatures(tree, out: Counter) -> None:
+    """Count into out the shape of every statement of tree: its kind and
+    its children's shapes. Reversed pre-order puts each statement after
+    all the statements below it."""
+    shape: dict = {}
+    for node in reversed(list(tree.iter_tree())):
+        shape[node] = node.kind + "(" + ",".join([shape[c] for c in node.children]) + ")"
+        out[shape[node]] += 1
 
 
 def _ast_signatures(tree, node_exprs) -> Counter:

@@ -444,3 +444,32 @@ def test_a_call_replacement_takes_the_one_grouping_rule(tmp_path):
         for s in ctx.throw_sites
     ]
     assert rendered == ["(0 + f(y)) > 3", "f(y) == 1", "(0 + (y - 1)) > 3"]
+
+
+def test_only_if_while_and_for_put_their_condition_on_the_path(tmp_path):
+    """A `do … while`, a `for (;;)`, a `synchronized` block, a `try …
+    finally` and a label add no condition; a labeled `while` adds its own."""
+    (tmp_path / "G.java").write_text(
+        "class G {\n    Object lock;\n"
+        "    void d(int x) {\n        int y = x + 1;\n        do {\n"
+        "            if (y > 3) throw new IllegalStateException();\n"
+        "        } while (y > 0);\n    }\n"
+        "    void f(int x) {\n        for (;;) {\n"
+        "            if (x > 3) throw new IllegalStateException();\n        }\n    }\n"
+        "    void s(int x) {\n        synchronized (lock) {\n"
+        "            if (x > 3) throw new IllegalStateException();\n        }\n    }\n"
+        "    void t(int x) {\n        try {\n"
+        "            if (x > 3) throw new IllegalStateException();\n"
+        "        } finally {\n            lock = null;\n        }\n    }\n"
+        "    void w(int x) {\n        outer: while (x > 1) {\n"
+        "            if (x > 3) throw new IllegalStateException();\n        }\n    }\n}\n"
+    )
+    ctx = load_repo(tmp_path)
+    guards = {
+        s.method.name: compute_guard_expression(
+            resolve_trace(StackTrace((Frame("G", s.method.name, "G.java", s.line),)), ctx), ctx, s
+        ).rendered
+        for s in ctx.throw_sites
+    }
+    assert guards == {"d": "(x + 1) > 3", "f": "x > 3", "s": "x > 3", "t": "x > 3",
+                      "w": "x > 3 && x > 1"}

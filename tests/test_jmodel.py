@@ -8,7 +8,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import FIXTURES, REPO_A
 from exbt import cli
@@ -93,13 +93,17 @@ def mutated_sources(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mutated_sources())
+@example("class A { void f() { try { g(); } catch (E e) } }")
 def test_malformed_source_raises_only_typed_errors(source):
-    """Truncated or cut fixture sources parse, or fail with an ExbtError."""
+    """Truncated or cut fixture sources parse, or fail with an ExbtError.
+    Every statement parsed holds at least one token of the unit, even one
+    that the cut leaves empty, as the body of `catch (E e) }` in the example."""
     try:
         unit = parse_unit(source, "M.java")
         for _, m in unit.all_methods():
             if m.tok_open is not None:
-                BodyParser(unit.tokens).parse_block(m.tok_open)
+                for s in BodyParser(unit.tokens).parse_block(m.tok_open).iter_tree():
+                    assert s.tok_start < s.tok_end <= len(unit.tokens)
     except ExbtError:
         pass
 
@@ -173,8 +177,9 @@ def test_every_body_node_chains_to_the_root_with_its_role():
             root = BodyParser(unit.tokens).parse_block(m.tok_open)
             assert (root.kind, root.role) == ("block", "plain")
             found = set()
-            for line in range(root.start_line, root.end_line + 1):
-                for chain in chains_at_line(root, line):
+            lines = unit.tokens[root.tok_start].line, unit.tokens[root.tok_end - 1].line
+            for line in range(lines[0], lines[1] + 1):
+                for chain in chains_at_line(root, unit.tokens, line):
                     assert chain[-1] is root
                     assert all(any(c is below for c in above.children)
                                for below, above in zip(chain, chain[1:]))

@@ -9,6 +9,7 @@ from exbt.jmodel.exprs import (
     Call,
     New,
     Grouped,
+    InstanceOf,
     Lit,
     Name,
     Opaque,
@@ -269,6 +270,17 @@ def test_precedence_shapes():
     assert isinstance(e, Binary) and e.op == "+"
     assert isinstance(e.right, Binary) and e.right.op == "*"
     assert render(e) == "a + b * c"
+    assert parse_expr("a == b instanceof C") == Binary("==", Name("a"), InstanceOf(Name("b"), "C"))
+
+
+@pytest.mark.parametrize(
+    "op", ["<", ">", "<=", ">=", "<<", ">>", ">>>", "+", "-", "*", "/", "%"]
+)
+def test_instanceof_binds_at_relational_precedence(op):
+    """`"" + s instanceof String` tests `"" + s`, as in Java: an operator
+    that binds at least as tightly as `<` takes its operand first."""
+    e = InstanceOf(Binary(op, Name("a"), Name("b")), "C")
+    assert parse_expr(render(e)) == e
 
 
 def test_source_parens_drop_when_redundant():

@@ -489,6 +489,14 @@ def test_score_candidate_degrades_on_a_malformed_switch():
     assert s.code_bleu == s.bleu
 
 
+def test_a_completion_nesting_300_blocks_scores():
+    """The statement-shape walk of CodeBLEU takes no Python frame per
+    nesting level."""
+    deep = "@Test public void t() { " + "if (x > 0) { " * 300 + "f(); " + "} " * 300 + "}"
+    s = score_candidate(deep, deep, "E", "t1")
+    assert (s.code_bleu_degraded, s.code_bleu) == (False, pytest.approx(1.0))
+
+
 def test_score_candidate_without_reference_keeps_similarity_absent():
     s = score_candidate("@Test public void t() { f(); }", None, "IOException", "t1")
     assert s.bleu is None and s.xmatch is None

@@ -2,7 +2,9 @@
 and renderer they replaced.
 
 `_RefParser` is the earlier `exprs._Parser`, kept as the reference: every
-operand went through `parse_unary`, `parse_postfix` and `parse_primary`.
+operand went through `parse_unary`, `parse_postfix` and `parse_primary`,
+and it read each precedence level in a method of its own. It takes
+`instanceof` at relational precedence, as the parser does and Java does.
 `ref_render` is the earlier `isinstance` ladder. Each input must give
 equal trees, or the same error, from both parsers, and equal text from
 both renderers. `ref_stmts_at_line` is the earlier two-pass line lookup,
@@ -20,10 +22,7 @@ from conftest import FIXTURES, write_call_chain, write_guard_deep_repo
 from exbt.errors import JavaParseError
 from exbt.jmodel import parse_unit
 from exbt.jmodel.exprs import (
-    _ASSIGN_PREC,
-    _BIN_PREC,
     _PRIMARY_PREC,
-    _TERNARY_PREC,
     _UNARY_PREC,
     Binary,
     Call,
@@ -49,6 +48,23 @@ from test_expr_properties import NAMES, any_exprs, bool_exprs, int_exprs
 
 
 # --- the parser, renderer and line lookup before the operand reader ---
+
+# the precedence levels the reference parser and renderer read, copied from
+# the parser they came from; `instanceof` binds at 9, the relational level
+_BIN_PREC = {
+    "||": 3,
+    "&&": 4,
+    "|": 5,
+    "^": 6,
+    "&": 7,
+    "==": 8, "!=": 8,
+    "<": 9, ">": 9, "<=": 9, ">=": 9,
+    "<<": 10, ">>": 10, ">>>": 10,
+    "+": 11, "-": 11,
+    "*": 12, "/": 12, "%": 12,
+}
+_TERNARY_PREC = 2
+_ASSIGN_PREC = 1
 
 
 class _RefParser:
@@ -118,7 +134,7 @@ class _RefParser:
             t = self.peek()
             if t is None:
                 return left
-            if t.text == "instanceof":
+            if t.text == "instanceof" and min_prec <= 9:
                 self.next()
                 left = InstanceOf(left, self._parse_type_text())
                 continue
@@ -357,12 +373,12 @@ def _ref_child(e: Expr, min_prec: int, names: dict[str, str] | None) -> str:
     return text
 
 
-def ref_stmts_at_line(root, line: int) -> list:
-    hits = [s for s in root.iter_tree() if s.start_line <= line <= s.end_line]
-    return [
-        s for s in hits
-        if not any(c.start_line <= line <= c.end_line for c in s.children)
-    ]
+def ref_stmts_at_line(root, tokens: list[Token], line: int) -> list:
+    def holds(s) -> bool:
+        return tokens[s.tok_start].line <= line <= tokens[s.tok_end - 1].line
+
+    hits = [s for s in root.iter_tree() if holds(s)]
+    return [s for s in hits if not any(holds(c) for c in s.children)]
 
 
 def ref_parse_expr_tokens(tokens: list[Token], source: str) -> Expr:
@@ -462,10 +478,19 @@ def test_every_prefix_of_a_fixture_condition_parses_or_is_a_parse_error(bodies):
 
 
 def test_chains_at_line_start_with_the_two_pass_walks_statements(bodies):
-    for _, tree in bodies:
-        for line in range(tree.start_line - 1, tree.end_line + 2):
-            assert [id(chain[0]) for chain in chains_at_line(tree, line)] == \
-                [id(s) for s in ref_stmts_at_line(tree, line)]
+    for unit, tree in bodies:
+        first, last = unit.tokens[tree.tok_start].line, unit.tokens[tree.tok_end - 1].line
+        for line in range(first - 1, last + 2):
+            assert [id(chain[0]) for chain in chains_at_line(tree, unit.tokens, line)] == \
+                [id(s) for s in ref_stmts_at_line(tree, unit.tokens, line)]
+
+
+def test_every_statement_holds_a_token(bodies):
+    """`chains_at_line` reads the lines of each statement's first and last
+    tokens, so both are tokens of the unit."""
+    for unit, tree in bodies:
+        for s in tree.iter_tree():
+            assert s.tok_start < s.tok_end <= len(unit.tokens)
 
 
 # --- generated inputs ---

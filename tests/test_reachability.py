@@ -46,19 +46,15 @@ NAME_ONLY = {
 }
 
 # the functions of src/ that call themselves, one Python frame per level of
-# their input; `Stmt.iter_tree` recurses through its children, a receiver
-# that `self_calls` does not follow
+# their input
 SELF_CALLING = {
-    "exbt.jmodel.exprs._Parser.parse_assign",
     "exbt.jmodel.exprs._Parser.parse_binary",
-    "exbt.jmodel.exprs._Parser.parse_ternary",
     "exbt.jmodel.exprs.evaluate",
     "exbt.jmodel.exprs.render",
     "exbt.jmodel.exprs.substitute",
     "exbt.jmodel.model._add_tree_files",
     "exbt.jmodel.stmts.BodyParser._parse_stmt",
     "exbt.metrics._expr_signatures",
-    "exbt.metrics._stmt_signatures",
 }
 
 
