@@ -344,7 +344,7 @@ def test_generate_score_stage(benchmark, tmp_path):
     manifest = Manifest("sweep", seed=1, backend_kind="stub")
     ebts, nonebts = cli._classify_stage(ctx, manifest)
     index = SweepIndex(ctx, nonebts)
-    corpus = cli._corpus_stage(args, ebts, index, manifest)
+    corpus, _ = cli._corpus_stage(args, ebts, index, manifest)
     targets = cli._prompts_stage(args, cli._pool_stage(args, index, manifest), index)
 
     def stage():

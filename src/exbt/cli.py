@@ -269,16 +269,12 @@ def cmd_find_throws(args) -> int:
     ctx = _load(args.repo, args)
     if args.from_method:
         mut = _resolve_mut(ctx, args.from_method)
-        rows = [
-            {
-                "target": site.label(),
-                "exception_type": site.exception_type,
-                "path": [m.label() for m in path],
-            }
-            for site, path in reachable_throws(ctx, mut, args.max_depth)
-        ]
+        rows = [{"target": site.label(), "throw": site.to_record(),
+                 "path": [m.label() for m in path]}
+                for site, path in reachable_throws(ctx, mut, args.max_depth)]
     else:
-        rows = [{**site.to_record(), "method": site.method.label()}
+        rows = [{"target": site.label(), "throw": site.to_record(),
+                 "method": site.method.to_record()}
                 for site in find_throw_sites(ctx, args.scope)]
     for row in rows:
         print(json_line(row), end="")
@@ -367,10 +363,7 @@ def cmd_prompt(args) -> int:
     index = SweepIndex(ctx, split_test_suite(ctx)[1])
     _, _, pool = _nonebt_pool(args, index, required=False)
     outcome = assemble_prompt(mut, site, dest, pool, index, seed=args.seed, test_name=args.name)
-    if isinstance(outcome, NoMatch):
-        print(json_line({"status": "no-match", "reason": outcome.reason}), end="")
-        return 0
-    if args.json:
+    if args.json or isinstance(outcome, NoMatch):
         print(json_line(bundle_to_record(outcome, site)), end="")
     else:
         print(outcome.rendered_instruction)
@@ -426,12 +419,12 @@ def cmd_sweep(args) -> int:
 
     ebts, nonebts = _classify_stage(ctx, manifest)
     index = SweepIndex(ctx, nonebts)  # shared by the corpus, the pool and the sweep
-    corpus = _corpus_stage(args, ebts, index, manifest)
+    corpus, skipped = _corpus_stage(args, ebts, index, manifest)
     pool = _pool_stage(args, index, manifest)
     outcomes = _prompts_stage(args, pool, index)
     request_log = _generate_score_stage(args, cfg, ctx, outcomes, corpus or (), manifest)
     agg = aggregate([o.score for o in outcomes if o.score is not None], [o.site for o in outcomes])
-    _write_stage(Path(args.out), manifest, corpus, outcomes, agg, request_log)
+    _write_stage(Path(args.out), manifest, corpus, skipped, outcomes, agg, request_log)
     print(report_table(agg))
     print(f"# artifacts in {Path(args.out)}", file=sys.stderr)
     return 0
@@ -444,10 +437,11 @@ def _classify_stage(ctx, manifest: Manifest):
 
 
 def _corpus_stage(args, ebts, index: SweepIndex, manifest: Manifest):
-    """The EBT trace log's training corpus; None without that log."""
+    """The EBT trace log's training corpus and its skipped examples; None
+    and none without that log."""
     ebt_log_path = _default_path(args.repo, "logs/ebt-traces.log", args.ebt_trace_log)
     if not ebt_log_path:
-        return None
+        return None, []
     manifest.add_input("ebt_trace_log", ebt_log_path)
     examples, skipped = collect_training_corpus(
         ebts, index, _read_trace_log(ebt_log_path), repo_name=Path(args.repo).name
@@ -455,7 +449,7 @@ def _corpus_stage(args, ebts, index: SweepIndex, manifest: Manifest):
     manifest.bump("corpus_examples_built", len(examples))
     manifest.bump("corpus_examples_skipped", len(skipped))
     manifest.bump("guards_computed", len(examples))
-    return examples
+    return examples, skipped
 
 
 def _pool_stage(args, index: SweepIndex, manifest: Manifest):
@@ -526,10 +520,12 @@ def _candidate_row(o: TargetOutcome) -> dict:
     return row
 
 
-def _write_stage(out: Path, manifest: Manifest, corpus, outcomes, agg, request_log) -> None:
+def _write_stage(out: Path, manifest: Manifest, corpus, skipped, outcomes, agg,
+                 request_log) -> None:
     """Make `out`, write the sweep artifacts, each named once, then the manifest."""
     report = {
         "aggregate": agg,
+        "corpus_skipped": {s.test: s.reason for s in skipped},
         "no_match_reasons": Counter(o.status for o in outcomes if isinstance(o.prompt, NoMatch)),
         "targets": [o.site.label() for o in outcomes],
         "seed": manifest.seed,

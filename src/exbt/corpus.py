@@ -18,7 +18,6 @@ from exbt.guardexpr import compute_guard_expression
 from exbt.manifest import json_line
 from exbt.prompting import (
     NONEBT_TOKEN_BUDGET,
-    TEMPLATE_ID,
     PromptBundle,
     SweepIndex,
     make_bundle,
@@ -29,8 +28,7 @@ from exbt.stacktrace import StackTrace, TraceLog, endpoints, resolve_trace
 
 @dataclass(frozen=True)
 class CorpusExample:
-    example_id: str
-    repo: str
+    example_id: str  # `<repository>:<fqn>#<test>`, or the label alone
     prompt: PromptBundle
     gold_ebt: str  # verbatim source of the developer-written test
 
@@ -86,7 +84,6 @@ def collect_training_corpus(
             mut, site, ebt.id.decl_file, trace, guard, index, test_name=ebt.id.name)
         example = CorpusExample(
             example_id=f"{repo_name}:{label}" if repo_name else label,
-            repo=repo_name,
             prompt=bundle,
             gold_ebt=ebt.body_text,
         )
@@ -103,34 +100,13 @@ def collect_training_corpus(
 
 
 def example_to_record(e: CorpusExample) -> dict:
+    """The corpus.jsonl row of one example: its id and target, its prompt's
+    record, then what only an example carries: the gold test, the method
+    source and the destination skeleton."""
     p = e.prompt
-    return {
-        "id": e.example_id,
-        "repo": e.repo,
-        "mut": {
-            "fqn": p.mut.fqn,
-            "name": p.mut.name,
-            "param_arity": p.mut.param_arity,
-            "decl_file": p.mut.decl_file,
-            "decl_line": p.mut.decl_line,
-            "source": p.mut_source,
-        },
-        "throw": {
-            "file": p.throw_site.method.decl_file,
-            "line": p.throw_site.line,
-            "statement": p.throw_site.statement_text,
-            "exception_type": p.throw_site.exception_type,
-        },
-        "dest": {"path": p.dest_path, "skeleton": p.dest_skeleton},
-        "trace": p.trace.to_rows(),
-        "guard": {**p.guard.to_record(), "source_texts": list(p.guard.source_texts)},
-        "nonebts": list(p.nonebts),
-        "gold_ebt": e.gold_ebt,
-        "variant": p.variant,
-        "test_name": p.test_name,
-        "template_id": TEMPLATE_ID,
-        "rendered_instruction": p.rendered_instruction,
-    }
+    return {"id": e.example_id, "target": p.throw_site.label(), **p.to_record(),
+            "gold_ebt": e.gold_ebt, "mut_source": p.mut_source,
+            "dest_skeleton": p.dest_skeleton}
 
 
 def write_corpus(examples: list[CorpusExample], path) -> None:

@@ -70,8 +70,10 @@ class GuardExpression:
         return " && ".join(self.conditions)
 
     def to_record(self) -> dict:
-        """The JSON form of a guard: its conjunction, conditions and unresolved names."""
+        """The JSON form of a guard: its conjunction, conditions, source
+        texts and unresolved names."""
         return {"rendered": self.rendered, "conditions": list(self.conditions),
+                "source_texts": list(self.source_texts),
                 "unresolved_names": list(self.unresolved_names)}
 
 

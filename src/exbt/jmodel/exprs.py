@@ -462,9 +462,10 @@ def render(e: Expr, names: dict[str, str] | None = None, used: set[str] | None =
         return names.get(e.id, e.id) if names else e.id
     if cls is Lit or cls is Opaque:
         return e.text
-    if cls is Binary:
+    if cls is Binary:  # an assignment is right-associative: `a = b = c` needs no group
         p = _BIN_PREC[e.op]
-        return f"{_child(e.left, p, names, used)} {e.op} {_child(e.right, p + 1, names, used)}"
+        lp, rp = (p + 1, p) if e.op in ASSIGN_OPS else (p, p + 1)
+        return f"{_child(e.left, lp, names, used)} {e.op} {_child(e.right, rp, names, used)}"
     if cls is Call:
         args = ", ".join([render(a, names, used) for a in e.args])
         if e.recv is None:

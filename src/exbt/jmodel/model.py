@@ -57,6 +57,11 @@ class MethodId:
     def label(self) -> str:
         return f"{self.fqn}#{self.name}/{self.param_arity}"
 
+    def to_record(self) -> dict:
+        """The JSON form of a method: its class, name, arity and declaration."""
+        return {"fqn": self.fqn, "name": self.name, "param_arity": self.param_arity,
+                "decl_file": self.decl_file, "decl_line": self.decl_line}
+
 
 @dataclass(frozen=True)
 class ThrowSite:
@@ -74,9 +79,9 @@ class ThrowSite:
         return f"{self.method.decl_file}:{self.line}"
 
     def to_record(self) -> dict:
-        """The JSON form of a site: its label, exception type and statement."""
-        return {"target": self.label(), "exception_type": self.exception_type,
-                "statement": self.statement_text}
+        """The JSON form of a site: its file, line, exception type and statement."""
+        return {"file": self.method.decl_file, "line": self.line,
+                "exception_type": self.exception_type, "statement": self.statement_text}
 
 
 @dataclass

@@ -60,6 +60,16 @@ class PromptBundle:
     def variant(self) -> str:
         return "with-name" if self.test_name else "no-name"
 
+    def to_record(self) -> dict:
+        """The JSON form of a bundle: the records of its throw site, method,
+        trace and guard, its destination path, its non-EBTs and the
+        instruction they render to."""
+        return {"throw": self.throw_site.to_record(), "mut": self.mut.to_record(),
+                "dest": self.dest_path, "variant": self.variant, "test_name": self.test_name,
+                "seed": self.seed, "template_id": TEMPLATE_ID, "trace": self.trace.to_rows(),
+                "guard": self.guard.to_record(), "nonebts": list(self.nonebts),
+                "instruction": self.rendered_instruction}
+
 
 def test_method_label(mid: MethodId) -> str:
     """The `fqn#name` label a trace log gives a test: no arity, no position."""
@@ -357,24 +367,9 @@ def sweep_targets(
 
 
 def bundle_to_record(outcome: PromptBundle | NoMatch, site: ThrowSite) -> dict:
-    """JSON-friendly record for one sweep target."""
-    base = site.to_record()
+    """The bundles.jsonl row of one sweep target: its label and status, then
+    its bundle's record, or its site's record and why it has no bundle."""
     if isinstance(outcome, NoMatch):
-        base.update({"status": "no-match", "reason": outcome.reason})
-        return base
-    base.update(
-        {
-            "status": "bundle",
-            "mut": outcome.mut.label(),
-            "dest": outcome.dest_path,
-            "variant": outcome.variant,
-            "test_name": outcome.test_name,
-            "seed": outcome.seed,
-            "template_id": TEMPLATE_ID,
-            "trace": outcome.trace.to_rows(),
-            "guard": outcome.guard.to_record(),
-            "nonebts": list(outcome.nonebts),
-            "instruction": outcome.rendered_instruction,
-        }
-    )
-    return base
+        return {"target": site.label(), "status": "no-match", "throw": site.to_record(),
+                "reason": outcome.reason}
+    return {"target": site.label(), "status": "bundle", **outcome.to_record()}

@@ -388,8 +388,8 @@ def test_each_replica_bundles_like_a_lone_repo_a(tmp_path):
                 "--runner", "recorded", "--out", str(out)]
         assert cli.main(argv) == 0
         rows[k] = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
-    (lone,) = {r["mut"].split("#")[0].rsplit(".", 1)[0] for r in rows[1] if "mut" in r}
-    pkgs = sorted({r["mut"].split("#")[0].rsplit(".", 1)[0] for r in rows[4] if "mut" in r})
+    (lone,) = {r["mut"]["fqn"].rsplit(".", 1)[0] for r in rows[1] if "mut" in r}
+    pkgs = sorted({r["mut"]["fqn"].rsplit(".", 1)[0] for r in rows[4] if "mut" in r})
     assert len(pkgs) == 4 and lone in pkgs
     by_target = {r["target"]: r for r in rows[4]}
     for pkg in pkgs:

@@ -77,7 +77,8 @@ def test_guard_command(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "x > 0"
     payload = json.loads(lines[1])
-    assert payload == {"conditions": ["x > 0"], "rendered": "x > 0", "unresolved_names": []}
+    assert payload == {"conditions": ["x > 0"], "rendered": "x > 0", "source_texts": ["x > 0"],
+                       "unresolved_names": []}
 
 
 def test_guard_command_cuts_a_jvm_printed_trace_at_the_test(capsys, tmp_path):
@@ -247,9 +248,10 @@ def _only_withdraw_lost_its_trace(edited: list[dict], committed: list[dict]) -> 
     committed log's."""
     withdraw = "src/main/java/com/fix/Account.java:14"
     assert [b for b in edited if b["target"] == withdraw] == [{
-        "target": withdraw, "exception_type": "IllegalArgumentException",
-        "statement": 'throw new IllegalArgumentException("negative amount");',
-        "status": "no-match", "reason": "no-matching-trace",
+        "target": withdraw, "status": "no-match", "reason": "no-matching-trace",
+        "throw": {"file": "src/main/java/com/fix/Account.java", "line": 14,
+                  "exception_type": "IllegalArgumentException",
+                  "statement": 'throw new IllegalArgumentException("negative amount");'},
     }]
     assert [b for b in edited if b["target"] != withdraw] \
         == [b for b in committed if b["target"] != withdraw]
@@ -308,10 +310,10 @@ def test_sweep_report_committed_values(capsys, tmp_path):
 # sha256 of the files `exbt sweep --seed 42 --backend stub` writes for repoA.
 # A change to any prompt, request, candidate or score shows up here.
 REPO_A_SWEEP_SHA256 = {
-    "bundles.jsonl": "9c4c22ef7fda3f0091708655ee0993b107fb197a93fbd0769720bca337207fb6",
+    "bundles.jsonl": "caa487a2233e2d5414a75b6cda93fb13c3ed64b29437f055f2b2a9e7bd0ef915",
     "candidates.jsonl": "f57c0ad75c3c0e4dc08c6ae45bd380868764fa14ad9409e38bd26b6cc34fdc76",
-    "corpus.jsonl": "eac3526d07e6d6b831dfc1062ba3789af57244e9f445f22dacb0956f662c0462",
-    "report.json": "9a6e94ec09ad1a0a66241c84fb67310e30f4a58ac3afa13da664045de2b8f2ba",
+    "corpus.jsonl": "bf8d56005f9db5e9b5f3d6498b75e7fec47577470e394d18ddbb69ee92907415",
+    "report.json": "aff6d09fbe0b3b0c33707bc8724512dc8b103c38afc20fc2907fafddf67edc20",
     "report.txt": "cd9ca67b26d85e95a02bb23dc4a1bfbc894681d1ff025d486bf85a22e328c854",
     "requests.jsonl": "e458a842d6c1d249e737c2e30a720fd3927d93e91e6c4c2e411baae4a6ece7b4",
 }
@@ -676,7 +678,7 @@ def test_sweep_keeps_two_identical_throws_on_one_line_apart(capsys, tmp_path):
         }]),
     }, second="A")
     bundles = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
-    assert [b["statement"] for b in bundles] == ["throw new A();"] * 2
+    assert [b["throw"]["statement"] for b in bundles] == ["throw new A();"] * 2
     assert [b["guard"]["rendered"] for b in bundles] == ["x < 0", "x > 9 && !(x < 0)"]
     report = json.loads((out / "report.json").read_text())
     assert report["targets"] == [label, label]

@@ -104,9 +104,10 @@ def test_link_dedupes_double_qualifiers(corpus, repo_a_index):
 def test_records_have_contract_fields(corpus):
     examples, _ = corpus
     rec = example_to_record(examples[0])
-    for field in ("id", "repo", "mut", "throw", "dest", "trace", "guard",
-                  "nonebts", "gold_ebt", "variant"):
+    for field in ("id", "target", "mut", "throw", "dest", "trace", "guard",
+                  "nonebts", "gold_ebt", "variant", "mut_source", "dest_skeleton"):
         assert field in rec
     assert set(rec["throw"]) == {"file", "line", "statement", "exception_type"}
-    assert set(rec["dest"]) == {"path", "skeleton"}
+    assert rec["dest"] == examples[0].prompt.dest_path
+    assert rec["mut"] == examples[0].prompt.mut.to_record()
     assert json.dumps(rec)  # JSON-serializable

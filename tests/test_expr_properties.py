@@ -82,6 +82,13 @@ def bool_exprs(names=INT_NAMES):
     return bool_exprs_from(int_exprs(names))
 
 
+def assignments(names=INT_NAMES):
+    """Right-nested assignment chains over int expressions: `x = y += e`."""
+    return st.recursive(int_exprs(), lambda rhs: st.builds(
+        Binary, st.sampled_from(["=", "+="]), st.sampled_from(names).map(Name), rhs),
+        max_leaves=4)
+
+
 ENVS = st.fixed_dictionaries(
     {"x": st.integers(min_value=-9, max_value=9),
      "y": st.integers(min_value=-9, max_value=9)}
@@ -95,6 +102,18 @@ def test_render_parse_render_fixpoint(expr, env):
     reparsed = parse_expr(text)
     assert render(reparsed) == text
     assert evaluate(reparsed, env) == evaluate(expr, env)
+
+
+@settings(max_examples=300, deadline=None)
+@given(assignments(), int_exprs())
+def test_nested_assignments_render_parse_round_trip(chain, bound):
+    """An assignment chain reads back as the same tree, alone and as a
+    comparison's operand, and its right side never gets a group."""
+    for e in (chain, Binary(">", chain, bound)):
+        assert parse_expr(render(e)) == e
+    while isinstance(chain, Binary) and chain.op in ("=", "+="):
+        assert render(chain) == f"{chain.left.id} {chain.op} {render(chain.right)}"
+        chain = chain.right
 
 
 @settings(max_examples=300, deadline=None)

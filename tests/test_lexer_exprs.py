@@ -283,6 +283,14 @@ def test_instanceof_binds_at_relational_precedence(op):
     assert parse_expr(render(e)) == e
 
 
+def test_a_right_nested_assignment_renders_without_parentheses():
+    """An assignment reads its right side at its own precedence, so a
+    right-nested one needs no group; an assignment as an operand still does."""
+    assert render(parse_expr("a = b = c")) == "a = b = c"
+    assert render(parse_expr("(x = y = 3) > 0")) == "(x = y = 3) > 0"
+    assert render(Binary("=", Binary("=", Name("a"), Name("b")), Name("c"))) == "(a = b) = c"
+
+
 def test_source_parens_drop_when_redundant():
     assert render(parse_expr("(a + b) * c")) == "(a + b) * c"
     assert render(parse_expr("(a) + b")) == "a + b"

@@ -356,8 +356,10 @@ def ref_render(e: Expr, names: dict[str, str] | None = None) -> str:
         return f"{_ref_child(e.operand, 9, names)} instanceof {e.type_text}"
     if isinstance(e, Binary):
         p = _ref_prec(e)
-        left = _ref_child(e.left, p, names)
-        right = _ref_child(e.right, p + 1, names)
+        if e.op in ASSIGN_OPS:  # right-associative: `a = b = c` needs no group
+            left, right = _ref_child(e.left, p + 1, names), _ref_child(e.right, p, names)
+        else:
+            left, right = _ref_child(e.left, p, names), _ref_child(e.right, p + 1, names)
         return f"{left} {e.op} {right}"
     if isinstance(e, Ternary):
         cond = _ref_child(e.cond, _TERNARY_PREC + 1, names)

@@ -194,7 +194,7 @@ def test_same_named_test_elsewhere_is_not_same_mut(tmp_path):
     dest = "src/test/java/p/GateTest.java"
     bundle = assemble_prompt(site.method, site, dest, pool, index, seed=42)
     assert len(bundle.nonebts) == 1 and "testOpen" in bundle.nonebts[0]
-    linked = link_relevant_nonebts(CorpusExample("x", "", bundle, ""), index)
+    linked = link_relevant_nonebts(CorpusExample("x", bundle, ""), index)
     assert linked.prompt.nonebts == bundle.nonebts
 
 
@@ -320,7 +320,7 @@ def test_two_tests_sharing_a_label_rank_alike_in_the_sweep_and_the_corpus(tmp_pa
     site = _site(ctx, "withdraw")
     dest = "src/test/java/com/fix/AccountTest.java"
     bundle = assemble_prompt(site.method, site, dest, pool, index, seed=42)
-    linked = link_relevant_nonebts(CorpusExample("x", "", bundle, ""), index)
+    linked = link_relevant_nonebts(CorpusExample("x", bundle, ""), index)
     assert bundle.nonebts == linked.prompt.nonebts
     assert sum("testWithdrawOk" in s for s in bundle.nonebts) == 2
 

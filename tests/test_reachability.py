@@ -6,7 +6,8 @@ exists. Every dataclass and NamedTuple field in src/exbt is read by some
 code of the project, and every attribute that another class of src/exbt
 stores on `self` is read in src/exbt. No module in src/exbt imports an
 underscore name from another module. The functions of src/exbt that call
-themselves are an explicit list that can only shrink."""
+themselves, directly or through other functions of their module, are an
+explicit list that can only shrink."""
 
 from __future__ import annotations
 
@@ -42,19 +43,33 @@ NAME_ONLY = {
     ("exbt.stacktrace", "Frame.mid"):
         "read through `trace.frames[…]` and loops over it, an attribute of a trace",
     ("exbt.corpus", "SkippedExample.reason"):
-        "test_corpus reads it through the skipped list `collect_training_corpus` returns",
+        "the sweep's report and test_corpus read it through the skipped list"
+        " `collect_training_corpus` returns",
 }
 
 # the functions of src/ that call themselves, one Python frame per level of
-# their input
-SELF_CALLING = {
-    "exbt.jmodel.exprs._Parser.parse_binary",
-    "exbt.jmodel.exprs.evaluate",
-    "exbt.jmodel.exprs.render",
-    "exbt.jmodel.exprs.substitute",
-    "exbt.jmodel.model._add_tree_files",
-    "exbt.jmodel.stmts.BodyParser._parse_stmt",
-    "exbt.metrics._expr_signatures",
+# their input: each group calls itself through the others of its module
+RECURSIVE_GROUPS = {
+    ("exbt.jmodel.exprs._Parser._parse_args", "exbt.jmodel.exprs._Parser._parse_new",
+     "exbt.jmodel.exprs._Parser.parse_binary", "exbt.jmodel.exprs._Parser.parse_operand"),
+    ("exbt.jmodel.exprs._child", "exbt.jmodel.exprs.render"),
+    ("exbt.jmodel.exprs.evaluate",),
+    ("exbt.jmodel.exprs.substitute",),
+    ("exbt.jmodel.model._UnitParser._parse_members", "exbt.jmodel.model._UnitParser._parse_type"),
+    ("exbt.jmodel.model._add_tree_files",),
+    ("exbt.jmodel.stmts.BodyParser._parse_headed", "exbt.jmodel.stmts.BodyParser._parse_if",
+     "exbt.jmodel.stmts.BodyParser._parse_stmt", "exbt.jmodel.stmts.BodyParser._parse_switch",
+     "exbt.jmodel.stmts.BodyParser._parse_try"),
+    ("exbt.metrics._expr_signatures",),
+}
+
+
+# a key that only one record's dict holds, and the `to_record` that builds it
+RECORD_OWNERS = {
+    "param_arity": "exbt.jmodel.model.MethodId.to_record",
+    "statement": "exbt.jmodel.model.ThrowSite.to_record",
+    "unresolved_names": "exbt.guardexpr.GuardExpression.to_record",
+    "instruction": "exbt.prompting.PromptBundle.to_record",
 }
 
 
@@ -352,20 +367,49 @@ def unread_fields(name_only=NAME_ONLY) -> list[str]:
     return sorted(f"{module}.{qualname}" for module, qualname in found - set(ALLOWED_FIELDS))
 
 
-def self_calls() -> list[str]:
-    """`module.qualname` of each def in src/ that calls itself directly: by
-    its bare name, or, in a method, as `self.<name>`."""
-    found = []
+def _callees(qualname: str, node: ast.AST, defs: dict[str, ast.AST]) -> set[str]:
+    """The defs of the same module that `node` calls: a bare name as Python
+    resolves it, from the innermost function around the call out to the
+    module, and `self.<name>` as a method of the innermost class."""
+    parts = qualname.split(".")
+    prefixes = [".".join(parts[:depth]) for depth in range(len(parts), 0, -1)]
+    functions = [p + "." for p in prefixes if p in defs] + [""]
+    classes = [p + "." for p in prefixes if p not in defs]
+    found = set()
+    for n in ast.walk(node):
+        if not isinstance(n, ast.Call):
+            continue
+        if isinstance(n.func, ast.Name):
+            targets = [scope + n.func.id for scope in functions]
+        elif _on_self(n.func):
+            targets = [scope + n.func.attr for scope in classes[:1]]
+        else:
+            continue
+        found.update([t for t in targets if t in defs][:1])
+    return found
+
+
+def recursive_groups() -> list[tuple[str, ...]]:
+    """Each set of defs of one module of src/ that reach one another by
+    calls within that module (a def that calls itself is a set of one), as
+    a sorted tuple of `module.qualname`s."""
+    groups = set()
     for module, tree in _trees().items():
-        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                   for f in cls.body}
-        for qualname, node in _defs(tree):
-            if any(isinstance(n, ast.Call) and (
-                    getattr(n.func, "id", None) == node.name
-                    or id(node) in methods and _on_self(n.func) and n.func.attr == node.name)
-                   for n in ast.walk(node)):
-                found.append(f"{module}.{qualname}")
-    return sorted(found)
+        defs = dict(_defs(tree))
+        calls = {q: _callees(q, node, defs) for q, node in defs.items()}
+        reach = {}
+        for start in defs:
+            seen, stack = set(), list(calls[start])
+            while stack:
+                q = stack.pop()
+                if q not in seen:
+                    seen.add(q)
+                    stack.extend(calls[q])
+            reach[start] = seen
+        groups.update(
+            tuple(sorted(f"{module}.{q}" for q in reach[start] if start in reach[q]))
+            for start in defs if start in reach[start])
+    return sorted(groups)
 
 
 def private_imports() -> list[str]:
@@ -417,16 +461,18 @@ def test_json_is_encoded_only_in_manifest():
         == ["exbt.manifest.json_document", "exbt.manifest.json_line"]
 
 
-def test_a_guard_and_a_throw_site_have_one_record_form():
-    """Only `GuardExpression.to_record` builds a dict holding a guard's
-    `unresolved_names`, and only `ThrowSite.to_record` one holding a site's
-    `target` and `statement`."""
-    def builds(*keys: str):
-        return lambda n: isinstance(n, ast.Dict) and set(keys) <= {
+def test_each_fact_has_one_record_form():
+    """Only `MethodId.to_record` builds a dict holding a method's
+    `param_arity`, only `ThrowSite.to_record` one holding a site's
+    `statement`, only `GuardExpression.to_record` one holding a guard's
+    `unresolved_names` and only `PromptBundle.to_record` one holding a
+    bundle's `instruction`: every row of `out/` composes these records."""
+    def builds(key: str):
+        return lambda n: isinstance(n, ast.Dict) and key in {
             k.value for k in n.keys if isinstance(k, ast.Constant)}
 
-    assert _where(builds("unresolved_names")) == ["exbt.guardexpr.GuardExpression.to_record"]
-    assert _where(builds("target", "statement")) == ["exbt.jmodel.model.ThrowSite.to_record"]
+    assert {key: _where(builds(key)) for key in RECORD_OWNERS} == {
+        key: [owner] for key, owner in RECORD_OWNERS.items()}
 
 
 def _params(fn: ast.FunctionDef) -> list[ast.arg]:
@@ -535,9 +581,10 @@ def test_every_allowed_field_names_a_field():
 
 
 def test_the_functions_that_call_themselves_only_shrink():
-    """Each listed function recurses once per level of its input (ROADMAP
-    item 4); a new one fails here, and a mended one leaves the list."""
-    assert self_calls() == sorted(SELF_CALLING)
+    """Each listed group of functions recurses once per level of its input
+    (ROADMAP item 4), directly or through the others of its group; a new
+    one fails here, and a mended one leaves the list."""
+    assert recursive_groups() == sorted(RECURSIVE_GROUPS)
 
 
 def test_the_microbenchmarks_import():
