@@ -18,7 +18,7 @@ KEYWORDS = frozenset(
     implements import instanceof int interface long native new package private
     protected public return short static strictfp super switch synchronized
     this throw throws transient try void volatile while var record yield
-    sealed permits non-sealed""".split()
+    sealed permits""".split()
 )
 
 OPERATORS = (

@@ -41,7 +41,7 @@ from exbt.manifest import files_digest
 _MODIFIERS = {
     "public", "private", "protected", "static", "final", "abstract",
     "default", "synchronized", "native", "transient", "volatile", "strictfp",
-    "sealed", "non-sealed",
+    "sealed",
 }
 _TYPE_KEYWORDS = {"class", "interface", "enum", "record"}
 
@@ -186,149 +186,141 @@ class _UnitParser:
         self.toks = tokens
         self.types: list[TypeDecl] = []  # each type as it is created
 
-    def parse(self, i: int) -> tuple[str, list[str], list[TypeDecl]]:
+    def parse(self, bodies: list[tuple[TypeDecl, int]]) -> tuple[str, list[str], list[TypeDecl]]:
         """The package, the imports and every type: those created so far,
-        then those declared from token i on."""
+        then those declared from the first token on. `bodies` holds the type
+        bodies open there, innermost last, each with the index of its '}'.
+        A token starts a member of the innermost open body, or a top-level
+        declaration when none is open; a type's body opens on the stack and
+        closes when the loop reaches its '}'."""
+        toks = self.toks
+        n = len(toks)
         package = ""
         imports: list[str] = []
-        n = len(self.toks)
-        while i < n:
-            t = self.toks[i]
-            if t.text == "package":
-                j = index_of(self.toks, i, ";")
-                package = self._join(i + 1, j)
-                i = j + 1
-            elif t.text == "import":
-                j = index_of(self.toks, i, ";")
-                start = i + 1
-                prefix = ""
-                if self.toks[start].text == "static":
-                    start += 1
-                    prefix = "static "
-                imports.append(prefix + self._join(start, j))
-                i = j + 1
-            elif t.text in _TYPE_KEYWORDS:
-                i = self._parse_type(i, package or None, None)
-            elif t.text == "@" and i + 1 < n and self.toks[i + 1].text == "interface":
-                i = self._parse_type(i + 1, package or None, None)
-            else:
-                i += 1
-        return package, imports, self.types
-
-    def _parse_type(self, kw_index: int, package: str | None, outer_fqn: str | None) -> int:
-        """Append the type declared at kw_index, then the types nested in
-        it; the index past its '}'."""
-        kind = self.toks[kw_index].text
-        if kw_index + 1 >= len(self.toks):
-            raise JavaParseError(f"{kind} without a name at line {self.toks[kw_index].line}")
-        name = self.toks[kw_index + 1].text
-        if outer_fqn:
-            fqn = f"{outer_fqn}${name}"
-        elif package:
-            fqn = f"{package}.{name}"
-        else:
-            fqn = name
-        record_params: list[str] = []
-        open_b = kw_index + 2
-        if open_b < len(self.toks) and self.toks[open_b].text == "<":  # type parameters
-            open_b = match_angle(self.toks, open_b, len(self.toks)) + 1
-        if kind == "record" and open_b < len(self.toks) and self.toks[open_b].text == "(":
-            close_p = match_paren(self.toks, open_b)
-            record_params = self._parse_params(open_b + 1, close_p)
-            open_b = close_p + 1
-        open_b = index_of(self.toks, open_b, "{")
-        close_b = match_brace(self.toks, open_b)
-        decl = TypeDecl(name=name, fqn=fqn)
-        self.types.append(decl)
-        # record components behave like fields and constructor parameters
-        decl.record_components = record_params
-        decl.field_names.extend(record_params)
-        lo = open_b + 1
-        if kind == "enum":
-            lo = min(find_top_level(self.toks, lo, close_b, (";",)) + 1, close_b)
-        self._parse_members(decl, lo, close_b)
-        return close_b + 1
-
-    def _parse_members(self, decl: TypeDecl, lo: int, hi: int) -> None:
-        p = lo
-        while p < hi:
-            member_start = p
-            annotation_tokens: list[list[Token]] = []
-            modifiers: list[str] = []
-            # annotations, modifiers and a generic method's type parameters
-            while p < hi:
-                t = self.toks[p]
-                if t.text == "@" and p + 1 < hi and self.toks[p + 1].text != "interface":
-                    start, p = p, skip_name(self.toks, p + 1, len(self.toks))
-                    if p < len(self.toks) and self.toks[p].text == "(":
-                        p = match_paren(self.toks, p) + 1
-                    annotation_tokens.append(self.toks[start:p])
-                elif t.text in _MODIFIERS:
-                    modifiers.append(t.text)
-                    p += 1
-                elif t.text == "<":
-                    p = min(match_angle(self.toks, p, hi) + 1, hi)
+        i = 0
+        while True:
+            decl, hi = bodies[-1] if bodies else (None, n)
+            if i >= hi:
+                if not bodies:
+                    return package, imports, self.types
+                i = bodies.pop()[1] + 1
+                continue
+            # every declaration's prefix: annotations, modifiers and type parameters
+            start = i
+            annotations: list[list[Token]] = []
+            static = False
+            while i < hi:
+                text = toks[i].text
+                if text == "@" and i + 1 < hi and toks[i + 1].text != "interface":
+                    at, i = i, skip_name(toks, i + 1, n)
+                    if i < n and toks[i].text == "(":
+                        i = match_paren(toks, i) + 1
+                    annotations.append(toks[at:i])
+                elif text in _MODIFIERS:
+                    static = static or text == "static"
+                    i += 1
+                elif text == "non" and i + 2 < hi and toks[i + 1].text == "-" \
+                        and toks[i + 2].text == "sealed":  # the lexer splits `non-sealed`
+                    i += 3
+                elif text == "<":
+                    i = min(match_angle(toks, i, hi) + 1, hi)
                 else:
                     break
-            if p >= hi:
-                break
-            t = self.toks[p]
-            if t.text in _TYPE_KEYWORDS:
-                p = self._parse_type(p, None, decl.fqn)
+            if i >= hi:
                 continue
-            if t.text == "@" and p + 1 < hi and self.toks[p + 1].text == "interface":
-                p = self._parse_type(p + 1, None, decl.fqn)
-                continue
-            # what every member declared here shares
-            head = dict(owner_fqn=decl.fqn, tok_start=member_start,
-                        annotation_tokens=annotation_tokens)
-            if t.text == "{":  # initializer block
-                close = match_brace(self.toks, p)
-                pseudo = "<clinit>" if "static" in modifiers else "<init>"
-                decl.methods.append(
-                    MethodDecl(pseudo, params=[], decl_line=t.line, tok_last=close,
-                               tok_open=p, tok_close=close, **head)
-                )
-                p = close + 1
-                continue
-            # the member head: a type then a name, or a constructor's name
-            q = p + 1 if self.toks[p].text == "void" else skip_type(self.toks, p, hi)
-            if q < hi and self.toks[q].text == "{":
-                # record compact constructor: 'Name {'
-                name_t = self.toks[q - 1]
-                close = match_brace(self.toks, q)
-                if name_t.text == decl.name:
-                    decl.methods.append(
-                        MethodDecl("<init>", params=list(decl.record_components),
-                                   decl_line=name_t.line, tok_last=close,
-                                   tok_open=q, tok_close=close, is_ctor=True, compact=True, **head)
-                    )
-                p = close + 1
-                continue
-            if q + 1 < hi and is_name(self.toks[q]) and self.toks[q + 1].text == "(":
-                q += 1
-            if q < hi and self.toks[q].text != "(":
-                end = find_top_level(self.toks, q, hi, (";",))
-                found = declarators(self.toks, q, end)
-                if found and found[-1][2] == end:  # a field: its names, then the ';'
-                    decl.field_names.extend(self.toks[k].text for k, _, _ in found)
-                    p = end + 1
-                    continue
-                # a head the type reader cannot read ends at its first '(' or '='
-                q = next((k for k in range(q, end) if self.toks[k].text in ("(", "=")), end)
-                if q == end or self.toks[q].text == "=":
-                    p = end + 1
-                    continue
-            if q >= hi:
-                break
-            method, p = self._parse_method(decl, q, head)
-            if t.text != "(":  # a head that starts with '(' names no method
-                decl.methods.append(method)
+            if toks[i].text == "@" and i + 1 < hi:  # the prefix stops here only at `@interface`
+                i += 1
+            text = toks[i].text
+            if text in _TYPE_KEYWORDS:
+                i = self._open_type(i, package, decl, bodies)
+            elif decl is not None:
+                i = self._read_member(decl, start, i, hi, annotations, static)
+            elif text == "package":
+                j = index_of(toks, i, ";")
+                package = "".join(t.text for t in toks[i + 1 : j])
+                i = j + 1
+            elif text == "import":
+                j = index_of(toks, i, ";")
+                k, prefix = i + 1, ""
+                if toks[k].text == "static":
+                    k, prefix = k + 1, "static "
+                imports.append(prefix + "".join(t.text for t in toks[k:j]))
+                i = j + 1
+            else:
+                i += 1
 
-    def _parse_method(self, decl, open_paren, head):
-        name_tok = self.toks[open_paren - 1]
-        close_paren = match_paren(self.toks, open_paren)
-        params = self._parse_params(open_paren + 1, close_paren)
+    def _open_type(self, kw: int, package: str, outer: TypeDecl | None,
+                   bodies: list[tuple[TypeDecl, int]]) -> int:
+        """Create the type declared at kw, inside outer or at the top level,
+        and open its body on `bodies`; the index of its first member."""
+        toks = self.toks
+        kind = toks[kw].text
+        if kw + 1 >= len(toks):
+            raise JavaParseError(f"{kind} without a name at line {toks[kw].line}")
+        name = toks[kw + 1].text
+        scope, sep = (package, ".") if outer is None else (outer.fqn, "$")
+        fqn = f"{scope}{sep}{name}" if scope else name
+        record_params: list[str] = []
+        open_b = kw + 2
+        if open_b < len(toks) and toks[open_b].text == "<":  # type parameters
+            open_b = match_angle(toks, open_b, len(toks)) + 1
+        if kind == "record" and open_b < len(toks) and toks[open_b].text == "(":
+            close_p = match_paren(toks, open_b)
+            record_params = self._parse_params(open_b + 1, close_p)
+            open_b = close_p + 1
+        open_b = index_of(toks, open_b, "{")
+        close_b = match_brace(toks, open_b)
+        # record components behave like fields and constructor parameters
+        self.types.append(TypeDecl(name, fqn, field_names=list(record_params),
+                                   record_components=record_params))
+        bodies.append((self.types[-1], close_b))
+        if kind == "enum":
+            return min(find_top_level(toks, open_b + 1, close_b, (";",)) + 1, close_b)
+        return open_b + 1
+
+    def _read_member(self, decl: TypeDecl, start: int, p: int, hi: int,
+                     annotations: list[list[Token]], static: bool) -> int:
+        """Append the member of decl whose prefix spans [start, p); the index
+        past it, or hi when it ends decl's body."""
+        t = self.toks[p]
+        # what every member declared here shares
+        head = dict(owner_fqn=decl.fqn, tok_start=start, annotation_tokens=annotations)
+        if t.text == "{":  # initializer block
+            close = match_brace(self.toks, p)
+            decl.methods.append(
+                MethodDecl("<clinit>" if static else "<init>", params=[], decl_line=t.line,
+                           tok_last=close, tok_open=p, tok_close=close, **head)
+            )
+            return close + 1
+        # the member head: a type then a name, or a constructor's name
+        q = p + 1 if t.text == "void" else skip_type(self.toks, p, hi)
+        if q < hi and self.toks[q].text == "{":
+            # record compact constructor: 'Name {'
+            name_t = self.toks[q - 1]
+            close = match_brace(self.toks, q)
+            if name_t.text == decl.name:
+                decl.methods.append(
+                    MethodDecl("<init>", params=list(decl.record_components),
+                               decl_line=name_t.line, tok_last=close,
+                               tok_open=q, tok_close=close, is_ctor=True, compact=True, **head)
+                )
+            return close + 1
+        if q + 1 < hi and is_name(self.toks[q]) and self.toks[q + 1].text == "(":
+            q += 1
+        if q < hi and self.toks[q].text != "(":
+            end = find_top_level(self.toks, q, hi, (";",))
+            found = declarators(self.toks, q, end)
+            if found and found[-1][2] == end:  # a field: its names, then the ';'
+                decl.field_names.extend(self.toks[k].text for k, _, _ in found)
+                return end + 1
+            # a head the type reader cannot read ends at its first '(' or '='
+            q = next((k for k in range(q, end) if self.toks[k].text in ("(", "=")), end)
+            if q == end or self.toks[q].text == "=":
+                return end + 1
+        if q >= hi:
+            return hi
+        name_tok = self.toks[q - 1]
+        close_paren = match_paren(self.toks, q)
         is_ctor = name_tok.text == decl.name
         p = close_paren + 1  # past a throws clause to the body or the ';'
         while p < len(self.toks) and self.toks[p].text not in ("{", ";"):
@@ -337,12 +329,14 @@ class _UnitParser:
         if p < len(self.toks) and self.toks[p].text == "{":
             tok_open, tok_close = p, match_brace(self.toks, p)
             p = tok_close
-        method = MethodDecl(
-            "<init>" if is_ctor else name_tok.text, params=params, decl_line=name_tok.line,
-            tok_last=p if p < len(self.toks) else close_paren, tok_open=tok_open,
-            tok_close=tok_close, is_ctor=is_ctor, **head
-        )
-        return method, p + 1
+        if t.text != "(":  # a head that starts with '(' names no method
+            decl.methods.append(MethodDecl(
+                "<init>" if is_ctor else name_tok.text,
+                params=self._parse_params(q + 1, close_paren), decl_line=name_tok.line,
+                tok_last=p if p < len(self.toks) else close_paren, tok_open=tok_open,
+                tok_close=tok_close, is_ctor=is_ctor, **head
+            ))
+        return p + 1
 
     def _parse_params(self, lo: int, hi: int) -> list[str]:
         """The parameter names in [lo, hi): each one's last identifier. At
@@ -360,13 +354,10 @@ class _UnitParser:
             lo = end + 1
         return names
 
-    def _join(self, lo: int, hi: int) -> str:
-        return "".join(t.text for t in self.toks[lo:hi])
-
 
 def parse_unit(source: str, path: str) -> CompilationUnit:
     tokens = tokenize(source)
-    return CompilationUnit(path, source, tokens, *_UnitParser(tokens).parse(0))
+    return CompilationUnit(path, source, tokens, *_UnitParser(tokens).parse([]))
 
 
 def parse_member(
@@ -386,10 +377,8 @@ def parse_member(
     own_close = Token("punct", "}", source.count("\n") + 2, len(source) + 1)
     parser = _UnitParser(tokens + [own_close])
     close = match_brace([own_open, *parser.toks], 0) - 1
-    body = TypeDecl("", "")
-    parser.types.append(body)
-    parser._parse_members(body, 0, close)
-    unit = CompilationUnit("<member>", source, tokens, *parser.parse(close + 1))
+    parser.types.append(TypeDecl("", ""))
+    unit = CompilationUnit("<member>", source, tokens, *parser.parse([(parser.types[0], close)]))
     return unit, next((m for _, m in unit.all_methods()), None)
 
 
@@ -648,30 +637,27 @@ def _tree_files(root: Path) -> list[str]:
     through no symlinked directory, symlinked files included. Like glob, it
     skips a directory it may not list."""
     files: list[str] = []
-    _add_tree_files(str(root), "", files)
-    return files
-
-
-def _add_tree_files(directory: str, prefix: str, files: list[str]) -> None:
-    """Append every file under directory to files, as prefix plus its path
-    below directory."""
-    try:
-        with os.scandir(directory) as it:
-            entries = sorted(it, key=lambda e: e.name)
-    except PermissionError:
-        return
-    for entry in entries:
-        if entry.is_dir(follow_symlinks=False):
-            _add_tree_files(entry.path, prefix + entry.name + "/", files)
-            continue
+    dirs = [(str(root), "")]  # (directory, its prefix) still to list
+    while dirs:
+        directory, prefix = dirs.pop()
         try:
-            is_file = entry.is_file()
-        except OSError as exc:
-            if exc.errno not in _DANGLING:
-                raise
-            is_file = False
-        if is_file:
-            files.append(prefix + entry.name)
+            with os.scandir(directory) as it:
+                entries = list(it)
+        except PermissionError:
+            continue
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                dirs.append((entry.path, prefix + entry.name + "/"))
+                continue
+            try:
+                is_file = entry.is_file()
+            except OSError as exc:
+                if exc.errno not in _DANGLING:
+                    raise
+                is_file = False
+            if is_file:
+                files.append(prefix + entry.name)
+    return sorted(files, key=lambda rel: rel.split("/"))
 
 
 def _decode(data: bytes) -> str:

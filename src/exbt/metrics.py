@@ -111,17 +111,28 @@ _KIND_DETAIL = {E.Binary: ("bin:", "op"), E.Unary: ("un:", "op"), E.New: ("new:"
 
 def _expr_signatures(expr, out: Counter) -> str:
     """The shape of expr: a leaf's kind, or its kind and its sub-expressions'
-    shapes, counted into out. Groups are transparent."""
-    cls = type(expr)
-    if cls is E.Grouped:
-        return _expr_signatures(expr.inner, out)
-    detail = _KIND_DETAIL.get(cls)
-    kind = cls.__name__.lower() if detail is None else detail[0] + getattr(expr, detail[1])
-    if not E.SUBEXPRS[cls]:
-        return kind
-    sig = kind + "(" + ",".join(_expr_signatures(k, out) for k in E.children(expr)) + ")"
-    out[sig] += 1
-    return sig
+    shapes, counted into out. Groups are transparent. Reversed pre-order
+    puts each node after all the nodes below it; nodes are keyed by
+    identity, since equal trees hash by walking themselves."""
+    order, stack = [], [expr]
+    while stack:
+        e = stack.pop()
+        kids = E.children(e)
+        order.append((e, kids))
+        stack += kids
+    shape: dict[int, str] = {}
+    for e, kids in reversed(order):
+        cls = type(e)
+        if cls is E.Grouped:
+            sig = shape[id(e.inner)]
+        else:
+            detail = _KIND_DETAIL.get(cls)
+            sig = cls.__name__.lower() if detail is None else detail[0] + getattr(e, detail[1])
+            if E.SUBEXPRS[cls]:
+                sig += "(" + ",".join([shape[id(k)] for k in kids]) + ")"
+                out[sig] += 1
+        shape[id(e)] = sig
+    return shape[id(expr)]
 
 
 def _stmt_expr_trees(unit, stmt):

@@ -327,6 +327,61 @@ def test_sweep_outputs_match_pinned_digests(capsys, tmp_path):
     assert got == REPO_A_SWEEP_SHA256
 
 
+# the fields that carry text of the test file's skeleton, and the digests of them
+_SKELETON_TEXT = {"instruction", "instruction_digest", "dest_skeleton"}
+
+
+def test_a_class_literal_in_a_top_level_annotation_leaves_the_sweep_as_it_was(
+        capsys, tmp_path):
+    """`@RunWith(JUnit4.class)` before repoA's test class, on the class's own
+    line, changes no status, trace, guard, non-EBT list, score, counter or
+    aggregate: only the text taken from the annotated skeleton and the
+    digests that follow from it."""
+    repo = tmp_path / "annotated/repoA"  # a corpus id starts with the directory's name
+    shutil.copytree(REPO_A, repo)
+    test = repo / "src/test/java/com/fix/AccountTest.java"
+    line = "\npublic class AccountTest {"
+    assert test.read_text().count(line) == 1
+    test.write_text(test.read_text().replace(line, "\n@RunWith(JUnit4.class) " + line[1:]))
+    plain, annotated = tmp_path / "plain", tmp_path / "annotated/out"
+    for root, out in ((REPO_A, plain), (repo, annotated)):
+        code, _, err = run(capsys, "sweep", root, "--seed", "42", "--backend", "stub",
+                           "--out", out)
+        assert code == 0, err
+
+    def rows(out, name):
+        return [{k: v for k, v in json.loads(l).items() if k not in _SKELETON_TEXT}
+                for l in (out / name).read_text().splitlines()]
+
+    for name in ("bundles.jsonl", "candidates.jsonl", "corpus.jsonl", "requests.jsonl"):
+        assert rows(annotated, name) == rows(plain, name)
+    for name in ("report.json", "report.txt"):
+        assert (annotated / name).read_bytes() == (plain / name).read_bytes()
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (plain, annotated)]
+    for manifest in manifests:
+        for name in ("bundles.jsonl", "candidates.jsonl", "corpus.jsonl", "requests.jsonl"):
+            del manifest["artifacts"][name]
+        del manifest["inputs"]["repo"]
+    assert manifests[1] == manifests[0]
+    assert manifests[0]["counters"]["pool_entries"] == 4
+
+
+def test_find_throws_reads_2000_nested_types(capsys, tmp_path):
+    """Nested type bodies open on the declaration reader's own stack, so
+    their depth costs no Python frames."""
+    depth = 2000
+    (tmp_path / "C.java").write_text(
+        "".join(f"class C{i} {{\n" for i in range(depth))
+        + "void f(int x) { if (x > 0) { throw new IllegalStateException(); } }\n"
+        + "}\n" * depth
+    )
+    code, out, err = run(capsys, "find-throws", tmp_path)
+    assert code == 0, err
+    (row,) = [json.loads(l) for l in out.splitlines()]
+    assert row["target"] == f"C.java:{depth + 1}"
+    assert row["method"]["fqn"] == "$".join(f"C{i}" for i in range(depth))
+
+
 def test_each_sweep_target_ends_exactly_once(capsys, tmp_path):
     out = tmp_path / "out"
     code, _, _ = run(capsys, "sweep", REPO_A, "--seed", "42", "--backend", "stub", "--out", out)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import builtins
 import io
+import json
 import os
 from collections import Counter
 from functools import cache
@@ -209,6 +210,8 @@ def _observe(what: str, source: str):
         return [m.params for _, m in unit.all_methods()]
     if what == "fields":
         return unit.types[0].field_names
+    if what == "types":
+        return [(t.fqn, [m.name for m in t.methods], t.field_names) for t in unit.types]
     if what == "annotations":
         return [["".join(t.text for t in a) for a in m.annotation_tokens]
                 for _, m in unit.all_methods()]
@@ -276,6 +279,12 @@ def _observe(what: str, source: str):
             "locals", "class G { void f() { int a[] = {1}; } }", [("a", "{1}")],
             id="c-style-local-dims",
         ),
+        pytest.param(
+            "types",
+            "sealed class G permits G.A { non-sealed class A extends G { void f() {} } int x; "
+            "void g() {} }",
+            [("G", ["g"], ["x"]), ("G$A", ["f"], [])], id="nested-non-sealed-type",
+        ),
     ],
 )
 def test_type_reader_regressions(what, source, expected):
@@ -318,6 +327,38 @@ def test_type_reader_regressions(what, source, expected):
 def test_member_heads_read_as_before(what, source, expected):
     """Heads that a plain scan to the first '(' already read right."""
     assert _observe(what, source) == expected
+
+
+# annotation arguments with a class literal, a nested annotation, an
+# element-value array or a string that holds a type keyword
+_ANNOTATION_ARGS = [
+    "", "()", "(JUnit4.class)", "({A.class, B.class})", "(classes = App.class)",
+    "(@Nested(Inner.class))", "(value = {@A, @B(int[].class)})", '("class X {")',
+    '(name = "interface", type = java.util.List.class)', "(Outer.Inner.class)",
+]
+
+
+@st.composite
+def top_level_prefixes(draw):
+    """Annotations and modifiers, `non-sealed` among them, before a type."""
+    words = st.one_of(
+        st.tuples(st.sampled_from(["A", "RunWith", "org.junit.ExtendWith"]),
+                  st.sampled_from(_ANNOTATION_ARGS)).map(lambda a: "@" + "".join(a)),
+        st.sampled_from(["public", "abstract", "final", "strictfp", "sealed", "non-sealed"]),
+    )
+    return " ".join(draw(st.lists(words, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(top_level_prefixes(),
+       st.sampled_from(["class", "interface", "enum", "record", "@interface"]),
+       st.sampled_from([" ", "\n"]))
+def test_a_top_level_prefix_is_read_whole(prefix, kind, gap):
+    """A class literal or a string in a top-level annotation names no type:
+    the unit holds the one type declared after the prefix."""
+    header = "Name(int x)" if kind == "record" else "Name"
+    unit = parse_unit(f"package p;\n{prefix}{gap}{kind} {header} {{ }}\n", "p/Name.java")
+    assert [(t.name, t.fqn) for t in unit.types] == [("Name", "p.Name")]
 
 
 @cache
@@ -483,6 +524,28 @@ def test_load_repo_reads_the_tree_as_the_manifest_and_read_text_do(tmp_path):
         "position 24: invalid start byte)",
         "src/main/java/p/Broken.java: parse failed (missing ';' after line 1)",
     ]
+
+
+def test_find_throws_lists_a_tree_1000_directories_deep(tmp_path, capsys):
+    """Listing keeps the directories still to list on its own stack, not on
+    Python's, and orders the files by path parts."""
+    deep = str(tmp_path)
+    for _ in range(1000):  # os.makedirs and shutil.rmtree recurse once per level
+        deep = os.path.join(deep, "d")
+        os.mkdir(deep)
+    try:
+        with open(os.path.join(deep, "E.java"), "w") as f:
+            f.write("class E { void f() { throw new IllegalStateException(); } }\n")
+        (tmp_path / "d-x.java").write_text("class X { }\n")  # '-' sorts before '/'
+        assert cli.main(["find-throws", str(tmp_path)]) == 0
+        (row,) = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert row["target"] == "d/" * 1000 + "E.java:1"
+        assert load_repo(tmp_path).main_files == ["d/" * 1000 + "E.java", "d-x.java"]
+    finally:
+        os.remove(os.path.join(deep, "E.java"))
+        while deep != str(tmp_path):
+            os.rmdir(deep)
+            deep = os.path.dirname(deep)
 
 
 def test_a_sweep_opens_each_java_file_once(tmp_path, monkeypatch):

@@ -497,6 +497,18 @@ def test_a_completion_nesting_300_blocks_scores():
     assert (s.code_bleu_degraded, s.code_bleu) == (False, pytest.approx(1.0))
 
 
+def test_a_completion_with_a_1200_term_chain_scores():
+    """The expression-shape walk of CodeBLEU takes no Python frame per level
+    of an expression: each prefix of the left-nested chain is one shape."""
+    terms = 1200
+    deep = "@Test public void t() { int y = " + " + ".join(["x"] * terms) + "; }"
+    shapes = [sig for sig in Sides().side(deep).ast_sigs if sig.startswith("bin:")]
+    assert len(shapes) == terms - 1
+    assert max(shapes, key=len) == "bin:+(" * (terms - 1) + "name" + ",name)" * (terms - 1)
+    s = score_candidate(deep, deep.replace("x + x;", "x;"), "E", "t1")
+    assert s.code_bleu_degraded is False
+
+
 def test_score_candidate_without_reference_keeps_similarity_absent():
     s = score_candidate("@Test public void t() { f(); }", None, "IOException", "t1")
     assert s.bleu is None and s.xmatch is None

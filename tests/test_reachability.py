@@ -55,12 +55,9 @@ RECURSIVE_GROUPS = {
     ("exbt.jmodel.exprs._child", "exbt.jmodel.exprs.render"),
     ("exbt.jmodel.exprs.evaluate",),
     ("exbt.jmodel.exprs.substitute",),
-    ("exbt.jmodel.model._UnitParser._parse_members", "exbt.jmodel.model._UnitParser._parse_type"),
-    ("exbt.jmodel.model._add_tree_files",),
     ("exbt.jmodel.stmts.BodyParser._parse_headed", "exbt.jmodel.stmts.BodyParser._parse_if",
      "exbt.jmodel.stmts.BodyParser._parse_stmt", "exbt.jmodel.stmts.BodyParser._parse_switch",
      "exbt.jmodel.stmts.BodyParser._parse_try"),
-    ("exbt.metrics._expr_signatures",),
 }
 
 
