@@ -15,8 +15,8 @@ place, and its free names. Each assignment, call argument and condition is
 rendered once, from its own small tree. The result equals
 substituting every later assignment and call into every earlier condition,
 one at a time, and rendering the trees; but no substituted tree is built,
-so the work grows linearly with the trace's depth (render calls on a call
-chain: 183, 375 and 759 at depths 16, 32 and 64).
+so the work grows linearly with the trace's depth (nodes rendered on a
+call chain: 183, 375 and 759 at depths 16, 32 and 64).
 
 A compound replacement renders inside explicit parentheses, so a rendered
 guard can never change meaning through operator precedence. The original

@@ -12,7 +12,7 @@ never change meaning through operator precedence.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 from exbt.errors import JavaParseError, UnboundName, UnsupportedConstruct
 from exbt.jmodel.lexer import ASSIGN_OPS, PRIMITIVES, Token, match_paren, skip_type, tokenize
@@ -149,10 +149,6 @@ SUBEXPRS: dict[type, tuple[str, ...]] = {
     Binary: ("left", "right"),
     Ternary: ("cond", "then", "other"),
 }
-# each node type's constructor fields, flagged when they hold sub-expressions
-_LAYOUT = {
-    cls: tuple((f.name, f.name in subs) for f in fields(cls)) for cls, subs in SUBEXPRS.items()
-}
 
 
 def children(e: Expr) -> list[Expr]:
@@ -185,6 +181,9 @@ _BIN_PREC = {
 }
 _UNARY_PREC = 14
 _PRIMARY_PREC = 15
+# how deep the parser reads: a level costs it at most four Python frames, as
+# in `new X(new X(…))`, so from any caller it stays far below Python's 1,000
+MAX_NESTING = 150
 
 
 # an identifier or literal operand ends at once unless one of these follows
@@ -201,6 +200,7 @@ class _Parser:
         self.src = source
         self.pos = 0
         self.arg_lists = 0  # call argument lists open around self.pos
+        self.depth = 0  # parse_binary calls open around self.pos
 
     def peek(self) -> Token | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -238,7 +238,11 @@ class _Parser:
 
     def parse_binary(self, min_prec: int) -> Expr:
         """An operand and every operator after it that binds at least as
-        tightly as min_prec, climbing `_BIN_PREC`."""
+        tightly as min_prec, climbing `_BIN_PREC`. Past MAX_NESTING open
+        calls the expression is too deep to read."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise JavaParseError(f"expression nests deeper than {MAX_NESTING} levels")
         left = self.parse_operand()
         toks = self.toks
         while self.pos < len(toks):
@@ -256,6 +260,7 @@ class _Parser:
             else:  # an assignment is right-associative
                 right = self.parse_binary(prec if op in ASSIGN_OPS else prec + 1)
                 left = Binary(op, left, right)
+        self.depth -= 1
         return left
 
     def parse_operand(self) -> Expr:
@@ -449,61 +454,118 @@ def _prec(e: Expr) -> int:
     return _BIN_PREC[e.op] if cls is Binary else _PREC.get(cls, _PRIMARY_PREC)
 
 
+def post_order(e: Expr) -> list[tuple[Expr, list[Expr]]]:
+    """Every node of e with its sub-expressions, each node after all the
+    nodes below it: reversed pre-order, with no Python frame per level."""
+    order, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        kids = children(node) if SUBEXPRS[type(node)] else ()
+        order.append((node, kids))
+        stack += kids
+    order.reverse()
+    return order
+
+
+def fold(e: Expr, visit):
+    """What `visit(node, kids, results)` returns for e, called on each node
+    in post-order with its sub-expressions and what it returned for them."""
+    done: list = []  # what visit returned for each node whose parent is still to come
+    for node, kids in post_order(e):
+        if kids:
+            cut = len(done) - len(kids)
+            result = visit(node, kids, done[cut:])
+            del done[cut:]
+        else:
+            result = visit(node, kids, kids)
+        done.append(result)
+    return done[0]
+
+
+def _push(todo: list, kid: Expr, min_prec: int) -> None:
+    """Put kid on todo, in parentheses when it binds looser than min_prec."""
+    if _prec(kid) < min_prec:
+        todo += (")", kid, "(")
+    else:
+        todo.append(kid)
+
+
 def render(e: Expr, names: dict[str, str] | None = None, used: set[str] | None = None) -> str:
     """Render with minimal parenthesization; explicit groups always show.
 
     A Name found in `names` renders as its text there, which must have
     primary precedence, as a bare name does. When `used` is given, the id
-    of every Name rendered is added to it: that is `free_names(e)`."""
-    cls = type(e)
-    if cls is Name:
-        if used is not None:
-            used.add(e.id)
-        return names.get(e.id, e.id) if names else e.id
-    if cls is Lit or cls is Opaque:
-        return e.text
-    if cls is Binary:  # an assignment is right-associative: `a = b = c` needs no group
-        p = _BIN_PREC[e.op]
-        lp, rp = (p + 1, p) if e.op in ASSIGN_OPS else (p, p + 1)
-        return f"{_child(e.left, lp, names, used)} {e.op} {_child(e.right, rp, names, used)}"
-    if cls is Call:
-        args = ", ".join([render(a, names, used) for a in e.args])
-        if e.recv is None:
-            return f"{e.name}({args})"
-        return f"{_child(e.recv, _PRIMARY_PREC, names, used)}.{e.name}({args})"
-    if cls is Unary:
-        operand = _child(e.operand, _UNARY_PREC, names, used)
-        if e.postfix:
-            return f"{operand}{e.op}"
-        # keep '-(-x)' from gluing into the '--' operator
-        if e.op in ("+", "-") and operand.startswith(e.op[0]):
-            operand = f"({operand})"
-        return f"{e.op}{operand}"
-    if cls is Grouped:
-        return f"({render(e.inner, names, used)})"
-    if cls is Field:
-        return f"{_child(e.recv, _PRIMARY_PREC, names, used)}.{e.name}"
-    if cls is Index:
-        return f"{_child(e.arr, _PRIMARY_PREC, names, used)}[{render(e.idx, names, used)}]"
-    if cls is Ternary:
-        cond = _child(e.cond, _PREC[Ternary] + 1, names, used)
-        then = render(e.then, names, used)
-        return f"{cond} ? {then} : {_child(e.other, _PREC[Ternary], names, used)}"
-    if cls is Cast:
-        return f"({e.type_text}) {_child(e.operand, _UNARY_PREC, names, used)}"
-    if cls is InstanceOf:
-        return f"{_child(e.operand, _PREC[InstanceOf], names, used)} instanceof {e.type_text}"
-    if cls is New:
-        args = ", ".join([render(a, names, used) for a in e.args])
-        return f"new {e.type_text}({args})"
-    raise TypeError(f"cannot render {cls.__name__}")
+    of every Name rendered is added to it: that is `free_names(e)`.
 
-
-def _child(e: Expr, min_prec: int, names: dict[str, str] | None, used: set[str] | None) -> str:
-    text = render(e, names, used)
-    if _prec(e) < min_prec:
-        return f"({text})"
-    return text
+    The text is written left to right from a stack of what is still to
+    write, so no Python frame is spent per level: a node is replaced by its
+    pieces, and a piece is a node, a text, or the end of a `+`/`-` operand."""
+    out: list[str] = []
+    todo: list = [e]  # last first
+    while todo:
+        e = todo.pop()
+        cls = type(e)
+        if cls is str:
+            out.append(e)
+        elif cls is Name:
+            if used is not None:
+                used.add(e.id)
+            out.append(names.get(e.id, e.id) if names else e.id)
+        elif cls is Lit or cls is Opaque:
+            out.append(e.text)
+        elif cls is Binary:  # an assignment is right-associative: `a = b = c` needs no group
+            p = _BIN_PREC[e.op]
+            lp, rp = (p + 1, p) if e.op in ASSIGN_OPS else (p, p + 1)
+            _push(todo, e.right, rp)
+            todo.append(f" {e.op} ")
+            _push(todo, e.left, lp)
+        elif cls is Call or cls is New:
+            todo.append(")")
+            for k in range(len(e.args) - 1, -1, -1):  # the arguments, last first
+                todo.append(e.args[k])
+                if k:
+                    todo.append(", ")
+            if cls is New:
+                out.append(f"new {e.type_text}(")
+            elif e.recv is None:
+                out.append(f"{e.name}(")
+            else:
+                todo.append(f".{e.name}(")
+                _push(todo, e.recv, _PRIMARY_PREC)
+        elif cls is Unary:
+            if e.postfix:
+                todo.append(e.op)
+            else:
+                out.append(e.op)
+                if e.op in ("+", "-"):  # the operand starts at out[len(out)]
+                    todo.append((len(out), e.op))
+            _push(todo, e.operand, _UNARY_PREC)
+        elif cls is tuple:  # keep '-(-x)' from gluing into the '--' operator
+            start, op = e
+            if out[start].startswith(op):
+                out[start] = "(" + out[start]
+                out.append(")")
+        elif cls is Grouped:
+            todo += (")", e.inner, "(")
+        elif cls is Field:
+            todo.append(f".{e.name}")
+            _push(todo, e.recv, _PRIMARY_PREC)
+        elif cls is Index:
+            todo += ("]", e.idx, "[")
+            _push(todo, e.arr, _PRIMARY_PREC)
+        elif cls is Ternary:
+            _push(todo, e.other, _PREC[Ternary])
+            todo += (" : ", e.then, " ? ")
+            _push(todo, e.cond, _PREC[Ternary] + 1)
+        elif cls is Cast:
+            out.append(f"({e.type_text}) ")
+            _push(todo, e.operand, _UNARY_PREC)
+        elif cls is InstanceOf:
+            todo.append(f" instanceof {e.type_text}")
+            _push(todo, e.operand, _PREC[InstanceOf])
+        else:
+            raise TypeError(f"cannot render {cls.__name__}")
+    return "".join(out)
 
 
 # --- substitution ---
@@ -521,32 +583,26 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     Method names and field member names are never touched; substituted
     compound expressions are wrapped in an explicit group.
     """
-    cls = type(e)
-    if cls is Name:
-        repl = mapping.get(e.id)
-        return e if repl is None else grouped(repl)
-    if not SUBEXPRS[cls]:
-        return e
-    values = []
-    for f, sub in _LAYOUT[cls]:
-        v = getattr(e, f)
-        if sub and v is not None:
-            v = tuple([substitute(a, mapping) for a in v]) if type(v) is tuple else substitute(v, mapping)
-        values.append(v)
-    return cls(*values)
+
+    def rebuilt(node: Expr, kids: list[Expr], sub: list[Expr]) -> Expr:
+        cls = type(node)
+        if cls is Name:
+            repl = mapping.get(node.id)
+            return node if repl is None else grouped(repl)
+        taken = iter(sub)  # the rebuilt sub-expressions, in source order
+        changes = {}
+        for f in SUBEXPRS[cls]:
+            v = getattr(node, f)
+            if v is not None:
+                changes[f] = tuple([next(taken) for _ in v]) if type(v) is tuple else next(taken)
+        return replace(node, **changes) if changes else node
+
+    return fold(e, rebuilt)
 
 
 def free_names(e: Expr) -> set[str]:
     """Names used as values (method and field member names excluded)."""
-    names: set[str] = set()
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if type(e) is Name:
-            names.add(e.id)
-        else:
-            stack += children(e)
-    return names
+    return {node.id for node, _ in post_order(e) if type(node) is Name}
 
 
 # --- evaluation ---

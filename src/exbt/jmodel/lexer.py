@@ -366,3 +366,19 @@ def match_paren(tokens: list[Token], open_index: int, hi: int | None = None) -> 
     before hi (default: the end)."""
     assert tokens[open_index].text == "("
     return _match(tokens, open_index, ")", "parentheses", hi or len(tokens))
+
+
+def brace_pairs(tokens: list[Token], lo: int) -> dict[int, int]:
+    """`match_brace` of each '{' from lo up to the '}' that closes the one
+    at lo, found in one pass."""
+    pairs: dict[int, int] = {}
+    opened: list[int] = []
+    for k in range(lo, len(tokens)):
+        text = tokens[k].text
+        if text == "{":
+            opened.append(k)
+        elif text == "}" and opened:
+            pairs[opened.pop()] = k
+            if not opened:
+                break
+    return pairs

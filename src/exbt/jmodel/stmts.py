@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from exbt.jmodel.lexer import (
     ASSIGN_OPS,
     Token,
+    brace_pairs,
     expression_end,
     find_top_level,
     index_of,
@@ -60,55 +61,69 @@ class BodyParser:
         self.toks = tokens
 
     def parse_block(self, open_index: int) -> Stmt:
-        """Parse the block whose '{' sits at open_index."""
-        return self._parse_stmt(open_index, len(self.toks))[0]
+        """Parse the block whose '{' sits at open_index. One loop reads the
+        statements: a compound one waits on `self.open` for its children, and
+        a finished one goes to the statement on top, which may finish too."""
+        self.closers = brace_pairs(self.toks, open_index)
+        self.open = opened = []  # [statement, children's limit, next catch's '(']
+        pos, limit = open_index, len(self.toks)
+        while True:
+            st, p = self._read(pos, limit)
+            while st is not None:  # st, which ends before p, is finished
+                if not opened:
+                    return st
+                st, p = self._resume(opened[-1], st, p)
+            pos, limit = p, opened[-1][1]
 
-    # --- statement dispatch ---
-
-    def _parse_stmt(self, pos: int, limit: int) -> tuple[Stmt, int]:
-        t = self.toks[pos]
+    def _read(self, pos: int, limit: int) -> tuple[Stmt | None, int]:
+        """The statement at pos and the index past it; or None and where its
+        first child starts, with the compound statement put on `self.open`."""
+        toks = self.toks
+        t = toks[pos]
         text = t.text
         if text == ";":
             return self._stmt("empty", pos, pos + 1), pos + 1
         if text == "{":
-            close = match_brace(self.toks, pos)
+            close = self.closers.get(pos) or match_brace(toks, pos)
             block = self._stmt("block", pos, close + 1)
-            p = pos + 1
-            while p < close:
-                child, p = self._parse_stmt(p, close)
-                _adopt(block, child)
-            return block, close + 1
-        if text == "if":
-            return self._parse_if(pos, limit)
-        if text in ("while", "for", "synchronized"):
-            return self._parse_headed(text, pos, limit)
+            return (block, close + 1) if pos + 1 >= close else self._open(block, close, pos + 1)
+        if text in ("if", "while", "for", "synchronized"):
+            open_p = index_of(toks, pos, "(")
+            close_p = match_paren(toks, open_p)
+            st = self._stmt(text, pos, close_p + 1)
+            if text in ("if", "while"):
+                st.cond_range = (open_p + 1, close_p)
+            elif text == "for":
+                header = split_top_level(toks, open_p + 1, close_p, ";")
+                if len(header) == 3 and header[1][1] > header[1][0]:
+                    st.cond_range = header[1]
+            return self._open(st, limit, close_p + 1)
         if text == "do":
-            body, p = self._parse_stmt(pos + 1, limit)
-            # 'while (cond) ;'
-            open_p = index_of(self.toks, p, "(")
-            close_p = match_paren(self.toks, open_p)
-            end = self._stmt_end(close_p + 1, limit)
-            st = self._stmt("dowhile", pos, end)
-            st.cond_range = (open_p + 1, close_p)
-            _adopt(st, body, "body")
-            return st, end
+            return self._open(self._stmt("dowhile", pos, pos + 1), limit, pos + 1)
         if text == "switch":
-            return self._parse_switch(pos, limit)
+            open_p = index_of(toks, pos, "(")
+            close_p = match_paren(toks, open_p)
+            open_b = index_of(toks, close_p, "{")
+            close_b = self.closers.get(open_b) or match_brace(toks, open_b)
+            st = self._stmt("switch", pos, close_b + 1)
+            st.selector_range = (open_p + 1, close_p)
+            p = self._labels(st, open_b + 1, close_b)
+            return (st, close_b + 1) if p >= close_b else self._open(st, close_b, p)
         if text == "try":
-            return self._parse_try(pos, limit)
+            p = pos + 1
+            if p < limit and toks[p].text == "(":
+                p = match_paren(toks, p) + 1
+            return self._open(self._stmt("try", pos, p), limit, p)
         if text in ("throw", "return", "break", "continue", "assert", "yield"):
             end = self._stmt_end(pos, limit)
             return self._stmt(text if text in ("throw", "return") else "other", pos, end), end
         if (
             t.kind == "ident"
             and pos + 1 < limit
-            and self.toks[pos + 1].text == ":"
-            and (pos + 2 >= limit or self.toks[pos + 2].text != ":")
+            and toks[pos + 1].text == ":"
+            and (pos + 2 >= limit or toks[pos + 2].text != ":")
         ):
-            inner, end = self._parse_stmt(pos + 2, limit)
-            st = self._stmt("labeled", pos, end)
-            _adopt(st, inner)
-            return st, end
+            return self._open(self._stmt("labeled", pos, pos + 2), limit, pos + 2)
         # local variable declaration or expression statement
         end = self._stmt_end(pos, limit)
         decl = self._try_local_var(pos, end)
@@ -118,92 +133,89 @@ class BodyParser:
         self._extract_assignment(st, pos, end)
         return st, end
 
-    def _parse_if(self, pos: int, limit: int) -> tuple[Stmt, int]:
-        open_p = index_of(self.toks, pos, "(")
-        close_p = match_paren(self.toks, open_p)
-        then_stmt, p = self._parse_stmt(close_p + 1, limit)
-        else_stmt = None
-        if p < limit and self.toks[p].text == "else":
-            else_stmt, p = self._parse_stmt(p + 1, limit)
-        st = self._stmt("if", pos, p)
-        st.cond_range = (open_p + 1, close_p)
-        _adopt(st, then_stmt, "then")
-        if else_stmt is not None:
-            _adopt(st, else_stmt, "else")
-        return st, p
+    def _open(self, st: Stmt, limit: int, child: int) -> tuple[None, int]:
+        """Put st on `self.open`; its first child starts at child."""
+        self.open.append([st, limit, None])
+        return None, child
 
-    def _parse_headed(self, kind: str, pos: int, limit: int) -> tuple[Stmt, int]:
-        """`while`, `for` or `synchronized`: a parenthesized header, then a body."""
-        open_p = index_of(self.toks, pos, "(")
-        close_p = match_paren(self.toks, open_p)
-        body, end = self._parse_stmt(close_p + 1, limit)
-        st = self._stmt(kind, pos, end)
-        if kind == "while":
-            st.cond_range = (open_p + 1, close_p)
-        elif kind == "for":
-            header = split_top_level(self.toks, open_p + 1, close_p, ";")
-            if len(header) == 3 and header[1][1] > header[1][0]:
-                st.cond_range = header[1]
-        _adopt(st, body, "body")
-        return st, end
-
-    def _parse_switch(self, pos: int, limit: int) -> tuple[Stmt, int]:
-        open_p = index_of(self.toks, pos, "(")
-        close_p = match_paren(self.toks, open_p)
-        open_b = index_of(self.toks, close_p, "{")
-        close_b = match_brace(self.toks, open_b)
-        st = self._stmt("switch", pos, close_b + 1)
-        st.selector_range = (open_p + 1, close_p)
-        p = open_b + 1
-        group: Stmt | None = None
-        while p < close_b:
-            word = self.toks[p].text
-            if word in ("case", "default"):
-                group_start = p
-                labels: list[tuple[int, int] | None] = []
-                while p < close_b and self.toks[p].text in ("case", "default"):
-                    end = find_top_level(self.toks, p + 1, close_b, (":", "->"))
-                    if self.toks[p].text == "default":
-                        labels.append(None)
-                    else:
-                        # an empty piece counts only before a comma
-                        pieces = split_top_level(self.toks, p + 1, end, ",")
-                        if pieces[-1][1] == pieces[-1][0]:
-                            pieces.pop()
-                        labels.extend(pieces)
-                    p = end + 1  # skip ':' or '->'
-                group = self._stmt("case", group_start, p)
-                group.labels = labels
-                _adopt(st, group, "group")
-                continue
-            child, p = self._parse_stmt(p, close_b)
+    def _resume(self, top: list, child: Stmt, p: int) -> tuple[Stmt | None, int]:
+        """Give `top` its child, which ends before p: None and where the next
+        child starts, or `top`'s statement, finished, and the index past it."""
+        st, limit, catch = top
+        kind, toks = st.kind, self.toks
+        after = toks[p].text if p < limit else None
+        if kind == "block":
+            st.children.append(child)
+            if after is not None:
+                return None, p
+            p = limit + 1
+        elif kind == "if":
+            _adopt(st, child, "else" if st.children else "then")
+            if after == "else" and len(st.children) == 1:
+                return None, p + 1
+        elif kind == "switch":
+            group = st.children[-1] if st.children else None
             if group is None:
                 group = self._stmt("case", child.tok_start, child.tok_end)
                 group.labels = []
                 _adopt(st, group, "group")
             _adopt(group, child)
             group.tok_end = child.tok_end
-        return st, close_b + 1
-
-    def _parse_try(self, pos: int, limit: int) -> tuple[Stmt, int]:
-        p = pos + 1
-        if p < limit and self.toks[p].text == "(":
-            p = match_paren(self.toks, p) + 1
-        body, p = self._parse_stmt(p, limit)
-        st = self._stmt("try", pos, p)
-        _adopt(st, body, "body")
-        while p < limit and self.toks[p].text == "catch":
-            open_p = index_of(self.toks, p, "(")
-            close_p = match_paren(self.toks, open_p)
-            cbody, p = self._parse_stmt(close_p + 1, limit)
-            catch = self._stmt("catch", open_p, p)
-            _adopt(catch, cbody, "body")
-            _adopt(st, catch, "catch")
-        if p < limit and self.toks[p].text == "finally":
-            fbody, p = self._parse_stmt(p + 1, limit)
-            _adopt(st, fbody, "finally")
-        st.tok_end = p
+            p = self._labels(st, p, limit)
+            if p < limit:
+                return None, p
+            p = limit + 1
+        elif kind == "try":
+            if not st.children:
+                _adopt(st, child, "body")
+            elif catch is not None:
+                clause = self._stmt("catch", catch, p)
+                _adopt(clause, child, "body")
+                _adopt(st, clause, "catch")
+            else:
+                _adopt(st, child, "finally")
+                after = None
+            if after == "catch":
+                top[2] = index_of(toks, p, "(")
+                return None, match_paren(toks, top[2]) + 1
+            if after == "finally":
+                top[2] = None
+                return None, p + 1
+        elif kind == "dowhile":  # 'while (cond) ;' follows the body
+            open_p = index_of(toks, p, "(")
+            close_p = match_paren(toks, open_p)
+            p = self._stmt_end(close_p + 1, limit)
+            st.cond_range = (open_p + 1, close_p)
+            _adopt(st, child, "body")
+        else:  # a loop, `synchronized` or a label, with its one child
+            _adopt(st, child, None if kind == "labeled" else "body")
+        self.open.pop()
+        # on malformed input a `try` keeps an end before its start; others hold a token
+        st.tok_end = p if kind == "try" else max(p, st.tok_start + 1)
         return st, p
+
+    def _labels(self, switch: Stmt, p: int, close_b: int) -> int:
+        """Read the `case` and `default` labels at p, if any, into a new
+        group of switch; return the index past them."""
+        if p >= close_b or self.toks[p].text not in ("case", "default"):
+            return p
+        group_start = p
+        labels: list[tuple[int, int] | None] = []
+        while p < close_b and self.toks[p].text in ("case", "default"):
+            end = find_top_level(self.toks, p + 1, close_b, (":", "->"))
+            if self.toks[p].text == "default":
+                labels.append(None)
+            else:
+                # an empty piece counts only before a comma
+                pieces = split_top_level(self.toks, p + 1, end, ",")
+                if pieces[-1][1] == pieces[-1][0]:
+                    pieces.pop()
+                labels.extend(pieces)
+            p = end + 1  # skip ':' or '->'
+        group = self._stmt("case", group_start, p)
+        group.labels = labels
+        _adopt(switch, group, "group")
+        return p
 
     # --- local variables and assignments ---
 

@@ -111,28 +111,20 @@ _KIND_DETAIL = {E.Binary: ("bin:", "op"), E.Unary: ("un:", "op"), E.New: ("new:"
 
 def _expr_signatures(expr, out: Counter) -> str:
     """The shape of expr: a leaf's kind, or its kind and its sub-expressions'
-    shapes, counted into out. Groups are transparent. Reversed pre-order
-    puts each node after all the nodes below it; nodes are keyed by
-    identity, since equal trees hash by walking themselves."""
-    order, stack = [], [expr]
-    while stack:
-        e = stack.pop()
-        kids = E.children(e)
-        order.append((e, kids))
-        stack += kids
-    shape: dict[int, str] = {}
-    for e, kids in reversed(order):
+    shapes, counted into out. Groups are transparent."""
+
+    def shape(e, kids, shapes: list[str]) -> str:
         cls = type(e)
         if cls is E.Grouped:
-            sig = shape[id(e.inner)]
-        else:
-            detail = _KIND_DETAIL.get(cls)
-            sig = cls.__name__.lower() if detail is None else detail[0] + getattr(e, detail[1])
-            if E.SUBEXPRS[cls]:
-                sig += "(" + ",".join([shape[id(k)] for k in kids]) + ")"
-                out[sig] += 1
-        shape[id(e)] = sig
-    return shape[id(expr)]
+            return shapes[0]
+        detail = _KIND_DETAIL.get(cls)
+        sig = cls.__name__.lower() if detail is None else detail[0] + getattr(e, detail[1])
+        if E.SUBEXPRS[cls]:
+            sig += "(" + ",".join(shapes) + ")"
+            out[sig] += 1
+        return sig
+
+    return E.fold(expr, shape)
 
 
 def _stmt_expr_trees(unit, stmt):
@@ -144,6 +136,31 @@ def _stmt_expr_trees(unit, stmt):
         if rng[1] > rng[0]:
             trees.append(parse_or_opaque(unit, rng))
     return trees
+
+
+# the most characters of statement and expression shapes one side counts,
+# repeats included. A shape holds its children's, so a body nested n deep
+# has shapes of about n * n characters in all, while a shallow body's stay
+# within a small multiple of its length; a side past this is scored as one
+# whose body does not parse.
+MAX_SHAPE_CHARS = 1 << 24
+
+
+class _ShapeTooLong(Exception):
+    """A side's shapes past MAX_SHAPE_CHARS."""
+
+
+class _ShapeCounts(Counter):
+    """Shape counts that hold at most MAX_SHAPE_CHARS characters of shapes
+    counted, repeats included."""
+
+    room = MAX_SHAPE_CHARS
+
+    def __setitem__(self, sig: str, count: int) -> None:
+        self.room -= len(sig)
+        if self.room < 0:
+            raise _ShapeTooLong
+        super().__setitem__(sig, count)
 
 
 def _stmt_signatures(tree, out: Counter) -> None:
@@ -158,7 +175,7 @@ def _stmt_signatures(tree, out: Counter) -> None:
 
 def _ast_signatures(tree, node_exprs) -> Counter:
     """Statement-shape and expression-shape signatures of a body tree."""
-    sigs: Counter = Counter()
+    sigs: Counter = _ShapeCounts()
     _stmt_signatures(tree, sigs)
     for _, trees in node_exprs:
         for expr in trees:
@@ -206,12 +223,11 @@ def _side(tokens: list[str], member: Member | None) -> _Side:
         return _Side(tokens, grams, None, None)
     try:
         tree = BodyParser(unit.tokens).parse_block(method.tok_open)
-    except ExbtError:
+        node_exprs = [(node, _stmt_expr_trees(unit, node)) for node in tree.iter_tree()]
+        sigs = _ast_signatures(tree, node_exprs)
+    except (ExbtError, _ShapeTooLong):
         return _Side(tokens, grams, None, None)
-    node_exprs = [(node, _stmt_expr_trees(unit, node)) for node in tree.iter_tree()]
-    return _Side(
-        tokens, grams, _ast_signatures(tree, node_exprs), _def_use_pairs(method, node_exprs)
-    )
+    return _Side(tokens, grams, sigs, _def_use_pairs(method, node_exprs))
 
 
 class Sides:

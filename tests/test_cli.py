@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -380,6 +381,73 @@ def test_find_throws_reads_2000_nested_types(capsys, tmp_path):
     (row,) = [json.loads(l) for l in out.splitlines()]
     assert row["target"] == f"C.java:{depth + 1}"
     assert row["method"]["fqn"] == "$".join(f"C{i}" for i in range(depth))
+
+
+# repoA's `withdraw` throws on line 14 under the `if` of line 13; a deep
+# shape rewrites lines 13 and 15 only, so the trace logs still name the throw
+_GUARDED_THROW = ("        if (amount < 0) {\n"
+             '            throw new IllegalArgumentException("negative amount");\n        }\n')
+
+
+def _deep_withdraw(shape: str, n: int) -> tuple[str, str, str]:
+    """Lines 13 and 15 of `withdraw` with its guard nested n deep, and the
+    guard's condition."""
+    if shape == "ifs":
+        return "if (amount < 0) { " * n, "} " * n, "amount < 0"
+    if shape == "blocks":
+        return "{ " * n + "if (amount < 0) {", "} " * (n + 1), "amount < 0"
+    cond = "(" * n + "amount < 0" + ")" * n if shape == "parens" else "amount" + " + 0" * n + " < 0"
+    return f"if ({cond}) {{", "}", cond
+
+
+@pytest.mark.parametrize("shape, n", [("ifs", 600), ("blocks", 1000), ("parens", 1000),
+                                      ("terms", 1000), ("ifs", 5000), ("blocks", 5000),
+                                      ("parens", 5000), ("terms", 5000)])
+def test_a_sweep_reads_a_guard_nested_past_the_python_stack(capsys, tmp_path, shape, n):
+    """javac 17 compiles each shape at the first depth, and each ended the
+    sweep with a RecursionError: the statement reader and `render` take no
+    Python frame per level, and parentheses past the expression parser's
+    bound make an opaque condition, its source text."""
+    repo = tmp_path / "repoA"
+    shutil.copytree(REPO_A, repo)
+    account = repo / "src/main/java/com/fix/Account.java"
+    assert account.read_text().count(_GUARDED_THROW) == 1
+    head, tail, cond = _deep_withdraw(shape, n)
+    throw = _GUARDED_THROW.splitlines(keepends=True)[1]
+    account.write_text(account.read_text().replace(_GUARDED_THROW, f"        {head}\n{throw}        {tail}\n"))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "sweep", repo, "--seed", "42", "--backend", "stub", "--out", out)
+    assert (code, "Traceback" in err) == (0, False), err[-2000:]
+    report = json.loads((out / "report.json").read_text())
+    rows = [json.loads(l) for l in (out / "candidates.jsonl").read_text().splitlines()]
+    bundles = [json.loads(l) for l in (out / "bundles.jsonl").read_text().splitlines()]
+    ended = [r["target"] for r in rows] + [b["target"] for b in bundles if b["status"] == "no-match"]
+    assert sorted(ended) == sorted(report["targets"]) and len(ended) == 6
+    assert run(capsys, "verify-manifest", out / "manifest.json")[0] == 0
+    (guard,) = [b["guard"] for b in bundles if b["target"].endswith("Account.java:14")]
+    assert guard["conditions"] == [cond] * (n if shape == "ifs" else 1)
+
+
+@pytest.mark.parametrize("body", ["if (x > 0) { " * 5000 + "f(); " + "} " * 5000,
+                                  "int y = " + " + ".join(["x"] * 5000) + ";"],
+                         ids=["5000-ifs", "5000-term-chain"])
+def test_eval_scores_a_completion_nested_5000_deep(capsys, tmp_path, body):
+    """The completion's body is read without a Python frame per level, and
+    its CodeBLEU side degrades once its shapes outgrow MAX_SHAPE_CHARS, before
+    they fill memory."""
+    test = "@Test(expected = IllegalStateException.class)\npublic void t() { %s }"
+    for name, field, text in (("cands", "candidate", test % body), ("refs", "reference", test % "f();")):
+        (tmp_path / f"{name}.jsonl").write_text(json.dumps(
+            {"target": "A.java:3", field: text, "exception_type": "IllegalStateException"}) + "\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "eval", "--candidates", tmp_path / "cands.jsonl",
+                             "--refs", tmp_path / "refs.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, "Traceback" in err) == (0, False), err[-2000:]
+    assert peak < 60e6
 
 
 def test_each_sweep_target_ends_exactly_once(capsys, tmp_path):

@@ -303,3 +303,16 @@ def test_table_walks_equal_the_per_type_ladders(e, mapping):
     assert _expr_signatures(e, got) == ref_expr_signatures(e, want)
     assert got == want
     assert grouped(e) == (e if isinstance(e, _ATOMIC) else Grouped(e))
+
+
+def test_substitute_equals_the_ladder_on_deep_chains():
+    """A left-nested chain as deep as the recursive ladder reads, and one of
+    5,000 terms, which it cannot: the names replaced, each in its place."""
+    for depth in (200, 5000):
+        e = E.Name("x0")
+        for i in range(1, depth):
+            e = E.Binary("+", e, E.Name(f"x{i % 7}"))
+        mapping = {"x3": E.parse_expr("a - b"), "x5": E.Name("k")}
+        if depth == 200:  # dataclass equality recurses too
+            assert E.substitute(e, mapping) == ref_substitute(e, mapping)
+        assert E.render(E.substitute(e, mapping)) == E.render(e, {"x3": "(a - b)", "x5": "k"})

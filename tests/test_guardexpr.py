@@ -363,13 +363,14 @@ def test_a_call_after_another_statement_on_its_frame_line_is_found(tmp_path):
 
 
 def test_fold_substitutions_grow_linearly_with_depth(tmp_path, monkeypatch):
+    """Counts the nodes of every tree rendered, the work `render` does."""
     calls = 0
     render = exprs.render
 
-    def counting(*args):
+    def counting(e, *args):
         nonlocal calls
-        calls += 1
-        return render(*args)
+        calls += len(exprs.post_order(e))
+        return render(e, *args)
 
     monkeypatch.setattr(exprs, "render", counting)
     made = {}

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from exbt.errors import JavaParseError, UnboundName, UnsupportedConstruct
 from exbt.jmodel.exprs import (
+    MAX_NESTING,
     Binary,
     Call,
     New,
@@ -396,3 +397,16 @@ def _walk(e):
     yield e
     for c in children(e):
         yield from _walk(c)
+
+
+@pytest.mark.parametrize("wrap", ["({})", "f({})", "-({})", "x = {}", "a ? b : {}", "new X({})",
+                                  "a[{}]", "(int) ({})"])
+def test_an_expression_nested_past_max_nesting_is_a_parse_error(wrap):
+    """MAX_NESTING levels parse; one more is a JavaParseError, never a
+    RecursionError, and a guard keeps that condition as its source text."""
+    text = "x"
+    for _ in range(MAX_NESTING - 1):
+        text = wrap.format(text)
+    assert render(parse_expr(text)).count("x") >= 1
+    with pytest.raises(JavaParseError, match="nests deeper than 150 levels"):
+        parse_expr(wrap.format(text))

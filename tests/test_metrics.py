@@ -16,6 +16,7 @@ from exbt.jmodel import load_repo
 from exbt.jmodel.lexer import KEYWORDS, tokenize
 from exbt.jmodel.stmts import BodyParser
 from exbt.metrics import (
+    MAX_SHAPE_CHARS,
     CandidateScore,
     FunctionalResult,
     Sides,
@@ -507,6 +508,32 @@ def test_a_completion_with_a_1200_term_chain_scores():
     assert max(shapes, key=len) == "bin:+(" * (terms - 1) + "name" + ",name)" * (terms - 1)
     s = score_candidate(deep, deep.replace("x + x;", "x;"), "E", "t1")
     assert s.code_bleu_degraded is False
+
+
+def test_shapes_past_max_shape_chars_degrade_the_side():
+    """A side counts at most MAX_SHAPE_CHARS characters of shapes, repeats
+    included: the chain whose shapes just fit keeps them, one term more
+    and the side scores as one whose body does not parse, as does a
+    completion nesting 5,000 blocks. A shallow body of 20,000 statements
+    stays far inside."""
+
+    def chain(n):
+        return "@Test public void t() { int y = " + " + ".join(["x"] * n) + "; }"
+
+    def chars(n):  # `block(localvar())`, `localvar()`, then a shape per `+`
+        return 27 + sum(12 * k + 4 for k in range(1, n))
+
+    n = 2
+    while chars(n + 1) <= MAX_SHAPE_CHARS:
+        n += 1
+    side = Sides().side(chain(n))
+    assert sum(len(sig) * k for sig, k in side.ast_sigs.items()) == chars(n)
+    side = Sides().side(chain(n + 1))
+    assert (side.ast_sigs, side.def_use) == (None, None)
+    deep = "@Test public void t() { " + "{ " * 5000 + "f(); " + "} " * 5000 + "}"
+    assert Sides().side(deep).ast_sigs is None
+    wide = Sides().side("@Test public void t() { " + "f(x); " * 20_000 + "}")
+    assert wide.ast_sigs["expr()"] == 20_000 and wide.def_use is not None
 
 
 def test_score_candidate_without_reference_keeps_similarity_absent():

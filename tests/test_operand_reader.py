@@ -542,3 +542,43 @@ def test_render_equals_the_isinstance_ladder(e, names):
     assert render(e, names, used) == ref_render(e, names)
     assert render(e) == ref_render(e)
     assert used == free_names(e)
+
+
+# --- deep trees: the post-order walk against the recursive ladder ---
+
+_WRAPS = {
+    "left +": lambda e, i: Binary("+", e, Name(f"x{i}")),
+    "right -": lambda e, i: Binary("-", Name(f"x{i}"), e),
+    "assign": lambda e, i: Binary("=", Name(f"x{i}"), e),
+    "ternary": lambda e, i: Ternary(Name(f"c{i}"), Lit("1"), e),
+    "unary": lambda e, i: Unary("-", e),
+    "call": lambda e, i: Call(Name("o") if i % 2 else None, "f", (e, Lit("2"))),
+    "field": lambda e, i: Field(e, f"f{i}"),
+    "index": lambda e, i: Index(e, Name(f"x{i}")),
+    "cast": lambda e, i: Cast("int", e),
+    "grouped": lambda e, i: Grouped(e),
+}
+
+
+def _nested(wrap: str, depth: int) -> Expr:
+    e: Expr = Name("x0")
+    for i in range(1, depth):
+        e = _WRAPS[wrap](e, i)
+    return e
+
+
+@pytest.mark.parametrize("wrap", sorted(_WRAPS))
+def test_render_equals_the_ladder_300_deep(wrap):
+    """As deep as the recursive ladder reads: the same text, names
+    replaced or not."""
+    e = _nested(wrap, 300)
+    used: set[str] = set()
+    assert render(e, {"x0": "a.b"}, used) == ref_render(e, {"x0": "a.b"})
+    assert render(e) == ref_render(e)
+    assert used == free_names(e)
+
+
+def test_render_reads_a_5000_term_chain():
+    assert render(_nested("left +", 5000)) == " + ".join(f"x{i}" for i in range(5000))
+    assert render(_nested("right -", 5000)) == \
+        "".join(f"x{i} - (" for i in range(4999, 1, -1)) + "x1 - x0" + ")" * 4998

@@ -52,12 +52,7 @@ NAME_ONLY = {
 RECURSIVE_GROUPS = {
     ("exbt.jmodel.exprs._Parser._parse_args", "exbt.jmodel.exprs._Parser._parse_new",
      "exbt.jmodel.exprs._Parser.parse_binary", "exbt.jmodel.exprs._Parser.parse_operand"),
-    ("exbt.jmodel.exprs._child", "exbt.jmodel.exprs.render"),
     ("exbt.jmodel.exprs.evaluate",),
-    ("exbt.jmodel.exprs.substitute",),
-    ("exbt.jmodel.stmts.BodyParser._parse_headed", "exbt.jmodel.stmts.BodyParser._parse_if",
-     "exbt.jmodel.stmts.BodyParser._parse_stmt", "exbt.jmodel.stmts.BodyParser._parse_switch",
-     "exbt.jmodel.stmts.BodyParser._parse_try"),
 }
 
 
